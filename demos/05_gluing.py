@@ -10,13 +10,12 @@ advance from the cut segments of both sides.
 from zigzags import (
     bipyramid,
     bipyramid_canonical_zorientation,
-    check_compatibility,
     classify,
     find_piece_pairs,
     find_special_pairs,
     glue,
     is_homogeneous,
-    resolve_site,
+    plan_gluing,
 )
 
 host = bipyramid(3, "L.")
@@ -25,19 +24,13 @@ pairs = find_special_pairs(host, host_tau)
 print(f"host: 3-gonal bipyramid, {len(pairs)} special pairs")
 for p in pairs:
     print(f"  {'-'.join(p.e1)} / {'-'.join(p.e2)} at {p.shared_vertex}")
-host_site = resolve_site(host, host_tau, pairs[0])
 
 piece = bipyramid(4, "R.")
 piece_tau = bipyramid_canonical_zorientation(4, "R.")
-piece_site = None
-for pp in find_piece_pairs(piece, piece_tau):
-    for cand in (pp, pp.swapped()):
-        site = resolve_site(piece, piece_tau, cand)
-        if check_compatibility(host_site, site):
-            piece_site = site
-            break
-    if piece_site is not None:
-        break
+# the first piece pair whose edges point the way the host pair's do
+host_site, piece_site = plan_gluing(
+    host, host_tau, pairs[0], piece, piece_tau, find_piece_pairs(piece, piece_tau)
+)
 print(f"\npiece: 4-gonal bipyramid ({piece_site.kind})")
 
 glued, glued_tau = glue((host, host_tau), host_site, (piece, piece_tau), piece_site)

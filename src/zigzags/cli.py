@@ -14,6 +14,7 @@ from pathlib import Path
 from .engine import (
     Classification,
     ZOrientation,
+    _homogeneous,
     all_z_orientations,
     classify,
     enumerate_zigzags,
@@ -38,14 +39,14 @@ from .generators import (
     validate_tree,
 )
 from .surgery import (
+    PiecePair,
     SpecialPair,
     SurgeryError,
-    check_compatibility,
     find_piece_pairs,
     find_special_pairs,
     glue,
+    plan_gluing,
     predict_glued_zigzag,
-    resolve_site,
 )
 from .triangulation import (
     Triangulation,
@@ -79,19 +80,16 @@ def _census_lines(zs, fmt: str) -> list[str]:
     ]
 
 
-def _pair_lines(t: Triangulation, tau: ZOrientation, fmt: str) -> list[str]:
+def _pair_lines(t: Triangulation, tau: ZOrientation, homogeneous: bool, fmt: str) -> list[str]:
     k = len(tau.zigzags)
-    pairs = []
-    kind_of = {}
-    if k == 1 and is_homogeneous(t, tau):
-        pairs = list(find_special_pairs(t, tau))
-    elif k in (2, 4) and is_homogeneous(t, tau):
-        for p in find_piece_pairs(t, tau):
-            pairs.append(p)
-            kind_of[p] = p.kind
+    pairs = ()
+    if homogeneous and k == 1:
+        pairs = find_special_pairs(t, tau)
+    elif homogeneous and k in (2, 4):
+        pairs = find_piece_pairs(t, tau)
     lines = []
     for p in sorted(pairs, key=lambda p: (p.e1, p.e2)):
-        kind = kind_of.get(p, "special")
+        kind = p.kind if isinstance(p, PiecePair) else "special"
         if fmt == "tsv":
             lines.append(
                 f"pair\t{p.e1[0]}\t{p.e1[1]}\t{p.e2[0]}\t{p.e2[1]}\t{p.shared_vertex}\t{kind}"
@@ -122,7 +120,12 @@ def analyze_report(t: Triangulation, tau: ZOrientation | None, fmt: str = "text"
     v_ii = len(cls.vertex_types) - v_i
     f_i = sum(1 for ty in cls.face_types.values() if ty == "I")
     f_ii = len(cls.face_types) - f_i
-    homogeneous = is_homogeneous(t, tau)
+    homogeneous = _homogeneous(cls, tau)
+    inn = dict.fromkeys(t.vertices, 0)
+    out = dict.fromkeys(t.vertices, 0)
+    for src, dst in cls.edge_directions.values():
+        out[src] += 1
+        inn[dst] += 1
 
     if fmt == "tsv":
         lines.append(f"bits\t{''.join(map(str, tau.bits))}")
@@ -138,12 +141,8 @@ def analyze_report(t: Triangulation, tau: ZOrientation | None, fmt: str = "text"
             lines.append(f"face\t{f[0]}\t{f[1]}\t{f[2]}\t{cls.face_types[f]}")
         lines.append(f"homogeneous\t{str(homogeneous).lower()}")
         for v in sorted(t.vertices):
-            arcs = cls.edge_directions.values()
-            lines.append(
-                f"balance\t{v}\t{sum(1 for a in arcs if a[1] == v)}"
-                f"\t{sum(1 for a in arcs if a[0] == v)}"
-            )
-        lines.extend(_pair_lines(t, tau, fmt))
+            lines.append(f"balance\t{v}\t{inn[v]}\t{out[v]}")
+        lines.extend(_pair_lines(t, tau, homogeneous, fmt))
         return "\n".join(lines) + "\n"
 
     lines.append(f"bits: {''.join(map(str, tau.bits))}")
@@ -152,12 +151,9 @@ def analyze_report(t: Triangulation, tau: ZOrientation | None, fmt: str = "text"
     lines.append(f"faces: {f_i} type I, {f_ii} type II")
     lines.append(f"homogeneous: {'yes' if homogeneous else 'no'}")
     lines.append("balance:")
-    arcs = list(cls.edge_directions.values())
     for v in sorted(t.vertices):
-        inn = sum(1 for a in arcs if a[1] == v)
-        out = sum(1 for a in arcs if a[0] == v)
-        lines.append(f"  {v} in={inn} out={out}")
-    lines.extend(_pair_lines(t, tau, fmt))
+        lines.append(f"  {v} in={inn[v]} out={out[v]}")
+    lines.extend(_pair_lines(t, tau, homogeneous, fmt))
     return "\n".join(lines) + "\n"
 
 
@@ -280,20 +276,10 @@ def _cmd_glue(args) -> int:
     piece_t = _load_triangulation(args.piece)
     host_tau = _orientation(host_t, args.host_zorient)
     piece_tau = _orientation(piece_t, args.piece_zorient)
-    host_pair = _parse_pair(args.host_pair)
-    try:
-        host_site = resolve_site(host_t, host_tau, host_pair)
-    except SurgeryError:
-        # the side condition picks one of the two role orders of u,v,w
-        host_site = resolve_site(host_t, host_tau, host_pair.swapped())
-    piece_pair = _parse_pair(args.piece_pair)
-    piece_site = resolve_site(piece_t, piece_tau, piece_pair)
-    if not check_compatibility(host_site, piece_site):
-        piece_site = resolve_site(piece_t, piece_tau, piece_pair.swapped())
-        if not check_compatibility(host_site, piece_site):
-            raise SurgeryError(
-                "pair directions at the shared vertices do not match in either role order"
-            )
+    host_site, piece_site = plan_gluing(
+        host_t, host_tau, _parse_pair(args.host_pair),
+        piece_t, piece_tau, (_parse_pair(args.piece_pair),),
+    )
     glued, tau = glue((host_t, host_tau), host_site, (piece_t, piece_tau), piece_site)
     _emit(serialize_triangulation(glued), args.output)
     predicted = predict_glued_zigzag(host_site, piece_site)

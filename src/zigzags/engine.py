@@ -339,7 +339,11 @@ def is_homogeneous(t: Triangulation, tau: ZOrientation) -> bool:
     The cyclic pattern check: the length is divisible by 3 and the type-II
     positions are exactly one residue class mod 3.
     """
-    cls = classify(t, tau)
+    return _homogeneous(classify(t, tau), tau)
+
+
+def _homogeneous(cls: Classification, tau: ZOrientation) -> bool:
+    """is_homogeneous decided from an existing classification under tau."""
     if any(kind != "I" for kind in cls.face_types.values()):
         return False
     for z in tau.chosen:

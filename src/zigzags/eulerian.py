@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import ZOrientation, classify, enumerate_zigzags, is_homogeneous
+from .engine import ZOrientation, _homogeneous, classify, enumerate_zigzags, is_homogeneous
 from .triangulation import ParseError, Triangulation, ValidationReport, _check_token, face_key
 
 __all__ = [
@@ -96,12 +96,15 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
     if violations:
         return ValidationReport(tuple(sorted(set(violations))))
 
+    inn = dict.fromkeys(emb.vertices, 0)
+    out = dict.fromkeys(emb.vertices, 0)
+    for u, w in emb.arcs:
+        out[u] += 1
+        inn[w] += 1
     for v in emb.vertices:
-        if emb.in_degree(v) != emb.out_degree(v):
-            violations.append(
-                f"vertex {v!r} has in-degree {emb.in_degree(v)} but out-degree {emb.out_degree(v)}"
-            )
-        if emb.out_degree(v) == 0:
+        if inn[v] != out[v]:
+            violations.append(f"vertex {v!r} has in-degree {inn[v]} but out-degree {out[v]}")
+        if out[v] == 0:
             violations.append(f"vertex {v!r} is isolated")
 
     seen = set()
@@ -160,9 +163,9 @@ def extract_directed_embedding(t: Triangulation, tau: ZOrientation) -> DirectedE
     directed type-II edges, and each type-I vertex contributes the face
     cycle traced by its link.
     """
-    if not is_homogeneous(t, tau):
-        raise EmbeddingError("extraction requires a homogeneous z-orientation")
     cls = classify(t, tau)
+    if not _homogeneous(cls, tau):
+        raise EmbeddingError("extraction requires a homogeneous z-orientation")
     type_i = set(cls.type_i_vertices)
     vertices = tuple(v for v in t.vertices if v not in type_i)
     arcs = tuple(sorted(cls.edge_directions.values()))

@@ -18,7 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import Pass, ZOrientation, Zigzag, classify, enumerate_zigzags, is_homogeneous, make_pass
+from .engine import (
+    ZOrientation,
+    Zigzag,
+    _homogeneous,
+    classify,
+    enumerate_zigzags,
+    is_homogeneous,
+    make_pass,
+)
+from .surgery import SpecialPair, glue, plan_gluing
 from .triangulation import ParseError, Triangulation, ValidationReport, _check_token, edge_key
 
 __all__ = [
@@ -65,7 +74,7 @@ def bipyramid(n: int, prefix: str = "") -> Triangulation:
     return Triangulation(faces)
 
 
-def _walk_zigzag(n: int, prefix: str, vertices: list[str]) -> Zigzag:
+def _walk_zigzag(vertices: list[str]) -> Zigzag:
     assert vertices[0] == vertices[-1], "walk must close up"
     cycle = vertices[:-1]
     return Zigzag(tuple(make_pass(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))))
@@ -117,7 +126,7 @@ def _example_zigzag_walks(n: int, prefix: str) -> tuple[Zigzag, ...]:
             assert walk[-1] == row[0]
             walk += row[1:]
         assert walk[-1] == walk[0]
-        return (_walk_zigzag(n, prefix, walk),)
+        return (_walk_zigzag(walk),)
 
     if k % 2 == 1:
         def stitched(blocks) -> Zigzag:
@@ -126,13 +135,13 @@ def _example_zigzag_walks(n: int, prefix: str) -> tuple[Zigzag, ...]:
             assert walk[-1] == row[0]
             walk += row[1:]
             assert walk[-1] == walk[0]
-            return _walk_zigzag(n, prefix, walk)
+            return _walk_zigzag(walk)
 
         return (stitched(odd_blocks), stitched(even_blocks))
 
     def single(blocks, start: str) -> Zigzag:
         walk = blocks(start)
-        return _walk_zigzag(n, prefix, walk + [walk[0]])
+        return _walk_zigzag(walk + [walk[0]])
 
     return (
         single(odd_blocks, a),
@@ -343,8 +352,8 @@ class GluingRecord:
 
     parent: str
     child: str
-    host_pair: "SpecialPair"
-    piece_pair: "SpecialPair"
+    host_pair: SpecialPair
+    piece_pair: SpecialPair
     piece_kind: str
     vertices: int
     edges: int
@@ -382,8 +391,6 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     available base pair.  The result is z-knotted and homogeneous with
     exactly two type-I vertices (the two apexes) per tree node.
     """
-    from .surgery import SpecialPair, SurgeryError, check_compatibility, glue, resolve_site
-
     report = validate_tree(spec)
     if not report.ok:
         raise TreeError(str(report))
@@ -395,59 +402,38 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     t = bipyramid(labels[root], _node_prefix(root))
     tau = bipyramid_canonical_zorientation(labels[root], _node_prefix(root))
     # base vertex i of a node may have been renamed when the node was glued
-    names: dict[str, dict[int, str]] = {root: {}}
+    names: dict[str, dict[int, str]] = {}
     cursor: dict[str, int] = {root: 1}
     records: list[GluingRecord] = []
+
+    def token(node: str, i: int) -> str:
+        i = (i - 1) % labels[node] + 1
+        return names.get(node, {}).get(i, f"{_node_prefix(node)}{i}")
+
+    def base_pair(node: str, i: int) -> SpecialPair:
+        """The pair on the base triple i, i+1, i+2 of a node."""
+        return SpecialPair(
+            edge_key(token(node, i), token(node, i + 1)),
+            edge_key(token(node, i + 1), token(node, i + 2)),
+            token(node, i + 1),
+        )
 
     parent_of: dict[str, str | None] = {root: None}
     queue = [root]
     while queue:
         u = queue.pop(0)
-        n_u = labels[u]
-
-        def token(node: str, i: int) -> str:
-            i = (i - 1) % labels[node] + 1
-            return names[node].get(i, f"{_node_prefix(node)}{i}")
-
         for c in sorted(w for w in adj[u] if w != parent_of[u]):
             parent_of[c] = u
-            i = cursor[u]
+            host_pair = base_pair(u, cursor[u])
             cursor[u] += 2
-            host_pair = SpecialPair(
-                edge_key(token(u, i), token(u, i + 1)),
-                edge_key(token(u, i + 1), token(u, i + 2)),
-                token(u, i + 1),
-            )
-            try:
-                host_site = resolve_site(t, tau, host_pair)
-            except SurgeryError:
-                # the side condition picks one of the two role orders
-                host_pair = host_pair.swapped()
-                host_site = resolve_site(t, tau, host_pair)
 
             n_c = labels[c]
             piece = bipyramid(n_c, _node_prefix(c))
             piece_tau = bipyramid_canonical_zorientation(n_c, _node_prefix(c))
-            piece_site = None
-            start = None
-            for j in range(1, n_c + 1):
-                w1 = f"{_node_prefix(c)}{j}"
-                w2 = f"{_node_prefix(c)}{(j % n_c) + 1}"
-                w3 = f"{_node_prefix(c)}{((j + 1) % n_c) + 1}"
-                pair = SpecialPair(edge_key(w1, w2), edge_key(w2, w3), w2)
-                for cand in (pair, pair.swapped()):
-                    try:
-                        site = resolve_site(piece, piece_tau, cand)
-                    except SurgeryError:
-                        continue
-                    if check_compatibility(host_site, site):
-                        piece_site = site
-                        break
-                if piece_site is not None:
-                    start = j
-                    break
-            if piece_site is None:
-                raise TreeError(f"no compatible gluing pair on node {c!r}")
+            host_site, piece_site = plan_gluing(
+                t, tau, host_pair, piece, piece_tau,
+                (base_pair(c, j) for j in range(1, n_c + 1)),
+            )
 
             t, tau = glue((t, tau), host_site, (piece, piece_tau), piece_site)
             prefix_len = len(_node_prefix(c))
@@ -455,10 +441,11 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
                 int(piece_site.v1[prefix_len:]): host_site.v1,
                 int(piece_site.v2[prefix_len:]): host_site.v2,
             }
-            cursor[c] = start + 2
+            # the next base triple starts where the glued one ends
+            cursor[c] = int(piece_site.v[prefix_len:]) + 1
             records.append(
                 GluingRecord(
-                    u, c, host_pair, piece_site.pair, piece_site.kind,
+                    u, c, host_site.pair, piece_site.pair, piece_site.kind,
                     len(t.vertices), len(t.edges), len(t.faces), len(tau.chosen[0]),
                 )
             )
@@ -466,7 +453,7 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
 
     assert t.euler_characteristic() == 2
     assert len(tau.zigzags) == 1
-    assert is_homogeneous(t, tau)
     cls = classify(t, tau)
+    assert _homogeneous(cls, tau)
     assert len(cls.type_i_vertices) == 2 * len(spec.nodes)
     return t, tau, BuildLog(tuple(records))

@@ -15,6 +15,13 @@ F1-,F1+ ... F2-,F2+ ... F1+,F1- ... F2+,F2-.  Ties between the two
 admissible labelings are broken toward the lexicographically smaller pair
 of minus faces.
 
+Role orders: for a host pair the side condition holds in exactly one of the
+orders (e1, e2) and (e2, e1).  find_special_pairs emits each pair in that
+order, and plan_gluing picks it for a host pair given in either order; a
+piece pair resolves in both orders, and plan_gluing takes the one whose
+edges point at the shared vertex the way the host's do.  resolve_site never
+reorders: it resolves the pair as given or raises SurgeryError.
+
 All glue outputs are verified rather than trusted: the glued face list is
 re-validated, its zigzag census re-enumerated, and the result compared with
 the predicted sequence; any mismatch is an assertion failure.
@@ -23,15 +30,17 @@ the predicted sequence; any mismatch is an assertion failure.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .engine import (
+    Classification,
     Pass,
     Zigzag,
     ZOrientation,
+    _homogeneous,
     classify,
     enumerate_zigzags,
     face_shadow,
-    is_homogeneous,
     make_pass,
 )
 from .triangulation import Triangulation, edge_key, face_key
@@ -46,6 +55,7 @@ __all__ = [
     "are_concordant",
     "find_piece_pairs",
     "resolve_site",
+    "plan_gluing",
     "check_compatibility",
     "predict_glued_zigzag",
     "glue",
@@ -160,13 +170,60 @@ class GluingSite:
 
 
 # ----------------------------------------------------------------------
+# analysing (t, tau) once per call
+
+
+class _Analysis(NamedTuple):
+    """What resolving pairs needs of one (t, tau), derived once per call."""
+
+    t: Triangulation
+    tau: ZOrientation
+    cls: Classification
+    where: dict[Edge, list[tuple[int, int]]]
+    shadows: tuple[tuple[tuple[str, str, str], ...], ...]  # one per chosen zigzag
+
+
+def _passes_of(zigzags) -> dict[Edge, list[tuple[int, int]]]:
+    """Edge -> its passes as (zigzag index, position), in walk order."""
+    where: dict[Edge, list[tuple[int, int]]] = {}
+    for zi, z in enumerate(zigzags):
+        for i, p in enumerate(z.passes):
+            where.setdefault(p.edge, []).append((zi, i))
+    return where
+
+
+def _analyse(t: Triangulation, tau: ZOrientation, not_homogeneous: str) -> _Analysis:
+    t.require_valid()
+    cls = classify(t, tau)
+    if not _homogeneous(cls, tau):
+        raise SurgeryError(not_homogeneous)
+    shadows = tuple(face_shadow(t, z) for z in tau.chosen)
+    return _Analysis(t, tau, cls, _passes_of(tau.chosen), shadows)
+
+
+def _positions(a: _Analysis, edge: Edge) -> list[int]:
+    return [i for _, i in a.where[edge]]
+
+
+# ----------------------------------------------------------------------
 # finding pairs
 
 
-def _interleaved(p: tuple[int, int], q: tuple[int, int]) -> bool:
+def _interleaved(p, q) -> bool:
     # cyclic order p1 q p2 q: exactly one q-occurrence inside (p1, p2)
     inside = sum(1 for x in q if p[0] < x < p[1])
     return inside == 1
+
+
+def _vertex_sharing_pairs(edges) -> list[tuple[Edge, Edge, str]]:
+    """(c1, c2, v) for the pairs c1 < c2 of edges sharing a vertex v, sorted."""
+    at: dict[str, list[Edge]] = {}
+    for e in sorted(edges):
+        for v in e:
+            at.setdefault(v, []).append(e)
+    return sorted(
+        (c1, c2, v) for v, es in at.items() for i, c1 in enumerate(es) for c2 in es[i + 1:]
+    )
 
 
 def find_special_pairs(t: Triangulation, tau: ZOrientation) -> tuple[SpecialPair, ...]:
@@ -178,25 +235,21 @@ def find_special_pairs(t: Triangulation, tau: ZOrientation) -> tuple[SpecialPair
     """
     if len(tau.zigzags) != 1:
         raise SurgeryError("special pairs are defined for z-knotted triangulations")
-    if not is_homogeneous(t, tau):
-        raise SurgeryError("special pairs require a homogeneous z-orientation")
-    cls = classify(t, tau)
-    z = tau.chosen[0]
-    type_ii = cls.type_ii_edges
+    a = _analyse(t, tau, "special pairs require a homogeneous z-orientation")
+    links: dict[str, tuple[str, ...]] = {}  # a vertex may share many pairs
     out = []
-    for i, c1 in enumerate(type_ii):
-        for c2 in type_ii[i + 1:]:
-            shared = set(c1) & set(c2)
-            if len(shared) != 1:
-                continue
-            if _interleaved(z.occurrences(c1), z.occurrences(c2)):
-                pair = SpecialPair(c1, c2, next(iter(shared)))
-                try:
-                    resolve_site(t, tau, pair)
-                except SurgeryError:
-                    pair = pair.swapped()
-                    resolve_site(t, tau, pair)  # exactly one role order resolves
-                out.append(pair)
+    for c1, c2, v in _vertex_sharing_pairs(a.cls.type_ii_edges):
+        if not _interleaved(_positions(a, c1), _positions(a, c2)):
+            continue
+        pair = SpecialPair(c1, c2, v)
+        if v not in links:
+            links[v] = t.vertex_link(v).cycle
+        _, _, face_side = _sides_and_faces(t, pair, links[v])
+        if _host_labeling(a, pair, face_side) is None:
+            pair = pair.swapped()
+            if _host_labeling(a, pair, face_side) is None:
+                raise SurgeryError(_NO_LABELING)
+        out.append(pair)
     return tuple(out)
 
 
@@ -211,9 +264,10 @@ def are_concordant(
     z = tau.chosen[0]
     marks = []
     for edge, label in ((p.e1, "p"), (p.e2, "p"), (q.e1, "q"), (q.e2, "q")):
-        for pos in z.occurrences(edge):
-            marks.append((pos, label))
-    assert len(marks) == 8, "each pair edge is passed exactly twice"
+        occ = z.occurrences(edge)
+        if len(occ) != 2:
+            raise SurgeryError(f"pair edge {edge} is passed {len(occ)} time(s), expected 2")
+        marks += [(pos, label) for pos in occ]
     marks.sort()
     return all(marks[i][1] != marks[(i + 1) % 8][1] for i in range(8))
 
@@ -227,56 +281,60 @@ def find_piece_pairs(t: Triangulation, tau: ZOrientation) -> tuple[PiecePair, ..
     """
     if len(tau.zigzags) not in (2, 4):
         raise SurgeryError("piece pairs require exactly two or four zigzags")
-    if not is_homogeneous(t, tau):
-        raise SurgeryError("piece pairs require a homogeneous z-orientation")
     cls = classify(t, tau)
-    type_ii = cls.type_ii_edges
-    hits: dict[Edge, dict[int, int]] = {}
-    for e in type_ii:
-        hits[e] = {}
-        for i, z in enumerate(tau.chosen):
-            n = len(z.occurrences(e))
-            if n:
-                hits[e][i] = n
-    out = []
-    for i, c1 in enumerate(type_ii):
-        for c2 in type_ii[i + 1:]:
-            if len(set(c1) & set(c2)) != 1:
-                continue
-            shared = next(iter(set(c1) & set(c2)))
-            h1, h2 = hits[c1], hits[c2]
-            if len(tau.chosen) == 2:
-                if set(h1.values()) == {2} and set(h2.values()) == {2} and h1.keys() != h2.keys():
-                    out.append(PiecePair(c1, c2, shared, kind=TWO_ZIGZAG))
-            else:
-                ok = (
-                    set(h1.values()) == {1}
-                    and set(h2.values()) == {1}
-                    and len(h1) == len(h2) == 2
-                    and not (h1.keys() & h2.keys())
-                )
-                if ok:
-                    out.append(PiecePair(c1, c2, shared, kind=FOUR_ZIGZAG))
-    return tuple(out)
+    if not _homogeneous(cls, tau):
+        raise SurgeryError("piece pairs require a homogeneous z-orientation")
+    kind = TWO_ZIGZAG if len(tau.zigzags) == 2 else FOUR_ZIGZAG
+    where = _passes_of(tau.chosen)
+    holders = {e: [zi for zi, _ in where[e]] for e in cls.type_ii_edges}
+    return tuple(
+        PiecePair(c1, c2, v, kind=kind)
+        for c1, c2, v in _vertex_sharing_pairs(cls.type_ii_edges)
+        if _piece_pattern(kind, c1, holders[c1], c2, holders[c2]) is None
+    )
+
+
+def _piece_pattern(kind: str, e1: Edge, h1: list[int], e2: Edge, h2: list[int]) -> str | None:
+    """Why a pair misses the occurrence pattern of a piece kind, or None.
+
+    h1 and h2 name the zigzag holding each pass of e1 and of e2.
+    """
+    for e, h in ((e1, h1), (e2, h2)):
+        if kind == TWO_ZIGZAG and (len(h) != 2 or h[0] != h[1]):
+            return f"edge {e} does not occur twice in a single zigzag; not a two-zigzag piece pair"
+        if kind == FOUR_ZIGZAG and (len(h) != 2 or h[0] == h[1]):
+            return (
+                f"edge {e} does not occur once in each of two zigzags; "
+                "not a four-zigzag piece pair"
+            )
+    if kind == TWO_ZIGZAG and h1[0] == h2[0]:
+        return "pair edges must occur in distinct zigzags"
+    if kind == FOUR_ZIGZAG and set(h1) & set(h2):
+        return "pair edges must occur in disjoint zigzag pairs"
+    return None
 
 
 # ----------------------------------------------------------------------
 # resolving a site
 
 
-def _link_sides(t: Triangulation, pair: SpecialPair) -> tuple[list[str], list[str]]:
-    """Interior vertices of the two link arcs of the shared vertex.
+_NO_LABELING = "no +/- labeling is consistent with the side condition"
+_NOT_HOMOGENEOUS_SITE = "gluing sites require a homogeneous z-orientation"
 
-    The link cycle of v is cut at v1 and v2; the result is (arc after v1 up
-    to v2, arc after v2 up to v1), interiors only.  v1 and v2 adjacent in
-    the link would mean a face containing both pair edges, which cannot
-    happen when every face has exactly one type-II edge.
+
+def _sides_and_faces(t: Triangulation, pair: SpecialPair, cyc=None):
+    """Link vertex -> arc, the four pair faces (two at e1, two at e2), face -> arc.
+
+    The link cycle of v (cyc, when the caller has it) is cut at v1 and v2
+    into arc A (after v1 up to v2) and arc B (after v2 up to v1), interiors
+    only.  v1 and v2 adjacent in the link would mean a face containing both
+    pair edges, which cannot happen when every face has exactly one type-II
+    edge.
     """
-    link = t.vertex_link(pair.shared_vertex)
-    cyc = link.cycle
+    if cyc is None:
+        cyc = t.vertex_link(pair.shared_vertex).cycle
     n = len(cyc)
-    i1 = cyc.index(pair.v1)
-    i2 = cyc.index(pair.v2)
+    i1, i2 = cyc.index(pair.v1), cyc.index(pair.v2)
     arc_a = [cyc[(i1 + k) % n] for k in range(1, (i2 - i1) % n)]
     arc_b = [cyc[(i2 + k) % n] for k in range(1, (i1 - i2) % n)]
     if not arc_a or not arc_b:
@@ -284,19 +342,149 @@ def _link_sides(t: Triangulation, pair: SpecialPair) -> tuple[list[str], list[st
             f"pair edges {pair.e1} and {pair.e2} bound a common face at "
             f"{pair.shared_vertex!r}"
         )
-    return arc_a, arc_b
+    side_of = {w: "A" for w in arc_a}
+    side_of.update({w: "B" for w in arc_b})
+    faces = (*t.edge_faces(pair.e1), *t.edge_faces(pair.e2))
+    assert len(set(faces)) == 4, "pair faces must be distinct"
+    face_side = {}
+    for f in faces:
+        sides = {side_of[w] for w in f if w not in (pair.shared_vertex, pair.v1, pair.v2)}
+        assert len(sides) == 1, f"face {f!r} straddles the link arcs"
+        face_side[f] = sides.pop()
+    # each pair edge sees one face on each arc
+    assert face_side[faces[0]] != face_side[faces[1]]
+    assert face_side[faces[2]] != face_side[faces[3]]
+    return side_of, faces, face_side
 
 
-def _face_side(face, pair: SpecialPair, side_of: dict[str, str]) -> str:
-    interior = [w for w in face if w not in (pair.shared_vertex, pair.v1, pair.v2)]
-    sides = {side_of[w] for w in interior}
-    assert len(sides) == 1, f"face {face!r} straddles the link arcs"
-    return next(iter(sides))
+def _reading(shadow, pos: int):
+    """The faces the walk leaves and enters at the pass in position pos."""
+    return (shadow[pos - 1], shadow[pos])
 
 
-def _occurrence_reading(shadow, z: Zigzag, edge: Edge, pos: int):
+def _segment(z: Zigzag, start: int, stop: int) -> tuple[Pass, ...]:
+    """Passes strictly between positions start and stop, cyclically."""
     n = len(z)
-    return (shadow[(pos - 1) % n], shadow[pos])
+    return tuple(z.passes[(start + k) % n] for k in range(1, (stop - start - 1) % n + 1))
+
+
+def _pair_problem(a: _Analysis, pair: SpecialPair) -> str | None:
+    """Why the pair misses the occurrence pattern of its site kind, or None.
+
+    Every reason here holds for both role orders of a pair or for neither.
+    """
+    for e in (pair.e1, pair.e2):
+        if a.cls.edge_types.get(e) != "II":
+            return f"pair edge {e} is not type II"
+    k = len(a.tau.zigzags)
+    if isinstance(pair, PiecePair):
+        expected = {2: TWO_ZIGZAG, 4: FOUR_ZIGZAG}.get(k)
+        if pair.kind != expected:
+            return f"pair kind {pair.kind!r} does not match the census"
+    if k == 1:
+        occ1, occ2 = _positions(a, pair.e1), _positions(a, pair.e2)
+        assert len(occ1) == 2 and len(occ2) == 2
+        if not _interleaved(occ1, occ2):
+            return f"occurrences of {pair.e1} and {pair.e2} do not interleave; not a special pair"
+        return None
+    if k in (2, 4):
+        h1, h2 = ([zi for zi, _ in a.where[e]] for e in (pair.e1, pair.e2))
+        return _piece_pattern(TWO_ZIGZAG if k == 2 else FOUR_ZIGZAG, pair.e1, h1, pair.e2, h2)
+    return f"no site kind for a census of {k} zigzags"
+
+
+def _checked(a: _Analysis, pair: SpecialPair) -> SpecialPair:
+    problem = _pair_problem(a, pair)
+    if problem is not None:
+        raise SurgeryError(problem)
+    return pair
+
+
+def _host_labeling(a: _Analysis, pair: SpecialPair, face_side):
+    """The side-condition test for one role order of a host pair.
+
+    Returns the occurrences p1, q1, p2, q2 and the faces F1-, F1+, F2-, F2+
+    of the admissible labeling, or None when this role order has none.
+    """
+    shadow = a.shadows[0]
+    n = len(shadow)
+    occ1, occ2 = _positions(a, pair.e1), _positions(a, pair.e2)
+    candidates = []
+    for p1 in occ1:
+        f1_minus, f1_plus = _reading(shadow, p1)
+        q1 = min(occ2, key=lambda q: (q - p1) % n)
+        f2_minus, f2_plus = _reading(shadow, q1)
+        if face_side[f1_minus] == face_side[f2_minus] and face_side[f1_plus] == face_side[f2_plus]:
+            candidates.append((p1, q1, f1_minus, f1_plus, f2_minus, f2_plus))
+    if not candidates:
+        return None
+    p1, q1, f1m, f1p, f2m, f2p = min(candidates, key=lambda c: sorted((c[2], c[4])))
+    p2 = occ1[0] if occ1[1] == p1 else occ1[1]
+    q2 = occ2[0] if occ2[1] == q1 else occ2[1]
+
+    # the full shadow pattern F1-,F1+ ... F2-,F2+ ... F1+,F1- ... F2+,F2-
+    assert _reading(shadow, p2) == (f1p, f1m)
+    assert _reading(shadow, q2) == (f2p, f2m)
+    assert (q1 - p1) % n < (p2 - p1) % n < (q2 - p1) % n
+    return p1, q1, p2, q2, f1m, f1p, f2m, f2p
+
+
+def _host_cut(a: _Analysis, pair: SpecialPair):
+    side_of, _, face_side = _sides_and_faces(a.t, pair)
+    labeling = _host_labeling(a, pair, face_side)
+    if labeling is None:
+        raise SurgeryError(_NO_LABELING)
+    p1, q1, p2, q2, f1m, f1p, f2m, f2p = labeling
+    face_labels = {f1m: "-", f1p: "+", f2m: "-", f2p: "+"}
+    minus_side = face_side[f1m]
+    vertex_sides = {w: ("-" if s == minus_side else "+") for w, s in side_of.items()}
+    z = a.tau.chosen[0]
+    segments = {
+        "1+": _segment(z, p1, q1),
+        "2+": _segment(z, q1, p2),
+        "1-": _segment(z, p2, q2),
+        "2-": _segment(z, q2, p1),
+    }
+    return face_labels, vertex_sides, segments
+
+
+def _piece_cut(a: _Analysis, pair: SpecialPair, kind: str):
+    side_of, faces, face_side = _sides_and_faces(a.t, pair)
+    # both labelings satisfy the side condition; tie-break on minus faces
+    minus_side = min("AB", key=lambda s: sorted(f for f in faces if face_side[f] == s))
+    face_labels = {f: ("-" if face_side[f] == minus_side else "+") for f in faces}
+    vertex_sides = {w: ("-" if s == minus_side else "+") for w, s in side_of.items()}
+
+    # a segment runs from a pass of the pair edge to its next pass in the
+    # same zigzag (itself, for a four-zigzag piece), signed by the face the
+    # walk enters there
+    segments: dict[str, tuple[Pass, ...]] = {}
+    for index, e in ((1, pair.e1), (2, pair.e2)):
+        plus_face = next(f for f in a.t.edge_faces(e) if face_labels[f] == "+")
+        passes = a.where[e]
+        for zi, r in passes:
+            nxt = next((q for zj, q in passes if zj == zi and q != r), r)
+            sign = "+" if a.shadows[zi][r] == plus_face else "-"
+            segments[f"{index}{sign}"] = _segment(a.tau.chosen[zi], r, nxt)
+        if f"{index}+" not in segments or f"{index}-" not in segments:
+            what = "occurrences of" if kind == TWO_ZIGZAG else "zigzags through"
+            raise SurgeryError(f"{what} {e} do not cross its faces oppositely")
+    return face_labels, vertex_sides, segments
+
+
+def _resolve(a: _Analysis, pair: SpecialPair) -> GluingSite:
+    """Label, split, and cut a checked pair in the role order given."""
+    kind = {1: HOST, 2: TWO_ZIGZAG, 4: FOUR_ZIGZAG}[len(a.tau.zigzags)]
+    if kind == HOST:
+        face_labels, vertex_sides, segments = _host_cut(a, pair)
+    else:
+        face_labels, vertex_sides, segments = _piece_cut(a, pair, kind)
+    assert all(segments.values()), "segments are never empty"
+    directions = a.cls.edge_directions
+    return GluingSite(
+        a.t, a.tau, pair, kind, face_labels, vertex_sides,
+        directions[pair.e1], directions[pair.e2], SegmentDecomposition(kind, segments),
+    )
 
 
 def resolve_site(t: Triangulation, tau: ZOrientation, pair: SpecialPair) -> GluingSite:
@@ -304,197 +492,54 @@ def resolve_site(t: Triangulation, tau: ZOrientation, pair: SpecialPair) -> Glui
 
     The site kind is inferred from the zigzag census: one zigzag makes a
     host, two or four make a piece.  Raises SurgeryError when the pair does
-    not show the occurrence pattern its kind requires.
+    not show the occurrence pattern its kind requires, or, for a host, when
+    its role order fails the side condition.
     """
-    t.require_valid()
-    if not is_homogeneous(t, tau):
-        raise SurgeryError("gluing sites require a homogeneous z-orientation")
-    cls = classify(t, tau)
-    for e in (pair.e1, pair.e2):
-        if cls.edge_types.get(e) != "II":
-            raise SurgeryError(f"pair edge {e} is not type II")
-    if isinstance(pair, PiecePair):
-        expected = {2: TWO_ZIGZAG, 4: FOUR_ZIGZAG}.get(len(tau.zigzags))
-        if pair.kind != expected:
-            raise SurgeryError(f"pair kind {pair.kind!r} does not match the census")
-
-    k = len(tau.zigzags)
-    if k == 1:
-        return _resolve_host(t, tau, pair, cls)
-    if k == 2:
-        return _resolve_two_piece(t, tau, pair, cls)
-    if k == 4:
-        return _resolve_four_piece(t, tau, pair, cls)
-    raise SurgeryError(f"no site kind for a census of {k} zigzags")
+    a = _analyse(t, tau, _NOT_HOMOGENEOUS_SITE)
+    return _resolve(a, _checked(a, pair))
 
 
-def _sides_and_faces(t, pair, cls):
-    arc_a, arc_b = _link_sides(t, pair)
-    f1a, f1b = t.edge_faces(pair.e1)
-    f2a, f2b = t.edge_faces(pair.e2)
-    assert len({f1a, f1b, f2a, f2b}) == 4, "pair faces must be distinct"
-    side_of = {w: "A" for w in arc_a}
-    side_of.update({w: "B" for w in arc_b})
-    face_side = {f: _face_side(f, pair, side_of) for f in (f1a, f1b, f2a, f2b)}
-    # each pair edge sees one face on each arc
-    assert face_side[f1a] != face_side[f1b]
-    assert face_side[f2a] != face_side[f2b]
-    return side_of, (f1a, f1b), (f2a, f2b), face_side
+def plan_gluing(
+    host_t: Triangulation,
+    host_tau: ZOrientation,
+    host_pair: SpecialPair,
+    piece_t: Triangulation,
+    piece_tau: ZOrientation,
+    piece_pairs,
+) -> tuple[GluingSite, GluingSite]:
+    """Resolve both sites of one gluing, choosing every role order directly.
 
+    The host pair is resolved in the role order the side condition picks.
+    The piece candidates are taken in the given order; each is checked, then
+    given the role order whose edges point at its shared vertex the way the
+    host site's edges do, and the first candidate with such an order is
+    resolved in it.  Returns (host_site, piece_site), ready for glue.
+    Raises SurgeryError when the host pair is no site or no candidate fits.
+    """
+    host = _analyse(host_t, host_tau, _NOT_HOMOGENEOUS_SITE)
+    # the side condition picks the role order; a pair that fails a check
+    # common to both orders is reported in the swapped order, as (e2, e1)
+    if _pair_problem(host, host_pair) is not None or (
+        len(host_tau.zigzags) == 1
+        and _host_labeling(host, host_pair, _sides_and_faces(host_t, host_pair)[2]) is None
+    ):
+        host_pair = host_pair.swapped()
+    host_site = _resolve(host, _checked(host, host_pair))
 
-def _choose_minus_side(faces1, faces2, face_side, admissible_sides) -> dict:
-    """Pick the minus side among admissible ones; return face labels."""
-    if not admissible_sides:
-        raise SurgeryError("no +/- labeling is consistent with the side condition")
-    best = None
-    for side in sorted(admissible_sides):
-        minus = tuple(sorted(f for f in (*faces1, *faces2) if face_side[f] == side))
-        if best is None or minus < best[1]:
-            best = (side, minus)
-    minus_side = best[0]
-    labels = {}
-    for f in (*faces1, *faces2):
-        labels[f] = "-" if face_side[f] == minus_side else "+"
-    return labels
-
-
-def _segment(z: Zigzag, start: int, stop: int) -> tuple[Pass, ...]:
-    """Passes strictly between positions start and stop, cyclically."""
-    n = len(z)
-    out = []
-    i = (start + 1) % n
-    while i != stop:
-        out.append(z.passes[i])
-        i = (i + 1) % n
-    return tuple(out)
-
-
-def _resolve_host(t, tau, pair, cls) -> GluingSite:
-    z = tau.chosen[0]
-    occ1 = z.occurrences(pair.e1)
-    occ2 = z.occurrences(pair.e2)
-    assert len(occ1) == 2 and len(occ2) == 2
-    if not _interleaved(occ1, occ2):
-        raise SurgeryError(
-            f"occurrences of {pair.e1} and {pair.e2} do not interleave; not a special pair"
-        )
-    shadow = face_shadow(t, z)
-    side_of, faces1, faces2, face_side = _sides_and_faces(t, pair, cls)
-
-    candidates = []
-    for p1 in occ1:
-        f1_minus, f1_plus = _occurrence_reading(shadow, z, pair.e1, p1)
-        q1 = min(occ2, key=lambda q: (q - p1) % len(z))
-        f2_minus, f2_plus = _occurrence_reading(shadow, z, pair.e2, q1)
-        if face_side[f1_minus] == face_side[f2_minus] and face_side[f1_plus] == face_side[f2_plus]:
-            candidates.append((p1, q1, f1_minus, f1_plus, f2_minus, f2_plus))
-    if not candidates:
-        raise SurgeryError("no +/- labeling is consistent with the side condition")
-    candidates.sort(key=lambda c: tuple(sorted((c[2], c[4]))))
-    p1, q1, f1m, f1p, f2m, f2p = candidates[0]
-    p2 = occ1[0] if occ1[1] == p1 else occ1[1]
-    q2 = occ2[0] if occ2[1] == q1 else occ2[1]
-
-    # the full shadow pattern F1-,F1+ ... F2-,F2+ ... F1+,F1- ... F2+,F2-
-    assert _occurrence_reading(shadow, z, pair.e1, p2) == (f1p, f1m)
-    assert _occurrence_reading(shadow, z, pair.e2, q2) == (f2p, f2m)
-    assert (q1 - p1) % len(z) < (p2 - p1) % len(z) < (q2 - p1) % len(z)
-
-    face_labels = {f1m: "-", f1p: "+", f2m: "-", f2p: "+"}
-    minus_side = face_side[f1m]
-    vertex_sides = {w: ("-" if s == minus_side else "+") for w, s in side_of.items()}
-
-    segments = SegmentDecomposition(
-        HOST,
-        {
-            "1+": _segment(z, p1, q1),
-            "2+": _segment(z, q1, p2),
-            "1-": _segment(z, p2, q2),
-            "2-": _segment(z, q2, p1),
-        },
-    )
-    assert all(segments[k] for k in ("1+", "2+", "1-", "2-")), "segments are never empty"
-    return GluingSite(
-        t, tau, pair, HOST, face_labels, vertex_sides,
-        cls.edge_directions[pair.e1], cls.edge_directions[pair.e2], segments,
-    )
-
-
-def _piece_labels(t, pair, cls):
-    side_of, faces1, faces2, face_side = _sides_and_faces(t, pair, cls)
-    # both global labelings satisfy the side condition; tie-break on minus faces
-    face_labels = _choose_minus_side(faces1, faces2, face_side, {"A", "B"})
-    minus_side = face_side[[f for f, lab in face_labels.items() if lab == "-"][0]]
-    vertex_sides = {w: ("-" if s == minus_side else "+") for w, s in side_of.items()}
-    return face_labels, vertex_sides
-
-
-def _resolve_two_piece(t, tau, pair, cls) -> GluingSite:
-    zig_of: dict[Edge, Zigzag] = {}
-    for e in (pair.e1, pair.e2):
-        holders = [z for z in tau.chosen if z.occurrences(e)]
-        if len(holders) != 1 or len(holders[0].occurrences(e)) != 2:
-            raise SurgeryError(
-                f"edge {e} does not occur twice in a single zigzag; "
-                "not a two-zigzag piece pair"
-            )
-        zig_of[e] = holders[0]
-    if zig_of[pair.e1] == zig_of[pair.e2]:
-        raise SurgeryError("pair edges must occur in distinct zigzags")
-
-    face_labels, vertex_sides = _piece_labels(t, pair, cls)
-    segs: dict[str, tuple[Pass, ...]] = {}
-    for idx, e in ((1, pair.e1), (2, pair.e2)):
-        z = zig_of[e]
-        shadow = face_shadow(t, z)
-        r1, r2 = z.occurrences(e)
-        plus_face = [f for f in t.edge_faces(e) if face_labels[f] == "+"][0]
-        anchored = [r for r in (r1, r2) if shadow[r] == plus_face]
-        if len(anchored) != 1:
-            raise SurgeryError(f"occurrences of {e} do not cross its faces oppositely")
-        a = anchored[0]
-        b = r1 if r2 == a else r2
-        segs[f"{idx}+"] = _segment(z, a, b)
-        segs[f"{idx}-"] = _segment(z, b, a)
-        assert segs[f"{idx}+"] and segs[f"{idx}-"]
-    return GluingSite(
-        t, tau, pair, TWO_ZIGZAG, face_labels, vertex_sides,
-        cls.edge_directions[pair.e1], cls.edge_directions[pair.e2],
-        SegmentDecomposition(TWO_ZIGZAG, segs),
-    )
-
-
-def _resolve_four_piece(t, tau, pair, cls) -> GluingSite:
-    holders: dict[Edge, list[Zigzag]] = {}
-    for e in (pair.e1, pair.e2):
-        holders[e] = [z for z in tau.chosen if z.occurrences(e)]
-        if len(holders[e]) != 2 or any(len(z.occurrences(e)) != 1 for z in holders[e]):
-            raise SurgeryError(
-                f"edge {e} does not occur once in each of two zigzags; "
-                "not a four-zigzag piece pair"
-            )
-    if set(map(id, holders[pair.e1])) & set(map(id, holders[pair.e2])):
-        raise SurgeryError("pair edges must occur in disjoint zigzag pairs")
-
-    face_labels, vertex_sides = _piece_labels(t, pair, cls)
-    segs: dict[str, tuple[Pass, ...]] = {}
-    for idx, e in ((1, pair.e1), (2, pair.e2)):
-        plus_face = [f for f in t.edge_faces(e) if face_labels[f] == "+"][0]
-        by_sign: dict[str, tuple[Pass, ...]] = {}
-        for z in holders[e]:
-            shadow = face_shadow(t, z)
-            (r,) = z.occurrences(e)
-            sign = "+" if shadow[r] == plus_face else "-"
-            # whole zigzag with the single pass of e removed
-            by_sign[sign] = _segment(z, r, r)
-        if set(by_sign) != {"+", "-"}:
-            raise SurgeryError(f"zigzags through {e} do not cross its faces oppositely")
-        segs[f"{idx}+"] = by_sign["+"]
-        segs[f"{idx}-"] = by_sign["-"]
-    return GluingSite(
-        t, tau, pair, FOUR_ZIGZAG, face_labels, vertex_sides,
-        cls.edge_directions[pair.e1], cls.edge_directions[pair.e2],
-        SegmentDecomposition(FOUR_ZIGZAG, segs),
+    piece = _analyse(piece_t, piece_tau, _NOT_HOMOGENEOUS_SITE)
+    wanted = (host_site.enters(1), host_site.enters(2))
+    knotted = len(piece_tau.zigzags) == 1
+    for cand in piece_pairs:
+        for pair in (_checked(piece, cand), cand.swapped()):
+            directions = (piece.cls.edge_directions[e] for e in (pair.e1, pair.e2))
+            # a z-knotted piece is no piece: resolved as given, the guard rejects it
+            if knotted or tuple(d[1] == pair.shared_vertex for d in directions) == wanted:
+                piece_site = _resolve(piece, pair)
+                # the guard: site kinds fit, and the directions match by choice
+                if check_compatibility(host_site, piece_site):
+                    return host_site, piece_site
+    raise SurgeryError(
+        "pair directions at the shared vertices do not match in either role order"
     )
 
 
@@ -586,7 +631,6 @@ def predict_glued_zigzag(host_site: GluingSite, piece_site: GluingSite) -> Zigza
 
 
 def _rewrite_faces(site: GluingSite, plus: str, minus: str, renames: dict[str, str]):
-    sub = _site_vertex_map(site, plus, minus, renames)
     out = []
     for f in site.triangulation.faces:
         if site.v in f:
@@ -603,7 +647,7 @@ def _rewrite_faces(site: GluingSite, plus: str, minus: str, renames: dict[str, s
         x, y = (w for w in f if w != site.v)
         interior = [w for w in (x, y) if w in site.vertex_sides]
         assert site.vertex_sides[interior[0]] == lab
-    return out, sub
+    return out
 
 
 def glue(
@@ -633,8 +677,8 @@ def glue(
         raise SurgeryError("host and piece vertex namespaces must be disjoint")
 
     plus, minus = _split_names(host_site, piece_site)
-    host_faces, _ = _rewrite_faces(host_site, plus, minus, {})
-    piece_faces, _ = _rewrite_faces(
+    host_faces = _rewrite_faces(host_site, plus, minus, {})
+    piece_faces = _rewrite_faces(
         piece_site, plus, minus,
         {piece_site.v1: host_site.v1, piece_site.v2: host_site.v2},
     )
@@ -651,8 +695,8 @@ def glue(
     assert zs[0] == predicted.canonical(), "enumerated zigzag matches the prediction"
     tau = ZOrientation(zs, (0,) if zs[0] == predicted else (1,))
 
-    assert is_homogeneous(glued, tau), "glued orientation is homogeneous"
     cls = classify(glued, tau)
+    assert _homogeneous(cls, tau), "glued orientation is homogeneous"
     host_cls = classify(th, host[1])
     piece_cls = classify(tp, piece[1])
     assert set(cls.type_i_vertices) == set(host_cls.type_i_vertices) | set(
@@ -701,14 +745,11 @@ def inherited_pairs(
         for pair in pairs:
             if pair.edges() & site.pair.edges():
                 continue
-            if _edge_in_segments(site.segments, pair.e1, 1) and _edge_in_segments(
-                site.segments, pair.e2, 2
-            ):
-                ordered = (pair.e1, pair.e2)
-            elif _edge_in_segments(site.segments, pair.e2, 1) and _edge_in_segments(
-                site.segments, pair.e1, 2
-            ):
-                ordered = (pair.e2, pair.e1)
+            for ordered in ((pair.e1, pair.e2), (pair.e2, pair.e1)):
+                if _edge_in_segments(site.segments, ordered[0], 1) and _edge_in_segments(
+                    site.segments, ordered[1], 2
+                ):
+                    break
             else:
                 continue
             new_e1 = _rewrite_edge(ordered[0], sub)

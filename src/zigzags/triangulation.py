@@ -23,9 +23,6 @@ __all__ = [
     "face_key",
     "parse_triangulation",
     "serialize_triangulation",
-    "validate",
-    "vertex_link",
-    "euler_characteristic",
 ]
 
 
@@ -170,7 +167,8 @@ class Triangulation:
         return len(self.neighbors(v))
 
     def has_face(self, face) -> bool:
-        return face_key(*face) in set(self._faces)
+        key = face_key(*face)
+        return key in self._edge_faces.get(key[:2], ())
 
     def common_face(self, e1, e2) -> tuple[str, str, str]:
         """The unique face containing both edges; error if none.
@@ -201,33 +199,35 @@ class Triangulation:
     # ------------------------------------------------------------------
     # structure
 
-    def _link_pieces(self, v: str) -> tuple[dict[str, list[str]], int]:
+    def _link_cycle(self, v: str) -> tuple[str, ...] | None:
+        """The link of v walked from its least vertex toward the lesser of that
+        vertex's two link-neighbors; None unless the link is a single cycle."""
         adj: dict[str, list[str]] = {}
-        count = 0
+        n_edges = 0
         for f in self.vertex_faces(v):
             x, y = (t for t in f if t != v)
             adj.setdefault(x, []).append(y)
             adj.setdefault(y, []).append(x)
-            count += 1
-        return adj, count
-
-    def vertex_link(self, v: str) -> LinkCycle:
-        """The link of v as a single cycle; error if the link is not one cycle."""
-        adj, n_edges = self._link_pieces(v)
+            n_edges += 1
         if any(len(nb) != 2 for nb in adj.values()) or n_edges != len(adj):
-            raise TriangulationError(f"link of vertex {v!r} is not a single cycle")
+            return None
+        # degree-2 everywhere still allows several disjoint cycles
         start = min(adj)
-        nxt = min(adj[start])
-        cycle = [start, nxt]
+        cycle = [start, min(adj[start])]
         while True:
             a, b = adj[cycle[-1]]
             step = b if a == cycle[-2] else a
             if step == start:
                 break
             cycle.append(step)
-        if len(cycle) != len(adj):
+        return tuple(cycle) if len(cycle) == len(adj) else None
+
+    def vertex_link(self, v: str) -> LinkCycle:
+        """The link of v as a single cycle; error if the link is not one cycle."""
+        cycle = self._link_cycle(v)
+        if cycle is None:
             raise TriangulationError(f"link of vertex {v!r} is not a single cycle")
-        return LinkCycle(v, tuple(cycle))
+        return LinkCycle(v, cycle)
 
     def euler_characteristic(self) -> int:
         return len(self._vertices) - len(self._edges) + len(self._faces)
@@ -256,22 +256,7 @@ class Triangulation:
                     f"graph disconnected: reached {len(seen)} of {len(self._vertices)} vertices"
                 )
         for v in self._vertices:
-            adj, n_edges = self._link_pieces(v)
-            if any(len(nb) != 2 for nb in adj.values()) or n_edges != len(adj):
-                violations.append(f"link of vertex {v} is not a single cycle")
-                continue
-            # degree-2 everywhere still allows several disjoint cycles
-            start = min(adj)
-            seen_link = {start}
-            prev, cur = None, start
-            while True:
-                a, b = adj[cur]
-                nxt = b if a == prev else a
-                if nxt == start:
-                    break
-                seen_link.add(nxt)
-                prev, cur = cur, nxt
-            if len(seen_link) != len(adj):
+            if self._link_cycle(v) is None:
                 violations.append(f"link of vertex {v} is not a single cycle")
         self._report = ValidationReport(tuple(violations))
         return self._report
@@ -333,19 +318,3 @@ def parse_triangulation(text: str) -> Triangulation:
 def serialize_triangulation(t: Triangulation) -> str:
     """Render the face list; parse(serialize(t)) reproduces t's face list."""
     return "".join(f"f {a} {b} {c}\n" for a, b, c in t.faces)
-
-
-# ----------------------------------------------------------------------
-# functional aliases
-
-
-def validate(t: Triangulation) -> ValidationReport:
-    return t.validate()
-
-
-def vertex_link(t: Triangulation, v: str) -> LinkCycle:
-    return t.vertex_link(v)
-
-
-def euler_characteristic(t: Triangulation) -> int:
-    return t.euler_characteristic()

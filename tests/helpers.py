@@ -5,23 +5,22 @@ from __future__ import annotations
 import random
 
 from zigzags import (
-    SpecialPair,
     TreeSpec,
     ZOrientation,
     all_z_orientations,
     bipyramid,
     bipyramid_canonical_zorientation,
-    check_compatibility,
     find_piece_pairs,
     find_special_pairs,
     glue,
     make_z_orientation,
-    resolve_site,
+    plan_gluing,
 )
 
 
 def random_tree_spec(rng: random.Random, max_nodes: int = 8) -> TreeSpec:
-    """A random valid tree spec: <= max_nodes nodes, labels <= 14."""
+    """A random valid tree spec: <= max_nodes nodes, labels <= 14 where the
+    node degrees allow it."""
     n_nodes = rng.randint(1, max_nodes)
     ids = [f"n{i}" for i in range(n_nodes)]
     edges = [(ids[rng.randrange(i)], ids[i]) for i in range(1, n_nodes)]
@@ -32,10 +31,12 @@ def random_tree_spec(rng: random.Random, max_nodes: int = 8) -> TreeSpec:
     nodes = []
     for j, i in enumerate(ids):
         if j == 0:
-            k = rng.randint(max(1, deg[i]), 6)  # root label 2k+1 <= 13
+            # root label 2k+1 <= 13 unless the degree needs more
+            k = rng.randint(max(1, deg[i]), max(6, deg[i]))
             nodes.append((i, 2 * k + 1))
         else:
-            k = rng.randint(max(2, deg[i]), 7)  # label 2k <= 14
+            # label 2k <= 14 unless the degree needs more
+            k = rng.randint(max(2, deg[i]), max(7, deg[i]))
             nodes.append((i, 2 * k))
     return TreeSpec(tuple(nodes), tuple(edges))
 
@@ -49,17 +50,10 @@ def glued_example(piece_n: int):
     host_tau = bipyramid_canonical_zorientation(3, "L.")
     piece = bipyramid(piece_n, "R.")
     piece_tau = bipyramid_canonical_zorientation(piece_n, "R.")
-    host_site = resolve_site(host, host_tau, find_special_pairs(host, host_tau)[0])
-    piece_site = None
-    for pp in find_piece_pairs(piece, piece_tau):
-        for cand in (pp, pp.swapped()):
-            site = resolve_site(piece, piece_tau, cand)
-            if check_compatibility(host_site, site):
-                piece_site = site
-                break
-        if piece_site is not None:
-            break
-    assert piece_site is not None
+    host_site, piece_site = plan_gluing(
+        host, host_tau, find_special_pairs(host, host_tau)[0],
+        piece, piece_tau, find_piece_pairs(piece, piece_tau),
+    )
     glued_t, glued_tau = glue((host, host_tau), host_site, (piece, piece_tau), piece_site)
     return glued_t, glued_tau, host_site, piece_site
 

@@ -24,6 +24,7 @@ from zigzags import (
     inherited_pairs,
     is_homogeneous,
     make_z_orientation,
+    plan_gluing,
     predict_glued_zigzag,
     resolve_site,
 )
@@ -35,12 +36,67 @@ def canonical_pair(n: int, prefix: str = ""):
 
 
 def compatible_piece_site(host_site, piece, piece_tau):
-    for pp in find_piece_pairs(piece, piece_tau):
-        for cand in (pp, pp.swapped()):
-            site = resolve_site(piece, piece_tau, cand)
-            if check_compatibility(host_site, site):
-                return site
-    raise AssertionError("no compatible piece site")
+    _, piece_site = plan_gluing(
+        host_site.triangulation, host_site.orientation, host_site.pair,
+        piece, piece_tau, find_piece_pairs(piece, piece_tau),
+    )
+    return piece_site
+
+
+def site_facts(site):
+    return (
+        site.pair, site.kind, site.face_labels, site.vertex_sides,
+        site.e1_direction, site.e2_direction, site.segments.segments,
+    )
+
+
+@pytest.fixture(scope="module")
+def knotted(tree_corpus):
+    """BP(3..17, odd) and the tree corpus, each under tau and tau.reversed()."""
+    instances = [canonical_pair(n) for n in range(3, 18, 2)]
+    instances += [(t, tau) for _, t, tau, _ in tree_corpus]
+    return [(t, x) for t, tau in instances for x in (tau, tau.reversed())]
+
+
+def resolve_outcome(t, tau, pair):
+    """resolve_site's site for the pair, or the message of its SurgeryError."""
+    try:
+        return resolve_site(t, tau, pair)
+    except SurgeryError as exc:
+        return str(exc)
+
+
+@pytest.fixture(scope="module")
+def role_order_outcomes(knotted):
+    """Per knotted instance: every interleaved vertex-sharing type-II pair,
+    in (c1 < c2) order, with resolve_site's outcome in both role orders."""
+    out = []
+    for t, tau in knotted:
+        z = tau.chosen[0]
+        rows = []
+        for c1, c2 in itertools.combinations(classify(t, tau).type_ii_edges, 2):
+            shared = set(c1) & set(c2)
+            if len(shared) != 1:
+                continue
+            p, q = z.occurrences(c1), z.occurrences(c2)
+            if sum(1 for x in q if p[0] < x < p[1]) != 1:
+                continue
+            pair = SpecialPair(c1, c2, shared.pop())
+            both = {cand: resolve_outcome(t, tau, cand) for cand in (pair, pair.swapped())}
+            rows.append((pair, both))
+        out.append((t, tau, rows))
+    return out
+
+
+def reference_special_pairs(rows):
+    """Special pairs as public resolve_site finds them: each pair in the one
+    role order that resolves."""
+    found = []
+    for _, outcomes in rows:
+        resolving = [cand for cand, got in outcomes.items() if not isinstance(got, str)]
+        assert len(resolving) == 1, outcomes
+        found.append(resolving[0])
+    return tuple(found)
 
 
 # ----------------------------------------------------------------------
@@ -81,15 +137,22 @@ def test_special_pairs_require_z_knotted():
         find_special_pairs(t, tau)
 
 
-def test_emitted_role_order_resolves_swapped_does_not():
-    # the side condition singles out exactly one of the two role orders
-    for n in (3, 5):
-        t, tau = canonical_pair(n)
+def test_emitted_role_order_resolves_swapped_does_not(role_order_outcomes):
+    # the side condition singles out exactly one of the two role orders,
+    # also under the reversed orientation, where (c1, c2) often fails
+    swaps = 0
+    for t, tau, rows in role_order_outcomes:
+        outcomes = {cand: got for _, both in rows for cand, got in both.items()}
         for pair in find_special_pairs(t, tau):
-            site = resolve_site(t, tau, pair)
-            assert site.kind == HOST
-            with pytest.raises(SurgeryError, match="side condition"):
-                resolve_site(t, tau, pair.swapped())
+            assert outcomes[pair].kind == HOST
+            assert "side condition" in outcomes[pair.swapped()]
+            swaps += pair.e1 > pair.e2
+    assert swaps > 0
+
+
+def test_find_special_pairs_matches_resolve_site_reference(role_order_outcomes):
+    for t, tau, rows in role_order_outcomes:
+        assert find_special_pairs(t, tau) == reference_special_pairs(rows)
 
 
 def test_concordance():
@@ -104,6 +167,10 @@ def test_concordance():
     q = SpecialPair(("3", "4"), ("1", "4"), "4")
     with pytest.raises(SurgeryError, match="z-knotted"):
         are_concordant(t4, tau4, p, q)
+    # an edge outside t is passed zero times, not twice
+    stray = SpecialPair(("x", "y"), ("y", "z"), "y")
+    with pytest.raises(SurgeryError, match=r"pair edge \('x', 'y'\) is passed 0 time"):
+        are_concordant(t, tau, stray, by_vertex["1"])
 
 
 def test_piece_pair_censuses():
@@ -216,6 +283,64 @@ def test_resolve_requires_homogeneous():
     pair = SpecialPair(("1", "2"), ("2", "3"), "2")
     with pytest.raises(SurgeryError, match="homogeneous"):
         resolve_site(t, all_ii, pair)
+
+
+# ----------------------------------------------------------------------
+# planning a gluing
+
+
+def searched_piece_site(host_site, piece, piece_tau):
+    """The search plan_gluing replaces: resolve each piece pair in both role
+    orders until check_compatibility accepts one."""
+    for pp in find_piece_pairs(piece, piece_tau):
+        for cand in (pp, pp.swapped()):
+            site = resolve_site(piece, piece_tau, cand)
+            if check_compatibility(host_site, site):
+                return site
+    raise AssertionError("no compatible piece site")
+
+
+@pytest.mark.parametrize("n", (4, 6))
+def test_plan_gluing_matches_the_search(n, glued_corpus):
+    host, host_tau = canonical_pair(3, "L.")
+    piece, piece_tau = canonical_pair(n, "R.")
+    host_site = resolve_site(host, host_tau, find_special_pairs(host, host_tau)[0])
+    piece_site = searched_piece_site(host_site, piece, piece_tau)
+    _, _, planned_host, planned_piece = glued_corpus[n]
+    assert site_facts(planned_host) == site_facts(host_site)
+    assert site_facts(planned_piece) == site_facts(piece_site)
+    # a host pair named in the other role order plans the same gluing
+    planned = plan_gluing(
+        host, host_tau, host_site.pair.swapped(),
+        piece, piece_tau, find_piece_pairs(piece, piece_tau),
+    )
+    assert [site_facts(s) for s in planned] == [site_facts(host_site), site_facts(piece_site)]
+
+
+def test_plan_gluing_raises_when_nothing_fits(tree_corpus):
+    host, host_tau = canonical_pair(3, "L.")
+    piece, piece_tau = canonical_pair(4, "R.")
+    host_pair = find_special_pairs(host, host_tau)[0]
+    with pytest.raises(SurgeryError, match="do not match in either role order"):
+        plan_gluing(host, host_tau, host_pair, piece, piece_tau, ())
+    type_i = SpecialPair(("R.1", "R.a"), ("R.1", "R.2"), "R.1")
+    with pytest.raises(SurgeryError, match="not type II"):
+        plan_gluing(host, host_tau, host_pair, piece, piece_tau, (type_i,))
+    with pytest.raises(SurgeryError, match="not type II"):
+        plan_gluing(host, host_tau, SpecialPair(("L.1", "L.a"), ("L.1", "L.2"), "L.1"),
+                    piece, piece_tau, find_piece_pairs(piece, piece_tau))
+
+    # a host pair whose edges both enter (or both leave) the shared vertex
+    # fits no bipyramid piece pair, whose edges run through it
+    for _, t, tau, _ in tree_corpus:
+        cls = classify(t, tau)
+        for pair in find_special_pairs(t, tau):
+            heads = {cls.edge_directions[e][1] == pair.shared_vertex for e in (pair.e1, pair.e2)}
+            if len(heads) == 1:
+                with pytest.raises(SurgeryError, match="do not match in either role order"):
+                    plan_gluing(t, tau, pair, piece, piece_tau, find_piece_pairs(piece, piece_tau))
+                return
+    raise AssertionError("the tree corpus has no such host pair")
 
 
 # ----------------------------------------------------------------------
@@ -334,13 +459,10 @@ def test_inherited_pairs_survive_and_reglue():
     assert {s.edges() for s in survivors} <= fresh
 
     # and one of them supports a second gluing
-    target = survivors[0]
-    try:
-        next_host_site = resolve_site(*glued, target)
-    except SurgeryError:
-        next_host_site = resolve_site(*glued, target.swapped())
     piece2, piece2_tau = canonical_pair(6, "Q.")
-    piece2_site = compatible_piece_site(next_host_site, piece2, piece2_tau)
+    next_host_site, piece2_site = plan_gluing(
+        *glued, survivors[0], piece2, piece2_tau, find_piece_pairs(piece2, piece2_tau)
+    )
     bigger, bigger_tau = glue(glued, next_host_site, (piece2, piece2_tau), piece2_site)
     assert (len(bigger.vertices), len(bigger.edges), len(bigger.faces)) == (17, 45, 30)
     assert is_homogeneous(bigger, bigger_tau)

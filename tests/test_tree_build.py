@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
+
 import pytest
 
+from helpers import random_tree_spec
 from zigzags import (
     TreeError,
     TreeSpec,
     classify,
     is_homogeneous,
     is_z_knotted,
+    serialize_tree,
     tree_build,
+    validate_tree,
 )
 
 
@@ -102,3 +108,18 @@ def test_size_laws_over_random_corpus(tree_corpus):
         assert is_homogeneous(t, tau)
         assert len(classify(t, tau).type_i_vertices) == 2 * len(spec.nodes)
         assert len(log.records) == len(spec.nodes) - 1
+
+
+def test_random_tree_spec_handles_high_degrees():
+    # a node may have more neighbours than the default label cap allows
+    for seed in range(300):
+        spec = random_tree_spec(random.Random(seed), max_nodes=30)
+        assert validate_tree(spec).ok, seed
+
+
+def test_random_tree_spec_keeps_the_corpus(tree_corpus):
+    # raising the label cap only where a degree needs it leaves every draw
+    # that fit under the cap unchanged, so the corpus is the one its seed
+    # has always given
+    text = "".join(serialize_tree(spec) for spec, *_ in tree_corpus)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "91dcfce34e3cc1e1"

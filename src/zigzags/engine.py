@@ -7,6 +7,14 @@ of cur that shares no vertex with prev.  Walking an orbit and recording, for
 each state, the directed pass of its cur edge (entering at the vertex shared
 with prev) yields the zigzag as a cyclic sequence of directed edge passes.
 
+enumerate_zigzags walks the same orbits in vertex form.  The state
+(prev, cur) is (s, d, x): the pass s->d over cur, reached from the face
+F = {s, d, x}, so prev = {s, x}.  The other face of cur is {s, d, y}, its
+edge avoiding prev is {d, y}, and the successor is (d, y, s); the reversal
+(cur, prev) is (s, x, d).  An apex table, built once per call from the
+edge -> faces index, maps each directed edge (s, d) and the apex x of one of
+its faces to the apex y of the other, so a walk step is one dict lookup.
+
 Every orbit has a disjoint reversal orbit, so zigzags come in reversal
 pairs; a z-orientation chooses one direction from each pair.  Under a
 z-orientation each edge is passed exactly twice: in opposite directions
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from ._cyclic import least_rotation
@@ -70,6 +79,15 @@ def make_pass(src: str, dst: str) -> Pass:
     return Pass(edge_key(src, dst), src, dst)
 
 
+def _make_passes(triples) -> tuple[Pass, ...]:
+    """Passes from (edge, src, dst) triples, each made by tuple.__new__ in C
+    rather than through Pass.__new__, which is a Python function."""
+    return tuple(map(tuple.__new__, repeat(Pass), triples))
+
+
+_NO_KEY = object()
+
+
 @dataclass(frozen=True)
 class Zigzag:
     """A cyclic sequence of directed passes, stored at its least rotation.
@@ -83,23 +101,28 @@ class Zigzag:
     passes: tuple[Pass, ...]
 
     def __post_init__(self) -> None:
-        if not self.passes:
+        passes = self.passes
+        if not passes:
             raise ValueError("a zigzag has at least one pass")
-        for p in self.passes:
-            if p.edge != edge_key(p.src, p.dst):
-                raise ValueError(f"pass {p!r} is inconsistent with its edge")
-        n = len(self.passes)
-        for i, p in enumerate(self.passes):
-            if p.dst != self.passes[(i + 1) % n].src:
-                raise ValueError(f"passes {i} and {(i + 1) % n} do not chain")
-        object.__setattr__(self, "passes", least_rotation(self.passes))
+        # a loop (src == dst) has no key, so edge_key below rejects it
+        keys = [(s, d) if s < d else (d, s) if d < s else _NO_KEY for _, s, d in passes]
+        if keys != [p.edge for p in passes]:
+            for p in passes:
+                if p.edge != edge_key(p.src, p.dst):
+                    raise ValueError(f"pass {p!r} is inconsistent with its edge")
+        srcs = [p.src for p in passes]
+        if [p.dst for p in passes] != srcs[1:] + srcs[:1]:
+            n = len(passes)
+            i = next(i for i, p in enumerate(passes) if p.dst != srcs[(i + 1) % n])
+            raise ValueError(f"passes {i} and {(i + 1) % n} do not chain")
+        object.__setattr__(self, "passes", least_rotation(passes))
 
     def __len__(self) -> int:
         return len(self.passes)
 
     def reverse(self) -> "Zigzag":
         """The same closed walk traversed backwards."""
-        return Zigzag(tuple(p.flipped() for p in reversed(self.passes)))
+        return Zigzag(_make_passes([(e, d, s) for e, s, d in reversed(self.passes)]))
 
     def canonical(self) -> "Zigzag":
         rev = self.reverse()
@@ -155,13 +178,22 @@ def _face_edges(face) -> tuple[Edge, Edge, Edge]:
     return (edge_key(a, b), edge_key(a, c), edge_key(b, c))
 
 
-def _pass_of(state: State) -> Pass:
-    prev, cur = state
-    shared = set(prev) & set(cur)
-    assert len(shared) == 1, "consecutive zigzag edges share exactly one vertex"
-    src = next(iter(shared))
-    dst = cur[0] if cur[1] == src else cur[1]
-    return Pass(edge_key(*cur), src, dst)
+def _apex_table(t: Triangulation) -> dict[tuple[str, str, str], str]:
+    """(s, d, x) -> y for each face {s, d, x} whose edge {s, d} lies in {s, d, y}.
+
+    Needs every edge in exactly two faces.
+    """
+    across = {}
+    for e in t.edges:
+        u, v = e
+        apexes = []
+        for a, b, c in t.edge_faces(e):
+            # faces and edges are sorted, so the apex is the vertex off e
+            apexes.append(c if (a, b) == e else b if (a, c) == e else a)
+        x, y = apexes
+        across[u, v, x] = across[v, u, x] = y
+        across[u, v, y] = across[v, u, y] = x
+    return across
 
 
 def enumerate_zigzags(t: Triangulation) -> tuple[Zigzag, ...]:
@@ -171,30 +203,25 @@ def enumerate_zigzags(t: Triangulation) -> tuple[Zigzag, ...]:
     canonical form and is therefore deterministic.
     """
     t.require_valid()
-    states: list[State] = []
-    for face in t.faces:
-        es = _face_edges(face)
-        for a in es:
-            for b in es:
-                if a != b:
-                    states.append((a, b))
-    states.sort()
-
-    visited: set[State] = set()
+    across = _apex_table(t)
+    visited: set[tuple[str, str, str]] = set()
     out: list[Zigzag] = []
-    for start in states:
+    for start in across:
         if start in visited:
             continue
         orbit = [start]
-        cur = zigzag_successor(t, start)
-        while cur != start:
-            orbit.append(cur)
-            cur = zigzag_successor(t, cur)
-        orbit_set = set(orbit)
-        reversal = {(b, a) for (a, b) in orbit}
-        assert not (orbit_set & reversal), "a zigzag is never its own reversal"
-        visited |= orbit_set | reversal
-        out.append(Zigzag(tuple(_pass_of(s) for s in orbit)).canonical())
+        s, d, _ = start
+        state = (d, across[start], s)
+        while state != start:
+            orbit.append(state)
+            s, d, _ = state
+            state = (d, across[state], s)
+        reversal = {(s, x, d) for s, d, x in orbit}
+        assert reversal.isdisjoint(orbit), "a zigzag is never its own reversal"
+        visited.update(orbit)
+        visited |= reversal
+        passes = _make_passes([((s, d) if s < d else (d, s), s, d) for s, d, _ in orbit])
+        out.append(Zigzag(passes).canonical())
     out.sort(key=lambda z: z.passes)
     return tuple(out)
 
@@ -287,9 +314,9 @@ def classify(t: Triangulation, tau: ZOrientation) -> Classification:
     """
     passes: dict[Edge, list[tuple[str, str]]] = {e: [] for e in t.edges}
     for z in tau.chosen:
-        for p in z.passes:
-            assert p.edge in passes, f"pass over unknown edge {p.edge!r}"
-            passes[p.edge].append((p.src, p.dst))
+        for e, src, dst in z.passes:
+            assert e in passes, f"pass over unknown edge {e!r}"
+            passes[e].append((src, dst))
     assert all(len(v) == 2 for v in passes.values()), "each edge is passed exactly twice"
 
     edge_types: dict[Edge, str] = {}
@@ -302,20 +329,22 @@ def classify(t: Triangulation, tau: ZOrientation) -> Classification:
             assert d1 == (d2[1], d2[0])
             edge_types[e] = "I"
 
-    vertex_types = {
-        v: "I" if all(edge_types[e] == "I" for e in t.vertex_edges(v)) else "II"
-        for v in t.vertices
-    }
+    # a vertex is type II exactly when a type-II edge ends at it
+    vertex_types = dict.fromkeys(t.vertices, "I")
+    for u, v in edge_directions:
+        vertex_types[u] = vertex_types[v] = "II"
 
     face_types: dict[tuple[str, str, str], str] = {}
     for f in t.faces:
-        kinds = sorted(edge_types[e] for e in _face_edges(f))
-        if kinds == ["I", "I", "II"]:
+        a, b, c = f
+        es = ((a, b), (a, c), (b, c))  # f is sorted, so these are canonical
+        twos = [e for e in es if e in edge_directions]
+        if len(twos) == 1:
             face_types[f] = "I"
         else:
-            assert kinds == ["II", "II", "II"], f"face {f!r} violates the type dichotomy"
-            outs = {edge_directions[e][0] for e in _face_edges(f)}
-            ins = {edge_directions[e][1] for e in _face_edges(f)}
+            assert len(twos) == 3, f"face {f!r} violates the type dichotomy"
+            outs = {edge_directions[e][0] for e in es}
+            ins = {edge_directions[e][1] for e in es}
             assert outs == ins == set(f), f"type-II face {f!r} is not a directed cycle"
             face_types[f] = "II"
     return Classification(edge_types, edge_directions, vertex_types, face_types)
@@ -325,12 +354,20 @@ def face_shadow(t: Triangulation, z: Zigzag) -> tuple[tuple[str, str, str], ...]
     """The cyclic face sequence of a zigzag.
 
     Entry i is the common face of passes i and i+1; it is the face the walk
-    lies in while turning between the two edges.
+    lies in while turning between the two edges.  As passes chain, that face
+    is {src, dst} of pass i plus dst of pass i+1; raises TriangulationError
+    when it is not a face of t.
     """
-    n = len(z.passes)
-    return tuple(
-        t.common_face(z.passes[i].edge, z.passes[(i + 1) % n].edge) for i in range(n)
-    )
+    faces = set(t.faces)
+    ps = z.passes
+    out = []
+    for (e, _, _), (e2, _, w) in zip(ps, ps[1:] + ps[:1]):
+        u, v = e
+        f = (w, u, v) if w < u else (u, w, v) if w < v else (u, v, w)
+        if f not in faces:
+            raise TriangulationError(f"edges {e!r} and {e2!r} share no face")
+        out.append(f)
+    return tuple(out)
 
 
 def is_homogeneous(t: Triangulation, tau: ZOrientation) -> bool:

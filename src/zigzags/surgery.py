@@ -24,7 +24,10 @@ reorders: it resolves the pair as given or raises SurgeryError.
 
 All glue outputs are verified rather than trusted: the glued face list is
 re-validated, its zigzag census re-enumerated, and the result compared with
-the predicted sequence; any mismatch is an assertion failure.
+the predicted sequence; any mismatch is an assertion failure.  Each site
+carries the classification its resolution derived, and glue, after checking
+that each site was resolved under the orientation it is given, verifies
+type-I vertex preservation against those classifications.
 """
 
 from __future__ import annotations
@@ -150,6 +153,7 @@ class GluingSite:
     e1_direction: tuple[str, str]
     e2_direction: tuple[str, str]
     segments: SegmentDecomposition
+    classification: Classification  # of (triangulation, orientation)
 
     @property
     def v(self) -> str:
@@ -236,15 +240,15 @@ def find_special_pairs(t: Triangulation, tau: ZOrientation) -> tuple[SpecialPair
     if len(tau.zigzags) != 1:
         raise SurgeryError("special pairs are defined for z-knotted triangulations")
     a = _analyse(t, tau, "special pairs require a homogeneous z-orientation")
-    links: dict[str, tuple[str, ...]] = {}  # a vertex may share many pairs
+    links: dict[str, dict[str, int]] = {}  # a vertex may share many pairs
     out = []
     for c1, c2, v in _vertex_sharing_pairs(a.cls.type_ii_edges):
         if not _interleaved(_positions(a, c1), _positions(a, c2)):
             continue
         pair = SpecialPair(c1, c2, v)
         if v not in links:
-            links[v] = t.vertex_link(v).cycle
-        _, _, face_side = _sides_and_faces(t, pair, links[v])
+            links[v] = _link_positions(t, v)
+        _, face_side = _face_sides(t, pair, links[v])
         if _host_labeling(a, pair, face_side) is None:
             pair = pair.swapped()
             if _host_labeling(a, pair, face_side) is None:
@@ -322,39 +326,56 @@ _NO_LABELING = "no +/- labeling is consistent with the side condition"
 _NOT_HOMOGENEOUS_SITE = "gluing sites require a homogeneous z-orientation"
 
 
-def _sides_and_faces(t: Triangulation, pair: SpecialPair, cyc=None):
-    """Link vertex -> arc, the four pair faces (two at e1, two at e2), face -> arc.
+def _link_positions(t: Triangulation, v: str) -> dict[str, int]:
+    """Link vertex of v -> its position along the link cycle."""
+    return {w: i for i, w in enumerate(t.vertex_link(v).cycle)}
 
-    The link cycle of v (cyc, when the caller has it) is cut at v1 and v2
-    into arc A (after v1 up to v2) and arc B (after v2 up to v1), interiors
-    only.  v1 and v2 adjacent in the link would mean a face containing both
-    pair edges, which cannot happen when every face has exactly one type-II
-    edge.
+
+def _arc_of(pos: dict[str, int], pair: SpecialPair):
+    """w -> "A" or "B": the link of v is cut at v1 and v2 into arc A (after
+    v1 up to v2) and arc B (after v2 up to v1), interiors only."""
+    n, i1 = len(pos), pos[pair.v1]
+    span = (pos[pair.v2] - i1) % n
+    return lambda w: "A" if (pos[w] - i1) % n < span else "B"
+
+
+def _face_sides(t: Triangulation, pair: SpecialPair, pos=None):
+    """The four pair faces (two at e1, two at e2) and face -> arc, in O(1).
+
+    pos is the link position map of the shared vertex v, when the caller
+    has it.  v1 and v2 adjacent in the link would mean a face containing
+    both pair edges, which cannot happen when every face has exactly one
+    type-II edge.
     """
-    if cyc is None:
-        cyc = t.vertex_link(pair.shared_vertex).cycle
-    n = len(cyc)
-    i1, i2 = cyc.index(pair.v1), cyc.index(pair.v2)
-    arc_a = [cyc[(i1 + k) % n] for k in range(1, (i2 - i1) % n)]
-    arc_b = [cyc[(i2 + k) % n] for k in range(1, (i1 - i2) % n)]
-    if not arc_a or not arc_b:
+    if pos is None:
+        pos = _link_positions(t, pair.shared_vertex)
+    v, v1, v2 = pair.shared_vertex, pair.v1, pair.v2
+    span = (pos[v2] - pos[v1]) % len(pos)
+    if span == 1 or span == len(pos) - 1:
         raise SurgeryError(
-            f"pair edges {pair.e1} and {pair.e2} bound a common face at "
-            f"{pair.shared_vertex!r}"
+            f"pair edges {pair.e1} and {pair.e2} bound a common face at {v!r}"
         )
-    side_of = {w: "A" for w in arc_a}
-    side_of.update({w: "B" for w in arc_b})
+    arc = _arc_of(pos, pair)
     faces = (*t.edge_faces(pair.e1), *t.edge_faces(pair.e2))
     assert len(set(faces)) == 4, "pair faces must be distinct"
     face_side = {}
     for f in faces:
-        sides = {side_of[w] for w in f if w not in (pair.shared_vertex, pair.v1, pair.v2)}
-        assert len(sides) == 1, f"face {f!r} straddles the link arcs"
-        face_side[f] = sides.pop()
+        inner = [w for w in f if w != v and w != v1 and w != v2]
+        assert len(inner) == 1, f"face {f!r} straddles the link arcs"
+        face_side[f] = arc(inner[0])
     # each pair edge sees one face on each arc
     assert face_side[faces[0]] != face_side[faces[1]]
     assert face_side[faces[2]] != face_side[faces[3]]
-    return side_of, faces, face_side
+    return faces, face_side
+
+
+def _vertex_sides(pos: dict[str, int], pair: SpecialPair, minus_side: str) -> dict[str, str]:
+    """Interior link vertex -> "+"/"-", arc A then arc B in link order."""
+    cyc = tuple(pos)
+    n, i1 = len(cyc), pos[pair.v1]
+    arc = _arc_of(pos, pair)
+    ring = (cyc[(i1 + k) % n] for k in range(1, n))
+    return {w: ("-" if arc(w) == minus_side else "+") for w in ring if w != pair.v2}
 
 
 def _reading(shadow, pos: int):
@@ -430,14 +451,14 @@ def _host_labeling(a: _Analysis, pair: SpecialPair, face_side):
 
 
 def _host_cut(a: _Analysis, pair: SpecialPair):
-    side_of, _, face_side = _sides_and_faces(a.t, pair)
+    pos = _link_positions(a.t, pair.shared_vertex)
+    _, face_side = _face_sides(a.t, pair, pos)
     labeling = _host_labeling(a, pair, face_side)
     if labeling is None:
         raise SurgeryError(_NO_LABELING)
     p1, q1, p2, q2, f1m, f1p, f2m, f2p = labeling
     face_labels = {f1m: "-", f1p: "+", f2m: "-", f2p: "+"}
-    minus_side = face_side[f1m]
-    vertex_sides = {w: ("-" if s == minus_side else "+") for w, s in side_of.items()}
+    vertex_sides = _vertex_sides(pos, pair, face_side[f1m])
     z = a.tau.chosen[0]
     segments = {
         "1+": _segment(z, p1, q1),
@@ -449,11 +470,12 @@ def _host_cut(a: _Analysis, pair: SpecialPair):
 
 
 def _piece_cut(a: _Analysis, pair: SpecialPair, kind: str):
-    side_of, faces, face_side = _sides_and_faces(a.t, pair)
+    pos = _link_positions(a.t, pair.shared_vertex)
+    faces, face_side = _face_sides(a.t, pair, pos)
     # both labelings satisfy the side condition; tie-break on minus faces
     minus_side = min("AB", key=lambda s: sorted(f for f in faces if face_side[f] == s))
     face_labels = {f: ("-" if face_side[f] == minus_side else "+") for f in faces}
-    vertex_sides = {w: ("-" if s == minus_side else "+") for w, s in side_of.items()}
+    vertex_sides = _vertex_sides(pos, pair, minus_side)
 
     # a segment runs from a pass of the pair edge to its next pass in the
     # same zigzag (itself, for a four-zigzag piece), signed by the face the
@@ -483,7 +505,7 @@ def _resolve(a: _Analysis, pair: SpecialPair) -> GluingSite:
     directions = a.cls.edge_directions
     return GluingSite(
         a.t, a.tau, pair, kind, face_labels, vertex_sides,
-        directions[pair.e1], directions[pair.e2], SegmentDecomposition(kind, segments),
+        directions[pair.e1], directions[pair.e2], SegmentDecomposition(kind, segments), a.cls,
     )
 
 
@@ -521,7 +543,7 @@ def plan_gluing(
     # common to both orders is reported in the swapped order, as (e2, e1)
     if _pair_problem(host, host_pair) is not None or (
         len(host_tau.zigzags) == 1
-        and _host_labeling(host, host_pair, _sides_and_faces(host_t, host_pair)[2]) is None
+        and _host_labeling(host, host_pair, _face_sides(host_t, host_pair)[1]) is None
     ):
         host_pair = host_pair.swapped()
     host_site = _resolve(host, _checked(host, host_pair))
@@ -663,10 +685,12 @@ def glue(
     pair; the piece homogeneous with a resolved piece pair; directions must
     match at the shared vertices and the vertex namespaces must be disjoint.
     """
-    th, _tauh = host
-    tp, _taup = piece
+    th, tauh = host
+    tp, taup = piece
     if host_site.triangulation != th or piece_site.triangulation != tp:
         raise SurgeryError("sites do not belong to the given triangulations")
+    if host_site.orientation != tauh or piece_site.orientation != taup:
+        raise SurgeryError("sites were resolved under other z-orientations")
     if host_site.kind != HOST:
         raise SurgeryError("host site must come from a z-knotted triangulation")
     if piece_site.kind not in (TWO_ZIGZAG, FOUR_ZIGZAG):
@@ -697,10 +721,8 @@ def glue(
 
     cls = classify(glued, tau)
     assert _homogeneous(cls, tau), "glued orientation is homogeneous"
-    host_cls = classify(th, host[1])
-    piece_cls = classify(tp, piece[1])
-    assert set(cls.type_i_vertices) == set(host_cls.type_i_vertices) | set(
-        piece_cls.type_i_vertices
+    assert set(cls.type_i_vertices) == set(host_site.classification.type_i_vertices) | set(
+        piece_site.classification.type_i_vertices
     ), "type-I vertices are preserved by gluing"
     return glued, tau
 

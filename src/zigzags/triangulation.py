@@ -11,7 +11,6 @@ Faces are stored as sorted 3-tuples, edges as sorted 2-tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 __all__ = [
     "ParseError",
@@ -37,7 +36,8 @@ class ParseError(TriangulationError):
 def _check_token(tok: str) -> str:
     if not isinstance(tok, str) or not tok:
         raise TriangulationError(f"vertex token must be a non-empty string, got {tok!r}")
-    if any(c.isspace() for c in tok) or "#" in tok:
+    # str.split() splits at exactly the characters for which isspace() holds
+    if tok.split() != [tok] or "#" in tok:
         # '#' starts a comment in the text format, so it cannot round-trip
         raise TriangulationError(f"vertex token {tok!r} contains whitespace or '#'")
     return tok
@@ -105,8 +105,13 @@ class Triangulation:
     def __init__(self, faces) -> None:
         stored: list[tuple[str, str, str]] = []
         seen: set[tuple[str, str, str]] = set()
+        tokens: set[str] = set()
         for f in faces:
-            trio = tuple(_check_token(t) for t in f)
+            trio = tuple(f)
+            for tok in trio:
+                # a non-string may be unhashable: check it before any lookup
+                if type(tok) is not str or tok not in tokens:
+                    tokens.add(_check_token(tok))
             if len(trio) != 3:
                 raise TriangulationError(f"face must have 3 vertices, got {trio!r}")
             key = face_key(*trio)
@@ -121,8 +126,9 @@ class Triangulation:
         for f in self._faces:
             for v in f:
                 vertex_faces.setdefault(v, []).append(f)
-            for u, v in combinations(f, 2):
-                edge_faces.setdefault(edge_key(u, v), []).append(f)
+            a, b, c = f  # sorted, so its edges are canonical
+            for e in ((a, b), (a, c), (b, c)):
+                edge_faces.setdefault(e, []).append(f)
         self._edge_faces = {e: tuple(sorted(fs)) for e, fs in edge_faces.items()}
         self._vertex_faces = {v: tuple(sorted(fs)) for v, fs in vertex_faces.items()}
         self._vertices = tuple(sorted(self._vertex_faces))
@@ -156,9 +162,6 @@ class Triangulation:
             return self._vertex_faces[v]
         except KeyError:
             raise TriangulationError(f"no such vertex {v!r}") from None
-
-    def vertex_edges(self, v: str) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted({edge_key(v, u) for f in self.vertex_faces(v) for u in f if u != v}))
 
     def neighbors(self, v: str) -> tuple[str, ...]:
         return tuple(sorted({u for f in self.vertex_faces(v) for u in f if u != v}))
@@ -204,8 +207,8 @@ class Triangulation:
         vertex's two link-neighbors; None unless the link is a single cycle."""
         adj: dict[str, list[str]] = {}
         n_edges = 0
-        for f in self.vertex_faces(v):
-            x, y = (t for t in f if t != v)
+        for a, b, c in self.vertex_faces(v):
+            x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
             adj.setdefault(x, []).append(y)
             adj.setdefault(y, []).append(x)
             n_edges += 1
@@ -247,10 +250,11 @@ class Triangulation:
             seen = {self._vertices[0]}
             stack = [self._vertices[0]]
             while stack:
-                for u in self.neighbors(stack.pop()):
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
+                for f in self._vertex_faces[stack.pop()]:
+                    for u in f:
+                        if u not in seen:
+                            seen.add(u)
+                            stack.append(u)
             if len(seen) != len(self._vertices):
                 violations.append(
                     f"graph disconnected: reached {len(seen)} of {len(self._vertices)} vertices"

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 from zigzags import (
+    Triangulation,
     TreeSpec,
     ZOrientation,
     all_z_orientations,
@@ -69,3 +71,45 @@ def sampled_orientations(t, rng: random.Random, cap: int = 16) -> list[ZOrientat
         bits = tuple(rng.randint(0, 1) for _ in range(k))
         out.append(make_z_orientation(t, bits))
     return out
+
+
+def torus7() -> Triangulation:
+    """The 7-vertex torus: faces {i, i+1, i+3} and {i, i+2, i+3} mod 7."""
+    faces = []
+    for i in range(7):
+        faces.append((str(i), str((i + 1) % 7), str((i + 3) % 7)))
+        faces.append((str(i), str((i + 2) % 7), str((i + 3) % 7)))
+    return Triangulation(faces)
+
+
+def flip_edge(faces, edge):
+    """The face list after a 2-2 flip of edge {u, v}, or None when the flip
+    would repeat an edge or leave u or v with degree below 3.
+
+    The two faces {u, v, a} and {u, v, b} become {a, b, u} and {a, b, v}.
+    """
+    u, v = edge
+    f, g = (h for h in faces if u in h and v in h)
+    (a,) = set(f) - {u, v}
+    (b,) = set(g) - {u, v}
+    if any(a in h and b in h for h in faces):
+        return None
+    if min(sum(1 for h in faces if w in h) for w in (u, v)) <= 3:
+        return None
+    return [h for h in faces if h not in (f, g)] + [(a, b, u), (a, b, v)]
+
+
+def random_flips(t: Triangulation, rng: random.Random, flips: int) -> Triangulation:
+    """t after `flips` random 2-2 edge flips (edges that cannot flip are skipped)."""
+    faces = list(t.faces)
+    done = 0
+    for _ in range(100 * flips):
+        if done == flips:
+            break
+        edges = sorted({tuple(sorted(e)) for f in faces for e in combinations(f, 2)})
+        flipped = flip_edge(faces, rng.choice(edges))
+        if flipped is not None:
+            faces = flipped
+            done += 1
+    assert done == flips, "too few flippable edges"
+    return Triangulation(faces)

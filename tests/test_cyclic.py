@@ -25,6 +25,12 @@ def test_already_minimal():
 def test_rotation_needed():
     assert least_rotation((3, 1, 2)) == (1, 2, 3)
     assert least_rotation_index((3, 1, 2)) == 1
+    # the least item at exactly two positions: the later rotation wins, then the earlier
+    assert least_rotation_index((0, 3, 0, 1)) == 2
+    assert least_rotation_index((2, 0, 1, 0, 3)) == 1
+    # at exactly three positions
+    assert least_rotation_index((0, 2, 0, 1, 0, 2)) == 2
+    assert least_rotation((1, 0, 2, 0, 1, 0, 3)) == (0, 1, 0, 3, 1, 0, 2)
 
 
 def test_repeated_blocks():

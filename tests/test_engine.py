@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zigzag_oracle as oracle
-from helpers import sampled_orientations
+from helpers import random_flips, sampled_orientations, torus7
 from zigzags import (
     Triangulation,
+    TriangulationError,
     Zigzag,
     ZOrientation,
     all_z_orientations,
@@ -138,19 +139,62 @@ def _state_pass(state):
     return make_pass(src, dst)
 
 
-def test_zigzag_pass_sets_match_oracle():
-    # beyond lengths: the actual pass sets agree with the oracle orbits
-    t = bipyramid(6)
-    zs = enumerate_zigzags(t)
+def _least_rotation(seq):
+    # naive reference: the least of the rotations starting at the least item
+    m = min(seq)
+    return min(seq[k:] + seq[:k] for k, x in enumerate(seq) if x == m)
+
+
+def _common_face(t, e1, e2):
+    (f,) = set(t.edge_faces(e1)) & set(t.edge_faces(e2))
+    return f
+
+
+def assert_walks_match_oracle(t):
+    """Every zigzag, in both directions, is an oracle orbit pass for pass, and
+    its face shadow is the common face of each two consecutive passes."""
+    walks = [w for z in enumerate_zigzags(t) for w in (z, z.reverse())]
     faces = [frozenset(f) for f in t.faces]
-    engine_sets = set()
-    for z in zs:
-        engine_sets.add(frozenset(z.passes))
-        engine_sets.add(frozenset(z.reverse().passes))
-    oracle_sets = set()
-    for orbit in oracle.orbits(faces):
-        oracle_sets.add(frozenset(_state_pass(s) for s in orbit))
-    assert engine_sets == oracle_sets
+    expected = [tuple(_state_pass(s) for s in orbit) for orbit in oracle.orbits(faces)]
+    assert sorted(_least_rotation(w.passes) for w in walks) == sorted(
+        _least_rotation(seq) for seq in expected
+    )
+    for w in walks:
+        ps = w.passes
+        assert face_shadow(t, w) == tuple(
+            _common_face(t, p.edge, q.edge) for p, q in zip(ps, ps[1:] + ps[:1])
+        )
+
+
+def test_zigzag_pass_sets_match_oracle(platonic_corpus):
+    rng = random.Random(3)
+    flipped = [
+        random_flips(base, rng, 6)
+        for base in (bipyramid(5), bipyramid(8), platonic_corpus["icosahedron"], bipyramid(11))
+    ]
+    assert len({len(enumerate_zigzags(t)) for t in flipped}) > 1
+    for t in [bipyramid(6), TET, platonic_corpus["icosahedron"], torus7(), *flipped]:
+        assert_walks_match_oracle(t)
+
+
+def test_torus_census():
+    t = torus7()
+    assert t.euler_characteristic() == 0
+    assert sorted(len(z) for z in enumerate_zigzags(t)) == [14, 14, 14]
+
+
+def test_glued_walks_match_oracle(glued_corpus, tree_corpus):
+    for t, _, _, _ in glued_corpus.values():
+        assert_walks_match_oracle(t)
+    for _, t, _, _ in tree_corpus:
+        assert_walks_match_oracle(t)
+
+
+def test_face_shadow_rejects_passes_off_the_faces():
+    # the base cycle of BP(5) chains, but 1, 2, 3 span no face
+    base = Zigzag(tuple(make_pass(str(i), str(i % 5 + 1)) for i in range(1, 6)))
+    with pytest.raises(TriangulationError, match="share no face"):
+        face_shadow(bipyramid(5), base)
 
 
 def test_no_self_reversed_zigzags():

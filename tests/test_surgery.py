@@ -397,6 +397,14 @@ def test_glue_rejects_foreign_sites(glued_corpus):
     other_tau = bipyramid_canonical_zorientation(3)
     with pytest.raises(SurgeryError, match="do not belong"):
         glue((other, other_tau), host_site, (bipyramid(4, "R."), None), piece_site)
+    # the right triangulations, but a site resolved under another orientation
+    host = (host_site.triangulation, host_site.orientation)
+    piece = (piece_site.triangulation, piece_site.orientation)
+    flipped_host = (host[0], host[1].reversed())
+    flipped_piece = (piece[0], piece[1].reversed())
+    for args in ((flipped_host, piece), (host, flipped_piece)):
+        with pytest.raises(SurgeryError, match="other z-orientations"):
+            glue(args[0], host_site, args[1], piece_site)
 
 
 def test_glue_rejects_swapped_roles():

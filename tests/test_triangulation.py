@@ -171,3 +171,13 @@ def test_token_rules():
         Triangulation([("a#1", "c", "d")])
     with pytest.raises(TriangulationError):
         Triangulation([("", "c", "d")])
+    # non-strings are rejected as such, hashable or not, also once seen
+    with pytest.raises(TriangulationError, match="non-empty string"):
+        Triangulation([(1, "c", "d")])
+    with pytest.raises(TriangulationError, match="non-empty string"):
+        Triangulation([(["a"], "c", "d")])
+    with pytest.raises(TriangulationError, match="non-empty string"):
+        Triangulation([("a", "c", "d"), (["a"], "c", "e")])
+    # a token is checked where it first appears
+    with pytest.raises(TriangulationError, match="whitespace"):
+        Triangulation([("a", "c", "d"), ("a", "c\t", "e")])

@@ -122,7 +122,13 @@ class Zigzag:
 
     def reverse(self) -> "Zigzag":
         """The same closed walk traversed backwards."""
-        return Zigzag(_make_passes([(e, d, s) for e, s, d in reversed(self.passes)]))
+        passes = _make_passes([(e, d, s) for e, s, d in reversed(self.passes)])
+        # __post_init__'s checks cannot fail here: flipping a pass keeps its
+        # edge key, and passes that chain dst -> src chain again when each is
+        # flipped and their order reversed.  Only the least rotation is new.
+        rev = object.__new__(Zigzag)
+        object.__setattr__(rev, "passes", least_rotation(passes))
+        return rev
 
     def canonical(self) -> "Zigzag":
         rev = self.reverse()

@@ -16,18 +16,19 @@ The result is z-knotted with exactly two type-I vertices per node.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
-from .engine import (
-    ZOrientation,
-    Zigzag,
-    _homogeneous,
-    classify,
-    enumerate_zigzags,
-    is_homogeneous,
-    make_pass,
+from .engine import ZOrientation, Zigzag, _homogeneous, enumerate_zigzags, make_pass
+from .surgery import (
+    InvariantError,
+    SpecialPair,
+    _Analysis,
+    _analyse,
+    _glue,
+    _host_site,
+    _piece_site,
 )
-from .surgery import SpecialPair, glue, plan_gluing
 from .triangulation import ParseError, Triangulation, ValidationReport, _check_token, edge_key
 
 __all__ = [
@@ -162,6 +163,11 @@ def bipyramid_canonical_zorientation(n: int, prefix: str = "") -> ZOrientation:
 
     Every spoke comes out type I and both apexes are type-I vertices.
     """
+    return _bipyramid_analysis(n, prefix).tau
+
+
+def _bipyramid_analysis(n: int, prefix: str) -> _Analysis:
+    """BP(n) under its canonical z-orientation, built and analysed once."""
     t = bipyramid(n, prefix)
     zs = enumerate_zigzags(t)
     directed = {z.passes: i for i, z in enumerate(_example_zigzag_walks(n, prefix))}
@@ -177,9 +183,8 @@ def bipyramid_canonical_zorientation(n: int, prefix: str = "") -> ZOrientation:
         else:
             raise AssertionError(f"BP({n}) zigzag not matched by the hand construction")
     assert used == set(range(len(zs))), "hand-built zigzags exhaust the census"
-    tau = ZOrientation(tuple(zs), tuple(bits))
-    assert is_homogeneous(t, tau)
-    return tau
+    tau = ZOrientation(zs, tuple(bits))
+    return _analyse(t, tau, f"the canonical z-orientation of BP({n}) is not homogeneous")
 
 
 def platonic(name: str) -> Triangulation:
@@ -390,6 +395,12 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     for its children's gluings; a child is glued along its own lowest
     available base pair.  The result is z-knotted and homogeneous with
     exactly two type-I vertices (the two apexes) per tree node.
+
+    Each step plans and glues as plan_gluing and glue do, with every check
+    they make, but on analyses it already holds: the host's is the one the
+    previous glue derived from verifying its result, and each piece
+    bipyramid is built and analysed once.  Raises InvariantError when a
+    glue or the finished build fails its verification.
     """
     report = validate_tree(spec)
     if not report.ok:
@@ -399,8 +410,7 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     root = spec.root
     assert root is not None
 
-    t = bipyramid(labels[root], _node_prefix(root))
-    tau = bipyramid_canonical_zorientation(labels[root], _node_prefix(root))
+    host = _bipyramid_analysis(labels[root], _node_prefix(root))
     # base vertex i of a node may have been renamed when the node was glued
     names: dict[str, dict[int, str]] = {}
     cursor: dict[str, int] = {root: 1}
@@ -419,23 +429,21 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
         )
 
     parent_of: dict[str, str | None] = {root: None}
-    queue = [root]
+    queue = deque([root])
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         for c in sorted(w for w in adj[u] if w != parent_of[u]):
             parent_of[c] = u
             host_pair = base_pair(u, cursor[u])
             cursor[u] += 2
 
             n_c = labels[c]
-            piece = bipyramid(n_c, _node_prefix(c))
-            piece_tau = bipyramid_canonical_zorientation(n_c, _node_prefix(c))
-            host_site, piece_site = plan_gluing(
-                t, tau, host_pair, piece, piece_tau,
+            host_site = _host_site(host, host_pair)
+            piece_site = _piece_site(
+                host_site, _bipyramid_analysis(n_c, _node_prefix(c)),
                 (base_pair(c, j) for j in range(1, n_c + 1)),
             )
-
-            t, tau = glue((t, tau), host_site, (piece, piece_tau), piece_site)
+            host = _glue(host_site, piece_site)
             prefix_len = len(_node_prefix(c))
             names[c] = {
                 int(piece_site.v1[prefix_len:]): host_site.v1,
@@ -446,14 +454,23 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
             records.append(
                 GluingRecord(
                     u, c, host_site.pair, piece_site.pair, piece_site.kind,
-                    len(t.vertices), len(t.edges), len(t.faces), len(tau.chosen[0]),
+                    len(host.t.vertices), len(host.t.edges), len(host.t.faces),
+                    len(host.tau.chosen[0]),
                 )
             )
             queue.append(c)
 
-    assert t.euler_characteristic() == 2
-    assert len(tau.zigzags) == 1
-    cls = classify(t, tau)
-    assert _homogeneous(cls, tau)
-    assert len(cls.type_i_vertices) == 2 * len(spec.nodes)
+    t, tau, cls = host.t, host.tau, host.cls
+    chi = t.euler_characteristic()
+    if chi != 2:
+        raise InvariantError(f"tree build has Euler characteristic {chi}, not 2")
+    if len(tau.zigzags) != 1:
+        raise InvariantError(f"tree build has {len(tau.zigzags)} zigzags, not 1")
+    if not _homogeneous(cls, tau):
+        raise InvariantError("tree build's z-orientation is not homogeneous")
+    if len(cls.type_i_vertices) != 2 * len(spec.nodes):
+        raise InvariantError(
+            f"tree build has {len(cls.type_i_vertices)} type-I vertices, "
+            f"not 2 per node ({2 * len(spec.nodes)})"
+        )
     return t, tau, BuildLog(tuple(records))

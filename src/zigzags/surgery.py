@@ -24,10 +24,16 @@ reorders: it resolves the pair as given or raises SurgeryError.
 
 All glue outputs are verified rather than trusted: the glued face list is
 re-validated, its zigzag census re-enumerated, and the result compared with
-the predicted sequence; any mismatch is an assertion failure.  Each site
-carries the classification its resolution derived, and glue, after checking
-that each site was resolved under the orientation it is given, verifies
-type-I vertex preservation against those classifications.
+the predicted sequence; any mismatch raises InvariantError, an explicit
+check that also runs under python -O.  Each site carries the classification
+its resolution derived, and glue, after checking that each site was
+resolved under the orientation it is given, verifies type-I vertex
+preservation against those classifications.
+
+glue and generators.tree_build share one private step, which glues,
+verifies, and returns the glued complex's analysis (classification, pass
+positions, face shadows) built from that verification; tree_build hands it
+to the next step's planner instead of deriving it again.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from .triangulation import Triangulation, edge_key, face_key
 
 __all__ = [
     "SurgeryError",
+    "InvariantError",
     "SpecialPair",
     "PiecePair",
     "SegmentDecomposition",
@@ -74,6 +81,11 @@ FOUR_ZIGZAG = "four_zigzag_piece"
 
 class SurgeryError(ValueError):
     """A gluing precondition does not hold."""
+
+
+class InvariantError(AssertionError):
+    """A result the construction guarantees failed its check: a bug, not bad
+    input.  Raised explicitly, so the check survives python -O."""
 
 
 @dataclass(frozen=True)
@@ -178,7 +190,8 @@ class GluingSite:
 
 
 class _Analysis(NamedTuple):
-    """What resolving pairs needs of one (t, tau), derived once per call."""
+    """What resolving pairs needs of one (t, tau), derived once per call,
+    or once per step of a tree build, which hands each glue's on."""
 
     t: Triangulation
     tau: ZOrientation
@@ -538,19 +551,27 @@ def plan_gluing(
     resolved in it.  Returns (host_site, piece_site), ready for glue.
     Raises SurgeryError when the host pair is no site or no candidate fits.
     """
-    host = _analyse(host_t, host_tau, _NOT_HOMOGENEOUS_SITE)
+    host_site = _host_site(_analyse(host_t, host_tau, _NOT_HOMOGENEOUS_SITE), host_pair)
+    piece = _analyse(piece_t, piece_tau, _NOT_HOMOGENEOUS_SITE)
+    return host_site, _piece_site(host_site, piece, piece_pairs)
+
+
+def _host_site(host: _Analysis, pair: SpecialPair) -> GluingSite:
+    """plan_gluing's host half, on an analysis the caller holds."""
     # the side condition picks the role order; a pair that fails a check
     # common to both orders is reported in the swapped order, as (e2, e1)
-    if _pair_problem(host, host_pair) is not None or (
-        len(host_tau.zigzags) == 1
-        and _host_labeling(host, host_pair, _face_sides(host_t, host_pair)[1]) is None
+    if _pair_problem(host, pair) is not None or (
+        len(host.tau.zigzags) == 1
+        and _host_labeling(host, pair, _face_sides(host.t, pair)[1]) is None
     ):
-        host_pair = host_pair.swapped()
-    host_site = _resolve(host, _checked(host, host_pair))
+        pair = pair.swapped()
+    return _resolve(host, _checked(host, pair))
 
-    piece = _analyse(piece_t, piece_tau, _NOT_HOMOGENEOUS_SITE)
+
+def _piece_site(host_site: GluingSite, piece: _Analysis, piece_pairs) -> GluingSite:
+    """plan_gluing's piece half, on an analysis the caller holds."""
     wanted = (host_site.enters(1), host_site.enters(2))
-    knotted = len(piece_tau.zigzags) == 1
+    knotted = len(piece.tau.zigzags) == 1
     for cand in piece_pairs:
         for pair in (_checked(piece, cand), cand.swapped()):
             directions = (piece.cls.edge_directions[e] for e in (pair.e1, pair.e2))
@@ -559,7 +580,7 @@ def plan_gluing(
                 piece_site = _resolve(piece, pair)
                 # the guard: site kinds fit, and the directions match by choice
                 if check_compatibility(host_site, piece_site):
-                    return host_site, piece_site
+                    return piece_site
     raise SurgeryError(
         "pair directions at the shared vertices do not match in either role order"
     )
@@ -603,6 +624,20 @@ def _rewrite_pass(p: Pass, sub) -> Pass:
     return make_pass(sub(p.src, p.dst), sub(p.dst, p.src))
 
 
+def _rewrite_segments(site: GluingSite, plus: str, minus: str, renames: dict[str, str]):
+    """The site's segments under the split and identification.  Only passes
+    at v or at a renamed vertex change; every other pass is kept as it is."""
+    sub = _site_vertex_map(site, plus, minus, renames)
+    moved = {site.v, *renames}
+    return {
+        k: tuple(
+            p if p.src not in moved and p.dst not in moved else _rewrite_pass(p, sub)
+            for p in site.segments[k]
+        )
+        for k in ("1+", "1-", "2+", "2-")
+    }
+
+
 def _rewrite_edge(e: Edge, sub) -> Edge:
     return edge_key(sub(e[0], e[1]), sub(e[1], e[0]))
 
@@ -624,15 +659,11 @@ def predict_glued_zigzag(host_site: GluingSite, piece_site: GluingSite) -> Zigza
     e2+, A2+, e1+, C1+, e1-, A1-, e2+, C2+, e2-, A2-, e1-, C1-.
     """
     plus, minus = _split_names(host_site, piece_site)
-    hsub = _site_vertex_map(host_site, plus, minus, {})
-    psub = _site_vertex_map(
+    A = _rewrite_segments(host_site, plus, minus, {})
+    B = _rewrite_segments(
         piece_site, plus, minus,
         {piece_site.v1: host_site.v1, piece_site.v2: host_site.v2},
     )
-    A = {k: tuple(_rewrite_pass(p, hsub) for p in host_site.segments[k])
-         for k in ("1+", "1-", "2+", "2-")}
-    B = {k: tuple(_rewrite_pass(p, psub) for p in piece_site.segments[k])
-         for k in ("1+", "1-", "2+", "2-")}
 
     def e(index: int, sign: str) -> tuple[Pass, ...]:
         return (_split_edge_pass(host_site, index, sign, plus, minus),)
@@ -653,9 +684,15 @@ def predict_glued_zigzag(host_site: GluingSite, piece_site: GluingSite) -> Zigza
 
 
 def _rewrite_faces(site: GluingSite, plus: str, minus: str, renames: dict[str, str]):
+    """The site's faces under the split and identification, in face order;
+    a face off v and off every renamed vertex is kept as it is."""
+    moved = {site.v, *renames}
     out = []
     for f in site.triangulation.faces:
-        if site.v in f:
+        a, b, c = f
+        if a not in moved and b not in moved and c not in moved:
+            out.append(f)
+        elif site.v in f:
             x, y = (w for w in f if w != site.v)
             interior = [w for w in (x, y) if w in site.vertex_sides]
             assert interior, "a face at v has an interior link vertex"
@@ -684,6 +721,7 @@ def glue(
     The host must be z-knotted and homogeneous with a resolved special
     pair; the piece homogeneous with a resolved piece pair; directions must
     match at the shared vertices and the vertex namespaces must be disjoint.
+    Raises InvariantError when the glued result fails its verification.
     """
     th, tauh = host
     tp, taup = piece
@@ -691,6 +729,14 @@ def glue(
         raise SurgeryError("sites do not belong to the given triangulations")
     if host_site.orientation != tauh or piece_site.orientation != taup:
         raise SurgeryError("sites were resolved under other z-orientations")
+    glued = _glue(host_site, piece_site)
+    return glued.t, glued.tau
+
+
+def _glue(host_site: GluingSite, piece_site: GluingSite) -> _Analysis:
+    """glue on the sites' own triangulations and orientations; returns the
+    analysis of the glued result, derived from its verification."""
+    th, tp = host_site.triangulation, piece_site.triangulation
     if host_site.kind != HOST:
         raise SurgeryError("host site must come from a z-knotted triangulation")
     if piece_site.kind not in (TWO_ZIGZAG, FOUR_ZIGZAG):
@@ -707,24 +753,32 @@ def glue(
         {piece_site.v1: host_site.v1, piece_site.v2: host_site.v2},
     )
     glued = Triangulation(host_faces + piece_faces)
-    assert glued.validate().ok, "glued face list is a closed surface triangulation"
-
-    assert len(glued.vertices) == len(th.vertices) + len(tp.vertices) - 2
-    assert len(glued.edges) == len(th.edges) + len(tp.edges)
-    assert len(glued.faces) == len(th.faces) + len(tp.faces)
+    if not glued.validate().ok:
+        raise InvariantError(f"glued face list is no closed surface: {glued.validate()}")
+    if (len(glued.vertices), len(glued.edges), len(glued.faces)) != (
+        len(th.vertices) + len(tp.vertices) - 2,
+        len(th.edges) + len(tp.edges),
+        len(th.faces) + len(tp.faces),
+    ):
+        raise InvariantError("glued V, E, F are not the sums V-2, E, F of host and piece")
 
     predicted = predict_glued_zigzag(host_site, piece_site)
     zs = enumerate_zigzags(glued)
-    assert len(zs) == 1, "gluing along a special pair yields a z-knotted triangulation"
-    assert zs[0] == predicted.canonical(), "enumerated zigzag matches the prediction"
+    if len(zs) != 1:
+        raise InvariantError(f"gluing along a special pair gave {len(zs)} zigzags, not 1")
+    if zs[0] != predicted.canonical():
+        raise InvariantError("enumerated zigzag differs from the prediction")
     tau = ZOrientation(zs, (0,) if zs[0] == predicted else (1,))
 
     cls = classify(glued, tau)
-    assert _homogeneous(cls, tau), "glued orientation is homogeneous"
-    assert set(cls.type_i_vertices) == set(host_site.classification.type_i_vertices) | set(
+    if not _homogeneous(cls, tau):
+        raise InvariantError("glued orientation is not homogeneous")
+    if set(cls.type_i_vertices) != set(host_site.classification.type_i_vertices) | set(
         piece_site.classification.type_i_vertices
-    ), "type-I vertices are preserved by gluing"
-    return glued, tau
+    ):
+        raise InvariantError("gluing did not preserve the type-I vertices")
+    shadows = (face_shadow(glued, tau.chosen[0]),)
+    return _Analysis(glued, tau, cls, _passes_of(tau.chosen), shadows)
 
 
 # ----------------------------------------------------------------------
@@ -756,7 +810,8 @@ def inherited_pairs(
     the glued zigzag.
     """
     t, tau = glued
-    assert len(tau.zigzags) == 1
+    if len(tau.zigzags) != 1:
+        raise SurgeryError("inherited pairs are defined for a z-knotted glued triangulation")
     cls = classify(t, tau)
     z = tau.chosen[0]
     plus, minus = host_site.v + "+", host_site.v + "-"

@@ -71,6 +71,18 @@ def test_zigzag_reverse_and_canonical():
     assert not (z.passes < r.passes) or z.canonical() == z
 
 
+def test_unchecked_reversal_is_a_checked_zigzag(bipyramid_corpus, tree_corpus):
+    # reverse() skips __post_init__'s checks: the checked construction of
+    # the flipped, reversed passes must accept them and give the same passes
+    surfaces = [t for t, _ in bipyramid_corpus.values()] + [torus7()]
+    for t in surfaces + [t for _, t, _, _ in tree_corpus]:
+        for z in enumerate_zigzags(t):
+            r = z.reverse()
+            assert r.reverse() == z
+            assert Zigzag(r.passes).passes == r.passes
+            assert Zigzag(tuple(p.flipped() for p in reversed(z.passes))) == r
+
+
 def test_occurrences_and_counts():
     z = enumerate_zigzags(bipyramid(3))[0]
     counts = z.edge_counts()

@@ -482,3 +482,10 @@ def test_inherited_pairs_skip_used_edges(glued_corpus):
     used = host_site.pair
     out = inherited_pairs((t, tau), host_site, piece_site, (used, used.swapped()), ())
     assert out == ()
+
+
+def test_inherited_pairs_require_z_knotted_glued(glued_corpus):
+    _, _, host_site, piece_site = glued_corpus[4]
+    piece = (piece_site.triangulation, piece_site.orientation)
+    with pytest.raises(SurgeryError, match="z-knotted"):
+        inherited_pairs(piece, host_site, piece_site)

@@ -3,26 +3,47 @@
 from __future__ import annotations
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import zigzags
 from helpers import random_tree_spec
 from zigzags import (
+    BuildLog,
+    GluingRecord,
+    SpecialPair,
     TreeError,
     TreeSpec,
+    bipyramid,
+    bipyramid_canonical_zorientation,
     classify,
+    edge_key,
+    glue,
     is_homogeneous,
     is_z_knotted,
+    plan_gluing,
     serialize_tree,
     tree_build,
     validate_tree,
 )
 
+TWO_CHILD = TreeSpec((("r", 5), ("x", 4), ("y", 6)), (("r", "x"), ("r", "y")))
+SINGLE = TreeSpec((("solo", 7),), ())
+CHAIN = TreeSpec((("r", 5), ("a", 4), ("b", 4)), (("r", "a"), ("a", "b")))
+RUNNING = TreeSpec(
+    (("r", 7), ("a", 4), ("b", 6), ("c", 4)),
+    (("r", "a"), ("r", "b"), ("b", "c")),
+)
+
 
 def test_two_child_example():
-    spec = TreeSpec((("r", 5), ("x", 4), ("y", 6)), (("r", "x"), ("r", "y")))
-    t, tau, log = tree_build(spec)
+    t, tau, log = tree_build(TWO_CHILD)
     assert (len(t.vertices), len(t.edges), len(t.faces)) == (17, 45, 30)
     assert t.euler_characteristic() == 2
     assert len(tau.zigzags) == 1
@@ -38,7 +59,7 @@ def test_two_child_example():
 
 
 def test_single_node():
-    t, tau, log = tree_build(TreeSpec((("solo", 7),), ()))
+    t, tau, log = tree_build(SINGLE)
     assert len(t.vertices) == 9
     assert len(tau.zigzags) == 1
     assert str(log) == "no gluings (single-node tree)"
@@ -47,8 +68,7 @@ def test_single_node():
 
 def test_chain_renames_grandchild_host_pair():
     # gluing b into a must use a's base vertices under their post-glue names
-    spec = TreeSpec((("r", 5), ("a", 4), ("b", 4)), (("r", "a"), ("a", "b")))
-    t, tau, log = tree_build(spec)
+    t, tau, log = tree_build(CHAIN)
     assert (len(t.vertices), len(t.edges), len(t.faces)) == (15, 39, 26)
     assert len(classify(t, tau).type_i_vertices) == 6
     second = log.records[1]
@@ -60,11 +80,7 @@ def test_chain_renames_grandchild_host_pair():
 
 
 def test_record_counts_are_running_totals():
-    spec = TreeSpec(
-        (("r", 7), ("a", 4), ("b", 6), ("c", 4)),
-        (("r", "a"), ("r", "b"), ("b", "c")),
-    )
-    t, tau, log = tree_build(spec)
+    t, tau, log = tree_build(RUNNING)
     assert [r.child for r in log.records] == ["a", "b", "c"]
     sizes = [(r.vertices, r.edges, r.faces, r.zigzag_length) for r in log.records]
     assert sizes == sorted(sizes)
@@ -76,9 +92,8 @@ def test_record_counts_are_running_totals():
 
 
 def test_build_is_deterministic():
-    spec = TreeSpec((("r", 5), ("x", 4), ("y", 6)), (("r", "x"), ("r", "y")))
-    first = tree_build(spec)
-    second = tree_build(spec)
+    first = tree_build(TWO_CHILD)
+    second = tree_build(TWO_CHILD)
     assert first[0] == second[0]
     assert first[1].bits == second[1].bits
     assert str(first[2]) == str(second[2])
@@ -123,3 +138,91 @@ def test_random_tree_spec_keeps_the_corpus(tree_corpus):
     # has always given
     text = "".join(serialize_tree(spec) for spec, *_ in tree_corpus)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "91dcfce34e3cc1e1"
+
+
+def public_gluing_build(spec: TreeSpec):
+    """tree_build's loop folded through the public bipyramid,
+    bipyramid_canonical_zorientation, plan_gluing and glue: the reference
+    for a build that passes each glue's analysis on to the next step."""
+    labels, adj, root = spec.labels, spec.adjacency(), spec.root
+    prefix = {i: f"node{i}." for i in labels}
+    t = bipyramid(labels[root], prefix[root])
+    tau = bipyramid_canonical_zorientation(labels[root], prefix[root])
+    names, cursor, records = {}, {root: 1}, []
+
+    def token(node, i):
+        i = (i - 1) % labels[node] + 1
+        return names.get(node, {}).get(i, f"{prefix[node]}{i}")
+
+    def base_pair(node, i):
+        return SpecialPair(
+            edge_key(token(node, i), token(node, i + 1)),
+            edge_key(token(node, i + 1), token(node, i + 2)),
+            token(node, i + 1),
+        )
+
+    parent_of, queue = {root: None}, [root]
+    while queue:
+        u = queue.pop(0)
+        for c in sorted(w for w in adj[u] if w != parent_of[u]):
+            parent_of[c] = u
+            host_pair = base_pair(u, cursor[u])
+            cursor[u] += 2
+            piece = bipyramid(labels[c], prefix[c])
+            piece_tau = bipyramid_canonical_zorientation(labels[c], prefix[c])
+            host_site, piece_site = plan_gluing(
+                t, tau, host_pair, piece, piece_tau,
+                [base_pair(c, j) for j in range(1, labels[c] + 1)],
+            )
+            t, tau = glue((t, tau), host_site, (piece, piece_tau), piece_site)
+            cut = len(prefix[c])
+            names[c] = {
+                int(piece_site.v1[cut:]): host_site.v1,
+                int(piece_site.v2[cut:]): host_site.v2,
+            }
+            cursor[c] = int(piece_site.v[cut:]) + 1
+            records.append(GluingRecord(
+                u, c, host_site.pair, piece_site.pair, piece_site.kind,
+                len(t.vertices), len(t.edges), len(t.faces), len(tau.chosen[0]),
+            ))
+            queue.append(c)
+    return t, tau, BuildLog(tuple(records))
+
+
+def test_build_matches_the_public_gluing_fold(tree_corpus):
+    hand_written = [(spec, *tree_build(spec)) for spec in (TWO_CHILD, SINGLE, CHAIN, RUNNING)]
+    for spec, t, tau, log in hand_written + tree_corpus:
+        ref_t, ref_tau, ref_log = public_gluing_build(spec)
+        assert t.faces == ref_t.faces
+        assert tau.bits == ref_tau.bits
+        assert tau.chosen[0].passes == ref_tau.chosen[0].passes
+        assert str(log) == str(ref_log)
+
+
+def test_glue_checks_run_under_python_O():
+    # the glue verification raises InvariantError explicitly, so a wrong
+    # prediction is caught even where asserts are compiled away
+    script = textwrap.dedent(f"""
+        import zigzags.surgery as surgery
+        from zigzags import InvariantError, TreeSpec, tree_build
+
+        if __debug__:
+            raise SystemExit("this check must run under python -O")
+        spec = TreeSpec({TWO_CHILD.nodes!r}, {TWO_CHILD.edges!r})
+        print(len(tree_build(spec)[0].faces))
+        # predict the host's own zigzag, which the glued one never is
+        surgery.predict_glued_zigzag = lambda host_site, piece_site: (
+            host_site.orientation.chosen[0]
+        )
+        try:
+            tree_build(spec)
+        except InvariantError as exc:
+            print(exc)
+    """)
+    src = str(Path(zigzags.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["30", "enumerated zigzag differs from the prediction"]

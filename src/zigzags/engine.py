@@ -57,6 +57,11 @@ Edge = tuple[str, str]
 State = tuple[Edge, Edge]
 
 
+class InvariantError(AssertionError):
+    """A result the construction guarantees failed its check: a bug, not bad
+    input.  Raised explicitly, so the check survives python -O."""
+
+
 class Pass(NamedTuple):
     """One directed traversal of an edge.
 
@@ -169,14 +174,10 @@ def zigzag_successor(t: Triangulation, state: State) -> State:
 
 
 def zigzag_predecessor(t: Triangulation, state: State) -> State:
-    """Inverse of the successor map."""
+    """Inverse of the successor map: the walk from the reversed state (nxt,
+    cur) steps to (cur, prev)."""
     cur, nxt = state
-    common = t.common_face(cur, nxt)
-    near = t.other_face(cur, common)
-    nxt_set = set(nxt)
-    prev = [edge_key(u, v) for u, v in _face_edges(near) if not ({u, v} & nxt_set)]
-    assert len(prev) == 1
-    return (prev[0], cur)
+    return (zigzag_successor(t, (nxt, cur))[1], cur)
 
 
 def _face_edges(face) -> tuple[Edge, Edge, Edge]:
@@ -279,6 +280,22 @@ def make_z_orientation(t: Triangulation, bits) -> ZOrientation:
     return ZOrientation(enumerate_zigzags(t), tuple(int(b) for b in bits))
 
 
+def _orient_along(zs: tuple[Zigzag, ...], arcs) -> ZOrientation:
+    """The z-orientation of zs passing each arc (src, dst) from src to dst.
+
+    Raises InvariantError when a zigzag passes no arc, or arcs both ways.
+    """
+    direction = {edge_key(*a): a for a in arcs}
+    bits = []
+    for i, z in enumerate(zs):
+        # the reversal flips every pass: bit 1 when all passes run against
+        along = {(s, d) == direction[e] for e, s, d in z.passes if e in direction}
+        if len(along) != 1:
+            raise InvariantError(f"zigzag {i} does not pass the directed edges all one way")
+        bits.append(0 if True in along else 1)
+    return ZOrientation(zs, tuple(bits))
+
+
 def all_z_orientations(t: Triangulation) -> Iterator[ZOrientation]:
     """All 2^k z-orientations in lexicographic bit order (guarded to k <= 20)."""
     zs = enumerate_zigzags(t)
@@ -315,24 +332,28 @@ class Classification:
 def classify(t: Triangulation, tau: ZOrientation) -> Classification:
     """Classify edges, vertices, and faces under tau.
 
-    Asserts the double-cover property (each edge passed exactly twice) and
-    the face dichotomy; a violation of either means a bug, not bad input.
+    Raises TriangulationError for a pass over no edge of t, an edge not
+    passed exactly twice (double cover), or a face that is neither type I
+    nor a directed type-II cycle: by the paper, tau is then not t's own.
     """
     passes: dict[Edge, list[tuple[str, str]]] = {e: [] for e in t.edges}
     for z in tau.chosen:
         for e, src, dst in z.passes:
-            assert e in passes, f"pass over unknown edge {e!r}"
-            passes[e].append((src, dst))
-    assert all(len(v) == 2 for v in passes.values()), "each edge is passed exactly twice"
+            try:
+                passes[e].append((src, dst))
+            except KeyError:
+                raise TriangulationError(f"pass over unknown edge {e!r}") from None
+    if any(len(v) != 2 for v in passes.values()):
+        raise TriangulationError("each edge is passed exactly twice")
 
     edge_types: dict[Edge, str] = {}
     edge_directions: dict[Edge, tuple[str, str]] = {}
     for e, (d1, d2) in passes.items():
+        # two passes over one edge either agree or run opposite ways
         if d1 == d2:
             edge_types[e] = "II"
             edge_directions[e] = d1
         else:
-            assert d1 == (d2[1], d2[0])
             edge_types[e] = "I"
 
     # a vertex is type II exactly when a type-II edge ends at it
@@ -347,11 +368,13 @@ def classify(t: Triangulation, tau: ZOrientation) -> Classification:
         twos = [e for e in es if e in edge_directions]
         if len(twos) == 1:
             face_types[f] = "I"
+        elif len(twos) != 3:
+            raise TriangulationError(f"face {f!r} violates the type dichotomy")
         else:
-            assert len(twos) == 3, f"face {f!r} violates the type dichotomy"
             outs = {edge_directions[e][0] for e in es}
             ins = {edge_directions[e][1] for e in es}
-            assert outs == ins == set(f), f"type-II face {f!r} is not a directed cycle"
+            if not outs == ins == set(f):
+                raise TriangulationError(f"type-II face {f!r} is not a directed cycle")
             face_types[f] = "II"
     return Classification(edge_types, edge_directions, vertex_types, face_types)
 

@@ -16,8 +16,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import ZOrientation, _homogeneous, classify, enumerate_zigzags, is_homogeneous
-from .triangulation import ParseError, Triangulation, ValidationReport, _check_token, face_key
+from ._cyclic import least_rotation
+from .engine import (
+    ZOrientation,
+    _homogeneous,
+    _orient_along,
+    classify,
+    enumerate_zigzags,
+    is_homogeneous,
+)
+from .triangulation import (
+    ParseError,
+    Triangulation,
+    ValidationReport,
+    _check_token,
+    _reachable,
+    edge_key,
+    face_key,
+)
 
 __all__ = [
     "EmbeddingError",
@@ -43,8 +59,8 @@ class DirectedEmbedding:
     """A directed graph with named closed arc walks covering each arc twice.
 
     vertices and arcs are stored sorted; face_cycles keep their given order
-    but each cycle is rotated to start at its least arc, so equal data
-    compares equal.
+    but each cycle is stored at its least rotation, so equal data compares
+    equal.
     """
 
     vertices: tuple[str, ...]
@@ -54,14 +70,8 @@ class DirectedEmbedding:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
         object.__setattr__(self, "arcs", tuple(sorted(self.arcs)))
-        rotated = []
-        for name, cyc in self.face_cycles:
-            cyc = tuple(cyc)
-            if cyc:
-                k = cyc.index(min(cyc))
-                cyc = cyc[k:] + cyc[:k]
-            rotated.append((name, cyc))
-        object.__setattr__(self, "face_cycles", tuple(rotated))
+        rotated = tuple((name, least_rotation(cyc)) for name, cyc in self.face_cycles)
+        object.__setattr__(self, "face_cycles", rotated)
 
     def out_degree(self, v: str) -> int:
         return sum(1 for a in self.arcs if a[0] == v)
@@ -75,8 +85,8 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
 
     The digraph must be simple (no loops, no repeated arcs, no antiparallel
     arc pairs), connected, and balanced at every vertex; every face cycle
-    must chain head to tail and close up; and every arc must lie on exactly
-    two face cycles.
+    must chain head to tail, close up, and use each arc at most once; and
+    every arc must lie on exactly two face cycles.
     """
     violations: list[str] = []
     known = set(emb.vertices)
@@ -107,20 +117,12 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
         if out[v] == 0:
             violations.append(f"vertex {v!r} is isolated")
 
-    seen = set()
     if emb.vertices:
-        start = emb.vertices[0]
-        seen = {start}
-        stack = [start]
         nbrs: dict[str, set[str]] = {v: set() for v in emb.vertices}
         for u, w in emb.arcs:
             nbrs[u].add(w)
             nbrs[w].add(u)
-        while stack:
-            for w in nbrs[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
+        seen = _reachable(emb.vertices[0], nbrs.__getitem__)
         if len(seen) != len(emb.vertices):
             violations.append(
                 f"graph disconnected: reached {len(seen)} of {len(emb.vertices)} vertices"
@@ -144,6 +146,9 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
                 violations.append(
                     f"face cycle {name!r} breaks at {arc[0]}->{arc[1]} followed by {nxt[0]}->{nxt[1]}"
                 )
+        if len(set(cyc)) != len(cyc):
+            u, w = next(arc for i, arc in enumerate(cyc) if arc in cyc[:i])
+            violations.append(f"face cycle {name!r} uses arc {u}->{w} more than once")
     for a, k in sorted(coverage.items()):
         if k != 2:
             violations.append(f"arc {a[0]}->{a[1]} lies on {k} face cycle(s), expected 2")
@@ -172,19 +177,12 @@ def extract_directed_embedding(t: Triangulation, tau: ZOrientation) -> DirectedE
 
     cycles = []
     for v in sorted(type_i):
-        link = t.vertex_link(v)
-        cyc = link.cycle
-        directed = []
-        for i in range(len(cyc)):
-            u, w = cyc[i], cyc[(i + 1) % len(cyc)]
-            direction = cls.edge_directions[tuple(sorted((u, w)))]
-            directed.append(direction)
-        # the link must march consistently; flip if it runs against the arcs
-        heads_match = sum(1 for i, a in enumerate(directed) if a[0] == cyc[i])
-        if heads_match == 0:
-            directed = directed[::-1]
-        elif heads_match != len(directed):
-            raise AssertionError(f"link of {v!r} does not trace a directed cycle")
+        cyc = t.vertex_link(v).cycle
+        directed = [cls.edge_directions[edge_key(u, w)] for u, w in zip(cyc, cyc[1:] + cyc[:1])]
+        # flip a link that runs against its first arc; validation below
+        # checks that every arc then runs with the link, as cycles chain
+        if directed[0][0] != cyc[0]:
+            directed.reverse()
         cycles.append((v, tuple(directed)))
     emb = DirectedEmbedding(vertices, arcs, tuple(cycles))
     _require_valid(emb)
@@ -197,6 +195,9 @@ def triangulate_embedding(emb: DirectedEmbedding) -> tuple[Triangulation, ZOrien
     Returns the triangulation together with the homogeneous z-orientation
     whose type-II edges reproduce the arcs.  Face cycle names become the
     new vertices; empty names are replaced by F0, F1, ...
+
+    Each zigzag is taken in the direction passing the arcs it meets from
+    tail to head; InvariantError if it meets none, or meets them both ways.
     """
     _require_valid(emb)
     faces = []
@@ -214,20 +215,7 @@ def triangulate_embedding(emb: DirectedEmbedding) -> tuple[Triangulation, ZOrien
     if not report.ok:
         raise EmbeddingError(str(report))
 
-    arc_dir = {tuple(sorted(a)): a for a in emb.arcs}
-    zs = enumerate_zigzags(t)
-    bits = []
-    for z in zs:
-        chosen_bit = None
-        for cand, bit in ((z, 0), (z.reverse(), 1)):
-            arc_passes = [p for p in cand.passes if p.edge in arc_dir]
-            assert arc_passes, "every zigzag passes an arc edge"
-            if all((p.src, p.dst) == arc_dir[p.edge] for p in arc_passes):
-                assert chosen_bit is None
-                chosen_bit = bit
-        assert chosen_bit is not None, "exactly one direction follows the arcs"
-        bits.append(chosen_bit)
-    tau = ZOrientation(zs, tuple(bits))
+    tau = _orient_along(enumerate_zigzags(t), emb.arcs)
     if not is_homogeneous(t, tau):
         raise EmbeddingError("coned triangulation is not homogeneous")
     return t, tau
@@ -247,18 +235,11 @@ def embedding_from_directed_faces(t: Triangulation, tau: ZOrientation) -> Direct
     arcs = tuple(sorted(cls.edge_directions.values()))
     arcset = set(arcs)
     cycles = []
-    for i, f in enumerate(t.faces):
-        tri = []
-        x, y, z = f
-        for u, w in ((x, y), (y, z), (z, x)):
-            tri.append((u, w) if (u, w) in arcset else (w, u))
-        heads = {a[0] for a in tri}
-        assert len(heads) == 3, f"face {f} is not a directed 3-cycle"
-        # chain the three arcs head to tail
-        first = tri[0]
-        second = [a for a in tri[1:] if a[0] == first[1]][0]
-        third = [a for a in tri[1:] if a is not second][0]
-        cycles.append((f"F{i}", (first, second, third)))
+    for i, (x, y, z) in enumerate(t.faces):
+        # classify checked that every face is a directed 3-cycle, so the
+        # direction of x-y fixes the other two
+        tri = ((x, y), (y, z), (z, x)) if (x, y) in arcset else ((y, x), (x, z), (z, y))
+        cycles.append((f"F{i}", tri))
     emb = DirectedEmbedding(tuple(t.vertices), arcs, tuple(cycles))
     _require_valid(emb)
     return emb

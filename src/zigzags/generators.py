@@ -5,7 +5,9 @@ and b joined to base vertices 1..n.  Its zigzag census depends on n mod 4
 (one zigzag of length 6n for odd n, two of length 3n for n = 2 mod 4, four
 of length 3n/2 for n = 0 mod 4), and each census admits a homogeneous
 z-orientation in which every spoke is type I and the base cycle is
-directed 1 -> 2 -> ... -> n -> 1.
+directed 1 -> 2 -> ... -> n -> 1: BP(n) is the coning of that directed
+cycle, so each zigzag's direction is read off the base edges it passes.
+Hand-written zigzag walks serve only as an oracle for enumeration.
 
 A tree whose root carries an odd label 2k+1 >= 3 with k at least the root
 degree, and whose other nodes carry even labels 2k >= 4 with k at least
@@ -19,7 +21,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .engine import ZOrientation, Zigzag, _homogeneous, enumerate_zigzags, make_pass
+from .engine import ZOrientation, Zigzag, _homogeneous, _orient_along, enumerate_zigzags, make_pass
 from .surgery import (
     InvariantError,
     SpecialPair,
@@ -29,7 +31,14 @@ from .surgery import (
     _host_site,
     _piece_site,
 )
-from .triangulation import ParseError, Triangulation, ValidationReport, _check_token, edge_key
+from .triangulation import (
+    ParseError,
+    Triangulation,
+    ValidationReport,
+    _check_token,
+    _reachable,
+    edge_key,
+)
 
 __all__ = [
     "bipyramid",
@@ -82,7 +91,8 @@ def _walk_zigzag(vertices: list[str]) -> Zigzag:
 
 
 def _example_zigzag_walks(n: int, prefix: str) -> tuple[Zigzag, ...]:
-    """Directed zigzags of BP(n), written down as closed vertex walks.
+    """Directed zigzags of BP(n), written down as closed vertex walks: the
+    oracle that bipyramid_oracle_zigzags checks enumeration against.
 
     Odd-base blocks read apex, 2j+1, 2j+2 and even-base blocks apex, 2j+2,
     2j+3 with apexes alternating; the three census shapes stitch these rows
@@ -153,7 +163,8 @@ def _example_zigzag_walks(n: int, prefix: str) -> tuple[Zigzag, ...]:
 
 
 def bipyramid_oracle_zigzags(n: int, prefix: str = "") -> tuple[Zigzag, ...]:
-    """Canonical forms of the hand-constructed BP(n) zigzags, sorted."""
+    """Canonical forms of the hand-constructed BP(n) zigzags, sorted: an
+    oracle only, which no construction in the package reads."""
     return tuple(sorted((z.canonical() for z in _example_zigzag_walks(n, prefix)),
                         key=lambda z: z.passes))
 
@@ -161,7 +172,8 @@ def bipyramid_oracle_zigzags(n: int, prefix: str = "") -> tuple[Zigzag, ...]:
 def bipyramid_canonical_zorientation(n: int, prefix: str = "") -> ZOrientation:
     """The homogeneous z-orientation directing the base cycle 1 -> 2 -> ... -> n.
 
-    Every spoke comes out type I and both apexes are type-I vertices.
+    Each zigzag is taken in the direction passing its base edges from i to
+    i+1.  Every spoke comes out type I and both apexes are type-I vertices.
     """
     return _bipyramid_analysis(n, prefix).tau
 
@@ -169,21 +181,8 @@ def bipyramid_canonical_zorientation(n: int, prefix: str = "") -> ZOrientation:
 def _bipyramid_analysis(n: int, prefix: str) -> _Analysis:
     """BP(n) under its canonical z-orientation, built and analysed once."""
     t = bipyramid(n, prefix)
-    zs = enumerate_zigzags(t)
-    directed = {z.passes: i for i, z in enumerate(_example_zigzag_walks(n, prefix))}
-    used = set()
-    bits = []
-    for z in zs:
-        if z.passes in directed:
-            bits.append(0)
-            used.add(directed[z.passes])
-        elif z.reverse().passes in directed:
-            bits.append(1)
-            used.add(directed[z.reverse().passes])
-        else:
-            raise AssertionError(f"BP({n}) zigzag not matched by the hand construction")
-    assert used == set(range(len(zs))), "hand-built zigzags exhaust the census"
-    tau = ZOrientation(zs, tuple(bits))
+    base_cycle = [(_base(n, prefix, i), _base(n, prefix, i + 1)) for i in range(1, n + 1)]
+    tau = _orient_along(enumerate_zigzags(t), base_cycle)
     return _analyse(t, tau, f"the canonical z-orientation of BP({n}) is not homogeneous")
 
 
@@ -311,14 +310,7 @@ def validate_tree(spec: TreeSpec) -> ValidationReport:
     if not spec.nodes:
         return ValidationReport(("tree has no nodes",))
     adj = spec.adjacency()
-    start = spec.nodes[0][0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        for w in adj[stack.pop()]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
+    seen = _reachable(spec.nodes[0][0], adj.__getitem__)
     if len(seen) != len(spec.nodes):
         violations.append(f"tree disconnected: reached {len(seen)} of {len(spec.nodes)} nodes")
     if len(spec.edges) != len(spec.nodes) - 1:

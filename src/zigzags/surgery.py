@@ -17,7 +17,8 @@ of minus faces.
 
 Role orders: for a host pair the side condition holds in exactly one of the
 orders (e1, e2) and (e2, e1).  find_special_pairs emits each pair in that
-order, and plan_gluing picks it for a host pair given in either order; a
+order, and plan_gluing picks it for a host pair given in either order, by
+one decision step whose link positions and labeling the cut reuses; a
 piece pair resolves in both orders, and plan_gluing takes the one whose
 edges point at the shared vertex the way the host's do.  resolve_site never
 reorders: it resolves the pair as given or raises SurgeryError.
@@ -43,6 +44,7 @@ from typing import NamedTuple
 
 from .engine import (
     Classification,
+    InvariantError,
     Pass,
     Zigzag,
     ZOrientation,
@@ -81,11 +83,6 @@ FOUR_ZIGZAG = "four_zigzag_piece"
 
 class SurgeryError(ValueError):
     """A gluing precondition does not hold."""
-
-
-class InvariantError(AssertionError):
-    """A result the construction guarantees failed its check: a bug, not bad
-    input.  Raised explicitly, so the check survives python -O."""
 
 
 @dataclass(frozen=True)
@@ -258,15 +255,9 @@ def find_special_pairs(t: Triangulation, tau: ZOrientation) -> tuple[SpecialPair
     for c1, c2, v in _vertex_sharing_pairs(a.cls.type_ii_edges):
         if not _interleaved(_positions(a, c1), _positions(a, c2)):
             continue
-        pair = SpecialPair(c1, c2, v)
         if v not in links:
             links[v] = _link_positions(t, v)
-        _, face_side = _face_sides(t, pair, links[v])
-        if _host_labeling(a, pair, face_side) is None:
-            pair = pair.swapped()
-            if _host_labeling(a, pair, face_side) is None:
-                raise SurgeryError(_NO_LABELING)
-        out.append(pair)
+        out.append(_host_order(a, SpecialPair(c1, c2, v), links[v]).pair)
     return tuple(out)
 
 
@@ -352,16 +343,13 @@ def _arc_of(pos: dict[str, int], pair: SpecialPair):
     return lambda w: "A" if (pos[w] - i1) % n < span else "B"
 
 
-def _face_sides(t: Triangulation, pair: SpecialPair, pos=None):
+def _face_sides(t: Triangulation, pair: SpecialPair, pos: dict[str, int]):
     """The four pair faces (two at e1, two at e2) and face -> arc, in O(1).
 
-    pos is the link position map of the shared vertex v, when the caller
-    has it.  v1 and v2 adjacent in the link would mean a face containing
-    both pair edges, which cannot happen when every face has exactly one
-    type-II edge.
+    pos is the link position map of the shared vertex v.  v1 and v2
+    adjacent in the link would mean a face containing both pair edges,
+    which cannot happen when every face has exactly one type-II edge.
     """
-    if pos is None:
-        pos = _link_positions(t, pair.shared_vertex)
     v, v1, v2 = pair.shared_vertex, pair.v1, pair.v2
     span = (pos[v2] - pos[v1]) % len(pos)
     if span == 1 or span == len(pos) - 1:
@@ -463,15 +451,35 @@ def _host_labeling(a: _Analysis, pair: SpecialPair, face_side):
     return p1, q1, p2, q2, f1m, f1p, f2m, f2p
 
 
-def _host_cut(a: _Analysis, pair: SpecialPair):
-    pos = _link_positions(a.t, pair.shared_vertex)
+class _HostOrder(NamedTuple):
+    """A host pair in the order its side condition holds, and its facts."""
+
+    pair: SpecialPair
+    pos: dict[str, int]  # link vertex of the shared vertex -> link position
+    minus_side: str  # arc "A" or "B", named for this order, of the minus faces
+    labeling: tuple  # _host_labeling's occurrences and faces for this order
+
+
+def _host_order(a: _Analysis, pair: SpecialPair, pos: dict[str, int]) -> _HostOrder:
+    """The one role-order decision for a host pair: its own order, or else
+    the swapped one, whose side condition holds; SurgeryError if neither.
+    Swapping roles only renames arcs A and B, and the labeling test compares
+    sides for equality, so one face -> arc map serves both orders."""
     _, face_side = _face_sides(a.t, pair, pos)
+    labeling = _host_labeling(a, pair, face_side)  # labeling[4] is face F1-
+    if labeling is not None:
+        return _HostOrder(pair, pos, face_side[labeling[4]], labeling)
+    pair = pair.swapped()
     labeling = _host_labeling(a, pair, face_side)
     if labeling is None:
         raise SurgeryError(_NO_LABELING)
-    p1, q1, p2, q2, f1m, f1p, f2m, f2p = labeling
+    return _HostOrder(pair, pos, "B" if face_side[labeling[4]] == "A" else "A", labeling)
+
+
+def _host_cut(a: _Analysis, order: _HostOrder):
+    p1, q1, p2, q2, f1m, f1p, f2m, f2p = order.labeling
     face_labels = {f1m: "-", f1p: "+", f2m: "-", f2p: "+"}
-    vertex_sides = _vertex_sides(pos, pair, face_side[f1m])
+    vertex_sides = _vertex_sides(order.pos, order.pair, order.minus_side)
     z = a.tau.chosen[0]
     segments = {
         "1+": _segment(z, p1, q1),
@@ -509,11 +517,16 @@ def _piece_cut(a: _Analysis, pair: SpecialPair, kind: str):
 
 def _resolve(a: _Analysis, pair: SpecialPair) -> GluingSite:
     """Label, split, and cut a checked pair in the role order given."""
-    kind = {1: HOST, 2: TWO_ZIGZAG, 4: FOUR_ZIGZAG}[len(a.tau.zigzags)]
-    if kind == HOST:
-        face_labels, vertex_sides, segments = _host_cut(a, pair)
-    else:
-        face_labels, vertex_sides, segments = _piece_cut(a, pair, kind)
+    if len(a.tau.zigzags) == 1:
+        order = _host_order(a, pair, _link_positions(a.t, pair.shared_vertex))
+        if order.pair is not pair:
+            raise SurgeryError(_NO_LABELING)
+        return _site(a, pair, HOST, *_host_cut(a, order))
+    kind = TWO_ZIGZAG if len(a.tau.zigzags) == 2 else FOUR_ZIGZAG
+    return _site(a, pair, kind, *_piece_cut(a, pair, kind))
+
+
+def _site(a: _Analysis, pair: SpecialPair, kind: str, face_labels, vertex_sides, segments):
     assert all(segments.values()), "segments are never empty"
     directions = a.cls.edge_directions
     return GluingSite(
@@ -558,14 +571,13 @@ def plan_gluing(
 
 def _host_site(host: _Analysis, pair: SpecialPair) -> GluingSite:
     """plan_gluing's host half, on an analysis the caller holds."""
-    # the side condition picks the role order; a pair that fails a check
-    # common to both orders is reported in the swapped order, as (e2, e1)
-    if _pair_problem(host, pair) is not None or (
-        len(host.tau.zigzags) == 1
-        and _host_labeling(host, pair, _face_sides(host.t, pair)[1]) is None
-    ):
-        pair = pair.swapped()
-    return _resolve(host, _checked(host, pair))
+    problem = _pair_problem(host, pair)
+    if problem is None and len(host.tau.zigzags) == 1:
+        order = _host_order(host, pair, _link_positions(host.t, pair.shared_vertex))
+        return _site(host, order.pair, HOST, *_host_cut(host, order))
+    # a pair that fails a check common to both orders is reported in the
+    # swapped order, as (e2, e1)
+    return _resolve(host, _checked(host, pair if problem is None else pair.swapped()))
 
 
 def _piece_site(host_site: GluingSite, piece: _Analysis, piece_pairs) -> GluingSite:

@@ -43,6 +43,18 @@ def _check_token(tok: str) -> str:
     return tok
 
 
+def _reachable(start, neighbours) -> set:
+    """Everything reachable from start, where neighbours(x) lists x's neighbours."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for w in neighbours(stack.pop()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def edge_key(u: str, v: str) -> tuple[str, str]:
     """Canonical representation of the undirected edge {u, v}."""
     if u == v:
@@ -247,14 +259,9 @@ class Triangulation:
             if k != 2:
                 violations.append(f"edge {e[0]}-{e[1]} lies in {k} face(s), expected 2")
         if self._vertices:
-            seen = {self._vertices[0]}
-            stack = [self._vertices[0]]
-            while stack:
-                for f in self._vertex_faces[stack.pop()]:
-                    for u in f:
-                        if u not in seen:
-                            seen.add(u)
-                            stack.append(u)
+            seen = _reachable(
+                self._vertices[0], lambda v: (u for f in self._vertex_faces[v] for u in f)
+            )
             if len(seen) != len(self._vertices):
                 violations.append(
                     f"graph disconnected: reached {len(seen)} of {len(self._vertices)} vertices"

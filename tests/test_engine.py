@@ -3,15 +3,23 @@ independent brute-force walker in zigzag_oracle."""
 
 from __future__ import annotations
 
+import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zigzag_oracle as oracle
+import zigzags
 from helpers import random_flips, sampled_orientations, torus7
 from zigzags import (
+    InvariantError,
     Triangulation,
     TriangulationError,
     Zigzag,
@@ -31,6 +39,7 @@ from zigzags import (
     zigzag_predecessor,
     zigzag_successor,
 )
+from zigzags.engine import _orient_along
 
 TET = Triangulation([("1", "2", "3"), ("1", "2", "4"), ("1", "3", "4"), ("2", "3", "4")])
 
@@ -97,14 +106,12 @@ def test_occurrences_and_counts():
 
 
 def test_successor_predecessor_inverse():
-    t = bipyramid(5)
-    states = []
-    for f in t.faces:
-        a, b, c = f
-        states.append((tuple(sorted((a, b))), tuple(sorted((b, c)))))
-    for s in states:
-        assert zigzag_predecessor(t, zigzag_successor(t, s)) == s
-        assert zigzag_successor(t, zigzag_predecessor(t, s)) == s
+    # every state: each ordered pair of distinct edges of each face
+    for t in [bipyramid(n) for n in range(3, 15)] + [platonic("icosahedron"), torus7()]:
+        for a, b, c in t.faces:
+            for s in itertools.permutations(((a, b), (a, c), (b, c)), 2):
+                assert zigzag_predecessor(t, zigzag_successor(t, s)) == s
+                assert zigzag_successor(t, zigzag_predecessor(t, s)) == s
 
 
 def test_successor_matches_oracle_step():
@@ -344,6 +351,74 @@ def test_classification_reversal_stable():
             assert {e: (d[1], d[0]) for e, d in cls.edge_directions.items()} == (
                 rev.edge_directions
             )
+
+
+def test_classify_rejects_foreign_orientations_under_python_O():
+    # the checks raise TriangulationError explicitly, so they run where
+    # asserts are compiled away; each input's zigzags are not t's own
+    script = textwrap.dedent("""
+        from zigzags import (
+            TriangulationError, Zigzag, ZOrientation, bipyramid,
+            bipyramid_canonical_zorientation, classify, enumerate_zigzags,
+            make_pass, platonic,
+        )
+
+        def walk(vs):
+            n = len(vs)
+            return Zigzag(tuple(make_pass(vs[i], vs[(i + 1) % n]) for i in range(n)))
+
+        if __debug__:
+            raise SystemExit("this check must run under python -O")
+        bp5 = bipyramid(5)
+        # an Eulerian circuit of the octahedron along a direction of its
+        # edges that makes the face 1, 2, b transitive, walked twice
+        circuit = walk("1b4a3b2a1234").canonical()
+        faces_as_zigzags = sorted(
+            (walk(f).canonical() for f in ("123", "124", "134", "234")),
+            key=lambda z: z.passes,
+        )
+        cases = (
+            (bp5, bipyramid_canonical_zorientation(7)),
+            (bp5, ZOrientation(enumerate_zigzags(bp5) * 2, (0, 0))),
+            (platonic("tetrahedron"), ZOrientation(tuple(faces_as_zigzags), (0, 0, 0, 0))),
+            (bipyramid(4), ZOrientation((circuit, circuit), (0, 0))),
+        )
+        for t, tau in cases:
+            try:
+                classify(t, tau)
+            except TriangulationError as exc:
+                print(exc)
+    """)
+    src = str(Path(zigzags.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "pass over unknown edge ('5', '6')",
+        "each edge is passed exactly twice",
+        "face ('1', '2', '3') violates the type dichotomy",
+        "type-II face ('1', '2', 'b') is not a directed cycle",
+    ]
+
+
+def test_orientation_read_off_directed_edges():
+    for n in range(3, 15):
+        t = bipyramid(n)
+        zs = enumerate_zigzags(t)
+        forward = [(str(i), str(i % n + 1)) for i in range(1, n + 1)]
+        tau = _orient_along(zs, forward)
+        directions = classify(t, tau).edge_directions
+        assert [directions[tuple(sorted(a))] for a in forward] == forward
+        assert _orient_along(zs, [(w, u) for u, w in forward]) == tau.reversed()
+    # BP(3)'s one zigzag passes the type-I spoke a-1 once each way
+    with pytest.raises(InvariantError, match="zigzag 0 does not pass"):
+        _orient_along(enumerate_zigzags(bipyramid(3)), [("a", "1")])
+    # two passes of edge 1-2 leave at least two of BP(4)'s four zigzags
+    # meeting no directed edge
+    with pytest.raises(InvariantError, match="does not pass"):
+        _orient_along(enumerate_zigzags(bipyramid(4)), [("1", "2")])
 
 
 def test_face_shadow_structure():

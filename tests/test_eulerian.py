@@ -19,6 +19,7 @@ from zigzags import (
     triangulate_embedding,
     validate_embedding,
 )
+from zigzags.cli import main
 
 TRIANGLE_ARCS = (("1", "2"), ("2", "3"), ("3", "1"))
 
@@ -105,6 +106,57 @@ def test_validate_rejects_repeated_names_and_empty_cycles():
     rep = validate_embedding(emb)
     assert any("repeated face cycle names" in v for v in rep.violations)
     assert any("empty" in v for v in rep.violations)
+
+
+# the figure eight 0->1->2->0, 0->3->4->0 with each triangle's face cycle
+# walked twice: every arc has two occurrences, but each lies on one cycle
+FIGURE_EIGHT_ARCS = (("0", "1"), ("1", "2"), ("2", "0"), ("0", "3"), ("3", "4"), ("4", "0"))
+FIGURE_EIGHT_TWICE = """\
+v 0
+v 1
+v 2
+v 3
+v 4
+a 0 0 1
+a 1 1 2
+a 2 2 0
+a 3 0 3
+a 4 3 4
+a 5 4 0
+c A 0 1 2 0 1 2
+c B 3 4 5 3 4 5
+"""
+
+
+def test_validate_rejects_an_arc_used_twice_by_one_cycle():
+    rep = validate_embedding(parse_embedding(FIGURE_EIGHT_TWICE))
+    assert rep.violations == (
+        "face cycle 'A' uses arc 0->1 more than once",
+        "face cycle 'B' uses arc 0->3 more than once",
+    )
+    with pytest.raises(EmbeddingError, match="uses arc 0->1 more than once"):
+        triangulate_embedding(parse_embedding(FIGURE_EIGHT_TWICE))
+
+
+def test_verify_rejects_an_arc_used_twice_by_one_cycle(tmp_path, capsys):
+    path = tmp_path / "eight.eul"
+    path.write_text(FIGURE_EIGHT_TWICE)
+    assert main(["verify", str(path)]) == 1
+    assert "face cycle 'A' uses arc 0->1 more than once" in capsys.readouterr().err
+    assert main(["convert", "--triangulate", str(path)]) == 1
+    assert "uses arc 0->1 more than once" in capsys.readouterr().err
+
+
+def test_rotations_of_one_cycle_compare_equal():
+    # the least arc 0->1 occurs twice, so "rotate to its first occurrence"
+    # depends on where the given rotation starts
+    a, b, c, d, e, f = FIGURE_EIGHT_ARCS
+    cyc = (a, b, c, a, b, c, d, e, f)
+    rotations = [cyc[k:] + cyc[:k] for k in range(len(cyc))]
+    vertices = ("0", "1", "2", "3", "4")
+    embs = {DirectedEmbedding(vertices, FIGURE_EIGHT_ARCS, (("X", r),)) for r in rotations}
+    assert len(embs) == 1
+    assert embs.pop().face_cycles == (("X", cyc),)
 
 
 # ----------------------------------------------------------------------

@@ -20,6 +20,7 @@ from zigzags import (
     serialize_tree,
     validate_tree,
 )
+from zigzags.generators import _example_zigzag_walks
 
 
 # ----------------------------------------------------------------------
@@ -62,9 +63,35 @@ def test_census_shape_by_residue():
             assert [len(z) for z in zs] == [3 * n // 2] * 4
 
 
-@pytest.mark.parametrize("n", range(3, 13))
+@pytest.mark.parametrize("n", range(3, 41))
 def test_oracle_zigzags_equal_engine(n):
     assert bipyramid_oracle_zigzags(n) == enumerate_zigzags(bipyramid(n))
+
+
+def hand_walk_bits(n: int, prefix: str) -> tuple[int, ...]:
+    """The canonical orientation's bits found by matching each enumerated
+    zigzag against the directed hand-written walks, in either direction."""
+    zs = enumerate_zigzags(bipyramid(n, prefix))
+    directed = {z.passes: i for i, z in enumerate(_example_zigzag_walks(n, prefix))}
+    bits, used = [], set()
+    for z in zs:
+        for bit, cand in enumerate((z, z.reverse())):
+            if cand.passes in directed:
+                bits.append(bit)
+                used.add(directed[cand.passes])
+                break
+        else:
+            raise AssertionError(f"BP({n}) zigzag not matched by the hand construction")
+    assert used == set(range(len(zs))), "hand-built zigzags exhaust the census"
+    return tuple(bits)
+
+
+@pytest.mark.parametrize("prefix", ["", "X.", "node7."])
+def test_canonical_orientation_matches_the_hand_walks(prefix):
+    # the orientation is read off the base cycle; the hand walks, directed
+    # as written, are the reference it must agree with
+    for n in range(3, 41):
+        assert bipyramid_canonical_zorientation(n, prefix).bits == hand_walk_bits(n, prefix)
 
 
 def test_oracle_zigzags_with_prefix():

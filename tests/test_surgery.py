@@ -28,6 +28,7 @@ from zigzags import (
     predict_glued_zigzag,
     resolve_site,
 )
+from zigzags.surgery import _analyse, _face_sides, _host_site, _link_positions
 
 
 def canonical_pair(n: int, prefix: str = ""):
@@ -153,6 +154,27 @@ def test_emitted_role_order_resolves_swapped_does_not(role_order_outcomes):
 def test_find_special_pairs_matches_resolve_site_reference(role_order_outcomes):
     for t, tau, rows in role_order_outcomes:
         assert find_special_pairs(t, tau) == reference_special_pairs(rows)
+
+
+def test_host_role_order_is_decided_once(role_order_outcomes):
+    # plan_gluing's host half, given a pair in either order, resolves the
+    # site resolve_site finds in the one order that resolves
+    for t, tau, rows in role_order_outcomes:
+        a = _analyse(t, tau, "not homogeneous")
+        for pair, both in rows:
+            (site,) = (got for got in both.values() if not isinstance(got, str))
+            for cand in (pair, pair.swapped()):
+                assert site_facts(_host_site(a, cand)) == site_facts(site)
+
+
+def test_swapping_roles_renames_the_arcs(role_order_outcomes):
+    # why one face -> arc map serves both role orders of a pair
+    for t, tau, rows in role_order_outcomes:
+        for pair, _ in rows:
+            pos = _link_positions(t, pair.shared_vertex)
+            _, sides = _face_sides(t, pair, pos)
+            _, swapped = _face_sides(t, pair.swapped(), pos)
+            assert swapped == {f: "B" if side == "A" else "A" for f, side in sides.items()}
 
 
 def test_concordance():

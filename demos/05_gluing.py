@@ -14,29 +14,25 @@ from zigzags import (
     find_piece_pairs,
     find_special_pairs,
     glue,
-    is_homogeneous,
     plan_gluing,
 )
 
-host = bipyramid(3, "L.")
-host_tau = bipyramid_canonical_zorientation(3, "L.")
-pairs = find_special_pairs(host, host_tau)
+host = classify(bipyramid(3, "L."), bipyramid_canonical_zorientation(3, "L."))
+pairs = find_special_pairs(host)
 print(f"host: 3-gonal bipyramid, {len(pairs)} special pairs")
 for p in pairs:
     print(f"  {'-'.join(p.e1)} / {'-'.join(p.e2)} at {p.shared_vertex}")
 
-piece = bipyramid(4, "R.")
-piece_tau = bipyramid_canonical_zorientation(4, "R.")
+piece = classify(bipyramid(4, "R."), bipyramid_canonical_zorientation(4, "R."))
 # the first piece pair whose edges point the way the host pair's do
-host_site, piece_site = plan_gluing(
-    host, host_tau, pairs[0], piece, piece_tau, find_piece_pairs(piece, piece_tau)
-)
+host_site, piece_site = plan_gluing(host, pairs[0], piece, find_piece_pairs(piece))
 print(f"\npiece: 4-gonal bipyramid ({piece_site.kind})")
 
-glued, glued_tau = glue((host, host_tau), host_site, (piece, piece_tau), piece_site)
-cls = classify(glued, glued_tau)
+# glue verifies the result and returns its classification
+cls = glue(host_site, piece_site)
+glued, glued_tau = cls.triangulation, cls.orientation
 print("\nglued result:")
 print(f"  V={len(glued.vertices)} E={len(glued.edges)} F={len(glued.faces)}")
 print(f"  zigzags: {len(glued_tau.zigzags)} (length {len(glued_tau.chosen[0])})")
-print(f"  homogeneous: {is_homogeneous(glued, glued_tau)}")
+print(f"  homogeneous: {cls.homogeneous}")
 print(f"  type-I vertices: {sorted(cls.type_i_vertices)}")

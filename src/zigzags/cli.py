@@ -14,16 +14,14 @@ from pathlib import Path
 from .engine import (
     Classification,
     ZOrientation,
-    _homogeneous,
     all_z_orientations,
     classify,
     enumerate_zigzags,
-    is_homogeneous,
     make_z_orientation,
 )
 from .eulerian import (
     EmbeddingError,
-    extract_directed_embedding,
+    _extract,
     parse_embedding,
     serialize_embedding,
     triangulate_embedding,
@@ -31,8 +29,7 @@ from .eulerian import (
 )
 from .generators import (
     TreeError,
-    bipyramid,
-    bipyramid_canonical_zorientation,
+    _bipyramid_analysis,
     parse_tree,
     platonic,
     tree_build,
@@ -79,13 +76,13 @@ def _census_lines(zs, fmt: str) -> list[str]:
     ]
 
 
-def _pair_lines(t: Triangulation, tau: ZOrientation, homogeneous: bool, fmt: str) -> list[str]:
-    k = len(tau.zigzags)
+def _pair_lines(cls: Classification, fmt: str) -> list[str]:
+    k = len(cls.orientation.zigzags)
     pairs = ()
-    if homogeneous and k == 1:
-        pairs = find_special_pairs(t, tau)
-    elif homogeneous and k in (2, 4):
-        pairs = find_piece_pairs(t, tau)
+    if cls.homogeneous and k == 1:
+        pairs = find_special_pairs(cls)
+    elif cls.homogeneous and k in (2, 4):
+        pairs = find_piece_pairs(cls)
     lines = []
     for p in sorted(pairs, key=lambda p: (p.e1, p.e2)):
         kind = p.kind if isinstance(p, PiecePair) else "special"
@@ -107,19 +104,22 @@ def analyze_report(t: Triangulation, tau: ZOrientation | None, fmt: str = "text"
 
     With tau = None only the census is reported.
     """
-    zs = enumerate_zigzags(t)
-    lines = _census_lines(zs, fmt)
     if tau is None:
-        return "\n".join(lines) + "\n"
+        return "\n".join(_census_lines(enumerate_zigzags(t), fmt)) + "\n"
+    return _report(classify(t, tau), fmt)
 
-    cls = classify(t, tau)
+
+def _report(cls: Classification, fmt: str) -> str:
+    """analyze_report on a classification the caller holds; the census is
+    its orientation's zigzags, which make_z_orientation enumerated."""
+    t, tau = cls.triangulation, cls.orientation
+    lines = _census_lines(tau.zigzags, fmt)
     n_i = sum(1 for ty in cls.edge_types.values() if ty == "I")
     n_ii = len(cls.edge_types) - n_i
     v_i = sum(1 for ty in cls.vertex_types.values() if ty == "I")
     v_ii = len(cls.vertex_types) - v_i
     f_i = sum(1 for ty in cls.face_types.values() if ty == "I")
     f_ii = len(cls.face_types) - f_i
-    homogeneous = _homogeneous(cls, tau)
     inn = dict.fromkeys(t.vertices, 0)
     out = dict.fromkeys(t.vertices, 0)
     for src, dst in cls.edge_directions.values():
@@ -138,21 +138,21 @@ def analyze_report(t: Triangulation, tau: ZOrientation | None, fmt: str = "text"
             lines.append(f"vertex\t{v}\t{cls.vertex_types[v]}")
         for f in sorted(cls.face_types):
             lines.append(f"face\t{f[0]}\t{f[1]}\t{f[2]}\t{cls.face_types[f]}")
-        lines.append(f"homogeneous\t{str(homogeneous).lower()}")
+        lines.append(f"homogeneous\t{str(cls.homogeneous).lower()}")
         for v in sorted(t.vertices):
             lines.append(f"balance\t{v}\t{inn[v]}\t{out[v]}")
-        lines.extend(_pair_lines(t, tau, homogeneous, fmt))
+        lines.extend(_pair_lines(cls, fmt))
         return "\n".join(lines) + "\n"
 
     lines.append(f"bits: {''.join(map(str, tau.bits))}")
     lines.append(f"edges: {n_i} type I, {n_ii} type II")
     lines.append(f"vertices: {v_i} type I, {v_ii} type II")
     lines.append(f"faces: {f_i} type I, {f_ii} type II")
-    lines.append(f"homogeneous: {'yes' if homogeneous else 'no'}")
+    lines.append(f"homogeneous: {'yes' if cls.homogeneous else 'no'}")
     lines.append("balance:")
     for v in sorted(t.vertices):
         lines.append(f"  {v} in={inn[v]} out={out[v]}")
-    lines.extend(_pair_lines(t, tau, homogeneous, fmt))
+    lines.extend(_pair_lines(cls, fmt))
     return "\n".join(lines) + "\n"
 
 
@@ -205,15 +205,18 @@ def _load_triangulation(path: str) -> Triangulation:
     return t
 
 
-def _orientation(t: Triangulation, bits: str | None) -> ZOrientation:
+def _orientation(t: Triangulation, bits: str | None) -> Classification:
+    """t classified under the bits, or under its first homogeneous
+    z-orientation when bits is None."""
     if bits is None:
         for tau in all_z_orientations(t):
-            if is_homogeneous(t, tau):
-                return tau
+            cls = classify(t, tau)
+            if cls.homogeneous:
+                return cls
         raise SurgeryError("no homogeneous z-orientation exists; pass bits explicitly")
     if not bits or set(bits) - {"0", "1"}:
         raise ValueError(f"z-orientation bits must be a 0/1 string, got {bits!r}")
-    return make_z_orientation(t, tuple(int(b) for b in bits))
+    return classify(t, make_z_orientation(t, tuple(int(b) for b in bits)))
 
 
 def _parse_pair(arg: str) -> SpecialPair:
@@ -229,27 +232,29 @@ def _parse_pair(arg: str) -> SpecialPair:
 
 
 def _cmd_generate(args) -> int:
+    tau = None
     if args.shape == "bipyramid":
-        t = bipyramid(args.n, args.prefix)
+        cls = _bipyramid_analysis(args.n, args.prefix)
+        t, tau = cls.triangulation, cls.orientation
+        zs = tau.zigzags
     else:
         t = platonic(args.name)
+        zs = enumerate_zigzags(t)
     _emit(serialize_triangulation(t), args.output)
-    zs = enumerate_zigzags(t)
     to_stdout = args.output is not None
     suffix = " (z-knotted)" if len(zs) == 1 else ""
     _info(f"zigzags: {len(zs)}{suffix}", to_stdout)
-    if args.shape == "bipyramid":
-        tau = bipyramid_canonical_zorientation(args.n, args.prefix)
+    if tau is not None:
         _info(f"homogeneous zorient: {''.join(map(str, tau.bits))}", to_stdout)
     return 0
 
 
 def _cmd_analyze(args) -> int:
     t = _load_triangulation(args.file)
-    tau = None
-    if args.zorient is not None:
-        tau = _orientation(t, args.zorient)
-    sys.stdout.write(analyze_report(t, tau, args.format))
+    if args.zorient is None:
+        sys.stdout.write(analyze_report(t, None, args.format))
+    else:
+        sys.stdout.write(_report(_orientation(t, args.zorient), args.format))
     return 0
 
 
@@ -257,9 +262,7 @@ def _cmd_convert(args) -> int:
     if args.extract:
         if args.zorient is None:
             raise UsageError("--extract requires --zorient")
-        t = _load_triangulation(args.extract)
-        tau = _orientation(t, args.zorient)
-        emb = extract_directed_embedding(t, tau)
+        emb = _extract(_orientation(_load_triangulation(args.extract), args.zorient))
         _emit(serialize_embedding(emb), args.output)
     else:
         emb = parse_embedding(_read(args.triangulate))
@@ -273,15 +276,15 @@ def _cmd_convert(args) -> int:
 def _cmd_glue(args) -> int:
     host_t = _load_triangulation(args.host)
     piece_t = _load_triangulation(args.piece)
-    host_tau = _orientation(host_t, args.host_zorient)
-    piece_tau = _orientation(piece_t, args.piece_zorient)
+    host = _orientation(host_t, args.host_zorient)
+    piece = _orientation(piece_t, args.piece_zorient)
     host_site, piece_site = plan_gluing(
-        host_t, host_tau, _parse_pair(args.host_pair),
-        piece_t, piece_tau, (_parse_pair(args.piece_pair),),
+        host, _parse_pair(args.host_pair), piece, (_parse_pair(args.piece_pair),)
     )
     # glue raises InvariantError unless its enumerated zigzag is the
     # predicted one and the result is homogeneous, so both lines report yes
-    glued, tau = glue((host_t, host_tau), host_site, (piece_t, piece_tau), piece_site)
+    cls = glue(host_site, piece_site)
+    glued, tau = cls.triangulation, cls.orientation
     _emit(serialize_triangulation(glued), args.output)
     to_stdout = args.output is not None
     _info(f"vertices: {len(glued.vertices)}", to_stdout)
@@ -336,7 +339,7 @@ def _cmd_export_dot(args) -> int:
     t = _load_triangulation(args.file)
     cls = None
     if args.zorient is not None:
-        cls = classify(t, _orientation(t, args.zorient))
+        cls = _orientation(t, args.zorient)
     _emit(export_dot(t, cls), args.output)
     return 0
 

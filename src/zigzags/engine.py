@@ -26,7 +26,7 @@ forming a directed cycle) - anything else indicates a bug upstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import Iterator, NamedTuple
@@ -254,30 +254,40 @@ class ZOrientation:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        self._check_bits()
+        if any(not z.is_canonical for z in self.zigzags):
+            raise ValueError("zigzags must be canonical representatives")
+
+    def _check_bits(self) -> None:
         if len(self.zigzags) != len(self.bits):
             raise ValueError(
                 f"expected {len(self.zigzags)} bits, got {len(self.bits)}"
             )
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("bits must be 0 or 1")
-        if any(not z.is_canonical for z in self.zigzags):
-            raise ValueError("zigzags must be canonical representatives")
-
-    @property
-    def k(self) -> int:
-        return len(self.zigzags)
 
     @cached_property
     def chosen(self) -> tuple[Zigzag, ...]:
         return tuple(z if b == 0 else z.reverse() for z, b in zip(self.zigzags, self.bits))
 
     def reversed(self) -> "ZOrientation":
-        return ZOrientation(self.zigzags, tuple(1 - b for b in self.bits))
+        return _oriented(self.zigzags, tuple(1 - b for b in self.bits))
+
+
+def _oriented(zs: tuple[Zigzag, ...], bits: tuple[int, ...]) -> ZOrientation:
+    """ZOrientation(zs, bits) for zigzags from enumerate_zigzags or another
+    orientation: they are canonical, so the is_canonical check, which builds
+    every reversal, cannot fail and is skipped.  The bit checks still run."""
+    tau = object.__new__(ZOrientation)
+    object.__setattr__(tau, "zigzags", zs)
+    object.__setattr__(tau, "bits", bits)
+    tau._check_bits()
+    return tau
 
 
 def make_z_orientation(t: Triangulation, bits) -> ZOrientation:
     """Build the z-orientation selecting each zigzag's direction by bit."""
-    return ZOrientation(enumerate_zigzags(t), tuple(int(b) for b in bits))
+    return _oriented(enumerate_zigzags(t), tuple(int(b) for b in bits))
 
 
 def _orient_along(zs: tuple[Zigzag, ...], arcs) -> ZOrientation:
@@ -293,7 +303,7 @@ def _orient_along(zs: tuple[Zigzag, ...], arcs) -> ZOrientation:
         if len(along) != 1:
             raise InvariantError(f"zigzag {i} does not pass the directed edges all one way")
         bits.append(0 if True in along else 1)
-    return ZOrientation(zs, tuple(bits))
+    return _oriented(zs, tuple(bits))
 
 
 def all_z_orientations(t: Triangulation) -> Iterator[ZOrientation]:
@@ -304,7 +314,7 @@ def all_z_orientations(t: Triangulation) -> Iterator[ZOrientation]:
         raise ValueError(f"refusing to enumerate 2^{k} z-orientations (limit k=20)")
     for m in range(1 << k):
         bits = tuple(int(c) for c in format(m, f"0{k}b")) if k else ()
-        yield ZOrientation(zs, bits)
+        yield _oriented(zs, bits)
 
 
 # ----------------------------------------------------------------------
@@ -313,8 +323,16 @@ def all_z_orientations(t: Triangulation) -> Iterator[ZOrientation]:
 
 @dataclass(frozen=True)
 class Classification:
-    """Edge, vertex, and face types induced by a z-orientation."""
+    """The analysis of one triangulation under one z-orientation.
 
+    classify(t, tau) builds it with the edge, vertex, and face types.
+    Homogeneity, the edge -> pass positions, and the face shadows are
+    derived on first use and kept, so every holder of the classification
+    shares them.
+    """
+
+    triangulation: Triangulation
+    orientation: ZOrientation
     edge_types: dict[Edge, str]
     edge_directions: dict[Edge, tuple[str, str]]  # type-II edges only
     vertex_types: dict[str, str]
@@ -327,6 +345,38 @@ class Classification:
     @property
     def type_ii_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(e for e, kind in self.edge_types.items() if kind == "II"))
+
+    @cached_property
+    def homogeneous(self) -> bool:
+        """True when every face is type I and every chosen zigzag repeats
+        II,I,I: its length is divisible by 3 and its type-II positions are
+        exactly one residue class mod 3."""
+        if any(kind != "I" for kind in self.face_types.values()):
+            return False
+        for z in self.orientation.chosen:
+            n = len(z)
+            if n % 3 != 0:
+                return False
+            twos = [i for i, p in enumerate(z.passes) if self.edge_types[p.edge] == "II"]
+            if len(twos) != n // 3:
+                return False
+            if len({i % 3 for i in twos}) != 1:
+                return False
+        return True
+
+    @cached_property
+    def pass_positions(self) -> dict[Edge, list[tuple[int, int]]]:
+        """Edge -> its passes as (chosen zigzag index, position), in walk order."""
+        where: dict[Edge, list[tuple[int, int]]] = {}
+        for zi, z in enumerate(self.orientation.chosen):
+            for i, p in enumerate(z.passes):
+                where.setdefault(p.edge, []).append((zi, i))
+        return where
+
+    @cached_property
+    def face_shadows(self) -> tuple[tuple[tuple[str, str, str], ...], ...]:
+        """The face shadow of each chosen zigzag."""
+        return tuple(face_shadow(self.triangulation, z) for z in self.orientation.chosen)
 
 
 def classify(t: Triangulation, tau: ZOrientation) -> Classification:
@@ -376,7 +426,7 @@ def classify(t: Triangulation, tau: ZOrientation) -> Classification:
             if not outs == ins == set(f):
                 raise TriangulationError(f"type-II face {f!r} is not a directed cycle")
             face_types[f] = "II"
-    return Classification(edge_types, edge_directions, vertex_types, face_types)
+    return Classification(t, tau, edge_types, edge_directions, vertex_types, face_types)
 
 
 def face_shadow(t: Triangulation, z: Zigzag) -> tuple[tuple[str, str, str], ...]:
@@ -400,28 +450,9 @@ def face_shadow(t: Triangulation, z: Zigzag) -> tuple[tuple[str, str, str], ...]
 
 
 def is_homogeneous(t: Triangulation, tau: ZOrientation) -> bool:
-    """True when every face is type I and every chosen zigzag repeats II,I,I.
-
-    The cyclic pattern check: the length is divisible by 3 and the type-II
-    positions are exactly one residue class mod 3.
-    """
-    return _homogeneous(classify(t, tau), tau)
-
-
-def _homogeneous(cls: Classification, tau: ZOrientation) -> bool:
-    """is_homogeneous decided from an existing classification under tau."""
-    if any(kind != "I" for kind in cls.face_types.values()):
-        return False
-    for z in tau.chosen:
-        n = len(z)
-        if n % 3 != 0:
-            return False
-        twos = [i for i, p in enumerate(z.passes) if cls.edge_types[p.edge] == "II"]
-        if len(twos) != n // 3:
-            return False
-        if len({i % 3 for i in twos}) != 1:
-            return False
-    return True
+    """True when every face is type I and every chosen zigzag repeats II,I,I
+    (see Classification.homogeneous)."""
+    return classify(t, tau).homogeneous
 
 
 # ----------------------------------------------------------------------

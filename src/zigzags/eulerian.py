@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from ._cyclic import least_rotation
 from .engine import (
+    Classification,
     ZOrientation,
-    _homogeneous,
     _orient_along,
     classify,
     enumerate_zigzags,
@@ -73,20 +73,16 @@ class DirectedEmbedding:
         rotated = tuple((name, least_rotation(cyc)) for name, cyc in self.face_cycles)
         object.__setattr__(self, "face_cycles", rotated)
 
-    def out_degree(self, v: str) -> int:
-        return sum(1 for a in self.arcs if a[0] == v)
-
-    def in_degree(self, v: str) -> int:
-        return sum(1 for a in self.arcs if a[1] == v)
-
 
 def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
     """Structural checks for a directed Eulerian embedding.
 
     The digraph must be simple (no loops, no repeated arcs, no antiparallel
     arc pairs), connected, and balanced at every vertex; every face cycle
-    must chain head to tail, close up, and use each arc at most once; and
-    every arc must lie on exactly two face cycles.
+    must chain head to tail, close up, and visit each vertex at most once;
+    every arc must lie on exactly two face cycles; and at every vertex the
+    corners of the face cycles (an arc in, the next arc out) must join its
+    arcs into one cycle, as the faces around a point of a surface do.
     """
     violations: list[str] = []
     known = set(emb.vertices)
@@ -146,13 +142,39 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
                 violations.append(
                     f"face cycle {name!r} breaks at {arc[0]}->{arc[1]} followed by {nxt[0]}->{nxt[1]}"
                 )
+        heads = [w for _, w in cyc]
         if len(set(cyc)) != len(cyc):
             u, w = next(arc for i, arc in enumerate(cyc) if arc in cyc[:i])
             violations.append(f"face cycle {name!r} uses arc {u}->{w} more than once")
+        elif len(set(heads)) != len(heads):
+            v = next(w for i, w in enumerate(heads) if w in heads[:i])
+            violations.append(f"face cycle {name!r} visits vertex {v!r} more than once")
     for a, k in sorted(coverage.items()):
         if k != 2:
             violations.append(f"arc {a[0]}->{a[1]} lies on {k} face cycle(s), expected 2")
+    if not violations:
+        violations += _pinched_vertices(emb)
     return ValidationReport(tuple(violations))
+
+
+def _pinched_vertices(emb: DirectedEmbedding) -> list[str]:
+    """One violation per vertex whose arcs the corners join into more than
+    one cycle; needs every face cycle simple and every arc on two of them."""
+    corners: dict[str, dict[Arc, list[Arc]]] = {v: {} for v in emb.vertices}
+    for _, cyc in emb.face_cycles:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            at = corners[a[1]]
+            at.setdefault(a, []).append(b)
+            at.setdefault(b, []).append(a)
+    out = []
+    for v, at in corners.items():
+        left, cycles = set(at), 0
+        while left:
+            left -= _reachable(min(left), at.__getitem__)
+            cycles += 1
+        if cycles > 1:
+            out.append(f"the corners at vertex {v!r} form {cycles} cycles, not one")
+    return out
 
 
 def _require_valid(emb: DirectedEmbedding) -> None:
@@ -168,9 +190,14 @@ def extract_directed_embedding(t: Triangulation, tau: ZOrientation) -> DirectedE
     directed type-II edges, and each type-I vertex contributes the face
     cycle traced by its link.
     """
-    cls = classify(t, tau)
-    if not _homogeneous(cls, tau):
+    return _extract(classify(t, tau))
+
+
+def _extract(cls: Classification) -> DirectedEmbedding:
+    """extract_directed_embedding on a classification the caller holds."""
+    if not cls.homogeneous:
         raise EmbeddingError("extraction requires a homogeneous z-orientation")
+    t = cls.triangulation
     type_i = set(cls.type_i_vertices)
     vertices = tuple(v for v in t.vertices if v not in type_i)
     arcs = tuple(sorted(cls.edge_directions.values()))
@@ -200,6 +227,11 @@ def triangulate_embedding(emb: DirectedEmbedding) -> tuple[Triangulation, ZOrien
     tail to head; InvariantError if it meets none, or meets them both ways.
     """
     _require_valid(emb)
+    return _cone(emb)
+
+
+def _cone(emb: DirectedEmbedding) -> tuple[Triangulation, ZOrientation]:
+    """triangulate_embedding on an embedding already validated."""
     faces = []
     used = set(emb.vertices)
     for k, (name, cyc) in enumerate(emb.face_cycles):
@@ -252,8 +284,8 @@ def round_trip_check(t: Triangulation, tau: ZOrientation) -> bool:
     triangulation must match T face for face and the rebuilt orientation
     must choose the same directed zigzags.
     """
-    emb = extract_directed_embedding(t, tau)
-    t2, tau2 = triangulate_embedding(emb)
+    # extraction validates the embedding it returns
+    t2, tau2 = _cone(extract_directed_embedding(t, tau))
     if set(t.faces) != set(t2.faces):
         return False
     return {z.passes for z in tau.chosen} == {z.passes for z in tau2.chosen}

@@ -7,7 +7,6 @@ of length 3n/2 for n = 0 mod 4), and each census admits a homogeneous
 z-orientation in which every spoke is type I and the base cycle is
 directed 1 -> 2 -> ... -> n -> 1: BP(n) is the coning of that directed
 cycle, so each zigzag's direction is read off the base edges it passes.
-Hand-written zigzag walks serve only as an oracle for enumeration.
 
 A tree whose root carries an odd label 2k+1 >= 3 with k at least the root
 degree, and whose other nodes carry even labels 2k >= 4 with k at least
@@ -21,16 +20,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .engine import ZOrientation, Zigzag, _homogeneous, _orient_along, enumerate_zigzags, make_pass
-from .surgery import (
-    InvariantError,
-    SpecialPair,
-    _Analysis,
-    _analyse,
-    _glue,
-    _host_site,
-    _piece_site,
-)
+from .engine import Classification, ZOrientation, _orient_along, classify, enumerate_zigzags
+from .surgery import InvariantError, SpecialPair, glue, plan_gluing
 from .triangulation import (
     ParseError,
     Triangulation,
@@ -42,7 +33,6 @@ from .triangulation import (
 
 __all__ = [
     "bipyramid",
-    "bipyramid_oracle_zigzags",
     "bipyramid_canonical_zorientation",
     "platonic",
     "TreeError",
@@ -84,106 +74,23 @@ def bipyramid(n: int, prefix: str = "") -> Triangulation:
     return Triangulation(faces)
 
 
-def _walk_zigzag(vertices: list[str]) -> Zigzag:
-    assert vertices[0] == vertices[-1], "walk must close up"
-    cycle = vertices[:-1]
-    return Zigzag(tuple(make_pass(cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))))
-
-
-def _example_zigzag_walks(n: int, prefix: str) -> tuple[Zigzag, ...]:
-    """Directed zigzags of BP(n), written down as closed vertex walks: the
-    oracle that bipyramid_oracle_zigzags checks enumeration against.
-
-    Odd-base blocks read apex, 2j+1, 2j+2 and even-base blocks apex, 2j+2,
-    2j+3 with apexes alternating; the three census shapes stitch these rows
-    differently.
-    """
-    a, b = f"{prefix}a", f"{prefix}b"
-    apex = {0: a, 1: b}
-    other = {a: b, b: a}
-    base = lambda i: _base(n, prefix, i)
-    k = n // 2
-
-    def odd_blocks(start: str) -> list[str]:
-        out = []
-        cur = start
-        for j in range(k):
-            out += [cur, base(2 * j + 1), base(2 * j + 2)]
-            cur = other[cur]
-        return out
-
-    def even_blocks(start: str) -> list[str]:
-        out = []
-        cur = start
-        for j in range(k):
-            out += [cur, base(2 * j + 2), base(2 * j + 3)]
-            cur = other[cur]
-        return out
-
-    def apex_after(start: str) -> str:
-        # the apex following k alternating blocks started at start
-        return start if k % 2 == 0 else other[start]
-
-    if n % 2 == 1:
-        def row1(start: str) -> list[str]:
-            return odd_blocks(start) + [apex_after(start), base(n), base(1)]
-
-        def row2(start: str) -> list[str]:
-            return [base(1)] + even_blocks(start) + [apex_after(start)]
-
-        second = a if apex_after(a) == b else b  # row2 must start where row1's apex run resumes
-        walk = row1(a)
-        for row in (row2(second), row1(b), row2(other[second])):
-            assert walk[-1] == row[0]
-            walk += row[1:]
-        assert walk[-1] == walk[0]
-        return (_walk_zigzag(walk),)
-
-    if k % 2 == 1:
-        def stitched(blocks) -> Zigzag:
-            walk = blocks(a) + [apex_after(a)]
-            row = blocks(b) + [apex_after(b)]
-            assert walk[-1] == row[0]
-            walk += row[1:]
-            assert walk[-1] == walk[0]
-            return _walk_zigzag(walk)
-
-        return (stitched(odd_blocks), stitched(even_blocks))
-
-    def single(blocks, start: str) -> Zigzag:
-        walk = blocks(start)
-        return _walk_zigzag(walk + [walk[0]])
-
-    return (
-        single(odd_blocks, a),
-        single(odd_blocks, b),
-        single(even_blocks, a),
-        single(even_blocks, b),
-    )
-
-
-def bipyramid_oracle_zigzags(n: int, prefix: str = "") -> tuple[Zigzag, ...]:
-    """Canonical forms of the hand-constructed BP(n) zigzags, sorted: an
-    oracle only, which no construction in the package reads."""
-    return tuple(sorted((z.canonical() for z in _example_zigzag_walks(n, prefix)),
-                        key=lambda z: z.passes))
-
-
 def bipyramid_canonical_zorientation(n: int, prefix: str = "") -> ZOrientation:
     """The homogeneous z-orientation directing the base cycle 1 -> 2 -> ... -> n.
 
     Each zigzag is taken in the direction passing its base edges from i to
     i+1.  Every spoke comes out type I and both apexes are type-I vertices.
     """
-    return _bipyramid_analysis(n, prefix).tau
+    return _bipyramid_analysis(n, prefix).orientation
 
 
-def _bipyramid_analysis(n: int, prefix: str) -> _Analysis:
-    """BP(n) under its canonical z-orientation, built and analysed once."""
+def _bipyramid_analysis(n: int, prefix: str) -> Classification:
+    """BP(n) classified under its canonical z-orientation, built once."""
     t = bipyramid(n, prefix)
     base_cycle = [(_base(n, prefix, i), _base(n, prefix, i + 1)) for i in range(1, n + 1)]
-    tau = _orient_along(enumerate_zigzags(t), base_cycle)
-    return _analyse(t, tau, f"the canonical z-orientation of BP({n}) is not homogeneous")
+    cls = classify(t, _orient_along(enumerate_zigzags(t), base_cycle))
+    if not cls.homogeneous:
+        raise InvariantError(f"the canonical z-orientation of BP({n}) is not homogeneous")
+    return cls
 
 
 def platonic(name: str) -> Triangulation:
@@ -388,11 +295,11 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     available base pair.  The result is z-knotted and homogeneous with
     exactly two type-I vertices (the two apexes) per tree node.
 
-    Each step plans and glues as plan_gluing and glue do, with every check
-    they make, but on analyses it already holds: the host's is the one the
-    previous glue derived from verifying its result, and each piece
-    bipyramid is built and analysed once.  Raises InvariantError when a
-    glue or the finished build fails its verification.
+    Each step calls plan_gluing and glue on classifications it already
+    holds: the host's is the one the previous glue returned from verifying
+    its result, and each piece bipyramid is built and classified once.
+    Raises InvariantError when a glue or the finished build fails its
+    verification.
     """
     report = validate_tree(spec)
     if not report.ok:
@@ -430,12 +337,11 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
             cursor[u] += 2
 
             n_c = labels[c]
-            host_site = _host_site(host, host_pair)
-            piece_site = _piece_site(
-                host_site, _bipyramid_analysis(n_c, _node_prefix(c)),
+            host_site, piece_site = plan_gluing(
+                host, host_pair, _bipyramid_analysis(n_c, _node_prefix(c)),
                 (base_pair(c, j) for j in range(1, n_c + 1)),
             )
-            host = _glue(host_site, piece_site)
+            host = glue(host_site, piece_site)
             prefix_len = len(_node_prefix(c))
             names[c] = {
                 int(piece_site.v1[prefix_len:]): host_site.v1,
@@ -446,23 +352,23 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
             records.append(
                 GluingRecord(
                     u, c, host_site.pair, piece_site.pair, piece_site.kind,
-                    len(host.t.vertices), len(host.t.edges), len(host.t.faces),
-                    len(host.tau.chosen[0]),
+                    len(host.triangulation.vertices), len(host.triangulation.edges),
+                    len(host.triangulation.faces), len(host.orientation.chosen[0]),
                 )
             )
             queue.append(c)
 
-    t, tau, cls = host.t, host.tau, host.cls
+    t, tau = host.triangulation, host.orientation
     chi = t.euler_characteristic()
     if chi != 2:
         raise InvariantError(f"tree build has Euler characteristic {chi}, not 2")
     if len(tau.zigzags) != 1:
         raise InvariantError(f"tree build has {len(tau.zigzags)} zigzags, not 1")
-    if not _homogeneous(cls, tau):
+    if not host.homogeneous:
         raise InvariantError("tree build's z-orientation is not homogeneous")
-    if len(cls.type_i_vertices) != 2 * len(spec.nodes):
+    if len(host.type_i_vertices) != 2 * len(spec.nodes):
         raise InvariantError(
-            f"tree build has {len(cls.type_i_vertices)} type-I vertices, "
+            f"tree build has {len(host.type_i_vertices)} type-I vertices, "
             f"not 2 per node ({2 * len(spec.nodes)})"
         )
     return t, tau, BuildLog(tuple(records))

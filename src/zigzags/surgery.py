@@ -23,18 +23,18 @@ piece pair resolves in both orders, and plan_gluing takes the one whose
 edges point at the shared vertex the way the host's do.  resolve_site never
 reorders: it resolves the pair as given or raises SurgeryError.
 
+Every function here takes the Classification of a (t, tau), the one
+analysis classify(t, tau) builds, and reads the pass positions and face
+shadows it derives on first use.  Each site keeps the classification it was
+resolved on.
+
 All glue outputs are verified rather than trusted: the glued face list is
 re-validated, its zigzag census re-enumerated, and the result compared with
 the predicted sequence; any mismatch raises InvariantError, an explicit
-check that also runs under python -O.  Each site carries the classification
-its resolution derived, and glue, after checking that each site was
-resolved under the orientation it is given, verifies type-I vertex
-preservation against those classifications.
-
-glue and generators.tree_build share one private step, which glues,
-verifies, and returns the glued complex's analysis (classification, pass
-positions, face shadows) built from that verification; tree_build hands it
-to the next step's planner instead of deriving it again.
+check that also runs under python -O.  glue verifies type-I vertex
+preservation against the sites' classifications and returns the glued
+result's classification, built by that verification, which a caller such as
+generators.tree_build hands to its next plan_gluing.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ from .engine import (
     Pass,
     Zigzag,
     ZOrientation,
-    _homogeneous,
     classify,
     enumerate_zigzags,
-    face_shadow,
     make_pass,
 )
 from .triangulation import Triangulation, edge_key, face_key
@@ -153,8 +151,7 @@ class SegmentDecomposition:
 class GluingSite:
     """A resolved pair: labels, sides, directions, and cut segments."""
 
-    triangulation: Triangulation
-    orientation: ZOrientation
+    classification: Classification  # the (t, tau) the pair was resolved on
     pair: SpecialPair
     kind: str
     face_labels: dict[tuple[str, str, str], str]  # the four faces at e1/e2 -> "+"/"-"
@@ -162,7 +159,6 @@ class GluingSite:
     e1_direction: tuple[str, str]
     e2_direction: tuple[str, str]
     segments: SegmentDecomposition
-    classification: Classification  # of (triangulation, orientation)
 
     @property
     def v(self) -> str:
@@ -183,40 +179,18 @@ class GluingSite:
 
 
 # ----------------------------------------------------------------------
-# analysing (t, tau) once per call
+# preconditions
 
 
-class _Analysis(NamedTuple):
-    """What resolving pairs needs of one (t, tau), derived once per call,
-    or once per step of a tree build, which hands each glue's on."""
-
-    t: Triangulation
-    tau: ZOrientation
-    cls: Classification
-    where: dict[Edge, list[tuple[int, int]]]
-    shadows: tuple[tuple[tuple[str, str, str], ...], ...]  # one per chosen zigzag
+def _require_homogeneous(cls: Classification, message: str) -> Classification:
+    cls.triangulation.require_valid()
+    if not cls.homogeneous:
+        raise SurgeryError(message)
+    return cls
 
 
-def _passes_of(zigzags) -> dict[Edge, list[tuple[int, int]]]:
-    """Edge -> its passes as (zigzag index, position), in walk order."""
-    where: dict[Edge, list[tuple[int, int]]] = {}
-    for zi, z in enumerate(zigzags):
-        for i, p in enumerate(z.passes):
-            where.setdefault(p.edge, []).append((zi, i))
-    return where
-
-
-def _analyse(t: Triangulation, tau: ZOrientation, not_homogeneous: str) -> _Analysis:
-    t.require_valid()
-    cls = classify(t, tau)
-    if not _homogeneous(cls, tau):
-        raise SurgeryError(not_homogeneous)
-    shadows = tuple(face_shadow(t, z) for z in tau.chosen)
-    return _Analysis(t, tau, cls, _passes_of(tau.chosen), shadows)
-
-
-def _positions(a: _Analysis, edge: Edge) -> list[int]:
-    return [i for _, i in a.where[edge]]
+def _positions(cls: Classification, edge: Edge) -> list[int]:
+    return [i for _, i in cls.pass_positions.get(edge, ())]
 
 
 # ----------------------------------------------------------------------
@@ -240,39 +214,36 @@ def _vertex_sharing_pairs(edges) -> list[tuple[Edge, Edge, str]]:
     )
 
 
-def find_special_pairs(t: Triangulation, tau: ZOrientation) -> tuple[SpecialPair, ...]:
+def find_special_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
     """All special pairs, each emitted once in its resolvable role order.
 
     The +/- side condition singles out exactly one of the two role orders
     (e1, e2) and (e2, e1); the returned pairs use that order, so each of
     them is directly usable as a host gluing site.
     """
-    if len(tau.zigzags) != 1:
+    if len(cls.orientation.zigzags) != 1:
         raise SurgeryError("special pairs are defined for z-knotted triangulations")
-    a = _analyse(t, tau, "special pairs require a homogeneous z-orientation")
+    _require_homogeneous(cls, "special pairs require a homogeneous z-orientation")
     links: dict[str, dict[str, int]] = {}  # a vertex may share many pairs
     out = []
-    for c1, c2, v in _vertex_sharing_pairs(a.cls.type_ii_edges):
-        if not _interleaved(_positions(a, c1), _positions(a, c2)):
+    for c1, c2, v in _vertex_sharing_pairs(cls.type_ii_edges):
+        if not _interleaved(_positions(cls, c1), _positions(cls, c2)):
             continue
         if v not in links:
-            links[v] = _link_positions(t, v)
-        out.append(_host_order(a, SpecialPair(c1, c2, v), links[v]).pair)
+            links[v] = _link_positions(cls.triangulation, v)
+        out.append(_host_order(cls, SpecialPair(c1, c2, v), links[v]).pair)
     return tuple(out)
 
 
-def are_concordant(
-    t: Triangulation, tau: ZOrientation, p: SpecialPair, q: SpecialPair
-) -> bool:
+def are_concordant(cls: Classification, p: SpecialPair, q: SpecialPair) -> bool:
     """Do two edge-disjoint special pairs alternate p,q,p,q,... along the zigzag?"""
-    if len(tau.zigzags) != 1:
+    if len(cls.orientation.zigzags) != 1:
         raise SurgeryError("concordance is defined for z-knotted triangulations")
     if p.edges() & q.edges():
         raise SurgeryError("concordance requires edge-disjoint pairs")
-    z = tau.chosen[0]
     marks = []
     for edge, label in ((p.e1, "p"), (p.e2, "p"), (q.e1, "q"), (q.e2, "q")):
-        occ = z.occurrences(edge)
+        occ = _positions(cls, edge)
         if len(occ) != 2:
             raise SurgeryError(f"pair edge {edge} is passed {len(occ)} time(s), expected 2")
         marks += [(pos, label) for pos in occ]
@@ -280,21 +251,20 @@ def are_concordant(
     return all(marks[i][1] != marks[(i + 1) % 8][1] for i in range(8))
 
 
-def find_piece_pairs(t: Triangulation, tau: ZOrientation) -> tuple[PiecePair, ...]:
+def find_piece_pairs(cls: Classification) -> tuple[PiecePair, ...]:
     """Vertex-sharing type-II pairs matching a piece occurrence pattern.
 
     Two-zigzag pattern: e1 occurs twice in one chosen zigzag and e2 twice in
     another.  Four-zigzag pattern: e1 occurs once in each of two zigzags and
     e2 once in each of the other two.
     """
-    if len(tau.zigzags) not in (2, 4):
+    k = len(cls.orientation.zigzags)
+    if k not in (2, 4):
         raise SurgeryError("piece pairs require exactly two or four zigzags")
-    cls = classify(t, tau)
-    if not _homogeneous(cls, tau):
+    if not cls.homogeneous:
         raise SurgeryError("piece pairs require a homogeneous z-orientation")
-    kind = TWO_ZIGZAG if len(tau.zigzags) == 2 else FOUR_ZIGZAG
-    where = _passes_of(tau.chosen)
-    holders = {e: [zi for zi, _ in where[e]] for e in cls.type_ii_edges}
+    kind = TWO_ZIGZAG if k == 2 else FOUR_ZIGZAG
+    holders = {e: [zi for zi, _ in cls.pass_positions[e]] for e in cls.type_ii_edges}
     return tuple(
         PiecePair(c1, c2, v, kind=kind)
         for c1, c2, v in _vertex_sharing_pairs(cls.type_ii_edges)
@@ -390,47 +360,47 @@ def _segment(z: Zigzag, start: int, stop: int) -> tuple[Pass, ...]:
     return tuple(z.passes[(start + k) % n] for k in range(1, (stop - start - 1) % n + 1))
 
 
-def _pair_problem(a: _Analysis, pair: SpecialPair) -> str | None:
+def _pair_problem(cls: Classification, pair: SpecialPair) -> str | None:
     """Why the pair misses the occurrence pattern of its site kind, or None.
 
     Every reason here holds for both role orders of a pair or for neither.
     """
     for e in (pair.e1, pair.e2):
-        if a.cls.edge_types.get(e) != "II":
+        if cls.edge_types.get(e) != "II":
             return f"pair edge {e} is not type II"
-    k = len(a.tau.zigzags)
+    k = len(cls.orientation.zigzags)
     if isinstance(pair, PiecePair):
         expected = {2: TWO_ZIGZAG, 4: FOUR_ZIGZAG}.get(k)
         if pair.kind != expected:
             return f"pair kind {pair.kind!r} does not match the census"
     if k == 1:
-        occ1, occ2 = _positions(a, pair.e1), _positions(a, pair.e2)
+        occ1, occ2 = _positions(cls, pair.e1), _positions(cls, pair.e2)
         assert len(occ1) == 2 and len(occ2) == 2
         if not _interleaved(occ1, occ2):
             return f"occurrences of {pair.e1} and {pair.e2} do not interleave; not a special pair"
         return None
     if k in (2, 4):
-        h1, h2 = ([zi for zi, _ in a.where[e]] for e in (pair.e1, pair.e2))
+        h1, h2 = ([zi for zi, _ in cls.pass_positions[e]] for e in (pair.e1, pair.e2))
         return _piece_pattern(TWO_ZIGZAG if k == 2 else FOUR_ZIGZAG, pair.e1, h1, pair.e2, h2)
     return f"no site kind for a census of {k} zigzags"
 
 
-def _checked(a: _Analysis, pair: SpecialPair) -> SpecialPair:
-    problem = _pair_problem(a, pair)
+def _checked(cls: Classification, pair: SpecialPair) -> SpecialPair:
+    problem = _pair_problem(cls, pair)
     if problem is not None:
         raise SurgeryError(problem)
     return pair
 
 
-def _host_labeling(a: _Analysis, pair: SpecialPair, face_side):
+def _host_labeling(cls: Classification, pair: SpecialPair, face_side):
     """The side-condition test for one role order of a host pair.
 
     Returns the occurrences p1, q1, p2, q2 and the faces F1-, F1+, F2-, F2+
     of the admissible labeling, or None when this role order has none.
     """
-    shadow = a.shadows[0]
+    shadow = cls.face_shadows[0]
     n = len(shadow)
-    occ1, occ2 = _positions(a, pair.e1), _positions(a, pair.e2)
+    occ1, occ2 = _positions(cls, pair.e1), _positions(cls, pair.e2)
     candidates = []
     for p1 in occ1:
         f1_minus, f1_plus = _reading(shadow, p1)
@@ -460,27 +430,27 @@ class _HostOrder(NamedTuple):
     labeling: tuple  # _host_labeling's occurrences and faces for this order
 
 
-def _host_order(a: _Analysis, pair: SpecialPair, pos: dict[str, int]) -> _HostOrder:
+def _host_order(cls: Classification, pair: SpecialPair, pos: dict[str, int]) -> _HostOrder:
     """The one role-order decision for a host pair: its own order, or else
     the swapped one, whose side condition holds; SurgeryError if neither.
     Swapping roles only renames arcs A and B, and the labeling test compares
     sides for equality, so one face -> arc map serves both orders."""
-    _, face_side = _face_sides(a.t, pair, pos)
-    labeling = _host_labeling(a, pair, face_side)  # labeling[4] is face F1-
+    _, face_side = _face_sides(cls.triangulation, pair, pos)
+    labeling = _host_labeling(cls, pair, face_side)  # labeling[4] is face F1-
     if labeling is not None:
         return _HostOrder(pair, pos, face_side[labeling[4]], labeling)
     pair = pair.swapped()
-    labeling = _host_labeling(a, pair, face_side)
+    labeling = _host_labeling(cls, pair, face_side)
     if labeling is None:
         raise SurgeryError(_NO_LABELING)
     return _HostOrder(pair, pos, "B" if face_side[labeling[4]] == "A" else "A", labeling)
 
 
-def _host_cut(a: _Analysis, order: _HostOrder):
+def _host_cut(cls: Classification, order: _HostOrder):
     p1, q1, p2, q2, f1m, f1p, f2m, f2p = order.labeling
     face_labels = {f1m: "-", f1p: "+", f2m: "-", f2p: "+"}
     vertex_sides = _vertex_sides(order.pos, order.pair, order.minus_side)
-    z = a.tau.chosen[0]
+    z = cls.orientation.chosen[0]
     segments = {
         "1+": _segment(z, p1, q1),
         "2+": _segment(z, q1, p2),
@@ -490,9 +460,10 @@ def _host_cut(a: _Analysis, order: _HostOrder):
     return face_labels, vertex_sides, segments
 
 
-def _piece_cut(a: _Analysis, pair: SpecialPair, kind: str):
-    pos = _link_positions(a.t, pair.shared_vertex)
-    faces, face_side = _face_sides(a.t, pair, pos)
+def _piece_cut(cls: Classification, pair: SpecialPair, kind: str):
+    t = cls.triangulation
+    pos = _link_positions(t, pair.shared_vertex)
+    faces, face_side = _face_sides(t, pair, pos)
     # both labelings satisfy the side condition; tie-break on minus faces
     minus_side = min("AB", key=lambda s: sorted(f for f in faces if face_side[f] == s))
     face_labels = {f: ("-" if face_side[f] == minus_side else "+") for f in faces}
@@ -503,39 +474,40 @@ def _piece_cut(a: _Analysis, pair: SpecialPair, kind: str):
     # walk enters there
     segments: dict[str, tuple[Pass, ...]] = {}
     for index, e in ((1, pair.e1), (2, pair.e2)):
-        plus_face = next(f for f in a.t.edge_faces(e) if face_labels[f] == "+")
-        passes = a.where[e]
+        plus_face = next(f for f in t.edge_faces(e) if face_labels[f] == "+")
+        passes = cls.pass_positions[e]
         for zi, r in passes:
             nxt = next((q for zj, q in passes if zj == zi and q != r), r)
-            sign = "+" if a.shadows[zi][r] == plus_face else "-"
-            segments[f"{index}{sign}"] = _segment(a.tau.chosen[zi], r, nxt)
+            sign = "+" if cls.face_shadows[zi][r] == plus_face else "-"
+            segments[f"{index}{sign}"] = _segment(cls.orientation.chosen[zi], r, nxt)
         if f"{index}+" not in segments or f"{index}-" not in segments:
             what = "occurrences of" if kind == TWO_ZIGZAG else "zigzags through"
             raise SurgeryError(f"{what} {e} do not cross its faces oppositely")
     return face_labels, vertex_sides, segments
 
 
-def _resolve(a: _Analysis, pair: SpecialPair) -> GluingSite:
+def _resolve(cls: Classification, pair: SpecialPair) -> GluingSite:
     """Label, split, and cut a checked pair in the role order given."""
-    if len(a.tau.zigzags) == 1:
-        order = _host_order(a, pair, _link_positions(a.t, pair.shared_vertex))
+    k = len(cls.orientation.zigzags)
+    if k == 1:
+        order = _host_order(cls, pair, _link_positions(cls.triangulation, pair.shared_vertex))
         if order.pair is not pair:
             raise SurgeryError(_NO_LABELING)
-        return _site(a, pair, HOST, *_host_cut(a, order))
-    kind = TWO_ZIGZAG if len(a.tau.zigzags) == 2 else FOUR_ZIGZAG
-    return _site(a, pair, kind, *_piece_cut(a, pair, kind))
+        return _site(cls, pair, HOST, *_host_cut(cls, order))
+    kind = TWO_ZIGZAG if k == 2 else FOUR_ZIGZAG
+    return _site(cls, pair, kind, *_piece_cut(cls, pair, kind))
 
 
-def _site(a: _Analysis, pair: SpecialPair, kind: str, face_labels, vertex_sides, segments):
+def _site(cls: Classification, pair: SpecialPair, kind: str, face_labels, vertex_sides, segments):
     assert all(segments.values()), "segments are never empty"
-    directions = a.cls.edge_directions
+    directions = cls.edge_directions
     return GluingSite(
-        a.t, a.tau, pair, kind, face_labels, vertex_sides,
-        directions[pair.e1], directions[pair.e2], SegmentDecomposition(kind, segments), a.cls,
+        cls, pair, kind, face_labels, vertex_sides,
+        directions[pair.e1], directions[pair.e2], SegmentDecomposition(kind, segments),
     )
 
 
-def resolve_site(t: Triangulation, tau: ZOrientation, pair: SpecialPair) -> GluingSite:
+def resolve_site(cls: Classification, pair: SpecialPair) -> GluingSite:
     """Label the pair's faces, split the link into sides, and cut segments.
 
     The site kind is inferred from the zigzag census: one zigzag makes a
@@ -543,17 +515,12 @@ def resolve_site(t: Triangulation, tau: ZOrientation, pair: SpecialPair) -> Glui
     not show the occurrence pattern its kind requires, or, for a host, when
     its role order fails the side condition.
     """
-    a = _analyse(t, tau, _NOT_HOMOGENEOUS_SITE)
-    return _resolve(a, _checked(a, pair))
+    _require_homogeneous(cls, _NOT_HOMOGENEOUS_SITE)
+    return _resolve(cls, _checked(cls, pair))
 
 
 def plan_gluing(
-    host_t: Triangulation,
-    host_tau: ZOrientation,
-    host_pair: SpecialPair,
-    piece_t: Triangulation,
-    piece_tau: ZOrientation,
-    piece_pairs,
+    host: Classification, host_pair: SpecialPair, piece: Classification, piece_pairs
 ) -> tuple[GluingSite, GluingSite]:
     """Resolve both sites of one gluing, choosing every role order directly.
 
@@ -564,38 +531,33 @@ def plan_gluing(
     resolved in it.  Returns (host_site, piece_site), ready for glue.
     Raises SurgeryError when the host pair is no site or no candidate fits.
     """
-    host_site = _host_site(_analyse(host_t, host_tau, _NOT_HOMOGENEOUS_SITE), host_pair)
-    piece = _analyse(piece_t, piece_tau, _NOT_HOMOGENEOUS_SITE)
-    return host_site, _piece_site(host_site, piece, piece_pairs)
-
-
-def _host_site(host: _Analysis, pair: SpecialPair) -> GluingSite:
-    """plan_gluing's host half, on an analysis the caller holds."""
-    problem = _pair_problem(host, pair)
-    if problem is None and len(host.tau.zigzags) == 1:
-        order = _host_order(host, pair, _link_positions(host.t, pair.shared_vertex))
-        return _site(host, order.pair, HOST, *_host_cut(host, order))
-    # a pair that fails a check common to both orders is reported in the
-    # swapped order, as (e2, e1)
-    return _resolve(host, _checked(host, pair if problem is None else pair.swapped()))
-
-
-def _piece_site(host_site: GluingSite, piece: _Analysis, piece_pairs) -> GluingSite:
-    """plan_gluing's piece half, on an analysis the caller holds."""
+    host_site = _host_site(_require_homogeneous(host, _NOT_HOMOGENEOUS_SITE), host_pair)
+    _require_homogeneous(piece, _NOT_HOMOGENEOUS_SITE)
     wanted = (host_site.enters(1), host_site.enters(2))
-    knotted = len(piece.tau.zigzags) == 1
+    knotted = len(piece.orientation.zigzags) == 1
     for cand in piece_pairs:
         for pair in (_checked(piece, cand), cand.swapped()):
-            directions = (piece.cls.edge_directions[e] for e in (pair.e1, pair.e2))
+            directions = (piece.edge_directions[e] for e in (pair.e1, pair.e2))
             # a z-knotted piece is no piece: resolved as given, the guard rejects it
             if knotted or tuple(d[1] == pair.shared_vertex for d in directions) == wanted:
                 piece_site = _resolve(piece, pair)
                 # the guard: site kinds fit, and the directions match by choice
                 if check_compatibility(host_site, piece_site):
-                    return piece_site
+                    return host_site, piece_site
     raise SurgeryError(
         "pair directions at the shared vertices do not match in either role order"
     )
+
+
+def _host_site(host: Classification, pair: SpecialPair) -> GluingSite:
+    """plan_gluing's host half: the pair in the role order that resolves."""
+    problem = _pair_problem(host, pair)
+    if problem is None and len(host.orientation.zigzags) == 1:
+        order = _host_order(host, pair, _link_positions(host.triangulation, pair.shared_vertex))
+        return _site(host, order.pair, HOST, *_host_cut(host, order))
+    # a pair that fails a check common to both orders is reported in the
+    # swapped order, as (e2, e1)
+    return _resolve(host, _checked(host, pair if problem is None else pair.swapped()))
 
 
 # ----------------------------------------------------------------------
@@ -613,7 +575,8 @@ def check_compatibility(host_site: GluingSite, piece_site: GluingSite) -> bool:
 
 def _split_names(host_site: GluingSite, piece_site: GluingSite) -> tuple[str, str]:
     plus, minus = host_site.v + "+", host_site.v + "-"
-    taken = set(host_site.triangulation.vertices) | set(piece_site.triangulation.vertices)
+    taken = set(host_site.classification.triangulation.vertices)
+    taken |= set(piece_site.classification.triangulation.vertices)
     if plus in taken or minus in taken:
         raise SurgeryError(f"split vertex names {plus!r}/{minus!r} collide with existing vertices")
     return plus, minus
@@ -700,7 +663,7 @@ def _rewrite_faces(site: GluingSite, plus: str, minus: str, renames: dict[str, s
     a face off v and off every renamed vertex is kept as it is."""
     moved = {site.v, *renames}
     out = []
-    for f in site.triangulation.faces:
+    for f in site.classification.triangulation.faces:
         a, b, c = f
         if a not in moved and b not in moved and c not in moved:
             out.append(f)
@@ -721,34 +684,17 @@ def _rewrite_faces(site: GluingSite, plus: str, minus: str, renames: dict[str, s
     return out
 
 
-def glue(
-    host: tuple[Triangulation, ZOrientation],
-    host_site: GluingSite,
-    piece: tuple[Triangulation, ZOrientation],
-    piece_site: GluingSite,
-) -> tuple[Triangulation, ZOrientation]:
-    """Glue a piece into a host along resolved sites; returns the result
-    with its single zigzag oriented as predicted.
+def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
+    """Glue a piece into a host along resolved sites; returns the result's
+    classification, with its single zigzag oriented as predicted.
 
-    The host must be z-knotted and homogeneous with a resolved special
-    pair; the piece homogeneous with a resolved piece pair; directions must
+    The host site must come from a z-knotted homogeneous triangulation, the
+    piece site from a two- or four-zigzag homogeneous one; directions must
     match at the shared vertices and the vertex namespaces must be disjoint.
     Raises InvariantError when the glued result fails its verification.
     """
-    th, tauh = host
-    tp, taup = piece
-    if host_site.triangulation != th or piece_site.triangulation != tp:
-        raise SurgeryError("sites do not belong to the given triangulations")
-    if host_site.orientation != tauh or piece_site.orientation != taup:
-        raise SurgeryError("sites were resolved under other z-orientations")
-    glued = _glue(host_site, piece_site)
-    return glued.t, glued.tau
-
-
-def _glue(host_site: GluingSite, piece_site: GluingSite) -> _Analysis:
-    """glue on the sites' own triangulations and orientations; returns the
-    analysis of the glued result, derived from its verification."""
-    th, tp = host_site.triangulation, piece_site.triangulation
+    host, piece = host_site.classification, piece_site.classification
+    th, tp = host.triangulation, piece.triangulation
     if host_site.kind != HOST:
         raise SurgeryError("host site must come from a z-knotted triangulation")
     if piece_site.kind not in (TWO_ZIGZAG, FOUR_ZIGZAG):
@@ -780,17 +726,13 @@ def _glue(host_site: GluingSite, piece_site: GluingSite) -> _Analysis:
         raise InvariantError(f"gluing along a special pair gave {len(zs)} zigzags, not 1")
     if zs[0] != predicted.canonical():
         raise InvariantError("enumerated zigzag differs from the prediction")
-    tau = ZOrientation(zs, (0,) if zs[0] == predicted else (1,))
 
-    cls = classify(glued, tau)
-    if not _homogeneous(cls, tau):
+    cls = classify(glued, ZOrientation(zs, (0,) if zs[0] == predicted else (1,)))
+    if not cls.homogeneous:
         raise InvariantError("glued orientation is not homogeneous")
-    if set(cls.type_i_vertices) != set(host_site.classification.type_i_vertices) | set(
-        piece_site.classification.type_i_vertices
-    ):
+    if set(cls.type_i_vertices) != set(host.type_i_vertices) | set(piece.type_i_vertices):
         raise InvariantError("gluing did not preserve the type-I vertices")
-    shadows = (face_shadow(glued, tau.chosen[0]),)
-    return _Analysis(glued, tau, cls, _passes_of(tau.chosen), shadows)
+    return cls
 
 
 # ----------------------------------------------------------------------
@@ -805,7 +747,7 @@ def _edge_in_segments(seg: SegmentDecomposition, edge: Edge, index: int) -> bool
 
 
 def inherited_pairs(
-    glued: tuple[Triangulation, ZOrientation],
+    glued: Classification,
     host_site: GluingSite,
     piece_site: GluingSite,
     host_pairs=(),
@@ -821,11 +763,8 @@ def inherited_pairs(
     original (pre-glue) names; every survivor is re-verified as special in
     the glued zigzag.
     """
-    t, tau = glued
-    if len(tau.zigzags) != 1:
+    if len(glued.orientation.zigzags) != 1:
         raise SurgeryError("inherited pairs are defined for a z-knotted glued triangulation")
-    cls = classify(t, tau)
-    z = tau.chosen[0]
     plus, minus = host_site.v + "+", host_site.v + "-"
 
     def survivors(site: GluingSite, pairs, renames):
@@ -847,8 +786,8 @@ def inherited_pairs(
             assert len(shared) == 1, "surviving pair still shares one vertex"
             new_pair = SpecialPair(new_e1, new_e2, next(iter(shared)))
             for e in (new_e1, new_e2):
-                assert cls.edge_types[e] == "II"
-            assert _interleaved(z.occurrences(new_e1), z.occurrences(new_e2)), (
+                assert glued.edge_types[e] == "II"
+            assert _interleaved(_positions(glued, new_e1), _positions(glued, new_e2)), (
                 "surviving pair is special in the glued zigzag"
             )
             out.append(new_pair)

@@ -12,6 +12,7 @@ from zigzags import (
     all_z_orientations,
     bipyramid,
     bipyramid_canonical_zorientation,
+    classify,
     find_piece_pairs,
     find_special_pairs,
     glue,
@@ -48,16 +49,13 @@ def glued_example(piece_n: int):
 
     Returns (glued_t, glued_tau, host_site, piece_site).
     """
-    host = bipyramid(3, "L.")
-    host_tau = bipyramid_canonical_zorientation(3, "L.")
-    piece = bipyramid(piece_n, "R.")
-    piece_tau = bipyramid_canonical_zorientation(piece_n, "R.")
+    host = classify(bipyramid(3, "L."), bipyramid_canonical_zorientation(3, "L."))
+    piece = classify(bipyramid(piece_n, "R."), bipyramid_canonical_zorientation(piece_n, "R."))
     host_site, piece_site = plan_gluing(
-        host, host_tau, find_special_pairs(host, host_tau)[0],
-        piece, piece_tau, find_piece_pairs(piece, piece_tau),
+        host, find_special_pairs(host)[0], piece, find_piece_pairs(piece)
     )
-    glued_t, glued_tau = glue((host, host_tau), host_site, (piece, piece_tau), piece_site)
-    return glued_t, glued_tau, host_site, piece_site
+    glued = glue(host_site, piece_site)
+    return glued.triangulation, glued.orientation, host_site, piece_site
 
 
 def sampled_orientations(t, rng: random.Random, cap: int = 16) -> list[ZOrientation]:

@@ -16,7 +16,6 @@ from zigzags import (
     TreeSpec,
     ZOrientation,
     bipyramid,
-    bipyramid_oracle_zigzags,
     classify,
     embedding_from_directed_faces,
     enumerate_zigzags,
@@ -30,6 +29,7 @@ from zigzags import (
     validate_tree,
 )
 
+from bipyramid_walks import bipyramid_oracle_zigzags
 from helpers import sampled_orientations
 
 

@@ -255,6 +255,13 @@ def test_make_z_orientation_validates():
         make_z_orientation(t, (0, 2))
 
 
+def test_zorientation_rejects_non_canonical_zigzags():
+    z = enumerate_zigzags(bipyramid(5))[0]
+    assert not z.reverse().is_canonical
+    with pytest.raises(ValueError, match="canonical representatives"):
+        ZOrientation((z.reverse(),), (0,))
+
+
 def test_all_z_orientations_order():
     t = bipyramid(4)
     taus = list(all_z_orientations(t))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import zigzags.eulerian as eulerian
 from zigzags import (
     DirectedEmbedding,
     EmbeddingError,
@@ -47,8 +48,8 @@ def test_embedding_normalizes():
 def test_degrees():
     emb = directed_triangle()
     for v in emb.vertices:
-        assert emb.in_degree(v) == 1
-        assert emb.out_degree(v) == 1
+        assert sum(1 for a in emb.arcs if a[1] == v) == 1
+        assert sum(1 for a in emb.arcs if a[0] == v) == 1
 
 
 def test_validate_ok():
@@ -159,6 +160,75 @@ def test_rotations_of_one_cycle_compare_equal():
     assert embs.pop().face_cycles == (("X", cyc),)
 
 
+# the cycle v0->v2->v5->v3->v2->v1->v0 taken as two face cycles: every arc
+# lies on two cycles, but each cycle passes v2 twice
+NON_SIMPLE_CYCLE = """\
+v v0
+v v1
+v v2
+v v3
+v v5
+a 0 v0 v2
+a 1 v2 v5
+a 2 v5 v3
+a 3 v3 v2
+a 4 v2 v1
+a 5 v1 v0
+c A 0 1 2 3 4 5
+c B 0 1 2 3 4 5
+"""
+
+# the directed triangles v0->v1->v2->v0 and v2->v3->v4->v2, each taken as
+# two face cycles: they meet only at v2, whose corners form two cycles
+PINCHED_VERTEX = """\
+v v0
+v v1
+v v2
+v v3
+v v4
+a 0 v0 v1
+a 1 v1 v2
+a 2 v2 v0
+a 3 v2 v3
+a 4 v3 v4
+a 5 v4 v2
+c A 0 1 2
+c B 0 1 2
+c C 3 4 5
+c D 3 4 5
+"""
+
+NOT_A_SURFACE = {
+    "non_simple_cycle": (
+        NON_SIMPLE_CYCLE,
+        (
+            "face cycle 'A' visits vertex 'v2' more than once",
+            "face cycle 'B' visits vertex 'v2' more than once",
+        ),
+    ),
+    "pinched_vertex": (PINCHED_VERTEX, ("the corners at vertex 'v2' form 2 cycles, not one",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_SURFACE))
+def test_validate_rejects_what_cones_to_no_surface(case):
+    text, violations = NOT_A_SURFACE[case]
+    assert validate_embedding(parse_embedding(text)).violations == violations
+    with pytest.raises(EmbeddingError, match=violations[0]):
+        triangulate_embedding(parse_embedding(text))
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_SURFACE))
+def test_verify_rejects_what_cones_to_no_surface(case, tmp_path, capsys):
+    text, violations = NOT_A_SURFACE[case]
+    path = tmp_path / f"{case}.eul"
+    path.write_text(text)
+    assert main(["verify", str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == list(violations)
+    assert main(["convert", "--triangulate", str(path)]) == 1
+    assert violations[0] in capsys.readouterr().err
+
+
 # ----------------------------------------------------------------------
 # extraction and coning
 
@@ -236,6 +306,16 @@ def test_round_trip_glued(glued_corpus):
 def test_round_trip_trees(tree_corpus):
     for _, t, tau, _ in tree_corpus:
         assert round_trip_check(t, tau)
+
+
+def test_round_trip_validates_the_embedding_once(bipyramid_corpus, monkeypatch):
+    # extraction validates what it returns, and the coning trusts it
+    seen = []
+    validate = eulerian.validate_embedding
+    monkeypatch.setattr(eulerian, "validate_embedding", lambda emb: seen.append(emb) or validate(emb))
+    t, tau = bipyramid_corpus[5]
+    assert round_trip_check(t, tau)
+    assert len(seen) == 1
 
 
 # ----------------------------------------------------------------------

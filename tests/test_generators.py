@@ -11,7 +11,6 @@ from zigzags import (
     TreeSpec,
     bipyramid,
     bipyramid_canonical_zorientation,
-    bipyramid_oracle_zigzags,
     classify,
     enumerate_zigzags,
     is_homogeneous,
@@ -20,7 +19,8 @@ from zigzags import (
     serialize_tree,
     validate_tree,
 )
-from zigzags.generators import _example_zigzag_walks
+
+from bipyramid_walks import bipyramid_oracle_zigzags, example_zigzag_walks
 
 
 # ----------------------------------------------------------------------
@@ -72,7 +72,7 @@ def hand_walk_bits(n: int, prefix: str) -> tuple[int, ...]:
     """The canonical orientation's bits found by matching each enumerated
     zigzag against the directed hand-written walks, in either direction."""
     zs = enumerate_zigzags(bipyramid(n, prefix))
-    directed = {z.passes: i for i, z in enumerate(_example_zigzag_walks(n, prefix))}
+    directed = {z.passes: i for i, z in enumerate(example_zigzag_walks(n, prefix))}
     bits, used = [], set()
     for z in zs:
         for bit, cand in enumerate((z, z.reverse())):

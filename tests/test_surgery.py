@@ -28,18 +28,17 @@ from zigzags import (
     predict_glued_zigzag,
     resolve_site,
 )
-from zigzags.surgery import _analyse, _face_sides, _host_site, _link_positions
+from zigzags.surgery import _face_sides, _host_site, _link_positions
 
 
-def canonical_pair(n: int, prefix: str = ""):
-    t = bipyramid(n, prefix)
-    return t, bipyramid_canonical_zorientation(n, prefix)
+def canonical(n: int, prefix: str = ""):
+    """BP(n) classified under its canonical z-orientation."""
+    return classify(bipyramid(n, prefix), bipyramid_canonical_zorientation(n, prefix))
 
 
-def compatible_piece_site(host_site, piece, piece_tau):
+def compatible_piece_site(host_site, piece):
     _, piece_site = plan_gluing(
-        host_site.triangulation, host_site.orientation, host_site.pair,
-        piece, piece_tau, find_piece_pairs(piece, piece_tau),
+        host_site.classification, host_site.pair, piece, find_piece_pairs(piece)
     )
     return piece_site
 
@@ -53,16 +52,17 @@ def site_facts(site):
 
 @pytest.fixture(scope="module")
 def knotted(tree_corpus):
-    """BP(3..17, odd) and the tree corpus, each under tau and tau.reversed()."""
-    instances = [canonical_pair(n) for n in range(3, 18, 2)]
+    """BP(3..17, odd) and the tree corpus, each classified under tau and
+    tau.reversed()."""
+    instances = [(bipyramid(n), bipyramid_canonical_zorientation(n)) for n in range(3, 18, 2)]
     instances += [(t, tau) for _, t, tau, _ in tree_corpus]
-    return [(t, x) for t, tau in instances for x in (tau, tau.reversed())]
+    return [classify(t, x) for t, tau in instances for x in (tau, tau.reversed())]
 
 
-def resolve_outcome(t, tau, pair):
+def resolve_outcome(cls, pair):
     """resolve_site's site for the pair, or the message of its SurgeryError."""
     try:
-        return resolve_site(t, tau, pair)
+        return resolve_site(cls, pair)
     except SurgeryError as exc:
         return str(exc)
 
@@ -72,10 +72,10 @@ def role_order_outcomes(knotted):
     """Per knotted instance: every interleaved vertex-sharing type-II pair,
     in (c1 < c2) order, with resolve_site's outcome in both role orders."""
     out = []
-    for t, tau in knotted:
-        z = tau.chosen[0]
+    for cls in knotted:
+        z = cls.orientation.chosen[0]
         rows = []
-        for c1, c2 in itertools.combinations(classify(t, tau).type_ii_edges, 2):
+        for c1, c2 in itertools.combinations(cls.type_ii_edges, 2):
             shared = set(c1) & set(c2)
             if len(shared) != 1:
                 continue
@@ -83,9 +83,9 @@ def role_order_outcomes(knotted):
             if sum(1 for x in q if p[0] < x < p[1]) != 1:
                 continue
             pair = SpecialPair(c1, c2, shared.pop())
-            both = {cand: resolve_outcome(t, tau, cand) for cand in (pair, pair.swapped())}
+            both = {cand: resolve_outcome(cls, cand) for cand in (pair, pair.swapped())}
             rows.append((pair, both))
-        out.append((t, tau, rows))
+        out.append((cls, rows))
     return out
 
 
@@ -125,26 +125,24 @@ def test_special_pair_rejects_bad_sharing():
 
 @pytest.mark.parametrize("n", (3, 5, 7, 9))
 def test_special_pair_census_on_odd_bipyramids(n):
-    t, tau = canonical_pair(n)
-    pairs = find_special_pairs(t, tau)
+    pairs = find_special_pairs(canonical(n))
     assert len(pairs) == n
     assert {p.shared_vertex for p in pairs} == {str(i) for i in range(1, n + 1)}
     assert len({p.edges() for p in pairs}) == n
 
 
 def test_special_pairs_require_z_knotted():
-    t, tau = canonical_pair(4)
     with pytest.raises(SurgeryError, match="z-knotted"):
-        find_special_pairs(t, tau)
+        find_special_pairs(canonical(4))
 
 
 def test_emitted_role_order_resolves_swapped_does_not(role_order_outcomes):
     # the side condition singles out exactly one of the two role orders,
     # also under the reversed orientation, where (c1, c2) often fails
     swaps = 0
-    for t, tau, rows in role_order_outcomes:
+    for cls, rows in role_order_outcomes:
         outcomes = {cand: got for _, both in rows for cand, got in both.items()}
-        for pair in find_special_pairs(t, tau):
+        for pair in find_special_pairs(cls):
             assert outcomes[pair].kind == HOST
             assert "side condition" in outcomes[pair.swapped()]
             swaps += pair.e1 > pair.e2
@@ -152,24 +150,24 @@ def test_emitted_role_order_resolves_swapped_does_not(role_order_outcomes):
 
 
 def test_find_special_pairs_matches_resolve_site_reference(role_order_outcomes):
-    for t, tau, rows in role_order_outcomes:
-        assert find_special_pairs(t, tau) == reference_special_pairs(rows)
+    for cls, rows in role_order_outcomes:
+        assert find_special_pairs(cls) == reference_special_pairs(rows)
 
 
 def test_host_role_order_is_decided_once(role_order_outcomes):
     # plan_gluing's host half, given a pair in either order, resolves the
     # site resolve_site finds in the one order that resolves
-    for t, tau, rows in role_order_outcomes:
-        a = _analyse(t, tau, "not homogeneous")
+    for cls, rows in role_order_outcomes:
         for pair, both in rows:
             (site,) = (got for got in both.values() if not isinstance(got, str))
             for cand in (pair, pair.swapped()):
-                assert site_facts(_host_site(a, cand)) == site_facts(site)
+                assert site_facts(_host_site(cls, cand)) == site_facts(site)
 
 
 def test_swapping_roles_renames_the_arcs(role_order_outcomes):
     # why one face -> arc map serves both role orders of a pair
-    for t, tau, rows in role_order_outcomes:
+    for cls, rows in role_order_outcomes:
+        t = cls.triangulation
         for pair, _ in rows:
             pos = _link_positions(t, pair.shared_vertex)
             _, sides = _face_sides(t, pair, pos)
@@ -178,40 +176,36 @@ def test_swapping_roles_renames_the_arcs(role_order_outcomes):
 
 
 def test_concordance():
-    t, tau = canonical_pair(5)
-    by_vertex = {p.shared_vertex: p for p in find_special_pairs(t, tau)}
-    assert are_concordant(t, tau, by_vertex["1"], by_vertex["3"])
-    assert are_concordant(t, tau, by_vertex["2"], by_vertex["5"])
+    cls = canonical(5)
+    by_vertex = {p.shared_vertex: p for p in find_special_pairs(cls)}
+    assert are_concordant(cls, by_vertex["1"], by_vertex["3"])
+    assert are_concordant(cls, by_vertex["2"], by_vertex["5"])
     with pytest.raises(SurgeryError, match="edge-disjoint"):
-        are_concordant(t, tau, by_vertex["1"], by_vertex["2"])
-    t4, tau4 = canonical_pair(4)
+        are_concordant(cls, by_vertex["1"], by_vertex["2"])
     p = SpecialPair(("1", "2"), ("2", "3"), "2")
     q = SpecialPair(("3", "4"), ("1", "4"), "4")
     with pytest.raises(SurgeryError, match="z-knotted"):
-        are_concordant(t4, tau4, p, q)
+        are_concordant(canonical(4), p, q)
     # an edge outside t is passed zero times, not twice
     stray = SpecialPair(("x", "y"), ("y", "z"), "y")
     with pytest.raises(SurgeryError, match=r"pair edge \('x', 'y'\) is passed 0 time"):
-        are_concordant(t, tau, stray, by_vertex["1"])
+        are_concordant(cls, stray, by_vertex["1"])
 
 
 def test_piece_pair_censuses():
-    t4, tau4 = canonical_pair(4)
-    pairs4 = find_piece_pairs(t4, tau4)
+    pairs4 = find_piece_pairs(canonical(4))
     assert len(pairs4) == 4 and all(p.kind == FOUR_ZIGZAG for p in pairs4)
-    t6, tau6 = canonical_pair(6)
-    pairs6 = find_piece_pairs(t6, tau6)
+    pairs6 = find_piece_pairs(canonical(6))
     assert len(pairs6) == 6 and all(p.kind == TWO_ZIGZAG for p in pairs6)
 
 
 def test_piece_pairs_require_right_census():
-    t, tau = canonical_pair(3)
     with pytest.raises(SurgeryError, match="two or four"):
-        find_piece_pairs(t, tau)
+        find_piece_pairs(canonical(3))
     t4 = bipyramid(4)
-    all_ii = make_z_orientation(t4, (0, 0, 0, 0))
+    all_ii = classify(t4, make_z_orientation(t4, (0, 0, 0, 0)))
     with pytest.raises(SurgeryError, match="homogeneous"):
-        find_piece_pairs(t4, all_ii)
+        find_piece_pairs(all_ii)
 
 
 # ----------------------------------------------------------------------
@@ -219,37 +213,37 @@ def test_piece_pairs_require_right_census():
 
 
 def test_host_site_structure():
-    t, tau = canonical_pair(3)
-    pair = find_special_pairs(t, tau)[0]
-    site = resolve_site(t, tau, pair)
+    cls = canonical(3)
+    pair = find_special_pairs(cls)[0]
+    site = resolve_site(cls, pair)
     assert site.kind == HOST
     assert site.v == pair.shared_vertex
     assert sorted(site.face_labels.values()) == ["+", "+", "-", "-"]
     # the apexes sit on opposite sides of the split link
     assert sorted(site.vertex_sides) == ["a", "b"]
     assert sorted(site.vertex_sides.values()) == ["+", "-"]
-    cls = classify(t, tau)
+    assert site.classification is cls
     assert site.e1_direction == cls.edge_directions[pair.e1]
     assert site.e2_direction == cls.edge_directions[pair.e2]
-    z = tau.chosen[0]
+    z = cls.orientation.chosen[0]
     lengths = [len(site.segments[k]) for k in ("1+", "2+", "1-", "2-")]
     assert all(lengths)
     assert sum(lengths) == len(z) - 4
 
 
 def test_resolve_is_deterministic():
-    t, tau = canonical_pair(5)
-    pair = find_special_pairs(t, tau)[2]
-    a = resolve_site(t, tau, pair)
-    b = resolve_site(t, tau, pair)
+    cls = canonical(5)
+    pair = find_special_pairs(cls)[2]
+    a = resolve_site(cls, pair)
+    b = resolve_site(canonical(5), pair)
     assert a.face_labels == b.face_labels
     assert a.vertex_sides == b.vertex_sides
     assert a.segments.segments == b.segments.segments
 
 
 def test_two_zigzag_site_segments():
-    t, tau = canonical_pair(6)
-    site = resolve_site(t, tau, find_piece_pairs(t, tau)[0])
+    cls = canonical(6)
+    site = resolve_site(cls, find_piece_pairs(cls)[0])
     assert site.kind == TWO_ZIGZAG
     # each edge cuts its own 18-pass zigzag into two arcs
     assert len(site.segments["1+"]) + len(site.segments["1-"]) == 16
@@ -257,18 +251,17 @@ def test_two_zigzag_site_segments():
 
 
 def test_four_zigzag_site_segments():
-    t, tau = canonical_pair(4)
-    site = resolve_site(t, tau, find_piece_pairs(t, tau)[0])
+    cls = canonical(4)
+    site = resolve_site(cls, find_piece_pairs(cls)[0])
     assert site.kind == FOUR_ZIGZAG
     # each segment is a whole 6-pass zigzag with one pass removed
     assert [len(site.segments[k]) for k in ("1+", "1-", "2+", "2-")] == [5, 5, 5, 5]
 
 
 def test_resolve_rejects_type_i_edge():
-    t, tau = canonical_pair(3)
     pair = SpecialPair(("1", "a"), ("1", "2"), "1")
     with pytest.raises(SurgeryError, match="not type II"):
-        resolve_site(t, tau, pair)
+        resolve_site(canonical(3), pair)
 
 
 def test_resolve_rejects_non_interleaved(glued_corpus):
@@ -288,35 +281,41 @@ def test_resolve_rejects_non_interleaved(glued_corpus):
             break
     assert pair is not None
     with pytest.raises(SurgeryError, match="do not interleave"):
-        resolve_site(t, tau, pair)
+        resolve_site(cls, pair)
 
 
 def test_resolve_rejects_kind_mismatch():
-    t, tau = canonical_pair(6)
-    good = find_piece_pairs(t, tau)[0]
+    cls = canonical(6)
+    good = find_piece_pairs(cls)[0]
     bad = PiecePair(good.e1, good.e2, good.shared_vertex, kind=FOUR_ZIGZAG)
     with pytest.raises(SurgeryError, match="does not match the census"):
-        resolve_site(t, tau, bad)
+        resolve_site(cls, bad)
 
 
 def test_resolve_requires_homogeneous():
     t = bipyramid(4)
-    all_ii = make_z_orientation(t, (0, 0, 0, 0))
+    all_ii = classify(t, make_z_orientation(t, (0, 0, 0, 0)))
     pair = SpecialPair(("1", "2"), ("2", "3"), "2")
     with pytest.raises(SurgeryError, match="homogeneous"):
-        resolve_site(t, all_ii, pair)
+        resolve_site(all_ii, pair)
+    # plan_gluing checks both classifications it is handed
+    host = canonical(3, "L.")
+    with pytest.raises(SurgeryError, match="homogeneous"):
+        plan_gluing(all_ii, pair, canonical(4, "R."), ())
+    with pytest.raises(SurgeryError, match="homogeneous"):
+        plan_gluing(host, find_special_pairs(host)[0], all_ii, ())
 
 
 # ----------------------------------------------------------------------
 # planning a gluing
 
 
-def searched_piece_site(host_site, piece, piece_tau):
+def searched_piece_site(host_site, piece):
     """The search plan_gluing replaces: resolve each piece pair in both role
     orders until check_compatibility accepts one."""
-    for pp in find_piece_pairs(piece, piece_tau):
+    for pp in find_piece_pairs(piece):
         for cand in (pp, pp.swapped()):
-            site = resolve_site(piece, piece_tau, cand)
+            site = resolve_site(piece, cand)
             if check_compatibility(host_site, site):
                 return site
     raise AssertionError("no compatible piece site")
@@ -324,43 +323,40 @@ def searched_piece_site(host_site, piece, piece_tau):
 
 @pytest.mark.parametrize("n", (4, 6))
 def test_plan_gluing_matches_the_search(n, glued_corpus):
-    host, host_tau = canonical_pair(3, "L.")
-    piece, piece_tau = canonical_pair(n, "R.")
-    host_site = resolve_site(host, host_tau, find_special_pairs(host, host_tau)[0])
-    piece_site = searched_piece_site(host_site, piece, piece_tau)
+    host = canonical(3, "L.")
+    piece = canonical(n, "R.")
+    host_site = resolve_site(host, find_special_pairs(host)[0])
+    piece_site = searched_piece_site(host_site, piece)
     _, _, planned_host, planned_piece = glued_corpus[n]
     assert site_facts(planned_host) == site_facts(host_site)
     assert site_facts(planned_piece) == site_facts(piece_site)
     # a host pair named in the other role order plans the same gluing
-    planned = plan_gluing(
-        host, host_tau, host_site.pair.swapped(),
-        piece, piece_tau, find_piece_pairs(piece, piece_tau),
-    )
+    planned = plan_gluing(host, host_site.pair.swapped(), piece, find_piece_pairs(piece))
     assert [site_facts(s) for s in planned] == [site_facts(host_site), site_facts(piece_site)]
 
 
 def test_plan_gluing_raises_when_nothing_fits(tree_corpus):
-    host, host_tau = canonical_pair(3, "L.")
-    piece, piece_tau = canonical_pair(4, "R.")
-    host_pair = find_special_pairs(host, host_tau)[0]
+    host = canonical(3, "L.")
+    piece = canonical(4, "R.")
+    host_pair = find_special_pairs(host)[0]
     with pytest.raises(SurgeryError, match="do not match in either role order"):
-        plan_gluing(host, host_tau, host_pair, piece, piece_tau, ())
+        plan_gluing(host, host_pair, piece, ())
     type_i = SpecialPair(("R.1", "R.a"), ("R.1", "R.2"), "R.1")
     with pytest.raises(SurgeryError, match="not type II"):
-        plan_gluing(host, host_tau, host_pair, piece, piece_tau, (type_i,))
+        plan_gluing(host, host_pair, piece, (type_i,))
     with pytest.raises(SurgeryError, match="not type II"):
-        plan_gluing(host, host_tau, SpecialPair(("L.1", "L.a"), ("L.1", "L.2"), "L.1"),
-                    piece, piece_tau, find_piece_pairs(piece, piece_tau))
+        plan_gluing(host, SpecialPair(("L.1", "L.a"), ("L.1", "L.2"), "L.1"),
+                    piece, find_piece_pairs(piece))
 
     # a host pair whose edges both enter (or both leave) the shared vertex
     # fits no bipyramid piece pair, whose edges run through it
     for _, t, tau, _ in tree_corpus:
         cls = classify(t, tau)
-        for pair in find_special_pairs(t, tau):
+        for pair in find_special_pairs(cls):
             heads = {cls.edge_directions[e][1] == pair.shared_vertex for e in (pair.e1, pair.e2)}
             if len(heads) == 1:
                 with pytest.raises(SurgeryError, match="do not match in either role order"):
-                    plan_gluing(t, tau, pair, piece, piece_tau, find_piece_pairs(piece, piece_tau))
+                    plan_gluing(cls, pair, piece, find_piece_pairs(piece))
                 return
     raise AssertionError("the tree corpus has no such host pair")
 
@@ -413,43 +409,26 @@ def test_glue_counts_add_up(glued_corpus):
         assert len(tau.chosen[0]) == (host_z - 4) + seg_total + 8
 
 
-def test_glue_rejects_foreign_sites(glued_corpus):
-    _, _, host_site, piece_site = glued_corpus[4]
-    other = bipyramid(3)
-    other_tau = bipyramid_canonical_zorientation(3)
-    with pytest.raises(SurgeryError, match="do not belong"):
-        glue((other, other_tau), host_site, (bipyramid(4, "R."), None), piece_site)
-    # the right triangulations, but a site resolved under another orientation
-    host = (host_site.triangulation, host_site.orientation)
-    piece = (piece_site.triangulation, piece_site.orientation)
-    flipped_host = (host[0], host[1].reversed())
-    flipped_piece = (piece[0], piece[1].reversed())
-    for args in ((flipped_host, piece), (host, flipped_piece)):
-        with pytest.raises(SurgeryError, match="other z-orientations"):
-            glue(args[0], host_site, args[1], piece_site)
-
-
 def test_glue_rejects_swapped_roles():
-    host, host_tau = canonical_pair(3, "L.")
-    piece, piece_tau = canonical_pair(4, "R.")
-    host_site = resolve_site(host, host_tau, find_special_pairs(host, host_tau)[0])
-    piece_site = compatible_piece_site(host_site, piece, piece_tau)
+    host = canonical(3, "L.")
+    host_site = resolve_site(host, find_special_pairs(host)[0])
+    piece_site = compatible_piece_site(host_site, canonical(4, "R."))
     with pytest.raises(SurgeryError, match="host site must come from"):
-        glue((piece, piece_tau), piece_site, (host, host_tau), host_site)
-    host2, host2_tau = canonical_pair(5, "M.")
-    host2_site = resolve_site(host2, host2_tau, find_special_pairs(host2, host2_tau)[0])
+        glue(piece_site, host_site)
+    host2 = canonical(5, "M.")
+    host2_site = resolve_site(host2, find_special_pairs(host2)[0])
     with pytest.raises(SurgeryError, match="piece site must come from"):
-        glue((host, host_tau), host_site, (host2, host2_tau), host2_site)
+        glue(host_site, host2_site)
 
 
 def test_glue_rejects_incompatible_directions():
-    host, host_tau = canonical_pair(3, "L.")
-    piece, piece_tau = canonical_pair(4, "R.")
-    host_site = resolve_site(host, host_tau, find_special_pairs(host, host_tau)[0])
+    host = canonical(3, "L.")
+    piece = canonical(4, "R.")
+    host_site = resolve_site(host, find_special_pairs(host)[0])
     bad = None
-    for pp in find_piece_pairs(piece, piece_tau):
+    for pp in find_piece_pairs(piece):
         for cand in (pp, pp.swapped()):
-            site = resolve_site(piece, piece_tau, cand)
+            site = resolve_site(piece, cand)
             if not check_compatibility(host_site, site):
                 bad = site
                 break
@@ -457,16 +436,15 @@ def test_glue_rejects_incompatible_directions():
             break
     assert bad is not None
     with pytest.raises(SurgeryError, match="do not match"):
-        glue((host, host_tau), host_site, (piece, piece_tau), bad)
+        glue(host_site, bad)
 
 
 def test_glue_rejects_name_collisions():
-    host, host_tau = canonical_pair(3)
-    piece, piece_tau = canonical_pair(4)  # same unprefixed vertex names
-    host_site = resolve_site(host, host_tau, find_special_pairs(host, host_tau)[0])
-    piece_site = compatible_piece_site(host_site, piece, piece_tau)
+    host = canonical(3)
+    host_site = resolve_site(host, find_special_pairs(host)[0])
+    piece_site = compatible_piece_site(host_site, canonical(4))  # same unprefixed names
     with pytest.raises(SurgeryError, match="disjoint"):
-        glue((host, host_tau), host_site, (piece, piece_tau), piece_site)
+        glue(host_site, piece_site)
 
 
 # ----------------------------------------------------------------------
@@ -474,40 +452,38 @@ def test_glue_rejects_name_collisions():
 
 
 def test_inherited_pairs_survive_and_reglue():
-    host, host_tau = canonical_pair(5, "L.")
-    host_pairs = find_special_pairs(host, host_tau)
-    host_site = resolve_site(host, host_tau, host_pairs[0])
-    piece, piece_tau = canonical_pair(4, "R.")
-    piece_pairs = find_piece_pairs(piece, piece_tau)
-    piece_site = compatible_piece_site(host_site, piece, piece_tau)
-    glued = glue((host, host_tau), host_site, (piece, piece_tau), piece_site)
+    host = canonical(5, "L.")
+    host_pairs = find_special_pairs(host)
+    host_site = resolve_site(host, host_pairs[0])
+    piece = canonical(4, "R.")
+    piece_pairs = find_piece_pairs(piece)
+    piece_site = compatible_piece_site(host_site, piece)
+    glued = glue(host_site, piece_site)
 
     survivors = inherited_pairs(glued, host_site, piece_site, host_pairs, piece_pairs)
     assert len(survivors) == 3
     # survivors are found again by a fresh census on the glued complex
-    fresh = {p.edges() for p in find_special_pairs(*glued)}
+    fresh = {p.edges() for p in find_special_pairs(glued)}
     assert {s.edges() for s in survivors} <= fresh
 
     # and one of them supports a second gluing
-    piece2, piece2_tau = canonical_pair(6, "Q.")
-    next_host_site, piece2_site = plan_gluing(
-        *glued, survivors[0], piece2, piece2_tau, find_piece_pairs(piece2, piece2_tau)
-    )
-    bigger, bigger_tau = glue(glued, next_host_site, (piece2, piece2_tau), piece2_site)
-    assert (len(bigger.vertices), len(bigger.edges), len(bigger.faces)) == (17, 45, 30)
-    assert is_homogeneous(bigger, bigger_tau)
+    piece2 = canonical(6, "Q.")
+    next_host_site, piece2_site = plan_gluing(glued, survivors[0], piece2, find_piece_pairs(piece2))
+    bigger = glue(next_host_site, piece2_site)
+    t = bigger.triangulation
+    assert (len(t.vertices), len(t.edges), len(t.faces)) == (17, 45, 30)
+    assert is_homogeneous(t, bigger.orientation)
 
 
 def test_inherited_pairs_skip_used_edges(glued_corpus):
     t, tau, host_site, piece_site = glued_corpus[4]
     # pairs overlapping the used pair never survive
     used = host_site.pair
-    out = inherited_pairs((t, tau), host_site, piece_site, (used, used.swapped()), ())
+    out = inherited_pairs(classify(t, tau), host_site, piece_site, (used, used.swapped()), ())
     assert out == ()
 
 
 def test_inherited_pairs_require_z_knotted_glued(glued_corpus):
     _, _, host_site, piece_site = glued_corpus[4]
-    piece = (piece_site.triangulation, piece_site.orientation)
     with pytest.raises(SurgeryError, match="z-knotted"):
-        inherited_pairs(piece, host_site, piece_site)
+        inherited_pairs(piece_site.classification, host_site, piece_site)

@@ -142,8 +142,9 @@ def test_random_tree_spec_keeps_the_corpus(tree_corpus):
 
 def public_gluing_build(spec: TreeSpec):
     """tree_build's loop folded through the public bipyramid,
-    bipyramid_canonical_zorientation, plan_gluing and glue: the reference
-    for a build that passes each glue's analysis on to the next step."""
+    bipyramid_canonical_zorientation, classify, plan_gluing and glue, each
+    step classifying its host afresh: the reference for a build that passes
+    each glue's classification on to the next step."""
     labels, adj, root = spec.labels, spec.adjacency(), spec.root
     prefix = {i: f"node{i}." for i in labels}
     t = bipyramid(labels[root], prefix[root])
@@ -171,10 +172,11 @@ def public_gluing_build(spec: TreeSpec):
             piece = bipyramid(labels[c], prefix[c])
             piece_tau = bipyramid_canonical_zorientation(labels[c], prefix[c])
             host_site, piece_site = plan_gluing(
-                t, tau, host_pair, piece, piece_tau,
+                classify(t, tau), host_pair, classify(piece, piece_tau),
                 [base_pair(c, j) for j in range(1, labels[c] + 1)],
             )
-            t, tau = glue((t, tau), host_site, (piece, piece_tau), piece_site)
+            glued = glue(host_site, piece_site)
+            t, tau = glued.triangulation, glued.orientation
             cut = len(prefix[c])
             names[c] = {
                 int(piece_site.v1[cut:]): host_site.v1,
@@ -212,7 +214,7 @@ def test_glue_checks_run_under_python_O():
         print(len(tree_build(spec)[0].faces))
         # predict the host's own zigzag, which the glued one never is
         surgery.predict_glued_zigzag = lambda host_site, piece_site: (
-            host_site.orientation.chosen[0]
+            host_site.classification.orientation.chosen[0]
         )
         try:
             tree_build(spec)

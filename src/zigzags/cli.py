@@ -36,9 +36,10 @@ from .generators import (
     validate_tree,
 )
 from .surgery import (
-    PiecePair,
+    HOST,
     SpecialPair,
     SurgeryError,
+    _kind,
     find_piece_pairs,
     find_special_pairs,
     glue,
@@ -77,15 +78,14 @@ def _census_lines(zs, fmt: str) -> list[str]:
 
 
 def _pair_lines(cls: Classification, fmt: str) -> list[str]:
-    k = len(cls.orientation.zigzags)
+    kind = _kind(cls) if cls.homogeneous else None
     pairs = ()
-    if cls.homogeneous and k == 1:
-        pairs = find_special_pairs(cls)
-    elif cls.homogeneous and k in (2, 4):
+    if kind == HOST:
+        pairs, kind = find_special_pairs(cls), "special"
+    elif kind is not None:
         pairs = find_piece_pairs(cls)
     lines = []
     for p in sorted(pairs, key=lambda p: (p.e1, p.e2)):
-        kind = p.kind if isinstance(p, PiecePair) else "special"
         if fmt == "tsv":
             lines.append(
                 f"pair\t{p.e1[0]}\t{p.e1[1]}\t{p.e2[0]}\t{p.e2[1]}\t{p.shared_vertex}\t{kind}"

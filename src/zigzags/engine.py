@@ -349,18 +349,15 @@ class Classification:
     @cached_property
     def homogeneous(self) -> bool:
         """True when every face is type I and every chosen zigzag repeats
-        II,I,I: its length is divisible by 3 and its type-II positions are
-        exactly one residue class mod 3."""
+        II,I,I.  A zigzag does exactly when a 3-step rotation keeps its type
+        sequence and its first three passes hold one type II: one check for
+        the length and the residues, since on a length not divisible by 3
+        that rotation generates all rotations and the types are all equal."""
         if any(kind != "I" for kind in self.face_types.values()):
             return False
         for z in self.orientation.chosen:
-            n = len(z)
-            if n % 3 != 0:
-                return False
-            twos = [i for i, p in enumerate(z.passes) if self.edge_types[p.edge] == "II"]
-            if len(twos) != n // 3:
-                return False
-            if len({i % 3 for i in twos}) != 1:
+            ii = [self.edge_types[p.edge] == "II" for p in z.passes]
+            if ii[3:] + ii[:3] != ii or sum(ii[:3]) != 1:
                 return False
         return True
 
@@ -437,7 +434,7 @@ def face_shadow(t: Triangulation, z: Zigzag) -> tuple[tuple[str, str, str], ...]
     is {src, dst} of pass i plus dst of pass i+1; raises TriangulationError
     when it is not a face of t.
     """
-    faces = set(t.faces)
+    faces = t._face_set
     ps = z.passes
     out = []
     for (e, _, _), (e2, _, w) in zip(ps, ps[1:] + ps[:1]):

@@ -25,8 +25,17 @@ reorders: it resolves the pair as given or raises SurgeryError.
 
 Every function here takes the Classification of a (t, tau), the one
 analysis classify(t, tau) builds, and reads the pass positions and face
-shadows it derives on first use.  Each site keeps the classification it was
-resolved on.
+shadows it derives on first use.  A GluingSite stores only what resolving
+decides: the classification it was resolved on, the pair in its role order,
+the +/- side of each interior link vertex of v, and the four cut segments.
+It derives the rest: its kind from the zigzag census (one zigzag makes a
+host, two or four a piece), the pair edges' directions from the
+classification, and each pair face's label from the side of that face's
+interior link vertex.
+
+Gluing renames vertices by one rule (_namer), for faces, passes and edges
+alike: v becomes v+ or v-, the side of the interior link vertex of the face
+or edge it lies on, and the piece's v1, v2 take the host's names.
 
 All glue outputs are verified rather than trusted: the glued face list is
 re-validated, its zigzag census re-enumerated, and the result compared with
@@ -58,8 +67,6 @@ __all__ = [
     "SurgeryError",
     "InvariantError",
     "SpecialPair",
-    "PiecePair",
-    "SegmentDecomposition",
     "GluingSite",
     "find_special_pairs",
     "are_concordant",
@@ -122,43 +129,50 @@ class SpecialPair:
         return SpecialPair(self.e2, self.e1, self.shared_vertex)
 
 
-@dataclass(frozen=True)
-class PiecePair(SpecialPair):
-    """A piece-side pair together with the occurrence pattern it matched."""
-
-    kind: str = TWO_ZIGZAG
-
-
-@dataclass(frozen=True)
-class SegmentDecomposition:
-    """The zigzag segments cut out by a pair's occurrences.
-
-    Keys are "1+", "1-", "2+", "2-".  For a host they are the four arcs of
-    the single zigzag between consecutive pair occurrences; for a
-    two-zigzag piece the arcs between the two occurrences of each edge in
-    its own zigzag; for a four-zigzag piece each segment is a whole zigzag
-    with the pair edge's single pass removed.
-    """
-
-    kind: str
-    segments: dict[str, tuple[Pass, ...]]
-
-    def __getitem__(self, key: str) -> tuple[Pass, ...]:
-        return self.segments[key]
+def _kind(cls: Classification) -> str | None:
+    """The site kind of a zigzag census: 1, 2, 4 zigzags make a host, a
+    two-zigzag piece, a four-zigzag piece; any other census makes none."""
+    return {1: HOST, 2: TWO_ZIGZAG, 4: FOUR_ZIGZAG}.get(len(cls.orientation.zigzags))
 
 
 @dataclass(frozen=True, eq=False)
 class GluingSite:
-    """A resolved pair: labels, sides, directions, and cut segments."""
+    """A resolved pair: its sides and cut segments, and what they imply.
+
+    segments maps "1+", "1-", "2+", "2-" to passes.  For a host they are
+    the four arcs of the single zigzag between consecutive pair occurrences;
+    for a two-zigzag piece the arcs between the two occurrences of each edge
+    in its own zigzag; for a four-zigzag piece each segment is a whole
+    zigzag with the pair edge's single pass removed.
+    """
 
     classification: Classification  # the (t, tau) the pair was resolved on
     pair: SpecialPair
-    kind: str
-    face_labels: dict[tuple[str, str, str], str]  # the four faces at e1/e2 -> "+"/"-"
     vertex_sides: dict[str, str]  # link interior vertex -> "+"/"-"
-    e1_direction: tuple[str, str]
-    e2_direction: tuple[str, str]
-    segments: SegmentDecomposition
+    segments: dict[str, tuple[Pass, ...]]
+
+    @property
+    def kind(self) -> str | None:
+        return _kind(self.classification)
+
+    @property
+    def e1_direction(self) -> tuple[str, str]:
+        return self.classification.edge_directions[self.pair.e1]
+
+    @property
+    def e2_direction(self) -> tuple[str, str]:
+        return self.classification.edge_directions[self.pair.e2]
+
+    @property
+    def face_labels(self) -> dict[tuple[str, str, str], str]:
+        """The four faces at e1 and e2 -> "+"/"-", the side of each face's
+        interior link vertex."""
+        t, sides = self.classification.triangulation, self.vertex_sides
+        return {
+            f: sides[next(w for w in f if w in sides)]
+            for e in (self.pair.e1, self.pair.e2)
+            for f in t.edge_faces(e)
+        }
 
     @property
     def v(self) -> str:
@@ -251,22 +265,21 @@ def are_concordant(cls: Classification, p: SpecialPair, q: SpecialPair) -> bool:
     return all(marks[i][1] != marks[(i + 1) % 8][1] for i in range(8))
 
 
-def find_piece_pairs(cls: Classification) -> tuple[PiecePair, ...]:
+def find_piece_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
     """Vertex-sharing type-II pairs matching a piece occurrence pattern.
 
     Two-zigzag pattern: e1 occurs twice in one chosen zigzag and e2 twice in
     another.  Four-zigzag pattern: e1 occurs once in each of two zigzags and
     e2 once in each of the other two.
     """
-    k = len(cls.orientation.zigzags)
-    if k not in (2, 4):
+    kind = _kind(cls)
+    if kind not in (TWO_ZIGZAG, FOUR_ZIGZAG):
         raise SurgeryError("piece pairs require exactly two or four zigzags")
     if not cls.homogeneous:
         raise SurgeryError("piece pairs require a homogeneous z-orientation")
-    kind = TWO_ZIGZAG if k == 2 else FOUR_ZIGZAG
     holders = {e: [zi for zi, _ in cls.pass_positions[e]] for e in cls.type_ii_edges}
     return tuple(
-        PiecePair(c1, c2, v, kind=kind)
+        SpecialPair(c1, c2, v)
         for c1, c2, v in _vertex_sharing_pairs(cls.type_ii_edges)
         if _piece_pattern(kind, c1, holders[c1], c2, holders[c2]) is None
     )
@@ -368,21 +381,17 @@ def _pair_problem(cls: Classification, pair: SpecialPair) -> str | None:
     for e in (pair.e1, pair.e2):
         if cls.edge_types.get(e) != "II":
             return f"pair edge {e} is not type II"
-    k = len(cls.orientation.zigzags)
-    if isinstance(pair, PiecePair):
-        expected = {2: TWO_ZIGZAG, 4: FOUR_ZIGZAG}.get(k)
-        if pair.kind != expected:
-            return f"pair kind {pair.kind!r} does not match the census"
-    if k == 1:
+    kind = _kind(cls)
+    if kind == HOST:
         occ1, occ2 = _positions(cls, pair.e1), _positions(cls, pair.e2)
         assert len(occ1) == 2 and len(occ2) == 2
         if not _interleaved(occ1, occ2):
             return f"occurrences of {pair.e1} and {pair.e2} do not interleave; not a special pair"
         return None
-    if k in (2, 4):
-        h1, h2 = ([zi for zi, _ in cls.pass_positions[e]] for e in (pair.e1, pair.e2))
-        return _piece_pattern(TWO_ZIGZAG if k == 2 else FOUR_ZIGZAG, pair.e1, h1, pair.e2, h2)
-    return f"no site kind for a census of {k} zigzags"
+    if kind is None:
+        return f"no site kind for a census of {len(cls.orientation.zigzags)} zigzags"
+    h1, h2 = ([zi for zi, _ in cls.pass_positions[e]] for e in (pair.e1, pair.e2))
+    return _piece_pattern(kind, pair.e1, h1, pair.e2, h2)
 
 
 def _checked(cls: Classification, pair: SpecialPair) -> SpecialPair:
@@ -395,8 +404,8 @@ def _checked(cls: Classification, pair: SpecialPair) -> SpecialPair:
 def _host_labeling(cls: Classification, pair: SpecialPair, face_side):
     """The side-condition test for one role order of a host pair.
 
-    Returns the occurrences p1, q1, p2, q2 and the faces F1-, F1+, F2-, F2+
-    of the admissible labeling, or None when this role order has none.
+    Returns the occurrences p1, q1, p2, q2 and the face F1- of the
+    admissible labeling, or None when this role order has none.
     """
     shadow = cls.face_shadows[0]
     n = len(shadow)
@@ -418,16 +427,15 @@ def _host_labeling(cls: Classification, pair: SpecialPair, face_side):
     assert _reading(shadow, p2) == (f1p, f1m)
     assert _reading(shadow, q2) == (f2p, f2m)
     assert (q1 - p1) % n < (p2 - p1) % n < (q2 - p1) % n
-    return p1, q1, p2, q2, f1m, f1p, f2m, f2p
+    return (p1, q1, p2, q2), f1m
 
 
 class _HostOrder(NamedTuple):
     """A host pair in the order its side condition holds, and its facts."""
 
     pair: SpecialPair
-    pos: dict[str, int]  # link vertex of the shared vertex -> link position
     minus_side: str  # arc "A" or "B", named for this order, of the minus faces
-    labeling: tuple  # _host_labeling's occurrences and faces for this order
+    occurrences: tuple[int, int, int, int]  # p1, q1, p2, q2 of _host_labeling
 
 
 def _host_order(cls: Classification, pair: SpecialPair, pos: dict[str, int]) -> _HostOrder:
@@ -436,75 +444,65 @@ def _host_order(cls: Classification, pair: SpecialPair, pos: dict[str, int]) -> 
     Swapping roles only renames arcs A and B, and the labeling test compares
     sides for equality, so one face -> arc map serves both orders."""
     _, face_side = _face_sides(cls.triangulation, pair, pos)
-    labeling = _host_labeling(cls, pair, face_side)  # labeling[4] is face F1-
-    if labeling is not None:
-        return _HostOrder(pair, pos, face_side[labeling[4]], labeling)
+    found = _host_labeling(cls, pair, face_side)
+    if found is not None:
+        return _HostOrder(pair, face_side[found[1]], found[0])
     pair = pair.swapped()
-    labeling = _host_labeling(cls, pair, face_side)
-    if labeling is None:
+    found = _host_labeling(cls, pair, face_side)
+    if found is None:
         raise SurgeryError(_NO_LABELING)
-    return _HostOrder(pair, pos, "B" if face_side[labeling[4]] == "A" else "A", labeling)
+    return _HostOrder(pair, "B" if face_side[found[1]] == "A" else "A", found[0])
 
 
-def _host_cut(cls: Classification, order: _HostOrder):
-    p1, q1, p2, q2, f1m, f1p, f2m, f2p = order.labeling
-    face_labels = {f1m: "-", f1p: "+", f2m: "-", f2p: "+"}
-    vertex_sides = _vertex_sides(order.pos, order.pair, order.minus_side)
-    z = cls.orientation.chosen[0]
-    segments = {
-        "1+": _segment(z, p1, q1),
-        "2+": _segment(z, q1, p2),
-        "1-": _segment(z, p2, q2),
-        "2-": _segment(z, q2, p1),
-    }
-    return face_labels, vertex_sides, segments
-
-
-def _piece_cut(cls: Classification, pair: SpecialPair, kind: str):
+def _piece_cut(cls: Classification, pair: SpecialPair, pos: dict[str, int]):
+    """The minus arc and the segments of a piece pair in the order given."""
     t = cls.triangulation
-    pos = _link_positions(t, pair.shared_vertex)
     faces, face_side = _face_sides(t, pair, pos)
     # both labelings satisfy the side condition; tie-break on minus faces
     minus_side = min("AB", key=lambda s: sorted(f for f in faces if face_side[f] == s))
-    face_labels = {f: ("-" if face_side[f] == minus_side else "+") for f in faces}
-    vertex_sides = _vertex_sides(pos, pair, minus_side)
 
     # a segment runs from a pass of the pair edge to its next pass in the
     # same zigzag (itself, for a four-zigzag piece), signed by the face the
     # walk enters there
     segments: dict[str, tuple[Pass, ...]] = {}
     for index, e in ((1, pair.e1), (2, pair.e2)):
-        plus_face = next(f for f in t.edge_faces(e) if face_labels[f] == "+")
+        plus_face = next(f for f in t.edge_faces(e) if face_side[f] != minus_side)
         passes = cls.pass_positions[e]
         for zi, r in passes:
             nxt = next((q for zj, q in passes if zj == zi and q != r), r)
             sign = "+" if cls.face_shadows[zi][r] == plus_face else "-"
             segments[f"{index}{sign}"] = _segment(cls.orientation.chosen[zi], r, nxt)
         if f"{index}+" not in segments or f"{index}-" not in segments:
-            what = "occurrences of" if kind == TWO_ZIGZAG else "zigzags through"
+            what = "occurrences of" if _kind(cls) == TWO_ZIGZAG else "zigzags through"
             raise SurgeryError(f"{what} {e} do not cross its faces oppositely")
-    return face_labels, vertex_sides, segments
+    return minus_side, segments
 
 
-def _resolve(cls: Classification, pair: SpecialPair) -> GluingSite:
-    """Label, split, and cut a checked pair in the role order given."""
-    k = len(cls.orientation.zigzags)
-    if k == 1:
-        order = _host_order(cls, pair, _link_positions(cls.triangulation, pair.shared_vertex))
-        if order.pair is not pair:
+def _resolve(cls: Classification, pair: SpecialPair, reorder: bool = False) -> GluingSite:
+    """Label, split, and cut a checked pair.
+
+    A host pair is cut in the role order its side condition holds; when
+    that is the swapped order, reorder takes it, and otherwise the pair
+    raises SurgeryError.  A piece pair is cut in the order given.
+    """
+    pos = _link_positions(cls.triangulation, pair.shared_vertex)
+    if _kind(cls) == HOST:
+        order = _host_order(cls, pair, pos)
+        if order.pair is not pair and not reorder:
             raise SurgeryError(_NO_LABELING)
-        return _site(cls, pair, HOST, *_host_cut(cls, order))
-    kind = TWO_ZIGZAG if k == 2 else FOUR_ZIGZAG
-    return _site(cls, pair, kind, *_piece_cut(cls, pair, kind))
-
-
-def _site(cls: Classification, pair: SpecialPair, kind: str, face_labels, vertex_sides, segments):
+        pair, minus_side = order.pair, order.minus_side
+        p1, q1, p2, q2 = order.occurrences
+        z = cls.orientation.chosen[0]
+        segments = {
+            "1+": _segment(z, p1, q1),
+            "2+": _segment(z, q1, p2),
+            "1-": _segment(z, p2, q2),
+            "2-": _segment(z, q2, p1),
+        }
+    else:
+        minus_side, segments = _piece_cut(cls, pair, pos)
     assert all(segments.values()), "segments are never empty"
-    directions = cls.edge_directions
-    return GluingSite(
-        cls, pair, kind, face_labels, vertex_sides,
-        directions[pair.e1], directions[pair.e2], SegmentDecomposition(kind, segments),
-    )
+    return GluingSite(cls, pair, _vertex_sides(pos, pair, minus_side), segments)
 
 
 def resolve_site(cls: Classification, pair: SpecialPair) -> GluingSite:
@@ -529,9 +527,11 @@ def plan_gluing(
     given the role order whose edges point at its shared vertex the way the
     host site's edges do, and the first candidate with such an order is
     resolved in it.  Returns (host_site, piece_site), ready for glue.
-    Raises SurgeryError when the host pair is no site or no candidate fits.
+    Raises SurgeryError when the host pair is no site or no candidate fits;
+    a pair that fails a check is reported in the order given.
     """
-    host_site = _host_site(_require_homogeneous(host, _NOT_HOMOGENEOUS_SITE), host_pair)
+    _require_homogeneous(host, _NOT_HOMOGENEOUS_SITE)
+    host_site = _resolve(host, _checked(host, host_pair), reorder=True)
     _require_homogeneous(piece, _NOT_HOMOGENEOUS_SITE)
     wanted = (host_site.enters(1), host_site.enters(2))
     knotted = len(piece.orientation.zigzags) == 1
@@ -549,17 +549,6 @@ def plan_gluing(
     )
 
 
-def _host_site(host: Classification, pair: SpecialPair) -> GluingSite:
-    """plan_gluing's host half: the pair in the role order that resolves."""
-    problem = _pair_problem(host, pair)
-    if problem is None and len(host.orientation.zigzags) == 1:
-        order = _host_order(host, pair, _link_positions(host.triangulation, pair.shared_vertex))
-        return _site(host, order.pair, HOST, *_host_cut(host, order))
-    # a pair that fails a check common to both orders is reported in the
-    # swapped order, as (e2, e1)
-    return _resolve(host, _checked(host, pair if problem is None else pair.swapped()))
-
-
 # ----------------------------------------------------------------------
 # gluing
 
@@ -573,56 +562,57 @@ def check_compatibility(host_site: GluingSite, piece_site: GluingSite) -> bool:
     return host_site.enters(1) == piece_site.enters(1) and host_site.enters(2) == piece_site.enters(2)
 
 
-def _split_names(host_site: GluingSite, piece_site: GluingSite) -> tuple[str, str]:
-    plus, minus = host_site.v + "+", host_site.v + "-"
+def _split_names(host_site: GluingSite, piece_site: GluingSite) -> dict[str, str]:
+    """Side "+"/"-" -> the name v+/v- of that half of the split vertex."""
+    split = {side: host_site.v + side for side in "+-"}
     taken = set(host_site.classification.triangulation.vertices)
     taken |= set(piece_site.classification.triangulation.vertices)
-    if plus in taken or minus in taken:
-        raise SurgeryError(f"split vertex names {plus!r}/{minus!r} collide with existing vertices")
-    return plus, minus
-
-
-def _site_vertex_map(site: GluingSite, plus: str, minus: str, renames: dict[str, str]):
-    """Rewrite one vertex of a pass or edge under the split and identification."""
-    v = site.v
-
-    def sub(u: str, other: str) -> str:
-        if u == v:
-            side = site.vertex_sides[other]
-            return plus if side == "+" else minus
-        return renames.get(u, u)
-
-    return sub
-
-
-def _rewrite_pass(p: Pass, sub) -> Pass:
-    return make_pass(sub(p.src, p.dst), sub(p.dst, p.src))
-
-
-def _rewrite_segments(site: GluingSite, plus: str, minus: str, renames: dict[str, str]):
-    """The site's segments under the split and identification.  Only passes
-    at v or at a renamed vertex change; every other pass is kept as it is."""
-    sub = _site_vertex_map(site, plus, minus, renames)
-    moved = {site.v, *renames}
-    return {
-        k: tuple(
-            p if p.src not in moved and p.dst not in moved else _rewrite_pass(p, sub)
-            for p in site.segments[k]
+    if not taken.isdisjoint(split.values()):
+        raise SurgeryError(
+            f"split vertex names {split['+']!r}/{split['-']!r} collide with existing vertices"
         )
-        for k in ("1+", "1-", "2+", "2-")
-    }
+    return split
 
 
-def _rewrite_edge(e: Edge, sub) -> Edge:
-    return edge_key(sub(e[0], e[1]), sub(e[1], e[0]))
+def _namer(site: GluingSite, split: dict[str, str], renames: dict[str, str]):
+    """The one renaming rule of a gluing, for one site's faces, edges and passes.
+
+    rename(cells, make) renames the vertices of each cell and rebuilds it as
+    make(*entries); a cell with no vertex to rename is kept as it is, and a
+    pass's edge entry, being no vertex, reaches make unchanged.  The split
+    vertex v takes the name split[side] for the side of the interior link
+    vertex of the face or edge it lies on: every face at v has one, and so
+    does every edge at v but e1 and e2.  A vertex in renames takes its new
+    name; any other keeps its own.
+    """
+    v, sides, moved = site.v, site.vertex_sides, {site.v, *renames}
+
+    def renamed(cell, make):
+        at = split[sides[next(w for w in cell if w in sides)]] if v in cell else v
+        return make(*(at if u == v else renames.get(u, u) for u in cell))
+
+    return lambda cells, make: [c if moved.isdisjoint(c) else renamed(c, make) for c in cells]
 
 
-def _split_edge_pass(site: GluingSite, index: int, sign: str, plus: str, minus: str) -> Pass:
+def _namers(host_site: GluingSite, piece_site: GluingSite, split: dict[str, str]):
+    """The host's and the piece's renaming: the piece's v1, v2 take the host's names."""
+    renames = {piece_site.v1: host_site.v1, piece_site.v2: host_site.v2}
+    return _namer(host_site, split, {}), _namer(piece_site, split, renames)
+
+
+def _renamed_pass(_edge: Edge, src: str, dst: str) -> Pass:
+    return make_pass(src, dst)
+
+
+def _rewrite_segments(site: GluingSite, rename) -> dict[str, tuple[Pass, ...]]:
+    """The site's segments under the gluing's renaming."""
+    return {k: tuple(rename(ps, _renamed_pass)) for k, ps in site.segments.items()}
+
+
+def _split_edge_pass(site: GluingSite, index: int, sign: str, split: dict[str, str]) -> Pass:
     """The pass of e1/e2's split copy, directed like the original edge."""
     direction = site.e1_direction if index == 1 else site.e2_direction
-    name = plus if sign == "+" else minus
-    src, dst = (name if x == site.v else x for x in direction)
-    return make_pass(src, dst)
+    return make_pass(*(split[sign] if x == site.v else x for x in direction))
 
 
 def predict_glued_zigzag(host_site: GluingSite, piece_site: GluingSite) -> Zigzag:
@@ -633,15 +623,13 @@ def predict_glued_zigzag(host_site: GluingSite, piece_site: GluingSite) -> Zigza
     e1+, B1+.  With four-zigzag piece segments C it is e1+, A1+, e2-, C2-,
     e2+, A2+, e1+, C1+, e1-, A1-, e2+, C2+, e2-, A2-, e1-, C1-.
     """
-    plus, minus = _split_names(host_site, piece_site)
-    A = _rewrite_segments(host_site, plus, minus, {})
-    B = _rewrite_segments(
-        piece_site, plus, minus,
-        {piece_site.v1: host_site.v1, piece_site.v2: host_site.v2},
-    )
+    split = _split_names(host_site, piece_site)
+    host_rename, piece_rename = _namers(host_site, piece_site, split)
+    A = _rewrite_segments(host_site, host_rename)
+    B = _rewrite_segments(piece_site, piece_rename)
 
     def e(index: int, sign: str) -> tuple[Pass, ...]:
-        return (_split_edge_pass(host_site, index, sign, plus, minus),)
+        return (_split_edge_pass(host_site, index, sign, split),)
 
     if piece_site.kind == TWO_ZIGZAG:
         seq = (
@@ -656,32 +644,6 @@ def predict_glued_zigzag(host_site: GluingSite, piece_site: GluingSite) -> Zigza
             + e(2, "-") + A["2-"] + e(1, "-") + B["1-"]
         )
     return Zigzag(seq)
-
-
-def _rewrite_faces(site: GluingSite, plus: str, minus: str, renames: dict[str, str]):
-    """The site's faces under the split and identification, in face order;
-    a face off v and off every renamed vertex is kept as it is."""
-    moved = {site.v, *renames}
-    out = []
-    for f in site.classification.triangulation.faces:
-        a, b, c = f
-        if a not in moved and b not in moved and c not in moved:
-            out.append(f)
-        elif site.v in f:
-            x, y = (w for w in f if w != site.v)
-            interior = [w for w in (x, y) if w in site.vertex_sides]
-            assert interior, "a face at v has an interior link vertex"
-            side = site.vertex_sides[interior[0]]
-            name = plus if side == "+" else minus
-            out.append(face_key(name, renames.get(x, x), renames.get(y, y)))
-        else:
-            out.append(face_key(*(renames.get(w, w) for w in f)))
-    # face labels and sides must agree where both are defined
-    for f, lab in site.face_labels.items():
-        x, y = (w for w in f if w != site.v)
-        interior = [w for w in (x, y) if w in site.vertex_sides]
-        assert site.vertex_sides[interior[0]] == lab
-    return out
 
 
 def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
@@ -704,13 +666,8 @@ def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
     if set(th.vertices) & set(tp.vertices):
         raise SurgeryError("host and piece vertex namespaces must be disjoint")
 
-    plus, minus = _split_names(host_site, piece_site)
-    host_faces = _rewrite_faces(host_site, plus, minus, {})
-    piece_faces = _rewrite_faces(
-        piece_site, plus, minus,
-        {piece_site.v1: host_site.v1, piece_site.v2: host_site.v2},
-    )
-    glued = Triangulation(host_faces + piece_faces)
+    host_rename, piece_rename = _namers(host_site, piece_site, _split_names(host_site, piece_site))
+    glued = Triangulation(host_rename(th.faces, face_key) + piece_rename(tp.faces, face_key))
     if not glued.validate().ok:
         raise InvariantError(f"glued face list is no closed surface: {glued.validate()}")
     if (len(glued.vertices), len(glued.edges), len(glued.faces)) != (
@@ -739,11 +696,8 @@ def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
 # survival of other pairs
 
 
-def _edge_in_segments(seg: SegmentDecomposition, edge: Edge, index: int) -> bool:
-    key_p, key_m = f"{index}+", f"{index}-"
-    in_p = any(p.edge == edge for p in seg[key_p])
-    in_m = any(p.edge == edge for p in seg[key_m])
-    return in_p and in_m
+def _edge_in_segments(segments: dict[str, tuple[Pass, ...]], edge: Edge, index: int) -> bool:
+    return all(any(p.edge == edge for p in segments[f"{index}{sign}"]) for sign in "+-")
 
 
 def inherited_pairs(
@@ -765,10 +719,11 @@ def inherited_pairs(
     """
     if len(glued.orientation.zigzags) != 1:
         raise SurgeryError("inherited pairs are defined for a z-knotted glued triangulation")
-    plus, minus = host_site.v + "+", host_site.v + "-"
+    host_rename, piece_rename = _namers(
+        host_site, piece_site, {side: host_site.v + side for side in "+-"}
+    )
 
-    def survivors(site: GluingSite, pairs, renames):
-        sub = _site_vertex_map(site, plus, minus, renames)
+    def survivors(site: GluingSite, pairs, rename):
         out = []
         for pair in pairs:
             if pair.edges() & site.pair.edges():
@@ -780,8 +735,7 @@ def inherited_pairs(
                     break
             else:
                 continue
-            new_e1 = _rewrite_edge(ordered[0], sub)
-            new_e2 = _rewrite_edge(ordered[1], sub)
+            new_e1, new_e2 = rename(ordered, edge_key)
             shared = set(new_e1) & set(new_e2)
             assert len(shared) == 1, "surviving pair still shares one vertex"
             new_pair = SpecialPair(new_e1, new_e2, next(iter(shared)))
@@ -793,9 +747,6 @@ def inherited_pairs(
             out.append(new_pair)
         return out
 
-    found = survivors(host_site, host_pairs, {})
-    found += survivors(
-        piece_site, piece_pairs,
-        {piece_site.v1: host_site.v1, piece_site.v2: host_site.v2},
-    )
+    found = survivors(host_site, host_pairs, host_rename)
+    found += survivors(piece_site, piece_pairs, piece_rename)
     return tuple(sorted(found, key=lambda p: (p.e1, p.e2)))

@@ -132,6 +132,7 @@ class Triangulation:
             seen.add(key)
             stored.append(key)
         self._faces: tuple[tuple[str, str, str], ...] = tuple(stored)
+        self._face_set = seen  # for membership tests
 
         edge_faces: dict[tuple[str, str], list] = {}
         vertex_faces: dict[str, list] = {}
@@ -182,8 +183,7 @@ class Triangulation:
         return len(self.neighbors(v))
 
     def has_face(self, face) -> bool:
-        key = face_key(*face)
-        return key in self._edge_faces.get(key[:2], ())
+        return face_key(*face) in self._face_set
 
     def common_face(self, e1, e2) -> tuple[str, str, str]:
         """The unique face containing both edges; error if none.

@@ -186,6 +186,15 @@ def test_glue_is_deterministic(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
+def test_glue_reports_a_bad_host_pair_in_the_order_given(tmp_path, capsys):
+    # neither L.1-L.b nor L.a-L.b is type II: the first edge named is reported
+    args = glue_args(tmp_path, capsys)
+    args[args.index("--host-pair") + 1] = "L.1,L.b,L.a"
+    rc, out, err = run(capsys, *args)
+    assert (rc, out) == (1, "")
+    assert err == "error: pair edge ('L.1', 'L.b') is not type II\n"
+
+
 # ----------------------------------------------------------------------
 # build-tree
 

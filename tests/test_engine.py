@@ -453,6 +453,59 @@ def test_homogeneity_needs_period_three():
     assert len({i % 3 for i in positions}) == 1
 
 
+# every face is type I on both, yet neither orientation is homogeneous
+FACES_TYPE_I_ONLY = {
+    # one zigzag of length 42 whose 14 type-II passes fall in all three
+    # residues mod 3
+    "residues": ("124 127 146 156 157 24b 27b 346 34b 357 35a 36a 37b 56a", (0,)),
+    # zigzags of lengths 20 and 16, neither divisible by 3
+    "lengths": ("156 15a 16a 234 23a 24b 26a 26b 34b 3ab 56b 5ab", (0, 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FACES_TYPE_I_ONLY))
+def test_homogeneity_reads_the_zigzags_not_only_the_faces(case):
+    faces, bits = FACES_TYPE_I_ONLY[case]
+    t = Triangulation([tuple(f) for f in faces.split()])
+    assert t.validate().ok and t.euler_characteristic() == 2
+    cls = classify(t, make_z_orientation(t, bits))
+    assert set(cls.face_types.values()) == {"I"}
+    assert not cls.homogeneous
+
+
+def reads_ii_i_i(cls) -> bool:
+    """The definition, read literally: every face is type I and each chosen
+    zigzag's length is a multiple of 3 with type II exactly at the
+    positions of one residue class mod 3."""
+    if set(cls.face_types.values()) != {"I"}:
+        return False
+    for z in cls.orientation.chosen:
+        types = [cls.edge_types[p.edge] for p in z.passes]
+        if len(z) % 3 or not any(
+            all((ty == "II") == (i % 3 == r) for i, ty in enumerate(types)) for r in range(3)
+        ):
+            return False
+    return True
+
+
+def test_homogeneous_matches_the_definition():
+    rng = random.Random(3)
+    spheres = [bipyramid(n) for n in range(3, 9)]
+    spheres += [random_flips(bipyramid(n), rng, 3) for n in (5, 6, 7, 8) for _ in range(3)]
+    spheres += [Triangulation([tuple(f) for f in faces.split()])
+                for faces, _ in FACES_TYPE_I_ONLY.values()]
+    seen = set()
+    for t in spheres:
+        for tau in all_z_orientations(t):
+            try:
+                cls = classify(t, tau)
+            except TriangulationError:
+                continue
+            assert cls.homogeneous is reads_ii_i_i(cls), (t.faces, tau.bits)
+            seen.add(cls.homogeneous)
+    assert seen == {True, False}
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(3, 9), st.data())
 def test_random_orientations_classify(n, data):

@@ -349,15 +349,19 @@ class Classification:
     @cached_property
     def homogeneous(self) -> bool:
         """True when every face is type I and every chosen zigzag repeats
-        II,I,I.  A zigzag does exactly when a 3-step rotation keeps its type
-        sequence and its first three passes hold one type II: one check for
-        the length and the residues, since on a length not divisible by 3
-        that rotation generates all rotations and the types are all equal."""
+        II,I,I.  Once every face is type I, a zigzag does exactly when a
+        3-step rotation keeps its type sequence.  Each face then holds one
+        type-II edge, so the zigzags make F type-II and 2F type-I passes.
+        Two adjacent passes share a face, so no two type-II passes are
+        adjacent, and a zigzag the rotation keeps (3-periodic, or constant on
+        a length not divisible by 3) holds type II at a third of its passes
+        or at none.  None would leave the others more than a third, so each
+        reads II,I,I."""
         if any(kind != "I" for kind in self.face_types.values()):
             return False
         for z in self.orientation.chosen:
             ii = [self.edge_types[p.edge] == "II" for p in z.passes]
-            if ii[3:] + ii[:3] != ii or sum(ii[:3]) != 1:
+            if ii[3:] + ii[:3] != ii:
                 return False
         return True
 

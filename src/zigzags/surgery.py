@@ -8,20 +8,20 @@ opened the same way along a matching pair produces a bigger triangulation
 whose single zigzag is predicted exactly by reassembling the cut segments.
 
 Sides: the link cycle of v is divided by the far endpoints v1, v2 into two
-arcs, and each face at v lies on one arc.  A +/- labeling of the four faces
-containing e1 or e2 is admissible when the two minus faces lie on one arc,
-the two plus faces on the other, and the single zigzag's face shadow reads
-F1-,F1+ ... F2-,F2+ ... F1+,F1- ... F2+,F2-.  Ties between the two
-admissible labelings are broken toward the lexicographically smaller pair
-of minus faces.
+arcs, and each face at v lies on one arc.  One rule labels every site: the
+minus arc is the one holding the least of the four faces at e1 and e2, each
+link vertex and face takes the sign of its arc, and each pass of e1 or e2
+is keyed by its edge index and the sign of the face it enters.  A segment
+runs from a pair pass to the next pair pass in the same chosen zigzag.
 
-Role orders: for a host pair the side condition holds in exactly one of the
-orders (e1, e2) and (e2, e1).  find_special_pairs emits each pair in that
-order, and plan_gluing picks it for a host pair given in either order, by
-one decision step whose link positions and labeling the cut reuses; a
-piece pair resolves in both orders, and plan_gluing takes the one whose
-edges point at the shared vertex the way the host's do.  resolve_site never
-reorders: it resolves the pair as given or raises SurgeryError.
+Role orders: swapping e1 and e2 keeps every sign and only swaps the 1/2
+indices of the keys.  A host pair resolves in the order whose walk reads
+1+, 2+, 1-, 2- cyclically, so its role order is read off the walk, and
+find_special_pairs emits each pair in that order; plan_gluing takes it for
+a host pair given in either order.  A piece pair resolves in both orders,
+and plan_gluing takes the one whose edges point at the shared vertex the
+way the host's do.  resolve_site never reorders: it resolves the pair as
+given or raises SurgeryError.
 
 Every function here takes the Classification of a (t, tau), the one
 analysis classify(t, tau) builds, and reads the pass positions and face
@@ -49,7 +49,6 @@ generators.tree_build hands to its next plan_gluing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .engine import (
     Classification,
@@ -245,7 +244,7 @@ def find_special_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
             continue
         if v not in links:
             links[v] = _link_positions(cls.triangulation, v)
-        out.append(_host_order(cls, SpecialPair(c1, c2, v), links[v]).pair)
+        out.append(_labeling(cls, SpecialPair(c1, c2, v), links[v])[0])
     return tuple(out)
 
 
@@ -318,55 +317,6 @@ def _link_positions(t: Triangulation, v: str) -> dict[str, int]:
     return {w: i for i, w in enumerate(t.vertex_link(v).cycle)}
 
 
-def _arc_of(pos: dict[str, int], pair: SpecialPair):
-    """w -> "A" or "B": the link of v is cut at v1 and v2 into arc A (after
-    v1 up to v2) and arc B (after v2 up to v1), interiors only."""
-    n, i1 = len(pos), pos[pair.v1]
-    span = (pos[pair.v2] - i1) % n
-    return lambda w: "A" if (pos[w] - i1) % n < span else "B"
-
-
-def _face_sides(t: Triangulation, pair: SpecialPair, pos: dict[str, int]):
-    """The four pair faces (two at e1, two at e2) and face -> arc, in O(1).
-
-    pos is the link position map of the shared vertex v.  v1 and v2
-    adjacent in the link would mean a face containing both pair edges,
-    which cannot happen when every face has exactly one type-II edge.
-    """
-    v, v1, v2 = pair.shared_vertex, pair.v1, pair.v2
-    span = (pos[v2] - pos[v1]) % len(pos)
-    if span == 1 or span == len(pos) - 1:
-        raise SurgeryError(
-            f"pair edges {pair.e1} and {pair.e2} bound a common face at {v!r}"
-        )
-    arc = _arc_of(pos, pair)
-    faces = (*t.edge_faces(pair.e1), *t.edge_faces(pair.e2))
-    assert len(set(faces)) == 4, "pair faces must be distinct"
-    face_side = {}
-    for f in faces:
-        inner = [w for w in f if w != v and w != v1 and w != v2]
-        assert len(inner) == 1, f"face {f!r} straddles the link arcs"
-        face_side[f] = arc(inner[0])
-    # each pair edge sees one face on each arc
-    assert face_side[faces[0]] != face_side[faces[1]]
-    assert face_side[faces[2]] != face_side[faces[3]]
-    return faces, face_side
-
-
-def _vertex_sides(pos: dict[str, int], pair: SpecialPair, minus_side: str) -> dict[str, str]:
-    """Interior link vertex -> "+"/"-", arc A then arc B in link order."""
-    cyc = tuple(pos)
-    n, i1 = len(cyc), pos[pair.v1]
-    arc = _arc_of(pos, pair)
-    ring = (cyc[(i1 + k) % n] for k in range(1, n))
-    return {w: ("-" if arc(w) == minus_side else "+") for w in ring if w != pair.v2}
-
-
-def _reading(shadow, pos: int):
-    """The faces the walk leaves and enters at the pass in position pos."""
-    return (shadow[pos - 1], shadow[pos])
-
-
 def _segment(z: Zigzag, start: int, stop: int) -> tuple[Pass, ...]:
     """Passes strictly between positions start and stop, cyclically."""
     n = len(z)
@@ -401,108 +351,73 @@ def _checked(cls: Classification, pair: SpecialPair) -> SpecialPair:
     return pair
 
 
-def _host_labeling(cls: Classification, pair: SpecialPair, face_side):
-    """The side-condition test for one role order of a host pair.
+def _labeling(cls: Classification, pair: SpecialPair, pos: dict[str, int]):
+    """The one +/- labeling of a checked pair (see Sides and Role orders
+    above), in O(1) given pos, the link position map of the shared vertex v.
 
-    Returns the occurrences p1, q1, p2, q2 and the face F1- of the
-    admissible labeling, or None when this role order has none.
+    Returns the pair in its role order, read off the walk for a host, the
+    sign of a link vertex, and each pass's key -> (zigzag index, position).
     """
-    shadow = cls.face_shadows[0]
-    n = len(shadow)
-    occ1, occ2 = _positions(cls, pair.e1), _positions(cls, pair.e2)
-    candidates = []
-    for p1 in occ1:
-        f1_minus, f1_plus = _reading(shadow, p1)
-        q1 = min(occ2, key=lambda q: (q - p1) % n)
-        f2_minus, f2_plus = _reading(shadow, q1)
-        if face_side[f1_minus] == face_side[f2_minus] and face_side[f1_plus] == face_side[f2_plus]:
-            candidates.append((p1, q1, f1_minus, f1_plus, f2_minus, f2_plus))
-    if not candidates:
-        return None
-    p1, q1, f1m, f1p, f2m, f2p = min(candidates, key=lambda c: sorted((c[2], c[4])))
-    p2 = occ1[0] if occ1[1] == p1 else occ1[1]
-    q2 = occ2[0] if occ2[1] == q1 else occ2[1]
+    v, v1, v2 = pair.shared_vertex, pair.v1, pair.v2
+    n, i1 = len(pos), pos[v1]
+    span = (pos[v2] - i1) % n
+    # with v1, v2 apart in the link no face holds both pair edges, so each
+    # pair face has one vertex off v, v1, v2 and each pair edge has one face
+    # on each arc
+    if span == 1 or span == n - 1:
+        raise SurgeryError(
+            f"pair edges {pair.e1} and {pair.e2} bound a common face at {v!r}"
+        )
 
-    # the full shadow pattern F1-,F1+ ... F2-,F2+ ... F1+,F1- ... F2+,F2-
-    assert _reading(shadow, p2) == (f1p, f1m)
-    assert _reading(shadow, q2) == (f2p, f2m)
-    assert (q1 - p1) % n < (p2 - p1) % n < (q2 - p1) % n
-    return (p1, q1, p2, q2), f1m
+    def inner(face) -> str:
+        return next(w for w in face if w != v and w != v1 and w != v2)
 
+    def arc(w: str) -> bool:
+        return (pos[w] - i1) % n < span
 
-class _HostOrder(NamedTuple):
-    """A host pair in the order its side condition holds, and its facts."""
-
-    pair: SpecialPair
-    minus_side: str  # arc "A" or "B", named for this order, of the minus faces
-    occurrences: tuple[int, int, int, int]  # p1, q1, p2, q2 of _host_labeling
-
-
-def _host_order(cls: Classification, pair: SpecialPair, pos: dict[str, int]) -> _HostOrder:
-    """The one role-order decision for a host pair: its own order, or else
-    the swapped one, whose side condition holds; SurgeryError if neither.
-    Swapping roles only renames arcs A and B, and the labeling test compares
-    sides for equality, so one face -> arc map serves both orders."""
-    _, face_side = _face_sides(cls.triangulation, pair, pos)
-    found = _host_labeling(cls, pair, face_side)
-    if found is not None:
-        return _HostOrder(pair, face_side[found[1]], found[0])
-    pair = pair.swapped()
-    found = _host_labeling(cls, pair, face_side)
-    if found is None:
-        raise SurgeryError(_NO_LABELING)
-    return _HostOrder(pair, "B" if face_side[found[1]] == "A" else "A", found[0])
-
-
-def _piece_cut(cls: Classification, pair: SpecialPair, pos: dict[str, int]):
-    """The minus arc and the segments of a piece pair in the order given."""
     t = cls.triangulation
-    faces, face_side = _face_sides(t, pair, pos)
-    # both labelings satisfy the side condition; tie-break on minus faces
-    minus_side = min("AB", key=lambda s: sorted(f for f in faces if face_side[f] == s))
+    minus = arc(inner(min(*t.edge_faces(pair.e1), *t.edge_faces(pair.e2))))
 
-    # a segment runs from a pass of the pair edge to its next pass in the
-    # same zigzag (itself, for a four-zigzag piece), signed by the face the
-    # walk enters there
-    segments: dict[str, tuple[Pass, ...]] = {}
+    def sign(w: str) -> str:
+        return "-" if arc(w) == minus else "+"
+
+    keys: dict[str, tuple[int, int]] = {}
     for index, e in ((1, pair.e1), (2, pair.e2)):
-        plus_face = next(f for f in t.edge_faces(e) if face_side[f] != minus_side)
         passes = cls.pass_positions[e]
         for zi, r in passes:
-            nxt = next((q for zj, q in passes if zj == zi and q != r), r)
-            sign = "+" if cls.face_shadows[zi][r] == plus_face else "-"
-            segments[f"{index}{sign}"] = _segment(cls.orientation.chosen[zi], r, nxt)
-        if f"{index}+" not in segments or f"{index}-" not in segments:
-            what = "occurrences of" if _kind(cls) == TWO_ZIGZAG else "zigzags through"
+            keys[f"{index}{sign(inner(cls.face_shadows[zi][r]))}"] = (zi, r)
+        if f"{index}+" not in keys or f"{index}-" not in keys:
+            what = "occurrences of" if passes[0][0] == passes[-1][0] else "zigzags through"
             raise SurgeryError(f"{what} {e} do not cross its faces oppositely")
-    return minus_side, segments
+    if _kind(cls) == HOST:
+        walk = sorted(keys, key=keys.__getitem__)
+        if walk[(walk.index("1+") + 1) % 4] != "2+":
+            pair = pair.swapped()
+            keys = {f"{3 - int(k[0])}{k[1]}": at for k, at in keys.items()}
+    return pair, sign, keys
 
 
 def _resolve(cls: Classification, pair: SpecialPair, reorder: bool = False) -> GluingSite:
     """Label, split, and cut a checked pair.
 
-    A host pair is cut in the role order its side condition holds; when
-    that is the swapped order, reorder takes it, and otherwise the pair
-    raises SurgeryError.  A piece pair is cut in the order given.
+    A host pair is cut in the role order its labeling reads; when that is
+    the swapped order, reorder takes it, and otherwise the pair raises
+    SurgeryError.  A piece pair is cut in the order given.  Each segment
+    runs from a pair pass to the next pair pass in the same chosen zigzag:
+    the host's four arcs, a two-zigzag piece's halves of each zigzag, a
+    four-zigzag piece's whole zigzags less one pass.
     """
     pos = _link_positions(cls.triangulation, pair.shared_vertex)
-    if _kind(cls) == HOST:
-        order = _host_order(cls, pair, pos)
-        if order.pair is not pair and not reorder:
-            raise SurgeryError(_NO_LABELING)
-        pair, minus_side = order.pair, order.minus_side
-        p1, q1, p2, q2 = order.occurrences
-        z = cls.orientation.chosen[0]
-        segments = {
-            "1+": _segment(z, p1, q1),
-            "2+": _segment(z, q1, p2),
-            "1-": _segment(z, p2, q2),
-            "2-": _segment(z, q2, p1),
-        }
-    else:
-        minus_side, segments = _piece_cut(cls, pair, pos)
-    assert all(segments.values()), "segments are never empty"
-    return GluingSite(cls, pair, _vertex_sides(pos, pair, minus_side), segments)
+    ordered, sign, keys = _labeling(cls, pair, pos)
+    if ordered is not pair and not reorder:
+        raise SurgeryError(_NO_LABELING)
+    segments = {}
+    for key, (zi, r) in keys.items():
+        z = cls.orientation.chosen[zi]
+        stop = min((q for zj, q in keys.values() if zj == zi), key=lambda q: (q - r - 1) % len(z))
+        segments[key] = _segment(z, r, stop)
+    cut = (pair.v1, pair.v2)
+    return GluingSite(cls, ordered, {w: sign(w) for w in pos if w not in cut}, segments)
 
 
 def resolve_site(cls: Classification, pair: SpecialPair) -> GluingSite:
@@ -522,28 +437,28 @@ def plan_gluing(
 ) -> tuple[GluingSite, GluingSite]:
     """Resolve both sites of one gluing, choosing every role order directly.
 
-    The host pair is resolved in the role order the side condition picks.
-    The piece candidates are taken in the given order; each is checked, then
-    given the role order whose edges point at its shared vertex the way the
-    host site's edges do, and the first candidate with such an order is
-    resolved in it.  Returns (host_site, piece_site), ready for glue.
-    Raises SurgeryError when the host pair is no site or no candidate fits;
-    a pair that fails a check is reported in the order given.
+    The host pair is resolved in the role order its labeling reads.  The
+    piece must have two or four zigzags.  The piece candidates are taken in
+    the given order; each is checked, then given the role order whose edges
+    point at its shared vertex the way the host site's edges do, and the
+    first candidate with such an order is resolved in it.  Returns
+    (host_site, piece_site), ready for glue.  Raises SurgeryError when the
+    host pair is no site, the piece no piece, or no candidate fits; a pair
+    that fails a check is reported in the order given.
     """
     _require_homogeneous(host, _NOT_HOMOGENEOUS_SITE)
     host_site = _resolve(host, _checked(host, host_pair), reorder=True)
     _require_homogeneous(piece, _NOT_HOMOGENEOUS_SITE)
+    if _kind(piece) not in (TWO_ZIGZAG, FOUR_ZIGZAG):
+        raise SurgeryError(
+            f"a piece needs two or four zigzags, not {len(piece.orientation.zigzags)}"
+        )
     wanted = (host_site.enters(1), host_site.enters(2))
-    knotted = len(piece.orientation.zigzags) == 1
     for cand in piece_pairs:
         for pair in (_checked(piece, cand), cand.swapped()):
             directions = (piece.edge_directions[e] for e in (pair.e1, pair.e2))
-            # a z-knotted piece is no piece: resolved as given, the guard rejects it
-            if knotted or tuple(d[1] == pair.shared_vertex for d in directions) == wanted:
-                piece_site = _resolve(piece, pair)
-                # the guard: site kinds fit, and the directions match by choice
-                if check_compatibility(host_site, piece_site):
-                    return host_site, piece_site
+            if tuple(d[1] == pair.shared_vertex for d in directions) == wanted:
+                return host_site, _resolve(piece, pair)
     raise SurgeryError(
         "pair directions at the shared vertices do not match in either role order"
     )
@@ -565,9 +480,8 @@ def check_compatibility(host_site: GluingSite, piece_site: GluingSite) -> bool:
 def _split_names(host_site: GluingSite, piece_site: GluingSite) -> dict[str, str]:
     """Side "+"/"-" -> the name v+/v- of that half of the split vertex."""
     split = {side: host_site.v + side for side in "+-"}
-    taken = set(host_site.classification.triangulation.vertices)
-    taken |= set(piece_site.classification.triangulation.vertices)
-    if not taken.isdisjoint(split.values()):
+    indexes = (site.classification.triangulation._vertex_faces for site in (host_site, piece_site))
+    if any(name in index for index in indexes for name in split.values()):
         raise SurgeryError(
             f"split vertex names {split['+']!r}/{split['-']!r} collide with existing vertices"
         )
@@ -663,7 +577,7 @@ def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
         raise SurgeryError("piece site must come from a two- or four-zigzag triangulation")
     if not check_compatibility(host_site, piece_site):
         raise SurgeryError("pair directions at the shared vertices do not match")
-    if set(th.vertices) & set(tp.vertices):
+    if any(u in th._vertex_faces for u in tp.vertices):  # the host's vertex index
         raise SurgeryError("host and piece vertex namespaces must be disjoint")
 
     host_rename, piece_rename = _namers(host_site, piece_site, _split_names(host_site, piece_site))

@@ -195,6 +195,18 @@ def test_glue_reports_a_bad_host_pair_in_the_order_given(tmp_path, capsys):
     assert err == "error: pair edge ('L.1', 'L.b') is not type II\n"
 
 
+@pytest.mark.parametrize("piece_pair", ("R.1,R.2,R.3", "R.3,R.2,R.1"))
+def test_glue_names_the_census_of_a_z_knotted_piece(tmp_path, capsys, piece_pair):
+    host = tmp_path / "L3.tri"
+    piece = tmp_path / "R5.tri"
+    run(capsys, "generate", "bipyramid", "--n", "3", "--prefix", "L.", "-o", str(host))
+    run(capsys, "generate", "bipyramid", "--n", "5", "--prefix", "R.", "-o", str(piece))
+    rc, out, err = run(capsys, "glue", "--host", str(host), "--piece", str(piece),
+                       "--host-pair", "L.1,L.2,L.3", "--piece-pair", piece_pair)
+    assert (rc, out) == (1, "")
+    assert err == "error: a piece needs two or four zigzags, not 1\n"
+
+
 # ----------------------------------------------------------------------
 # build-tree
 

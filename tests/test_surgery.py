@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -27,7 +29,7 @@ from zigzags import (
     predict_glued_zigzag,
     resolve_site,
 )
-from zigzags.surgery import _face_sides, _link_positions, _resolve
+from zigzags.surgery import _labeling, _link_positions, _resolve
 
 
 def canonical(n: int, prefix: str = ""):
@@ -164,15 +166,25 @@ def test_host_role_order_is_decided_once(role_order_outcomes):
                 assert site_facts(_resolve(cls, cand, reorder=True)) == site_facts(site)
 
 
-def test_swapping_roles_renames_the_arcs(role_order_outcomes):
-    # why one face -> arc map serves both role orders of a pair
+def test_swapping_roles_keeps_the_labeling(role_order_outcomes):
+    # why a host's role order is a read-off: swapping e1 and e2 keeps every
+    # sign and only swaps the 1/2 indices of the pass keys
+    def labelings(cls, pair):
+        pos = _link_positions(cls.triangulation, pair.shared_vertex)
+        return [(_labeling(cls, cand, pos), pos) for cand in (pair, pair.swapped())]
+
     for cls, rows in role_order_outcomes:
-        t = cls.triangulation
         for pair, _ in rows:
-            pos = _link_positions(t, pair.shared_vertex)
-            _, sides = _face_sides(t, pair, pos)
-            _, swapped = _face_sides(t, pair.swapped(), pos)
-            assert swapped == {f: "B" if side == "A" else "A" for f, side in sides.items()}
+            ((ordered, sign, keys), pos), ((ordered2, sign2, keys2), _) = labelings(cls, pair)
+            assert (ordered, keys) == (ordered2, keys2)
+            assert [sign(w) for w in pos] == [sign2(w) for w in pos]
+    for n in range(4, 13, 2):
+        cls = canonical(n)
+        for pair in find_piece_pairs(cls):
+            ((ordered, sign, keys), pos), ((ordered2, sign2, keys2), _) = labelings(cls, pair)
+            assert (ordered, ordered2) == (pair, pair.swapped())
+            assert keys2 == {f"{3 - int(k[0])}{k[1]}": at for k, at in keys.items()}
+            assert [sign(w) for w in pos] == [sign2(w) for w in pos]
 
 
 def test_concordance():
@@ -286,6 +298,23 @@ def test_resolve_rejects_non_interleaved(glued_corpus):
         resolve_site(cls, pair)
 
 
+@pytest.mark.parametrize(
+    "n, what", ((3, "occurrences of"), (6, "occurrences of"), (4, "zigzags through"))
+)
+def test_resolve_rejects_an_edge_not_crossing_its_faces_oppositely(n, what):
+    # no classification shows this: two passes of a type-II edge entering one
+    # face would be one zigzag state; so the face shadows are tampered with
+    cls = canonical(n)
+    pair = (find_special_pairs(cls) if n % 2 else find_piece_pairs(cls))[0]
+    (zi, r), (zj, q) = cls.pass_positions[pair.e1]
+    shadows = [list(shadow) for shadow in cls.face_shadows]
+    shadows[zj][q] = shadows[zi][r]
+    tampered = dataclasses.replace(cls)
+    tampered.__dict__["face_shadows"] = tuple(map(tuple, shadows))
+    with pytest.raises(SurgeryError, match=rf"^{what} \(.*\) do not cross its faces oppositely$"):
+        resolve_site(tampered, pair)
+
+
 def test_resolve_requires_homogeneous():
     t = bipyramid(4)
     all_ii = classify(t, make_z_orientation(t, (0, 0, 0, 0)))
@@ -335,6 +364,10 @@ def test_plan_gluing_raises_when_nothing_fits(tree_corpus):
     host_pair = find_special_pairs(host)[0]
     with pytest.raises(SurgeryError, match="do not match in either role order"):
         plan_gluing(host, host_pair, piece, ())
+    # a z-knotted piece is no piece, whatever candidates it is given
+    knotted_piece = canonical(5, "R.")
+    with pytest.raises(SurgeryError, match="two or four zigzags, not 1"):
+        plan_gluing(host, host_pair, knotted_piece, find_special_pairs(knotted_piece))
     type_i = SpecialPair(("R.1", "R.a"), ("R.1", "R.2"), "R.1")
     with pytest.raises(SurgeryError, match="not type II"):
         plan_gluing(host, host_pair, piece, (type_i,))
@@ -481,3 +514,44 @@ def test_inherited_pairs_require_z_knotted_glued(glued_corpus):
     _, _, host_site, piece_site = glued_corpus[4]
     with pytest.raises(SurgeryError, match="z-knotted"):
         inherited_pairs(piece_site.classification, host_site, piece_site)
+
+
+# ----------------------------------------------------------------------
+# pinned sites
+
+
+# sha256 of every record site_digest writes; a change to it means some host's
+# special pairs or some pair's resolved site (or rejection message) changed
+PINNED_SITE_DIGEST = "2ae8a387f76e82ebd977261d99a9eb7891927bc37fa9f524a1f302b505bf8695"
+
+
+def site_record(cls, pair) -> str:
+    """resolve_site's facts for the pair, or the message of its SurgeryError."""
+    try:
+        site = resolve_site(cls, pair)
+    except SurgeryError as exc:
+        return repr(str(exc))
+    return repr((
+        site.pair, site.kind, sorted(site.vertex_sides.items()),
+        sorted(site.face_labels.items()), sorted(site.segments.items()),
+    ))
+
+
+def site_digest(classifications) -> str:
+    h = hashlib.sha256()
+    for cls in classifications:
+        if len(cls.orientation.zigzags) == 1:
+            h.update(repr(find_special_pairs(cls)).encode())
+        for c1, c2 in itertools.combinations(cls.type_ii_edges, 2):
+            shared = set(c1) & set(c2)
+            if len(shared) == 1:
+                pair = SpecialPair(c1, c2, shared.pop())
+                for cand in (pair, pair.swapped()):
+                    h.update(site_record(cls, cand).encode())
+    return h.hexdigest()
+
+
+def test_every_site_matches_its_pinned_digest(knotted):
+    pieces = [canonical(n) for n in range(4, 21, 2)]
+    pieces += [classify(cls.triangulation, cls.orientation.reversed()) for cls in pieces]
+    assert site_digest(knotted + pieces) == PINNED_SITE_DIGEST

@@ -281,8 +281,9 @@ def _cmd_glue(args) -> int:
     host_site, piece_site = plan_gluing(
         host, _parse_pair(args.host_pair), piece, (_parse_pair(args.piece_pair),)
     )
-    # glue raises InvariantError unless its enumerated zigzag is the
-    # predicted one and the result is homogeneous, so both lines report yes
+    # glue raises InvariantError unless the predicted zigzag walks as the
+    # glued surface's only zigzag and the result is homogeneous, so both
+    # lines report yes
     cls = glue(host_site, piece_site)
     glued, tau = cls.triangulation, cls.orientation
     _emit(serialize_triangulation(glued), args.output)

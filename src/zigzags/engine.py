@@ -445,9 +445,46 @@ def face_shadow(t: Triangulation, z: Zigzag) -> tuple[tuple[str, str, str], ...]
         u, v = e
         f = (w, u, v) if w < u else (u, w, v) if w < v else (u, v, w)
         if f not in faces:
-            raise TriangulationError(f"edges {e!r} and {e2!r} share no face")
+            i = len(out)
+            raise TriangulationError(
+                f"passes {i} and {(i + 1) % len(ps)}: edges {e!r} and {e2!r} share no face"
+            )
         out.append(f)
     return tuple(out)
+
+
+def _sole_zigzag_shadow(t: Triangulation, z: Zigzag) -> tuple[tuple[str, str, str], ...]:
+    """The face shadow of z, once a walk along z shows that it is t's only
+    zigzag up to reversal; t must be a closed surface, so that 2E = 3F.
+
+    Every turn of z lies in a face, and consecutive turns lie in different
+    faces: as each edge lies in two faces, the turn after a pass lies in the
+    other face of its edge, which is the successor rule, so z is an orbit.
+    Its 2E states (s_i, d_i, s_i-1) and their reversals (s_i, s_i-1, d_i)
+    are pairwise distinct, so they are 4E = 6F states, all there are, and no
+    other orbit is left.  Raises InvariantError naming the first position
+    that fails, an explicit check that also runs under python -O.
+    """
+    n, two_e = len(z), 2 * len(t.edges)
+    if n != two_e:
+        raise InvariantError(f"zigzag has {n} passes, not 2E = {two_e}")
+    try:
+        shadow = face_shadow(t, z)
+    except TriangulationError as exc:
+        raise InvariantError(f"zigzag leaves the faces: {exc}") from None
+    if any(map(tuple.__eq__, shadow, shadow[1:] + shadow[:1])):
+        i = next(i for i in range(n) if shadow[i - 1] == shadow[i])
+        raise InvariantError(f"zigzag turns twice in face {shadow[i]} at position {i}")
+    srcs = [p.src for p in z.passes]
+    dsts, prevs = [p.dst for p in z.passes], srcs[-1:] + srcs[:-1]
+    states = list(zip(srcs, dsts, prevs))
+    if len({*states, *zip(srcs, prevs, dsts)}) != 2 * n:
+        seen: set[tuple[str, str, str]] = set()
+        for i, (s, d, x) in enumerate(states):
+            if (s, d, x) in seen or (s, x, d) in seen:
+                raise InvariantError(f"zigzag repeats a state or its reversal at position {i}")
+            seen.update(((s, d, x), (s, x, d)))
+    return shadow
 
 
 def is_homogeneous(t: Triangulation, tau: ZOrientation) -> bool:

@@ -37,13 +37,19 @@ Gluing renames vertices by one rule (_namer), for faces, passes and edges
 alike: v becomes v+ or v-, the side of the interior link vertex of the face
 or edge it lies on, and the piece's v1, v2 take the host's names.
 
-All glue outputs are verified rather than trusted: the glued face list is
-re-validated, its zigzag census re-enumerated, and the result compared with
-the predicted sequence; any mismatch raises InvariantError, an explicit
-check that also runs under python -O.  glue verifies type-I vertex
-preservation against the sites' classifications and returns the glued
-result's classification, built by that verification, which a caller such as
-generators.tree_build hands to its next plan_gluing.
+All glue outputs are verified rather than trusted, each check at the cost
+of what the gluing changed.  The glued surface is spliced from the host's
+(Triangulation._spliced): only the faces at v are renamed, the piece's faces
+are appended, and only the edges and vertices those faces touch are checked
+for two faces and a one-cycle link.  The predicted zigzag is then walked on
+the glued surface (engine._sole_zigzag_shadow): its turns follow the
+successor rule and its states with their reversals are all 6F states, so it
+is the only zigzag, and no census is enumerated.  glue also checks the
+V, E, F sums, homogeneity, and type-I vertex preservation against the
+sites' classifications; any failure raises InvariantError, an explicit
+check that also runs under python -O.  glue returns the glued result's
+classification, built by that verification with the walk's face shadow,
+which a caller such as generators.tree_build hands to its next plan_gluing.
 """
 
 from __future__ import annotations
@@ -55,9 +61,9 @@ from .engine import (
     InvariantError,
     Pass,
     Zigzag,
-    ZOrientation,
+    _oriented,
+    _sole_zigzag_shadow,
     classify,
-    enumerate_zigzags,
     make_pass,
 )
 from .triangulation import Triangulation, edge_key, face_key
@@ -538,7 +544,13 @@ def predict_glued_zigzag(host_site: GluingSite, piece_site: GluingSite) -> Zigza
     e2+, A2+, e1+, C1+, e1-, A1-, e2+, C2+, e2-, A2-, e1-, C1-.
     """
     split = _split_names(host_site, piece_site)
-    host_rename, piece_rename = _namers(host_site, piece_site, split)
+    return _predicted(host_site, piece_site, split, *_namers(host_site, piece_site, split))
+
+
+def _predicted(
+    host_site: GluingSite, piece_site: GluingSite, split: dict[str, str], host_rename, piece_rename
+) -> Zigzag:
+    """predict_glued_zigzag under the gluing's split names and renamings."""
     A = _rewrite_segments(host_site, host_rename)
     B = _rewrite_segments(piece_site, piece_rename)
 
@@ -567,10 +579,19 @@ def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
     The host site must come from a z-knotted homogeneous triangulation, the
     piece site from a two- or four-zigzag homogeneous one; directions must
     match at the shared vertices and the vertex namespaces must be disjoint.
-    Raises InvariantError when the glued result fails its verification.
+
+    The glued surface is spliced from the host's: its faces at v are
+    renamed and the piece's faces appended, and only the edges and vertices
+    those faces touch are re-checked.  The predicted zigzag is verified by
+    walking it on the glued surface, not by enumerating its zigzags, and the
+    walk's face shadow becomes the result's.  Raises InvariantError when the
+    glued result fails a check: a closed surface, the V, E, F sums, the
+    prediction as its only zigzag, homogeneity, and the type-I vertices.
     """
     host, piece = host_site.classification, piece_site.classification
     th, tp = host.triangulation, piece.triangulation
+    th.require_valid()
+    tp.require_valid()
     if host_site.kind != HOST:
         raise SurgeryError("host site must come from a z-knotted triangulation")
     if piece_site.kind not in (TWO_ZIGZAG, FOUR_ZIGZAG):
@@ -580,8 +601,12 @@ def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
     if any(u in th._vertex_faces for u in tp.vertices):  # the host's vertex index
         raise SurgeryError("host and piece vertex namespaces must be disjoint")
 
-    host_rename, piece_rename = _namers(host_site, piece_site, _split_names(host_site, piece_site))
-    glued = Triangulation(host_rename(th.faces, face_key) + piece_rename(tp.faces, face_key))
+    split = _split_names(host_site, piece_site)
+    host_rename, piece_rename = _namers(host_site, piece_site, split)
+    at_v = th.vertex_faces(host_site.v)
+    glued = th._spliced(
+        dict(zip(at_v, host_rename(at_v, face_key))), piece_rename(tp.faces, face_key)
+    )
     if not glued.validate().ok:
         raise InvariantError(f"glued face list is no closed surface: {glued.validate()}")
     if (len(glued.vertices), len(glued.edges), len(glued.faces)) != (
@@ -591,14 +616,11 @@ def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
     ):
         raise InvariantError("glued V, E, F are not the sums V-2, E, F of host and piece")
 
-    predicted = predict_glued_zigzag(host_site, piece_site)
-    zs = enumerate_zigzags(glued)
-    if len(zs) != 1:
-        raise InvariantError(f"gluing along a special pair gave {len(zs)} zigzags, not 1")
-    if zs[0] != predicted.canonical():
-        raise InvariantError("enumerated zigzag differs from the prediction")
-
-    cls = classify(glued, ZOrientation(zs, (0,) if zs[0] == predicted else (1,)))
+    predicted = _predicted(host_site, piece_site, split, host_rename, piece_rename)
+    shadow = _sole_zigzag_shadow(glued, predicted)
+    z = predicted.canonical()
+    cls = classify(glued, _oriented((z,), (0,) if z == predicted else (1,)))
+    vars(cls)["face_shadows"] = (shadow,)  # where the cached property keeps it
     if not cls.homogeneous:
         raise InvariantError("glued orientation is not homogeneous")
     if set(cls.type_i_vertices) != set(host.type_i_vertices) | set(piece.type_i_vertices):
@@ -629,7 +651,7 @@ def inherited_pairs(
     written in segment terms).  A piece pair survives when each edge lies
     in both same-index piece segments.  Input pairs are given in the
     original (pre-glue) names; every survivor is re-verified as special in
-    the glued zigzag.
+    the glued zigzag, and SurgeryError names an input pair that is not.
     """
     if len(glued.orientation.zigzags) != 1:
         raise SurgeryError("inherited pairs are defined for a z-knotted glued triangulation")
@@ -651,14 +673,16 @@ def inherited_pairs(
                 continue
             new_e1, new_e2 = rename(ordered, edge_key)
             shared = set(new_e1) & set(new_e2)
-            assert len(shared) == 1, "surviving pair still shares one vertex"
-            new_pair = SpecialPair(new_e1, new_e2, next(iter(shared)))
-            for e in (new_e1, new_e2):
-                assert glued.edge_types[e] == "II"
-            assert _interleaved(_positions(glued, new_e1), _positions(glued, new_e2)), (
-                "surviving pair is special in the glued zigzag"
-            )
-            out.append(new_pair)
+            if (
+                len(shared) != 1
+                or any(glued.edge_types.get(e) != "II" for e in (new_e1, new_e2))
+                or not _interleaved(_positions(glued, new_e1), _positions(glued, new_e2))
+            ):
+                raise SurgeryError(
+                    f"pair {pair.e1}/{pair.e2} at {pair.shared_vertex!r} lies in the "
+                    "surviving segments but is no special pair of the glued zigzag"
+                )
+            out.append(SpecialPair(new_e1, new_e2, shared.pop()))
         return out
 
     found = survivors(host_site, host_pairs, host_rename)

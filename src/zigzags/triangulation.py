@@ -69,6 +69,34 @@ def face_key(a: str, b: str, c: str) -> tuple[str, str, str]:
     return tuple(sorted((a, b, c)))
 
 
+def _stored_faces(faces, seen: set) -> list[tuple[str, str, str]]:
+    """Each face as its key, after the token, arity and duplicate checks;
+    seen holds the keys already stored and gains each new one."""
+    stored: list[tuple[str, str, str]] = []
+    tokens: set[str] = set()
+    for f in faces:
+        trio = tuple(f)
+        for tok in trio:
+            # a non-string may be unhashable: check it before any lookup
+            if type(tok) is not str or tok not in tokens:
+                tokens.add(_check_token(tok))
+        if len(trio) != 3:
+            raise TriangulationError(f"face must have 3 vertices, got {trio!r}")
+        key = face_key(*trio)
+        if key in seen:
+            raise TriangulationError(f"duplicate face {key!r}")
+        seen.add(key)
+        stored.append(key)
+    return stored
+
+
+def _resorted(keys: tuple, index: dict, born: list) -> tuple:
+    """The sorted keys of index, which held the sorted keys and since lost
+    some and gained the born ones.  The kept keys and the sorted born ones
+    make two sorted runs, which sorted() merges in linear time."""
+    return tuple(sorted([k for k in keys if k in index] + sorted(born)))
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of a structural check; empty violations means valid."""
@@ -115,23 +143,8 @@ class Triangulation:
     """
 
     def __init__(self, faces) -> None:
-        stored: list[tuple[str, str, str]] = []
         seen: set[tuple[str, str, str]] = set()
-        tokens: set[str] = set()
-        for f in faces:
-            trio = tuple(f)
-            for tok in trio:
-                # a non-string may be unhashable: check it before any lookup
-                if type(tok) is not str or tok not in tokens:
-                    tokens.add(_check_token(tok))
-            if len(trio) != 3:
-                raise TriangulationError(f"face must have 3 vertices, got {trio!r}")
-            key = face_key(*trio)
-            if key in seen:
-                raise TriangulationError(f"duplicate face {key!r}")
-            seen.add(key)
-            stored.append(key)
-        self._faces: tuple[tuple[str, str, str], ...] = tuple(stored)
+        self._faces: tuple[tuple[str, str, str], ...] = tuple(_stored_faces(faces, seen))
         self._face_set = seen  # for membership tests
 
         edge_faces: dict[tuple[str, str], list] = {}
@@ -147,6 +160,61 @@ class Triangulation:
         self._vertices = tuple(sorted(self._vertex_faces))
         self._edges = tuple(sorted(self._edge_faces))
         self._report: ValidationReport | None = None
+
+    def _spliced(self, replaced: dict, added) -> "Triangulation":
+        """This valid triangulation with each face f in replaced swapped for
+        replaced[f] and the faces in added appended, derived from its indices.
+
+        The faces come in the order [replaced.get(f, f) for f in self.faces]
+        + added, as Triangulation over that list stores them, and the new
+        faces pass the constructor's checks.  Only the index entries of the
+        edges and vertices on replaced or new faces are rewritten, and the
+        report covers just those cells: each such edge must lie in two faces
+        and each such vertex's link must be one cycle, since every other cell
+        keeps its faces.  Connectivity is not searched.  surgery.glue replaces
+        the faces at one vertex v and adds a connected piece: a connected
+        closed surface minus the open star of v stays connected, and the piece
+        shares the link vertices v1, v2 with it.
+        """
+        face_set = self._face_set.difference(replaced)
+        new = _stored_faces([*replaced.values(), *added], face_set)
+        swap = dict(zip(replaced, new))
+        edge_faces, vertex_faces = dict(self._edge_faces), dict(self._vertex_faces)
+        # each edge and vertex of a replaced or new face -> its new faces
+        edge_news: dict[tuple[str, str], list] = {}
+        vertex_news: dict[str, list] = {}
+        for f, gain in [*((f, ()) for f in replaced), *((f, (f,)) for f in new)]:
+            a, b, c = f  # sorted, so its edges are canonical
+            for e in ((a, b), (a, c), (b, c)):
+                edge_news.setdefault(e, []).extend(gain)
+            for v in f:
+                vertex_news.setdefault(v, []).extend(gain)
+        born_edges: list[tuple[str, str]] = []
+        born_vertices: list[str] = []
+        for index, news, born in (
+            (edge_faces, edge_news, born_edges), (vertex_faces, vertex_news, born_vertices)
+        ):
+            for cell, fs in news.items():
+                if cell not in index:
+                    born.append(cell)
+                kept = [g for g in index.get(cell, ()) if g not in swap] + fs
+                if kept:
+                    index[cell] = tuple(sorted(kept))
+                else:
+                    del index[cell]
+
+        t = object.__new__(Triangulation)
+        t._faces = tuple([swap.get(f, f) for f in self._faces] + new[len(replaced):])
+        t._face_set = face_set
+        t._edge_faces, t._vertex_faces = edge_faces, vertex_faces
+        t._vertices = _resorted(self._vertices, vertex_faces, born_vertices)
+        t._edges = _resorted(self._edges, edge_faces, born_edges)
+        edges = sorted(e for e in edge_news if e in edge_faces)
+        vertices = sorted(v for v in vertex_news if v in vertex_faces)
+        t._report = ValidationReport(
+            tuple(t._edge_violations(edges) + t._link_violations(vertices))
+        )
+        return t
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -254,10 +322,7 @@ class Triangulation:
         violations: list[str] = []
         if not self._faces:
             violations.append("no faces")
-        for e in self._edges:
-            k = len(self._edge_faces[e])
-            if k != 2:
-                violations.append(f"edge {e[0]}-{e[1]} lies in {k} face(s), expected 2")
+        violations += self._edge_violations(self._edges)
         if self._vertices:
             seen = _reachable(
                 self._vertices[0], lambda v: (u for f in self._vertex_faces[v] for u in f)
@@ -266,11 +331,25 @@ class Triangulation:
                 violations.append(
                     f"graph disconnected: reached {len(seen)} of {len(self._vertices)} vertices"
                 )
-        for v in self._vertices:
-            if self._link_cycle(v) is None:
-                violations.append(f"link of vertex {v} is not a single cycle")
+        violations += self._link_violations(self._vertices)
         self._report = ValidationReport(tuple(violations))
         return self._report
+
+    def _edge_violations(self, edges) -> list[str]:
+        """The given edges that do not lie in exactly two faces."""
+        return [
+            f"edge {e[0]}-{e[1]} lies in {k} face(s), expected 2"
+            for e in edges
+            if (k := len(self._edge_faces[e])) != 2
+        ]
+
+    def _link_violations(self, vertices) -> list[str]:
+        """The given vertices whose link is not a single cycle."""
+        return [
+            f"link of vertex {v} is not a single cycle"
+            for v in vertices
+            if self._link_cycle(v) is None
+        ]
 
     def require_valid(self) -> None:
         report = self.validate()

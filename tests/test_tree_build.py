@@ -203,7 +203,8 @@ def test_build_matches_the_public_gluing_fold(tree_corpus):
 
 def test_glue_checks_run_under_python_O():
     # the glue verification raises InvariantError explicitly, so a wrong
-    # prediction is caught even where asserts are compiled away
+    # prediction or a broken splice is caught even where asserts are
+    # compiled away
     script = textwrap.dedent(f"""
         import zigzags.surgery as surgery
         from zigzags import InvariantError, TreeSpec, tree_build
@@ -213,13 +214,24 @@ def test_glue_checks_run_under_python_O():
         spec = TreeSpec({TWO_CHILD.nodes!r}, {TWO_CHILD.edges!r})
         print(len(tree_build(spec)[0].faces))
         # predict the host's own zigzag, which the glued one never is
-        surgery.predict_glued_zigzag = lambda host_site, piece_site: (
+        predicted = surgery._predicted
+        surgery._predicted = lambda host_site, *rest: (
             host_site.classification.orientation.chosen[0]
         )
         try:
             tree_build(spec)
         except InvariantError as exc:
             print(exc)
+        surgery._predicted = predicted
+        # leave the piece's v1, v2 unrenamed, which opens the glued surface
+        namers = surgery._namers
+        surgery._namers = lambda host_site, piece_site, split: (
+            namers(host_site, piece_site, split)[0], surgery._namer(piece_site, split, {{}})
+        )
+        try:
+            tree_build(spec)
+        except InvariantError as exc:
+            print(str(exc).splitlines()[0])
     """)
     src = str(Path(zigzags.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -227,4 +239,43 @@ def test_glue_checks_run_under_python_O():
         [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.splitlines() == ["30", "enumerated zigzag differs from the prediction"]
+    assert run.stdout.splitlines() == [
+        "30",
+        "zigzag has 30 passes, not 2E = 54",
+        "glued face list is no closed surface: edge noder.1-noder.2+ lies in 1 face(s), expected 2",
+    ]
+
+
+_NOT_SPECIAL = textwrap.dedent(f"""
+    from zigzags import (
+        SpecialPair, TreeSpec, bipyramid, bipyramid_canonical_zorientation, classify,
+        find_piece_pairs, glue, inherited_pairs, plan_gluing, tree_build,
+    )
+
+    host = classify(*tree_build(TreeSpec({TWO_CHILD.nodes!r}, {TWO_CHILD.edges!r}))[:2])
+    piece = classify(bipyramid(4, "P."), bipyramid_canonical_zorientation(4, "P."))
+    pair = SpecialPair(("noder.1", "nodex.4"), ("noder.1", "noder.2+"), "noder.1")
+    host_site, piece_site = plan_gluing(host, pair, piece, find_piece_pairs(piece))
+    # its edges lie in the surviving segments, but on both sides of the split
+    bad = SpecialPair(("noder.1", "noder.5"), ("noder.1", "nodex.b"), "noder.1")
+    inherited_pairs(glue(host_site, piece_site), host_site, piece_site, host_pairs=[bad])
+""")
+
+
+def test_inherited_pairs_name_a_pair_that_is_not_special():
+    message = (
+        "pair ('noder.1', 'noder.5')/('noder.1', 'nodex.b') at 'noder.1' lies in the "
+        "surviving segments but is no special pair of the glued zigzag"
+    )
+    with pytest.raises(zigzags.SurgeryError) as caught:
+        exec(_NOT_SPECIAL, {})
+    assert str(caught.value) == message
+    script = 'if __debug__:\n    raise SystemExit("this check must run under python -O")\n'
+    script += _NOT_SPECIAL
+    src = str(Path(zigzags.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert run.returncode == 1
+    assert run.stderr.splitlines()[-1] == f"zigzags.surgery.SurgeryError: {message}"

@@ -168,8 +168,8 @@ def zigzag_successor(t: Triangulation, state: State) -> State:
     common = t.common_face(prev, cur)
     far = t.other_face(cur, common)
     prev_set = set(prev)
+    # far's apex is not common's, prev's far end, so just one edge of far avoids prev
     nxt = [edge_key(u, v) for u, v in _face_edges(far) if not ({u, v} & prev_set)]
-    assert len(nxt) == 1, "exactly one edge of the far face must avoid prev"
     return (cur, nxt[0])
 
 
@@ -224,7 +224,8 @@ def enumerate_zigzags(t: Triangulation) -> tuple[Zigzag, ...]:
             s, d, _ = state
             state = (d, across[state], s)
         reversal = {(s, x, d) for s, d, x in orbit}
-        assert reversal.isdisjoint(orbit), "a zigzag is never its own reversal"
+        if not reversal.isdisjoint(orbit):
+            raise InvariantError("a zigzag is never its own reversal")
         visited.update(orbit)
         visited |= reversal
         passes = _make_passes([((s, d) if s < d else (d, s), s, d) for s, d, _ in orbit])
@@ -383,10 +384,13 @@ class Classification:
 def classify(t: Triangulation, tau: ZOrientation) -> Classification:
     """Classify edges, vertices, and faces under tau.
 
-    Raises TriangulationError for a pass over no edge of t, an edge not
-    passed exactly twice (double cover), or a face that is neither type I
-    nor a directed type-II cycle: by the paper, tau is then not t's own.
+    Raises TriangulationError when t is no closed surface (a cached check,
+    so every Classification is of one), and for a pass over no edge of t,
+    an edge not passed exactly twice (double cover), or a face that is
+    neither type I nor a directed type-II cycle: by the paper, tau is then
+    not t's own.
     """
+    t.require_valid()
     passes: dict[Edge, list[tuple[str, str]]] = {e: [] for e in t.edges}
     for z in tau.chosen:
         for e, src, dst in z.passes:

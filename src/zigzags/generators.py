@@ -306,8 +306,7 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
         raise TreeError(str(report))
     labels = spec.labels
     adj = spec.adjacency()
-    root = spec.root
-    assert root is not None
+    root = spec.root  # a valid tree has exactly one odd-labeled node, its root
 
     host = _bipyramid_analysis(labels[root], _node_prefix(root))
     # base vertex i of a node may have been renamed when the node was glued

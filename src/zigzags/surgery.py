@@ -12,7 +12,15 @@ arcs, and each face at v lies on one arc.  One rule labels every site: the
 minus arc is the one holding the least of the four faces at e1 and e2, each
 link vertex and face takes the sign of its arc, and each pass of e1 or e2
 is keyed by its edge index and the sign of the face it enters.  A segment
-runs from a pair pass to the next pair pass in the same chosen zigzag.
+runs from a pair pass to the next pair pass in the same chosen zigzag, and
+that pass's key is the segment's end: a host's ends run 1+, 2+, 1-, 2-
+cyclically, a two-zigzag piece's segment ends at its edge's other sign, and
+a four-zigzag piece's at its own key.
+
+Glued walk: from key 1+ on the host, each of eight steps emits the pass of
+the split copy of the key's edge and the site's segment for the key, then
+moves to the other site with the sign of that segment's end flipped as the
+next key.
 
 Role orders: swapping e1 and e2 keeps every sign and only swaps the 1/2
 indices of the keys.  A host pair resolves in the order whose walk reads
@@ -24,11 +32,11 @@ way the host's do.  resolve_site never reorders: it resolves the pair as
 given or raises SurgeryError.
 
 Every function here takes the Classification of a (t, tau), the one
-analysis classify(t, tau) builds, and reads the pass positions and face
-shadows it derives on first use.  A GluingSite stores only what resolving
-decides: the classification it was resolved on, the pair in its role order,
-the +/- side of each interior link vertex of v, and the four cut segments.
-It derives the rest: its kind from the zigzag census (one zigzag makes a
+analysis classify(t, tau) builds once t passes its closed-surface check,
+and reads the pass positions and face shadows it derives on first use.  A
+GluingSite stores only what resolving decides: the classification it was
+resolved on, the pair in its role order, the +/- side of each interior link
+vertex of v, and the four cut segments with their ends.  It derives the rest: its kind from the zigzag census (one zigzag makes a
 host, two or four a piece), the pair edges' directions from the
 classification, and each pair face's label from the side of that face's
 interior link vertex.
@@ -148,13 +156,16 @@ class GluingSite:
     the four arcs of the single zigzag between consecutive pair occurrences;
     for a two-zigzag piece the arcs between the two occurrences of each edge
     in its own zigzag; for a four-zigzag piece each segment is a whole
-    zigzag with the pair edge's single pass removed.
+    zigzag with the pair edge's single pass removed.  ends maps each key to
+    the key of the pair pass ending its segment: the glued walk (see the
+    module docstring) leaves this site there for the other's flipped key.
     """
 
     classification: Classification  # the (t, tau) the pair was resolved on
     pair: SpecialPair
     vertex_sides: dict[str, str]  # link interior vertex -> "+"/"-"
     segments: dict[str, tuple[Pass, ...]]
+    ends: dict[str, str]
 
     @property
     def kind(self) -> str | None:
@@ -191,45 +202,68 @@ class GluingSite:
     def v2(self) -> str:
         return self.pair.v2
 
-    def enters(self, index: int) -> bool:
-        """Does e1 (index 1) or e2 (index 2) point into the shared vertex?"""
-        direction = self.e1_direction if index == 1 else self.e2_direction
-        return direction[1] == self.v
-
 
 # ----------------------------------------------------------------------
 # preconditions
 
 
-def _require_homogeneous(cls: Classification, message: str) -> Classification:
-    cls.triangulation.require_valid()
+def _require_homogeneous(cls: Classification, message: str) -> None:
     if not cls.homogeneous:
         raise SurgeryError(message)
-    return cls
 
 
-def _positions(cls: Classification, edge: Edge) -> list[int]:
-    return [i for _, i in cls.pass_positions.get(edge, ())]
+def _heads(cls: Classification, pair: SpecialPair) -> tuple[bool, ...]:
+    """Whether e1 and whether e2 point into the shared vertex."""
+    return tuple(cls.edge_directions[e][1] == pair.shared_vertex for e in (pair.e1, pair.e2))
 
 
 # ----------------------------------------------------------------------
 # finding pairs
 
 
-def _interleaved(p, q) -> bool:
-    # cyclic order p1 q p2 q: exactly one q-occurrence inside (p1, p2)
-    inside = sum(1 for x in q if p[0] < x < p[1])
-    return inside == 1
+def _pattern_problem(cls: Classification, kind: str | None, e1: Edge, e2: Edge) -> str | None:
+    """Why the type-II edges e1, e2 miss the occurrence pattern of a site
+    kind (a host's: see the module docstring; a piece's: find_piece_pairs),
+    or None.  Double cover passes each of them twice."""
+    if kind is None:
+        return f"no site kind for a census of {len(cls.orientation.zigzags)} zigzags"
+    (z1, a), (y1, b) = cls.pass_positions[e1]
+    (z2, c), (y2, d) = cls.pass_positions[e2]
+    if kind == HOST:
+        # passes are in walk order, so a < b: exactly one of c, d lies between
+        if (a < c < b) == (a < d < b):
+            return f"occurrences of {e1} and {e2} do not interleave; not a special pair"
+        return None
+    h1, h2 = {z1, y1}, {z2, y2}
+    for e, h in ((e1, h1), (e2, h2)):
+        if kind == TWO_ZIGZAG and len(h) != 1:
+            return f"edge {e} does not occur twice in a single zigzag; not a two-zigzag piece pair"
+        if kind == FOUR_ZIGZAG and len(h) != 2:
+            return (
+                f"edge {e} does not occur once in each of two zigzags; "
+                "not a four-zigzag piece pair"
+            )
+    if h1 & h2:
+        if kind == TWO_ZIGZAG:
+            return "pair edges must occur in distinct zigzags"
+        return "pair edges must occur in disjoint zigzag pairs"
+    return None
 
 
-def _vertex_sharing_pairs(edges) -> list[tuple[Edge, Edge, str]]:
-    """(c1, c2, v) for the pairs c1 < c2 of edges sharing a vertex v, sorted."""
+def _candidates(cls: Classification) -> list[tuple[Edge, Edge, str]]:
+    """(c1, c2, v), sorted, for the type-II edges c1 < c2 that share a vertex
+    v and show the occurrence pattern of the census's site kind."""
+    kind = _kind(cls)
     at: dict[str, list[Edge]] = {}
-    for e in sorted(edges):
+    for e in cls.type_ii_edges:
         for v in e:
             at.setdefault(v, []).append(e)
     return sorted(
-        (c1, c2, v) for v, es in at.items() for i, c1 in enumerate(es) for c2 in es[i + 1:]
+        (c1, c2, v)
+        for v, es in at.items()
+        for i, c1 in enumerate(es)
+        for c2 in es[i + 1:]
+        if _pattern_problem(cls, kind, c1, c2) is None
     )
 
 
@@ -245,9 +279,7 @@ def find_special_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
     _require_homogeneous(cls, "special pairs require a homogeneous z-orientation")
     links: dict[str, dict[str, int]] = {}  # a vertex may share many pairs
     out = []
-    for c1, c2, v in _vertex_sharing_pairs(cls.type_ii_edges):
-        if not _interleaved(_positions(cls, c1), _positions(cls, c2)):
-            continue
+    for c1, c2, v in _candidates(cls):
         if v not in links:
             links[v] = _link_positions(cls.triangulation, v)
         out.append(_labeling(cls, SpecialPair(c1, c2, v), links[v])[0])
@@ -262,7 +294,7 @@ def are_concordant(cls: Classification, p: SpecialPair, q: SpecialPair) -> bool:
         raise SurgeryError("concordance requires edge-disjoint pairs")
     marks = []
     for edge, label in ((p.e1, "p"), (p.e2, "p"), (q.e1, "q"), (q.e2, "q")):
-        occ = _positions(cls, edge)
+        occ = [i for _, i in cls.pass_positions.get(edge, ())]
         if len(occ) != 2:
             raise SurgeryError(f"pair edge {edge} is passed {len(occ)} time(s), expected 2")
         marks += [(pos, label) for pos in occ]
@@ -271,43 +303,16 @@ def are_concordant(cls: Classification, p: SpecialPair, q: SpecialPair) -> bool:
 
 
 def find_piece_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
-    """Vertex-sharing type-II pairs matching a piece occurrence pattern.
+    """Vertex-sharing type-II pairs showing a piece occurrence pattern.
 
     Two-zigzag pattern: e1 occurs twice in one chosen zigzag and e2 twice in
     another.  Four-zigzag pattern: e1 occurs once in each of two zigzags and
     e2 once in each of the other two.
     """
-    kind = _kind(cls)
-    if kind not in (TWO_ZIGZAG, FOUR_ZIGZAG):
+    if _kind(cls) not in (TWO_ZIGZAG, FOUR_ZIGZAG):
         raise SurgeryError("piece pairs require exactly two or four zigzags")
-    if not cls.homogeneous:
-        raise SurgeryError("piece pairs require a homogeneous z-orientation")
-    holders = {e: [zi for zi, _ in cls.pass_positions[e]] for e in cls.type_ii_edges}
-    return tuple(
-        SpecialPair(c1, c2, v)
-        for c1, c2, v in _vertex_sharing_pairs(cls.type_ii_edges)
-        if _piece_pattern(kind, c1, holders[c1], c2, holders[c2]) is None
-    )
-
-
-def _piece_pattern(kind: str, e1: Edge, h1: list[int], e2: Edge, h2: list[int]) -> str | None:
-    """Why a pair misses the occurrence pattern of a piece kind, or None.
-
-    h1 and h2 name the zigzag holding each pass of e1 and of e2.
-    """
-    for e, h in ((e1, h1), (e2, h2)):
-        if kind == TWO_ZIGZAG and (len(h) != 2 or h[0] != h[1]):
-            return f"edge {e} does not occur twice in a single zigzag; not a two-zigzag piece pair"
-        if kind == FOUR_ZIGZAG and (len(h) != 2 or h[0] == h[1]):
-            return (
-                f"edge {e} does not occur once in each of two zigzags; "
-                "not a four-zigzag piece pair"
-            )
-    if kind == TWO_ZIGZAG and h1[0] == h2[0]:
-        return "pair edges must occur in distinct zigzags"
-    if kind == FOUR_ZIGZAG and set(h1) & set(h2):
-        return "pair edges must occur in disjoint zigzag pairs"
-    return None
+    _require_homogeneous(cls, "piece pairs require a homogeneous z-orientation")
+    return tuple(SpecialPair(c1, c2, v) for c1, c2, v in _candidates(cls))
 
 
 # ----------------------------------------------------------------------
@@ -335,19 +340,12 @@ def _pair_problem(cls: Classification, pair: SpecialPair) -> str | None:
     Every reason here holds for both role orders of a pair or for neither.
     """
     for e in (pair.e1, pair.e2):
-        if cls.edge_types.get(e) != "II":
+        edge_type = cls.edge_types.get(e)
+        if edge_type is None:
+            return f"pair edge {e} is no edge of the triangulation"
+        if edge_type != "II":
             return f"pair edge {e} is not type II"
-    kind = _kind(cls)
-    if kind == HOST:
-        occ1, occ2 = _positions(cls, pair.e1), _positions(cls, pair.e2)
-        assert len(occ1) == 2 and len(occ2) == 2
-        if not _interleaved(occ1, occ2):
-            return f"occurrences of {pair.e1} and {pair.e2} do not interleave; not a special pair"
-        return None
-    if kind is None:
-        return f"no site kind for a census of {len(cls.orientation.zigzags)} zigzags"
-    h1, h2 = ([zi for zi, _ in cls.pass_positions[e]] for e in (pair.e1, pair.e2))
-    return _piece_pattern(kind, pair.e1, h1, pair.e2, h2)
+    return _pattern_problem(cls, _kind(cls), pair.e1, pair.e2)
 
 
 def _checked(cls: Classification, pair: SpecialPair) -> SpecialPair:
@@ -409,21 +407,24 @@ def _resolve(cls: Classification, pair: SpecialPair, reorder: bool = False) -> G
     A host pair is cut in the role order its labeling reads; when that is
     the swapped order, reorder takes it, and otherwise the pair raises
     SurgeryError.  A piece pair is cut in the order given.  Each segment
-    runs from a pair pass to the next pair pass in the same chosen zigzag:
-    the host's four arcs, a two-zigzag piece's halves of each zigzag, a
-    four-zigzag piece's whole zigzags less one pass.
+    runs from a pair pass to the next pair pass in the same chosen zigzag,
+    whose key is its end: the host's four arcs, a two-zigzag piece's halves
+    of each zigzag, a four-zigzag piece's whole zigzags less one pass.
     """
     pos = _link_positions(cls.triangulation, pair.shared_vertex)
     ordered, sign, keys = _labeling(cls, pair, pos)
     if ordered is not pair and not reorder:
         raise SurgeryError(_NO_LABELING)
-    segments = {}
+    segments, ends = {}, {}
     for key, (zi, r) in keys.items():
         z = cls.orientation.chosen[zi]
-        stop = min((q for zj, q in keys.values() if zj == zi), key=lambda q: (q - r - 1) % len(z))
-        segments[key] = _segment(z, r, stop)
+        ends[key] = min(
+            (k for k, (zj, _) in keys.items() if zj == zi),
+            key=lambda k: (keys[k][1] - r - 1) % len(z),
+        )
+        segments[key] = _segment(z, r, keys[ends[key]][1])
     cut = (pair.v1, pair.v2)
-    return GluingSite(cls, ordered, {w: sign(w) for w in pos if w not in cut}, segments)
+    return GluingSite(cls, ordered, {w: sign(w) for w in pos if w not in cut}, segments, ends)
 
 
 def resolve_site(cls: Classification, pair: SpecialPair) -> GluingSite:
@@ -453,17 +454,18 @@ def plan_gluing(
     that fails a check is reported in the order given.
     """
     _require_homogeneous(host, _NOT_HOMOGENEOUS_SITE)
+    if _kind(host) != HOST:
+        raise SurgeryError(f"a host needs one zigzag, not {len(host.orientation.zigzags)}")
     host_site = _resolve(host, _checked(host, host_pair), reorder=True)
     _require_homogeneous(piece, _NOT_HOMOGENEOUS_SITE)
     if _kind(piece) not in (TWO_ZIGZAG, FOUR_ZIGZAG):
         raise SurgeryError(
             f"a piece needs two or four zigzags, not {len(piece.orientation.zigzags)}"
         )
-    wanted = (host_site.enters(1), host_site.enters(2))
+    wanted = _heads(host, host_site.pair)
     for cand in piece_pairs:
         for pair in (_checked(piece, cand), cand.swapped()):
-            directions = (piece.edge_directions[e] for e in (pair.e1, pair.e2))
-            if tuple(d[1] == pair.shared_vertex for d in directions) == wanted:
+            if _heads(piece, pair) == wanted:
                 return host_site, _resolve(piece, pair)
     raise SurgeryError(
         "pair directions at the shared vertices do not match in either role order"
@@ -480,7 +482,9 @@ def check_compatibility(host_site: GluingSite, piece_site: GluingSite) -> bool:
         raise SurgeryError("first argument must be a host site")
     if piece_site.kind not in (TWO_ZIGZAG, FOUR_ZIGZAG):
         raise SurgeryError("second argument must be a piece site")
-    return host_site.enters(1) == piece_site.enters(1) and host_site.enters(2) == piece_site.enters(2)
+    return _heads(host_site.classification, host_site.pair) == _heads(
+        piece_site.classification, piece_site.pair
+    )
 
 
 def _split_names(host_site: GluingSite, piece_site: GluingSite) -> dict[str, str]:
@@ -524,24 +528,14 @@ def _renamed_pass(_edge: Edge, src: str, dst: str) -> Pass:
     return make_pass(src, dst)
 
 
-def _rewrite_segments(site: GluingSite, rename) -> dict[str, tuple[Pass, ...]]:
-    """The site's segments under the gluing's renaming."""
-    return {k: tuple(rename(ps, _renamed_pass)) for k, ps in site.segments.items()}
-
-
-def _split_edge_pass(site: GluingSite, index: int, sign: str, split: dict[str, str]) -> Pass:
-    """The pass of e1/e2's split copy, directed like the original edge."""
-    direction = site.e1_direction if index == 1 else site.e2_direction
-    return make_pass(*(split[sign] if x == site.v else x for x in direction))
-
-
 def predict_glued_zigzag(host_site: GluingSite, piece_site: GluingSite) -> Zigzag:
-    """Assemble the glued zigzag from the cut segments.
+    """Assemble the glued zigzag from the cut segments by the glued walk
+    (see the module docstring).
 
-    With host segments A and two-zigzag piece segments B the glued walk is
+    With host segments A and two-zigzag piece segments B the walk yields
     e1+, A1+, e2-, B2-, e2-, A2-, e1-, B1-, e1-, A1-, e2+, B2+, e2+, A2+,
-    e1+, B1+.  With four-zigzag piece segments C it is e1+, A1+, e2-, C2-,
-    e2+, A2+, e1+, C1+, e1-, A1-, e2+, C2+, e2-, A2-, e1-, C1-.
+    e1+, B1+.  With four-zigzag piece segments C it yields e1+, A1+, e2-,
+    C2-, e2+, A2+, e1+, C1+, e1-, A1-, e2+, C2+, e2-, A2-, e1-, C1-.
     """
     split = _split_names(host_site, piece_site)
     return _predicted(host_site, piece_site, split, *_namers(host_site, piece_site, split))
@@ -551,25 +545,17 @@ def _predicted(
     host_site: GluingSite, piece_site: GluingSite, split: dict[str, str], host_rename, piece_rename
 ) -> Zigzag:
     """predict_glued_zigzag under the gluing's split names and renamings."""
-    A = _rewrite_segments(host_site, host_rename)
-    B = _rewrite_segments(piece_site, piece_rename)
-
-    def e(index: int, sign: str) -> tuple[Pass, ...]:
-        return (_split_edge_pass(host_site, index, sign, split),)
-
-    if piece_site.kind == TWO_ZIGZAG:
-        seq = (
-            e(1, "+") + A["1+"] + e(2, "-") + B["2-"] + e(2, "-") + A["2-"]
-            + e(1, "-") + B["1-"] + e(1, "-") + A["1-"] + e(2, "+") + B["2+"]
-            + e(2, "+") + A["2+"] + e(1, "+") + B["1+"]
-        )
-    else:
-        seq = (
-            e(1, "+") + A["1+"] + e(2, "-") + B["2-"] + e(2, "+") + A["2+"]
-            + e(1, "+") + B["1+"] + e(1, "-") + A["1-"] + e(2, "+") + B["2+"]
-            + e(2, "-") + A["2-"] + e(1, "-") + B["1-"]
-        )
-    return Zigzag(seq)
+    sites = ((host_site, host_rename), (piece_site, piece_rename))
+    directions = {"1": host_site.e1_direction, "2": host_site.e2_direction}
+    v, key, passes = host_site.v, "1+", []
+    for step in range(8):
+        site, rename = sites[step % 2]
+        # the key's split edge copy, directed like the host's edge
+        passes.append(make_pass(*(split[key[1]] if x == v else x for x in directions[key[0]])))
+        passes += rename(site.segments[key], _renamed_pass)
+        end = site.ends[key]
+        key = end[0] + ("-" if end[1] == "+" else "+")
+    return Zigzag(tuple(passes))
 
 
 def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
@@ -590,8 +576,6 @@ def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
     """
     host, piece = host_site.classification, piece_site.classification
     th, tp = host.triangulation, piece.triangulation
-    th.require_valid()
-    tp.require_valid()
     if host_site.kind != HOST:
         raise SurgeryError("host site must come from a z-knotted triangulation")
     if piece_site.kind not in (TWO_ZIGZAG, FOUR_ZIGZAG):
@@ -655,9 +639,7 @@ def inherited_pairs(
     """
     if len(glued.orientation.zigzags) != 1:
         raise SurgeryError("inherited pairs are defined for a z-knotted glued triangulation")
-    host_rename, piece_rename = _namers(
-        host_site, piece_site, {side: host_site.v + side for side in "+-"}
-    )
+    host_rename, piece_rename = _namers(host_site, piece_site, _split_names(host_site, piece_site))
 
     def survivors(site: GluingSite, pairs, rename):
         out = []
@@ -676,7 +658,7 @@ def inherited_pairs(
             if (
                 len(shared) != 1
                 or any(glued.edge_types.get(e) != "II" for e in (new_e1, new_e2))
-                or not _interleaved(_positions(glued, new_e1), _positions(glued, new_e2))
+                or _pattern_problem(glued, HOST, new_e1, new_e2)
             ):
                 raise SurgeryError(
                     f"pair {pair.e1}/{pair.e2} at {pair.shared_vertex!r} lies in the "

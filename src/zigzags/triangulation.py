@@ -266,7 +266,8 @@ class Triangulation:
         both = f1 & f2
         if not both:
             raise TriangulationError(f"edges {e1!r} and {e2!r} share no face")
-        assert len(both) == 1
+        # a second common face would repeat the first's vertices, a duplicate
+        # face the constructor rejects
         return next(iter(both))
 
     def other_face(self, edge, face) -> tuple[str, str, str]:

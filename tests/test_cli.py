@@ -195,6 +195,26 @@ def test_glue_reports_a_bad_host_pair_in_the_order_given(tmp_path, capsys):
     assert err == "error: pair edge ('L.1', 'L.b') is not type II\n"
 
 
+def test_glue_names_a_pair_edge_that_is_no_edge(tmp_path, capsys):
+    args = glue_args(tmp_path, capsys)
+    args[args.index("--host-pair") + 1] = "L.3,L.1,L.9"
+    rc, out, err = run(capsys, *args)
+    assert (rc, out) == (1, "")
+    assert err == "error: pair edge ('L.1', 'L.9') is no edge of the triangulation\n"
+
+
+def test_glue_names_the_census_of_a_host_that_is_a_piece(tmp_path, capsys):
+    # the roles swapped: the four-zigzag BP(4) as host, the z-knotted BP(3) as piece
+    args = glue_args(tmp_path, capsys)
+    host, piece = args[args.index("--host") + 1], args[args.index("--piece") + 1]
+    args[args.index("--host") + 1], args[args.index("--piece") + 1] = piece, host
+    args[args.index("--host-pair") + 1] = "R.1,R.2,R.3"
+    args[args.index("--piece-pair") + 1] = "L.3,L.1,L.2"
+    rc, out, err = run(capsys, *args)
+    assert (rc, out) == (1, "")
+    assert err == "error: a host needs one zigzag, not 4\n"
+
+
 @pytest.mark.parametrize("piece_pair", ("R.1,R.2,R.3", "R.3,R.2,R.1"))
 def test_glue_names_the_census_of_a_z_knotted_piece(tmp_path, capsys, piece_pair):
     host = tmp_path / "L3.tri"

@@ -364,6 +364,12 @@ def test_plan_gluing_raises_when_nothing_fits(tree_corpus):
     host_pair = find_special_pairs(host)[0]
     with pytest.raises(SurgeryError, match="do not match in either role order"):
         plan_gluing(host, host_pair, piece, ())
+    # a piece is no host: the four-zigzag BP(4) before a BP(6) piece, or
+    # before the z-knotted BP(3) with the roles swapped
+    six = canonical(6, "S.")
+    for other, pairs in ((six, find_piece_pairs(six)), (host, (host_pair,))):
+        with pytest.raises(SurgeryError, match="a host needs one zigzag, not 4"):
+            plan_gluing(piece, find_piece_pairs(piece)[0], other, pairs)
     # a z-knotted piece is no piece, whatever candidates it is given
     knotted_piece = canonical(5, "R.")
     with pytest.raises(SurgeryError, match="two or four zigzags, not 1"):

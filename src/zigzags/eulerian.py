@@ -92,7 +92,7 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
     for u, w in emb.arcs:
         if u == w:
             violations.append(f"arc {u}->{w} is a loop")
-        if (w, u) in arcset:
+        if u < w and (w, u) in arcset:  # each pair once; a loop is no pair
             violations.append(f"arcs {u}->{w} and {w}->{u} are antiparallel")
         for x in (u, w):
             if x not in known:

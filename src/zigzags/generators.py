@@ -21,7 +21,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .engine import Classification, ZOrientation, _orient_along, classify, enumerate_zigzags
-from .surgery import InvariantError, SpecialPair, glue, plan_gluing
+from .surgery import InvariantError, SpecialPair, _Surface
 from .triangulation import (
     ParseError,
     Triangulation,
@@ -132,22 +132,31 @@ class TreeSpec:
     edges: tuple[tuple[str, str], ...]
 
     def __post_init__(self) -> None:
+        for node in self.nodes:
+            if not (
+                isinstance(node, (tuple, list)) and len(node) == 2
+                and type(node[0]) is str and type(node[1]) is int
+            ):
+                raise TreeError(f"node {node!r} is not an (id string, integer label) pair")
         ids = [i for i, _ in self.nodes]
         if len(set(ids)) != len(ids):
             raise TreeError("duplicate node ids")
         known = set(ids)
         seen = set()
         for e in self.edges:
-            if e[0] == e[1]:
+            if not (isinstance(e, (tuple, list)) and len(e) == 2):
+                raise TreeError(f"edge {e!r} does not join two nodes")
+            u, w = e
+            if u == w:
                 raise TreeError(f"edge {e} joins a node to itself")
-            if not set(e) <= known:
+            if not (type(u) is str and type(w) is str and u in known and w in known):
                 raise TreeError(f"edge {e} references an unknown node")
-            key = tuple(sorted(e))
+            key = (u, w) if u < w else (w, u)
             if key in seen:
                 raise TreeError(f"duplicate edge {e}")
             seen.add(key)
         object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
-        object.__setattr__(self, "edges", tuple(sorted(tuple(sorted(e)) for e in self.edges)))
+        object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @property
     def labels(self) -> dict[str, int]:
@@ -295,11 +304,13 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     available base pair.  The result is z-knotted and homogeneous with
     exactly two type-I vertices (the two apexes) per tree node.
 
-    Each step calls plan_gluing and glue on classifications it already
-    holds: the host's is the one the previous glue returned from verifying
-    its result, and each piece bipyramid is built and classified once.
-    Raises InvariantError when a glue or the finished build fails its
-    verification.
+    Every glue runs in place on one growing surface (surgery._Surface): the
+    host pair is resolved on it by the rule resolve_site follows, the piece
+    bipyramid is built and classified once, and the glue is checked at the
+    cost of what it changed.  The finished sphere is then audited once in
+    full, as glue audits its result, and for Euler characteristic 2 and two
+    type-I vertices per node.  Raises InvariantError, naming the glue, when
+    a glue fails its checks, and when the finished build fails its audit.
     """
     report = validate_tree(spec)
     if not report.ok:
@@ -308,7 +319,7 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     adj = spec.adjacency()
     root = spec.root  # a valid tree has exactly one odd-labeled node, its root
 
-    host = _bipyramid_analysis(labels[root], _node_prefix(root))
+    surface = _Surface(_bipyramid_analysis(labels[root], _node_prefix(root)))
     # base vertex i of a node may have been renamed when the node was glued
     names: dict[str, dict[int, str]] = {}
     cursor: dict[str, int] = {root: 1}
@@ -336,38 +347,35 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
             cursor[u] += 2
 
             n_c = labels[c]
-            host_site, piece_site = plan_gluing(
-                host, host_pair, _bipyramid_analysis(n_c, _node_prefix(c)),
+            cut, piece_site = surface.plan(
+                host_pair, _bipyramid_analysis(n_c, _node_prefix(c)),
                 (base_pair(c, j) for j in range(1, n_c + 1)),
             )
-            host = glue(host_site, piece_site)
+            surface.glue(cut, piece_site, f"glued node {c} into {u}")
             prefix_len = len(_node_prefix(c))
             names[c] = {
-                int(piece_site.v1[prefix_len:]): host_site.v1,
-                int(piece_site.v2[prefix_len:]): host_site.v2,
+                int(piece_site.v1[prefix_len:]): cut.pair.v1,
+                int(piece_site.v2[prefix_len:]): cut.pair.v2,
             }
             # the next base triple starts where the glued one ends
             cursor[c] = int(piece_site.v[prefix_len:]) + 1
             records.append(
                 GluingRecord(
-                    u, c, host_site.pair, piece_site.pair, piece_site.kind,
-                    len(host.triangulation.vertices), len(host.triangulation.edges),
-                    len(host.triangulation.faces), len(host.orientation.chosen[0]),
+                    u, c, cut.pair, piece_site.pair, piece_site.kind,
+                    len(surface.vertex_faces), len(surface.edge_faces),
+                    len(surface.faces), len(surface.passes),
                 )
             )
             queue.append(c)
 
-    t, tau = host.triangulation, host.orientation
+    built = surface.finish()
+    t = built.triangulation
     chi = t.euler_characteristic()
     if chi != 2:
         raise InvariantError(f"tree build has Euler characteristic {chi}, not 2")
-    if len(tau.zigzags) != 1:
-        raise InvariantError(f"tree build has {len(tau.zigzags)} zigzags, not 1")
-    if not host.homogeneous:
-        raise InvariantError("tree build's z-orientation is not homogeneous")
-    if len(host.type_i_vertices) != 2 * len(spec.nodes):
+    if len(built.type_i_vertices) != 2 * len(spec.nodes):
         raise InvariantError(
-            f"tree build has {len(host.type_i_vertices)} type-I vertices, "
+            f"tree build has {len(built.type_i_vertices)} type-I vertices, "
             f"not 2 per node ({2 * len(spec.nodes)})"
         )
-    return t, tau, BuildLog(tuple(records))
+    return t, built.orientation, BuildLog(tuple(records))

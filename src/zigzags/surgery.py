@@ -36,33 +36,41 @@ analysis classify(t, tau) builds once t passes its closed-surface check,
 and reads the pass positions and face shadows it derives on first use.  A
 GluingSite stores only what resolving decides: the classification it was
 resolved on, the pair in its role order, the +/- side of each interior link
-vertex of v, and the four cut segments with their ends.  It derives the rest: its kind from the zigzag census (one zigzag makes a
-host, two or four a piece), the pair edges' directions from the
-classification, and each pair face's label from the side of that face's
-interior link vertex.
+vertex of v, and the four cut segments with their ends.  It derives the
+rest: its kind from the zigzag census (one zigzag makes a host, two or four
+a piece), the pair edges' directions from the classification, and each pair
+face's label from the side of that face's interior link vertex.
 
 Gluing renames vertices by one rule (_namer), for faces, passes and edges
 alike: v becomes v+ or v-, the side of the interior link vertex of the face
 or edge it lies on, and the piece's v1, v2 take the host's names.
 
-All glue outputs are verified rather than trusted, each check at the cost
-of what the gluing changed.  The glued surface is spliced from the host's
-(Triangulation._spliced): only the faces at v are renamed, the piece's faces
-are appended, and only the edges and vertices those faces touch are checked
-for two faces and a one-cycle link.  The predicted zigzag is then walked on
-the glued surface (engine._sole_zigzag_shadow): its turns follow the
-successor rule and its states with their reversals are all 6F states, so it
-is the only zigzag, and no census is enumerated.  glue also checks the
-V, E, F sums, homogeneity, and type-I vertex preservation against the
-sites' classifications; any failure raises InvariantError, an explicit
-check that also runs under python -O.  glue returns the glued result's
-classification, built by that verification with the walk's face shadow,
-which a caller such as generators.tree_build hands to its next plan_gluing.
+All glue outputs are verified rather than trusted.  A _Surface holds a
+growing surface, and each glue changes it in place: only the faces and
+passes at v are renamed, the piece's faces are appended, and the glued walk
+rearranges the host's four arcs around the split edges' passes and the
+piece's renamed segments.  Each glue is then checked at the cost of what it
+changed: the edges and vertices it touched lie in two faces and have a
+one-cycle link; the V, E, F sums hold; where the zigzag changed, its passes
+chain, its turns follow the successor rule and its II,I,I phase holds; each
+split or new edge is passed twice with the type of the edge it came from,
+the split copies type II; every new face is type I; and each touched vertex
+keeps its type.  A finished surface is audited once in full: its
+Triangulation is validated, the zigzag is walked as its only zigzag
+(engine._sole_zigzag_shadow), and classify, homogeneity and the type-I
+vertices are checked.  Any failure raises InvariantError, an explicit check
+that also runs under python -O, and a failed glue check names the glue.
+glue runs one gluing on a copy of the host and audits the result;
+generators.tree_build runs all of a tree's gluings on one surface and
+audits it once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
+from typing import NamedTuple
 
 from .engine import (
     Classification,
@@ -74,7 +82,14 @@ from .engine import (
     classify,
     make_pass,
 )
-from .triangulation import Triangulation, edge_key, face_key
+from .triangulation import (
+    Triangulation,
+    _edge_violations,
+    _link_cycle,
+    _link_violations,
+    edge_key,
+    face_key,
+)
 
 __all__ = [
     "SurgeryError",
@@ -93,10 +108,13 @@ __all__ = [
 ]
 
 Edge = tuple[str, str]
+Face = tuple[str, str, str]
 
 HOST = "host"
 TWO_ZIGZAG = "two_zigzag_piece"
 FOUR_ZIGZAG = "four_zigzag_piece"
+# the site kind of a zigzag census; any other census makes none
+_KINDS = {1: HOST, 2: TWO_ZIGZAG, 4: FOUR_ZIGZAG}
 
 
 class SurgeryError(ValueError):
@@ -143,9 +161,8 @@ class SpecialPair:
 
 
 def _kind(cls: Classification) -> str | None:
-    """The site kind of a zigzag census: 1, 2, 4 zigzags make a host, a
-    two-zigzag piece, a four-zigzag piece; any other census makes none."""
-    return {1: HOST, 2: TWO_ZIGZAG, 4: FOUR_ZIGZAG}.get(len(cls.orientation.zigzags))
+    """The site kind of a classification's zigzag census."""
+    return _KINDS.get(len(cls.orientation.zigzags))
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,23 +229,23 @@ def _require_homogeneous(cls: Classification, message: str) -> None:
         raise SurgeryError(message)
 
 
-def _heads(cls: Classification, pair: SpecialPair) -> tuple[bool, ...]:
-    """Whether e1 and whether e2 point into the shared vertex."""
-    return tuple(cls.edge_directions[e][1] == pair.shared_vertex for e in (pair.e1, pair.e2))
+def _heads(directions: dict[Edge, tuple[str, str]], pair: SpecialPair) -> tuple[bool, ...]:
+    """Whether e1 and whether e2 point into the shared vertex, given the
+    type-II edge directions."""
+    return tuple(directions[e][1] == pair.shared_vertex for e in (pair.e1, pair.e2))
 
 
 # ----------------------------------------------------------------------
 # finding pairs
 
 
-def _pattern_problem(cls: Classification, kind: str | None, e1: Edge, e2: Edge) -> str | None:
-    """Why the type-II edges e1, e2 miss the occurrence pattern of a site
+def _pattern_problem(kind: str, e1: Edge, e2: Edge, at1, at2) -> str | None:
+    """Why the type-II edges e1, e2, passed at the (zigzag index, position)
+    lists at1 and at2 in walk order, miss the occurrence pattern of a site
     kind (a host's: see the module docstring; a piece's: find_piece_pairs),
     or None.  Double cover passes each of them twice."""
-    if kind is None:
-        return f"no site kind for a census of {len(cls.orientation.zigzags)} zigzags"
-    (z1, a), (y1, b) = cls.pass_positions[e1]
-    (z2, c), (y2, d) = cls.pass_positions[e2]
+    (z1, a), (y1, b) = at1
+    (z2, c), (y2, d) = at2
     if kind == HOST:
         # passes are in walk order, so a < b: exactly one of c, d lies between
         if (a < c < b) == (a < d < b):
@@ -253,17 +270,17 @@ def _pattern_problem(cls: Classification, kind: str | None, e1: Edge, e2: Edge) 
 def _candidates(cls: Classification) -> list[tuple[Edge, Edge, str]]:
     """(c1, c2, v), sorted, for the type-II edges c1 < c2 that share a vertex
     v and show the occurrence pattern of the census's site kind."""
-    kind = _kind(cls)
-    at: dict[str, list[Edge]] = {}
+    kind, at = _kind(cls), cls.pass_positions
+    by_vertex: dict[str, list[Edge]] = {}
     for e in cls.type_ii_edges:
         for v in e:
-            at.setdefault(v, []).append(e)
+            by_vertex.setdefault(v, []).append(e)
     return sorted(
         (c1, c2, v)
-        for v, es in at.items()
+        for v, es in by_vertex.items()
         for i, c1 in enumerate(es)
         for c2 in es[i + 1:]
-        if _pattern_problem(cls, kind, c1, c2) is None
+        if _pattern_problem(kind, c1, c2, at[c1], at[c2]) is None
     )
 
 
@@ -282,7 +299,7 @@ def find_special_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
     for c1, c2, v in _candidates(cls):
         if v not in links:
             links[v] = _link_positions(cls.triangulation, v)
-        out.append(_labeling(cls, SpecialPair(c1, c2, v), links[v])[0])
+        out.append(_labeled(cls, SpecialPair(c1, c2, v), links[v])[0])
     return tuple(out)
 
 
@@ -323,9 +340,13 @@ _NO_LABELING = "no +/- labeling is consistent with the side condition"
 _NOT_HOMOGENEOUS_SITE = "gluing sites require a homogeneous z-orientation"
 
 
+def _positions(cycle) -> dict[str, int]:
+    """Link vertex -> its position along the link cycle."""
+    return {w: i for i, w in enumerate(cycle)}
+
+
 def _link_positions(t: Triangulation, v: str) -> dict[str, int]:
-    """Link vertex of v -> its position along the link cycle."""
-    return {w: i for i, w in enumerate(t.vertex_link(v).cycle)}
+    return _positions(t.vertex_link(v).cycle)
 
 
 def _segment(z: Zigzag, start: int, stop: int) -> tuple[Pass, ...]:
@@ -334,33 +355,42 @@ def _segment(z: Zigzag, start: int, stop: int) -> tuple[Pass, ...]:
     return tuple(z.passes[(start + k) % n] for k in range(1, (stop - start - 1) % n + 1))
 
 
-def _pair_problem(cls: Classification, pair: SpecialPair) -> str | None:
-    """Why the pair misses the occurrence pattern of its site kind, or None.
+def _pair_problem(census: int, edge_types: dict, pair: SpecialPair, passes_of) -> str | None:
+    """Why the pair misses the occurrence pattern of its site kind, or None;
+    passes_of(e) lists a type-II edge's passes as _pattern_problem takes them.
 
     Every reason here holds for both role orders of a pair or for neither.
     """
     for e in (pair.e1, pair.e2):
-        edge_type = cls.edge_types.get(e)
+        edge_type = edge_types.get(e)
         if edge_type is None:
             return f"pair edge {e} is no edge of the triangulation"
         if edge_type != "II":
             return f"pair edge {e} is not type II"
-    return _pattern_problem(cls, _kind(cls), pair.e1, pair.e2)
+    kind = _KINDS.get(census)
+    if kind is None:
+        return f"no site kind for a census of {census} zigzags"
+    return _pattern_problem(kind, pair.e1, pair.e2, passes_of(pair.e1), passes_of(pair.e2))
 
 
 def _checked(cls: Classification, pair: SpecialPair) -> SpecialPair:
-    problem = _pair_problem(cls, pair)
+    census = len(cls.orientation.zigzags)
+    problem = _pair_problem(census, cls.edge_types, pair, lambda e: cls.pass_positions[e])
     if problem is not None:
         raise SurgeryError(problem)
     return pair
 
 
-def _labeling(cls: Classification, pair: SpecialPair, pos: dict[str, int]):
+def _labeling(pair: SpecialPair, pos: dict[str, int], faces, at, entered, host: bool):
     """The one +/- labeling of a checked pair (see Sides and Role orders
-    above), in O(1) given pos, the link position map of the shared vertex v.
+    above), in O(1) given pos, the link position map of the shared vertex v;
+    faces, the four faces at e1 and e2; at, for e1 and for e2 its passes as
+    (zigzag index, position) in walk order; and entered(zi, r), the face
+    the pass at r of zigzag zi enters.  host reads the role order off the
+    walk.
 
-    Returns the pair in its role order, read off the walk for a host, the
-    sign of a link vertex, and each pass's key -> (zigzag index, position).
+    Returns the pair in its role order, the sign of a link vertex, and each
+    pass's key -> (zigzag index, position).
     """
     v, v1, v2 = pair.shared_vertex, pair.v1, pair.v2
     n, i1 = len(pos), pos[v1]
@@ -379,26 +409,52 @@ def _labeling(cls: Classification, pair: SpecialPair, pos: dict[str, int]):
     def arc(w: str) -> bool:
         return (pos[w] - i1) % n < span
 
-    t = cls.triangulation
-    minus = arc(inner(min(*t.edge_faces(pair.e1), *t.edge_faces(pair.e2))))
+    minus = arc(inner(min(faces)))
 
     def sign(w: str) -> str:
         return "-" if arc(w) == minus else "+"
 
     keys: dict[str, tuple[int, int]] = {}
-    for index, e in ((1, pair.e1), (2, pair.e2)):
-        passes = cls.pass_positions[e]
+    for index, e, passes in ((1, pair.e1, at[0]), (2, pair.e2, at[1])):
         for zi, r in passes:
-            keys[f"{index}{sign(inner(cls.face_shadows[zi][r]))}"] = (zi, r)
+            keys[f"{index}{sign(inner(entered(zi, r)))}"] = (zi, r)
         if f"{index}+" not in keys or f"{index}-" not in keys:
             what = "occurrences of" if passes[0][0] == passes[-1][0] else "zigzags through"
             raise SurgeryError(f"{what} {e} do not cross its faces oppositely")
-    if _kind(cls) == HOST:
+    if host:
         walk = sorted(keys, key=keys.__getitem__)
         if walk[(walk.index("1+") + 1) % 4] != "2+":
             pair = pair.swapped()
             keys = {f"{3 - int(k[0])}{k[1]}": at for k, at in keys.items()}
     return pair, sign, keys
+
+
+def _labeled(cls: Classification, pair: SpecialPair, pos: dict[str, int]):
+    """_labeling on a classification: the faces come from its triangulation,
+    the passes from its pass positions and face shadows."""
+    t, shadows, at = cls.triangulation, cls.face_shadows, cls.pass_positions
+    faces = (*t.edge_faces(pair.e1), *t.edge_faces(pair.e2))
+    return _labeling(
+        pair, pos, faces, (at[pair.e1], at[pair.e2]), lambda zi, r: shadows[zi][r],
+        _kind(cls) == HOST,
+    )
+
+
+def _sides(pos: dict[str, int], sign, pair: SpecialPair) -> dict[str, str]:
+    """Each interior link vertex of v, every one but v1 and v2 -> its sign."""
+    return {w: sign(w) for w in pos if w != pair.v1 and w != pair.v2}
+
+
+def _ends(keys: dict[str, tuple[int, int]], lengths) -> dict[str, str]:
+    """Each key -> the key of the next pair pass along its zigzag, of the
+    length lengths[zigzag index]."""
+    return {
+        key: min(
+            (k for k, (zj, _) in keys.items() if zj == zi),
+            key=lambda k: (keys[k][1] - r - 1) % lengths[zi],
+        )
+        for key, (zi, r) in keys.items()
+    }
 
 
 def _resolve(cls: Classification, pair: SpecialPair, reorder: bool = False) -> GluingSite:
@@ -412,19 +468,13 @@ def _resolve(cls: Classification, pair: SpecialPair, reorder: bool = False) -> G
     of each zigzag, a four-zigzag piece's whole zigzags less one pass.
     """
     pos = _link_positions(cls.triangulation, pair.shared_vertex)
-    ordered, sign, keys = _labeling(cls, pair, pos)
+    ordered, sign, keys = _labeled(cls, pair, pos)
     if ordered is not pair and not reorder:
         raise SurgeryError(_NO_LABELING)
-    segments, ends = {}, {}
-    for key, (zi, r) in keys.items():
-        z = cls.orientation.chosen[zi]
-        ends[key] = min(
-            (k for k, (zj, _) in keys.items() if zj == zi),
-            key=lambda k: (keys[k][1] - r - 1) % len(z),
-        )
-        segments[key] = _segment(z, r, keys[ends[key]][1])
-    cut = (pair.v1, pair.v2)
-    return GluingSite(cls, ordered, {w: sign(w) for w in pos if w not in cut}, segments, ends)
+    chosen = cls.orientation.chosen
+    ends = _ends(keys, [len(z) for z in chosen])
+    segments = {key: _segment(chosen[zi], r, keys[ends[key]][1]) for key, (zi, r) in keys.items()}
+    return GluingSite(cls, ordered, _sides(pos, sign, pair), segments, ends)
 
 
 def resolve_site(cls: Classification, pair: SpecialPair) -> GluingSite:
@@ -437,6 +487,23 @@ def resolve_site(cls: Classification, pair: SpecialPair) -> GluingSite:
     """
     _require_homogeneous(cls, _NOT_HOMOGENEOUS_SITE)
     return _resolve(cls, _checked(cls, pair))
+
+
+def _piece_site(piece: Classification, wanted: tuple[bool, ...], piece_pairs) -> GluingSite:
+    """The piece half of plan_gluing: the first candidate resolved in the
+    role order whose pair-edge heads are wanted."""
+    _require_homogeneous(piece, _NOT_HOMOGENEOUS_SITE)
+    if _kind(piece) not in (TWO_ZIGZAG, FOUR_ZIGZAG):
+        raise SurgeryError(
+            f"a piece needs two or four zigzags, not {len(piece.orientation.zigzags)}"
+        )
+    for cand in piece_pairs:
+        for pair in (_checked(piece, cand), cand.swapped()):
+            if _heads(piece.edge_directions, pair) == wanted:
+                return _resolve(piece, pair)
+    raise SurgeryError(
+        "pair directions at the shared vertices do not match in either role order"
+    )
 
 
 def plan_gluing(
@@ -457,19 +524,8 @@ def plan_gluing(
     if _kind(host) != HOST:
         raise SurgeryError(f"a host needs one zigzag, not {len(host.orientation.zigzags)}")
     host_site = _resolve(host, _checked(host, host_pair), reorder=True)
-    _require_homogeneous(piece, _NOT_HOMOGENEOUS_SITE)
-    if _kind(piece) not in (TWO_ZIGZAG, FOUR_ZIGZAG):
-        raise SurgeryError(
-            f"a piece needs two or four zigzags, not {len(piece.orientation.zigzags)}"
-        )
-    wanted = _heads(host, host_site.pair)
-    for cand in piece_pairs:
-        for pair in (_checked(piece, cand), cand.swapped()):
-            if _heads(piece, pair) == wanted:
-                return host_site, _resolve(piece, pair)
-    raise SurgeryError(
-        "pair directions at the shared vertices do not match in either role order"
-    )
+    wanted = _heads(host.edge_directions, host_site.pair)
+    return host_site, _piece_site(piece, wanted, piece_pairs)
 
 
 # ----------------------------------------------------------------------
@@ -482,34 +538,34 @@ def check_compatibility(host_site: GluingSite, piece_site: GluingSite) -> bool:
         raise SurgeryError("first argument must be a host site")
     if piece_site.kind not in (TWO_ZIGZAG, FOUR_ZIGZAG):
         raise SurgeryError("second argument must be a piece site")
-    return _heads(host_site.classification, host_site.pair) == _heads(
-        piece_site.classification, piece_site.pair
+    return _heads(host_site.classification.edge_directions, host_site.pair) == _heads(
+        piece_site.classification.edge_directions, piece_site.pair
     )
 
 
-def _split_names(host_site: GluingSite, piece_site: GluingSite) -> dict[str, str]:
-    """Side "+"/"-" -> the name v+/v- of that half of the split vertex."""
-    split = {side: host_site.v + side for side in "+-"}
-    indexes = (site.classification.triangulation._vertex_faces for site in (host_site, piece_site))
-    if any(name in index for index in indexes for name in split.values()):
+def _split_names(v: str, *vertex_indexes) -> dict[str, str]:
+    """Side "+"/"-" -> the name v+/v- of that half of the split vertex, a
+    name no vertex of the given indexes may have."""
+    split = {side: v + side for side in "+-"}
+    if any(name in index for index in vertex_indexes for name in split.values()):
         raise SurgeryError(
             f"split vertex names {split['+']!r}/{split['-']!r} collide with existing vertices"
         )
     return split
 
 
-def _namer(site: GluingSite, split: dict[str, str], renames: dict[str, str]):
+def _namer(v: str, sides: dict[str, str], split: dict[str, str], renames: dict[str, str]):
     """The one renaming rule of a gluing, for one site's faces, edges and passes.
 
     rename(cells, make) renames the vertices of each cell and rebuilds it as
     make(*entries); a cell with no vertex to rename is kept as it is, and a
     pass's edge entry, being no vertex, reaches make unchanged.  The split
-    vertex v takes the name split[side] for the side of the interior link
-    vertex of the face or edge it lies on: every face at v has one, and so
-    does every edge at v but e1 and e2.  A vertex in renames takes its new
-    name; any other keeps its own.
+    vertex v takes the name split[side] for the side, in sides, of the
+    interior link vertex of the face or edge it lies on: every face at v has
+    one, and so does every edge at v but e1 and e2.  A vertex in renames
+    takes its new name; any other keeps its own.
     """
-    v, sides, moved = site.v, site.vertex_sides, {site.v, *renames}
+    moved = {v, *renames}
 
     def renamed(cell, make):
         at = split[sides[next(w for w in cell if w in sides)]] if v in cell else v
@@ -518,44 +574,427 @@ def _namer(site: GluingSite, split: dict[str, str], renames: dict[str, str]):
     return lambda cells, make: [c if moved.isdisjoint(c) else renamed(c, make) for c in cells]
 
 
-def _namers(host_site: GluingSite, piece_site: GluingSite, split: dict[str, str]):
-    """The host's and the piece's renaming: the piece's v1, v2 take the host's names."""
-    renames = {piece_site.v1: host_site.v1, piece_site.v2: host_site.v2}
-    return _namer(host_site, split, {}), _namer(piece_site, split, renames)
+def _namers(pair: SpecialPair, sides: dict[str, str], piece_site: GluingSite, split):
+    """The renaming of the host, cut at pair with the given sides, and of the
+    piece: the piece's v1, v2 take the host's names."""
+    renames = {piece_site.v1: pair.v1, piece_site.v2: pair.v2}
+    return (
+        _namer(pair.shared_vertex, sides, split, {}),
+        _namer(piece_site.v, piece_site.vertex_sides, split, renames),
+    )
 
 
 def _renamed_pass(_edge: Edge, src: str, dst: str) -> Pass:
     return make_pass(src, dst)
 
 
+def _glued_walk(host_ends: dict[str, str], piece_ends: dict[str, str]):
+    """The eight steps of the glued walk (see the module docstring) as
+    (site, key): site 0 is the host, 1 the piece."""
+    ends, key = (host_ends, piece_ends), "1+"
+    for step in range(8):
+        yield step % 2, key
+        end = ends[step % 2][key]
+        key = end[0] + ("-" if end[1] == "+" else "+")
+
+
+def _edges_of(face: Face) -> tuple[Edge, Edge, Edge]:
+    a, b, c = face  # a face key is sorted, so its edges are canonical
+    return (a, b), (a, c), (b, c)
+
+
+def _turn(passes: list[Pass], i: int) -> Face:
+    """The face the walk turns in between passes i and i+1: pass i's edge
+    and pass i+1's end, as face_shadow reads it."""
+    (u, v), _, _ = passes[i]
+    w = passes[(i + 1) % len(passes)].dst
+    return (w, u, v) if w < u else (u, w, v) if w < v else (u, v, w)
+
+
+def _reindex(index: dict, lost, gained, cells) -> tuple[dict, list]:
+    """Move the lost faces out of index (cell -> its faces as a sorted tuple)
+    and the gained faces in, where cells(face) lists the cells of a face.
+    Returns each cell touched -> (its lost faces, its gained faces), and the
+    cells new to the index."""
+    change: dict = {}
+    for i, faces in enumerate((lost, gained)):
+        for f in faces:
+            for cell in cells(f):
+                change.setdefault(cell, ([], []))[i].append(f)
+    born = []
+    for cell, (out, into) in change.items():
+        if cell in index:
+            kept = list(index[cell])
+            for f in out:
+                kept.remove(f)
+            kept += into
+        else:
+            born.append(cell)
+            kept = into
+        if kept:
+            index[cell] = tuple(sorted(kept))
+        else:
+            del index[cell]
+    return change, born
+
+
+def _link_path(x: str, faces) -> tuple[str, ...] | None:
+    """The link edges of x in the given faces at x, walked from end to end
+    when they make one simple path; else None."""
+    nbrs: dict[str, list[str]] = {}
+    for f in faces:
+        y, z = (u for u in f if u != x)
+        nbrs.setdefault(y, []).append(z)
+        nbrs.setdefault(z, []).append(y)
+    ends = sorted(y for y, ns in nbrs.items() if len(ns) == 1)
+    if len(ends) != 2 or any(len(ns) > 2 for ns in nbrs.values()):
+        return None
+    path = [ends[0], nbrs[ends[0]][0]]
+    while path[-1] != ends[1]:
+        a, b = nbrs[path[-1]]
+        path.append(b if a == path[-2] else a)
+    return tuple(path) if len(path) == len(nbrs) else None
+
+
+def _relinked(x: str, lost, gained, born_edges: set, edge_faces: dict) -> bool:
+    """Whether the link of x, one cycle before x's lost faces were swapped
+    for its gained ones, is one cycle after: the lost faces' link edges make
+    a path, and the gained faces' a path between the same ends whose inner
+    vertices were no neighbours of x, while the lost path's are no more."""
+    old, new = _link_path(x, lost), _link_path(x, gained)
+    return (
+        old is not None
+        and new is not None
+        and {old[0], old[-1]} == {new[0], new[-1]}
+        and all(edge_key(x, y) in born_edges for y in new[1:-1])
+        and all(edge_key(x, y) not in edge_faces for y in old[1:-1])
+    )
+
+
+class _Cut(NamedTuple):
+    """A host pair resolved on a _Surface: the pair in its role order, the
+    side of each interior link vertex, each key's (zigzag index, position)
+    in the surface's pass list, and each key's segment end."""
+
+    pair: SpecialPair
+    sides: dict[str, str]
+    keys: dict[str, tuple[int, int]]
+    ends: dict[str, str]
+
+
+class _Change(NamedTuple):
+    """What one splice changed, for its checks."""
+
+    sizes: tuple[int, int, int]  # the V, E, F the glued surface must have
+    gained: list[Face]  # the renamed faces at v and the piece's faces
+    edges: list[Edge]  # the edges of lost or gained faces, sorted
+    vertices: dict[str, tuple[list, list]]  # each vertex of one -> its lost, gained faces
+    born: list[Edge]  # the edges new to the surface
+    fresh: set[str]  # the vertices new to the surface
+    types: dict[Edge, str]  # each renamed or split edge -> the type it must have
+    copied: dict[Edge, str]  # each other piece edge -> its type
+    directions: dict[Edge, tuple[str, str]]  # each copied type-II edge -> its direction
+    junctions: list[int]  # the positions of the split edges' passes
+    dirty: list[int]  # the positions of the split and renamed passes
+    type_i: set[str]  # the piece's type-I vertices
+
+
+class _Surface:
+    """A z-knotted homogeneous surface that gluings grow in place.
+
+    It holds what its Triangulation and the Classification of its single
+    zigzag would, kept current glue by glue: the face list and each face's
+    slot in it, the edge and vertex indexes (cell -> its faces as a sorted
+    tuple, as Triangulation keeps them), the zigzag as a list of passes in
+    its chosen direction at any rotation, the edge types and type-II
+    directions, the type-I vertices, and how many type-II edges end at each
+    vertex.  A glue costs what it changes plus list.index scans and list
+    slices, which run in C; no Python loop runs over the host's faces, edges
+    or passes.
+    """
+
+    def __init__(self, host: Classification) -> None:
+        if _kind(host) != HOST:
+            raise SurgeryError(f"a host needs one zigzag, not {len(host.orientation.zigzags)}")
+        t = host.triangulation
+        self.faces = list(t.faces)
+        self.slots = dict(zip(self.faces, range(len(self.faces))))
+        self.edge_faces = dict(t._edge_faces)
+        self.vertex_faces = dict(t._vertex_faces)
+        self.passes = list(host.orientation.chosen[0].passes)
+        self.edge_types = dict(host.edge_types)
+        self.edge_directions = dict(host.edge_directions)
+        self.type_i = set(host.type_i_vertices)
+        # vertex -> the number of type-II edges ending at it
+        self.ii_ends = Counter(chain.from_iterable(host.edge_directions))
+
+    def _at(self, e: Edge) -> list[int]:
+        """The positions of the two passes over e, ascending: a type-II edge
+        is passed twice its one way, a type-I edge once each way."""
+        ps = self.passes
+        try:
+            if e in self.edge_directions:
+                p = Pass(e, *self.edge_directions[e])
+                i = ps.index(p)
+                return [i, ps.index(p, i + 1)]
+            u, w = e
+            return sorted((ps.index(Pass(e, u, w)), ps.index(Pass(e, w, u))))
+        except ValueError:
+            raise InvariantError(f"edge {e} is not passed twice as its type says") from None
+
+    def cut(self, pair: SpecialPair) -> _Cut:
+        """Resolve a host pair in the role order its labeling reads, by the
+        checks and labeling resolve_site runs on a classification."""
+        at: dict[Edge, list[tuple[int, int]]] = {}
+
+        def passes_of(e: Edge) -> list[tuple[int, int]]:
+            at[e] = [(0, r) for r in self._at(e)]
+            return at[e]
+
+        problem = _pair_problem(1, self.edge_types, pair, passes_of)
+        if problem is not None:
+            raise SurgeryError(problem)
+        v = pair.shared_vertex
+        pos = _positions(_link_cycle(v, self.vertex_faces[v]))
+        faces = (*self.edge_faces[pair.e1], *self.edge_faces[pair.e2])
+        ordered, sign, keys = _labeling(
+            pair, pos, faces, (at[pair.e1], at[pair.e2]), lambda _, r: _turn(self.passes, r),
+            host=True,
+        )
+        return _Cut(ordered, _sides(pos, sign, pair), keys, _ends(keys, (len(self.passes),)))
+
+    def plan(self, host_pair: SpecialPair, piece: Classification, piece_pairs):
+        """plan_gluing on this surface: (the host cut, the piece site)."""
+        cut = self.cut(host_pair)
+        return cut, _piece_site(piece, _heads(self.edge_directions, cut.pair), piece_pairs)
+
+    def splice(self, cut: _Cut, piece_site: GluingSite) -> _Change:
+        """Glue the piece in along the host cut, in place, unchecked.
+
+        The faces at v take their renamed keys in their slots and the
+        piece's renamed faces are appended.  The glued walk joins the split
+        edges' passes, the host's four arcs (slices of its pass list) and
+        the piece's renamed segments into the new pass list, and the host's
+        passes at v are renamed where they lie in it.
+        """
+        piece = piece_site.classification
+        tp = piece.triangulation
+        pair, v = cut.pair, cut.pair.shared_vertex
+        if any(u in self.vertex_faces for u in tp.vertices):
+            raise SurgeryError("host and piece vertex namespaces must be disjoint")
+        split = _split_names(v, self.vertex_faces, tp._vertex_faces)
+        host_rename, piece_rename = _namers(pair, cut.sides, piece_site, split)
+        sizes = (
+            len(self.vertex_faces) + len(tp.vertices) - 2,
+            len(self.edge_faces) + len(tp.edges),
+            len(self.faces) + len(tp.faces),
+        )
+
+        # each new edge and the type of the edge it came from: the renamed
+        # edges at v and of the piece, the pair edges' split copies type II,
+        # and the piece's other edges, copied as they are
+        lost = self.vertex_faces[v]
+        at_v = sorted({e for f in lost for e in _edges_of(f) if v in e} - pair.edges())
+        types = dict(zip(host_rename(at_v, edge_key), map(self.edge_types.__getitem__, at_v)))
+        halves = split.values()
+        types.update((edge_key(half, w), "II") for w in (pair.v1, pair.v2) for half in halves)
+        piece_pair = piece_site.pair.edges()
+        at_piece = [e for e in tp.edges if e not in piece_pair]
+        copied: dict[Edge, str] = {}
+        for e, g in zip(at_piece, piece_rename(at_piece, edge_key)):
+            (copied if g is e else types)[g] = piece.edge_types[e]
+        directions = {e: piece.edge_directions[e] for e in copied if copied[e] == "II"}
+
+        gained = host_rename(lost, face_key) + piece_rename(tp.faces, face_key)
+        edges, vertices, born, fresh = self._swap(lost, gained)
+
+        # the glued walk: each key's split-edge pass, then its host arc or
+        # its renamed piece segment
+        ps = self.passes
+        heads = {"1": self.edge_directions[pair.e1], "2": self.edge_directions[pair.e2]}
+        new: list[Pass] = []
+        junctions: list[int] = []  # where the split edges' passes lie in new
+        dirty: list[int] = []  # where the renamed passes lie in new
+        for site, key in _glued_walk(cut.ends, piece_site.ends):
+            junctions.append(len(new))
+            new.append(make_pass(*(split[key[1]] if x == v else x for x in heads[key[0]])))
+            start = len(new)
+            if site == 0:
+                r, stop = cut.keys[key][1], cut.keys[cut.ends[key]][1]
+                new += ps[r + 1:stop] if r < stop else ps[r + 1:] + ps[:stop]
+            else:
+                segment = piece_site.segments[key]
+                renamed = piece_rename(segment, _renamed_pass)
+                dirty += [start + i for i, (p, q) in enumerate(zip(segment, renamed)) if p is not q]
+                new += renamed
+        # the host's passes at v take their renamed edges where they lie
+        self.passes = new
+        moved = [r for e in at_v for r in self._at(e)]
+        for r, p in zip(moved, host_rename([new[r] for r in moved], _renamed_pass)):
+            new[r] = p
+        # a piece's type-I vertices are off its pair, so they keep their names
+        type_i = set(piece.type_i_vertices)
+        return _Change(
+            sizes, gained, edges, vertices, born, fresh, types, copied, directions, junctions,
+            junctions + dirty + moved, type_i,
+        )
+
+    def _swap(self, lost, gained):
+        """Put the gained faces in: the first ones in the lost faces' slots,
+        the rest at the end.  Returns the edges of lost or gained faces,
+        sorted; each vertex of one -> (its lost faces, its gained faces);
+        and the edges and the vertices new to the surface."""
+        n_faces = len(self.faces)
+        slots = [self.slots.pop(f) for f in lost]
+        slots += range(n_faces, n_faces + len(gained) - len(lost))
+        self.faces += gained[len(lost):]
+        for slot, g in zip(slots, gained):
+            if g in self.slots:
+                raise InvariantError(f"glued face {g} is repeated")
+            self.slots[g] = slot
+            self.faces[slot] = g
+        edges, born = _reindex(self.edge_faces, lost, gained, _edges_of)
+        vertices, fresh = _reindex(self.vertex_faces, lost, gained, lambda f: f)
+        return sorted(edges), vertices, born, set(fresh)
+
+    def check(self, change: _Change) -> None:
+        """The checks of one splice, each at the cost of what it changed (see
+        the module docstring); they bring the edge types and type-I
+        vertices up to date.  Raises InvariantError."""
+        ef, vf, born = self.edge_faces, self.vertex_faces, set(change.born)
+        violations = _edge_violations(ef, [e for e in change.edges if e in ef])
+        # a new vertex's whole link is walked, an old one's where it changed
+        violations += _link_violations(
+            sorted(x for x in change.vertices if x in vf),
+            lambda x: (
+                _link_cycle(x, vf[x]) is not None
+                if x in change.fresh
+                else _relinked(x, *change.vertices[x], born, ef)
+            ),
+        )
+        if violations:
+            raise InvariantError("glued face list is no closed surface: " + "\n".join(violations))
+        if (len(vf), len(ef), len(self.faces)) != change.sizes:
+            raise InvariantError("glued V, E, F are not the sums V-2, E, F of host and piece")
+        ps = self.passes
+        n = len(ps)
+        if n != 2 * len(ef):
+            raise InvariantError(f"zigzag has {n} passes, not 2E = {2 * len(ef)}")
+        strays = born ^ change.types.keys() ^ change.copied.keys()
+        if strays:
+            raise InvariantError(f"edge {min(strays)} is not both new and renamed from an edge")
+
+        # the walk where a pass is new or renamed: its passes chain and turn
+        # in faces, a different face after each pass.  Elsewhere two passes
+        # turn as they did in host or piece, in a face that kept its key
+        turns: dict[int, Face] = {}
+
+        def turn(i: int) -> Face:
+            i %= n
+            if i not in turns:
+                if ps[i].dst != ps[(i + 1) % n].src:
+                    raise InvariantError(f"passes {i} and {(i + 1) % n} do not chain")
+                turns[i] = _turn(ps, i)
+                if turns[i] not in self.slots:
+                    raise InvariantError(f"passes {i} and {(i + 1) % n} turn in no face")
+            return turns[i]
+
+        for d in change.dirty:
+            for i in (d - 1, d, d + 1):
+                if turn(i - 1) == turn(i):
+                    raise InvariantError(
+                        f"zigzag turns twice in face {turn(i)} at position {i % n}"
+                    )
+
+        # each renamed or split edge passed twice, with the type it must have
+        passed: dict[Edge, list[tuple[str, str]]] = {}
+        for d in change.dirty:
+            e, src, dst = ps[d]
+            passed.setdefault(e, []).append((src, dst))
+        types, directions, ends = self.edge_types, self.edge_directions, self.ii_ends
+        born_directions = dict(change.directions)
+        for e, kind in change.types.items():
+            got = passed.pop(e, [])
+            if len(got) != 2:
+                raise InvariantError(f"new edge {e} is passed {len(got)} time(s), not twice")
+            if ("II" if got[0] == got[1] else "I") != kind:
+                raise InvariantError(f"new edge {e} is not type {kind}")
+            types[e] = kind
+            if kind == "II":
+                born_directions[e] = got[0]
+        if passed:
+            raise InvariantError(f"zigzag passes {min(passed)}, no new edge, where it changed")
+        types.update(change.copied)
+        for e in change.edges:
+            if e not in ef:
+                del types[e]
+                ends.subtract(directions.pop(e, ()))
+        directions.update(born_directions)
+        for e in born_directions:
+            ends.update(e)
+
+        for f in change.gained:
+            if sum(types[e] == "II" for e in _edges_of(f)) != 1:
+                raise InvariantError(f"glued face {f} is not type I")
+
+        def ii(i: int) -> bool:
+            return types[ps[i % n].edge] == "II"
+
+        # the II,I,I phase across each junction; elsewhere every window of
+        # four passes reads as it did in host or piece
+        for j in change.junctions:
+            for i in range(j - 3, j + 1):
+                if ii(i) != ii(i + 3):
+                    raise InvariantError(f"zigzag breaks its II,I,I phase at position {i % n}")
+
+        # each touched vertex is type I, ending no type-II edge, exactly when
+        # host or piece had it so
+        self.type_i |= change.type_i
+        for x in change.vertices:
+            if x not in vf:
+                self.type_i.discard(x)
+                del ends[x]
+            elif (ends[x] == 0) != (x in self.type_i):
+                raise InvariantError(f"vertex {x} changed its type")
+
+    def glue(self, cut: _Cut, piece_site: GluingSite, what: str) -> None:
+        """Splice the piece in and check the splice; a failed check raises
+        InvariantError whose message starts with what, naming the glue."""
+        try:
+            self.check(self.splice(cut, piece_site))
+        except InvariantError as exc:
+            raise InvariantError(f"{what}: {exc}") from None
+
+    def finish(self) -> Classification:
+        """The surface's Triangulation and the classification of its zigzag,
+        after the full audit; the surface is spent."""
+        t = Triangulation._indexed(self.faces, self.edge_faces, self.vertex_faces)
+        if not t.validate().ok:
+            raise InvariantError(f"glued face list is no closed surface: {t.validate()}")
+        walked = Zigzag(tuple(self.passes))
+        shadow = _sole_zigzag_shadow(t, walked)
+        z = walked.canonical()
+        cls = classify(t, _oriented((z,), (0,) if z == walked else (1,)))
+        vars(cls)["face_shadows"] = (shadow,)  # where the cached property keeps it
+        if not cls.homogeneous:
+            raise InvariantError("glued orientation is not homogeneous")
+        if set(cls.type_i_vertices) != self.type_i:
+            raise InvariantError("gluing did not preserve the type-I vertices")
+        return cls
+
+
 def predict_glued_zigzag(host_site: GluingSite, piece_site: GluingSite) -> Zigzag:
     """Assemble the glued zigzag from the cut segments by the glued walk
-    (see the module docstring).
+    (see the module docstring), on a _Surface copied from the host.
 
     With host segments A and two-zigzag piece segments B the walk yields
     e1+, A1+, e2-, B2-, e2-, A2-, e1-, B1-, e1-, A1-, e2+, B2+, e2+, A2+,
     e1+, B1+.  With four-zigzag piece segments C it yields e1+, A1+, e2-,
     C2-, e2+, A2+, e1+, C1+, e1-, A1-, e2+, C2+, e2-, A2-, e1-, C1-.
     """
-    split = _split_names(host_site, piece_site)
-    return _predicted(host_site, piece_site, split, *_namers(host_site, piece_site, split))
-
-
-def _predicted(
-    host_site: GluingSite, piece_site: GluingSite, split: dict[str, str], host_rename, piece_rename
-) -> Zigzag:
-    """predict_glued_zigzag under the gluing's split names and renamings."""
-    sites = ((host_site, host_rename), (piece_site, piece_rename))
-    directions = {"1": host_site.e1_direction, "2": host_site.e2_direction}
-    v, key, passes = host_site.v, "1+", []
-    for step in range(8):
-        site, rename = sites[step % 2]
-        # the key's split edge copy, directed like the host's edge
-        passes.append(make_pass(*(split[key[1]] if x == v else x for x in directions[key[0]])))
-        passes += rename(site.segments[key], _renamed_pass)
-        end = site.ends[key]
-        key = end[0] + ("-" if end[1] == "+" else "+")
-    return Zigzag(tuple(passes))
+    surface = _Surface(host_site.classification)
+    surface.splice(surface.cut(host_site.pair), piece_site)
+    return Zigzag(tuple(surface.passes))
 
 
 def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
@@ -566,50 +1005,24 @@ def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
     piece site from a two- or four-zigzag homogeneous one; directions must
     match at the shared vertices and the vertex namespaces must be disjoint.
 
-    The glued surface is spliced from the host's: its faces at v are
-    renamed and the piece's faces appended, and only the edges and vertices
-    those faces touch are re-checked.  The predicted zigzag is verified by
-    walking it on the glued surface, not by enumerating its zigzags, and the
-    walk's face shadow becomes the result's.  Raises InvariantError when the
-    glued result fails a check: a closed surface, the V, E, F sums, the
-    prediction as its only zigzag, homogeneity, and the type-I vertices.
+    The gluing runs on a _Surface copied from the host, where the host pair
+    is resolved again: it is spliced in place and checked where it changed,
+    then the result is audited in full, its predicted zigzag walked as its
+    only zigzag rather than enumerated, and the walk's face shadow becomes
+    the result's.  Raises InvariantError when the glued result fails a
+    check: a closed surface, the V, E, F sums, the prediction as its only
+    zigzag, homogeneity, and the type-I vertices.
     """
-    host, piece = host_site.classification, piece_site.classification
-    th, tp = host.triangulation, piece.triangulation
     if host_site.kind != HOST:
         raise SurgeryError("host site must come from a z-knotted triangulation")
     if piece_site.kind not in (TWO_ZIGZAG, FOUR_ZIGZAG):
         raise SurgeryError("piece site must come from a two- or four-zigzag triangulation")
     if not check_compatibility(host_site, piece_site):
         raise SurgeryError("pair directions at the shared vertices do not match")
-    if any(u in th._vertex_faces for u in tp.vertices):  # the host's vertex index
-        raise SurgeryError("host and piece vertex namespaces must be disjoint")
-
-    split = _split_names(host_site, piece_site)
-    host_rename, piece_rename = _namers(host_site, piece_site, split)
-    at_v = th.vertex_faces(host_site.v)
-    glued = th._spliced(
-        dict(zip(at_v, host_rename(at_v, face_key))), piece_rename(tp.faces, face_key)
-    )
-    if not glued.validate().ok:
-        raise InvariantError(f"glued face list is no closed surface: {glued.validate()}")
-    if (len(glued.vertices), len(glued.edges), len(glued.faces)) != (
-        len(th.vertices) + len(tp.vertices) - 2,
-        len(th.edges) + len(tp.edges),
-        len(th.faces) + len(tp.faces),
-    ):
-        raise InvariantError("glued V, E, F are not the sums V-2, E, F of host and piece")
-
-    predicted = _predicted(host_site, piece_site, split, host_rename, piece_rename)
-    shadow = _sole_zigzag_shadow(glued, predicted)
-    z = predicted.canonical()
-    cls = classify(glued, _oriented((z,), (0,) if z == predicted else (1,)))
-    vars(cls)["face_shadows"] = (shadow,)  # where the cached property keeps it
-    if not cls.homogeneous:
-        raise InvariantError("glued orientation is not homogeneous")
-    if set(cls.type_i_vertices) != set(host.type_i_vertices) | set(piece.type_i_vertices):
-        raise InvariantError("gluing did not preserve the type-I vertices")
-    return cls
+    surface = _Surface(host_site.classification)
+    what = f"glued the piece at {piece_site.v} into the host at {host_site.v}"
+    surface.glue(surface.cut(host_site.pair), piece_site, what)
+    return surface.finish()
 
 
 # ----------------------------------------------------------------------
@@ -639,7 +1052,11 @@ def inherited_pairs(
     """
     if len(glued.orientation.zigzags) != 1:
         raise SurgeryError("inherited pairs are defined for a z-knotted glued triangulation")
-    host_rename, piece_rename = _namers(host_site, piece_site, _split_names(host_site, piece_site))
+    split = _split_names(
+        host_site.v,
+        *(site.classification.triangulation._vertex_faces for site in (host_site, piece_site)),
+    )
+    host_rename, piece_rename = _namers(host_site.pair, host_site.vertex_sides, piece_site, split)
 
     def survivors(site: GluingSite, pairs, rename):
         out = []
@@ -658,7 +1075,9 @@ def inherited_pairs(
             if (
                 len(shared) != 1
                 or any(glued.edge_types.get(e) != "II" for e in (new_e1, new_e2))
-                or _pattern_problem(glued, HOST, new_e1, new_e2)
+                or _pattern_problem(
+                    HOST, new_e1, new_e2, glued.pass_positions[new_e1], glued.pass_positions[new_e2]
+                )
             ):
                 raise SurgeryError(
                     f"pair {pair.e1}/{pair.e2} at {pair.shared_vertex!r} lies in the "

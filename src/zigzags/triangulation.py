@@ -69,32 +69,44 @@ def face_key(a: str, b: str, c: str) -> tuple[str, str, str]:
     return tuple(sorted((a, b, c)))
 
 
-def _stored_faces(faces, seen: set) -> list[tuple[str, str, str]]:
-    """Each face as its key, after the token, arity and duplicate checks;
-    seen holds the keys already stored and gains each new one."""
-    stored: list[tuple[str, str, str]] = []
-    tokens: set[str] = set()
-    for f in faces:
-        trio = tuple(f)
-        for tok in trio:
-            # a non-string may be unhashable: check it before any lookup
-            if type(tok) is not str or tok not in tokens:
-                tokens.add(_check_token(tok))
-        if len(trio) != 3:
-            raise TriangulationError(f"face must have 3 vertices, got {trio!r}")
-        key = face_key(*trio)
-        if key in seen:
-            raise TriangulationError(f"duplicate face {key!r}")
-        seen.add(key)
-        stored.append(key)
-    return stored
+def _link_cycle(v: str, faces) -> tuple[str, ...] | None:
+    """The link of v, given the faces at v, walked from its least vertex
+    toward the lesser of that vertex's two link-neighbors; None unless the
+    link is a single cycle."""
+    adj: dict[str, list[str]] = {}
+    n_edges = 0
+    for a, b, c in faces:
+        x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
+        adj.setdefault(x, []).append(y)
+        adj.setdefault(y, []).append(x)
+        n_edges += 1
+    if any(len(nb) != 2 for nb in adj.values()) or n_edges != len(adj):
+        return None
+    # degree-2 everywhere still allows several disjoint cycles
+    start = min(adj)
+    cycle = [start, min(adj[start])]
+    while True:
+        a, b = adj[cycle[-1]]
+        step = b if a == cycle[-2] else a
+        if step == start:
+            break
+        cycle.append(step)
+    return tuple(cycle) if len(cycle) == len(adj) else None
 
 
-def _resorted(keys: tuple, index: dict, born: list) -> tuple:
-    """The sorted keys of index, which held the sorted keys and since lost
-    some and gained the born ones.  The kept keys and the sorted born ones
-    make two sorted runs, which sorted() merges in linear time."""
-    return tuple(sorted([k for k in keys if k in index] + sorted(born)))
+def _edge_violations(edge_faces: dict, edges) -> list[str]:
+    """The given edges that do not lie in exactly two faces of the index."""
+    return [
+        f"edge {e[0]}-{e[1]} lies in {k} face(s), expected 2"
+        for e in edges
+        if (k := len(edge_faces[e])) != 2
+    ]
+
+
+def _link_violations(vertices, is_cycle) -> list[str]:
+    """The given vertices whose link is not a single cycle, as is_cycle(v)
+    tells."""
+    return [f"link of vertex {v} is not a single cycle" for v in vertices if not is_cycle(v)]
 
 
 @dataclass(frozen=True)
@@ -143,8 +155,23 @@ class Triangulation:
     """
 
     def __init__(self, faces) -> None:
+        stored: list[tuple[str, str, str]] = []
         seen: set[tuple[str, str, str]] = set()
-        self._faces: tuple[tuple[str, str, str], ...] = tuple(_stored_faces(faces, seen))
+        tokens: set[str] = set()
+        for f in faces:
+            trio = tuple(f)
+            for tok in trio:
+                # a non-string may be unhashable: check it before any lookup
+                if type(tok) is not str or tok not in tokens:
+                    tokens.add(_check_token(tok))
+            if len(trio) != 3:
+                raise TriangulationError(f"face must have 3 vertices, got {trio!r}")
+            key = face_key(*trio)
+            if key in seen:
+                raise TriangulationError(f"duplicate face {key!r}")
+            seen.add(key)
+            stored.append(key)
+        self._faces: tuple[tuple[str, str, str], ...] = tuple(stored)
         self._face_set = seen  # for membership tests
 
         edge_faces: dict[tuple[str, str], list] = {}
@@ -161,59 +188,19 @@ class Triangulation:
         self._edges = tuple(sorted(self._edge_faces))
         self._report: ValidationReport | None = None
 
-    def _spliced(self, replaced: dict, added) -> "Triangulation":
-        """This valid triangulation with each face f in replaced swapped for
-        replaced[f] and the faces in added appended, derived from its indices.
-
-        The faces come in the order [replaced.get(f, f) for f in self.faces]
-        + added, as Triangulation over that list stores them, and the new
-        faces pass the constructor's checks.  Only the index entries of the
-        edges and vertices on replaced or new faces are rewritten, and the
-        report covers just those cells: each such edge must lie in two faces
-        and each such vertex's link must be one cycle, since every other cell
-        keeps its faces.  Connectivity is not searched.  surgery.glue replaces
-        the faces at one vertex v and adds a connected piece: a connected
-        closed surface minus the open star of v stays connected, and the piece
-        shares the link vertices v1, v2 with it.
-        """
-        face_set = self._face_set.difference(replaced)
-        new = _stored_faces([*replaced.values(), *added], face_set)
-        swap = dict(zip(replaced, new))
-        edge_faces, vertex_faces = dict(self._edge_faces), dict(self._vertex_faces)
-        # each edge and vertex of a replaced or new face -> its new faces
-        edge_news: dict[tuple[str, str], list] = {}
-        vertex_news: dict[str, list] = {}
-        for f, gain in [*((f, ()) for f in replaced), *((f, (f,)) for f in new)]:
-            a, b, c = f  # sorted, so its edges are canonical
-            for e in ((a, b), (a, c), (b, c)):
-                edge_news.setdefault(e, []).extend(gain)
-            for v in f:
-                vertex_news.setdefault(v, []).extend(gain)
-        born_edges: list[tuple[str, str]] = []
-        born_vertices: list[str] = []
-        for index, news, born in (
-            (edge_faces, edge_news, born_edges), (vertex_faces, vertex_news, born_vertices)
-        ):
-            for cell, fs in news.items():
-                if cell not in index:
-                    born.append(cell)
-                kept = [g for g in index.get(cell, ()) if g not in swap] + fs
-                if kept:
-                    index[cell] = tuple(sorted(kept))
-                else:
-                    del index[cell]
-
-        t = object.__new__(Triangulation)
-        t._faces = tuple([swap.get(f, f) for f in self._faces] + new[len(replaced):])
-        t._face_set = face_set
+    @classmethod
+    def _indexed(cls, faces, edge_faces: dict, vertex_faces: dict) -> "Triangulation":
+        """The triangulation on a list of face keys, taking over an edge and
+        a vertex index (cell -> its faces as a sorted tuple) already built
+        for them, as the constructor would build it.  Nothing is checked
+        here: validate() runs in full on first use."""
+        t = object.__new__(cls)
+        t._faces = tuple(faces)
+        t._face_set = set(t._faces)
         t._edge_faces, t._vertex_faces = edge_faces, vertex_faces
-        t._vertices = _resorted(self._vertices, vertex_faces, born_vertices)
-        t._edges = _resorted(self._edges, edge_faces, born_edges)
-        edges = sorted(e for e in edge_news if e in edge_faces)
-        vertices = sorted(v for v in vertex_news if v in vertex_faces)
-        t._report = ValidationReport(
-            tuple(t._edge_violations(edges) + t._link_violations(vertices))
-        )
+        t._vertices = tuple(sorted(vertex_faces))
+        t._edges = tuple(sorted(edge_faces))
+        t._report = None
         return t
 
     # ------------------------------------------------------------------
@@ -283,32 +270,9 @@ class Triangulation:
     # ------------------------------------------------------------------
     # structure
 
-    def _link_cycle(self, v: str) -> tuple[str, ...] | None:
-        """The link of v walked from its least vertex toward the lesser of that
-        vertex's two link-neighbors; None unless the link is a single cycle."""
-        adj: dict[str, list[str]] = {}
-        n_edges = 0
-        for a, b, c in self.vertex_faces(v):
-            x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
-            adj.setdefault(x, []).append(y)
-            adj.setdefault(y, []).append(x)
-            n_edges += 1
-        if any(len(nb) != 2 for nb in adj.values()) or n_edges != len(adj):
-            return None
-        # degree-2 everywhere still allows several disjoint cycles
-        start = min(adj)
-        cycle = [start, min(adj[start])]
-        while True:
-            a, b = adj[cycle[-1]]
-            step = b if a == cycle[-2] else a
-            if step == start:
-                break
-            cycle.append(step)
-        return tuple(cycle) if len(cycle) == len(adj) else None
-
     def vertex_link(self, v: str) -> LinkCycle:
         """The link of v as a single cycle; error if the link is not one cycle."""
-        cycle = self._link_cycle(v)
+        cycle = _link_cycle(v, self.vertex_faces(v))
         if cycle is None:
             raise TriangulationError(f"link of vertex {v!r} is not a single cycle")
         return LinkCycle(v, cycle)
@@ -323,7 +287,7 @@ class Triangulation:
         violations: list[str] = []
         if not self._faces:
             violations.append("no faces")
-        violations += self._edge_violations(self._edges)
+        violations += _edge_violations(self._edge_faces, self._edges)
         if self._vertices:
             seen = _reachable(
                 self._vertices[0], lambda v: (u for f in self._vertex_faces[v] for u in f)
@@ -332,25 +296,11 @@ class Triangulation:
                 violations.append(
                     f"graph disconnected: reached {len(seen)} of {len(self._vertices)} vertices"
                 )
-        violations += self._link_violations(self._vertices)
+        violations += _link_violations(
+            self._vertices, lambda v: _link_cycle(v, self._vertex_faces[v]) is not None
+        )
         self._report = ValidationReport(tuple(violations))
         return self._report
-
-    def _edge_violations(self, edges) -> list[str]:
-        """The given edges that do not lie in exactly two faces."""
-        return [
-            f"edge {e[0]}-{e[1]} lies in {k} face(s), expected 2"
-            for e in edges
-            if (k := len(self._edge_faces[e])) != 2
-        ]
-
-    def _link_violations(self, vertices) -> list[str]:
-        """The given vertices whose link is not a single cycle."""
-        return [
-            f"link of vertex {v} is not a single cycle"
-            for v in vertices
-            if self._link_cycle(v) is None
-        ]
 
     def require_valid(self) -> None:
         report = self.validate()

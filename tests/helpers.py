@@ -6,6 +6,9 @@ import random
 from itertools import combinations
 
 from zigzags import (
+    BuildLog,
+    GluingRecord,
+    SpecialPair,
     Triangulation,
     TreeSpec,
     ZOrientation,
@@ -13,6 +16,7 @@ from zigzags import (
     bipyramid,
     bipyramid_canonical_zorientation,
     classify,
+    edge_key,
     find_piece_pairs,
     find_special_pairs,
     glue,
@@ -111,3 +115,57 @@ def random_flips(t: Triangulation, rng: random.Random, flips: int) -> Triangulat
             done += 1
     assert done == flips, "too few flippable edges"
     return Triangulation(faces)
+
+
+def public_gluing_build(spec: TreeSpec, sites=None):
+    """tree_build's loop folded through the public bipyramid,
+    bipyramid_canonical_zorientation, classify, plan_gluing and glue, each
+    step classifying its host afresh: the reference for a build that grows
+    one surface in place.  Each glue's (host_site, piece_site) is appended to
+    sites when a list is given."""
+    labels, adj, root = spec.labels, spec.adjacency(), spec.root
+    prefix = {i: f"node{i}." for i in labels}
+    t = bipyramid(labels[root], prefix[root])
+    tau = bipyramid_canonical_zorientation(labels[root], prefix[root])
+    names, cursor, records = {}, {root: 1}, []
+
+    def token(node, i):
+        i = (i - 1) % labels[node] + 1
+        return names.get(node, {}).get(i, f"{prefix[node]}{i}")
+
+    def base_pair(node, i):
+        return SpecialPair(
+            edge_key(token(node, i), token(node, i + 1)),
+            edge_key(token(node, i + 1), token(node, i + 2)),
+            token(node, i + 1),
+        )
+
+    parent_of, queue = {root: None}, [root]
+    while queue:
+        u = queue.pop(0)
+        for c in sorted(w for w in adj[u] if w != parent_of[u]):
+            parent_of[c] = u
+            host_pair = base_pair(u, cursor[u])
+            cursor[u] += 2
+            piece = bipyramid(labels[c], prefix[c])
+            piece_tau = bipyramid_canonical_zorientation(labels[c], prefix[c])
+            host_site, piece_site = plan_gluing(
+                classify(t, tau), host_pair, classify(piece, piece_tau),
+                [base_pair(c, j) for j in range(1, labels[c] + 1)],
+            )
+            if sites is not None:
+                sites.append((host_site, piece_site))
+            glued = glue(host_site, piece_site)
+            t, tau = glued.triangulation, glued.orientation
+            cut = len(prefix[c])
+            names[c] = {
+                int(piece_site.v1[cut:]): host_site.v1,
+                int(piece_site.v2[cut:]): host_site.v2,
+            }
+            cursor[c] = int(piece_site.v[cut:]) + 1
+            records.append(GluingRecord(
+                u, c, host_site.pair, piece_site.pair, piece_site.kind,
+                len(t.vertices), len(t.edges), len(t.faces), len(tau.chosen[0]),
+            ))
+            queue.append(c)
+    return t, tau, BuildLog(tuple(records))

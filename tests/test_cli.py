@@ -139,6 +139,14 @@ def test_convert_round_trip(bp5, tmp_path, capsys):
     assert set(parse_triangulation(back.read_text()).faces) == set(bipyramid(5).faces)
 
 
+def test_convert_names_an_antiparallel_pair_once(tmp_path, capsys):
+    eul = tmp_path / "anti.eul"
+    eul.write_text("v x\nv y\na 0 x y\na 1 y x\n")
+    rc, _, err = run(capsys, "convert", "--triangulate", str(eul))
+    assert rc == 1
+    assert err == "error: arcs x->y and y->x are antiparallel\n"
+
+
 def test_convert_extract_requires_bits(bp5, capsys):
     rc, _, err = run(capsys, "convert", "--extract", str(bp5))
     assert rc == 2

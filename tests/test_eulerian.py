@@ -57,10 +57,13 @@ def test_validate_ok():
 
 
 def test_validate_rejects_loops_and_antiparallel():
+    # a loop is no antiparallel pair, and each antiparallel pair is named once
     rep = validate_embedding(DirectedEmbedding(("x", "y"), (("x", "x"),), ()))
-    assert any("loop" in v for v in rep.violations)
+    assert rep.violations == ("arc x->x is a loop",)
     rep = validate_embedding(DirectedEmbedding(("x", "y"), (("x", "y"), ("y", "x")), ()))
-    assert any("antiparallel" in v for v in rep.violations)
+    assert rep.violations == ("arcs x->y and y->x are antiparallel",)
+    rep = validate_embedding(DirectedEmbedding(("x", "y"), (("y", "x"), ("x", "y")), ()))
+    assert rep.violations == ("arcs x->y and y->x are antiparallel",)
 
 
 def test_validate_rejects_unknown_vertex():

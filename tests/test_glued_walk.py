@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-import zigzags.generators as generators
+from helpers import public_gluing_build
 from zigzags import (
     FOUR_ZIGZAG,
     HOST,
@@ -20,7 +20,6 @@ from zigzags import (
     make_pass,
     plan_gluing,
     predict_glued_zigzag,
-    tree_build,
 )
 
 # The glued zigzag as the paper writes it: eK± is the pass of the split copy
@@ -76,7 +75,8 @@ def canonical(n: int, prefix: str, reverse: bool = False):
 def gluings(tree_corpus):
     """(host_site, piece_site) for every special pair of BP(3, 5, 7, 9, 11)
     with each piece BP(4 .. 14, even) in both orientations, when a piece
-    pair fits, and for every glue of the tree corpus's builds."""
+    pair fits, and for every glue of the tree corpus's builds, replayed
+    through the public plan_gluing and glue."""
     out = []
     pieces = [canonical(n, "R.", rev) for n in range(4, 15, 2) for rev in (False, True)]
     for n in range(3, 12, 2):
@@ -87,19 +87,8 @@ def gluings(tree_corpus):
                     out.append(plan_gluing(host, pair, piece, find_piece_pairs(piece)))
                 except SurgeryError:
                     pass
-    glue = generators.glue
-
-    def spy(host_site, piece_site):
-        out.append((host_site, piece_site))
-        return glue(host_site, piece_site)
-
-    patch = pytest.MonkeyPatch()
-    patch.setattr(generators, "glue", spy)
-    try:
-        for spec, *_ in tree_corpus:
-            tree_build(spec)
-    finally:
-        patch.undo()
+    for spec, *_ in tree_corpus:
+        public_gluing_build(spec, out)
     return out
 
 

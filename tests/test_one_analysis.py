@@ -7,6 +7,7 @@ import pytest
 import zigzags.cli as cli
 import zigzags.engine as engine
 import zigzags.generators as generators
+import zigzags.surgery as surgery
 from zigzags import (
     TreeSpec,
     Zigzag,
@@ -95,8 +96,21 @@ def test_generate_bipyramid_builds_and_enumerates_once(monkeypatch, capsys):
     ]
 
 
-def test_tree_build_glues_through_the_public_glue(monkeypatch):
-    glued = counted(monkeypatch, generators, "glue")
-    spec = TreeSpec((("r", 5), ("x", 4), ("y", 6)), (("r", "x"), ("r", "y")))
-    _, _, log = tree_build(spec)
-    assert len(glued) == len(log.records) == 2
+def _path(n: int) -> TreeSpec:
+    ids = [f"p{i:02d}" for i in range(n)]
+    labels = [3] + [4] * (n - 1)
+    return TreeSpec(tuple(zip(ids, labels)), tuple(zip(ids, ids[1:])))
+
+
+@pytest.mark.parametrize("n", (1, 2, 5, 12))
+def test_tree_build_audits_the_glued_surface_once(monkeypatch, n):
+    # however many glues a build runs, the glued surface is walked and
+    # classified once, at the end; each node's bipyramid is classified once
+    walked = counted(monkeypatch, surgery, "_sole_zigzag_shadow")
+    audited = counted(monkeypatch, surgery, "classify")
+    pieces = counted(monkeypatch, generators, "classify")
+    t, tau, log = tree_build(_path(n))
+    assert len(log.records) == n - 1
+    assert len(walked) == len(audited) == 1
+    assert walked[0][0] is audited[0][0] is t
+    assert len(pieces) == n

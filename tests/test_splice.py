@@ -1,10 +1,12 @@
-"""glue splices the host and walks the predicted zigzag: both against a
-fresh Triangulation and enumerate_zigzags, and both rejecting bad input."""
+"""Gluings run in place on a surgery._Surface, checked where they changed,
+and each finished surface is audited once: both against a fresh
+Triangulation, enumerate_zigzags and classify, and both rejecting bad input."""
 
 from __future__ import annotations
 
 import importlib
 import pkgutil
+from collections import Counter
 
 import pytest
 
@@ -13,9 +15,9 @@ import zigzags.surgery as surgery
 from zigzags import (
     InvariantError,
     Triangulation,
-    TriangulationError,
     Zigzag,
     bipyramid,
+    classify,
     enumerate_zigzags,
     face_shadow,
     glue,
@@ -24,7 +26,6 @@ from zigzags import (
     tree_build,
 )
 from zigzags.engine import _sole_zigzag_shadow
-from zigzags.triangulation import face_key
 
 
 def _walk(*vertices: str) -> Zigzag:
@@ -32,39 +33,67 @@ def _walk(*vertices: str) -> Zigzag:
     return Zigzag(tuple(make_pass(u, w) for u, w in zip(vertices, vertices[1:] + vertices[:1])))
 
 
-def test_every_glue_matches_a_fresh_build_and_enumeration(tree_corpus, glued_corpus, monkeypatch):
-    spliced, walked = [], []
-    splice, walk = Triangulation._spliced, surgery._sole_zigzag_shadow
+def _same_indexes(t: Triangulation) -> None:
+    """t's indexes are the ones the constructor builds from its faces."""
+    fresh = Triangulation(t.faces)
+    assert (t.faces, t.edges, t.vertices) == (fresh.faces, fresh.edges, fresh.vertices)
+    assert t._face_set == fresh._face_set
+    assert t._edge_faces == fresh._edge_faces
+    assert t._vertex_faces == fresh._vertex_faces
+    assert t.validate() == fresh.validate()
+    assert t.validate().ok
 
-    def spy_splice(self, replaced, added):
-        out = splice(self, replaced, added)
-        spliced.append(out)
-        return out
+
+def test_every_glue_matches_a_fresh_build_and_enumeration(tree_corpus, glued_corpus, monkeypatch):
+    walked = []
+    walk = surgery._sole_zigzag_shadow
 
     def spy_walk(t, z):
         shadow = walk(t, z)
         walked.append((t, z, shadow))
         return shadow
 
-    monkeypatch.setattr(Triangulation, "_spliced", spy_splice)
     monkeypatch.setattr(surgery, "_sole_zigzag_shadow", spy_walk)
-    for spec, t, _, log in tree_corpus:
+    for spec, t, _, _ in tree_corpus:
         assert tree_build(spec)[0].faces == t.faces
     for _, _, host_site, piece_site in glued_corpus.values():
         glue(host_site, piece_site)
-    assert len(spliced) == len(walked) == sum(len(log.records) for *_, log in tree_corpus) + 2
+    # one audit per build and per glue, however many glues a build runs
+    assert len(walked) == len(tree_corpus) + 2
 
-    for t in spliced:
-        fresh = Triangulation(t.faces)
-        assert (t.faces, t.edges, t.vertices) == (fresh.faces, fresh.edges, fresh.vertices)
-        assert t._face_set == fresh._face_set
-        assert t._edge_faces == fresh._edge_faces
-        assert t._vertex_faces == fresh._vertex_faces
-        assert t.validate() == fresh.validate()
-        assert t.validate().ok
     for t, z, shadow in walked:
+        _same_indexes(t)
         assert enumerate_zigzags(t) == (z.canonical(),)
         assert shadow == face_shadow(t, z)
+
+
+def test_the_surface_keeps_what_a_fresh_analysis_finds(tree_corpus, monkeypatch):
+    # the indexes, edge types, directions, type-I vertices and type-II edge
+    # ends the glues kept up to date are the ones a fresh Triangulation,
+    # enumeration and classify find on the finished surface
+    kept = []
+    finish = surgery._Surface.finish
+
+    def spy_finish(surface):
+        kept.append((
+            dict(surface.edge_types), dict(surface.edge_directions), set(surface.type_i),
+            +surface.ii_ends,
+        ))
+        return finish(surface)
+
+    monkeypatch.setattr(surgery._Surface, "finish", spy_finish)
+    for spec, t, tau, _ in tree_corpus:
+        kept.clear()
+        built = tree_build(spec)[0]
+        ((types, directions, type_i, ii_ends),) = kept
+        _same_indexes(built)
+        fresh = Triangulation(t.faces)
+        assert enumerate_zigzags(fresh) == (tau.chosen[0].canonical(),)
+        cls = classify(fresh, tau)
+        assert types == cls.edge_types
+        assert directions == cls.edge_directions
+        assert type_i == set(cls.type_i_vertices)
+        assert ii_ends == Counter(x for e in cls.edge_directions for x in e)
 
 
 def test_glue_neither_enumerates_nor_constructs(glued_corpus, monkeypatch):
@@ -94,10 +123,18 @@ def test_glue_neither_enumerates_nor_constructs(glued_corpus, monkeypatch):
 
 
 def test_walk_rejects_the_hosts_zigzag(glued_corpus):
-    t, _, host_site, _ = glued_corpus[6]
+    t, _, host_site, piece_site = glued_corpus[6]
     host_z = host_site.classification.orientation.chosen[0]
     with pytest.raises(InvariantError, match="zigzag has 18 passes, not 2E = 54"):
         _sole_zigzag_shadow(t, host_z)
+    # a spliced surface left with the host's zigzag fails the glue's check
+    # and the audit alike
+    for check in (True, False):
+        surface = surgery._Surface(host_site.classification)
+        change = surface.splice(surface.cut(host_site.pair), piece_site)
+        surface.passes = list(host_z.passes)
+        with pytest.raises(InvariantError, match="zigzag has 18 passes, not 2E = 54"):
+            surface.check(change) if check else surface.finish()
 
 
 def test_walk_rejects_a_zigzag_of_several():
@@ -132,31 +169,98 @@ def test_walk_accepts_a_z_knotted_zigzag_in_either_direction(glued_corpus):
     assert _sole_zigzag_shadow(t, z.reverse()) == face_shadow(t, z.reverse())
 
 
-def test_local_check_rejects_a_tampered_splice(glued_corpus):
+def _tampered_splice(monkeypatch, glued, piece_namer):
+    """A _Surface for a gluing of the glued corpus, spliced with the piece
+    renamed by piece_namer(piece_site, split, host_pair), unchecked."""
+    _, _, host_site, piece_site = glued
+    namers = surgery._namers
+
+    def tampered(pair, sides, piece_site, split):
+        return namers(pair, sides, piece_site, split)[0], piece_namer(piece_site, split, pair)
+
+    monkeypatch.setattr(surgery, "_namers", tampered)
+    surface = surgery._Surface(host_site.classification)
+    return surface, surface.splice(surface.cut(host_site.pair), piece_site)
+
+
+def _keep_v1(piece_site, split, pair):
+    """The piece's renaming, but for v1, which keeps the piece's name."""
+    return surgery._namer(piece_site.v, piece_site.vertex_sides, split, {piece_site.v2: pair.v2})
+
+
+def test_local_check_rejects_a_tampered_splice(glued_corpus, monkeypatch):
     _, _, host_site, piece_site = glued_corpus[4]
-    th = host_site.classification.triangulation
-    split = surgery._split_names(host_site, piece_site)
-    host_rename, _ = surgery._namers(host_site, piece_site, split)
-    # v2 takes the host's name, v1 keeps the piece's
-    piece_rename = surgery._namer(piece_site, split, {piece_site.v2: host_site.v2})
-    at_v = th.vertex_faces(host_site.v)
-    tp = piece_site.classification.triangulation
-    t = th._spliced(dict(zip(at_v, host_rename(at_v, face_key))), piece_rename(tp.faces, face_key))
-    report = t.validate()
-    assert not report.ok
-    assert any(piece_site.v1 in line for line in report.violations)
+    surface, change = _tampered_splice(monkeypatch, glued_corpus[4], _keep_v1)
+    with pytest.raises(InvariantError) as caught:
+        surface.check(change)
+    head, violations = str(caught.value).split(": ", 1)
+    assert head == "glued face list is no closed surface"
+    assert any(piece_site.v1 in line for line in violations.splitlines())
     # the local report is the full one but for the connectivity search
-    full = Triangulation(t.faces).validate().violations
-    assert report.violations == tuple(v for v in full if not v.startswith("graph disconnected"))
+    full = Triangulation(surface.faces).validate().violations
+    assert tuple(violations.splitlines()) == tuple(
+        v for v in full if not v.startswith("graph disconnected")
+    )
+    # glue names the gluing that failed
+    with pytest.raises(InvariantError) as caught:
+        glue(host_site, piece_site)
+    assert str(caught.value) == (
+        f"glued the piece at {piece_site.v} into the host at {host_site.v}: "
+        f"glued face list is no closed surface: {violations}"
+    )
 
 
-def test_splice_runs_the_constructors_face_checks():
-    t = bipyramid(4)
-    with pytest.raises(TriangulationError, match="duplicate face"):
-        t._spliced({}, [t.faces[0]])
-    with pytest.raises(TriangulationError, match="whitespace"):
-        t._spliced({}, [("1", "x y", "z")])
-    with pytest.raises(TriangulationError, match="3 vertices"):
-        t._spliced({t.faces[0]: ("1", "2")}, [])
-    # a replaced face leaves room for its replacement
-    assert t._spliced({t.faces[0]: t.faces[0]}, []).faces == t.faces
+def test_splice_rejects_a_repeated_face(glued_corpus, monkeypatch):
+    _, _, host_site, _ = glued_corpus[4]
+    kept = next(f for f in host_site.classification.triangulation.faces if host_site.v not in f)
+
+    def repeat_a_kept_face(piece_site, split, pair):
+        renames = {piece_site.v1: pair.v1, piece_site.v2: pair.v2}
+        rename = surgery._namer(piece_site.v, piece_site.vertex_sides, split, renames)
+        return lambda cells, make: (
+            [kept, *rename(cells, make)[1:]] if make is surgery.face_key else rename(cells, make)
+        )
+
+    with pytest.raises(InvariantError) as caught:
+        _tampered_splice(monkeypatch, glued_corpus[4], repeat_a_kept_face)
+    assert str(caught.value) == f"glued face {kept} is repeated"
+
+
+def _flip(kind: str) -> str:
+    return "I" if kind == "II" else "II"
+
+
+def _wrong_split_type(surface, change):
+    split_copy = next(e for e, kind in change.types.items() if kind == "II")
+    return change._replace(types={**change.types, split_copy: "I"})
+
+
+def _wrong_piece_type(surface, change):
+    edge = next(e for e, kind in change.copied.items() if kind == "I")
+    return change._replace(copied={**change.copied, edge: "II"})
+
+
+def _broken_phase(surface, change):
+    # a host edge off every new face, three passes after the first junction
+    edge = surface.passes[change.junctions[0] + 3].edge
+    assert all(edge not in surgery._edges_of(f) for f in change.gained)
+    surface.edge_types[edge] = _flip(surface.edge_types[edge])
+    return change
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda s, c: c._replace(sizes=(0, 0, 0)), "glued V, E, F are not the sums"),
+    (lambda s, c: c._replace(copied={}), r"edge \(.*\) is not both new and renamed"),
+    (_wrong_split_type, r"new edge \('L.1\+', 'L.3'\) is not type I$"),
+    (_wrong_piece_type, r"glued face \(.*\) is not type I$"),
+    (_broken_phase, "zigzag breaks its II,I,I phase at position 0$"),
+    (lambda s, c: c._replace(type_i=set()), "vertex R.a changed its type$"),
+])
+def test_each_check_names_the_fact_that_broke(glued_corpus, corrupt, message):
+    # a splice whose change or surface is corrupted after the fact fails
+    # the check of that fact, whatever the checks before it pass
+    _, _, host_site, piece_site = glued_corpus[6]
+    surface = surgery._Surface(host_site.classification)
+    change = surface.splice(surface.cut(host_site.pair), piece_site)
+    with pytest.raises(InvariantError, match=message):
+        surface.check(corrupt(surface, change))

@@ -29,7 +29,7 @@ from zigzags import (
     predict_glued_zigzag,
     resolve_site,
 )
-from zigzags.surgery import _labeling, _link_positions, _resolve
+from zigzags.surgery import _labeled, _link_positions, _resolve
 
 
 def canonical(n: int, prefix: str = ""):
@@ -171,7 +171,7 @@ def test_swapping_roles_keeps_the_labeling(role_order_outcomes):
     # sign and only swaps the 1/2 indices of the pass keys
     def labelings(cls, pair):
         pos = _link_positions(cls.triangulation, pair.shared_vertex)
-        return [(_labeling(cls, cand, pos), pos) for cand in (pair, pair.swapped())]
+        return [(_labeled(cls, cand, pos), pos) for cand in (pair, pair.swapped())]
 
     for cls, rows in role_order_outcomes:
         for pair, _ in rows:

@@ -13,22 +13,15 @@ from pathlib import Path
 import pytest
 
 import zigzags
-from helpers import random_tree_spec
+from helpers import public_gluing_build, random_tree_spec
 from zigzags import (
-    BuildLog,
-    GluingRecord,
-    SpecialPair,
     TreeError,
     TreeSpec,
-    bipyramid,
-    bipyramid_canonical_zorientation,
     classify,
-    edge_key,
-    glue,
     is_homogeneous,
     is_z_knotted,
-    plan_gluing,
     serialize_tree,
+    serialize_triangulation,
     tree_build,
     validate_tree,
 )
@@ -107,6 +100,15 @@ def test_rejects_invalid_specs():
     with pytest.raises(TreeError):
         # root label 3 allows one gluing slot but has two children
         tree_build(TreeSpec((("r", 3), ("x", 4), ("y", 4)), (("r", "x"), ("r", "y"))))
+    # malformed specs fail in the constructor, before any build
+    with pytest.raises(TreeError, match=r"edge \('r',\) does not join two nodes"):
+        TreeSpec((("r", 5), ("x", 4)), (("r",),))
+    with pytest.raises(TreeError, match=r"node \('r', 'x'\) is not an \(id string, integer"):
+        TreeSpec((("r", "x"),), ())
+    with pytest.raises(TreeError, match=r"node \('x', 4.0\) is not an \(id string, integer"):
+        TreeSpec((("r", 5), ("x", 4.0)), (("r", "x"),))
+    with pytest.raises(TreeError, match=r"node \(1, 5\) is not an \(id string, integer"):
+        TreeSpec(((1, 5),), ())
 
 
 def test_size_laws_over_random_corpus(tree_corpus):
@@ -140,57 +142,6 @@ def test_random_tree_spec_keeps_the_corpus(tree_corpus):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "91dcfce34e3cc1e1"
 
 
-def public_gluing_build(spec: TreeSpec):
-    """tree_build's loop folded through the public bipyramid,
-    bipyramid_canonical_zorientation, classify, plan_gluing and glue, each
-    step classifying its host afresh: the reference for a build that passes
-    each glue's classification on to the next step."""
-    labels, adj, root = spec.labels, spec.adjacency(), spec.root
-    prefix = {i: f"node{i}." for i in labels}
-    t = bipyramid(labels[root], prefix[root])
-    tau = bipyramid_canonical_zorientation(labels[root], prefix[root])
-    names, cursor, records = {}, {root: 1}, []
-
-    def token(node, i):
-        i = (i - 1) % labels[node] + 1
-        return names.get(node, {}).get(i, f"{prefix[node]}{i}")
-
-    def base_pair(node, i):
-        return SpecialPair(
-            edge_key(token(node, i), token(node, i + 1)),
-            edge_key(token(node, i + 1), token(node, i + 2)),
-            token(node, i + 1),
-        )
-
-    parent_of, queue = {root: None}, [root]
-    while queue:
-        u = queue.pop(0)
-        for c in sorted(w for w in adj[u] if w != parent_of[u]):
-            parent_of[c] = u
-            host_pair = base_pair(u, cursor[u])
-            cursor[u] += 2
-            piece = bipyramid(labels[c], prefix[c])
-            piece_tau = bipyramid_canonical_zorientation(labels[c], prefix[c])
-            host_site, piece_site = plan_gluing(
-                classify(t, tau), host_pair, classify(piece, piece_tau),
-                [base_pair(c, j) for j in range(1, labels[c] + 1)],
-            )
-            glued = glue(host_site, piece_site)
-            t, tau = glued.triangulation, glued.orientation
-            cut = len(prefix[c])
-            names[c] = {
-                int(piece_site.v1[cut:]): host_site.v1,
-                int(piece_site.v2[cut:]): host_site.v2,
-            }
-            cursor[c] = int(piece_site.v[cut:]) + 1
-            records.append(GluingRecord(
-                u, c, host_site.pair, piece_site.pair, piece_site.kind,
-                len(t.vertices), len(t.edges), len(t.faces), len(tau.chosen[0]),
-            ))
-            queue.append(c)
-    return t, tau, BuildLog(tuple(records))
-
-
 def test_build_matches_the_public_gluing_fold(tree_corpus):
     hand_written = [(spec, *tree_build(spec)) for spec in (TWO_CHILD, SINGLE, CHAIN, RUNNING)]
     for spec, t, tau, log in hand_written + tree_corpus:
@@ -201,37 +152,110 @@ def test_build_matches_the_public_gluing_fold(tree_corpus):
         assert str(log) == str(ref_log)
 
 
+def _numbered(n: int) -> list[str]:
+    return [f"{i:03d}" for i in range(n)]
+
+
+def path_tree(n: int) -> TreeSpec:
+    """A root labelled 3, then a chain of n - 1 nodes labelled 4."""
+    ids = _numbered(n)
+    return TreeSpec(tuple((i, 3 if i == ids[0] else 4) for i in ids), tuple(zip(ids, ids[1:])))
+
+
+def star_tree(n: int) -> TreeSpec:
+    """A root labelled 2(n - 1) + 1 with n - 1 leaves labelled 4."""
+    root, *leaves = _numbered(n)
+    nodes = ((root, 2 * (n - 1) + 1), *((i, 4) for i in leaves))
+    return TreeSpec(nodes, tuple((root, i) for i in leaves))
+
+
+# sha256 of build_digest's record: any change to a build's faces, bits,
+# zigzag or log changes it
+PINNED_BUILDS = {
+    (path_tree, 40): "a142f589a16ca0906a2c9b7d95eb4772dcdd5306aa4a6df796dbcec7639e1351",
+    (path_tree, 80): "5cf3cb95c788852d045b20a40431c9e3268cce93e556d7a3e2388efa3c30c23f",
+    (path_tree, 160): "1b3b927794eb8ca0da4c05962bad069083bca680427c0a5535b7e8affcd5a29b",
+    (star_tree, 40): "ed6222f9698ef56d4723031f5acd4f55042baccb5a803fe7af567254e7640414",
+    (star_tree, 80): "c59ce26c0724e474a279789279e748941a6e343095b51aae77ded73eb093f4b1",
+    (star_tree, 160): "f8e9f6ee17b4006d31f55b3b2e3476833a2b988b87296bed19103d6c0a841f27",
+}
+
+
+def build_digest(spec: TreeSpec) -> str:
+    t, tau, log = tree_build(spec)
+    record = (serialize_triangulation(t), "".join(map(str, tau.bits)), str(log), str(tau.chosen[0]))
+    return hashlib.sha256(repr(record).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("shape, n", PINNED_BUILDS)
+def test_builds_match_their_pinned_digests(shape, n):
+    assert build_digest(shape(n)) == PINNED_BUILDS[shape, n]
+
+
 def test_glue_checks_run_under_python_O():
-    # the glue verification raises InvariantError explicitly, so a wrong
-    # prediction or a broken splice is caught even where asserts are
-    # compiled away
+    # the glue checks raise InvariantError explicitly, so a broken splice is
+    # caught even where asserts are compiled away, and the message names
+    # the glue that broke: here the last of three, node c into node b
     script = textwrap.dedent(f"""
         import zigzags.surgery as surgery
         from zigzags import InvariantError, TreeSpec, tree_build
 
         if __debug__:
             raise SystemExit("this check must run under python -O")
-        spec = TreeSpec({TWO_CHILD.nodes!r}, {TWO_CHILD.edges!r})
+        spec = TreeSpec({RUNNING.nodes!r}, {RUNNING.edges!r})
         print(len(tree_build(spec)[0].faces))
-        # predict the host's own zigzag, which the glued one never is
-        predicted = surgery._predicted
-        surgery._predicted = lambda host_site, *rest: (
-            host_site.classification.orientation.chosen[0]
-        )
+
+        glue, namer, current = surgery._Surface.glue, surgery._namer, []
+
+        def naming_glue(self, cut, piece_site, what):
+            current[:] = [what]
+            return glue(self, cut, piece_site, what)
+
+        def corrupted(corrupt):
+            # the renaming of the last glue, with its output corrupted
+            def corrupting_namer(v, sides, split, renames):
+                rename = namer(v, sides, split, renames)
+
+                def renamed(cells, make):
+                    out = rename(cells, make)
+                    if current == ["glued node c into b"]:
+                        corrupt(cells, make, bool(renames), out)
+                    return out
+                return renamed
+            return corrupting_namer
+
+        def leave_a_host_pass_on_v(cells, make, piece, out):
+            if make is surgery._renamed_pass and not piece:
+                out[0] = cells[0]
+
+        def drop_a_piece_face(cells, make, piece, out):
+            if make is surgery.face_key and piece:
+                del out[-1]
+
+        surgery._Surface.glue = naming_glue
+        for corrupt in (leave_a_host_pass_on_v, drop_a_piece_face):
+            surgery._namer = corrupted(corrupt)
+            try:
+                tree_build(spec)
+            except InvariantError as exc:
+                print(str(exc).splitlines()[0])
+        surgery._namer = namer
+
+        # the last glue keeps the host's zigzag, which the glued one never is
+        splice = surgery._Surface.splice
+
+        def keep_the_hosts_zigzag(self, cut, piece_site):
+            passes = self.passes
+            change = splice(self, cut, piece_site)
+            if current == ["glued node c into b"]:
+                self.passes = passes
+            return change
+
+        surgery._Surface.splice = keep_the_hosts_zigzag
         try:
             tree_build(spec)
         except InvariantError as exc:
             print(exc)
-        surgery._predicted = predicted
-        # leave the piece's v1, v2 unrenamed, which opens the glued surface
-        namers = surgery._namers
-        surgery._namers = lambda host_site, piece_site, split: (
-            namers(host_site, piece_site, split)[0], surgery._namer(piece_site, split, {{}})
-        )
-        try:
-            tree_build(spec)
-        except InvariantError as exc:
-            print(str(exc).splitlines()[0])
     """)
     src = str(Path(zigzags.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -240,9 +264,11 @@ def test_glue_checks_run_under_python_O():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == [
-        "30",
-        "zigzag has 30 passes, not 2E = 54",
-        "glued face list is no closed surface: edge noder.1-noder.2+ lies in 1 face(s), expected 2",
+        "42",
+        "glued node c into b: passes 93 and 94 do not chain",
+        "glued node c into b: glued face list is no closed surface: "
+        "edge nodec.4-nodec.b lies in 1 face(s), expected 2",
+        "glued node c into b: zigzag has 102 passes, not 2E = 126",
     ]
 
 

@@ -39,7 +39,6 @@ __all__ = [
     "make_pass",
     "Zigzag",
     "zigzag_successor",
-    "zigzag_predecessor",
     "enumerate_zigzags",
     "is_z_knotted",
     "ZOrientation",
@@ -49,8 +48,6 @@ __all__ = [
     "classify",
     "face_shadow",
     "is_homogeneous",
-    "format_zigzags",
-    "format_classification",
 ]
 
 Edge = tuple[str, str]
@@ -148,12 +145,6 @@ class Zigzag:
         key = edge_key(*edge)
         return tuple(i for i, p in enumerate(self.passes) if p.edge == key)
 
-    def edge_counts(self) -> dict[Edge, int]:
-        counts: dict[Edge, int] = {}
-        for p in self.passes:
-            counts[p.edge] = counts.get(p.edge, 0) + 1
-        return counts
-
     def __str__(self) -> str:
         return " ".join(str(p) for p in self.passes)
 
@@ -171,13 +162,6 @@ def zigzag_successor(t: Triangulation, state: State) -> State:
     # far's apex is not common's, prev's far end, so just one edge of far avoids prev
     nxt = [edge_key(u, v) for u, v in _face_edges(far) if not ({u, v} & prev_set)]
     return (cur, nxt[0])
-
-
-def zigzag_predecessor(t: Triangulation, state: State) -> State:
-    """Inverse of the successor map: the walk from the reversed state (nxt,
-    cur) steps to (cur, prev)."""
-    cur, nxt = state
-    return (zigzag_successor(t, (nxt, cur))[1], cur)
 
 
 def _face_edges(face) -> tuple[Edge, Edge, Edge]:
@@ -496,27 +480,3 @@ def is_homogeneous(t: Triangulation, tau: ZOrientation) -> bool:
     (see Classification.homogeneous)."""
     return classify(t, tau).homogeneous
 
-
-# ----------------------------------------------------------------------
-# text rendering
-
-
-def format_zigzags(zs) -> str:
-    """One line per zigzag: 'z <index> <length>' then the passes as u>v."""
-    return "".join(f"z {i} {len(z)} {z}\n" for i, z in enumerate(zs))
-
-
-def format_classification(cls: Classification) -> str:
-    """Sorted E/V/F record lines for an entire classification."""
-    lines = []
-    for e in sorted(cls.edge_types):
-        if cls.edge_types[e] == "I":
-            lines.append(f"E {e[0]} {e[1]} I")
-        else:
-            src, dst = cls.edge_directions[e]
-            lines.append(f"E {e[0]} {e[1]} II {src} {dst}")
-    for v in sorted(cls.vertex_types):
-        lines.append(f"V {v} {cls.vertex_types[v]}")
-    for f in sorted(cls.face_types):
-        lines.append(f"F {f[0]} {f[1]} {f[2]} {cls.face_types[f]}")
-    return "".join(line + "\n" for line in lines)

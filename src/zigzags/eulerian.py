@@ -41,7 +41,6 @@ __all__ = [
     "validate_embedding",
     "extract_directed_embedding",
     "triangulate_embedding",
-    "embedding_from_directed_faces",
     "round_trip_check",
     "parse_embedding",
     "serialize_embedding",
@@ -251,30 +250,6 @@ def _cone(emb: DirectedEmbedding) -> tuple[Triangulation, ZOrientation]:
     if not is_homogeneous(t, tau):
         raise EmbeddingError("coned triangulation is not homogeneous")
     return t, tau
-
-
-def embedding_from_directed_faces(t: Triangulation, tau: ZOrientation) -> DirectedEmbedding:
-    """The double embedding of an all-type-II orientation.
-
-    When every edge is type II the directed edges form the arcs on all of
-    T's vertices and every face is a directed 3-cycle; the face cycles are
-    the faces themselves.  This is the embedding whose coning triangulates
-    to a larger complex, one new vertex per face.
-    """
-    cls = classify(t, tau)
-    if cls.type_i_vertices or any(ty != "II" for ty in cls.edge_types.values()):
-        raise EmbeddingError("requires an orientation with every edge type II")
-    arcs = tuple(sorted(cls.edge_directions.values()))
-    arcset = set(arcs)
-    cycles = []
-    for i, (x, y, z) in enumerate(t.faces):
-        # classify checked that every face is a directed 3-cycle, so the
-        # direction of x-y fixes the other two
-        tri = ((x, y), (y, z), (z, x)) if (x, y) in arcset else ((y, x), (x, z), (z, y))
-        cycles.append((f"F{i}", tri))
-    emb = DirectedEmbedding(tuple(t.vertices), arcs, tuple(cycles))
-    _require_valid(emb)
-    return emb
 
 
 def round_trip_check(t: Triangulation, tau: ZOrientation) -> bool:

@@ -97,14 +97,12 @@ __all__ = [
     "SpecialPair",
     "GluingSite",
     "find_special_pairs",
-    "are_concordant",
     "find_piece_pairs",
     "resolve_site",
     "plan_gluing",
     "check_compatibility",
     "predict_glued_zigzag",
     "glue",
-    "inherited_pairs",
 ]
 
 Edge = tuple[str, str]
@@ -229,6 +227,11 @@ def _require_homogeneous(cls: Classification, message: str) -> None:
         raise SurgeryError(message)
 
 
+def _require_host(cls: Classification) -> None:
+    if _kind(cls) != HOST:
+        raise SurgeryError(f"a host needs one zigzag, not {len(cls.orientation.zigzags)}")
+
+
 def _heads(directions: dict[Edge, tuple[str, str]], pair: SpecialPair) -> tuple[bool, ...]:
     """Whether e1 and whether e2 point into the shared vertex, given the
     type-II edge directions."""
@@ -301,22 +304,6 @@ def find_special_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
             links[v] = _link_positions(cls.triangulation, v)
         out.append(_labeled(cls, SpecialPair(c1, c2, v), links[v])[0])
     return tuple(out)
-
-
-def are_concordant(cls: Classification, p: SpecialPair, q: SpecialPair) -> bool:
-    """Do two edge-disjoint special pairs alternate p,q,p,q,... along the zigzag?"""
-    if len(cls.orientation.zigzags) != 1:
-        raise SurgeryError("concordance is defined for z-knotted triangulations")
-    if p.edges() & q.edges():
-        raise SurgeryError("concordance requires edge-disjoint pairs")
-    marks = []
-    for edge, label in ((p.e1, "p"), (p.e2, "p"), (q.e1, "q"), (q.e2, "q")):
-        occ = [i for _, i in cls.pass_positions.get(edge, ())]
-        if len(occ) != 2:
-            raise SurgeryError(f"pair edge {edge} is passed {len(occ)} time(s), expected 2")
-        marks += [(pos, label) for pos in occ]
-    marks.sort()
-    return all(marks[i][1] != marks[(i + 1) % 8][1] for i in range(8))
 
 
 def find_piece_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
@@ -497,10 +484,13 @@ def _piece_site(piece: Classification, wanted: tuple[bool, ...], piece_pairs) ->
         raise SurgeryError(
             f"a piece needs two or four zigzags, not {len(piece.orientation.zigzags)}"
         )
-    for cand in piece_pairs:
+    given = 0
+    for given, cand in enumerate(piece_pairs, 1):
         for pair in (_checked(piece, cand), cand.swapped()):
             if _heads(piece.edge_directions, pair) == wanted:
                 return _resolve(piece, pair)
+    if not given:
+        raise SurgeryError("no piece pair was given")
     raise SurgeryError(
         "pair directions at the shared vertices do not match in either role order"
     )
@@ -521,8 +511,7 @@ def plan_gluing(
     that fails a check is reported in the order given.
     """
     _require_homogeneous(host, _NOT_HOMOGENEOUS_SITE)
-    if _kind(host) != HOST:
-        raise SurgeryError(f"a host needs one zigzag, not {len(host.orientation.zigzags)}")
+    _require_host(host)
     host_site = _resolve(host, _checked(host, host_pair), reorder=True)
     wanted = _heads(host.edge_directions, host_site.pair)
     return host_site, _piece_site(piece, wanted, piece_pairs)
@@ -533,14 +522,22 @@ def plan_gluing(
 
 
 def check_compatibility(host_site: GluingSite, piece_site: GluingSite) -> bool:
-    """Each split edge must point the same way at the shared vertex on both sides."""
+    """Each split edge must point the same way at the shared vertex on both
+    sides.  Raises SurgeryError when the sites are no host and piece."""
     if host_site.kind != HOST:
-        raise SurgeryError("first argument must be a host site")
+        raise SurgeryError("host site must come from a z-knotted triangulation")
     if piece_site.kind not in (TWO_ZIGZAG, FOUR_ZIGZAG):
-        raise SurgeryError("second argument must be a piece site")
+        raise SurgeryError("piece site must come from a two- or four-zigzag triangulation")
     return _heads(host_site.classification.edge_directions, host_site.pair) == _heads(
         piece_site.classification.edge_directions, piece_site.pair
     )
+
+
+def _require_gluable(host_site: GluingSite, piece_site: GluingSite) -> None:
+    """glue's preconditions on its sites: check_compatibility's kinds, and
+    matching directions."""
+    if not check_compatibility(host_site, piece_site):
+        raise SurgeryError("pair directions at the shared vertices do not match")
 
 
 def _split_names(v: str, *vertex_indexes) -> dict[str, str]:
@@ -714,8 +711,7 @@ class _Surface:
     """
 
     def __init__(self, host: Classification) -> None:
-        if _kind(host) != HOST:
-            raise SurgeryError(f"a host needs one zigzag, not {len(host.orientation.zigzags)}")
+        _require_host(host)
         t = host.triangulation
         self.faces = list(t.faces)
         self.slots = dict(zip(self.faces, range(len(self.faces))))
@@ -991,7 +987,9 @@ def predict_glued_zigzag(host_site: GluingSite, piece_site: GluingSite) -> Zigza
     e1+, A1+, e2-, B2-, e2-, A2-, e1-, B1-, e1-, A1-, e2+, B2+, e2+, A2+,
     e1+, B1+.  With four-zigzag piece segments C it yields e1+, A1+, e2-,
     C2-, e2+, A2+, e1+, C1+, e1-, A1-, e2+, C2+, e2-, A2-, e1-, C1-.
+    Raises SurgeryError when the sites fail glue's preconditions.
     """
+    _require_gluable(host_site, piece_site)
     surface = _Surface(host_site.classification)
     surface.splice(surface.cut(host_site.pair), piece_site)
     return Zigzag(tuple(surface.passes))
@@ -1013,79 +1011,9 @@ def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
     check: a closed surface, the V, E, F sums, the prediction as its only
     zigzag, homogeneity, and the type-I vertices.
     """
-    if host_site.kind != HOST:
-        raise SurgeryError("host site must come from a z-knotted triangulation")
-    if piece_site.kind not in (TWO_ZIGZAG, FOUR_ZIGZAG):
-        raise SurgeryError("piece site must come from a two- or four-zigzag triangulation")
-    if not check_compatibility(host_site, piece_site):
-        raise SurgeryError("pair directions at the shared vertices do not match")
+    _require_gluable(host_site, piece_site)
     surface = _Surface(host_site.classification)
     what = f"glued the piece at {piece_site.v} into the host at {host_site.v}"
     surface.glue(surface.cut(host_site.pair), piece_site, what)
     return surface.finish()
 
-
-# ----------------------------------------------------------------------
-# survival of other pairs
-
-
-def _edge_in_segments(segments: dict[str, tuple[Pass, ...]], edge: Edge, index: int) -> bool:
-    return all(any(p.edge == edge for p in segments[f"{index}{sign}"]) for sign in "+-")
-
-
-def inherited_pairs(
-    glued: Classification,
-    host_site: GluingSite,
-    piece_site: GluingSite,
-    host_pairs=(),
-    piece_pairs=(),
-) -> tuple[SpecialPair, ...]:
-    """Re-express pairs that survive the gluing, in glued vertex names.
-
-    A host pair survives when it is edge-disjoint from the used pair and,
-    in some role order, its first edge lies in both A1 segments and its
-    second in both A2 segments (this is concordance with the used pair
-    written in segment terms).  A piece pair survives when each edge lies
-    in both same-index piece segments.  Input pairs are given in the
-    original (pre-glue) names; every survivor is re-verified as special in
-    the glued zigzag, and SurgeryError names an input pair that is not.
-    """
-    if len(glued.orientation.zigzags) != 1:
-        raise SurgeryError("inherited pairs are defined for a z-knotted glued triangulation")
-    split = _split_names(
-        host_site.v,
-        *(site.classification.triangulation._vertex_faces for site in (host_site, piece_site)),
-    )
-    host_rename, piece_rename = _namers(host_site.pair, host_site.vertex_sides, piece_site, split)
-
-    def survivors(site: GluingSite, pairs, rename):
-        out = []
-        for pair in pairs:
-            if pair.edges() & site.pair.edges():
-                continue
-            for ordered in ((pair.e1, pair.e2), (pair.e2, pair.e1)):
-                if _edge_in_segments(site.segments, ordered[0], 1) and _edge_in_segments(
-                    site.segments, ordered[1], 2
-                ):
-                    break
-            else:
-                continue
-            new_e1, new_e2 = rename(ordered, edge_key)
-            shared = set(new_e1) & set(new_e2)
-            if (
-                len(shared) != 1
-                or any(glued.edge_types.get(e) != "II" for e in (new_e1, new_e2))
-                or _pattern_problem(
-                    HOST, new_e1, new_e2, glued.pass_positions[new_e1], glued.pass_positions[new_e2]
-                )
-            ):
-                raise SurgeryError(
-                    f"pair {pair.e1}/{pair.e2} at {pair.shared_vertex!r} lies in the "
-                    "surviving segments but is no special pair of the glued zigzag"
-                )
-            out.append(SpecialPair(new_e1, new_e2, shared.pop()))
-        return out
-
-    found = survivors(host_site, host_pairs, host_rename)
-    found += survivors(piece_site, piece_pairs, piece_rename)
-    return tuple(sorted(found, key=lambda p: (p.e1, p.e2)))

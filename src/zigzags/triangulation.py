@@ -138,11 +138,6 @@ class LinkCycle:
     def __len__(self) -> int:
         return len(self.cycle)
 
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        """The link's edges as canonical pairs, in cycle order."""
-        n = len(self.cycle)
-        return tuple(edge_key(self.cycle[i], self.cycle[(i + 1) % n]) for i in range(n))
-
 
 class Triangulation:
     """An ordered list of triangular faces with derived lookups.
@@ -230,15 +225,6 @@ class Triangulation:
             return self._vertex_faces[v]
         except KeyError:
             raise TriangulationError(f"no such vertex {v!r}") from None
-
-    def neighbors(self, v: str) -> tuple[str, ...]:
-        return tuple(sorted({u for f in self.vertex_faces(v) for u in f if u != v}))
-
-    def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
-
-    def has_face(self, face) -> bool:
-        return face_key(*face) in self._face_set
 
     def common_face(self, e1, e2) -> tuple[str, str, str]:
         """The unique face containing both edges; error if none.

@@ -7,6 +7,9 @@ from itertools import combinations
 
 from zigzags import (
     BuildLog,
+    Classification,
+    DirectedEmbedding,
+    EmbeddingError,
     GluingRecord,
     SpecialPair,
     Triangulation,
@@ -22,6 +25,7 @@ from zigzags import (
     glue,
     make_z_orientation,
     plan_gluing,
+    validate_embedding,
 )
 
 
@@ -169,3 +173,40 @@ def public_gluing_build(spec: TreeSpec, sites=None):
             ))
             queue.append(c)
     return t, tau, BuildLog(tuple(records))
+
+
+def are_concordant(cls: Classification, p: SpecialPair, q: SpecialPair) -> bool:
+    """Whether two edge-disjoint special pairs of a z-knotted triangulation
+    alternate p, q, p, q, ... along its zigzag: the paper's condition for
+    the pair q to survive a gluing along p."""
+    label = {e: name for name, pair in (("p", p), ("q", q)) for e in (pair.e1, pair.e2)}
+    marks = [label[e] for e, _, _ in cls.orientation.chosen[0].passes if e in label]
+    assert len(marks) == 8, "each pair edge is passed twice"
+    return all(a != b for a, b in zip(marks, marks[1:] + marks[:1]))
+
+
+def embedding_from_directed_faces(t: Triangulation, tau: ZOrientation) -> DirectedEmbedding:
+    """The double embedding of an all-type-II orientation.
+
+    When every edge is type II the directed edges form the arcs on all of
+    T's vertices and every face is a directed 3-cycle; the face cycles are
+    the faces themselves.  This is the embedding whose coning triangulates
+    to a larger complex, one new vertex per face: a seed generator for
+    embeddings and triangulations beyond the bipyramids.
+    """
+    cls = classify(t, tau)
+    if cls.type_i_vertices or any(ty != "II" for ty in cls.edge_types.values()):
+        raise EmbeddingError("requires an orientation with every edge type II")
+    arcs = tuple(sorted(cls.edge_directions.values()))
+    arcset = set(arcs)
+    cycles = []
+    for i, (x, y, z) in enumerate(t.faces):
+        # classify checked that every face is a directed 3-cycle, so the
+        # direction of x-y fixes the other two
+        tri = ((x, y), (y, z), (z, x)) if (x, y) in arcset else ((y, x), (x, z), (z, y))
+        cycles.append((f"F{i}", tri))
+    emb = DirectedEmbedding(tuple(t.vertices), arcs, tuple(cycles))
+    report = validate_embedding(emb)
+    if not report.ok:
+        raise EmbeddingError(str(report))
+    return emb

@@ -17,7 +17,6 @@ from zigzags import (
     ZOrientation,
     bipyramid,
     classify,
-    embedding_from_directed_faces,
     enumerate_zigzags,
     is_homogeneous,
     is_z_knotted,
@@ -30,7 +29,7 @@ from zigzags import (
 )
 
 from bipyramid_walks import bipyramid_oracle_zigzags
-from helpers import sampled_orientations
+from helpers import embedding_from_directed_faces, sampled_orientations
 
 
 def _passed(n: int, what: str) -> None:

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 import zigzags.eulerian as eulerian
+from helpers import embedding_from_directed_faces
 from zigzags import (
     DirectedEmbedding,
     EmbeddingError,
     ParseError,
     bipyramid,
-    embedding_from_directed_faces,
     extract_directed_embedding,
     is_homogeneous,
     make_z_orientation,

@@ -35,8 +35,8 @@ def test_bipyramid_structure(n):
     assert len(t.faces) == 2 * n
     assert t.euler_characteristic() == 2
     assert t.validate().ok
-    assert t.degree("a") == n and t.degree("b") == n
-    assert all(t.degree(str(i)) == 4 for i in range(1, n + 1))
+    assert len(t.vertex_link("a")) == n and len(t.vertex_link("b")) == n
+    assert all(len(t.vertex_link(str(i))) == 4 for i in range(1, n + 1))
 
 
 def test_bipyramid_rejects_small():

@@ -36,3 +36,24 @@ def test_public_modules_are_covered():
     assert PUBLIC_MODULES == [
         "cli", "engine", "eulerian", "generators", "surgery", "triangulation",
     ]
+
+
+# adding or removing a public name means editing this list
+PUBLIC_NAMES = [
+    "BuildLog", "Classification", "DirectedEmbedding", "EmbeddingError", "FOUR_ZIGZAG",
+    "GluingRecord", "GluingSite", "HOST", "InvariantError", "LinkCycle", "ParseError", "Pass",
+    "SpecialPair", "SurgeryError", "TWO_ZIGZAG", "TreeError", "TreeSpec", "Triangulation",
+    "TriangulationError", "ValidationReport", "ZOrientation", "Zigzag", "__version__",
+    "all_z_orientations", "bipyramid", "bipyramid_canonical_zorientation",
+    "check_compatibility", "classify", "edge_key", "enumerate_zigzags",
+    "extract_directed_embedding", "face_key", "face_shadow", "find_piece_pairs",
+    "find_special_pairs", "glue", "is_homogeneous", "is_z_knotted", "make_pass",
+    "make_z_orientation", "parse_embedding", "parse_tree", "parse_triangulation", "plan_gluing",
+    "platonic", "predict_glued_zigzag", "resolve_site", "round_trip_check",
+    "serialize_embedding", "serialize_tree", "serialize_triangulation", "tree_build",
+    "triangulate_embedding", "validate_embedding", "validate_tree", "zigzag_successor",
+]
+
+
+def test_public_names_are_pinned():
+    assert sorted(zigzags.__all__) == PUBLIC_NAMES

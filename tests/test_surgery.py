@@ -14,7 +14,7 @@ from zigzags import (
     TWO_ZIGZAG,
     SpecialPair,
     SurgeryError,
-    are_concordant,
+    TreeSpec,
     bipyramid,
     bipyramid_canonical_zorientation,
     check_compatibility,
@@ -22,13 +22,14 @@ from zigzags import (
     find_piece_pairs,
     find_special_pairs,
     glue,
-    inherited_pairs,
     is_homogeneous,
     make_z_orientation,
     plan_gluing,
     predict_glued_zigzag,
     resolve_site,
+    tree_build,
 )
+from helpers import are_concordant
 from zigzags.surgery import _labeled, _link_positions, _resolve
 
 
@@ -192,16 +193,6 @@ def test_concordance():
     by_vertex = {p.shared_vertex: p for p in find_special_pairs(cls)}
     assert are_concordant(cls, by_vertex["1"], by_vertex["3"])
     assert are_concordant(cls, by_vertex["2"], by_vertex["5"])
-    with pytest.raises(SurgeryError, match="edge-disjoint"):
-        are_concordant(cls, by_vertex["1"], by_vertex["2"])
-    p = SpecialPair(("1", "2"), ("2", "3"), "2")
-    q = SpecialPair(("3", "4"), ("1", "4"), "4")
-    with pytest.raises(SurgeryError, match="z-knotted"):
-        are_concordant(canonical(4), p, q)
-    # an edge outside t is passed zero times, not twice
-    stray = SpecialPair(("x", "y"), ("y", "z"), "y")
-    with pytest.raises(SurgeryError, match=r"pair edge \('x', 'y'\) is passed 0 time"):
-        are_concordant(cls, stray, by_vertex["1"])
 
 
 def test_piece_pair_censuses():
@@ -362,8 +353,10 @@ def test_plan_gluing_raises_when_nothing_fits(tree_corpus):
     host = canonical(3, "L.")
     piece = canonical(4, "R.")
     host_pair = find_special_pairs(host)[0]
-    with pytest.raises(SurgeryError, match="do not match in either role order"):
-        plan_gluing(host, host_pair, piece, ())
+    # no candidate is no direction mismatch; a generator is counted as it runs
+    for none in ((), (p for p in ())):
+        with pytest.raises(SurgeryError, match="^no piece pair was given$"):
+            plan_gluing(host, host_pair, piece, none)
     # a piece is no host: the four-zigzag BP(4) before a BP(6) piece, or
     # before the z-knotted BP(3) with the roles swapped
     six = canonical(6, "S.")
@@ -401,9 +394,9 @@ def test_plan_gluing_raises_when_nothing_fits(tree_corpus):
 def test_check_compatibility_argument_kinds(glued_corpus):
     _, _, host_site, piece_site = glued_corpus[4]
     assert check_compatibility(host_site, piece_site)
-    with pytest.raises(SurgeryError, match="must be a host site"):
+    with pytest.raises(SurgeryError, match="host site must come from"):
         check_compatibility(piece_site, piece_site)
-    with pytest.raises(SurgeryError, match="must be a piece site"):
+    with pytest.raises(SurgeryError, match="piece site must come from"):
         check_compatibility(host_site, host_site)
 
 
@@ -472,6 +465,28 @@ def test_glue_rejects_incompatible_directions():
         glue(host_site, bad)
 
 
+def test_predict_glued_zigzag_checks_its_sites_as_glue_does():
+    host = canonical(5, "L.")
+    host_site = resolve_site(host, find_special_pairs(host)[0])
+    piece = canonical(6, "R.")
+    first = find_piece_pairs(piece)[0]
+    mismatched = next(
+        site for site in (resolve_site(piece, first), resolve_site(piece, first.swapped()))
+        if not check_compatibility(host_site, site)
+    )
+    knotted = canonical(7, "M.")
+    knotted_site = resolve_site(knotted, find_special_pairs(knotted)[0])
+    for step in (glue, predict_glued_zigzag):
+        with pytest.raises(
+            SurgeryError, match="^pair directions at the shared vertices do not match$"
+        ):
+            step(host_site, mismatched)
+        with pytest.raises(
+            SurgeryError, match="^piece site must come from a two- or four-zigzag triangulation$"
+        ):
+            step(host_site, knotted_site)
+
+
 def test_glue_rejects_name_collisions():
     host = canonical(3)
     host_site = resolve_site(host, find_special_pairs(host)[0])
@@ -481,45 +496,54 @@ def test_glue_rejects_name_collisions():
 
 
 # ----------------------------------------------------------------------
-# inherited pairs
+# survival of other pairs
 
 
-def test_inherited_pairs_survive_and_reglue():
-    host = canonical(5, "L.")
-    host_pairs = find_special_pairs(host)
-    host_site = resolve_site(host, host_pairs[0])
-    piece = canonical(4, "R.")
-    piece_pairs = find_piece_pairs(piece)
-    piece_site = compatible_piece_site(host_site, piece)
-    glued = glue(host_site, piece_site)
+def test_concordant_host_pairs_survive_the_gluing():
+    # the paper: a special pair of the host away from the used pair stays
+    # special in the glued sphere when it is concordant with the used pair.
+    # Such a pair keeps its names, so the glued census must list it
+    def survivors(host, used):
+        v = used.shared_vertex
+        return [
+            q for q in find_special_pairs(host)
+            if not q.edges() & used.edges()
+            and all(v not in e for e in q.edges())
+            and are_concordant(host, used, q)
+        ]
 
-    survivors = inherited_pairs(glued, host_site, piece_site, host_pairs, piece_pairs)
-    assert len(survivors) == 3
-    # survivors are found again by a fresh census on the glued complex
-    fresh = {p.edges() for p in find_special_pairs(glued)}
-    assert {s.edges() for s in survivors} <= fresh
+    hosts = [canonical(n, "L.") for n in range(3, 10, 2)]
+    hosts += [classify(*tree_build(TreeSpec(nodes, edges))[:2]) for nodes, edges in (
+        ((("r", 3), ("x", 4)), (("r", "x"),)),
+        ((("r", 3), ("x", 6)), (("r", "x"),)),
+        ((("r", 5), ("x", 4), ("y", 4)), (("r", "x"), ("r", "y"))),
+    )]
+    pieces = [canonical(n, "R.") for n in (4, 6)]
+    checked = 0
+    for host in hosts:
+        for used in find_special_pairs(host):
+            # a pair whose edges both enter (or both leave) its vertex fits
+            # no bipyramid piece pair
+            heads = {host.edge_directions[e][1] == used.shared_vertex for e in (used.e1, used.e2)}
+            if len(heads) == 1:
+                continue
+            kept = survivors(host, used)
+            for piece in pieces:
+                glued = glue(*plan_gluing(host, used, piece, find_piece_pairs(piece)))
+                found = {p.edges() for p in find_special_pairs(glued)}
+                assert [q for q in kept if q.edges() not in found] == []
+                checked += len(kept)
+    assert checked == 512
 
-    # and one of them supports a second gluing
-    piece2 = canonical(6, "Q.")
-    next_host_site, piece2_site = plan_gluing(glued, survivors[0], piece2, find_piece_pairs(piece2))
-    bigger = glue(next_host_site, piece2_site)
+    # and a survivor supports a second gluing
+    host, piece, piece2 = canonical(5, "L."), canonical(4, "R."), canonical(6, "Q.")
+    used = find_special_pairs(host)[0]
+    glued = glue(*plan_gluing(host, used, piece, find_piece_pairs(piece)))
+    survivor = survivors(host, used)[0]
+    bigger = glue(*plan_gluing(glued, survivor, piece2, find_piece_pairs(piece2)))
     t = bigger.triangulation
     assert (len(t.vertices), len(t.edges), len(t.faces)) == (17, 45, 30)
     assert is_homogeneous(t, bigger.orientation)
-
-
-def test_inherited_pairs_skip_used_edges(glued_corpus):
-    t, tau, host_site, piece_site = glued_corpus[4]
-    # pairs overlapping the used pair never survive
-    used = host_site.pair
-    out = inherited_pairs(classify(t, tau), host_site, piece_site, (used, used.swapped()), ())
-    assert out == ()
-
-
-def test_inherited_pairs_require_z_knotted_glued(glued_corpus):
-    _, _, host_site, piece_site = glued_corpus[4]
-    with pytest.raises(SurgeryError, match="z-knotted"):
-        inherited_pairs(piece_site.classification, host_site, piece_site)
 
 
 # ----------------------------------------------------------------------

@@ -270,38 +270,3 @@ def test_glue_checks_run_under_python_O():
         "edge nodec.4-nodec.b lies in 1 face(s), expected 2",
         "glued node c into b: zigzag has 102 passes, not 2E = 126",
     ]
-
-
-_NOT_SPECIAL = textwrap.dedent(f"""
-    from zigzags import (
-        SpecialPair, TreeSpec, bipyramid, bipyramid_canonical_zorientation, classify,
-        find_piece_pairs, glue, inherited_pairs, plan_gluing, tree_build,
-    )
-
-    host = classify(*tree_build(TreeSpec({TWO_CHILD.nodes!r}, {TWO_CHILD.edges!r}))[:2])
-    piece = classify(bipyramid(4, "P."), bipyramid_canonical_zorientation(4, "P."))
-    pair = SpecialPair(("noder.1", "nodex.4"), ("noder.1", "noder.2+"), "noder.1")
-    host_site, piece_site = plan_gluing(host, pair, piece, find_piece_pairs(piece))
-    # its edges lie in the surviving segments, but on both sides of the split
-    bad = SpecialPair(("noder.1", "noder.5"), ("noder.1", "nodex.b"), "noder.1")
-    inherited_pairs(glue(host_site, piece_site), host_site, piece_site, host_pairs=[bad])
-""")
-
-
-def test_inherited_pairs_name_a_pair_that_is_not_special():
-    message = (
-        "pair ('noder.1', 'noder.5')/('noder.1', 'nodex.b') at 'noder.1' lies in the "
-        "surviving segments but is no special pair of the glued zigzag"
-    )
-    with pytest.raises(zigzags.SurgeryError) as caught:
-        exec(_NOT_SPECIAL, {})
-    assert str(caught.value) == message
-    script = 'if __debug__:\n    raise SystemExit("this check must run under python -O")\n'
-    script += _NOT_SPECIAL
-    src = str(Path(zigzags.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run(
-        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
-    )
-    assert run.returncode == 1
-    assert run.stderr.splitlines()[-1] == f"zigzags.surgery.SurgeryError: {message}"

@@ -36,10 +36,10 @@ def test_basic_accessors():
     assert t.vertices == ("1", "2", "3", "4")
     assert len(t.edges) == 6
     assert len(t.faces) == 4
-    assert t.degree("1") == 3
-    assert t.neighbors("1") == ("2", "3", "4")
-    assert t.has_face(("3", "2", "1"))
-    assert not t.has_face(("1", "2", "x"))
+    assert len(t.vertex_link("1")) == 3
+    assert sorted(t.vertex_link("1").cycle) == ["2", "3", "4"]
+    assert face_key("3", "2", "1") in t.faces
+    assert face_key("1", "2", "x") not in t.faces
     assert t.euler_characteristic() == 2
 
 
@@ -84,13 +84,16 @@ def test_vertex_link_cycle():
     # base vertex link alternates neighbors and apexes
     link1 = t.vertex_link("1")
     assert set(link1.cycle) == {"2", "4", "a", "b"}
-    assert len(link1.edges()) == 4
+    cycle = link1.cycle
+    link_edges = {edge_key(u, w) for u, w in zip(cycle, cycle[1:] + cycle[:1])}
+    assert len(link_edges) == 4
+    assert all(face_key("1", u, w) in t.faces for u, w in link_edges)
 
 
 def test_link_deterministic():
     t = bipyramid(5)
     assert t.vertex_link("3").cycle == t.vertex_link("3").cycle
-    assert t.vertex_link("a").cycle[0] == min(t.neighbors("a"))
+    assert t.vertex_link("a").cycle[0] == min(t.vertex_link("a").cycle)
 
 
 def test_validate_ok():

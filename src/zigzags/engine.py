@@ -11,9 +11,10 @@ enumerate_zigzags walks the same orbits in vertex form.  The state
 (prev, cur) is (s, d, x): the pass s->d over cur, reached from the face
 F = {s, d, x}, so prev = {s, x}.  The other face of cur is {s, d, y}, its
 edge avoiding prev is {d, y}, and the successor is (d, y, s); the reversal
-(cur, prev) is (s, x, d).  An apex table, built once per call from the
-edge -> faces index, maps each directed edge (s, d) and the apex x of one of
-its faces to the apex y of the other, so a walk step is one dict lookup.
+(cur, prev) is (s, x, d).  An apex table, built once per triangulation
+from the edge -> faces index, maps each directed edge (s, d) and the apex
+x of one of its faces to the apex y of the other, so a walk step is one
+dict lookup.
 
 Every orbit has a disjoint reversal orbit, so zigzags come in reversal
 pairs; a z-orientation chooses one direction from each pair.  Under a
@@ -191,8 +192,11 @@ def enumerate_zigzags(t: Triangulation) -> tuple[Zigzag, ...]:
     """All zigzags of t, one canonical representative per reversal pair.
 
     Partitions all 6*|F| states into successor orbits.  Output is sorted by
-    canonical form and is therefore deterministic.
+    canonical form and is therefore deterministic.  It is computed once per
+    triangulation and kept on t: a later call returns the same tuple.
     """
+    if t._zigzags is not None:
+        return t._zigzags
     t.require_valid()
     across = _apex_table(t)
     visited: set[tuple[str, str, str]] = set()
@@ -215,7 +219,8 @@ def enumerate_zigzags(t: Triangulation) -> tuple[Zigzag, ...]:
         passes = _make_passes([((s, d) if s < d else (d, s), s, d) for s, d, _ in orbit])
         out.append(Zigzag(passes).canonical())
     out.sort(key=lambda z: z.passes)
-    return tuple(out)
+    t._zigzags = tuple(out)
+    return t._zigzags
 
 
 def is_z_knotted(t: Triangulation) -> bool:

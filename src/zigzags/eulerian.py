@@ -226,22 +226,7 @@ def triangulate_embedding(emb: DirectedEmbedding) -> tuple[Triangulation, ZOrien
     tail to head; InvariantError if it meets none, or meets them both ways.
     """
     _require_valid(emb)
-    return _cone(emb)
-
-
-def _cone(emb: DirectedEmbedding) -> tuple[Triangulation, ZOrientation]:
-    """triangulate_embedding on an embedding already validated."""
-    faces = []
-    used = set(emb.vertices)
-    for k, (name, cyc) in enumerate(emb.face_cycles):
-        cone = name if name else f"F{k}"
-        _check_token(cone)
-        if cone in used:
-            raise EmbeddingError(f"face cycle name {cone!r} collides with another vertex")
-        used.add(cone)
-        for u, w in cyc:
-            faces.append(face_key(cone, u, w))
-    t = Triangulation(faces)
+    t = Triangulation(_coned_faces(emb))
     report = t.validate()
     if not report.ok:
         raise EmbeddingError(str(report))
@@ -252,17 +237,37 @@ def _cone(emb: DirectedEmbedding) -> tuple[Triangulation, ZOrientation]:
     return t, tau
 
 
+def _coned_faces(emb: DirectedEmbedding) -> list[tuple[str, str, str]]:
+    """The cone over each face cycle, one face per arc, named by the cycle
+    (F<k> when unnamed); EmbeddingError when the name is already taken."""
+    faces = []
+    used = set(emb.vertices)
+    for k, (name, cyc) in enumerate(emb.face_cycles):
+        cone = name if name else f"F{k}"
+        _check_token(cone)
+        if cone in used:
+            raise EmbeddingError(f"face cycle name {cone!r} collides with another vertex")
+        used.add(cone)
+        for u, w in cyc:
+            faces.append(face_key(cone, u, w))
+    return faces
+
+
 def round_trip_check(t: Triangulation, tau: ZOrientation) -> bool:
     """Extract an embedding, cone it back, and compare with the original.
 
-    Face cycles are named after their type-I vertices, so the rebuilt
-    triangulation must match T face for face and the rebuilt orientation
-    must choose the same directed zigzags.
+    Face cycles are named after their type-I vertices, so the coned faces
+    must be t's own, and t's zigzags oriented along the arcs must be the
+    ones tau chooses.  Matching faces make the coned surface t, already
+    validated and enumerated, so no second triangulation is built; when
+    the faces differ this returns False rather than raising.
     """
     # extraction validates the embedding it returns
-    t2, tau2 = _cone(extract_directed_embedding(t, tau))
-    if set(t.faces) != set(t2.faces):
+    emb = extract_directed_embedding(t, tau)
+    faces = _coned_faces(emb)
+    if set(faces) != t._face_set:
         return False
+    tau2 = _orient_along(enumerate_zigzags(t), emb.arcs)
     return {z.passes for z in tau.chosen} == {z.passes for z in tau2.chosen}
 
 

@@ -147,6 +147,9 @@ class Triangulation:
     repeated vertices and duplicate faces; deeper surface conditions (every
     edge in exactly two faces, connectivity, single-cycle vertex links) are
     reported by validate().
+
+    Derived data kept per instance: the report of validate() and the zigzags
+    of engine.enumerate_zigzags; neither refers back to the instance.
     """
 
     def __init__(self, faces) -> None:
@@ -182,6 +185,7 @@ class Triangulation:
         self._vertices = tuple(sorted(self._vertex_faces))
         self._edges = tuple(sorted(self._edge_faces))
         self._report: ValidationReport | None = None
+        self._zigzags: tuple | None = None
 
     @classmethod
     def _indexed(cls, faces, edge_faces: dict, vertex_faces: dict) -> "Triangulation":
@@ -196,6 +200,7 @@ class Triangulation:
         t._vertices = tuple(sorted(vertex_faces))
         t._edges = tuple(sorted(edge_faces))
         t._report = None
+        t._zigzags = None
         return t
 
     # ------------------------------------------------------------------

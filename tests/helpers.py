@@ -20,13 +20,18 @@ from zigzags import (
     bipyramid_canonical_zorientation,
     classify,
     edge_key,
+    enumerate_zigzags,
+    extract_directed_embedding,
+    face_key,
     find_piece_pairs,
     find_special_pairs,
     glue,
+    is_homogeneous,
     make_z_orientation,
     plan_gluing,
     validate_embedding,
 )
+from zigzags.engine import _orient_along
 
 
 def random_tree_spec(rng: random.Random, max_nodes: int = 8) -> TreeSpec:
@@ -210,3 +215,20 @@ def embedding_from_directed_faces(t: Triangulation, tau: ZOrientation) -> Direct
     if not report.ok:
         raise EmbeddingError(str(report))
     return emb
+
+
+def coned_round_trip(t: Triangulation, tau: ZOrientation) -> bool:
+    """The round trip through a second surface: cone the extracted
+    embedding into a new Triangulation, validate and enumerate it, orient
+    its zigzags along the arcs and check that they are homogeneous, then
+    compare faces and chosen zigzags with t and tau.  The reference for
+    round_trip_check, which compares the coned faces with t's instead."""
+    emb = extract_directed_embedding(t, tau)
+    t2 = Triangulation([face_key(name, u, w) for name, cyc in emb.face_cycles for u, w in cyc])
+    t2.require_valid()
+    tau2 = _orient_along(enumerate_zigzags(t2), emb.arcs)
+    if not is_homogeneous(t2, tau2):
+        raise EmbeddingError("coned triangulation is not homogeneous")
+    if set(t.faces) != set(t2.faces):
+        return False
+    return {z.passes for z in tau.chosen} == {z.passes for z in tau2.chosen}

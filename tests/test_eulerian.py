@@ -5,11 +5,12 @@ from __future__ import annotations
 import pytest
 
 import zigzags.eulerian as eulerian
-from helpers import embedding_from_directed_faces
+from helpers import coned_round_trip, embedding_from_directed_faces, torus7
 from zigzags import (
     DirectedEmbedding,
     EmbeddingError,
     ParseError,
+    all_z_orientations,
     bipyramid,
     extract_directed_embedding,
     is_homogeneous,
@@ -309,6 +310,35 @@ def test_round_trip_glued(glued_corpus):
 def test_round_trip_trees(tree_corpus):
     for _, t, tau, _ in tree_corpus:
         assert round_trip_check(t, tau)
+
+
+def test_round_trip_agrees_with_a_second_surface(bipyramid_corpus, glued_corpus, tree_corpus):
+    # round_trip_check compares the coned faces with t's; the reference
+    # builds, validates, enumerates and classifies the coned surface
+    cases = [(t, tau) for t, tau in bipyramid_corpus.values()]
+    cases += [(t, tau) for t, tau, _, _ in glued_corpus.values()]
+    cases += [(t, tau) for _, t, tau, _ in tree_corpus]
+    torus = torus7()
+    big, big_tau = triangulate_embedding(
+        embedding_from_directed_faces(torus, make_z_orientation(torus, (0, 0, 0)))
+    )
+    assert (big.euler_characteristic(), len(big.faces)) == (0, 42)
+    homogeneous = [tau for tau in all_z_orientations(big) if is_homogeneous(big, tau)]
+    assert homogeneous == [big_tau, big_tau.reversed()]
+    cases.append((big, big_tau))
+    for t, tau in cases:
+        for oriented in (tau, tau.reversed()):
+            assert round_trip_check(t, oriented) is coned_round_trip(t, oriented) is True
+
+
+def test_round_trip_is_false_when_the_coned_faces_differ(bipyramid_corpus, monkeypatch):
+    t, tau = bipyramid_corpus[5]
+    emb = extract_directed_embedding(t, tau)
+    renamed = DirectedEmbedding(
+        emb.vertices, emb.arcs, tuple((f"{name}'", cyc) for name, cyc in emb.face_cycles)
+    )
+    monkeypatch.setattr(eulerian, "extract_directed_embedding", lambda t, tau: renamed)
+    assert round_trip_check(t, tau) is False
 
 
 def test_round_trip_validates_the_embedding_once(bipyramid_corpus, monkeypatch):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 import zigzags.cli as cli
@@ -9,6 +12,7 @@ import zigzags.engine as engine
 import zigzags.generators as generators
 import zigzags.surgery as surgery
 from zigzags import (
+    Triangulation,
     TreeSpec,
     Zigzag,
     ZOrientation,
@@ -16,12 +20,19 @@ from zigzags import (
     bipyramid,
     classify,
     enumerate_zigzags,
+    extract_directed_embedding,
     face_shadow,
     glue,
     is_homogeneous,
     make_z_orientation,
+    parse_embedding,
+    parse_triangulation,
     platonic,
+    round_trip_check,
+    serialize_embedding,
+    serialize_triangulation,
     tree_build,
+    triangulate_embedding,
 )
 from zigzags.cli import analyze_report, main
 
@@ -114,3 +125,45 @@ def test_tree_build_audits_the_glued_surface_once(monkeypatch, n):
     assert len(walked) == len(audited) == 1
     assert walked[0][0] is audited[0][0] is t
     assert len(pieces) == n
+
+
+@pytest.mark.parametrize("n", (6, 7, 8))
+def test_census_enumerates_the_input_and_the_coned_surface_once(monkeypatch, n):
+    # the census path: the search, classify and the round trip share the
+    # input's zigzags, and the round trip builds no second surface
+    text = serialize_triangulation(bipyramid(n))
+    tables = counted(monkeypatch, engine, "_apex_table")
+    built = []
+    init = Triangulation.__init__
+    monkeypatch.setattr(Triangulation, "__init__", lambda t, faces: built.append(t) or init(t, faces))
+    t = parse_triangulation(text)
+    t.require_valid()
+    zs = enumerate_zigzags(t)
+    tau = next(tau for tau in all_z_orientations(t) if is_homogeneous(t, tau))
+    assert classify(t, tau).homogeneous
+    emb = parse_embedding(serialize_embedding(extract_directed_embedding(t, tau)))
+    t2, _ = triangulate_embedding(emb)
+    assert round_trip_check(t, tau)
+    assert [x[0] for x in tables] == built == [t, t2]
+    assert enumerate_zigzags(t) is enumerate_zigzags(t) is zs is tau.zigzags
+
+
+@pytest.mark.parametrize("build", ("bipyramid", "tree"))
+def test_derived_facts_hold_no_reference_cycle(build):
+    # with the collector off, t and tau are freed by reference counts alone,
+    # so a derived fact kept on one that refers back to either would leak
+    gc.disable()
+    try:
+        if build == "bipyramid":
+            t = bipyramid(9)
+            tau = make_z_orientation(t, (0,))
+        else:
+            t, tau, _ = tree_build(_path(4))
+        enumerate_zigzags(t)
+        cls = classify(t, tau)
+        assert cls.homogeneous and round_trip_check(t, tau)
+        refs = [weakref.ref(t), weakref.ref(tau)]
+        del t, tau, cls
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -7,129 +7,20 @@ z-knotted triangulations along special pairs, and build arbitrarily large
 z-knotted spheres from labeled trees of bipyramids.
 """
 
-from .engine import (
-    Classification,
-    Pass,
-    ZOrientation,
-    Zigzag,
-    all_z_orientations,
-    classify,
-    enumerate_zigzags,
-    face_shadow,
-    is_homogeneous,
-    is_z_knotted,
-    make_pass,
-    make_z_orientation,
-    zigzag_successor,
-)
-from .eulerian import (
-    DirectedEmbedding,
-    EmbeddingError,
-    extract_directed_embedding,
-    parse_embedding,
-    round_trip_check,
-    serialize_embedding,
-    triangulate_embedding,
-    validate_embedding,
-)
-from .generators import (
-    BuildLog,
-    GluingRecord,
-    TreeError,
-    TreeSpec,
-    bipyramid,
-    bipyramid_canonical_zorientation,
-    parse_tree,
-    platonic,
-    serialize_tree,
-    tree_build,
-    validate_tree,
-)
-from .surgery import (
-    FOUR_ZIGZAG,
-    HOST,
-    TWO_ZIGZAG,
-    GluingSite,
-    InvariantError,
-    SpecialPair,
-    SurgeryError,
-    check_compatibility,
-    find_piece_pairs,
-    find_special_pairs,
-    glue,
-    plan_gluing,
-    predict_glued_zigzag,
-    resolve_site,
-)
-from .triangulation import (
-    LinkCycle,
-    ParseError,
-    Triangulation,
-    TriangulationError,
-    ValidationReport,
-    edge_key,
-    face_key,
-    parse_triangulation,
-    serialize_triangulation,
-)
+from . import engine, eulerian, generators, surgery, triangulation
+from .engine import *  # noqa: F403
+from .eulerian import *  # noqa: F403
+from .generators import *  # noqa: F403
+from .surgery import *  # noqa: F403
+from .triangulation import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Classification",
-    "Pass",
-    "ZOrientation",
-    "Zigzag",
-    "all_z_orientations",
-    "classify",
-    "enumerate_zigzags",
-    "face_shadow",
-    "is_homogeneous",
-    "is_z_knotted",
-    "make_pass",
-    "make_z_orientation",
-    "zigzag_successor",
-    "DirectedEmbedding",
-    "EmbeddingError",
-    "extract_directed_embedding",
-    "parse_embedding",
-    "round_trip_check",
-    "serialize_embedding",
-    "triangulate_embedding",
-    "validate_embedding",
-    "BuildLog",
-    "GluingRecord",
-    "TreeError",
-    "TreeSpec",
-    "bipyramid",
-    "bipyramid_canonical_zorientation",
-    "parse_tree",
-    "platonic",
-    "serialize_tree",
-    "tree_build",
-    "validate_tree",
-    "FOUR_ZIGZAG",
-    "HOST",
-    "TWO_ZIGZAG",
-    "GluingSite",
-    "InvariantError",
-    "SpecialPair",
-    "SurgeryError",
-    "check_compatibility",
-    "find_piece_pairs",
-    "find_special_pairs",
-    "glue",
-    "plan_gluing",
-    "predict_glued_zigzag",
-    "resolve_site",
-    "LinkCycle",
-    "ParseError",
-    "Triangulation",
-    "TriangulationError",
-    "ValidationReport",
-    "edge_key",
-    "face_key",
-    "parse_triangulation",
-    "serialize_triangulation",
+    *engine.__all__,
+    *eulerian.__all__,
+    *generators.__all__,
+    *surgery.__all__,
+    *triangulation.__all__,
     "__version__",
 ]

@@ -20,7 +20,6 @@ from .engine import (
     make_z_orientation,
 )
 from .eulerian import (
-    EmbeddingError,
     _extract,
     parse_embedding,
     serialize_embedding,
@@ -28,7 +27,6 @@ from .eulerian import (
     validate_embedding,
 )
 from .generators import (
-    TreeError,
     _bipyramid_analysis,
     parse_tree,
     platonic,
@@ -47,7 +45,6 @@ from .surgery import (
 )
 from .triangulation import (
     Triangulation,
-    TriangulationError,
     edge_key,
     parse_triangulation,
     serialize_triangulation,
@@ -419,10 +416,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (TriangulationError, EmbeddingError, SurgeryError, TreeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # every domain error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

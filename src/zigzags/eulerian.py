@@ -31,6 +31,7 @@ from .triangulation import (
     ValidationReport,
     _check_token,
     _reachable,
+    _records,
     edge_key,
     face_key,
 )
@@ -285,11 +286,7 @@ def parse_embedding(text: str) -> DirectedEmbedding:
     vertices: list[str] = []
     arcs: list[Arc] = []
     cycles: list[tuple[str, tuple[Arc, ...]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts, raw in _records(text):
         kind = parts[0]
         if kind == "v":
             if len(parts) != 2:

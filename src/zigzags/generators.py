@@ -28,6 +28,7 @@ from .triangulation import (
     ValidationReport,
     _check_token,
     _reachable,
+    _records,
     edge_key,
 )
 
@@ -179,11 +180,7 @@ def parse_tree(text: str) -> TreeSpec:
     """Parse the line format: 'n <id> <label>' and 'a <id1> <id2>'."""
     nodes: list[tuple[str, int]] = []
     arcs: list[tuple[int, str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts, raw in _records(text):
         if parts[0] == "n":
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'n <id> <label>', got {raw.strip()!r}")

@@ -60,9 +60,10 @@ Triangulation is validated, the zigzag is walked as its only zigzag
 (engine._sole_zigzag_shadow), and classify, homogeneity and the type-I
 vertices are checked.  Any failure raises InvariantError, an explicit check
 that also runs under python -O, and a failed glue check names the glue.
-glue runs one gluing on a copy of the host and audits the result;
-generators.tree_build runs all of a tree's gluings on one surface and
-audits it once.
+glue runs one gluing on a copy of the host, along the host site as it was
+resolved, and audits the result; generators.tree_build runs all of a
+tree's gluings on one surface, resolving each host pair on it, and audits
+it once.
 """
 
 from __future__ import annotations
@@ -85,6 +86,7 @@ from .engine import (
 from .triangulation import (
     Triangulation,
     _edge_violations,
+    _face_edges,
     _link_cycle,
     _link_violations,
     edge_key,
@@ -92,6 +94,9 @@ from .triangulation import (
 )
 
 __all__ = [
+    "HOST",
+    "TWO_ZIGZAG",
+    "FOUR_ZIGZAG",
     "SurgeryError",
     "InvariantError",
     "SpecialPair",
@@ -167,7 +172,8 @@ def _kind(cls: Classification) -> str | None:
 class GluingSite:
     """A resolved pair: its sides and cut segments, and what they imply.
 
-    segments maps "1+", "1-", "2+", "2-" to passes.  For a host they are
+    segments maps "1+", "1-", "2+", "2-" to passes, each cut by _arc, the
+    one slice rule, from its chosen zigzag's passes.  For a host they are
     the four arcs of the single zigzag between consecutive pair occurrences;
     for a two-zigzag piece the arcs between the two occurrences of each edge
     in its own zigzag; for a four-zigzag piece each segment is a whole
@@ -336,10 +342,11 @@ def _link_positions(t: Triangulation, v: str) -> dict[str, int]:
     return _positions(t.vertex_link(v).cycle)
 
 
-def _segment(z: Zigzag, start: int, stop: int) -> tuple[Pass, ...]:
-    """Passes strictly between positions start and stop, cyclically."""
-    n = len(z)
-    return tuple(z.passes[(start + k) % n] for k in range(1, (stop - start - 1) % n + 1))
+def _arc(passes, start: int, stop: int):
+    """The passes strictly between positions start and stop, cyclically, as
+    a slice of passes: the one rule that cuts every segment.  When stop is
+    start that is every pass but the one at start."""
+    return passes[start + 1:stop] if start < stop else passes[start + 1:] + passes[:stop]
 
 
 def _pair_problem(census: int, edge_types: dict, pair: SpecialPair, passes_of) -> str | None:
@@ -432,35 +439,32 @@ def _sides(pos: dict[str, int], sign, pair: SpecialPair) -> dict[str, str]:
     return {w: sign(w) for w in pos if w != pair.v1 and w != pair.v2}
 
 
-def _ends(keys: dict[str, tuple[int, int]], lengths) -> dict[str, str]:
-    """Each key -> the key of the next pair pass along its zigzag, of the
-    length lengths[zigzag index]."""
-    return {
+def _segments(keys: dict[str, tuple[int, int]], zigzags) -> tuple[dict, dict[str, str]]:
+    """Each key -> its segment, cut by _arc from zigzags[zigzag index] (a
+    sequence of passes) between its pass and the next pair pass along that
+    zigzag; and each key -> that next pass's key, its segment's end."""
+    ends = {
         key: min(
             (k for k, (zj, _) in keys.items() if zj == zi),
-            key=lambda k: (keys[k][1] - r - 1) % lengths[zi],
+            key=lambda k: (keys[k][1] - r - 1) % len(zigzags[zi]),
         )
         for key, (zi, r) in keys.items()
     }
+    segments = {key: _arc(zigzags[zi], r, keys[ends[key]][1]) for key, (zi, r) in keys.items()}
+    return segments, ends
 
 
-def _resolve(cls: Classification, pair: SpecialPair, reorder: bool = False) -> GluingSite:
-    """Label, split, and cut a checked pair.
-
-    A host pair is cut in the role order its labeling reads; when that is
-    the swapped order, reorder takes it, and otherwise the pair raises
-    SurgeryError.  A piece pair is cut in the order given.  Each segment
-    runs from a pair pass to the next pair pass in the same chosen zigzag,
-    whose key is its end: the host's four arcs, a two-zigzag piece's halves
-    of each zigzag, a four-zigzag piece's whole zigzags less one pass.
+def _resolve(cls: Classification, pair: SpecialPair) -> GluingSite:
+    """Label, split, and cut a checked pair, in the role order its labeling
+    reads: for a host pair that may be the swapped order, for a piece pair
+    it is the order given.  Each segment runs from a pair pass to the next
+    pair pass in the same chosen zigzag, whose key is its end: the host's
+    four arcs, a two-zigzag piece's halves of each zigzag, a four-zigzag
+    piece's whole zigzags less one pass.
     """
     pos = _link_positions(cls.triangulation, pair.shared_vertex)
     ordered, sign, keys = _labeled(cls, pair, pos)
-    if ordered is not pair and not reorder:
-        raise SurgeryError(_NO_LABELING)
-    chosen = cls.orientation.chosen
-    ends = _ends(keys, [len(z) for z in chosen])
-    segments = {key: _segment(chosen[zi], r, keys[ends[key]][1]) for key, (zi, r) in keys.items()}
+    segments, ends = _segments(keys, [z.passes for z in cls.orientation.chosen])
     return GluingSite(cls, ordered, _sides(pos, sign, pair), segments, ends)
 
 
@@ -473,7 +477,10 @@ def resolve_site(cls: Classification, pair: SpecialPair) -> GluingSite:
     its role order fails the side condition.
     """
     _require_homogeneous(cls, _NOT_HOMOGENEOUS_SITE)
-    return _resolve(cls, _checked(cls, pair))
+    site = _resolve(cls, _checked(cls, pair))
+    if site.pair is not pair:
+        raise SurgeryError(_NO_LABELING)
+    return site
 
 
 def _piece_site(piece: Classification, wanted: tuple[bool, ...], piece_pairs) -> GluingSite:
@@ -512,7 +519,7 @@ def plan_gluing(
     """
     _require_homogeneous(host, _NOT_HOMOGENEOUS_SITE)
     _require_host(host)
-    host_site = _resolve(host, _checked(host, host_pair), reorder=True)
+    host_site = _resolve(host, _checked(host, host_pair))
     wanted = _heads(host.edge_directions, host_site.pair)
     return host_site, _piece_site(piece, wanted, piece_pairs)
 
@@ -595,11 +602,6 @@ def _glued_walk(host_ends: dict[str, str], piece_ends: dict[str, str]):
         key = end[0] + ("-" if end[1] == "+" else "+")
 
 
-def _edges_of(face: Face) -> tuple[Edge, Edge, Edge]:
-    a, b, c = face  # a face key is sorted, so its edges are canonical
-    return (a, b), (a, c), (b, c)
-
-
 def _turn(passes: list[Pass], i: int) -> Face:
     """The face the walk turns in between passes i and i+1: pass i's edge
     and pass i+1's end, as face_shadow reads it."""
@@ -669,13 +671,14 @@ def _relinked(x: str, lost, gained, born_edges: set, edge_faces: dict) -> bool:
 
 
 class _Cut(NamedTuple):
-    """A host pair resolved on a _Surface: the pair in its role order, the
-    side of each interior link vertex, each key's (zigzag index, position)
-    in the surface's pass list, and each key's segment end."""
+    """A host pair resolved on a _Surface, holding what a GluingSite holds
+    but its classification: the pair in its role order, the side of each
+    interior link vertex, each key's segment, cut by _arc from the surface's
+    pass list, and each key's segment end."""
 
     pair: SpecialPair
-    sides: dict[str, str]
-    keys: dict[str, tuple[int, int]]
+    vertex_sides: dict[str, str]
+    segments: dict[str, list[Pass]]
     ends: dict[str, str]
 
 
@@ -757,29 +760,32 @@ class _Surface:
             pair, pos, faces, (at[pair.e1], at[pair.e2]), lambda _, r: _turn(self.passes, r),
             host=True,
         )
-        return _Cut(ordered, _sides(pos, sign, pair), keys, _ends(keys, (len(self.passes),)))
+        segments, ends = _segments(keys, (self.passes,))
+        return _Cut(ordered, _sides(pos, sign, pair), segments, ends)
 
     def plan(self, host_pair: SpecialPair, piece: Classification, piece_pairs):
         """plan_gluing on this surface: (the host cut, the piece site)."""
         cut = self.cut(host_pair)
         return cut, _piece_site(piece, _heads(self.edge_directions, cut.pair), piece_pairs)
 
-    def splice(self, cut: _Cut, piece_site: GluingSite) -> _Change:
-        """Glue the piece in along the host cut, in place, unchecked.
+    def splice(self, host: _Cut | GluingSite, piece_site: GluingSite) -> _Change:
+        """Glue the piece in along the host site, in place, unchecked; the
+        host site is a _Cut of this surface or a GluingSite resolved on the
+        classification it was copied from.
 
         The faces at v take their renamed keys in their slots and the
         piece's renamed faces are appended.  The glued walk joins the split
-        edges' passes, the host's four arcs (slices of its pass list) and
-        the piece's renamed segments into the new pass list, and the host's
-        passes at v are renamed where they lie in it.
+        edges' passes, the host's four segments and the piece's renamed
+        segments into the new pass list, and the host's passes at v are
+        renamed where they lie in it.
         """
         piece = piece_site.classification
         tp = piece.triangulation
-        pair, v = cut.pair, cut.pair.shared_vertex
+        pair, v = host.pair, host.pair.shared_vertex
         if any(u in self.vertex_faces for u in tp.vertices):
             raise SurgeryError("host and piece vertex namespaces must be disjoint")
         split = _split_names(v, self.vertex_faces, tp._vertex_faces)
-        host_rename, piece_rename = _namers(pair, cut.sides, piece_site, split)
+        host_rename, piece_rename = _namers(pair, host.vertex_sides, piece_site, split)
         sizes = (
             len(self.vertex_faces) + len(tp.vertices) - 2,
             len(self.edge_faces) + len(tp.edges),
@@ -790,7 +796,7 @@ class _Surface:
         # edges at v and of the piece, the pair edges' split copies type II,
         # and the piece's other edges, copied as they are
         lost = self.vertex_faces[v]
-        at_v = sorted({e for f in lost for e in _edges_of(f) if v in e} - pair.edges())
+        at_v = sorted({e for f in lost for e in _face_edges(f) if v in e} - pair.edges())
         types = dict(zip(host_rename(at_v, edge_key), map(self.edge_types.__getitem__, at_v)))
         halves = split.values()
         types.update((edge_key(half, w), "II") for w in (pair.v1, pair.v2) for half in halves)
@@ -804,20 +810,18 @@ class _Surface:
         gained = host_rename(lost, face_key) + piece_rename(tp.faces, face_key)
         edges, vertices, born, fresh = self._swap(lost, gained)
 
-        # the glued walk: each key's split-edge pass, then its host arc or
-        # its renamed piece segment
-        ps = self.passes
+        # the glued walk: each key's split-edge pass, then its host segment
+        # or its renamed piece segment
         heads = {"1": self.edge_directions[pair.e1], "2": self.edge_directions[pair.e2]}
         new: list[Pass] = []
         junctions: list[int] = []  # where the split edges' passes lie in new
         dirty: list[int] = []  # where the renamed passes lie in new
-        for site, key in _glued_walk(cut.ends, piece_site.ends):
+        for site, key in _glued_walk(host.ends, piece_site.ends):
             junctions.append(len(new))
             new.append(make_pass(*(split[key[1]] if x == v else x for x in heads[key[0]])))
             start = len(new)
             if site == 0:
-                r, stop = cut.keys[key][1], cut.keys[cut.ends[key]][1]
-                new += ps[r + 1:stop] if r < stop else ps[r + 1:] + ps[:stop]
+                new += host.segments[key]
             else:
                 segment = piece_site.segments[key]
                 renamed = piece_rename(segment, _renamed_pass)
@@ -849,7 +853,7 @@ class _Surface:
                 raise InvariantError(f"glued face {g} is repeated")
             self.slots[g] = slot
             self.faces[slot] = g
-        edges, born = _reindex(self.edge_faces, lost, gained, _edges_of)
+        edges, born = _reindex(self.edge_faces, lost, gained, _face_edges)
         vertices, fresh = _reindex(self.vertex_faces, lost, gained, lambda f: f)
         return sorted(edges), vertices, born, set(fresh)
 
@@ -930,7 +934,7 @@ class _Surface:
             ends.update(e)
 
         for f in change.gained:
-            if sum(types[e] == "II" for e in _edges_of(f)) != 1:
+            if sum(types[e] == "II" for e in _face_edges(f)) != 1:
                 raise InvariantError(f"glued face {f} is not type I")
 
         def ii(i: int) -> bool:
@@ -953,11 +957,11 @@ class _Surface:
             elif (ends[x] == 0) != (x in self.type_i):
                 raise InvariantError(f"vertex {x} changed its type")
 
-    def glue(self, cut: _Cut, piece_site: GluingSite, what: str) -> None:
+    def glue(self, host: _Cut | GluingSite, piece_site: GluingSite, what: str) -> None:
         """Splice the piece in and check the splice; a failed check raises
         InvariantError whose message starts with what, naming the glue."""
         try:
-            self.check(self.splice(cut, piece_site))
+            self.check(self.splice(host, piece_site))
         except InvariantError as exc:
             raise InvariantError(f"{what}: {exc}") from None
 
@@ -991,7 +995,7 @@ def predict_glued_zigzag(host_site: GluingSite, piece_site: GluingSite) -> Zigza
     """
     _require_gluable(host_site, piece_site)
     surface = _Surface(host_site.classification)
-    surface.splice(surface.cut(host_site.pair), piece_site)
+    surface.splice(host_site, piece_site)
     return Zigzag(tuple(surface.passes))
 
 
@@ -1003,8 +1007,8 @@ def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
     piece site from a two- or four-zigzag homogeneous one; directions must
     match at the shared vertices and the vertex namespaces must be disjoint.
 
-    The gluing runs on a _Surface copied from the host, where the host pair
-    is resolved again: it is spliced in place and checked where it changed,
+    The gluing runs on a _Surface copied from the host, along the host site
+    as it was resolved: it is spliced in place and checked where it changed,
     then the result is audited in full, its predicted zigzag walked as its
     only zigzag rather than enumerated, and the walk's face shadow becomes
     the result's.  Raises InvariantError when the glued result fails a
@@ -1014,6 +1018,6 @@ def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
     _require_gluable(host_site, piece_site)
     surface = _Surface(host_site.classification)
     what = f"glued the piece at {piece_site.v} into the host at {host_site.v}"
-    surface.glue(surface.cut(host_site.pair), piece_site, what)
+    surface.glue(host_site, piece_site, what)
     return surface.finish()
 

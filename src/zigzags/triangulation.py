@@ -69,6 +69,12 @@ def face_key(a: str, b: str, c: str) -> tuple[str, str, str]:
     return tuple(sorted((a, b, c)))
 
 
+def _face_edges(face: tuple[str, str, str]) -> tuple[tuple[str, str], ...]:
+    """The three edges of a face key; the key is sorted, so they are too."""
+    a, b, c = face
+    return (a, b), (a, c), (b, c)
+
+
 def _link_cycle(v: str, faces) -> tuple[str, ...] | None:
     """The link of v, given the faces at v, walked from its least vertex
     toward the lesser of that vertex's two link-neighbors; None unless the
@@ -177,8 +183,7 @@ class Triangulation:
         for f in self._faces:
             for v in f:
                 vertex_faces.setdefault(v, []).append(f)
-            a, b, c = f  # sorted, so its edges are canonical
-            for e in ((a, b), (a, c), (b, c)):
+            for e in _face_edges(f):
                 edge_faces.setdefault(e, []).append(f)
         self._edge_faces = {e: tuple(sorted(fs)) for e, fs in edge_faces.items()}
         self._vertex_faces = {v: tuple(sorted(fs)) for v, fs in vertex_faces.items()}
@@ -318,6 +323,16 @@ class Triangulation:
 # text format: one face record per line, '#' starts a comment
 
 
+def _records(text: str):
+    """Each record of a line format as (line number, fields, raw line): '#'
+    begins a comment running to the end of the line, and a line with no
+    field holds no record."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, parts, raw
+
+
 def parse_triangulation(text: str) -> Triangulation:
     """Parse the face-list text format.
 
@@ -327,11 +342,7 @@ def parse_triangulation(text: str) -> Triangulation:
     """
     faces: list[tuple[str, ...]] = []
     seen: set[tuple[str, str, str]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts, _ in _records(text):
         if parts[0] != "f":
             raise ParseError(f"line {lineno}: unknown record type {parts[0]!r}")
         if len(parts) != 4:

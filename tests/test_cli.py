@@ -352,3 +352,38 @@ def test_invalid_triangulation_is_domain_error(tmp_path, capsys):
     rc, _, err = run(capsys, "analyze", str(bad))
     assert rc == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, files, message", [
+    # ParseError
+    (["analyze", "bad.tri"], {"bad.tri": "x 1 2 3\n"}, "line 1: unknown record type 'x'"),
+    # TriangulationError
+    (["analyze", "open.tri"], {"open.tri": "f 1 2 3\n"},
+     "invalid triangulation: edge 1-2 lies in 1 face(s), expected 2; edge 1-3 lies in 1 "
+     "face(s), expected 2; edge 2-3 lies in 1 face(s), expected 2; link of vertex 1 is not "
+     "a single cycle; link of vertex 2 is not a single cycle; link of vertex 3 is not a "
+     "single cycle"),
+    # EmbeddingError
+    (["convert", "--triangulate", "anti.eul"], {"anti.eul": "v x\nv y\na 0 x y\na 1 y x\n"},
+     "arcs x->y and y->x are antiparallel"),
+    # SurgeryError: the tetrahedron has no homogeneous z-orientation
+    (["glue", "--host", "tetra.tri", "--piece", "tetra.tri", "--host-pair", "1,2,3",
+      "--piece-pair", "1,2,3"], {"tetra.tri": "f 1 2 3\nf 1 2 4\nf 1 3 4\nf 2 3 4\n"},
+     "no homogeneous z-orientation exists; pass bits explicitly"),
+    # TreeError
+    (["build-tree", "bad.tree"], {"bad.tree": "n r 4\n"},
+     "expected exactly one odd-labeled node (the root), found 0"),
+    # a bits string that is no 0/1 string
+    (["analyze", "tetra.tri", "--zorient", "2"],
+     {"tetra.tri": "f 1 2 3\nf 1 2 4\nf 1 3 4\nf 2 3 4\n"},
+     "z-orientation bits must be a 0/1 string, got '2'"),
+    # OSError
+    (["analyze", "nope.tri"], {}, "[Errno 2] No such file or directory: '{tmp}/nope.tri'"),
+])
+def test_each_error_family_exits_1_with_its_message(tmp_path, capsys, argv, files, message):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a.endswith((".tri", ".eul", ".tree")) else a for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    assert err == f"error: {message.replace('{tmp}', str(tmp_path))}\n"

@@ -4,6 +4,7 @@ Triangulation, enumerate_zigzags and classify, and both rejecting bad input."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib
 import pkgutil
 from collections import Counter
@@ -20,12 +21,16 @@ from zigzags import (
     classify,
     enumerate_zigzags,
     face_shadow,
+    find_special_pairs,
     glue,
     make_pass,
     platonic,
+    predict_glued_zigzag,
+    resolve_site,
     tree_build,
 )
 from zigzags.engine import _sole_zigzag_shadow
+from zigzags.triangulation import _face_edges
 
 
 def _walk(*vertices: str) -> Zigzag:
@@ -122,6 +127,49 @@ def test_glue_neither_enumerates_nor_constructs(glued_corpus, monkeypatch):
         assert cls.face_shadows == (face_shadow(t, z),)
 
 
+def _cut_facts(site) -> tuple:
+    segments = tuple(sorted((key, tuple(passes)) for key, passes in site.segments.items()))
+    return site.pair, site.vertex_sides, site.ends, segments
+
+
+def test_a_surface_cuts_a_host_pair_as_resolve_site_does(bipyramid_corpus, tree_corpus):
+    # why glue may splice the site it is given: a _Surface copied from the
+    # host cuts each special pair, given in either role order, into the
+    # site resolve_site resolves on the classification
+    hosts = [(t, tau) for n, (t, tau) in bipyramid_corpus.items() if n % 2]
+    hosts += [(t, tau) for _, t, tau, _ in tree_corpus]
+    cut = 0
+    for t, tau in hosts:
+        for cls in (classify(t, tau), classify(t, tau.reversed())):
+            for pair in find_special_pairs(cls):
+                site = _cut_facts(resolve_site(cls, pair))
+                for cand in (pair, pair.swapped()):
+                    assert _cut_facts(surgery._Surface(cls).cut(cand)) == site
+                    cut += 1
+    assert cut > 1000
+
+
+# sha256 of glue's faces and chosen zigzag and predict_glued_zigzag's walk
+# on both gluings of the glued corpus
+PINNED_GLUED_DIGEST = "e27260b7bad062b51f6015e0f26ae06d20328268e30f8c25cd652ab202affd0b"
+
+
+def test_glue_splices_the_given_host_site(glued_corpus, monkeypatch):
+    # glue and predict_glued_zigzag resolve nothing again: with the
+    # surface's resolver broken they give the same results
+    def no_cut(surface, pair):
+        raise AssertionError("the host pair is resolved again")
+
+    monkeypatch.setattr(surgery._Surface, "cut", no_cut)
+    h = hashlib.sha256()
+    for n in (4, 6):
+        _, _, host_site, piece_site = glued_corpus[n]
+        cls = glue(host_site, piece_site)
+        predicted = predict_glued_zigzag(host_site, piece_site)
+        h.update(repr((cls.triangulation.faces, cls.orientation.chosen, predicted)).encode())
+    assert h.hexdigest() == PINNED_GLUED_DIGEST
+
+
 def test_walk_rejects_the_hosts_zigzag(glued_corpus):
     t, _, host_site, piece_site = glued_corpus[6]
     host_z = host_site.classification.orientation.chosen[0]
@@ -131,7 +179,7 @@ def test_walk_rejects_the_hosts_zigzag(glued_corpus):
     # and the audit alike
     for check in (True, False):
         surface = surgery._Surface(host_site.classification)
-        change = surface.splice(surface.cut(host_site.pair), piece_site)
+        change = surface.splice(host_site, piece_site)
         surface.passes = list(host_z.passes)
         with pytest.raises(InvariantError, match="zigzag has 18 passes, not 2E = 54"):
             surface.check(change) if check else surface.finish()
@@ -180,7 +228,7 @@ def _tampered_splice(monkeypatch, glued, piece_namer):
 
     monkeypatch.setattr(surgery, "_namers", tampered)
     surface = surgery._Surface(host_site.classification)
-    return surface, surface.splice(surface.cut(host_site.pair), piece_site)
+    return surface, surface.splice(host_site, piece_site)
 
 
 def _keep_v1(piece_site, split, pair):
@@ -243,7 +291,7 @@ def _wrong_piece_type(surface, change):
 def _broken_phase(surface, change):
     # a host edge off every new face, three passes after the first junction
     edge = surface.passes[change.junctions[0] + 3].edge
-    assert all(edge not in surgery._edges_of(f) for f in change.gained)
+    assert all(edge not in _face_edges(f) for f in change.gained)
     surface.edge_types[edge] = _flip(surface.edge_types[edge])
     return change
 
@@ -261,6 +309,6 @@ def test_each_check_names_the_fact_that_broke(glued_corpus, corrupt, message):
     # the check of that fact, whatever the checks before it pass
     _, _, host_site, piece_site = glued_corpus[6]
     surface = surgery._Surface(host_site.classification)
-    change = surface.splice(surface.cut(host_site.pair), piece_site)
+    change = surface.splice(host_site, piece_site)
     with pytest.raises(InvariantError, match=message):
         surface.check(corrupt(surface, change))

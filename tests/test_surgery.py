@@ -157,14 +157,13 @@ def test_find_special_pairs_matches_resolve_site_reference(role_order_outcomes):
 
 
 def test_host_role_order_is_decided_once(role_order_outcomes):
-    # resolving with reorder, as plan_gluing's host half does, given a pair
-    # in either order, gives the site resolve_site finds in the one order
-    # that resolves
+    # resolving as plan_gluing's host half does, given a pair in either
+    # order, gives the site resolve_site finds in the one order that resolves
     for cls, rows in role_order_outcomes:
         for pair, both in rows:
             (site,) = (got for got in both.values() if not isinstance(got, str))
             for cand in (pair, pair.swapped()):
-                assert site_facts(_resolve(cls, cand, reorder=True)) == site_facts(site)
+                assert site_facts(_resolve(cls, cand)) == site_facts(site)
 
 
 def test_swapping_roles_keeps_the_labeling(role_order_outcomes):

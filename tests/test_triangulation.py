@@ -11,6 +11,8 @@ from zigzags import (
     bipyramid,
     edge_key,
     face_key,
+    parse_embedding,
+    parse_tree,
     parse_triangulation,
     platonic,
     serialize_triangulation,
@@ -155,6 +157,22 @@ def test_parse_errors_name_lines():
         parse_triangulation("f 1 1 2\n")
     with pytest.raises(ParseError, match="duplicate face"):
         parse_triangulation("f 1 2 3\nf 3 2 1\n")
+
+
+@pytest.mark.parametrize("parse, plain, unknown", [
+    (parse_triangulation, "f 1 2 3\nf 1 2 4\nf 1 3 4\nf 2 3 4\n", "unknown record type 'zz'"),
+    (parse_embedding, "v x\nv y\nv z\na 0 x y\na 1 y z\na 2 z x\nc F 0 1 2\n",
+     "unknown record 'zz'"),
+    (parse_tree, "n r 5\nn x 4\na r x\n", "unknown record 'zz'"),
+])
+def test_every_format_skips_comments_blanks_and_indents_alike(parse, plain, unknown):
+    lines = plain.splitlines()
+    decorated = ["# a comment", *(f"  \t{line}  # inline" for line in lines), " \t ", "zz"]
+    assert parse("\n".join(decorated[:-1])) == parse(plain)
+    # the skipped lines still count toward the line an error names
+    with pytest.raises(ParseError) as caught:
+        parse("\n".join(decorated))
+    assert str(caught.value) == f"line {len(decorated)}: {unknown}"
 
 
 def test_serialize_round_trip():

@@ -171,10 +171,10 @@ def _apex_table(t: Triangulation) -> dict[tuple[str, str, str], str]:
     Needs every edge in exactly two faces.
     """
     across = {}
-    for e in t.edges:
+    for e, faces in t._edge_faces.items():
         u, v = e
         apexes = []
-        for a, b, c in t.edge_faces(e):
+        for a, b, c in faces:
             # faces and edges are sorted, so the apex is the vertex off e
             apexes.append(c if (a, b) == e else b if (a, c) == e else a)
         x, y = apexes
@@ -341,11 +341,14 @@ class Classification:
         adjacent, and a zigzag the rotation keeps (3-periodic, or constant on
         a length not divisible by 3) holds type II at a third of its passes
         or at none.  None would leave the others more than a third, so each
-        reads II,I,I."""
+        reads II,I,I.  Reversing a zigzag reverses its type sequence, and a
+        sequence is kept by a 3-step rotation exactly when its reversal is,
+        so the canonical zigzags answer for the chosen ones unreversed."""
         if any(kind != "I" for kind in self.face_types.values()):
             return False
-        for z in self.orientation.chosen:
-            ii = [self.edge_types[p.edge] == "II" for p in z.passes]
+        directions = self.edge_directions
+        for z in self.orientation.zigzags:
+            ii = [e in directions for e, _, _ in z.passes]
             if ii[3:] + ii[:3] != ii:
                 return False
         return True
@@ -365,6 +368,30 @@ class Classification:
         return tuple(face_shadow(self.triangulation, z) for z in self.orientation.chosen)
 
 
+def _pass_table(t: Triangulation, tau: ZOrientation) -> list[tuple]:
+    """(e, i, f, j, g) for each edge e of t, in t.edges order: zigzags i and
+    j of tau pass e, with e's key when f (g) is True.  It holds facts of t
+    and the zigzags alone, kept on t for t's own enumeration; the bits only
+    name an unknown edge where tau.chosen first meets it."""
+    zs = tau.zigzags
+    if zs is t._zigzags and t._passes is not None:
+        return t._passes
+    slots: dict[Edge, list] = {e: [e] for e in t.edges}
+    for i, z in enumerate(zs):
+        for e, src, _ in z.passes:
+            try:
+                slots[e] += (i, src == e[0])
+            except KeyError:
+                e = next(p.edge for p in tau.chosen[i].passes if p.edge not in slots)
+                raise TriangulationError(f"pass over unknown edge {e!r}") from None
+    table = list(map(tuple, slots.values()))
+    if any(len(row) != 5 for row in table):
+        raise TriangulationError("each edge is passed exactly twice")
+    if zs is t._zigzags:
+        t._passes = table
+    return table
+
+
 def classify(t: Triangulation, tau: ZOrientation) -> Classification:
     """Classify edges, vertices, and faces under tau.
 
@@ -372,26 +399,19 @@ def classify(t: Triangulation, tau: ZOrientation) -> Classification:
     so every Classification is of one), and for a pass over no edge of t,
     an edge not passed exactly twice (double cover), or a face that is
     neither type I nor a directed type-II cycle: by the paper, tau is then
-    not t's own.
+    not t's own.  The unknown-edge and double-cover checks run once per
+    (t, zigzags), when _pass_table is built; types are read off the bits.
     """
     t.require_valid()
-    passes: dict[Edge, list[tuple[str, str]]] = {e: [] for e in t.edges}
-    for z in tau.chosen:
-        for e, src, dst in z.passes:
-            try:
-                passes[e].append((src, dst))
-            except KeyError:
-                raise TriangulationError(f"pass over unknown edge {e!r}") from None
-    if any(len(v) != 2 for v in passes.values()):
-        raise TriangulationError("each edge is passed exactly twice")
-
+    bits = [b == 1 for b in tau.bits]  # ZOrientation also takes 1.0 or True for 1
     edge_types: dict[Edge, str] = {}
     edge_directions: dict[Edge, tuple[str, str]] = {}
-    for e, (d1, d2) in passes.items():
-        # two passes over one edge either agree or run opposite ways
-        if d1 == d2:
+    for e, i, f, j, g in _pass_table(t, tau):
+        # a reversed zigzag passes each edge the other way; two passes over
+        # one edge either agree (type II) or run opposite ways
+        if f ^ bits[i] == g ^ bits[j]:
             edge_types[e] = "II"
-            edge_directions[e] = d1
+            edge_directions[e] = e if f ^ bits[i] else (e[1], e[0])
         else:
             edge_types[e] = "I"
 
@@ -403,12 +423,11 @@ def classify(t: Triangulation, tau: ZOrientation) -> Classification:
     face_types: dict[tuple[str, str, str], str] = {}
     for f in t.faces:
         a, b, c = f
-        # inline, not _face_edges: the call lost census p50 in 9 of 10 paired runs (2-core VM)
-        es = ((a, b), (a, c), (b, c))  # f is sorted, so these are canonical
-        twos = [e for e in es if e in edge_directions]
-        if len(twos) == 1:
+        es = ab, ac, bc = (a, b), (a, c), (b, c)  # f is sorted, so these are canonical
+        twos = (ab in edge_directions) + (ac in edge_directions) + (bc in edge_directions)
+        if twos == 1:
             face_types[f] = "I"
-        elif len(twos) != 3:
+        elif twos != 3:
             raise TriangulationError(f"face {f!r} violates the type dichotomy")
         else:
             outs = {edge_directions[e][0] for e in es}

@@ -100,6 +100,22 @@ def _link_cycle(v: str, faces) -> tuple[str, ...] | None:
     return tuple(cycle) if len(cycle) == len(adj) else None
 
 
+def _link_closes(v: str, faces, edge_faces: dict) -> bool:
+    """_link_cycle(v, faces) is not None, when every edge lies in two faces
+    of the index: the link is then a union of cycles, so walk the one
+    through the first face, crossing each edge at v, and count its faces."""
+    first = f = faces[0]
+    cur, n = f[2] if v in f[:2] else f[1], 1
+    while True:
+        g, h = edge_faces[(v, cur) if v < cur else (cur, v)]
+        f = h if g == f else g
+        if f == first:
+            return n == len(faces)
+        n += 1
+        a, b, c = f
+        cur = a if a != v and a != cur else b if b != v and b != cur else c
+
+
 def _edge_violations(edge_faces: dict, edges) -> list[str]:
     """The given edges that do not lie in exactly two faces of the index."""
     return [
@@ -154,8 +170,10 @@ class Triangulation:
     edge in exactly two faces, connectivity, single-cycle vertex links) are
     reported by validate().
 
-    Derived data kept per instance: the report of validate() and the zigzags
-    of engine.enumerate_zigzags; neither refers back to the instance.
+    Derived data kept per instance: the report of validate(), the zigzags
+    of engine.enumerate_zigzags, and the table of each edge's two passes
+    over those zigzags (engine._pass_table); none refers back to the
+    instance.
     """
 
     def __init__(self, faces) -> None:
@@ -191,6 +209,7 @@ class Triangulation:
         self._edges = tuple(sorted(self._edge_faces))
         self._report: ValidationReport | None = None
         self._zigzags: tuple | None = None
+        self._passes: list | None = None
 
     @classmethod
     def _indexed(cls, faces, edge_faces: dict, vertex_faces: dict) -> "Triangulation":
@@ -206,6 +225,7 @@ class Triangulation:
         t._edges = tuple(sorted(edge_faces))
         t._report = None
         t._zigzags = None
+        t._passes = None
         return t
 
     # ------------------------------------------------------------------
@@ -283,7 +303,8 @@ class Triangulation:
         violations: list[str] = []
         if not self._faces:
             violations.append("no faces")
-        violations += _edge_violations(self._edge_faces, self._edges)
+        edge_violations = _edge_violations(self._edge_faces, self._edges)
+        violations += edge_violations
         if self._vertices:
             seen = _reachable(
                 self._vertices[0], lambda v: (u for f in self._vertex_faces[v] for u in f)
@@ -292,9 +313,12 @@ class Triangulation:
                 violations.append(
                     f"graph disconnected: reached {len(seen)} of {len(self._vertices)} vertices"
                 )
-        violations += _link_violations(
-            self._vertices, lambda v: _link_cycle(v, self._vertex_faces[v]) is not None
-        )
+        vf, ef = self._vertex_faces, self._edge_faces
+        if edge_violations:
+            # an edge off two faces can leave a link that is no union of cycles
+            violations += _link_violations(self._vertices, lambda v: _link_cycle(v, vf[v]) is not None)
+        else:
+            violations += _link_violations(self._vertices, lambda v: _link_closes(v, vf[v], ef))
         self._report = ValidationReport(tuple(violations))
         return self._report
 
@@ -340,22 +364,32 @@ def parse_triangulation(text: str) -> Triangulation:
     '#' begins a comment running to the end of the line.  Errors name the
     offending line.  Validation is not applied here.
     """
-    faces: list[tuple[str, ...]] = []
-    seen: set[tuple[str, str, str]] = set()
-    for lineno, parts, _ in _records(text):
+    records = [(lineno, parts) for lineno, parts, _ in _records(text)]
+    if all(parts[0] == "f" and len(parts) == 4 for _, parts in records):
+        # the constructor checks each face once; the records are read again
+        # only when it fails, to name the first line at fault
+        try:
+            return Triangulation([parts[1:] for _, parts in records])
+        except TriangulationError as exc:
+            raise _first_fault(records) or exc from None
+    raise _first_fault(records)
+
+
+def _first_fault(records) -> ParseError | None:
+    """The error naming the first (line number, fields) record at fault."""
+    seen: set[tuple[str, ...]] = set()
+    for lineno, parts in records:
         if parts[0] != "f":
-            raise ParseError(f"line {lineno}: unknown record type {parts[0]!r}")
+            return ParseError(f"line {lineno}: unknown record type {parts[0]!r}")
         if len(parts) != 4:
-            raise ParseError(f"line {lineno}: face record needs 3 vertices, got {len(parts) - 1}")
-        trio = tuple(parts[1:])
-        if len(set(trio)) != 3:
-            raise ParseError(f"line {lineno}: face has a repeated vertex")
-        key = tuple(sorted(trio))
+            return ParseError(f"line {lineno}: face record needs 3 vertices, got {len(parts) - 1}")
+        if len(set(parts[1:])) != 3:
+            return ParseError(f"line {lineno}: face has a repeated vertex")
+        key = tuple(sorted(parts[1:]))
         if key in seen:
-            raise ParseError(f"line {lineno}: duplicate face {' '.join(key)}")
+            return ParseError(f"line {lineno}: duplicate face {' '.join(key)}")
         seen.add(key)
-        faces.append(trio)
-    return Triangulation(faces)
+    return None
 
 
 def serialize_triangulation(t: Triangulation) -> str:

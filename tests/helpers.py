@@ -13,6 +13,7 @@ from zigzags import (
     GluingRecord,
     SpecialPair,
     Triangulation,
+    TriangulationError,
     TreeSpec,
     ZOrientation,
     all_z_orientations,
@@ -90,6 +91,20 @@ def torus7() -> Triangulation:
     for i in range(7):
         faces.append((str(i), str((i + 1) % 7), str((i + 3) % 7)))
         faces.append((str(i), str((i + 2) % 7), str((i + 3) % 7)))
+    return Triangulation(faces)
+
+
+def torus_grid(m: int) -> Triangulation:
+    """The m x m grid torus, m >= 3: vertices i.j mod m, each square
+    (i, j), (i+1, j), (i+1, j+1), (i, j+1) cut along its diagonal."""
+    def v(i, j):
+        return f"{i % m}.{j % m}"
+
+    faces = []
+    for i in range(m):
+        for j in range(m):
+            faces.append((v(i, j), v(i + 1, j), v(i + 1, j + 1)))
+            faces.append((v(i, j), v(i, j + 1), v(i + 1, j + 1)))
     return Triangulation(faces)
 
 
@@ -232,3 +247,43 @@ def coned_round_trip(t: Triangulation, tau: ZOrientation) -> bool:
     if set(t.faces) != set(t2.faces):
         return False
     return {z.passes for z in tau.chosen} == {z.passes for z in tau2.chosen}
+
+
+def classify_by_passes(t: Triangulation, tau: ZOrientation):
+    """classify's rule read off the chosen zigzags: each edge's two passes
+    are collected from tau.chosen, and homogeneity checks the II,I,I period
+    on the chosen zigzags.  The reference for classify, which reads the
+    types off tau's bits.  Returns (edge_types, edge_directions,
+    vertex_types, face_types, homogeneous)."""
+    t.require_valid()
+    passes = {e: [] for e in t.edges}
+    for z in tau.chosen:
+        for e, src, dst in z.passes:
+            if e not in passes:
+                raise TriangulationError(f"pass over unknown edge {e!r}")
+            passes[e].append((src, dst))
+    if any(len(v) != 2 for v in passes.values()):
+        raise TriangulationError("each edge is passed exactly twice")
+    edge_types = {e: "II" if d1 == d2 else "I" for e, (d1, d2) in passes.items()}
+    edge_directions = {e: d1 for e, (d1, d2) in passes.items() if d1 == d2}
+    vertex_types = dict.fromkeys(t.vertices, "I")
+    for u, v in edge_directions:
+        vertex_types[u] = vertex_types[v] = "II"
+    face_types = {}
+    for f in t.faces:
+        a, b, c = f
+        es = ((a, b), (a, c), (b, c))
+        twos = [e for e in es if e in edge_directions]
+        if len(twos) == 1:
+            face_types[f] = "I"
+        elif len(twos) != 3:
+            raise TriangulationError(f"face {f!r} violates the type dichotomy")
+        elif not {edge_directions[e][0] for e in es} == {edge_directions[e][1] for e in es} == set(f):
+            raise TriangulationError(f"type-II face {f!r} is not a directed cycle")
+        else:
+            face_types[f] = "II"
+    homogeneous = set(face_types.values()) <= {"I"} and all(
+        ii[3:] + ii[:3] == ii
+        for ii in ([edge_types[p.edge] == "II" for p in z.passes] for z in tau.chosen)
+    )
+    return edge_types, edge_directions, vertex_types, face_types, homogeneous

@@ -67,14 +67,20 @@ def test_classification_carries_its_inputs_and_derived_facts(glued_corpus):
 def test_orientations_from_enumeration_build_no_reversals(monkeypatch):
     # enumerated zigzags are canonical, so only the public constructor,
     # which may be handed anything, checks them by building reversals
-    t = platonic("icosahedron")
+    t, bp = platonic("icosahedron"), bipyramid(8)
     zs = enumerate_zigzags(t)
     # enumeration itself reverses each orbit to pick its canonical form
-    monkeypatch.setattr(engine, "enumerate_zigzags", lambda _: zs)
+    enumerated = {t: zs, bp: enumerate_zigzags(bp)}
+    monkeypatch.setattr(engine, "enumerate_zigzags", enumerated.__getitem__)
     reversals = counted(monkeypatch, Zigzag, "reverse")
     taus = list(all_z_orientations(t))
     taus += [tau.reversed() for tau in taus[:8]]
     taus.append(make_z_orientation(t, (1,) * len(zs)))
+    # classify reads the types off the bits, so the search reverses
+    # nothing, also where the II,I,I period decides
+    assert not any(is_homogeneous(t, tau) for tau in taus)
+    verdicts = [is_homogeneous(bp, tau) for tau in all_z_orientations(bp)]
+    assert len(verdicts) == 16 and True in verdicts
     assert reversals == []
     assert all(tau == ZOrientation(zs, tau.bits) for tau in taus)
     with pytest.raises(ValueError):

@@ -159,6 +159,24 @@ def test_parse_errors_name_lines():
         parse_triangulation("f 1 2 3\nf 3 2 1\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("f 1 2 3\nf 1 1 2\n", "line 2: face has a repeated vertex"),
+    ("f 1 2 3\n# comment\nf 3 2 1\n", "line 3: duplicate face 1 2 3"),
+    # both faults: the earlier line wins, whichever it is
+    ("f 1 2 3\nf 2 2 4\nf 3 1 2\n", "line 2: face has a repeated vertex"),
+    ("f 1 2 3\nf 3 1 2\nf 2 2 4\n", "line 2: duplicate face 1 2 3"),
+    # a face fault before a malformed record wins over it, and after it not
+    ("f 1 2 3\nf 2 1 3\ng 1 2 3\n", "line 2: duplicate face 1 2 3"),
+    ("f 1 1 3\nf 1 2\n", "line 1: face has a repeated vertex"),
+    ("f 1 2\nf 1 1 3\n", "line 1: face record needs 3 vertices, got 2"),
+    ("x 1 2 3\nf 1 1 3\n", "line 1: unknown record type 'x'"),
+])
+def test_parse_names_the_first_line_at_fault(text, message):
+    with pytest.raises(ParseError) as caught:
+        parse_triangulation(text)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("parse, plain, unknown", [
     (parse_triangulation, "f 1 2 3\nf 1 2 4\nf 1 3 4\nf 2 3 4\n", "unknown record type 'zz'"),
     (parse_embedding, "v x\nv y\nv z\na 0 x y\na 1 y z\na 2 z x\nc F 0 1 2\n",

@@ -168,16 +168,6 @@ def _pinched_vertices(emb: DirectedEmbedding) -> list[str]:
             at.setdefault(b, []).append(a)
     out = []
     for v, at in corners.items():
-        # each arc at v has two corner-neighbors: walk the cycle through one
-        # arc and count the others only when it misses some arc
-        if at:
-            start = prev = next(iter(at))
-            cur, n = at[start][0], 1
-            while cur != start:
-                a, b = at[cur]
-                prev, cur, n = cur, b if a == prev else a, n + 1
-            if n == len(at):
-                continue
         left, cycles = set(at), 0
         while left:
             left -= _reachable(min(left), at.__getitem__)

@@ -100,22 +100,6 @@ def _link_cycle(v: str, faces) -> tuple[str, ...] | None:
     return tuple(cycle) if len(cycle) == len(adj) else None
 
 
-def _link_closes(v: str, faces, edge_faces: dict) -> bool:
-    """_link_cycle(v, faces) is not None, when every edge lies in two faces
-    of the index: the link is then a union of cycles, so walk the one
-    through the first face, crossing each edge at v, and count its faces."""
-    first = f = faces[0]
-    cur, n = f[2] if v in f[:2] else f[1], 1
-    while True:
-        g, h = edge_faces[(v, cur) if v < cur else (cur, v)]
-        f = h if g == f else g
-        if f == first:
-            return n == len(faces)
-        n += 1
-        a, b, c = f
-        cur = a if a != v and a != cur else b if b != v and b != cur else c
-
-
 def _edge_violations(edge_faces: dict, edges) -> list[str]:
     """The given edges that do not lie in exactly two faces of the index."""
     return [
@@ -303,8 +287,7 @@ class Triangulation:
         violations: list[str] = []
         if not self._faces:
             violations.append("no faces")
-        edge_violations = _edge_violations(self._edge_faces, self._edges)
-        violations += edge_violations
+        violations += _edge_violations(self._edge_faces, self._edges)
         if self._vertices:
             seen = _reachable(
                 self._vertices[0], lambda v: (u for f in self._vertex_faces[v] for u in f)
@@ -313,12 +296,9 @@ class Triangulation:
                 violations.append(
                     f"graph disconnected: reached {len(seen)} of {len(self._vertices)} vertices"
                 )
-        vf, ef = self._vertex_faces, self._edge_faces
-        if edge_violations:
-            # an edge off two faces can leave a link that is no union of cycles
-            violations += _link_violations(self._vertices, lambda v: _link_cycle(v, vf[v]) is not None)
-        else:
-            violations += _link_violations(self._vertices, lambda v: _link_closes(v, vf[v], ef))
+        violations += _link_violations(
+            self._vertices, lambda v: _link_cycle(v, self._vertex_faces[v]) is not None
+        )
         self._report = ValidationReport(tuple(violations))
         return self._report
 

@@ -1,18 +1,13 @@
-"""The census kernels against the rules they replace: classify reads types
-off the bits over one pass table, validate walks each vertex link through
-the edge index, and validate_embedding walks each vertex's corner cycle.
-Each must give what the rebuilt structures give, byte for byte."""
+"""classify against the rule it replaces: it reads types off the bits over
+one pass table, and must give what the passes of tau.chosen give, byte for
+byte."""
 
 from __future__ import annotations
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import zigzags.eulerian as eulerian
-import zigzags.triangulation as triangulation
 from helpers import (
     classify_by_passes,
     embedding_from_directed_faces,
@@ -20,10 +15,7 @@ from helpers import (
     torus7,
     torus_grid,
 )
-from test_eulerian import PINCHED_VERTEX
 from zigzags import (
-    DirectedEmbedding,
-    Triangulation,
     TriangulationError,
     ZOrientation,
     all_z_orientations,
@@ -31,14 +23,9 @@ from zigzags import (
     classify,
     enumerate_zigzags,
     make_z_orientation,
-    parse_embedding,
     platonic,
     triangulate_embedding,
-    validate_embedding,
 )
-from zigzags.triangulation import _link_cycle, _reachable
-
-TET = [("1", "2", "3"), ("1", "2", "4"), ("1", "3", "4"), ("2", "3", "4")]
 
 
 def _outcome(fn, *args):
@@ -118,144 +105,3 @@ def test_a_missing_zigzag_fails_the_double_cover_and_keeps_the_table():
     assert _classified(t, copied) == _classified(t, tau)
     assert t._passes is table
 
-
-# ----------------------------------------------------------------------
-# vertex links
-
-
-def _link_cycle_report(faces):
-    """validate()'s report with every link checked by _link_cycle."""
-    t = Triangulation(faces)
-    original = triangulation._link_closes
-    triangulation._link_closes = lambda v, fs, ef: _link_cycle(v, fs) is not None
-    try:
-        return t.validate().violations
-    finally:
-        triangulation._link_closes = original
-
-
-def _pinched_pair():
-    second = [tuple("x" if w == "1" else w + "'" for w in f) for f in TET]
-    return [tuple("x" if w == "1" else w for w in f) for f in TET] + second
-
-
-LINK_CASES = {
-    "pinched vertex": _pinched_pair(),
-    # a third face on edge x-2 also breaks the links at x and 2
-    "edge in 3 faces and a pinched vertex": _pinched_pair() + [("x", "2", "9")],
-    "disconnected pair": TET + [tuple(f"y{w}" for w in f) for f in TET],
-}
-
-
-@pytest.mark.parametrize("case", sorted(LINK_CASES))
-def test_link_walk_reports_what_link_cycles_report(case):
-    faces = LINK_CASES[case]
-    violations = Triangulation(faces).validate().violations
-    assert violations and violations == _link_cycle_report(faces)
-
-
-def test_link_walk_cases_report_their_faults():
-    assert Triangulation(LINK_CASES["pinched vertex"]).validate().violations == (
-        "link of vertex x is not a single cycle",
-    )
-    both = Triangulation(LINK_CASES["edge in 3 faces and a pinched vertex"]).validate()
-    assert "edge 2-x lies in 3 face(s), expected 2" in both.violations
-    assert "link of vertex x is not a single cycle" in both.violations
-
-
-SPHERES = [bipyramid(5), bipyramid(8), platonic("octahedron"), platonic("icosahedron"), torus7()]
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(range(len(SPHERES))), st.data())
-def test_link_walk_agrees_on_edited_surfaces(k, data):
-    faces = list(SPHERES[k].faces)
-    vertices = sorted({v for f in faces for v in f}) + ["new1", "new2"]
-    for _ in range(data.draw(st.integers(1, 3))):
-        if data.draw(st.booleans()) and len(faces) > 1:
-            del faces[data.draw(st.integers(0, len(faces) - 1))]
-        else:
-            trio = data.draw(st.lists(st.sampled_from(vertices), min_size=3, max_size=3, unique=True))
-            if tuple(sorted(trio)) not in faces:
-                faces.append(tuple(sorted(trio)))
-    assert Triangulation(faces).validate().violations == _link_cycle_report(faces)
-
-
-@pytest.mark.parametrize("name", CORPUS)
-def test_link_walk_accepts_the_corpus(name):
-    t = CORPUS[name]
-    assert _link_cycle_report(t.faces) == Triangulation(t.faces).validate().violations == ()
-
-
-# ----------------------------------------------------------------------
-# embedding corners
-
-
-def _reachable_pinched(emb):
-    """_pinched_vertices counting every vertex's corner cycles by _reachable."""
-    corners = {v: {} for v in emb.vertices}
-    for _, cyc in emb.face_cycles:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            corners[a[1]].setdefault(a, []).append(b)
-            corners[a[1]].setdefault(b, []).append(a)
-    out = []
-    for v, at in corners.items():
-        left, cycles = set(at), 0
-        while left:
-            left -= _reachable(min(left), at.__getitem__)
-            cycles += 1
-        if cycles > 1:
-            out.append(f"the corners at vertex {v!r} form {cycles} cycles, not one")
-    return out
-
-
-def _reachable_report(emb):
-    original = eulerian._pinched_vertices
-    eulerian._pinched_vertices = _reachable_pinched
-    try:
-        return validate_embedding(emb).violations
-    finally:
-        eulerian._pinched_vertices = original
-
-
-def _joined(emb1, emb2, shared):
-    """The two embeddings side by side, emb2's vertex `shared` renamed to
-    emb1's least vertex and its other names primed: pinched there."""
-    at = emb1.vertices[0]
-
-    def name(v):
-        return at if v == shared else f"{v}'"
-
-    arcs = emb1.arcs + tuple((name(u), name(w)) for u, w in emb2.arcs)
-    cycles = emb1.face_cycles + tuple(
-        (f"{n}'", tuple((name(u), name(w)) for u, w in cyc)) for n, cyc in emb2.face_cycles
-    )
-    vertices = emb1.vertices + tuple(name(v) for v in emb2.vertices if v != shared)
-    return DirectedEmbedding(vertices, arcs, cycles)
-
-
-def _double_embeddings():
-    out = []
-    for t, bits in ((bipyramid(6), (0, 0)), (torus7(), (0, 0, 0))):
-        out.append(embedding_from_directed_faces(t, make_z_orientation(t, bits)))
-    return out
-
-
-def test_corner_walk_reports_what_reachable_reports():
-    embs = _double_embeddings()
-    cases = [parse_embedding(PINCHED_VERTEX), *embs]
-    for a in embs:
-        for b in embs:
-            for shared in b.vertices[:3]:
-                cases.append(_joined(a, b, shared))
-    pinched = 0
-    for emb in cases:
-        violations = validate_embedding(emb).violations
-        assert violations == _reachable_report(emb)
-        pinched += bool(violations)
-        assert all("corners at vertex" in v for v in violations)
-    assert pinched == len(cases) - 2
-    joined = _joined(embs[0], embs[0], embs[0].vertices[0])
-    assert validate_embedding(joined).violations == (
-        f"the corners at vertex {embs[0].vertices[0]!r} form 2 cycles, not one",
-    )

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import Counter
 from pathlib import Path
 
 from .engine import (
@@ -111,12 +112,9 @@ def _report(cls: Classification, fmt: str) -> str:
     its orientation's zigzags, which make_z_orientation enumerated."""
     t, tau = cls.triangulation, cls.orientation
     lines = _census_lines(tau.zigzags, fmt)
-    n_i = sum(1 for ty in cls.edge_types.values() if ty == "I")
-    n_ii = len(cls.edge_types) - n_i
-    v_i = sum(1 for ty in cls.vertex_types.values() if ty == "I")
-    v_ii = len(cls.vertex_types) - v_i
-    f_i = sum(1 for ty in cls.face_types.values() if ty == "I")
-    f_ii = len(cls.face_types) - f_i
+    edges, vertices, faces = (
+        Counter(types.values()) for types in (cls.edge_types, cls.vertex_types, cls.face_types)
+    )
     inn = dict.fromkeys(t.vertices, 0)
     out = dict.fromkeys(t.vertices, 0)
     for src, dst in cls.edge_directions.values():
@@ -142,9 +140,9 @@ def _report(cls: Classification, fmt: str) -> str:
         return "\n".join(lines) + "\n"
 
     lines.append(f"bits: {''.join(map(str, tau.bits))}")
-    lines.append(f"edges: {n_i} type I, {n_ii} type II")
-    lines.append(f"vertices: {v_i} type I, {v_ii} type II")
-    lines.append(f"faces: {f_i} type I, {f_ii} type II")
+    lines.append(f"edges: {edges['I']} type I, {edges['II']} type II")
+    lines.append(f"vertices: {vertices['I']} type I, {vertices['II']} type II")
+    lines.append(f"faces: {faces['I']} type I, {faces['II']} type II")
     lines.append(f"homogeneous: {'yes' if cls.homogeneous else 'no'}")
     lines.append("balance:")
     for v in sorted(t.vertices):
@@ -155,23 +153,16 @@ def _report(cls: Classification, fmt: str) -> str:
 
 def export_dot(t: Triangulation, cls: Classification | None = None) -> str:
     """Render the edge graph in DOT, directing type-II edges when classified."""
-    lines = []
-    if cls is None:
-        lines.append("graph triangulation {")
-        for v in sorted(t.vertices):
-            lines.append(f'  "{v}";')
-        for u, w in t.edges:
-            lines.append(f'  "{u}" -- "{w}";')
-    else:
-        lines.append("digraph triangulation {")
-        for v in sorted(t.vertices):
-            lines.append(f'  "{v}";')
-        for e in t.edges:
-            if cls.edge_types[e] == "II":
-                s, d = cls.edge_directions[e]
-                lines.append(f'  "{s}" -> "{d}" [style=bold];')
-            else:
-                lines.append(f'  "{e[0]}" -> "{e[1]}" [dir=none];')
+    lines = ["graph triangulation {" if cls is None else "digraph triangulation {"]
+    lines += [f'  "{v}";' for v in sorted(t.vertices)]
+    for e in t.edges:
+        if cls is None:
+            lines.append(f'  "{e[0]}" -- "{e[1]}";')
+        elif cls.edge_types[e] == "II":
+            s, d = cls.edge_directions[e]
+            lines.append(f'  "{s}" -> "{d}" [style=bold];')
+        else:
+            lines.append(f'  "{e[0]}" -> "{e[1]}" [dir=none];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -261,7 +261,8 @@ def round_trip_check(t: Triangulation, tau: ZOrientation) -> bool:
     must be t's own, and t's zigzags oriented along the arcs must be the
     ones tau chooses.  Matching faces make the coned surface t, already
     validated and enumerated, so no second triangulation is built; when
-    the faces differ this returns False rather than raising.
+    the faces differ this returns False rather than raising.  Orientations
+    of t's own enumeration are compared by their bits.
     """
     # extraction validates the embedding it returns
     emb = extract_directed_embedding(t, tau)
@@ -269,6 +270,8 @@ def round_trip_check(t: Triangulation, tau: ZOrientation) -> bool:
     if set(faces) != t._face_set:
         return False
     tau2 = _orient_along(enumerate_zigzags(t), emb.arcs)
+    if tau.zigzags is tau2.zigzags:
+        return tau.bits == tau2.bits
     return {z.passes for z in tau.chosen} == {z.passes for z in tau2.chosen}
 
 

@@ -19,9 +19,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cache, partial
 
 from .engine import Classification, ZOrientation, _orient_along, classify, enumerate_zigzags
-from .surgery import InvariantError, SpecialPair, _Surface
+from .surgery import GluingSite, InvariantError, SpecialPair, _heads, _piece_site, _Surface
 from .triangulation import (
     ParseError,
     Triangulation,
@@ -29,7 +30,6 @@ from .triangulation import (
     _check_token,
     _reachable,
     _records,
-    edge_key,
 )
 
 __all__ = [
@@ -292,6 +292,12 @@ def _node_prefix(node_id: str) -> str:
     return f"node{node_id}."
 
 
+def _base_pair(name, i: int) -> SpecialPair:
+    """The pair on the base triple i, i+1, i+2 of a bipyramid, where name(j)
+    is the name of base vertex j."""
+    return SpecialPair((name(i), name(i + 1)), (name(i + 1), name(i + 2)), name(i + 1))
+
+
 def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     """Build the z-knotted triangulation a labeled tree describes.
 
@@ -302,12 +308,14 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     exactly two type-I vertices (the two apexes) per tree node.
 
     Every glue runs in place on one growing surface (surgery._Surface): the
-    host pair is resolved on it by the rule resolve_site follows, the piece
-    bipyramid is built and classified once, and the glue is checked at the
-    cost of what it changed.  The finished sphere is then audited once in
-    full, as glue audits its result, and for Euler characteristic 2 and two
-    type-I vertices per node.  Raises InvariantError, naming the glue, when
-    a glue fails its checks, and when the finished build fails its audit.
+    host pair is resolved on it by the rule resolve_site follows, and the
+    piece is spliced in under the node's prefix.  The piece bipyramid is
+    built and classified once per label, unprefixed, and its piece site
+    resolved once per label and wanted head directions.  Each glue is
+    checked at the cost of what it changed, and the finished sphere audited
+    once in full, as glue audits its result, and for Euler characteristic 2
+    and two type-I vertices per node.  Raises InvariantError, naming the
+    glue, when a glue fails its checks or the finished build its audit.
     """
     report = validate_tree(spec)
     if not report.ok:
@@ -318,21 +326,21 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
 
     surface = _Surface(_bipyramid_analysis(labels[root], _node_prefix(root)))
     # base vertex i of a node may have been renamed when the node was glued
-    names: dict[str, dict[int, str]] = {}
+    names: dict[str, dict[int, str]] = {root: {}}
     cursor: dict[str, int] = {root: 1}
     records: list[GluingRecord] = []
+    piece = cache(partial(_bipyramid_analysis, prefix=""))
+
+    @cache
+    def piece_site(n: int, wanted: tuple[bool, ...]) -> GluingSite:
+        # a node's candidate pairs differ from another's of its label only
+        # by the prefix, so the first to fit does too
+        pairs = (_base_pair(partial(_base, n, ""), j) for j in range(1, n + 1))
+        return _piece_site(piece(n), wanted, pairs)
 
     def token(node: str, i: int) -> str:
         i = (i - 1) % labels[node] + 1
-        return names.get(node, {}).get(i, f"{_node_prefix(node)}{i}")
-
-    def base_pair(node: str, i: int) -> SpecialPair:
-        """The pair on the base triple i, i+1, i+2 of a node."""
-        return SpecialPair(
-            edge_key(token(node, i), token(node, i + 1)),
-            edge_key(token(node, i + 1), token(node, i + 2)),
-            token(node, i + 1),
-        )
+        return names[node].get(i, f"{_node_prefix(node)}{i}")
 
     parent_of: dict[str, str | None] = {root: None}
     queue = deque([root])
@@ -340,25 +348,19 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
         u = queue.popleft()
         for c in sorted(w for w in adj[u] if w != parent_of[u]):
             parent_of[c] = u
-            host_pair = base_pair(u, cursor[u])
+            cut = surface.cut(_base_pair(partial(token, u), cursor[u]))
             cursor[u] += 2
-
-            n_c = labels[c]
-            cut, piece_site = surface.plan(
-                host_pair, _bipyramid_analysis(n_c, _node_prefix(c)),
-                (base_pair(c, j) for j in range(1, n_c + 1)),
-            )
-            surface.glue(cut, piece_site, f"glued node {c} into {u}")
-            prefix_len = len(_node_prefix(c))
-            names[c] = {
-                int(piece_site.v1[prefix_len:]): cut.pair.v1,
-                int(piece_site.v2[prefix_len:]): cut.pair.v2,
-            }
+            site = piece_site(labels[c], _heads(surface.edge_directions, cut.pair))
+            prefix = _node_prefix(c)
+            surface.glue(cut, site, f"glued node {c} into {u}", prefix)
+            names[c] = {int(site.v1): cut.pair.v1, int(site.v2): cut.pair.v2}
             # the next base triple starts where the glued one ends
-            cursor[c] = int(piece_site.v[prefix_len:]) + 1
+            cursor[c] = int(site.v) + 1
+            prefixed = [(prefix + x, prefix + y) for x, y in (site.pair.e1, site.pair.e2)]
+            piece_pair = SpecialPair(*prefixed, prefix + site.v)
             records.append(
                 GluingRecord(
-                    u, c, cut.pair, piece_site.pair, piece_site.kind,
+                    u, c, cut.pair, piece_pair, site.kind,
                     len(surface.vertex_faces), len(surface.edge_faces),
                     len(surface.faces), len(surface.passes),
                 )

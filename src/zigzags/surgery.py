@@ -43,7 +43,9 @@ face's label from the side of that face's interior link vertex.
 
 Gluing renames vertices by one rule (_namer), for faces, passes and edges
 alike: v becomes v+ or v-, the side of the interior link vertex of the face
-or edge it lies on, and the piece's v1, v2 take the host's names.
+or edge it lies on, the piece's v1, v2 take the host's names, and its
+other vertices take a prefix (tree_build's node<id>.), so one unprefixed
+piece serves many gluings.  A piece cell off v, v1 and v2 keeps its type.
 
 All glue outputs are verified rather than trusted.  A _Surface holds a
 growing surface, and each glue changes it in place: only the faces and
@@ -547,17 +549,6 @@ def _require_gluable(host_site: GluingSite, piece_site: GluingSite) -> None:
         raise SurgeryError("pair directions at the shared vertices do not match")
 
 
-def _split_names(v: str, *vertex_indexes) -> dict[str, str]:
-    """Side "+"/"-" -> the name v+/v- of that half of the split vertex, a
-    name no vertex of the given indexes may have."""
-    split = {side: v + side for side in "+-"}
-    if any(name in index for index in vertex_indexes for name in split.values()):
-        raise SurgeryError(
-            f"split vertex names {split['+']!r}/{split['-']!r} collide with existing vertices"
-        )
-    return split
-
-
 def _namer(v: str, sides: dict[str, str], split: dict[str, str], renames: dict[str, str]):
     """The one renaming rule of a gluing, for one site's faces, edges and passes.
 
@@ -578,10 +569,10 @@ def _namer(v: str, sides: dict[str, str], split: dict[str, str], renames: dict[s
     return lambda cells, make: [c if moved.isdisjoint(c) else renamed(c, make) for c in cells]
 
 
-def _namers(pair: SpecialPair, sides: dict[str, str], piece_site: GluingSite, split):
+def _namers(pair: SpecialPair, sides: dict[str, str], piece_site: GluingSite, split, named):
     """The renaming of the host, cut at pair with the given sides, and of the
-    piece: the piece's v1, v2 take the host's names."""
-    renames = {piece_site.v1: pair.v1, piece_site.v2: pair.v2}
+    piece: its v1, v2 take the host's names, the others their names in named."""
+    renames = {**named, piece_site.v1: pair.v1, piece_site.v2: pair.v2}
     return (
         _namer(pair.shared_vertex, sides, split, {}),
         _namer(piece_site.v, piece_site.vertex_sides, split, renames),
@@ -763,15 +754,11 @@ class _Surface:
         segments, ends = _segments(keys, (self.passes,))
         return _Cut(ordered, _sides(pos, sign, pair), segments, ends)
 
-    def plan(self, host_pair: SpecialPair, piece: Classification, piece_pairs):
-        """plan_gluing on this surface: (the host cut, the piece site)."""
-        cut = self.cut(host_pair)
-        return cut, _piece_site(piece, _heads(self.edge_directions, cut.pair), piece_pairs)
-
-    def splice(self, host: _Cut | GluingSite, piece_site: GluingSite) -> _Change:
+    def splice(self, host: _Cut | GluingSite, piece_site: GluingSite, prefix: str = "") -> _Change:
         """Glue the piece in along the host site, in place, unchecked; the
         host site is a _Cut of this surface or a GluingSite resolved on the
-        classification it was copied from.
+        classification it was copied from.  The piece's vertices but v, v1
+        and v2 take the prefix.
 
         The faces at v take their renamed keys in their slots and the
         piece's renamed faces are appended.  The glued walk joins the split
@@ -782,10 +769,17 @@ class _Surface:
         piece = piece_site.classification
         tp = piece.triangulation
         pair, v = host.pair, host.pair.shared_vertex
-        if any(u in self.vertex_faces for u in tp.vertices):
+        named = {u: prefix + u for u in tp.vertices}
+        names = set(named.values())
+        if any(u in self.vertex_faces for u in names):
             raise SurgeryError("host and piece vertex namespaces must be disjoint")
-        split = _split_names(v, self.vertex_faces, tp._vertex_faces)
-        host_rename, piece_rename = _namers(pair, host.vertex_sides, piece_site, split)
+        # side "+"/"-" -> the name v+/v- of that half of the split vertex
+        split = {side: v + side for side in "+-"}
+        if any(x in self.vertex_faces or x in names for x in split.values()):
+            raise SurgeryError(
+                f"split vertex names {split['+']!r}/{split['-']!r} collide with existing vertices"
+            )
+        host_rename, piece_rename = _namers(pair, host.vertex_sides, piece_site, split, named)
         sizes = (
             len(self.vertex_faces) + len(tp.vertices) - 2,
             len(self.edge_faces) + len(tp.edges),
@@ -793,8 +787,8 @@ class _Surface:
         )
 
         # each new edge and the type of the edge it came from: the renamed
-        # edges at v and of the piece, the pair edges' split copies type II,
-        # and the piece's other edges, copied as they are
+        # edges at v and at the piece's v, v1, v2, the pair edges' split
+        # copies type II, and the piece's other edges, copied
         lost = self.vertex_faces[v]
         at_v = sorted({e for f in lost for e in _face_edges(f) if v in e} - pair.edges())
         types = dict(zip(host_rename(at_v, edge_key), map(self.edge_types.__getitem__, at_v)))
@@ -802,10 +796,13 @@ class _Surface:
         types.update((edge_key(half, w), "II") for w in (pair.v1, pair.v2) for half in halves)
         piece_pair = piece_site.pair.edges()
         at_piece = [e for e in tp.edges if e not in piece_pair]
+        seam = {piece_site.v, piece_site.v1, piece_site.v2}
         copied: dict[Edge, str] = {}
+        directions: dict[Edge, tuple[str, str]] = {}
         for e, g in zip(at_piece, piece_rename(at_piece, edge_key)):
-            (copied if g is e else types)[g] = piece.edge_types[e]
-        directions = {e: piece.edge_directions[e] for e in copied if copied[e] == "II"}
+            (types if seam.intersection(e) else copied)[g] = piece.edge_types[e]
+            if g in copied and e in piece.edge_directions:
+                directions[g] = tuple(map(named.get, piece.edge_directions[e]))
 
         gained = host_rename(lost, face_key) + piece_rename(tp.faces, face_key)
         edges, vertices, born, fresh = self._swap(lost, gained)
@@ -824,16 +821,15 @@ class _Surface:
                 new += host.segments[key]
             else:
                 segment = piece_site.segments[key]
-                renamed = piece_rename(segment, _renamed_pass)
-                dirty += [start + i for i, (p, q) in enumerate(zip(segment, renamed)) if p is not q]
-                new += renamed
+                dirty += [start + i for i, (e, _, _) in enumerate(segment) if seam.intersection(e)]
+                new += piece_rename(segment, _renamed_pass)
         # the host's passes at v take their renamed edges where they lie
         self.passes = new
         moved = [r for e in at_v for r in self._at(e)]
         for r, p in zip(moved, host_rename([new[r] for r in moved], _renamed_pass)):
             new[r] = p
-        # a piece's type-I vertices are off its pair, so they keep their names
-        type_i = set(piece.type_i_vertices)
+        # a piece's type-I vertices are off its pair, so they take the prefix
+        type_i = {named[x] for x in piece.type_i_vertices}
         return _Change(
             sizes, gained, edges, vertices, born, fresh, types, copied, directions, junctions,
             junctions + dirty + moved, type_i,
@@ -957,11 +953,13 @@ class _Surface:
             elif (ends[x] == 0) != (x in self.type_i):
                 raise InvariantError(f"vertex {x} changed its type")
 
-    def glue(self, host: _Cut | GluingSite, piece_site: GluingSite, what: str) -> None:
-        """Splice the piece in and check the splice; a failed check raises
-        InvariantError whose message starts with what, naming the glue."""
+    def glue(
+        self, host: _Cut | GluingSite, piece_site: GluingSite, what: str, prefix: str = ""
+    ) -> None:
+        """Splice the piece in under the prefix and check it; a failed check
+        raises InvariantError whose message starts with what, naming the glue."""
         try:
-            self.check(self.splice(host, piece_site))
+            self.check(self.splice(host, piece_site, prefix))
         except InvariantError as exc:
             raise InvariantError(f"{what}: {exc}") from None
 

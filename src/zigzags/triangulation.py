@@ -289,9 +289,12 @@ class Triangulation:
             violations.append("no faces")
         violations += _edge_violations(self._edge_faces, self._edges)
         if self._vertices:
-            seen = _reachable(
-                self._vertices[0], lambda v: (u for f in self._vertex_faces[v] for u in f)
-            )
+            # the edge index gives each neighbour once
+            neighbours: dict[str, list[str]] = {v: [] for v in self._vertices}
+            for a, b in self._edges:
+                neighbours[a].append(b)
+                neighbours[b].append(a)
+            seen = _reachable(self._vertices[0], neighbours.__getitem__)
             if len(seen) != len(self._vertices):
                 violations.append(
                     f"graph disconnected: reached {len(seen)} of {len(self._vertices)} vertices"

@@ -10,14 +10,19 @@ from zigzags import (
     DirectedEmbedding,
     EmbeddingError,
     ParseError,
+    Zigzag,
+    ZOrientation,
     all_z_orientations,
     bipyramid,
+    enumerate_zigzags,
     extract_directed_embedding,
     is_homogeneous,
     make_z_orientation,
     parse_embedding,
+    parse_triangulation,
     round_trip_check,
     serialize_embedding,
+    serialize_triangulation,
     triangulate_embedding,
     validate_embedding,
 )
@@ -349,6 +354,30 @@ def test_round_trip_validates_the_embedding_once(bipyramid_corpus, monkeypatch):
     t, tau = bipyramid_corpus[5]
     assert round_trip_check(t, tau)
     assert len(seen) == 1
+
+
+@pytest.mark.parametrize("n", (5, 6, 8))
+def test_census_round_trip_reverses_no_zigzag(n, monkeypatch):
+    # tau orients t's own enumeration, so the round trip compares bits
+    t = parse_triangulation(serialize_triangulation(bipyramid(n)))
+    tau = next(tau for tau in all_z_orientations(t) if is_homogeneous(t, tau))
+    reversals = []
+    reverse = Zigzag.reverse
+    monkeypatch.setattr(Zigzag, "reverse", lambda z: reversals.append(z) or reverse(z))
+    assert round_trip_check(t, tau) and round_trip_check(t, tau.reversed())
+    assert reversals == []
+
+
+def test_round_trip_is_false_when_the_arcs_orient_otherwise(bipyramid_corpus, monkeypatch):
+    # by bits for t's own enumeration, by chosen zigzags for any other
+    t, tau = bipyramid_corpus[8]
+    copied = ZOrientation(tuple(Zigzag(z.passes) for z in tau.zigzags), tau.bits)
+    assert copied.zigzags is not enumerate_zigzags(t) and copied.zigzags == tau.zigzags
+    assert round_trip_check(t, tau) and round_trip_check(t, copied)
+    along = eulerian._orient_along
+    monkeypatch.setattr(eulerian, "_orient_along", lambda zs, arcs: along(zs, arcs).reversed())
+    assert not round_trip_check(t, tau)
+    assert not round_trip_check(t, copied)
 
 
 # ----------------------------------------------------------------------

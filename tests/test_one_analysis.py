@@ -122,15 +122,40 @@ def _path(n: int) -> TreeSpec:
 @pytest.mark.parametrize("n", (1, 2, 5, 12))
 def test_tree_build_audits_the_glued_surface_once(monkeypatch, n):
     # however many glues a build runs, the glued surface is walked and
-    # classified once, at the end; each node's bipyramid is classified once
+    # classified once, at the end; each label's bipyramid is built and
+    # classified once, and its piece site resolved once per wanted heads
     walked = counted(monkeypatch, surgery, "_sole_zigzag_shadow")
     audited = counted(monkeypatch, surgery, "classify")
+    built = counted(monkeypatch, generators, "bipyramid")
     pieces = counted(monkeypatch, generators, "classify")
-    t, tau, log = tree_build(_path(n))
+    sites = counted(monkeypatch, generators, "_piece_site")
+    spec = _path(n)
+    t, tau, log = tree_build(spec)
     assert len(log.records) == n - 1
     assert len(walked) == len(audited) == 1
     assert walked[0][0] is audited[0][0] is t
-    assert len(pieces) == n
+    assert len(built) == len(pieces) == len(set(spec.labels.values())) == min(n, 2)
+    # one site for label 4, whatever the number of glues
+    assert len(sites) == min(n - 1, 1)
+
+
+def test_tree_build_resolves_a_piece_site_once_per_label_and_heads(tree_corpus, monkeypatch):
+    # the piece analyses and sites of one build are shared by its glues
+    built = counted(monkeypatch, generators, "bipyramid")
+    sites = counted(monkeypatch, generators, "_piece_site")
+    glues = resolved = both_heads = 0
+    for spec, t, _, log in tree_corpus:
+        built.clear()
+        sites.clear()
+        assert tree_build(spec)[0].faces == t.faces
+        assert len(built) == len(set(spec.labels.values()))
+        keys = [(len(piece.triangulation.faces) // 2, wanted) for piece, wanted, _ in sites]
+        assert len(keys) == len(set(keys))
+        labels = [label for label, _ in keys]
+        both_heads += len(labels) - len(set(labels))
+        glues, resolved = glues + len(log.records), resolved + len(keys)
+    # some label is glued with both head directions, and sites are reused
+    assert both_heads and resolved < glues
 
 
 @pytest.mark.parametrize("n", (6, 7, 8))

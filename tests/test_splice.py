@@ -15,21 +15,25 @@ import zigzags
 import zigzags.surgery as surgery
 from zigzags import (
     InvariantError,
+    SurgeryError,
     Triangulation,
     Zigzag,
     bipyramid,
+    bipyramid_canonical_zorientation,
     classify,
     enumerate_zigzags,
     face_shadow,
+    find_piece_pairs,
     find_special_pairs,
     glue,
     make_pass,
+    plan_gluing,
     platonic,
     predict_glued_zigzag,
     resolve_site,
     tree_build,
 )
-from zigzags.engine import _sole_zigzag_shadow
+from zigzags.engine import _orient_along, _sole_zigzag_shadow
 from zigzags.triangulation import _face_edges
 
 
@@ -219,21 +223,23 @@ def test_walk_accepts_a_z_knotted_zigzag_in_either_direction(glued_corpus):
 
 def _tampered_splice(monkeypatch, glued, piece_namer):
     """A _Surface for a gluing of the glued corpus, spliced with the piece
-    renamed by piece_namer(piece_site, split, host_pair), unchecked."""
+    renamed by piece_namer(piece_site, split, host_pair, named), unchecked."""
     _, _, host_site, piece_site = glued
     namers = surgery._namers
 
-    def tampered(pair, sides, piece_site, split):
-        return namers(pair, sides, piece_site, split)[0], piece_namer(piece_site, split, pair)
+    def tampered(pair, sides, piece_site, split, named):
+        host_rename = namers(pair, sides, piece_site, split, named)[0]
+        return host_rename, piece_namer(piece_site, split, pair, named)
 
     monkeypatch.setattr(surgery, "_namers", tampered)
     surface = surgery._Surface(host_site.classification)
     return surface, surface.splice(host_site, piece_site)
 
 
-def _keep_v1(piece_site, split, pair):
+def _keep_v1(piece_site, split, pair, named):
     """The piece's renaming, but for v1, which keeps the piece's name."""
-    return surgery._namer(piece_site.v, piece_site.vertex_sides, split, {piece_site.v2: pair.v2})
+    renames = {**named, piece_site.v2: pair.v2}
+    return surgery._namer(piece_site.v, piece_site.vertex_sides, split, renames)
 
 
 def test_local_check_rejects_a_tampered_splice(glued_corpus, monkeypatch):
@@ -262,8 +268,8 @@ def test_splice_rejects_a_repeated_face(glued_corpus, monkeypatch):
     _, _, host_site, _ = glued_corpus[4]
     kept = next(f for f in host_site.classification.triangulation.faces if host_site.v not in f)
 
-    def repeat_a_kept_face(piece_site, split, pair):
-        renames = {piece_site.v1: pair.v1, piece_site.v2: pair.v2}
+    def repeat_a_kept_face(piece_site, split, pair, named):
+        renames = {**named, piece_site.v1: pair.v1, piece_site.v2: pair.v2}
         rename = surgery._namer(piece_site.v, piece_site.vertex_sides, split, renames)
         return lambda cells, make: (
             [kept, *rename(cells, make)[1:]] if make is surgery.face_key else rename(cells, make)
@@ -272,6 +278,77 @@ def test_splice_rejects_a_repeated_face(glued_corpus, monkeypatch):
     with pytest.raises(InvariantError) as caught:
         _tampered_splice(monkeypatch, glued_corpus[4], repeat_a_kept_face)
     assert str(caught.value) == f"glued face {kept} is repeated"
+
+
+def _template_site(host_site, n: int, rename=None):
+    """The piece site of an unprefixed BP(n), its vertices renamed by
+    rename, planned for the host site as plan_gluing plans it."""
+    rename = rename or {}
+    t = Triangulation([tuple(rename.get(u, u) for u in f) for f in bipyramid(n).faces])
+    base_cycle = [(str(i), str(i % n + 1)) for i in range(1, n + 1)]
+    piece = classify(t, _orient_along(enumerate_zigzags(t), base_cycle))
+    host = host_site.classification
+    return plan_gluing(host, host_site.pair, piece, find_piece_pairs(piece))[1]
+
+
+@pytest.mark.parametrize("n", (4, 6))
+def test_a_prefix_in_the_renaming_splices_as_a_prefixed_piece(glued_corpus, n):
+    # the unprefixed template under the prefix R. glues exactly as the
+    # piece built with the prefix, and its splice changes the same cells
+    _, _, host_site, piece_site = glued_corpus[n]
+    template = _template_site(host_site, n)
+    assert template.pair != piece_site.pair
+    spliced = []
+    for site, prefix in ((piece_site, ""), (template, "R.")):
+        surface = surgery._Surface(host_site.classification)
+        change = surface.splice(host_site, site, prefix)
+        spliced.append((surface.faces, surface.passes, change))
+        surface.check(change)
+    assert spliced[0] == spliced[1]
+
+
+def test_the_namespace_check_tests_the_prefixed_names(glued_corpus):
+    _, _, host_site, _ = glued_corpus[4]
+    template = _template_site(host_site, 4)
+    # L.1 .. L.4, L.a, L.b are the host's vertex names under this prefix
+    with pytest.raises(SurgeryError, match="^host and piece vertex namespaces must be disjoint$"):
+        surgery._Surface(host_site.classification).splice(host_site, template, "L.")
+    # an unprefixed host shares the template's own names, not the R. ones
+    host = classify(bipyramid(3), bipyramid_canonical_zorientation(3))
+    piece = template.classification
+    host_site, template = plan_gluing(
+        host, find_special_pairs(host)[0], piece, find_piece_pairs(piece)
+    )
+    with pytest.raises(SurgeryError, match="^host and piece vertex namespaces must be disjoint$"):
+        surgery._Surface(host).splice(host_site, template)
+    surface = surgery._Surface(host)
+    surface.glue(host_site, template, "glued R. into the unprefixed host", "R.")
+    assert set(surface.finish().type_i_vertices) == {"a", "b", "R.a", "R.b"}
+
+
+def test_split_names_may_not_collide_with_a_prefixed_piece_vertex(glued_corpus):
+    # the host splits L.1 into L.1+ and L.1-; the template's apex +, under
+    # the prefix L.1, would be named L.1+ as well
+    _, _, host_site, _ = glued_corpus[4]
+    assert host_site.v == "L.1"
+    template = _template_site(host_site, 4, {"b": "+"})
+    surface = surgery._Surface(host_site.classification)
+    with pytest.raises(SurgeryError, match="^split vertex names 'L.1\\+'/'L.1-' collide"):
+        surface.splice(host_site, template, "L.1")
+    # the same template under another prefix glues
+    surface.glue(host_site, template, "glued under L.9", "L.9")
+    assert "L.9+" in surface.finish().type_i_vertices
+
+
+def test_tree_build_records_the_prefixed_piece_pair(tree_corpus):
+    # each node's piece is analysed unprefixed, but its record names its
+    # pair as the node's own vertices
+    records = [r for _, _, _, log in tree_corpus for r in log.records]
+    assert len(records) > 50
+    for r in records:
+        pair = r.piece_pair
+        assert all(x.startswith(f"node{r.child}.") for e in (pair.e1, pair.e2) for x in e)
+        assert pair.shared_vertex[len(f"node{r.child}."):].isdigit()
 
 
 def _flip(kind: str) -> str:

@@ -207,9 +207,9 @@ def test_glue_checks_run_under_python_O():
 
         glue, namer, current = surgery._Surface.glue, surgery._namer, []
 
-        def naming_glue(self, cut, piece_site, what):
+        def naming_glue(self, cut, piece_site, what, prefix):
             current[:] = [what]
-            return glue(self, cut, piece_site, what)
+            return glue(self, cut, piece_site, what, prefix)
 
         def corrupted(corrupt):
             # the renaming of the last glue, with its output corrupted
@@ -244,9 +244,9 @@ def test_glue_checks_run_under_python_O():
         # the last glue keeps the host's zigzag, which the glued one never is
         splice = surgery._Surface.splice
 
-        def keep_the_hosts_zigzag(self, cut, piece_site):
+        def keep_the_hosts_zigzag(self, cut, piece_site, prefix):
             passes = self.passes
-            change = splice(self, cut, piece_site)
+            change = splice(self, cut, piece_site, prefix)
             if current == ["glued node c into b"]:
                 self.passes = passes
             return change

@@ -24,12 +24,16 @@ next key.
 
 Role orders: swapping e1 and e2 keeps every sign and only swaps the 1/2
 indices of the keys.  A host pair resolves in the order whose walk reads
-1+, 2+, 1-, 2- cyclically, so its role order is read off the walk, and
-find_special_pairs emits each pair in that order; plan_gluing takes it for
-a host pair given in either order.  A piece pair resolves in both orders,
-and plan_gluing takes the one whose edges point at the shared vertex the
-way the host's do.  resolve_site never reorders: it resolves the pair as
-given or raises SurgeryError.
+1+, 2+, 1-, 2- cyclically.  With e1 passed at a < b and e2 at m between
+them and once outside, the walk from a reads e1, e2, e1, e2, each edge's
+passes entering opposite sides, so it reads 1+ then 2+ exactly when the
+passes at a and m enter faces on the same side.  This same-side rule
+(_reads_forward) reads a host role order in O(1) from the pass positions:
+find_special_pairs emits each pair in it without labeling a site, and
+plan_gluing and tree builds take it for a host pair given in either
+order.  A piece pair resolves in both orders, and plan_gluing takes the one
+whose edges point at the shared vertex the way the host's do.  resolve_site
+never reorders: it resolves the pair as given or raises SurgeryError.
 
 Every function here takes the Classification of a (t, tau), the one
 analysis classify(t, tau) builds once t passes its closed-surface check,
@@ -299,18 +303,22 @@ def find_special_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
     """All special pairs, each emitted once in its resolvable role order.
 
     The +/- side condition singles out exactly one of the two role orders
-    (e1, e2) and (e2, e1); the returned pairs use that order, so each of
-    them is directly usable as a host gluing site.
+    (e1, e2) and (e2, e1).  Each candidate is checked as resolve_site checks
+    it and built once in that order, read by the same-side rule (see Role
+    orders above) in O(1), so each pair is directly usable as a host site.
     """
     if len(cls.orientation.zigzags) != 1:
         raise SurgeryError("special pairs are defined for z-knotted triangulations")
     _require_homogeneous(cls, "special pairs require a homogeneous z-orientation")
+    at, shadows = cls.pass_positions, cls.face_shadows
     links: dict[str, dict[str, int]] = {}  # a vertex may share many pairs
     out = []
     for c1, c2, v in _candidates(cls):
         if v not in links:
             links[v] = _link_positions(cls.triangulation, v)
-        out.append(_labeled(cls, SpecialPair(c1, c2, v), links[v])[0])
+        pair_at = (at[c1], at[c2])
+        _, entered = _pass_sides(links[v], c1, c2, v, pair_at, shadows)
+        out.append(SpecialPair(*((c1, c2) if _reads_forward(pair_at, entered) else (c2, c1)), v))
     return tuple(out)
 
 
@@ -377,68 +385,60 @@ def _checked(cls: Classification, pair: SpecialPair) -> SpecialPair:
     return pair
 
 
-def _labeling(pair: SpecialPair, pos: dict[str, int], faces, at, entered, host: bool):
-    """The one +/- labeling of a checked pair (see Sides and Role orders
-    above), in O(1) given pos, the link position map of the shared vertex v;
-    faces, the four faces at e1 and e2; at, for e1 and for e2 its passes as
-    (zigzag index, position) in walk order; and entered(zi, r), the face
-    the pass at r of zigzag zi enters.  host reads the role order off the
-    walk.
-
-    Returns the pair in its role order, the sign of a link vertex, and each
-    pass's key -> (zigzag index, position).
-    """
-    v, v1, v2 = pair.shared_vertex, pair.v1, pair.v2
+def _pass_sides(pos: dict[str, int], e1: Edge, e2: Edge, v: str, at, shadows):
+    """The side test at v (see Sides above) in O(1), given pos, v's link
+    position map; at, e1's and e2's passes as (zigzag index, position) in
+    walk order; and shadows[zi][r], the face the pass at r of zigzag zi
+    enters.  Returns side(w), whether link vertex w is on the arc from v1 to
+    v2, and each pass as (the face it enters, the side of that face).
+    Raises SurgeryError when e1 and e2 bound a common face, or when e1's
+    passes, then e2's, enter faces on one side."""
+    v1 = e1[0] if e1[1] == v else e1[1]
+    v2 = e2[0] if e2[1] == v else e2[1]
     n, i1 = len(pos), pos[v1]
     span = (pos[v2] - i1) % n
     # with v1, v2 apart in the link no face holds both pair edges, so each
     # pair face has one vertex off v, v1, v2 and each pair edge has one face
     # on each arc
     if span == 1 or span == n - 1:
-        raise SurgeryError(
-            f"pair edges {pair.e1} and {pair.e2} bound a common face at {v!r}"
-        )
+        raise SurgeryError(f"pair edges {e1} and {e2} bound a common face at {v!r}")
 
-    def inner(face) -> str:
-        return next(w for w in face if w != v and w != v1 and w != v2)
-
-    def arc(w: str) -> bool:
+    def side(w: str) -> bool:
         return (pos[w] - i1) % n < span
 
-    minus = arc(inner(min(faces)))
-
-    def sign(w: str) -> str:
-        return "-" if arc(w) == minus else "+"
-
-    keys: dict[str, tuple[int, int]] = {}
-    for index, e, passes in ((1, pair.e1, at[0]), (2, pair.e2, at[1])):
+    seam, entered = (v, v1, v2), []
+    for e, passes in zip((e1, e2), at):
         for zi, r in passes:
-            keys[f"{index}{sign(inner(entered(zi, r)))}"] = (zi, r)
-        if f"{index}+" not in keys or f"{index}-" not in keys:
-            what = "occurrences of" if passes[0][0] == passes[-1][0] else "zigzags through"
+            x, y, z = face = shadows[zi][r]
+            entered.append((face, side(x if x not in seam else y if y not in seam else z)))
+        if entered[-2][1] == entered[-1][1]:
+            what = "occurrences of" if passes[0][0] == passes[1][0] else "zigzags through"
             raise SurgeryError(f"{what} {e} do not cross its faces oppositely")
-    if host:
-        walk = sorted(keys, key=keys.__getitem__)
-        if walk[(walk.index("1+") + 1) % 4] != "2+":
-            pair = pair.swapped()
-            keys = {f"{3 - int(k[0])}{k[1]}": at for k, at in keys.items()}
-    return pair, sign, keys
+    return side, entered
 
 
-def _labeled(cls: Classification, pair: SpecialPair, pos: dict[str, int]):
-    """_labeling on a classification: the faces come from its triangulation,
-    the passes from its pass positions and face shadows."""
-    t, shadows, at = cls.triangulation, cls.face_shadows, cls.pass_positions
-    faces = (*t.edge_faces(pair.e1), *t.edge_faces(pair.e2))
-    return _labeling(
-        pair, pos, faces, (at[pair.e1], at[pair.e2]), lambda zi, r: shadows[zi][r],
-        _kind(cls) == HOST,
-    )
+def _reads_forward(at, entered) -> bool:
+    """The same-side rule (see Role orders above): whether e1's first pass
+    and e2's pass between e1's two enter faces on the same side."""
+    ((_, a), (_, b)), ((_, c), _) = at
+    return entered[0][1] == entered[2 if a < c < b else 3][1]
 
 
-def _sides(pos: dict[str, int], sign, pair: SpecialPair) -> dict[str, str]:
-    """Each interior link vertex of v, every one but v1 and v2 -> its sign."""
-    return {w: sign(w) for w in pos if w != pair.v1 and w != pair.v2}
+def _labeling(pair: SpecialPair, pos: dict[str, int], at, shadows, host: bool):
+    """The one +/- labeling of a checked pair (see Sides and Role orders
+    above) in O(1), given as _pass_sides takes it, in the role order
+    _reads_forward reads if host.  Returns the pair in that order, each
+    interior link vertex of v -> its sign, and each pass's key -> its pass."""
+    side, entered = _pass_sides(pos, pair.e1, pair.e2, pair.shared_vertex, at, shadows)
+    # the passes enter the four pair faces, one each: the least takes "-"
+    minus = min(entered)[1]
+    signs = {minus: "-", not minus: "+"}
+    sides = {w: signs[side(w)] for w in pos if w != pair.v1 and w != pair.v2}
+    roles = "1122"
+    if host and not _reads_forward(at, entered):
+        pair, roles = pair.swapped(), "2211"
+    keys = {i + signs[s]: p for i, p, (_, s) in zip(roles, chain(*at), entered)}
+    return pair, sides, keys
 
 
 def _segments(keys: dict[str, tuple[int, int]], zigzags) -> tuple[dict, dict[str, str]]:
@@ -464,10 +464,11 @@ def _resolve(cls: Classification, pair: SpecialPair) -> GluingSite:
     four arcs, a two-zigzag piece's halves of each zigzag, a four-zigzag
     piece's whole zigzags less one pass.
     """
-    pos = _link_positions(cls.triangulation, pair.shared_vertex)
-    ordered, sign, keys = _labeled(cls, pair, pos)
+    pos, at = _link_positions(cls.triangulation, pair.shared_vertex), cls.pass_positions
+    at_pair, host = (at[pair.e1], at[pair.e2]), _kind(cls) == HOST
+    ordered, sides, keys = _labeling(pair, pos, at_pair, cls.face_shadows, host)
     segments, ends = _segments(keys, [z.passes for z in cls.orientation.chosen])
-    return GluingSite(cls, ordered, _sides(pos, sign, pair), segments, ends)
+    return GluingSite(cls, ordered, sides, segments, ends)
 
 
 def resolve_site(cls: Classification, pair: SpecialPair) -> GluingSite:
@@ -736,23 +737,17 @@ class _Surface:
         """Resolve a host pair in the role order its labeling reads, by the
         checks and labeling resolve_site runs on a classification."""
         at: dict[Edge, list[tuple[int, int]]] = {}
-
-        def passes_of(e: Edge) -> list[tuple[int, int]]:
-            at[e] = [(0, r) for r in self._at(e)]
-            return at[e]
-
-        problem = _pair_problem(1, self.edge_types, pair, passes_of)
+        problem = _pair_problem(
+            1, self.edge_types, pair, lambda e: at.setdefault(e, [(0, r) for r in self._at(e)])
+        )
         if problem is not None:
             raise SurgeryError(problem)
-        v = pair.shared_vertex
-        pos = _positions(_link_cycle(v, self.vertex_faces[v]))
-        faces = (*self.edge_faces[pair.e1], *self.edge_faces[pair.e2])
-        ordered, sign, keys = _labeling(
-            pair, pos, faces, (at[pair.e1], at[pair.e2]), lambda _, r: _turn(self.passes, r),
-            host=True,
-        )
+        pos = _positions(_link_cycle(pair.shared_vertex, self.vertex_faces[pair.shared_vertex]))
+        at_pair = (at[pair.e1], at[pair.e2])
+        turns = ({r: _turn(self.passes, r) for _, r in chain(*at_pair)},)  # as face shadows
+        ordered, sides, keys = _labeling(pair, pos, at_pair, turns, host=True)
         segments, ends = _segments(keys, (self.passes,))
-        return _Cut(ordered, _sides(pos, sign, pair), segments, ends)
+        return _Cut(ordered, sides, segments, ends)
 
     def splice(self, host: _Cut | GluingSite, piece_site: GluingSite, prefix: str = "") -> _Change:
         """Glue the piece in along the host site, in place, unchecked; the

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import re
 
 import pytest
 
@@ -30,7 +31,7 @@ from zigzags import (
     tree_build,
 )
 from helpers import are_concordant
-from zigzags.surgery import _labeled, _link_positions, _resolve
+from zigzags.surgery import _labeling, _link_positions, _resolve
 
 
 def canonical(n: int, prefix: str = ""):
@@ -171,20 +172,43 @@ def test_swapping_roles_keeps_the_labeling(role_order_outcomes):
     # sign and only swaps the 1/2 indices of the pass keys
     def labelings(cls, pair):
         pos = _link_positions(cls.triangulation, pair.shared_vertex)
-        return [(_labeled(cls, cand, pos), pos) for cand in (pair, pair.swapped())]
+        at, host = cls.pass_positions, len(cls.orientation.zigzags) == 1
+        return [
+            _labeling(cand, pos, (at[cand.e1], at[cand.e2]), cls.face_shadows, host)
+            for cand in (pair, pair.swapped())
+        ]
 
     for cls, rows in role_order_outcomes:
         for pair, _ in rows:
-            ((ordered, sign, keys), pos), ((ordered2, sign2, keys2), _) = labelings(cls, pair)
-            assert (ordered, keys) == (ordered2, keys2)
-            assert [sign(w) for w in pos] == [sign2(w) for w in pos]
+            (ordered, sides, keys), (ordered2, sides2, keys2) = labelings(cls, pair)
+            assert (ordered, sides, keys) == (ordered2, sides2, keys2)
     for n in range(4, 13, 2):
         cls = canonical(n)
         for pair in find_piece_pairs(cls):
-            ((ordered, sign, keys), pos), ((ordered2, sign2, keys2), _) = labelings(cls, pair)
+            (ordered, sides, keys), (ordered2, sides2, keys2) = labelings(cls, pair)
             assert (ordered, ordered2) == (pair, pair.swapped())
             assert keys2 == {f"{3 - int(k[0])}{k[1]}": at for k, at in keys.items()}
-            assert [sign(w) for w in pos] == [sign2(w) for w in pos]
+            assert sides == sides2
+
+
+def test_find_special_pairs_builds_one_pair_per_candidate(knotted, monkeypatch):
+    # each candidate's role order is read before its pair is built, so a
+    # swapped pair costs no second SpecialPair
+    built = []
+    post_init = SpecialPair.__post_init__
+
+    def counted(pair):
+        built.append(pair)
+        post_init(pair)
+
+    monkeypatch.setattr(SpecialPair, "__post_init__", counted)
+    swaps = 0
+    for cls in knotted:
+        start = len(built)
+        pairs = find_special_pairs(cls)
+        assert built[start:] == list(pairs)
+        swaps += sum(p.e1 > p.e2 for p in pairs)
+    assert swaps > 0
 
 
 def test_concordance():
@@ -288,21 +312,43 @@ def test_resolve_rejects_non_interleaved(glued_corpus):
         resolve_site(cls, pair)
 
 
+def tampered(cls, e):
+    """A copy of cls whose face shadows send e's second pass into the face
+    its first pass enters."""
+    (zi, r), (zj, q) = cls.pass_positions[e]
+    shadows = [list(shadow) for shadow in cls.face_shadows]
+    shadows[zj][q] = shadows[zi][r]
+    copy = dataclasses.replace(cls)
+    copy.__dict__["face_shadows"] = tuple(map(tuple, shadows))
+    return copy
+
+
 @pytest.mark.parametrize(
     "n, what", ((3, "occurrences of"), (6, "occurrences of"), (4, "zigzags through"))
 )
 def test_resolve_rejects_an_edge_not_crossing_its_faces_oppositely(n, what):
     # no classification shows this: two passes of a type-II edge entering one
     # face would be one zigzag state; so the face shadows are tampered with
+    def rejects(e):
+        return pytest.raises(
+            SurgeryError, match=rf"^{what} {re.escape(str(e))} do not cross its faces oppositely$"
+        )
+
     cls = canonical(n)
     pair = (find_special_pairs(cls) if n % 2 else find_piece_pairs(cls))[0]
-    (zi, r), (zj, q) = cls.pass_positions[pair.e1]
-    shadows = [list(shadow) for shadow in cls.face_shadows]
-    shadows[zj][q] = shadows[zi][r]
-    tampered = dataclasses.replace(cls)
-    tampered.__dict__["face_shadows"] = tuple(map(tuple, shadows))
-    with pytest.raises(SurgeryError, match=rf"^{what} \(.*\) do not cross its faces oppositely$"):
-        resolve_site(tampered, pair)
+    for e in (pair.e1, pair.e2):
+        with rejects(e):
+            resolve_site(tampered(cls, e), pair)
+    if n % 2:
+        # find_special_pairs runs the checks on each candidate (c1, c2), c1 <
+        # c2: an edge that is only ever c1 meets the e1 check and no other,
+        # an edge that is only ever c2 the e2 check
+        candidates = [sorted(p.edges()) for p in find_special_pairs(cls)]
+        firsts, seconds = ({c[i] for c in candidates} for i in (0, 1))
+        assert firsts - seconds and seconds - firsts
+        for e in (min(firsts - seconds), min(seconds - firsts)):
+            with rejects(e):
+                find_special_pairs(tampered(cls, e))
 
 
 def test_resolve_requires_homogeneous():

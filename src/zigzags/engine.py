@@ -71,9 +71,6 @@ class Pass(NamedTuple):
     src: str
     dst: str
 
-    def flipped(self) -> "Pass":
-        return Pass(self.edge, self.dst, self.src)
-
     def __str__(self) -> str:
         return f"{self.src}>{self.dst}"
 
@@ -155,10 +152,14 @@ class Zigzag:
 
 
 def zigzag_successor(t: Triangulation, state: State) -> State:
-    """Advance one step; raises if the state's edges share no face."""
+    """Advance one step; raises if the state's edges share no face or its
+    cur edge does not lie in two faces."""
     prev, cur = state
     common = t.common_face(prev, cur)
-    far = t.other_face(cur, common)
+    fs = t.edge_faces(cur)
+    if len(fs) != 2:
+        raise TriangulationError(f"edge {cur!r} lies in {len(fs)} face(s), expected 2")
+    far = fs[0] if fs[1] == common else fs[1]
     prev_set = set(prev)
     # far's apex is not common's, prev's far end, so just one edge of far avoids prev
     nxt = [e for e in _face_edges(far) if prev_set.isdisjoint(e)]

@@ -77,12 +77,13 @@ class DirectedEmbedding:
 def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
     """Structural checks for a directed Eulerian embedding.
 
-    The digraph must be simple (no loops, no repeated arcs, no antiparallel
-    arc pairs), connected, and balanced at every vertex; every face cycle
-    must chain head to tail, close up, and visit each vertex at most once;
-    every arc must lie on exactly two face cycles; and at every vertex the
-    corners of the face cycles (an arc in, the next arc out) must join its
-    arcs into one cycle, as the faces around a point of a surface do.
+    The digraph must declare each vertex once, be simple (no loops, no
+    repeated arcs, no antiparallel arc pairs), connected, and balanced at
+    every vertex; every face cycle must chain head to tail, close up, and
+    visit each vertex at most once; every arc must lie on exactly two face
+    cycles; and at every vertex the corners of the face cycles (an arc in,
+    the next arc out) must join its arcs into one cycle, as the faces around
+    a point of a surface do.
     """
     violations: list[str] = []
     known = set(emb.vertices)
@@ -99,6 +100,8 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
                 violations.append(f"arc {u}->{w} references unknown vertex {x!r}")
     if not emb.vertices:
         violations.append("no vertices")
+    vs = emb.vertices  # stored sorted, so a repeated vertex sits next to itself
+    violations += [f"vertex {v!r} is declared more than once" for v, w in zip(vs, vs[1:]) if v == w]
     if violations:
         return ValidationReport(tuple(sorted(set(violations))))
 
@@ -113,16 +116,15 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
         if out[v] == 0:
             violations.append(f"vertex {v!r} is isolated")
 
-    if emb.vertices:
-        nbrs: dict[str, set[str]] = {v: set() for v in emb.vertices}
-        for u, w in emb.arcs:
-            nbrs[u].add(w)
-            nbrs[w].add(u)
-        seen = _reachable(emb.vertices[0], nbrs.__getitem__)
-        if len(seen) != len(emb.vertices):
-            violations.append(
-                f"graph disconnected: reached {len(seen)} of {len(emb.vertices)} vertices"
-            )
+    nbrs: dict[str, set[str]] = {v: set() for v in emb.vertices}
+    for u, w in emb.arcs:
+        nbrs[u].add(w)
+        nbrs[w].add(u)
+    seen = _reachable(emb.vertices[0], nbrs.__getitem__)
+    if len(seen) != len(emb.vertices):
+        violations.append(
+            f"graph disconnected: reached {len(seen)} of {len(emb.vertices)} vertices"
+        )
 
     names = [name for name, _ in emb.face_cycles]
     if len(set(names)) != len(names):
@@ -204,7 +206,7 @@ def _extract(cls: Classification) -> DirectedEmbedding:
 
     cycles = []
     for v in sorted(type_i):
-        cyc = t.vertex_link(v).cycle
+        cyc = t.vertex_link(v)
         directed = [cls.edge_directions[edge_key(u, w)] for u, w in zip(cyc, cyc[1:] + cyc[:1])]
         # flip a link that runs against its first arc; validation below
         # checks that every arc then runs with the link, as cycles chain

@@ -39,7 +39,6 @@ __all__ = [
     "TreeError",
     "TreeSpec",
     "parse_tree",
-    "serialize_tree",
     "validate_tree",
     "GluingRecord",
     "BuildLog",
@@ -204,12 +203,6 @@ def parse_tree(text: str) -> TreeSpec:
         return TreeSpec(tuple(nodes), tuple((u, w) for _, u, w in arcs))
     except TreeError as exc:
         raise ParseError(str(exc)) from None
-
-
-def serialize_tree(spec: TreeSpec) -> str:
-    lines = [f"n {i} {lab}" for i, lab in spec.nodes]
-    lines += [f"a {u} {w}" for u, w in spec.edges]
-    return "\n".join(lines) + "\n"
 
 
 def validate_tree(spec: TreeSpec) -> ValidationReport:

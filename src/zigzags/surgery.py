@@ -40,10 +40,10 @@ analysis classify(t, tau) builds once t passes its closed-surface check,
 and reads the pass positions and face shadows it derives on first use.  A
 GluingSite stores only what resolving decides: the classification it was
 resolved on, the pair in its role order, the +/- side of each interior link
-vertex of v, and the four cut segments with their ends.  It derives the
-rest: its kind from the zigzag census (one zigzag makes a host, two or four
-a piece), the pair edges' directions from the classification, and each pair
-face's label from the side of that face's interior link vertex.
+vertex of v, and the four cut segments with their ends.  It derives only
+its kind, from the zigzag census (one zigzag makes a host, two or four a
+piece); the pair edges' directions are the classification's, and each pair
+face lies on the side of its interior link vertex.
 
 Gluing renames vertices by one rule (_namer), for faces, passes and edges
 alike: v becomes v+ or v-, the side of the interior link vertex of the face
@@ -199,25 +199,6 @@ class GluingSite:
         return _kind(self.classification)
 
     @property
-    def e1_direction(self) -> tuple[str, str]:
-        return self.classification.edge_directions[self.pair.e1]
-
-    @property
-    def e2_direction(self) -> tuple[str, str]:
-        return self.classification.edge_directions[self.pair.e2]
-
-    @property
-    def face_labels(self) -> dict[tuple[str, str, str], str]:
-        """The four faces at e1 and e2 -> "+"/"-", the side of each face's
-        interior link vertex."""
-        t, sides = self.classification.triangulation, self.vertex_sides
-        return {
-            f: sides[next(w for w in f if w in sides)]
-            for e in (self.pair.e1, self.pair.e2)
-            for f in t.edge_faces(e)
-        }
-
-    @property
     def v(self) -> str:
         return self.pair.shared_vertex
 
@@ -315,7 +296,7 @@ def find_special_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
     out = []
     for c1, c2, v in _candidates(cls):
         if v not in links:
-            links[v] = _link_positions(cls.triangulation, v)
+            links[v] = _positions(cls.triangulation.vertex_link(v))
         pair_at = (at[c1], at[c2])
         _, entered = _pass_sides(links[v], c1, c2, v, pair_at, shadows)
         out.append(SpecialPair(*((c1, c2) if _reads_forward(pair_at, entered) else (c2, c1)), v))
@@ -346,10 +327,6 @@ _NOT_HOMOGENEOUS_SITE = "gluing sites require a homogeneous z-orientation"
 def _positions(cycle) -> dict[str, int]:
     """Link vertex -> its position along the link cycle."""
     return {w: i for i, w in enumerate(cycle)}
-
-
-def _link_positions(t: Triangulation, v: str) -> dict[str, int]:
-    return _positions(t.vertex_link(v).cycle)
 
 
 def _arc(passes, start: int, stop: int):
@@ -464,7 +441,7 @@ def _resolve(cls: Classification, pair: SpecialPair) -> GluingSite:
     four arcs, a two-zigzag piece's halves of each zigzag, a four-zigzag
     piece's whole zigzags less one pass.
     """
-    pos, at = _link_positions(cls.triangulation, pair.shared_vertex), cls.pass_positions
+    pos, at = _positions(cls.triangulation.vertex_link(pair.shared_vertex)), cls.pass_positions
     at_pair, host = (at[pair.e1], at[pair.e2]), _kind(cls) == HOST
     ordered, sides, keys = _labeling(pair, pos, at_pair, cls.face_shadows, host)
     segments, ends = _segments(keys, [z.passes for z in cls.orientation.chosen])

@@ -16,7 +16,6 @@ __all__ = [
     "ParseError",
     "TriangulationError",
     "ValidationReport",
-    "LinkCycle",
     "Triangulation",
     "edge_key",
     "face_key",
@@ -80,13 +79,11 @@ def _link_cycle(v: str, faces) -> tuple[str, ...] | None:
     toward the lesser of that vertex's two link-neighbors; None unless the
     link is a single cycle."""
     adj: dict[str, list[str]] = {}
-    n_edges = 0
     for a, b, c in faces:
         x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
         adj.setdefault(x, []).append(y)
         adj.setdefault(y, []).append(x)
-        n_edges += 1
-    if any(len(nb) != 2 for nb in adj.values()) or n_edges != len(adj):
+    if any(len(nb) != 2 for nb in adj.values()):
         return None
     # degree-2 everywhere still allows several disjoint cycles
     start = min(adj)
@@ -129,22 +126,6 @@ class ValidationReport:
         return "valid" if self.ok else "\n".join(self.violations)
 
 
-@dataclass(frozen=True)
-class LinkCycle:
-    """The cyclic sequence of neighbors around a vertex.
-
-    The stored rotation starts at the lexicographically least neighbor and
-    proceeds toward the lexicographically lesser of its two link-neighbors,
-    so equal links always compare equal.
-    """
-
-    center: str
-    cycle: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.cycle)
-
-
 class Triangulation:
     """An ordered list of triangular faces with derived lookups.
 
@@ -177,23 +158,20 @@ class Triangulation:
                 raise TriangulationError(f"duplicate face {key!r}")
             seen.add(key)
             stored.append(key)
-        self._faces: tuple[tuple[str, str, str], ...] = tuple(stored)
-        self._face_set = seen  # for membership tests
 
         edge_faces: dict[tuple[str, str], list] = {}
         vertex_faces: dict[str, list] = {}
-        for f in self._faces:
+        for f in stored:
             for v in f:
                 vertex_faces.setdefault(v, []).append(f)
             for e in _face_edges(f):
                 edge_faces.setdefault(e, []).append(f)
-        self._edge_faces = {e: tuple(sorted(fs)) for e, fs in edge_faces.items()}
-        self._vertex_faces = {v: tuple(sorted(fs)) for v, fs in vertex_faces.items()}
-        self._vertices = tuple(sorted(self._vertex_faces))
-        self._edges = tuple(sorted(self._edge_faces))
-        self._report: ValidationReport | None = None
-        self._zigzags: tuple | None = None
-        self._passes: list | None = None
+        self._set_fields(
+            tuple(stored),
+            seen,
+            {e: tuple(sorted(fs)) for e, fs in edge_faces.items()},
+            {v: tuple(sorted(fs)) for v, fs in vertex_faces.items()},
+        )
 
     @classmethod
     def _indexed(cls, faces, edge_faces: dict, vertex_faces: dict) -> "Triangulation":
@@ -202,15 +180,20 @@ class Triangulation:
         for them, as the constructor would build it.  Nothing is checked
         here: validate() runs in full on first use."""
         t = object.__new__(cls)
-        t._faces = tuple(faces)
-        t._face_set = set(t._faces)
-        t._edge_faces, t._vertex_faces = edge_faces, vertex_faces
-        t._vertices = tuple(sorted(vertex_faces))
-        t._edges = tuple(sorted(edge_faces))
-        t._report = None
-        t._zigzags = None
-        t._passes = None
+        t._set_fields(tuple(faces), set(faces), edge_faces, vertex_faces)
         return t
+
+    def _set_fields(self, faces, face_set, edge_faces, vertex_faces) -> None:
+        """Every field, from the face keys and their set, edge index and
+        vertex index; the derived data starts out not yet computed."""
+        self._faces: tuple[tuple[str, str, str], ...] = faces
+        self._face_set = face_set  # for membership tests
+        self._edge_faces, self._vertex_faces = edge_faces, vertex_faces
+        self._vertices = tuple(sorted(vertex_faces))
+        self._edges = tuple(sorted(edge_faces))
+        self._report: ValidationReport | None = None
+        self._zigzags: tuple | None = None
+        self._passes: list | None = None
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -257,25 +240,18 @@ class Triangulation:
         # face the constructor rejects
         return next(iter(both))
 
-    def other_face(self, edge, face) -> tuple[str, str, str]:
-        """The face on the other side of edge; requires the edge to lie in two faces."""
-        fs = self.edge_faces(edge)
-        key = face_key(*face)
-        if key not in fs:
-            raise TriangulationError(f"face {face!r} does not contain edge {edge!r}")
-        if len(fs) != 2:
-            raise TriangulationError(f"edge {edge!r} lies in {len(fs)} face(s), expected 2")
-        return fs[0] if fs[1] == key else fs[1]
-
     # ------------------------------------------------------------------
     # structure
 
-    def vertex_link(self, v: str) -> LinkCycle:
-        """The link of v as a single cycle; error if the link is not one cycle."""
+    def vertex_link(self, v: str) -> tuple[str, ...]:
+        """The link of v as a single cycle of its neighbours; error if the
+        link is not one cycle.  The cycle starts at the least neighbour and
+        goes toward the lesser of that neighbour's two link-neighbours, so
+        equal links compare equal."""
         cycle = _link_cycle(v, self.vertex_faces(v))
         if cycle is None:
             raise TriangulationError(f"link of vertex {v!r} is not a single cycle")
-        return LinkCycle(v, cycle)
+        return cycle
 
     def euler_characteristic(self) -> int:
         return len(self._vertices) - len(self._edges) + len(self._faces)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from zigzags import bipyramid, parse_triangulation, tree_build, TreeSpec
+from helpers import torus_grid
+from zigzags import bipyramid, parse_triangulation, serialize_triangulation, tree_build, TreeSpec
 from zigzags.cli import main
 
 BP5_FULL_REPORT = """\
@@ -29,6 +30,91 @@ special pairs: 5
   2-3 / 1-2 at 2 (special)
   3-4 / 2-3 at 3 (special)
   4-5 / 3-4 at 4 (special)
+"""
+
+
+# a piece's report lists its piece pairs (find_piece_pairs), each with the
+# census's site kind
+BP4_PIECE_REPORT = """\
+zigzags: 4 (lengths 6, 6, 6, 6)
+z-knotted: no
+bits: 0011
+edges: 8 type I, 4 type II
+vertices: 2 type I, 4 type II
+faces: 8 type I, 0 type II
+homogeneous: yes
+balance:
+  1 in=1 out=1
+  2 in=1 out=1
+  3 in=1 out=1
+  4 in=1 out=1
+  a in=0 out=0
+  b in=0 out=0
+special pairs: 4
+  1-2 / 1-4 at 1 (four_zigzag_piece)
+  1-2 / 2-3 at 2 (four_zigzag_piece)
+  1-4 / 3-4 at 4 (four_zigzag_piece)
+  2-3 / 3-4 at 3 (four_zigzag_piece)
+"""
+
+BP6_PIECE_TSV = """\
+zigzag\t0\t18
+zigzag\t1\t18
+z_knotted\tfalse
+bits\t01
+edge\t1\t2\tII\t1\t2
+edge\t1\t6\tII\t6\t1
+edge\t1\ta\tI
+edge\t1\tb\tI
+edge\t2\t3\tII\t2\t3
+edge\t2\ta\tI
+edge\t2\tb\tI
+edge\t3\t4\tII\t3\t4
+edge\t3\ta\tI
+edge\t3\tb\tI
+edge\t4\t5\tII\t4\t5
+edge\t4\ta\tI
+edge\t4\tb\tI
+edge\t5\t6\tII\t5\t6
+edge\t5\ta\tI
+edge\t5\tb\tI
+edge\t6\ta\tI
+edge\t6\tb\tI
+vertex\t1\tII
+vertex\t2\tII
+vertex\t3\tII
+vertex\t4\tII
+vertex\t5\tII
+vertex\t6\tII
+vertex\ta\tI
+vertex\tb\tI
+face\t1\t2\ta\tI
+face\t1\t2\tb\tI
+face\t1\t6\ta\tI
+face\t1\t6\tb\tI
+face\t2\t3\ta\tI
+face\t2\t3\tb\tI
+face\t3\t4\ta\tI
+face\t3\t4\tb\tI
+face\t4\t5\ta\tI
+face\t4\t5\tb\tI
+face\t5\t6\ta\tI
+face\t5\t6\tb\tI
+homogeneous\ttrue
+balance\t1\t1\t1
+balance\t2\t1\t1
+balance\t3\t1\t1
+balance\t4\t1\t1
+balance\t5\t1\t1
+balance\t6\t1\t1
+balance\ta\t0\t0
+balance\tb\t0\t0
+pair\t1\t2\t1\t6\t1\ttwo_zigzag_piece
+pair\t1\t2\t2\t3\t2\ttwo_zigzag_piece
+pair\t1\t6\t5\t6\t6\ttwo_zigzag_piece
+pair\t2\t3\t3\t4\t3\ttwo_zigzag_piece
+pair\t3\t4\t4\t5\t4\ttwo_zigzag_piece
+pair\t4\t5\t5\t6\t5\ttwo_zigzag_piece
 """
 
 
@@ -114,6 +200,17 @@ def test_analyze_tsv(bp5, capsys):
     assert "homogeneous\ttrue" in lines
     assert "balance\t3\t1\t1" in lines
     assert "pair\t1\t2\t1\t5\t1\tspecial" in lines
+
+
+@pytest.mark.parametrize("n, bits, fmt, expected", [
+    (4, "0011", "text", BP4_PIECE_REPORT),
+    (6, "01", "tsv", BP6_PIECE_TSV),
+], ids=["bp4-text", "bp6-tsv"])
+def test_analyze_reports_a_piece(tmp_path, capsys, n, bits, fmt, expected):
+    path = tmp_path / f"bp{n}.tri"
+    run(capsys, "generate", "bipyramid", "--n", str(n), "-o", str(path))
+    rc, out, err = run(capsys, "analyze", str(path), "--zorient", bits, "--format", fmt)
+    assert (rc, out, err) == (0, expected, "")
 
 
 def test_analyze_is_deterministic(bp5, capsys):
@@ -211,6 +308,25 @@ def test_glue_names_a_pair_edge_that_is_no_edge(tmp_path, capsys):
     assert err == "error: pair edge ('L.1', 'L.9') is no edge of the triangulation\n"
 
 
+def test_glue_rejects_a_pair_of_two_vertices(tmp_path, capsys):
+    args = glue_args(tmp_path, capsys)
+    args[args.index("--host-pair") + 1] = "L.1,L.2"
+    rc, out, err = run(capsys, *args)
+    assert (rc, out) == (2, "")
+    assert err == "usage error: pair must be three comma-separated vertices u,v,w, got 'L.1,L.2'\n"
+
+
+def test_glue_refuses_to_search_too_many_z_orientations(tmp_path, capsys):
+    # the 7 x 7 grid torus has 21 zigzags, and no --host-zorient was given
+    args = glue_args(tmp_path, capsys)
+    host = tmp_path / "torus.tri"
+    host.write_text(serialize_triangulation(torus_grid(7)))
+    args[args.index("--host") + 1] = str(host)
+    rc, out, err = run(capsys, *args)
+    assert (rc, out) == (1, "")
+    assert err == "error: refusing to enumerate 2^21 z-orientations (limit k=20)\n"
+
+
 def test_glue_names_the_census_of_a_host_that_is_a_piece(tmp_path, capsys):
     # the roles swapped: the four-zigzag BP(4) as host, the z-knotted BP(3) as piece
     args = glue_args(tmp_path, capsys)
@@ -295,6 +411,47 @@ def test_verify_reports_violations(tmp_path, capsys):
     assert rc == 1
     assert out == ""
     assert "expected 2" in err
+
+
+# a directed triangle whose two face cycles each run all three arcs
+TRIANGLE_EUL = "v 1\nv 2\nv 3\na 0 1 2\na 1 2 3\na 2 3 1\nc a 0 1 2\nc b 0 1 2\n"
+
+
+@pytest.mark.parametrize("name, text, violations", [
+    ("empty.tri", "", "no faces"),
+    ("twice.eul", "v x\nv y\nv z\na 0 x y\na 1 x y\na 2 y z\n", "repeated arcs"),
+    ("bare.eul", "a 0 x y\n",
+     "arc x->y references unknown vertex 'x'\narc x->y references unknown vertex 'y'\n"
+     "no vertices"),
+    ("dup.eul", "v 1\n" + TRIANGLE_EUL, "vertex '1' is declared more than once"),
+], ids=["empty.tri", "twice.eul", "bare.eul", "dup.eul"])
+def test_verify_prints_each_violation(tmp_path, capsys, name, text, violations):
+    path = tmp_path / name
+    path.write_text(text)
+    rc, out, err = run(capsys, "verify", str(path))
+    assert (rc, out, err) == (1, "", violations + "\n")
+
+
+def test_convert_names_a_repeated_vertex(tmp_path, capsys):
+    ok, dup = tmp_path / "ok.eul", tmp_path / "dup.eul"
+    ok.write_text(TRIANGLE_EUL)
+    dup.write_text("v 1\n" + TRIANGLE_EUL)
+    assert run(capsys, "verify", str(ok)) == (0, "OK\n", "")
+    rc, out, err = run(capsys, "convert", "--triangulate", str(dup))
+    assert (rc, out, err) == (1, "", "error: vertex '1' is declared more than once\n")
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("arc.eul", "v x\nv y\na 0 x\n", "line 3: expected 'a <index> <from> <to>'"),
+    ("cycle.eul", "v x\nv y\na 0 x y\nc F\n", "line 4: expected 'c <name> <i1> ...'"),
+    ("arc.tree", "n r 5\nn x 4\na r\n", "line 3: expected 'a <id1> <id2>', got 'a r'"),
+    ("dup.tree", "n r 5\nn r 4\n", "duplicate node ids"),
+], ids=["arc.eul", "cycle.eul", "arc.tree", "dup.tree"])
+def test_verify_names_a_malformed_record(tmp_path, capsys, name, text, message):
+    path = tmp_path / name
+    path.write_text(text)
+    rc, out, err = run(capsys, "verify", str(path))
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_verify_unknown_extension(tmp_path, capsys):

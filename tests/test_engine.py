@@ -21,6 +21,7 @@ import zigzags
 from helpers import random_flips, sampled_orientations, torus7
 from zigzags import (
     InvariantError,
+    Pass,
     Triangulation,
     TriangulationError,
     Zigzag,
@@ -50,7 +51,7 @@ def test_pass_ordering_fields():
     p = make_pass("2", "1")
     assert p.edge == ("1", "2")
     assert (p.src, p.dst) == ("2", "1")
-    assert p.flipped() == make_pass("1", "2")
+    assert Pass(p.edge, p.dst, p.src) == make_pass("1", "2")
     assert str(p) == "2>1"
 
 
@@ -87,7 +88,7 @@ def test_unchecked_reversal_is_a_checked_zigzag(bipyramid_corpus, tree_corpus):
             r = z.reverse()
             assert r.reverse() == z
             assert Zigzag(r.passes).passes == r.passes
-            assert Zigzag(tuple(p.flipped() for p in reversed(z.passes))) == r
+            assert Zigzag(tuple(Pass(p.edge, p.dst, p.src) for p in reversed(z.passes))) == r
 
 
 def test_occurrences_and_counts():
@@ -129,6 +130,16 @@ def test_successor_matches_oracle_step():
         got = zigzag_successor(t, s)
         assert got == expected
         s = got
+
+
+def test_successor_rejects_an_edge_not_in_two_faces():
+    t = Triangulation([("1", "2", "3"), ("1", "2", "4"), ("1", "2", "5")])
+    with pytest.raises(TriangulationError) as info:
+        zigzag_successor(t, (("1", "2"), ("1", "3")))
+    assert str(info.value) == "edge ('1', '3') lies in 1 face(s), expected 2"
+    with pytest.raises(TriangulationError) as info:
+        zigzag_successor(t, (("1", "3"), ("1", "2")))
+    assert str(info.value) == "edge ('1', '2') lies in 3 face(s), expected 2"
 
 
 # ----------------------------------------------------------------------

@@ -52,7 +52,8 @@ def paper_zigzag(host_site, piece_site) -> Zigzag:
     """The glued zigzag assembled term by term from the paper's sequence."""
     split = {side: host_site.v + side for side in "+-"}
     renames = {piece_site.v1: host_site.v1, piece_site.v2: host_site.v2}
-    directions = {"1": host_site.e1_direction, "2": host_site.e2_direction}
+    pair, to = host_site.pair, host_site.classification.edge_directions
+    directions = {"1": to[pair.e1], "2": to[pair.e2]}
     passes = []
     for term in PAPER_SEQUENCES[piece_site.kind].split():
         letter, key = term[0], term[1:]

@@ -31,7 +31,7 @@ from zigzags import (
     tree_build,
 )
 from helpers import are_concordant
-from zigzags.surgery import _labeling, _link_positions, _resolve
+from zigzags.surgery import _labeling, _positions, _resolve
 
 
 def canonical(n: int, prefix: str = ""):
@@ -46,10 +46,22 @@ def compatible_piece_site(host_site, piece):
     return piece_site
 
 
+def face_labels(site):
+    """The four faces at e1 and e2 -> "+"/"-", the side of each face's
+    interior link vertex."""
+    t, sides = site.classification.triangulation, site.vertex_sides
+    return {
+        f: sides[next(w for w in f if w in sides)]
+        for e in (site.pair.e1, site.pair.e2)
+        for f in t.edge_faces(e)
+    }
+
+
 def site_facts(site):
+    to = site.classification.edge_directions
     return (
-        site.pair, site.kind, site.face_labels, site.vertex_sides,
-        site.e1_direction, site.e2_direction, site.segments,
+        site.pair, site.kind, face_labels(site), site.vertex_sides,
+        to[site.pair.e1], to[site.pair.e2], site.segments,
     )
 
 
@@ -171,7 +183,7 @@ def test_swapping_roles_keeps_the_labeling(role_order_outcomes):
     # why a host's role order is a read-off: swapping e1 and e2 keeps every
     # sign and only swaps the 1/2 indices of the pass keys
     def labelings(cls, pair):
-        pos = _link_positions(cls.triangulation, pair.shared_vertex)
+        pos = _positions(cls.triangulation.vertex_link(pair.shared_vertex))
         at, host = cls.pass_positions, len(cls.orientation.zigzags) == 1
         return [
             _labeling(cand, pos, (at[cand.e1], at[cand.e2]), cls.face_shadows, host)
@@ -246,13 +258,12 @@ def test_host_site_structure():
     site = resolve_site(cls, pair)
     assert site.kind == HOST
     assert site.v == pair.shared_vertex
-    assert sorted(site.face_labels.values()) == ["+", "+", "-", "-"]
+    assert sorted(face_labels(site).values()) == ["+", "+", "-", "-"]
     # the apexes sit on opposite sides of the split link
     assert sorted(site.vertex_sides) == ["a", "b"]
     assert sorted(site.vertex_sides.values()) == ["+", "-"]
     assert site.classification is cls
-    assert site.e1_direction == cls.edge_directions[pair.e1]
-    assert site.e2_direction == cls.edge_directions[pair.e2]
+    assert site.pair == pair
     z = cls.orientation.chosen[0]
     lengths = [len(site.segments[k]) for k in ("1+", "2+", "1-", "2-")]
     assert all(lengths)
@@ -264,7 +275,7 @@ def test_resolve_is_deterministic():
     pair = find_special_pairs(cls)[2]
     a = resolve_site(cls, pair)
     b = resolve_site(canonical(5), pair)
-    assert a.face_labels == b.face_labels
+    assert face_labels(a) == face_labels(b)
     assert a.vertex_sides == b.vertex_sides
     assert a.segments == b.segments
 
@@ -608,7 +619,7 @@ def site_record(cls, pair) -> str:
         return repr(str(exc))
     return repr((
         site.pair, site.kind, sorted(site.vertex_sides.items()),
-        sorted(site.face_labels.items()), sorted(site.segments.items()),
+        sorted(face_labels(site).items()), sorted(site.segments.items()),
     ))
 
 

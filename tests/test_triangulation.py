@@ -39,7 +39,7 @@ def test_basic_accessors():
     assert len(t.edges) == 6
     assert len(t.faces) == 4
     assert len(t.vertex_link("1")) == 3
-    assert sorted(t.vertex_link("1").cycle) == ["2", "3", "4"]
+    assert sorted(t.vertex_link("1")) == ["2", "3", "4"]
     assert face_key("3", "2", "1") in t.faces
     assert face_key("1", "2", "x") not in t.faces
     assert t.euler_characteristic() == 2
@@ -70,10 +70,9 @@ def test_edge_and_vertex_faces():
         t.edge_faces(("1", "x"))
 
 
-def test_common_and_other_face():
+def test_common_face():
     t = Triangulation(TET)
     assert t.common_face(("1", "2"), ("2", "3")) == ("1", "2", "3")
-    assert t.other_face(("1", "2"), ("1", "2", "3")) == ("1", "2", "4")
     with pytest.raises(TriangulationError):
         t.common_face(("1", "2"), ("3", "4"))  # opposite edges share no face
 
@@ -81,21 +80,34 @@ def test_common_and_other_face():
 def test_vertex_link_cycle():
     t = bipyramid(4)
     link = t.vertex_link("a")
-    assert set(link.cycle) == {"1", "2", "3", "4"}
+    assert set(link) == {"1", "2", "3", "4"}
     assert len(link) == 4
     # base vertex link alternates neighbors and apexes
-    link1 = t.vertex_link("1")
-    assert set(link1.cycle) == {"2", "4", "a", "b"}
-    cycle = link1.cycle
+    cycle = t.vertex_link("1")
+    assert set(cycle) == {"2", "4", "a", "b"}
     link_edges = {edge_key(u, w) for u, w in zip(cycle, cycle[1:] + cycle[:1])}
     assert len(link_edges) == 4
     assert all(face_key("1", u, w) in t.faces for u, w in link_edges)
 
 
+def test_vertex_link_rejects_a_pinched_vertex():
+    # two fans share x: every link vertex has two neighbours, but the link
+    # is two disjoint cycles
+    fans = [("x", "1", "2"), ("x", "2", "3"), ("x", "1", "3")]
+    fans += [("x", "4", "5"), ("x", "5", "6"), ("x", "4", "6")]
+    t = Triangulation(fans)
+    with pytest.raises(TriangulationError) as caught:
+        t.vertex_link("x")
+    assert str(caught.value) == "link of vertex 'x' is not a single cycle"
+    assert "link of vertex x is not a single cycle" in t.validate().violations
+
+
 def test_link_deterministic():
     t = bipyramid(5)
-    assert t.vertex_link("3").cycle == t.vertex_link("3").cycle
-    assert t.vertex_link("a").cycle[0] == min(t.vertex_link("a").cycle)
+    assert t.vertex_link("3") == t.vertex_link("3")
+    # starts at the least neighbour, toward the lesser of its two link-neighbours
+    link = t.vertex_link("a")
+    assert link[0] == min(link) and link[1] == min(link[1], link[-1])
 
 
 def test_validate_ok():

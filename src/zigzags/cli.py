@@ -182,9 +182,28 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _info(line: str, to_stdout: bool) -> None:
-    # keep stdout re-parseable when the main payload goes there
-    print(line, file=sys.stdout if to_stdout else sys.stderr)
+def _write(t: Triangulation, output: str | None, *info: str) -> None:
+    """Emit t's .tri as _emit does, then the info lines: on stdout when the
+    .tri went to a file, else on stderr, so that stdout stays a .tri."""
+    _emit(serialize_triangulation(t), output)
+    stream = sys.stdout if output else sys.stderr
+    for line in info:
+        print(line, file=stream)
+
+
+def _zorient_line(tau: ZOrientation) -> str:
+    return f"homogeneous zorient: {''.join(map(str, tau.bits))}"
+
+
+def _shape_lines(t: Triangulation, tau: ZOrientation) -> list[str]:
+    """The counts of a glued or built sphere and the length of its zigzag."""
+    return [
+        f"vertices: {len(t.vertices)}",
+        f"edges: {len(t.edges)}",
+        f"faces: {len(t.faces)}",
+        f"euler characteristic: {t.euler_characteristic()}",
+        f"zigzag length: {len(tau.chosen[0])}",
+    ]
 
 
 def _load_triangulation(path: str) -> Triangulation:
@@ -220,20 +239,14 @@ def _parse_pair(arg: str) -> SpecialPair:
 
 
 def _cmd_generate(args) -> int:
-    tau = None
     if args.shape == "bipyramid":
         cls = _bipyramid_analysis(args.n, args.prefix)
-        t, tau = cls.triangulation, cls.orientation
-        zs = tau.zigzags
+        t, zs, bits = cls.triangulation, cls.orientation.zigzags, [_zorient_line(cls.orientation)]
     else:
         t = platonic(args.name)
-        zs = enumerate_zigzags(t)
-    _emit(serialize_triangulation(t), args.output)
-    to_stdout = args.output is not None
+        zs, bits = enumerate_zigzags(t), []
     suffix = " (z-knotted)" if len(zs) == 1 else ""
-    _info(f"zigzags: {len(zs)}{suffix}", to_stdout)
-    if tau is not None:
-        _info(f"homogeneous zorient: {''.join(map(str, tau.bits))}", to_stdout)
+    _write(t, args.output, f"zigzags: {len(zs)}{suffix}", *bits)
     return 0
 
 
@@ -255,9 +268,7 @@ def _cmd_convert(args) -> int:
     else:
         emb = parse_embedding(_read(args.triangulate))
         t, tau = triangulate_embedding(emb)
-        _emit(serialize_triangulation(t), args.output)
-        to_stdout = args.output is not None
-        _info(f"homogeneous zorient: {''.join(map(str, tau.bits))}", to_stdout)
+        _write(t, args.output, _zorient_line(tau))
     return 0
 
 
@@ -273,17 +284,11 @@ def _cmd_glue(args) -> int:
     # glued surface's only zigzag and the result is homogeneous, so both
     # lines report yes
     cls = glue(host_site, piece_site)
-    glued, tau = cls.triangulation, cls.orientation
-    _emit(serialize_triangulation(glued), args.output)
-    to_stdout = args.output is not None
-    _info(f"vertices: {len(glued.vertices)}", to_stdout)
-    _info(f"edges: {len(glued.edges)}", to_stdout)
-    _info(f"faces: {len(glued.faces)}", to_stdout)
-    _info(f"euler characteristic: {glued.euler_characteristic()}", to_stdout)
-    _info(f"zigzag length: {len(tau.chosen[0])}", to_stdout)
-    _info("prediction matches: yes", to_stdout)
-    _info("homogeneous: yes", to_stdout)
-    _info(f"homogeneous zorient: {''.join(map(str, tau.bits))}", to_stdout)
+    t, tau = cls.triangulation, cls.orientation
+    _write(
+        t, args.output, *_shape_lines(t, tau), "prediction matches: yes", "homogeneous: yes",
+        _zorient_line(tau),
+    )
     return 0
 
 
@@ -291,17 +296,10 @@ def _cmd_build_tree(args) -> int:
     spec = parse_tree(_read(args.file))
     # tree_build raises InvariantError unless there are 2 type-I vertices per node
     t, tau, log = tree_build(spec)
-    _emit(serialize_triangulation(t), args.output)
-    to_stdout = args.output is not None
-    for record in log.records:
-        _info(str(record), to_stdout)
-    _info(f"vertices: {len(t.vertices)}", to_stdout)
-    _info(f"edges: {len(t.edges)}", to_stdout)
-    _info(f"faces: {len(t.faces)}", to_stdout)
-    _info(f"euler characteristic: {t.euler_characteristic()}", to_stdout)
-    _info(f"zigzag length: {len(tau.chosen[0])}", to_stdout)
-    _info(f"type-I vertices: {2 * len(spec.nodes)}", to_stdout)
-    _info(f"homogeneous zorient: {''.join(map(str, tau.bits))}", to_stdout)
+    _write(
+        t, args.output, *map(str, log.records), *_shape_lines(t, tau),
+        f"type-I vertices: {2 * len(spec.nodes)}", _zorient_line(tau),
+    )
     return 0
 
 

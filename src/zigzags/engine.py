@@ -312,9 +312,9 @@ class Classification:
     """The analysis of one triangulation under one z-orientation.
 
     classify(t, tau) builds it with the edge, vertex, and face types.
-    Homogeneity, the edge -> pass positions, and the face shadows are
-    derived on first use and kept, so every holder of the classification
-    shares them.
+    Homogeneity and the edge -> pass positions are derived on first use and
+    kept, so every holder of the classification shares them.  The face a
+    pass enters is read off the chosen walk by _turn where it is needed.
     """
 
     triangulation: Triangulation
@@ -362,11 +362,6 @@ class Classification:
             for i, p in enumerate(z.passes):
                 where.setdefault(p.edge, []).append((zi, i))
         return where
-
-    @cached_property
-    def face_shadows(self) -> tuple[tuple[tuple[str, str, str], ...], ...]:
-        """The face shadow of each chosen zigzag."""
-        return tuple(face_shadow(self.triangulation, z) for z in self.orientation.chosen)
 
 
 def _pass_table(t: Triangulation, tau: ZOrientation) -> list[tuple]:
@@ -439,27 +434,31 @@ def classify(t: Triangulation, tau: ZOrientation) -> Classification:
     return Classification(t, tau, edge_types, edge_directions, vertex_types, face_types)
 
 
+def _turn(passes, i: int) -> tuple[str, str, str]:
+    """The face key of the walk's turn from pass i to pass i+1 of passes:
+    pass i's edge and pass i+1's end, a face only where the walk turns in one."""
+    (u, v), _, _ = passes[i]
+    w = passes[(i + 1) % len(passes)].dst
+    return (w, u, v) if w < u else (u, w, v) if w < v else (u, v, w)
+
+
 def face_shadow(t: Triangulation, z: Zigzag) -> tuple[tuple[str, str, str], ...]:
     """The cyclic face sequence of a zigzag.
 
     Entry i is the common face of passes i and i+1; it is the face the walk
     lies in while turning between the two edges.  As passes chain, that face
-    is {src, dst} of pass i plus dst of pass i+1; raises TriangulationError
-    when it is not a face of t.
+    is {src, dst} of pass i plus dst of pass i+1 (_turn); raises
+    TriangulationError when it is not a face of t.
     """
-    faces = t._face_set
     ps = z.passes
-    out = []
-    for (e, _, _), (e2, _, w) in zip(ps, ps[1:] + ps[:1]):
-        u, v = e
-        f = (w, u, v) if w < u else (u, w, v) if w < v else (u, v, w)
-        if f not in faces:
-            i = len(out)
-            raise TriangulationError(
-                f"passes {i} and {(i + 1) % len(ps)}: edges {e!r} and {e2!r} share no face"
-            )
-        out.append(f)
-    return tuple(out)
+    out = tuple(_turn(ps, i) for i in range(len(ps)))
+    if not t._face_set.issuperset(out):
+        i = next(i for i, f in enumerate(out) if f not in t._face_set)
+        j = (i + 1) % len(ps)
+        raise TriangulationError(
+            f"passes {i} and {j}: edges {ps[i].edge!r} and {ps[j].edge!r} share no face"
+        )
+    return out
 
 
 def _sole_zigzag_shadow(t: Triangulation, z: Zigzag) -> tuple[tuple[str, str, str], ...]:

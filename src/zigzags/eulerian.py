@@ -88,9 +88,10 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
     violations: list[str] = []
     known = set(emb.vertices)
     arcset = set(emb.arcs)
-    if len(arcset) != len(emb.arcs):
-        violations.append("repeated arcs")
-    for u, w in emb.arcs:
+    # arcs are stored sorted, so a repeated arc follows its first declaration
+    for (u, w), last in zip(emb.arcs, ((), *emb.arcs)):
+        if (u, w) == last:
+            violations.append(f"arc {u}->{w} is declared more than once")
         if u == w:
             violations.append(f"arc {u}->{w} is a loop")
         if u < w and (w, u) in arcset:  # each pair once; a loop is no pair

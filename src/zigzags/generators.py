@@ -138,10 +138,11 @@ class TreeSpec:
                 and type(node[0]) is str and type(node[1]) is int
             ):
                 raise TreeError(f"node {node!r} is not an (id string, integer label) pair")
-        ids = [i for i, _ in self.nodes]
-        if len(set(ids)) != len(ids):
-            raise TreeError("duplicate node ids")
-        known = set(ids)
+        known = set()
+        for i, _ in self.nodes:
+            if i in known:
+                raise TreeError(f"node id {i!r} is declared more than once")
+            known.add(i)
         seen = set()
         for e in self.edges:
             if not (isinstance(e, (tuple, list)) and len(e) == 2):
@@ -177,7 +178,7 @@ class TreeSpec:
 
 def parse_tree(text: str) -> TreeSpec:
     """Parse the line format: 'n <id> <label>' and 'a <id1> <id2>'."""
-    nodes: list[tuple[str, int]] = []
+    labels: dict[str, int] = {}
     arcs: list[tuple[int, str, str]] = []
     for lineno, parts, raw in _records(text):
         if parts[0] == "n":
@@ -187,20 +188,21 @@ def parse_tree(text: str) -> TreeSpec:
                 label = int(parts[2])
             except ValueError:
                 raise ParseError(f"line {lineno}: label {parts[2]!r} is not an integer") from None
-            nodes.append((parts[1], label))
+            if parts[1] in labels:
+                raise ParseError(f"line {lineno}: node id {parts[1]!r} is declared more than once")
+            labels[parts[1]] = label
         elif parts[0] == "a":
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'a <id1> <id2>', got {raw.strip()!r}")
             arcs.append((lineno, parts[1], parts[2]))
         else:
             raise ParseError(f"line {lineno}: unknown record {parts[0]!r}")
-    known = {i for i, _ in nodes}
     for lineno, u, w in arcs:
         for x in (u, w):
-            if x not in known:
+            if x not in labels:
                 raise ParseError(f"line {lineno}: edge references unknown node {x!r}")
     try:
-        return TreeSpec(tuple(nodes), tuple((u, w) for _, u, w in arcs))
+        return TreeSpec(tuple(labels.items()), tuple((u, w) for _, u, w in arcs))
     except TreeError as exc:
         raise ParseError(str(exc)) from None
 
@@ -346,11 +348,11 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
             site = piece_site(labels[c], _heads(surface.edge_directions, cut.pair))
             prefix = _node_prefix(c)
             surface.glue(cut, site, f"glued node {c} into {u}", prefix)
-            names[c] = {int(site.v1): cut.pair.v1, int(site.v2): cut.pair.v2}
+            names[c] = {int(site.pair.v1): cut.pair.v1, int(site.pair.v2): cut.pair.v2}
             # the next base triple starts where the glued one ends
-            cursor[c] = int(site.v) + 1
+            cursor[c] = int(site.pair.shared_vertex) + 1
             prefixed = [(prefix + x, prefix + y) for x, y in (site.pair.e1, site.pair.e2)]
-            piece_pair = SpecialPair(*prefixed, prefix + site.v)
+            piece_pair = SpecialPair(*prefixed, prefix + site.pair.shared_vertex)
             records.append(
                 GluingRecord(
                     u, c, cut.pair, piece_pair, site.kind,

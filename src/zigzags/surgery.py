@@ -37,7 +37,8 @@ never reorders: it resolves the pair as given or raises SurgeryError.
 
 Every function here takes the Classification of a (t, tau), the one
 analysis classify(t, tau) builds once t passes its closed-surface check,
-and reads the pass positions and face shadows it derives on first use.  A
+and reads the pass positions it derives on first use; the face a pair pass
+enters is read off the chosen walk by the one turn rule, engine._turn.  A
 GluingSite stores only what resolving decides: the classification it was
 resolved on, the pair in its role order, the +/- side of each interior link
 vertex of v, and the four cut segments with their ends.  It derives only
@@ -86,6 +87,7 @@ from .engine import (
     Zigzag,
     _oriented,
     _sole_zigzag_shadow,
+    _turn,
     classify,
     make_pass,
 )
@@ -198,18 +200,6 @@ class GluingSite:
     def kind(self) -> str | None:
         return _kind(self.classification)
 
-    @property
-    def v(self) -> str:
-        return self.pair.shared_vertex
-
-    @property
-    def v1(self) -> str:
-        return self.pair.v1
-
-    @property
-    def v2(self) -> str:
-        return self.pair.v2
-
 
 # ----------------------------------------------------------------------
 # preconditions
@@ -291,14 +281,14 @@ def find_special_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
     if len(cls.orientation.zigzags) != 1:
         raise SurgeryError("special pairs are defined for z-knotted triangulations")
     _require_homogeneous(cls, "special pairs require a homogeneous z-orientation")
-    at, shadows = cls.pass_positions, cls.face_shadows
+    at, walks = cls.pass_positions, [z.passes for z in cls.orientation.chosen]
     links: dict[str, dict[str, int]] = {}  # a vertex may share many pairs
     out = []
     for c1, c2, v in _candidates(cls):
         if v not in links:
             links[v] = _positions(cls.triangulation.vertex_link(v))
         pair_at = (at[c1], at[c2])
-        _, entered = _pass_sides(links[v], c1, c2, v, pair_at, shadows)
+        _, entered = _pass_sides(links[v], c1, c2, v, pair_at, walks)
         out.append(SpecialPair(*((c1, c2) if _reads_forward(pair_at, entered) else (c2, c1)), v))
     return tuple(out)
 
@@ -362,14 +352,16 @@ def _checked(cls: Classification, pair: SpecialPair) -> SpecialPair:
     return pair
 
 
-def _pass_sides(pos: dict[str, int], e1: Edge, e2: Edge, v: str, at, shadows):
+def _pass_sides(pos: dict[str, int], e1: Edge, e2: Edge, v: str, at, walks):
     """The side test at v (see Sides above) in O(1), given pos, v's link
     position map; at, e1's and e2's passes as (zigzag index, position) in
-    walk order; and shadows[zi][r], the face the pass at r of zigzag zi
-    enters.  Returns side(w), whether link vertex w is on the arc from v1 to
-    v2, and each pass as (the face it enters, the side of that face).
-    Raises SurgeryError when e1 and e2 bound a common face, or when e1's
-    passes, then e2's, enter faces on one side."""
+    walk order; and walks[zi], the passes of zigzag zi.  The pass at r of
+    zigzag zi enters _turn(walks[zi], r), whose vertex off the pair edge is
+    w, the end of the next pass.  Returns side(w), whether link vertex w is
+    on the arc from v1 to v2, and each pass as (the face it enters, the side
+    of that face).  Raises SurgeryError when e1 and e2 bound a common face,
+    when a pass turns in no face at v, or when e1's passes, then e2's, enter
+    faces on one side."""
     v1 = e1[0] if e1[1] == v else e1[1]
     v2 = e2[0] if e2[1] == v else e2[1]
     n, i1 = len(pos), pos[v1]
@@ -383,11 +375,14 @@ def _pass_sides(pos: dict[str, int], e1: Edge, e2: Edge, v: str, at, shadows):
     def side(w: str) -> bool:
         return (pos[w] - i1) % n < span
 
-    seam, entered = (v, v1, v2), []
-    for e, passes in zip((e1, e2), at):
+    entered = []
+    for e, i_far, passes in zip((e1, e2), (i1, pos[v2]), at):
         for zi, r in passes:
-            x, y, z = face = shadows[zi][r]
-            entered.append((face, side(x if x not in seam else y if y not in seam else z)))
+            w = walks[zi][(r + 1) % len(walks[zi])].dst
+            # w beside the far end in v's link makes those three a face
+            if (pos.get(w, i_far) - i_far) % n not in (1, n - 1):
+                raise SurgeryError(f"pass {r} of zigzag {zi} over {e} turns in no face at {v!r}")
+            entered.append((_turn(walks[zi], r), side(w)))
         if entered[-2][1] == entered[-1][1]:
             what = "occurrences of" if passes[0][0] == passes[1][0] else "zigzags through"
             raise SurgeryError(f"{what} {e} do not cross its faces oppositely")
@@ -401,12 +396,12 @@ def _reads_forward(at, entered) -> bool:
     return entered[0][1] == entered[2 if a < c < b else 3][1]
 
 
-def _labeling(pair: SpecialPair, pos: dict[str, int], at, shadows, host: bool):
+def _labeling(pair: SpecialPair, pos: dict[str, int], at, walks, host: bool):
     """The one +/- labeling of a checked pair (see Sides and Role orders
     above) in O(1), given as _pass_sides takes it, in the role order
     _reads_forward reads if host.  Returns the pair in that order, each
     interior link vertex of v -> its sign, and each pass's key -> its pass."""
-    side, entered = _pass_sides(pos, pair.e1, pair.e2, pair.shared_vertex, at, shadows)
+    side, entered = _pass_sides(pos, pair.e1, pair.e2, pair.shared_vertex, at, walks)
     # the passes enter the four pair faces, one each: the least takes "-"
     minus = min(entered)[1]
     signs = {minus: "-", not minus: "+"}
@@ -442,9 +437,9 @@ def _resolve(cls: Classification, pair: SpecialPair) -> GluingSite:
     piece's whole zigzags less one pass.
     """
     pos, at = _positions(cls.triangulation.vertex_link(pair.shared_vertex)), cls.pass_positions
-    at_pair, host = (at[pair.e1], at[pair.e2]), _kind(cls) == HOST
-    ordered, sides, keys = _labeling(pair, pos, at_pair, cls.face_shadows, host)
-    segments, ends = _segments(keys, [z.passes for z in cls.orientation.chosen])
+    at_pair, walks = (at[pair.e1], at[pair.e2]), [z.passes for z in cls.orientation.chosen]
+    ordered, sides, keys = _labeling(pair, pos, at_pair, walks, _kind(cls) == HOST)
+    segments, ends = _segments(keys, walks)
     return GluingSite(cls, ordered, sides, segments, ends)
 
 
@@ -550,10 +545,11 @@ def _namer(v: str, sides: dict[str, str], split: dict[str, str], renames: dict[s
 def _namers(pair: SpecialPair, sides: dict[str, str], piece_site: GluingSite, split, named):
     """The renaming of the host, cut at pair with the given sides, and of the
     piece: its v1, v2 take the host's names, the others their names in named."""
-    renames = {**named, piece_site.v1: pair.v1, piece_site.v2: pair.v2}
+    piece_pair = piece_site.pair
+    renames = {**named, piece_pair.v1: pair.v1, piece_pair.v2: pair.v2}
     return (
         _namer(pair.shared_vertex, sides, split, {}),
-        _namer(piece_site.v, piece_site.vertex_sides, split, renames),
+        _namer(piece_pair.shared_vertex, piece_site.vertex_sides, split, renames),
     )
 
 
@@ -569,14 +565,6 @@ def _glued_walk(host_ends: dict[str, str], piece_ends: dict[str, str]):
         yield step % 2, key
         end = ends[step % 2][key]
         key = end[0] + ("-" if end[1] == "+" else "+")
-
-
-def _turn(passes: list[Pass], i: int) -> Face:
-    """The face the walk turns in between passes i and i+1: pass i's edge
-    and pass i+1's end, as face_shadow reads it."""
-    (u, v), _, _ = passes[i]
-    w = passes[(i + 1) % len(passes)].dst
-    return (w, u, v) if w < u else (u, w, v) if w < v else (u, v, w)
 
 
 def _reindex(index: dict, lost, gained, cells) -> tuple[dict, list]:
@@ -721,8 +709,7 @@ class _Surface:
             raise SurgeryError(problem)
         pos = _positions(_link_cycle(pair.shared_vertex, self.vertex_faces[pair.shared_vertex]))
         at_pair = (at[pair.e1], at[pair.e2])
-        turns = ({r: _turn(self.passes, r) for _, r in chain(*at_pair)},)  # as face shadows
-        ordered, sides, keys = _labeling(pair, pos, at_pair, turns, host=True)
+        ordered, sides, keys = _labeling(pair, pos, at_pair, (self.passes,), host=True)
         segments, ends = _segments(keys, (self.passes,))
         return _Cut(ordered, sides, segments, ends)
 
@@ -766,9 +753,9 @@ class _Surface:
         types = dict(zip(host_rename(at_v, edge_key), map(self.edge_types.__getitem__, at_v)))
         halves = split.values()
         types.update((edge_key(half, w), "II") for w in (pair.v1, pair.v2) for half in halves)
-        piece_pair = piece_site.pair.edges()
-        at_piece = [e for e in tp.edges if e not in piece_pair]
-        seam = {piece_site.v, piece_site.v1, piece_site.v2}
+        piece_pair = piece_site.pair
+        at_piece = [e for e in tp.edges if e != piece_pair.e1 and e != piece_pair.e2]
+        seam = {piece_pair.shared_vertex, piece_pair.v1, piece_pair.v2}
         copied: dict[Edge, str] = {}
         directions: dict[Edge, tuple[str, str]] = {}
         for e, g in zip(at_piece, piece_rename(at_piece, edge_key)):
@@ -942,10 +929,9 @@ class _Surface:
         if not t.validate().ok:
             raise InvariantError(f"glued face list is no closed surface: {t.validate()}")
         walked = Zigzag(tuple(self.passes))
-        shadow = _sole_zigzag_shadow(t, walked)
+        _sole_zigzag_shadow(t, walked)
         z = walked.canonical()
         cls = classify(t, _oriented((z,), (0,) if z == walked else (1,)))
-        vars(cls)["face_shadows"] = (shadow,)  # where the cached property keeps it
         if not cls.homogeneous:
             raise InvariantError("glued orientation is not homogeneous")
         if set(cls.type_i_vertices) != self.type_i:
@@ -980,14 +966,13 @@ def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:
     The gluing runs on a _Surface copied from the host, along the host site
     as it was resolved: it is spliced in place and checked where it changed,
     then the result is audited in full, its predicted zigzag walked as its
-    only zigzag rather than enumerated, and the walk's face shadow becomes
-    the result's.  Raises InvariantError when the glued result fails a
-    check: a closed surface, the V, E, F sums, the prediction as its only
-    zigzag, homogeneity, and the type-I vertices.
+    only zigzag rather than enumerated.  Raises InvariantError when the
+    glued result fails a check: a closed surface, the V, E, F sums, the
+    prediction as its only zigzag, homogeneity, and the type-I vertices.
     """
     _require_gluable(host_site, piece_site)
     surface = _Surface(host_site.classification)
-    what = f"glued the piece at {piece_site.v} into the host at {host_site.v}"
-    surface.glue(host_site, piece_site, what)
+    piece_v, host_v = piece_site.pair.shared_vertex, host_site.pair.shared_vertex
+    surface.glue(host_site, piece_site, f"glued the piece at {piece_v} into the host at {host_v}")
     return surface.finish()
 

@@ -145,6 +145,8 @@ class Triangulation:
         stored: list[tuple[str, str, str]] = []
         seen: set[tuple[str, str, str]] = set()
         tokens: set[str] = set()
+        edge_faces: dict[tuple[str, str], list] = {}
+        vertex_faces: dict[str, list] = {}
         for f in faces:
             trio = tuple(f)
             for tok in trio:
@@ -158,14 +160,10 @@ class Triangulation:
                 raise TriangulationError(f"duplicate face {key!r}")
             seen.add(key)
             stored.append(key)
-
-        edge_faces: dict[tuple[str, str], list] = {}
-        vertex_faces: dict[str, list] = {}
-        for f in stored:
-            for v in f:
-                vertex_faces.setdefault(v, []).append(f)
-            for e in _face_edges(f):
-                edge_faces.setdefault(e, []).append(f)
+            for v in key:
+                vertex_faces.setdefault(v, []).append(key)
+            for e in _face_edges(key):
+                edge_faces.setdefault(e, []).append(key)
         self._set_fields(
             tuple(stored),
             seen,
@@ -323,32 +321,28 @@ def parse_triangulation(text: str) -> Triangulation:
     '#' begins a comment running to the end of the line.  Errors name the
     offending line.  Validation is not applied here.
     """
-    records = [(lineno, parts) for lineno, parts, _ in _records(text)]
-    if all(parts[0] == "f" and len(parts) == 4 for _, parts in records):
-        # the constructor checks each face once; the records are read again
-        # only when it fails, to name the first line at fault
-        try:
-            return Triangulation([parts[1:] for _, parts in records])
-        except TriangulationError as exc:
-            raise _first_fault(records) or exc from None
-    raise _first_fault(records)
+    lineno, parts = 0, []
 
+    def faces():
+        # the constructor takes each face as it comes, so the record last
+        # read is the one it fails on
+        nonlocal lineno, parts
+        for lineno, parts, _ in _records(text):
+            if parts[0] != "f":
+                raise ParseError(f"line {lineno}: unknown record type {parts[0]!r}")
+            if len(parts) != 4:
+                raise ParseError(f"line {lineno}: face record needs 3 vertices, got {len(parts) - 1}")
+            yield parts[1:]
 
-def _first_fault(records) -> ParseError | None:
-    """The error naming the first (line number, fields) record at fault."""
-    seen: set[tuple[str, ...]] = set()
-    for lineno, parts in records:
-        if parts[0] != "f":
-            return ParseError(f"line {lineno}: unknown record type {parts[0]!r}")
-        if len(parts) != 4:
-            return ParseError(f"line {lineno}: face record needs 3 vertices, got {len(parts) - 1}")
+    try:
+        return Triangulation(faces())
+    except ParseError:
+        raise
+    except TriangulationError:
+        # split tokens are valid tokens, so the face repeats a vertex or a face
         if len(set(parts[1:])) != 3:
-            return ParseError(f"line {lineno}: face has a repeated vertex")
-        key = tuple(sorted(parts[1:]))
-        if key in seen:
-            return ParseError(f"line {lineno}: duplicate face {' '.join(key)}")
-        seen.add(key)
-    return None
+            raise ParseError(f"line {lineno}: face has a repeated vertex") from None
+        raise ParseError(f"line {lineno}: duplicate face {' '.join(sorted(parts[1:]))}") from None
 
 
 def serialize_triangulation(t: Triangulation) -> str:

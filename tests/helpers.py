@@ -183,10 +183,10 @@ def public_gluing_build(spec: TreeSpec, sites=None):
             t, tau = glued.triangulation, glued.orientation
             cut = len(prefix[c])
             names[c] = {
-                int(piece_site.v1[cut:]): host_site.v1,
-                int(piece_site.v2[cut:]): host_site.v2,
+                int(piece_site.pair.v1[cut:]): host_site.pair.v1,
+                int(piece_site.pair.v2[cut:]): host_site.pair.v2,
             }
-            cursor[c] = int(piece_site.v[cut:]) + 1
+            cursor[c] = int(piece_site.pair.shared_vertex[cut:]) + 1
             records.append(GluingRecord(
                 u, c, host_site.pair, piece_site.pair, piece_site.kind,
                 len(t.vertices), len(t.edges), len(t.faces), len(tau.chosen[0]),

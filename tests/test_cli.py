@@ -379,6 +379,26 @@ def test_build_tree(tmp_path, capsys):
     assert parse_triangulation(built.read_text()) == expected
 
 
+def test_an_empty_output_path_keeps_stdout_a_tri(bp5, tmp_path, capsys):
+    # -o '' writes the .tri to stdout, as no -o does, so the lines that
+    # -o FILE prints on stdout go to stderr
+    eul, tree = tmp_path / "bp5.eul", tmp_path / "t.tree"
+    run(capsys, "convert", "--extract", str(bp5), "--zorient", "0", "-o", str(eul))
+    tree.write_text("n r 5\nn x 4\na r x\n")
+    for argv in (
+        ["generate", "bipyramid", "--n", "3"],
+        ["convert", "--triangulate", str(eul)],
+        glue_args(tmp_path, capsys),
+        ["build-tree", str(tree)],
+    ):
+        path = tmp_path / "out.tri"
+        rc, info, _ = run(capsys, *argv, "-o", str(path))
+        assert rc == 0 and info
+        rc, out, err = run(capsys, *argv, "-o", "")
+        assert (rc, out, err) == (0, path.read_text(), info)
+        assert parse_triangulation(out).validate().ok
+
+
 def test_build_tree_rejects_invalid(tmp_path, capsys):
     tree = tmp_path / "bad.tree"
     tree.write_text("n r 4\n")
@@ -419,12 +439,15 @@ TRIANGLE_EUL = "v 1\nv 2\nv 3\na 0 1 2\na 1 2 3\na 2 3 1\nc a 0 1 2\nc b 0 1 2\n
 
 @pytest.mark.parametrize("name, text, violations", [
     ("empty.tri", "", "no faces"),
-    ("twice.eul", "v x\nv y\nv z\na 0 x y\na 1 x y\na 2 y z\n", "repeated arcs"),
+    ("twice.eul", "v x\nv y\nv z\na 0 x y\na 1 x y\na 2 y z\n",
+     "arc x->y is declared more than once"),
+    ("thrice.eul", "v x\nv y\nv z\na 0 y z\na 1 x y\na 2 y z\na 3 x y\na 4 y z\n",
+     "arc x->y is declared more than once\narc y->z is declared more than once"),
     ("bare.eul", "a 0 x y\n",
      "arc x->y references unknown vertex 'x'\narc x->y references unknown vertex 'y'\n"
      "no vertices"),
     ("dup.eul", "v 1\n" + TRIANGLE_EUL, "vertex '1' is declared more than once"),
-], ids=["empty.tri", "twice.eul", "bare.eul", "dup.eul"])
+], ids=["empty.tri", "twice.eul", "thrice.eul", "bare.eul", "dup.eul"])
 def test_verify_prints_each_violation(tmp_path, capsys, name, text, violations):
     path = tmp_path / name
     path.write_text(text)
@@ -445,8 +468,10 @@ def test_convert_names_a_repeated_vertex(tmp_path, capsys):
     ("arc.eul", "v x\nv y\na 0 x\n", "line 3: expected 'a <index> <from> <to>'"),
     ("cycle.eul", "v x\nv y\na 0 x y\nc F\n", "line 4: expected 'c <name> <i1> ...'"),
     ("arc.tree", "n r 5\nn x 4\na r\n", "line 3: expected 'a <id1> <id2>', got 'a r'"),
-    ("dup.tree", "n r 5\nn r 4\n", "duplicate node ids"),
-], ids=["arc.eul", "cycle.eul", "arc.tree", "dup.tree"])
+    ("dup.tree", "n r 5\nn r 4\n", "line 2: node id 'r' is declared more than once"),
+    ("dup3.tree", "n r 5\nn x 4\na r x\nn x 6\n",
+     "line 4: node id 'x' is declared more than once"),
+], ids=["arc.eul", "cycle.eul", "arc.tree", "dup.tree", "dup3.tree"])
 def test_verify_names_a_malformed_record(tmp_path, capsys, name, text, message):
     path = tmp_path / name
     path.write_text(text)

@@ -68,6 +68,11 @@ def test_zigzag_rejects_broken_chain():
         Zigzag((make_pass("1", "2"), make_pass("3", "1"), make_pass("2", "3")))
     with pytest.raises(ValueError, match="at least one pass"):
         Zigzag(())
+    # the edge entry must be the key of the pass's own ends
+    bent = (Pass(("a", "b"), "a", "c"), Pass(("a", "c"), "c", "a"))
+    with pytest.raises(ValueError) as caught:
+        Zigzag(bent)
+    assert str(caught.value) == f"pass {bent[0]!r} is inconsistent with its edge"
 
 
 def test_zigzag_reverse_and_canonical():

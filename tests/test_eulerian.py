@@ -77,6 +77,13 @@ def test_validate_rejects_unknown_vertex():
     assert any("unknown vertex" in v for v in rep.violations)
 
 
+def test_validate_rejects_an_arc_run_against_its_direction():
+    # the cycle runs y->x, but the graph directs that edge x->y only
+    arcs = (("x", "y"), ("y", "z"), ("z", "x"))
+    rep = validate_embedding(DirectedEmbedding(("x", "y", "z"), arcs, (("c", (("y", "x"),)),)))
+    assert "face cycle 'c' uses unknown arc y->x" in rep.violations
+
+
 def test_validate_rejects_unbalanced():
     emb = DirectedEmbedding(("x", "y", "z"), (("x", "y"), ("y", "z")), ())
     rep = validate_embedding(emb)

@@ -155,7 +155,7 @@ def test_treespec_normalizes():
 
 
 def test_treespec_rejects_bad_edges():
-    with pytest.raises(TreeError, match="duplicate node"):
+    with pytest.raises(TreeError, match="^node id 'x' is declared more than once$"):
         TreeSpec((("x", 5), ("x", 4)), ())
     with pytest.raises(TreeError, match="unknown node"):
         TreeSpec((("x", 5),), (("x", "y"),))
@@ -179,9 +179,12 @@ def test_parse_tree_errors():
         parse_tree("n r 5\na r x\n")
     with pytest.raises(ParseError, match="unknown record"):
         parse_tree("e r x\n")
-    # TreeSpec's own rules come back as a ParseError too
-    with pytest.raises(ParseError, match="^duplicate node ids$"):
+    # a repeated node id is named with the line that declares it again
+    with pytest.raises(ParseError, match="^line 2: node id 'r' is declared more than once$"):
         parse_tree("n r 5\nn r 4\n")
+    # TreeSpec's own rules come back as a ParseError too
+    with pytest.raises(ParseError, match="^duplicate edge"):
+        parse_tree("n r 5\nn x 4\na r x\na x r\n")
 
 
 def test_validate_tree_ok():

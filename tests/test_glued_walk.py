@@ -42,24 +42,27 @@ ENDS = {
 def renamed(site, p, split, renames):
     """A segment pass in glued names: the split vertex takes the half on the
     side of the pass's other end, and the piece's v1, v2 the host's names."""
+    v = site.pair.shared_vertex
+
     def name(u, w):
-        return split[site.vertex_sides[w]] if u == site.v else renames.get(u, u)
+        return split[site.vertex_sides[w]] if u == v else renames.get(u, u)
 
     return make_pass(name(p.src, p.dst), name(p.dst, p.src))
 
 
 def paper_zigzag(host_site, piece_site) -> Zigzag:
     """The glued zigzag assembled term by term from the paper's sequence."""
-    split = {side: host_site.v + side for side in "+-"}
-    renames = {piece_site.v1: host_site.v1, piece_site.v2: host_site.v2}
     pair, to = host_site.pair, host_site.classification.edge_directions
+    v = pair.shared_vertex
+    split = {side: v + side for side in "+-"}
+    renames = {piece_site.pair.v1: pair.v1, piece_site.pair.v2: pair.v2}
     directions = {"1": to[pair.e1], "2": to[pair.e2]}
     passes = []
     for term in PAPER_SEQUENCES[piece_site.kind].split():
         letter, key = term[0], term[1:]
         if letter == "e":
             direction = directions[key[0]]
-            passes.append(make_pass(*(split[key[1]] if x == host_site.v else x for x in direction)))
+            passes.append(make_pass(*(split[key[1]] if x == v else x for x in direction)))
         elif letter == "A":
             passes += [renamed(host_site, p, split, {}) for p in host_site.segments[key]]
         else:

@@ -21,7 +21,6 @@ from zigzags import (
     classify,
     enumerate_zigzags,
     extract_directed_embedding,
-    face_shadow,
     glue,
     is_homogeneous,
     make_z_orientation,
@@ -55,9 +54,7 @@ def test_classification_carries_its_inputs_and_derived_facts(glued_corpus):
     cls = classify(t, tau)
     assert cls.triangulation is t and cls.orientation is tau
     assert cls.homogeneous is is_homogeneous(t, tau) is True
-    assert cls.face_shadows == tuple(face_shadow(t, z) for z in tau.chosen)
     # derived on first use, then kept
-    assert cls.face_shadows is cls.face_shadows
     assert cls.pass_positions is cls.pass_positions
     for e in t.edges:
         positions = [i for zi, i in cls.pass_positions[e] if zi == 0]

@@ -122,13 +122,9 @@ def test_glue_neither_enumerates_nor_constructs(glued_corpus, monkeypatch):
         module = importlib.import_module(f"zigzags.{info.name}")
         if hasattr(module, "enumerate_zigzags"):
             monkeypatch.setattr(module, "enumerate_zigzags", counted_enumerate)
-    glued = [glue(host_site, piece_site) for _, _, host_site, piece_site in glued_corpus.values()]
+    for _, _, host_site, piece_site in glued_corpus.values():
+        glue(host_site, piece_site)
     assert calls == []
-    # the walk's face shadow is handed on, so plan_gluing does not walk again
-    for cls in glued:
-        assert "face_shadows" in vars(cls)
-        t, z = cls.triangulation, cls.orientation.chosen[0]
-        assert cls.face_shadows == (face_shadow(t, z),)
 
 
 def _cut_facts(site) -> tuple:
@@ -238,8 +234,9 @@ def _tampered_splice(monkeypatch, glued, piece_namer):
 
 def _keep_v1(piece_site, split, pair, named):
     """The piece's renaming, but for v1, which keeps the piece's name."""
-    renames = {**named, piece_site.v2: pair.v2}
-    return surgery._namer(piece_site.v, piece_site.vertex_sides, split, renames)
+    renames = {**named, piece_site.pair.v2: pair.v2}
+    v = piece_site.pair.shared_vertex
+    return surgery._namer(v, piece_site.vertex_sides, split, renames)
 
 
 def test_local_check_rejects_a_tampered_splice(glued_corpus, monkeypatch):
@@ -249,7 +246,7 @@ def test_local_check_rejects_a_tampered_splice(glued_corpus, monkeypatch):
         surface.check(change)
     head, violations = str(caught.value).split(": ", 1)
     assert head == "glued face list is no closed surface"
-    assert any(piece_site.v1 in line for line in violations.splitlines())
+    assert any(piece_site.pair.v1 in line for line in violations.splitlines())
     # the local report is the full one but for the connectivity search
     full = Triangulation(surface.faces).validate().violations
     assert tuple(violations.splitlines()) == tuple(
@@ -259,18 +256,21 @@ def test_local_check_rejects_a_tampered_splice(glued_corpus, monkeypatch):
     with pytest.raises(InvariantError) as caught:
         glue(host_site, piece_site)
     assert str(caught.value) == (
-        f"glued the piece at {piece_site.v} into the host at {host_site.v}: "
+        f"glued the piece at {piece_site.pair.shared_vertex} "
+        f"into the host at {host_site.pair.shared_vertex}: "
         f"glued face list is no closed surface: {violations}"
     )
 
 
 def test_splice_rejects_a_repeated_face(glued_corpus, monkeypatch):
     _, _, host_site, _ = glued_corpus[4]
-    kept = next(f for f in host_site.classification.triangulation.faces if host_site.v not in f)
+    v = host_site.pair.shared_vertex
+    kept = next(f for f in host_site.classification.triangulation.faces if v not in f)
 
     def repeat_a_kept_face(piece_site, split, pair, named):
-        renames = {**named, piece_site.v1: pair.v1, piece_site.v2: pair.v2}
-        rename = surgery._namer(piece_site.v, piece_site.vertex_sides, split, renames)
+        renames = {**named, piece_site.pair.v1: pair.v1, piece_site.pair.v2: pair.v2}
+        v = piece_site.pair.shared_vertex
+        rename = surgery._namer(v, piece_site.vertex_sides, split, renames)
         return lambda cells, make: (
             [kept, *rename(cells, make)[1:]] if make is surgery.face_key else rename(cells, make)
         )
@@ -330,7 +330,7 @@ def test_split_names_may_not_collide_with_a_prefixed_piece_vertex(glued_corpus):
     # the host splits L.1 into L.1+ and L.1-; the template's apex +, under
     # the prefix L.1, would be named L.1+ as well
     _, _, host_site, _ = glued_corpus[4]
-    assert host_site.v == "L.1"
+    assert host_site.pair.shared_vertex == "L.1"
     template = _template_site(host_site, 4, {"b": "+"})
     surface = surgery._Surface(host_site.classification)
     with pytest.raises(SurgeryError, match="^split vertex names 'L.1\\+'/'L.1-' collide"):

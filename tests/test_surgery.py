@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import itertools
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -31,7 +32,7 @@ from zigzags import (
     tree_build,
 )
 from helpers import are_concordant
-from zigzags.surgery import _labeling, _positions, _resolve
+from zigzags.surgery import _labeling, _positions, _resolve, _Surface
 
 
 def canonical(n: int, prefix: str = ""):
@@ -185,8 +186,9 @@ def test_swapping_roles_keeps_the_labeling(role_order_outcomes):
     def labelings(cls, pair):
         pos = _positions(cls.triangulation.vertex_link(pair.shared_vertex))
         at, host = cls.pass_positions, len(cls.orientation.zigzags) == 1
+        walks = [z.passes for z in cls.orientation.chosen]
         return [
-            _labeling(cand, pos, (at[cand.e1], at[cand.e2]), cls.face_shadows, host)
+            _labeling(cand, pos, (at[cand.e1], at[cand.e2]), walks, host)
             for cand in (pair, pair.swapped())
         ]
 
@@ -257,7 +259,6 @@ def test_host_site_structure():
     pair = find_special_pairs(cls)[0]
     site = resolve_site(cls, pair)
     assert site.kind == HOST
-    assert site.v == pair.shared_vertex
     assert sorted(face_labels(site).values()) == ["+", "+", "-", "-"]
     # the apexes sit on opposite sides of the split link
     assert sorted(site.vertex_sides) == ["a", "b"]
@@ -297,6 +298,16 @@ def test_four_zigzag_site_segments():
     assert [len(site.segments[k]) for k in ("1+", "1-", "2+", "2-")] == [5, 5, 5, 5]
 
 
+def test_resolve_rejects_a_four_zigzag_pair_sharing_a_zigzag():
+    # under 0101 both spokes at a are type II, but each is passed by the
+    # same two zigzags
+    t = bipyramid(8)
+    cls = classify(t, make_z_orientation(t, (0, 1, 0, 1)))
+    pair = SpecialPair(("1", "a"), ("5", "a"), "a")
+    with pytest.raises(SurgeryError, match="^pair edges must occur in disjoint zigzag pairs$"):
+        resolve_site(cls, pair)
+
+
 def test_resolve_rejects_type_i_edge():
     pair = SpecialPair(("1", "a"), ("1", "2"), "1")
     with pytest.raises(SurgeryError, match="not type II"):
@@ -323,14 +334,18 @@ def test_resolve_rejects_non_interleaved(glued_corpus):
         resolve_site(cls, pair)
 
 
-def tampered(cls, e):
-    """A copy of cls whose face shadows send e's second pass into the face
-    its first pass enters."""
+def tampered(cls, e, after=None):
+    """A copy of cls whose chosen walks put after in place of the pass after
+    e's second pass; by default after is the pass after e's first pass, so
+    e's second pass turns into the face its first pass enters.  The pass
+    positions stay those of cls."""
     (zi, r), (zj, q) = cls.pass_positions[e]
-    shadows = [list(shadow) for shadow in cls.face_shadows]
-    shadows[zj][q] = shadows[zi][r]
-    copy = dataclasses.replace(cls)
-    copy.__dict__["face_shadows"] = tuple(map(tuple, shadows))
+    walks = [list(z.passes) for z in cls.orientation.chosen]
+    walks[zj][(q + 1) % len(walks[zj])] = after or walks[zi][(r + 1) % len(walks[zi])]
+    tau = dataclasses.replace(cls.orientation)
+    tau.__dict__["chosen"] = tuple(SimpleNamespace(passes=tuple(w)) for w in walks)
+    copy = dataclasses.replace(cls, orientation=tau)
+    copy.__dict__["pass_positions"] = cls.pass_positions
     return copy
 
 
@@ -339,7 +354,7 @@ def tampered(cls, e):
 )
 def test_resolve_rejects_an_edge_not_crossing_its_faces_oppositely(n, what):
     # no classification shows this: two passes of a type-II edge entering one
-    # face would be one zigzag state; so the face shadows are tampered with
+    # face would be one zigzag state; so the walks are tampered with
     def rejects(e):
         return pytest.raises(
             SurgeryError, match=rf"^{what} {re.escape(str(e))} do not cross its faces oppositely$"
@@ -360,6 +375,33 @@ def test_resolve_rejects_an_edge_not_crossing_its_faces_oppositely(n, what):
         for e in (min(firsts - seconds), min(seconds - firsts)):
             with rejects(e):
                 find_special_pairs(tampered(cls, e))
+
+
+@pytest.mark.parametrize("n", (3, 6, 4))
+def test_resolve_rejects_a_pair_pass_that_turns_in_no_face(n):
+    # no walk shows this either: the pass after e's second pass runs back
+    # over e, so it ends at v or at e's far end, and no face at v holds e
+    # and that end
+    cls = canonical(n)
+    pair = (find_special_pairs(cls) if n % 2 else find_piece_pairs(cls))[0]
+    v = pair.shared_vertex
+    for e in (pair.e1, pair.e2):
+        zj, q = cls.pass_positions[e][1]
+        back = cls.orientation.chosen[zj].passes[q]
+        back = back._replace(src=back.dst, dst=back.src)
+        rejects = pytest.raises(SurgeryError, match=(
+            rf"^pass {q} of zigzag {zj} over {re.escape(str(e))} turns in no face at '{v}'$"
+        ))
+        with rejects:
+            resolve_site(tampered(cls, e, back), pair)
+        if n % 2:
+            with rejects:
+                find_special_pairs(tampered(cls, e, back))
+            # a host pair cut on a growing surface runs the same check
+            surface = _Surface(cls)
+            surface.passes[(q + 1) % len(surface.passes)] = back
+            with rejects:
+                surface.cut(pair)
 
 
 def test_resolve_requires_homogeneous():

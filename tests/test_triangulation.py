@@ -62,12 +62,19 @@ def test_repeated_vertex_rejected():
         Triangulation([("1", "1", "2")])
 
 
+def test_face_of_two_vertices_rejected():
+    with pytest.raises(TriangulationError, match=r"^face must have 3 vertices, got \('a', 'b'\)$"):
+        Triangulation([("a", "b")])
+
+
 def test_edge_and_vertex_faces():
     t = Triangulation(TET)
     assert t.edge_faces(("1", "2")) == (("1", "2", "3"), ("1", "2", "4"))
     assert len(t.vertex_faces("4")) == 3
     with pytest.raises(TriangulationError):
         t.edge_faces(("1", "x"))
+    with pytest.raises(TriangulationError, match="^no such vertex 'zz'$"):
+        bipyramid(3).vertex_faces("zz")
 
 
 def test_common_face():
@@ -75,6 +82,8 @@ def test_common_face():
     assert t.common_face(("1", "2"), ("2", "3")) == ("1", "2", "3")
     with pytest.raises(TriangulationError):
         t.common_face(("1", "2"), ("3", "4"))  # opposite edges share no face
+    with pytest.raises(TriangulationError, match="^edges must be distinct$"):
+        t.common_face(("1", "2"), ("1", "2"))
 
 
 def test_vertex_link_cycle():

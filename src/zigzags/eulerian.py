@@ -30,6 +30,7 @@ from .triangulation import (
     Triangulation,
     ValidationReport,
     _check_token,
+    _integer,
     _reachable,
     _records,
     edge_key,
@@ -228,13 +229,10 @@ def triangulate_embedding(emb: DirectedEmbedding) -> tuple[Triangulation, ZOrien
 
     Each zigzag is taken in the direction passing the arcs it meets from
     tail to head; InvariantError if it meets none, or meets them both ways.
+    A valid embedding cones to a closed surface; enumerate_zigzags checks it.
     """
     _require_valid(emb)
     t = Triangulation(_coned_faces(emb))
-    report = t.validate()
-    if not report.ok:
-        raise EmbeddingError(str(report))
-
     tau = _orient_along(enumerate_zigzags(t), emb.arcs)
     if not is_homogeneous(t, tau):
         raise EmbeddingError("coned triangulation is not homogeneous")
@@ -301,20 +299,18 @@ def parse_embedding(text: str) -> DirectedEmbedding:
         elif kind == "a":
             if len(parts) != 4:
                 raise ParseError(f"line {lineno}: expected 'a <index> <from> <to>'")
-            try:
-                idx = int(parts[1])
-            except ValueError:
-                raise ParseError(f"line {lineno}: arc index {parts[1]!r} is not an integer") from None
+            idx = _integer(parts[1])
+            if idx is None:
+                raise ParseError(f"line {lineno}: arc index {parts[1]!r} is not an integer")
             if idx != len(arcs):
                 raise ParseError(f"line {lineno}: arc index {idx} out of order, expected {len(arcs)}")
             arcs.append((parts[2], parts[3]))
         elif kind == "c":
             if len(parts) < 3:
                 raise ParseError(f"line {lineno}: expected 'c <name> <i1> ...'")
-            try:
-                idxs = [int(x) for x in parts[2:]]
-            except ValueError:
-                raise ParseError(f"line {lineno}: face cycle has a non-integer arc index") from None
+            idxs = [_integer(x) for x in parts[2:]]
+            if None in idxs:
+                raise ParseError(f"line {lineno}: face cycle has a non-integer arc index")
             for i in idxs:
                 if not 0 <= i < len(arcs):
                     raise ParseError(f"line {lineno}: arc index {i} out of range")

@@ -28,6 +28,7 @@ from .triangulation import (
     Triangulation,
     ValidationReport,
     _check_token,
+    _integer,
     _reachable,
     _records,
 )
@@ -138,6 +139,9 @@ class TreeSpec:
                 and type(node[0]) is str and type(node[1]) is int
             ):
                 raise TreeError(f"node {node!r} is not an (id string, integer label) pair")
+            # an id goes into vertex tokens, which '#' and whitespace would break
+            if node[0] and (node[0].split() != [node[0]] or "#" in node[0]):
+                raise TreeError(f"node id {node[0]!r} contains whitespace or '#'")
         known = set()
         for i, _ in self.nodes:
             if i in known:
@@ -184,10 +188,9 @@ def parse_tree(text: str) -> TreeSpec:
         if parts[0] == "n":
             if len(parts) != 3:
                 raise ParseError(f"line {lineno}: expected 'n <id> <label>', got {raw.strip()!r}")
-            try:
-                label = int(parts[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: label {parts[2]!r} is not an integer") from None
+            label = _integer(parts[2])
+            if label is None:
+                raise ParseError(f"line {lineno}: label {parts[2]!r} is not an integer")
             if parts[1] in labels:
                 raise ParseError(f"line {lineno}: node id {parts[1]!r} is declared more than once")
             labels[parts[1]] = label

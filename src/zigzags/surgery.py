@@ -46,6 +46,9 @@ its kind, from the zigzag census (one zigzag makes a host, two or four a
 piece); the pair edges' directions are the classification's, and each pair
 face lies on the side of its interior link vertex.
 
+Every entry point checks each classification it takes for the role it
+fills by one rule, _require_site: homogeneity first, then the census.
+
 Gluing renames vertices by one rule (_namer), for faces, passes and edges
 alike: v becomes v+ or v-, the side of the interior link vertex of the face
 or edge it lies on, the piece's v1, v2 take the host's names, and its
@@ -126,6 +129,13 @@ TWO_ZIGZAG = "two_zigzag_piece"
 FOUR_ZIGZAG = "four_zigzag_piece"
 # the site kind of a zigzag census; any other census makes none
 _KINDS = {1: HOST, 2: TWO_ZIGZAG, 4: FOUR_ZIGZAG}
+# the site kinds a role admits -> what it says of any other census
+_NEEDS = {
+    (HOST,): "a host needs one zigzag, not {}",
+    (TWO_ZIGZAG, FOUR_ZIGZAG): "a piece needs two or four zigzags, not {}",
+    tuple(_KINDS.values()): "no site kind for a census of {} zigzags",
+}
+_HOST_ROLE, _PIECE_ROLE, _ANY_ROLE = _NEEDS
 
 
 class SurgeryError(ValueError):
@@ -205,14 +215,15 @@ class GluingSite:
 # preconditions
 
 
-def _require_homogeneous(cls: Classification, message: str) -> None:
+def _require_site(cls: Classification, kinds: tuple[str, ...]) -> str:
+    """The site kind of a classification that can fill a role: homogeneous,
+    and of one of the role's kinds.  Raises SurgeryError otherwise."""
     if not cls.homogeneous:
-        raise SurgeryError(message)
-
-
-def _require_host(cls: Classification) -> None:
-    if _kind(cls) != HOST:
-        raise SurgeryError(f"a host needs one zigzag, not {len(cls.orientation.zigzags)}")
+        raise SurgeryError("gluing sites require a homogeneous z-orientation")
+    kind = _kind(cls)
+    if kind not in kinds:
+        raise SurgeryError(_NEEDS[kinds].format(len(cls.orientation.zigzags)))
+    return kind
 
 
 def _heads(directions: dict[Edge, tuple[str, str]], pair: SpecialPair) -> tuple[bool, ...]:
@@ -253,10 +264,10 @@ def _pattern_problem(kind: str, e1: Edge, e2: Edge, at1, at2) -> str | None:
     return None
 
 
-def _candidates(cls: Classification) -> list[tuple[Edge, Edge, str]]:
+def _candidates(cls: Classification, kind: str) -> list[tuple[Edge, Edge, str]]:
     """(c1, c2, v), sorted, for the type-II edges c1 < c2 that share a vertex
-    v and show the occurrence pattern of the census's site kind."""
-    kind, at = _kind(cls), cls.pass_positions
+    v and show the occurrence pattern of the site kind."""
+    at = cls.pass_positions
     by_vertex: dict[str, list[Edge]] = {}
     for e in cls.type_ii_edges:
         for v in e:
@@ -278,13 +289,11 @@ def find_special_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
     it and built once in that order, read by the same-side rule (see Role
     orders above) in O(1), so each pair is directly usable as a host site.
     """
-    if len(cls.orientation.zigzags) != 1:
-        raise SurgeryError("special pairs are defined for z-knotted triangulations")
-    _require_homogeneous(cls, "special pairs require a homogeneous z-orientation")
+    _require_site(cls, _HOST_ROLE)
     at, walks = cls.pass_positions, [z.passes for z in cls.orientation.chosen]
     links: dict[str, dict[str, int]] = {}  # a vertex may share many pairs
     out = []
-    for c1, c2, v in _candidates(cls):
+    for c1, c2, v in _candidates(cls, HOST):
         if v not in links:
             links[v] = _positions(cls.triangulation.vertex_link(v))
         pair_at = (at[c1], at[c2])
@@ -300,10 +309,8 @@ def find_piece_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
     another.  Four-zigzag pattern: e1 occurs once in each of two zigzags and
     e2 once in each of the other two.
     """
-    if _kind(cls) not in (TWO_ZIGZAG, FOUR_ZIGZAG):
-        raise SurgeryError("piece pairs require exactly two or four zigzags")
-    _require_homogeneous(cls, "piece pairs require a homogeneous z-orientation")
-    return tuple(SpecialPair(c1, c2, v) for c1, c2, v in _candidates(cls))
+    kind = _require_site(cls, _PIECE_ROLE)
+    return tuple(SpecialPair(c1, c2, v) for c1, c2, v in _candidates(cls, kind))
 
 
 # ----------------------------------------------------------------------
@@ -311,7 +318,6 @@ def find_piece_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
 
 
 _NO_LABELING = "no +/- labeling is consistent with the side condition"
-_NOT_HOMOGENEOUS_SITE = "gluing sites require a homogeneous z-orientation"
 
 
 def _positions(cycle) -> dict[str, int]:
@@ -326,27 +332,24 @@ def _arc(passes, start: int, stop: int):
     return passes[start + 1:stop] if start < stop else passes[start + 1:] + passes[:stop]
 
 
-def _pair_problem(census: int, edge_types: dict, pair: SpecialPair, passes_of) -> str | None:
-    """Why the pair misses the occurrence pattern of its site kind, or None;
-    passes_of(e) lists a type-II edge's passes as _pattern_problem takes them.
+def _pair_problem(kind: str, edges, directions: dict, pair: SpecialPair, passes_of) -> str | None:
+    """Why the pair misses the occurrence pattern of the site kind, given the
+    edges and the type-II directions, or None; passes_of(e) lists a type-II
+    edge's passes as _pattern_problem takes them.
 
     Every reason here holds for both role orders of a pair or for neither.
     """
     for e in (pair.e1, pair.e2):
-        edge_type = edge_types.get(e)
-        if edge_type is None:
+        if e not in edges:
             return f"pair edge {e} is no edge of the triangulation"
-        if edge_type != "II":
+        if e not in directions:
             return f"pair edge {e} is not type II"
-    kind = _KINDS.get(census)
-    if kind is None:
-        return f"no site kind for a census of {census} zigzags"
     return _pattern_problem(kind, pair.e1, pair.e2, passes_of(pair.e1), passes_of(pair.e2))
 
 
-def _checked(cls: Classification, pair: SpecialPair) -> SpecialPair:
-    census = len(cls.orientation.zigzags)
-    problem = _pair_problem(census, cls.edge_types, pair, lambda e: cls.pass_positions[e])
+def _checked(cls: Classification, kind: str, pair: SpecialPair) -> SpecialPair:
+    passes_of = cls.pass_positions.__getitem__
+    problem = _pair_problem(kind, cls.edge_types, cls.edge_directions, pair, passes_of)
     if problem is not None:
         raise SurgeryError(problem)
     return pair
@@ -359,18 +362,16 @@ def _pass_sides(pos: dict[str, int], e1: Edge, e2: Edge, v: str, at, walks):
     zigzag zi enters _turn(walks[zi], r), whose vertex off the pair edge is
     w, the end of the next pass.  Returns side(w), whether link vertex w is
     on the arc from v1 to v2, and each pass as (the face it enters, the side
-    of that face).  Raises SurgeryError when e1 and e2 bound a common face,
-    when a pass turns in no face at v, or when e1's passes, then e2's, enter
-    faces on one side."""
+    of that face).  Raises SurgeryError when a pass turns in no face at v, or
+    when e1's passes, then e2's, enter faces on one side."""
     v1 = e1[0] if e1[1] == v else e1[1]
     v2 = e2[0] if e2[1] == v else e2[1]
     n, i1 = len(pos), pos[v1]
     span = (pos[v2] - i1) % n
-    # with v1, v2 apart in the link no face holds both pair edges, so each
-    # pair face has one vertex off v, v1, v2 and each pair edge has one face
-    # on each arc
-    if span == 1 or span == n - 1:
-        raise SurgeryError(f"pair edges {e1} and {e2} bound a common face at {v!r}")
+    # every caller has required homogeneity, so each face holds one type-II
+    # edge and v1, v2 are apart in the link: no face holds both pair edges,
+    # each pair face has one vertex off v, v1, v2 and each pair edge has one
+    # face on each arc
 
     def side(w: str) -> bool:
         return (pos[w] - i1) % n < span
@@ -451,8 +452,7 @@ def resolve_site(cls: Classification, pair: SpecialPair) -> GluingSite:
     not show the occurrence pattern its kind requires, or, for a host, when
     its role order fails the side condition.
     """
-    _require_homogeneous(cls, _NOT_HOMOGENEOUS_SITE)
-    site = _resolve(cls, _checked(cls, pair))
+    site = _resolve(cls, _checked(cls, _require_site(cls, _ANY_ROLE), pair))
     if site.pair is not pair:
         raise SurgeryError(_NO_LABELING)
     return site
@@ -461,14 +461,10 @@ def resolve_site(cls: Classification, pair: SpecialPair) -> GluingSite:
 def _piece_site(piece: Classification, wanted: tuple[bool, ...], piece_pairs) -> GluingSite:
     """The piece half of plan_gluing: the first candidate resolved in the
     role order whose pair-edge heads are wanted."""
-    _require_homogeneous(piece, _NOT_HOMOGENEOUS_SITE)
-    if _kind(piece) not in (TWO_ZIGZAG, FOUR_ZIGZAG):
-        raise SurgeryError(
-            f"a piece needs two or four zigzags, not {len(piece.orientation.zigzags)}"
-        )
+    kind = _require_site(piece, _PIECE_ROLE)
     given = 0
     for given, cand in enumerate(piece_pairs, 1):
-        for pair in (_checked(piece, cand), cand.swapped()):
+        for pair in (_checked(piece, kind, cand), cand.swapped()):
             if _heads(piece.edge_directions, pair) == wanted:
                 return _resolve(piece, pair)
     if not given:
@@ -492,9 +488,7 @@ def plan_gluing(
     host pair is no site, the piece no piece, or no candidate fits; a pair
     that fails a check is reported in the order given.
     """
-    _require_homogeneous(host, _NOT_HOMOGENEOUS_SITE)
-    _require_host(host)
-    host_site = _resolve(host, _checked(host, host_pair))
+    host_site = _resolve(host, _checked(host, _require_site(host, _HOST_ROLE), host_pair))
     wanted = _heads(host.edge_directions, host_site.pair)
     return host_site, _piece_site(piece, wanted, piece_pairs)
 
@@ -506,10 +500,8 @@ def plan_gluing(
 def check_compatibility(host_site: GluingSite, piece_site: GluingSite) -> bool:
     """Each split edge must point the same way at the shared vertex on both
     sides.  Raises SurgeryError when the sites are no host and piece."""
-    if host_site.kind != HOST:
-        raise SurgeryError("host site must come from a z-knotted triangulation")
-    if piece_site.kind not in (TWO_ZIGZAG, FOUR_ZIGZAG):
-        raise SurgeryError("piece site must come from a two- or four-zigzag triangulation")
+    _require_site(host_site.classification, _HOST_ROLE)
+    _require_site(piece_site.classification, _PIECE_ROLE)
     return _heads(host_site.classification.edge_directions, host_site.pair) == _heads(
         piece_site.classification.edge_directions, piece_site.pair
     )
@@ -525,21 +517,20 @@ def _require_gluable(host_site: GluingSite, piece_site: GluingSite) -> None:
 def _namer(v: str, sides: dict[str, str], split: dict[str, str], renames: dict[str, str]):
     """The one renaming rule of a gluing, for one site's faces, edges and passes.
 
-    rename(cells, make) renames the vertices of each cell and rebuilds it as
-    make(*entries); a cell with no vertex to rename is kept as it is, and a
-    pass's edge entry, being no vertex, reaches make unchanged.  The split
-    vertex v takes the name split[side] for the side, in sides, of the
-    interior link vertex of the face or edge it lies on: every face at v has
-    one, and so does every edge at v but e1 and e2.  A vertex in renames
-    takes its new name; any other keeps its own.
+    rename(cells, make) renames the vertices of each cell, a host cell at v or
+    a piece cell, and rebuilds it as make(*entries); a pass's edge entry,
+    being no vertex, reaches make unchanged.  The split vertex v takes the
+    name split[side] for the side, in sides, of the interior link vertex of
+    the face or edge it lies on: every face at v has one, and so does every
+    edge at v but e1 and e2.  A vertex in renames takes its new name; any
+    other keeps its own.
     """
-    moved = {v, *renames}
 
     def renamed(cell, make):
         at = split[sides[next(w for w in cell if w in sides)]] if v in cell else v
         return make(*(at if u == v else renames.get(u, u) for u in cell))
 
-    return lambda cells, make: [c if moved.isdisjoint(c) else renamed(c, make) for c in cells]
+    return lambda cells, make: [renamed(c, make) for c in cells]
 
 
 def _namers(pair: SpecialPair, sides: dict[str, str], piece_site: GluingSite, split, named):
@@ -594,30 +585,12 @@ def _reindex(index: dict, lost, gained, cells) -> tuple[dict, list]:
     return change, born
 
 
-def _link_path(x: str, faces) -> tuple[str, ...] | None:
-    """The link edges of x in the given faces at x, walked from end to end
-    when they make one simple path; else None."""
-    nbrs: dict[str, list[str]] = {}
-    for f in faces:
-        y, z = (u for u in f if u != x)
-        nbrs.setdefault(y, []).append(z)
-        nbrs.setdefault(z, []).append(y)
-    ends = sorted(y for y, ns in nbrs.items() if len(ns) == 1)
-    if len(ends) != 2 or any(len(ns) > 2 for ns in nbrs.values()):
-        return None
-    path = [ends[0], nbrs[ends[0]][0]]
-    while path[-1] != ends[1]:
-        a, b = nbrs[path[-1]]
-        path.append(b if a == path[-2] else a)
-    return tuple(path) if len(path) == len(nbrs) else None
-
-
 def _relinked(x: str, lost, gained, born_edges: set, edge_faces: dict) -> bool:
     """Whether the link of x, one cycle before x's lost faces were swapped
     for its gained ones, is one cycle after: the lost faces' link edges make
     a path, and the gained faces' a path between the same ends whose inner
     vertices were no neighbours of x, while the lost path's are no more."""
-    old, new = _link_path(x, lost), _link_path(x, gained)
+    old, new = _link_cycle(x, lost, closed=False), _link_cycle(x, gained, closed=False)
     return (
         old is not None
         and new is not None
@@ -649,7 +622,7 @@ class _Change(NamedTuple):
     born: list[Edge]  # the edges new to the surface
     fresh: set[str]  # the vertices new to the surface
     types: dict[Edge, str]  # each renamed or split edge -> the type it must have
-    copied: dict[Edge, str]  # each other piece edge -> its type
+    copied: list[Edge]  # the other piece edges
     directions: dict[Edge, tuple[str, str]]  # each copied type-II edge -> its direction
     junctions: list[int]  # the positions of the split edges' passes
     dirty: list[int]  # the positions of the split and renamed passes
@@ -663,22 +636,21 @@ class _Surface:
     zigzag would, kept current glue by glue: the face list and each face's
     slot in it, the edge and vertex indexes (cell -> its faces as a sorted
     tuple, as Triangulation keeps them), the zigzag as a list of passes in
-    its chosen direction at any rotation, the edge types and type-II
-    directions, the type-I vertices, and how many type-II edges end at each
-    vertex.  A glue costs what it changes plus list.index scans and list
-    slices, which run in C; no Python loop runs over the host's faces, edges
-    or passes.
+    its chosen direction at any rotation, the directions of the type-II
+    edges (an edge is type II exactly when it has one), the type-I vertices,
+    and how many type-II edges end at each vertex.  A glue costs what it
+    changes plus list.index scans and list slices, which run in C; no Python
+    loop runs over the host's faces, edges or passes.
     """
 
     def __init__(self, host: Classification) -> None:
-        _require_host(host)
+        _require_site(host, _HOST_ROLE)
         t = host.triangulation
         self.faces = list(t.faces)
         self.slots = dict(zip(self.faces, range(len(self.faces))))
         self.edge_faces = dict(t._edge_faces)
         self.vertex_faces = dict(t._vertex_faces)
         self.passes = list(host.orientation.chosen[0].passes)
-        self.edge_types = dict(host.edge_types)
         self.edge_directions = dict(host.edge_directions)
         self.type_i = set(host.type_i_vertices)
         # vertex -> the number of type-II edges ending at it
@@ -703,7 +675,8 @@ class _Surface:
         checks and labeling resolve_site runs on a classification."""
         at: dict[Edge, list[tuple[int, int]]] = {}
         problem = _pair_problem(
-            1, self.edge_types, pair, lambda e: at.setdefault(e, [(0, r) for r in self._at(e)])
+            HOST, self.edge_faces, self.edge_directions, pair,
+            lambda e: at.setdefault(e, [(0, r) for r in self._at(e)]),
         )
         if problem is not None:
             raise SurgeryError(problem)
@@ -750,18 +723,22 @@ class _Surface:
         # copies type II, and the piece's other edges, copied
         lost = self.vertex_faces[v]
         at_v = sorted({e for f in lost for e in _face_edges(f) if v in e} - pair.edges())
-        types = dict(zip(host_rename(at_v, edge_key), map(self.edge_types.__getitem__, at_v)))
+        kinds = ("II" if e in self.edge_directions else "I" for e in at_v)
+        types = dict(zip(host_rename(at_v, edge_key), kinds))
         halves = split.values()
         types.update((edge_key(half, w), "II") for w in (pair.v1, pair.v2) for half in halves)
         piece_pair = piece_site.pair
         at_piece = [e for e in tp.edges if e != piece_pair.e1 and e != piece_pair.e2]
         seam = {piece_pair.shared_vertex, piece_pair.v1, piece_pair.v2}
-        copied: dict[Edge, str] = {}
+        copied: list[Edge] = []
         directions: dict[Edge, tuple[str, str]] = {}
         for e, g in zip(at_piece, piece_rename(at_piece, edge_key)):
-            (types if seam.intersection(e) else copied)[g] = piece.edge_types[e]
-            if g in copied and e in piece.edge_directions:
-                directions[g] = tuple(map(named.get, piece.edge_directions[e]))
+            if seam.intersection(e):
+                types[g] = piece.edge_types[e]
+            else:
+                copied.append(g)
+                if e in piece.edge_directions:
+                    directions[g] = tuple(map(named.get, piece.edge_directions[e]))
 
         gained = host_rename(lost, face_key) + piece_rename(tp.faces, face_key)
         edges, vertices, born, fresh = self._swap(lost, gained)
@@ -814,8 +791,8 @@ class _Surface:
 
     def check(self, change: _Change) -> None:
         """The checks of one splice, each at the cost of what it changed (see
-        the module docstring); they bring the edge types and type-I
-        vertices up to date.  Raises InvariantError."""
+        the module docstring); they bring the type-II directions and ends
+        and the type-I vertices up to date.  Raises InvariantError."""
         ef, vf, born = self.edge_faces, self.vertex_faces, set(change.born)
         violations = _edge_violations(ef, [e for e in change.edges if e in ef])
         # a new vertex's whole link is walked, an old one's where it changed
@@ -835,7 +812,7 @@ class _Surface:
         n = len(ps)
         if n != 2 * len(ef):
             raise InvariantError(f"zigzag has {n} passes, not 2E = {2 * len(ef)}")
-        strays = born ^ change.types.keys() ^ change.copied.keys()
+        strays = born ^ change.types.keys() ^ set(change.copied)
         if strays:
             raise InvariantError(f"edge {min(strays)} is not both new and renamed from an edge")
 
@@ -866,7 +843,7 @@ class _Surface:
         for d in change.dirty:
             e, src, dst = ps[d]
             passed.setdefault(e, []).append((src, dst))
-        types, directions, ends = self.edge_types, self.edge_directions, self.ii_ends
+        directions, ends = self.edge_directions, self.ii_ends
         born_directions = dict(change.directions)
         for e, kind in change.types.items():
             got = passed.pop(e, [])
@@ -874,26 +851,23 @@ class _Surface:
                 raise InvariantError(f"new edge {e} is passed {len(got)} time(s), not twice")
             if ("II" if got[0] == got[1] else "I") != kind:
                 raise InvariantError(f"new edge {e} is not type {kind}")
-            types[e] = kind
             if kind == "II":
                 born_directions[e] = got[0]
         if passed:
             raise InvariantError(f"zigzag passes {min(passed)}, no new edge, where it changed")
-        types.update(change.copied)
         for e in change.edges:
             if e not in ef:
-                del types[e]
                 ends.subtract(directions.pop(e, ()))
         directions.update(born_directions)
         for e in born_directions:
             ends.update(e)
 
         for f in change.gained:
-            if sum(types[e] == "II" for e in _face_edges(f)) != 1:
+            if sum(e in directions for e in _face_edges(f)) != 1:
                 raise InvariantError(f"glued face {f} is not type I")
 
         def ii(i: int) -> bool:
-            return types[ps[i % n].edge] == "II"
+            return ps[i % n].edge in directions
 
         # the II,I,I phase across each junction; elsewhere every window of
         # four passes reads as it did in host or piece

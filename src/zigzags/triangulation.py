@@ -74,27 +74,37 @@ def _face_edges(face: tuple[str, str, str]) -> tuple[tuple[str, str], ...]:
     return (a, b), (a, c), (b, c)
 
 
-def _link_cycle(v: str, faces) -> tuple[str, ...] | None:
-    """The link of v, given the faces at v, walked from its least vertex
-    toward the lesser of that vertex's two link-neighbors; None unless the
-    link is a single cycle."""
+def _link_cycle(v: str, faces, closed: bool = True) -> tuple[str, ...] | None:
+    """The link of v in the given faces at v: one cycle walked from its least
+    vertex toward the lesser of that vertex's two link-neighbors or, if not
+    closed, one simple path walked from its lesser end; else None."""
     adj: dict[str, list[str]] = {}
     for a, b, c in faces:
         x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
         adj.setdefault(x, []).append(y)
         adj.setdefault(y, []).append(x)
-    if any(len(nb) != 2 for nb in adj.values()):
+    # a cycle has no vertex off degree 2, a path just two ends of degree 1
+    ends = [x for x, nb in adj.items() if len(nb) != 2]
+    if closed:
+        if ends:
+            return None
+    elif len(ends) != 2 or len(adj[ends[0]]) != 1 or len(adj[ends[1]]) != 1:
         return None
-    # degree-2 everywhere still allows several disjoint cycles
-    start = min(adj)
-    cycle = [start, min(adj[start])]
+    start = min(ends) if ends else min(adj)
+    walk = [start, min(adj[start])]
+    if ends:
+        # joined end to end the path is a cycle, which the one loop walks
+        end = max(ends)
+        adj[start].append(end)
+        adj[end].append(start)
     while True:
-        a, b = adj[cycle[-1]]
-        step = b if a == cycle[-2] else a
+        a, b = adj[walk[-1]]
+        step = b if a == walk[-2] else a
         if step == start:
             break
-        cycle.append(step)
-    return tuple(cycle) if len(cycle) == len(adj) else None
+        walk.append(step)
+    # the walk misses any other cycle the link splits into
+    return tuple(walk) if len(walk) == len(adj) else None
 
 
 def _edge_violations(edge_faces: dict, edges) -> list[str]:
@@ -312,6 +322,13 @@ def _records(text: str):
         parts = raw.split("#", 1)[0].split()
         if parts:
             yield lineno, parts, raw
+
+
+def _integer(field: str) -> int | None:
+    """The integer a record field spells in decimal digits, -?[0-9]+, or
+    None; int() alone would also read 1_1, +4 and non-ASCII digits."""
+    decimal = field.isdigit() or field[:1] == "-" and field[1:].isdigit()
+    return int(field) if decimal and field.isascii() else None
 
 
 def parse_triangulation(text: str) -> Triangulation:

@@ -471,7 +471,15 @@ def test_convert_names_a_repeated_vertex(tmp_path, capsys):
     ("dup.tree", "n r 5\nn r 4\n", "line 2: node id 'r' is declared more than once"),
     ("dup3.tree", "n r 5\nn x 4\na r x\nn x 6\n",
      "line 4: node id 'x' is declared more than once"),
-], ids=["arc.eul", "cycle.eul", "arc.tree", "dup.tree", "dup3.tree"])
+    # int() would read 1_1 as 11 and 0_1 as 1; these verified OK before
+    ("label.tree", "n r 1_1\n", "line 1: label '1_1' is not an integer"),
+    ("index.eul", "v x\nv y\na 0_1 x y\n", "line 3: arc index '0_1' is not an integer"),
+    ("cycle_index.eul", "v x\nv y\na 0 x y\nc F 0 0_0\n",
+     "line 4: face cycle has a non-integer arc index"),
+], ids=[
+    "arc.eul", "cycle.eul", "arc.tree", "dup.tree", "dup3.tree", "label.tree", "index.eul",
+    "cycle_index.eul",
+])
 def test_verify_names_a_malformed_record(tmp_path, capsys, name, text, message):
     path = tmp_path / name
     path.write_text(text)

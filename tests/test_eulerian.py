@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import zigzags.eulerian as eulerian
@@ -419,5 +421,12 @@ def test_parse_embedding_errors():
         parse_embedding("v x\nv y\na 0 x y\nc f 0 1\n")
     with pytest.raises(ParseError, match="non-integer"):
         parse_embedding("v x\nv y\na 0 x y\nc f zero\n")
+    # int() would read each of these; an index is decimal digits, -?[0-9]+
+    for index in ("0_0", "+0", "\u0660"):
+        message = f"^line 3: arc index {re.escape(repr(index))} is not an integer$"
+        with pytest.raises(ParseError, match=message):
+            parse_embedding(f"v x\nv y\na {index} x y\n")
+        with pytest.raises(ParseError, match="^line 4: face cycle has a non-integer arc index$"):
+            parse_embedding(f"v x\nv y\na 0 x y\nc f 0 {index}\n")
     with pytest.raises(ParseError, match="unknown record"):
         parse_embedding("q x\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 import zigzag_oracle as oracle
@@ -15,7 +17,10 @@ from zigzags import (
     enumerate_zigzags,
     is_homogeneous,
     parse_tree,
+    parse_triangulation,
     platonic,
+    serialize_triangulation,
+    tree_build,
     validate_tree,
 )
 
@@ -165,6 +170,25 @@ def test_treespec_rejects_bad_edges():
         TreeSpec((("x", 5), ("y", 4)), (("x", "y"), ("y", "x")))
 
 
+@pytest.mark.parametrize("bad", ["x y", "x#", "x\ty", " x"])
+def test_treespec_rejects_an_id_no_vertex_token_can_hold(bad):
+    # an id goes into the node's vertex tokens, so one with whitespace or '#'
+    # is refused before any build, on the root as on a child
+    message = f"^node id {re.escape(repr(bad))} contains whitespace or '#'$"
+    for nodes, edges in (
+        (((bad, 5),), ()),
+        ((("r", 5), (bad, 4)), (("r", bad),)),
+    ):
+        with pytest.raises(TreeError, match=message):
+            TreeSpec(nodes, edges)
+
+
+def test_treespec_builds_with_an_empty_id():
+    t, _, log = tree_build(TreeSpec((("r", 5), ("", 4)), (("r", ""),)))
+    assert parse_triangulation(serialize_triangulation(t)) == t
+    assert len(log.records) == 1
+
+
 def test_parse_tree():
     spec = parse_tree("# comment\nn r 5\nn x 4\na r x\n")
     assert spec == TreeSpec((("r", 5), ("x", 4)), (("r", "x"),))
@@ -175,6 +199,12 @@ def test_parse_tree_errors():
         parse_tree("n r\n")
     with pytest.raises(ParseError, match="not an integer"):
         parse_tree("n r five\n")
+    # int() would read each of these; a label is decimal digits, -?[0-9]+
+    for label in ("1_1", "+5", "\u0663", "5\u0663"):
+        message = f"^line 1: label {re.escape(repr(label))} is not an integer$"
+        with pytest.raises(ParseError, match=message):
+            parse_tree(f"n r {label}\n")
+    assert parse_tree("n r -5\n").labels == {"r": -5}
     with pytest.raises(ParseError, match="unknown node"):
         parse_tree("n r 5\na r x\n")
     with pytest.raises(ParseError, match="unknown record"):

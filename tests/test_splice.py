@@ -77,29 +77,25 @@ def test_every_glue_matches_a_fresh_build_and_enumeration(tree_corpus, glued_cor
 
 
 def test_the_surface_keeps_what_a_fresh_analysis_finds(tree_corpus, monkeypatch):
-    # the indexes, edge types, directions, type-I vertices and type-II edge
+    # the indexes, type-II directions, type-I vertices and type-II edge
     # ends the glues kept up to date are the ones a fresh Triangulation,
     # enumeration and classify find on the finished surface
     kept = []
     finish = surgery._Surface.finish
 
     def spy_finish(surface):
-        kept.append((
-            dict(surface.edge_types), dict(surface.edge_directions), set(surface.type_i),
-            +surface.ii_ends,
-        ))
+        kept.append((dict(surface.edge_directions), set(surface.type_i), +surface.ii_ends))
         return finish(surface)
 
     monkeypatch.setattr(surgery._Surface, "finish", spy_finish)
     for spec, t, tau, _ in tree_corpus:
         kept.clear()
         built = tree_build(spec)[0]
-        ((types, directions, type_i, ii_ends),) = kept
+        ((directions, type_i, ii_ends),) = kept
         _same_indexes(built)
         fresh = Triangulation(t.faces)
         assert enumerate_zigzags(fresh) == (tau.chosen[0].canonical(),)
         cls = classify(fresh, tau)
-        assert types == cls.edge_types
         assert directions == cls.edge_directions
         assert type_i == set(cls.type_i_vertices)
         assert ii_ends == Counter(x for e in cls.edge_directions for x in e)
@@ -351,25 +347,25 @@ def test_tree_build_records_the_prefixed_piece_pair(tree_corpus):
         assert pair.shared_vertex[len(f"node{r.child}."):].isdigit()
 
 
-def _flip(kind: str) -> str:
-    return "I" if kind == "II" else "II"
-
-
 def _wrong_split_type(surface, change):
     split_copy = next(e for e, kind in change.types.items() if kind == "II")
     return change._replace(types={**change.types, split_copy: "I"})
 
 
 def _wrong_piece_type(surface, change):
-    edge = next(e for e, kind in change.copied.items() if kind == "I")
-    return change._replace(copied={**change.copied, edge: "II"})
+    # a copied type-I edge given a direction, so made type II
+    edge = next(e for e in change.copied if e not in change.directions)
+    return change._replace(directions={**change.directions, edge: edge})
 
 
 def _broken_phase(surface, change):
     # a host edge off every new face, three passes after the first junction
     edge = surface.passes[change.junctions[0] + 3].edge
     assert all(edge not in _face_edges(f) for f in change.gained)
-    surface.edge_types[edge] = _flip(surface.edge_types[edge])
+    # an edge is type II exactly when the surface holds its direction
+    directions = surface.edge_directions
+    if directions.pop(edge, None) is None:
+        directions[edge] = edge
     return change
 
 

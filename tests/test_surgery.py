@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import itertools
+import random
 import re
 from types import SimpleNamespace
 
@@ -31,7 +32,7 @@ from zigzags import (
     resolve_site,
     tree_build,
 )
-from helpers import are_concordant
+from helpers import are_concordant, random_flips
 from zigzags.surgery import _labeling, _positions, _resolve, _Surface
 
 
@@ -148,8 +149,37 @@ def test_special_pair_census_on_odd_bipyramids(n):
 
 
 def test_special_pairs_require_z_knotted():
-    with pytest.raises(SurgeryError, match="z-knotted"):
+    with pytest.raises(SurgeryError, match="^a host needs one zigzag, not 4$"):
         find_special_pairs(canonical(4))
+
+
+def test_every_entry_point_checks_homogeneity_before_the_census():
+    # a z-knotted surface with no homogeneous z-orientation, and BP(4) under
+    # a non-homogeneous one: whatever role a classification is asked to fill,
+    # it fails there first, as zigzags glue has always reported it
+    flipped = random_flips(bipyramid(5), random.Random(0), 3)
+    knotted = classify(flipped, make_z_orientation(flipped, (0,)))
+    four = classify(bipyramid(4), make_z_orientation(bipyramid(4), (0, 0, 0, 0)))
+    host, piece = canonical(3, "L."), canonical(4, "R.")
+    host_pair, piece_pairs = find_special_pairs(host)[0], find_piece_pairs(piece)
+    host_site, piece_site = plan_gluing(host, host_pair, piece, piece_pairs)
+    for cls in (knotted, four):
+        assert not cls.homogeneous
+        site = dataclasses.replace(host_site, classification=cls)
+        for call in (
+            lambda: find_special_pairs(cls),
+            lambda: find_piece_pairs(cls),
+            lambda: resolve_site(cls, host_pair),
+            lambda: plan_gluing(cls, host_pair, piece, piece_pairs),
+            lambda: plan_gluing(host, host_pair, cls, piece_pairs),
+            lambda: _Surface(cls),
+            lambda: check_compatibility(site, piece_site),
+            lambda: check_compatibility(host_site, site),
+        ):
+            with pytest.raises(
+                SurgeryError, match="^gluing sites require a homogeneous z-orientation$"
+            ):
+                call()
 
 
 def test_emitted_role_order_resolves_swapped_does_not(role_order_outcomes):
@@ -492,9 +522,9 @@ def test_plan_gluing_raises_when_nothing_fits(tree_corpus):
 def test_check_compatibility_argument_kinds(glued_corpus):
     _, _, host_site, piece_site = glued_corpus[4]
     assert check_compatibility(host_site, piece_site)
-    with pytest.raises(SurgeryError, match="host site must come from"):
+    with pytest.raises(SurgeryError, match="^a host needs one zigzag, not 4$"):
         check_compatibility(piece_site, piece_site)
-    with pytest.raises(SurgeryError, match="piece site must come from"):
+    with pytest.raises(SurgeryError, match="^a piece needs two or four zigzags, not 1$"):
         check_compatibility(host_site, host_site)
 
 
@@ -537,11 +567,11 @@ def test_glue_rejects_swapped_roles():
     host = canonical(3, "L.")
     host_site = resolve_site(host, find_special_pairs(host)[0])
     piece_site = compatible_piece_site(host_site, canonical(4, "R."))
-    with pytest.raises(SurgeryError, match="host site must come from"):
+    with pytest.raises(SurgeryError, match="^a host needs one zigzag, not 4$"):
         glue(piece_site, host_site)
     host2 = canonical(5, "M.")
     host2_site = resolve_site(host2, find_special_pairs(host2)[0])
-    with pytest.raises(SurgeryError, match="piece site must come from"):
+    with pytest.raises(SurgeryError, match="^a piece needs two or four zigzags, not 1$"):
         glue(host_site, host2_site)
 
 
@@ -579,9 +609,7 @@ def test_predict_glued_zigzag_checks_its_sites_as_glue_does():
             SurgeryError, match="^pair directions at the shared vertices do not match$"
         ):
             step(host_site, mismatched)
-        with pytest.raises(
-            SurgeryError, match="^piece site must come from a two- or four-zigzag triangulation$"
-        ):
+        with pytest.raises(SurgeryError, match="^a piece needs two or four zigzags, not 1$"):
             step(host_site, knotted_site)
 
 

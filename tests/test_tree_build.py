@@ -8,16 +8,20 @@ import random
 import subprocess
 import sys
 import textwrap
+from itertools import product
 from pathlib import Path
 
 import pytest
 
+import zigzag_oracle as oracle
 import zigzags
 from helpers import public_gluing_build, random_tree_spec
 from zigzags import (
     TreeError,
     TreeSpec,
+    Triangulation,
     classify,
+    enumerate_zigzags,
     is_homogeneous,
     is_z_knotted,
     serialize_triangulation,
@@ -124,6 +128,69 @@ def test_size_laws_over_random_corpus(tree_corpus):
         assert is_homogeneous(t, tau)
         assert len(classify(t, tau).type_i_vertices) == 2 * len(spec.nodes)
         assert len(log.records) == len(spec.nodes) - 1
+
+
+def _rooted_shapes(n: int) -> set[tuple]:
+    """Every rooted tree shape on n nodes, as the sorted tuple of its root's
+    subtrees: each recursive tree (node i's parent < i) read off once."""
+
+    def shape(parents, node):
+        return tuple(sorted(shape(parents, c) for c, p in enumerate(parents, 1) if p == node))
+
+    return {shape(ps, 0) for ps in product(*(range(i) for i in range(1, n)))}
+
+
+def small_tree_specs(max_nodes: int) -> list[TreeSpec]:
+    """Every spec on a rooted tree shape of at most max_nodes nodes under
+    every valid labelling with labels of at most 6: the root 3 or 5, each
+    other node 4 or 6, each node's label allowing its degree."""
+    specs = []
+    for n in range(1, max_nodes + 1):
+        for root in sorted(_rooted_shapes(n)):
+            degrees, edges = [len(root)], []
+            stack = [(root, 0)]
+            while stack:
+                subtree, node = stack.pop()
+                for child in subtree:
+                    edges.append((f"n{node}", f"n{len(degrees)}"))
+                    stack.append((child, len(degrees)))
+                    degrees.append(len(child) + 1)
+            choices = [[lab for lab in (3, 5) if (lab - 1) // 2 >= degrees[0]]]
+            choices += [[lab for lab in (4, 6) if lab // 2 >= d] for d in degrees[1:]]
+            for labels in product(*choices):
+                nodes = tuple((f"n{i}", lab) for i, lab in enumerate(labels))
+                specs.append(TreeSpec(nodes, tuple(edges)))
+    return specs
+
+
+def test_every_small_tree_builds_the_theorem_sphere():
+    # the tree theorem at small sizes, checked by a fresh analysis: one
+    # zigzag, a homogeneous orientation, two type-I vertices per node, and
+    # V, E, F the sums over the nodes' bipyramids less the glued vertices
+    specs = small_tree_specs(5)
+    assert len(specs) == 154
+    for spec in specs:
+        t, tau, _ = tree_build(spec)
+        fresh = Triangulation(t.faces)
+        (zigzag,) = enumerate_zigzags(fresh)
+        assert zigzag == tau.chosen[0].canonical()
+        cls = classify(fresh, tau)
+        assert cls.homogeneous
+        assert len(cls.type_i_vertices) == 2 * len(spec.nodes)
+        labels = spec.labels.values()
+        glued = 2 * (len(spec.nodes) - 1)
+        assert len(fresh.vertices) == sum(n + 2 for n in labels) - glued
+        assert len(fresh.edges) == sum(3 * n for n in labels)
+        assert len(fresh.faces) == sum(2 * n for n in labels)
+
+
+def test_small_tree_builds_match_the_oracle():
+    # the brute-force walker finds one zigzag passing every edge twice
+    specs = small_tree_specs(4)
+    assert len(specs) == 50
+    for spec in specs:
+        t = tree_build(spec)[0]
+        assert oracle.census(t.faces) == [2 * len(t.edges)]
 
 
 def test_random_tree_spec_handles_high_degrees():

@@ -46,6 +46,7 @@ from .surgery import (
 )
 from .triangulation import (
     Triangulation,
+    TriangulationError,
     edge_key,
     parse_triangulation,
     serialize_triangulation,
@@ -222,7 +223,7 @@ def _orientation(t: Triangulation, bits: str | None) -> Classification:
                 return cls
         raise SurgeryError("no homogeneous z-orientation exists; pass bits explicitly")
     if not bits or set(bits) - {"0", "1"}:
-        raise ValueError(f"z-orientation bits must be a 0/1 string, got {bits!r}")
+        raise TriangulationError(f"z-orientation bits must be a 0/1 string, got {bits!r}")
     return classify(t, make_z_orientation(t, tuple(int(b) for b in bits)))
 
 

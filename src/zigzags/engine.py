@@ -246,11 +246,9 @@ class ZOrientation:
 
     def _check_bits(self) -> None:
         if len(self.zigzags) != len(self.bits):
-            raise ValueError(
-                f"expected {len(self.zigzags)} bits, got {len(self.bits)}"
-            )
+            raise TriangulationError(f"expected {len(self.zigzags)} bits, got {len(self.bits)}")
         if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
+            raise TriangulationError("bits must be 0 or 1")
 
     @cached_property
     def chosen(self) -> tuple[Zigzag, ...]:

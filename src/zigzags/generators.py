@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import lru_cache, partial
 
 from .engine import Classification, ZOrientation, _orient_along, classify, enumerate_zigzags
 from .surgery import GluingSite, InvariantError, SpecialPair, _heads, _piece_site, _Surface
@@ -92,6 +92,26 @@ def _bipyramid_analysis(n: int, prefix: str) -> Classification:
     if not cls.homogeneous:
         raise InvariantError(f"the canonical z-orientation of BP({n}) is not homogeneous")
     return cls
+
+
+@lru_cache(maxsize=64)
+def _root_template(n: int) -> _Surface:
+    """BP(n)'s unprefixed surface, which every tree build rooted at a node
+    of label n copies under the root's prefix; the analysis it is read off
+    is not kept."""
+    return _Surface(_bipyramid_analysis(n, ""))
+
+
+_piece_template = lru_cache(maxsize=64)(partial(_bipyramid_analysis, prefix=""))
+
+
+@lru_cache(maxsize=128)
+def _template_site(n: int, wanted: tuple[bool, ...]) -> GluingSite:
+    """BP(n)'s piece site for the wanted heads, on its unprefixed analysis:
+    a node's candidate pairs differ from another's of its label only by the
+    prefix, so the first to fit does too."""
+    pairs = (_base_pair(partial(_base, n, ""), j) for j in range(1, n + 1))
+    return _piece_site(_piece_template(n), wanted, pairs)
 
 
 def platonic(name: str) -> Triangulation:
@@ -307,13 +327,16 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
 
     Every glue runs in place on one growing surface (surgery._Surface): the
     host pair is resolved on it by the rule resolve_site follows, and the
-    piece is spliced in under the node's prefix.  The piece bipyramid is
-    built and classified once per label, unprefixed, and its piece site
-    resolved once per label and wanted head directions.  Each glue is
-    checked at the cost of what it changed, and the finished sphere audited
-    once in full, as glue audits its result, and for Euler characteristic 2
-    and two type-I vertices per node.  Raises InvariantError, naming the
-    glue, when a glue fails its checks or the finished build its audit.
+    piece is spliced in under the node's prefix.  Each label's bipyramid is
+    built and classified once per process, unprefixed, into a template
+    every build of the process shares: a root label keeps its surface,
+    which the build copies under the root's prefix, and a piece label its
+    analysis, whose piece site is resolved once per wanted head directions.
+    Each glue is checked at the cost of what it changed, and the finished
+    sphere audited once in full, as glue audits its result, and for Euler
+    characteristic 2 and two type-I vertices per node.  Raises
+    InvariantError, naming the glue, when a glue fails its checks or the
+    finished build its audit.
     """
     report = validate_tree(spec)
     if not report.ok:
@@ -322,19 +345,11 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     adj = spec.adjacency()
     root = spec.root  # a valid tree has exactly one odd-labeled node, its root
 
-    surface = _Surface(_bipyramid_analysis(labels[root], _node_prefix(root)))
+    surface = _root_template(labels[root]).renamed(_node_prefix(root))
     # base vertex i of a node may have been renamed when the node was glued
     names: dict[str, dict[int, str]] = {root: {}}
     cursor: dict[str, int] = {root: 1}
     records: list[GluingRecord] = []
-    piece = cache(partial(_bipyramid_analysis, prefix=""))
-
-    @cache
-    def piece_site(n: int, wanted: tuple[bool, ...]) -> GluingSite:
-        # a node's candidate pairs differ from another's of its label only
-        # by the prefix, so the first to fit does too
-        pairs = (_base_pair(partial(_base, n, ""), j) for j in range(1, n + 1))
-        return _piece_site(piece(n), wanted, pairs)
 
     def token(node: str, i: int) -> str:
         i = (i - 1) % labels[node] + 1
@@ -348,7 +363,7 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
             parent_of[c] = u
             cut = surface.cut(_base_pair(partial(token, u), cursor[u]))
             cursor[u] += 2
-            site = piece_site(labels[c], _heads(surface.edge_directions, cut.pair))
+            site = _template_site(labels[c], _heads(surface.edge_directions, cut.pair))
             prefix = _node_prefix(c)
             surface.glue(cut, site, f"glued node {c} into {u}", prefix)
             names[c] = {int(site.pair.v1): cut.pair.v1, int(site.pair.v2): cut.pair.v2}

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -268,11 +269,15 @@ def test_zorientation_chosen_and_reversed():
 
 
 def test_make_z_orientation_validates():
+    # bits of the wrong length or alphabet are a library error, by both
+    # constructors
     t = bipyramid(6)
-    with pytest.raises(ValueError):
-        make_z_orientation(t, (0,))
-    with pytest.raises(ValueError):
-        make_z_orientation(t, (0, 2))
+    zs = enumerate_zigzags(t)
+    for make in (partial(make_z_orientation, t), partial(ZOrientation, zs)):
+        with pytest.raises(TriangulationError, match="^expected 2 bits, got 1$"):
+            make((0,))
+        with pytest.raises(TriangulationError, match="^bits must be 0 or 1$"):
+            make((0, 2))
 
 
 def test_zorientation_rejects_non_canonical_zigzags():

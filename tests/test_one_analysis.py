@@ -11,6 +11,7 @@ import zigzags.cli as cli
 import zigzags.engine as engine
 import zigzags.generators as generators
 import zigzags.surgery as surgery
+from helpers import clear_templates
 from zigzags import (
     Triangulation,
     TreeSpec,
@@ -120,39 +121,54 @@ def _path(n: int) -> TreeSpec:
 def test_tree_build_audits_the_glued_surface_once(monkeypatch, n):
     # however many glues a build runs, the glued surface is walked and
     # classified once, at the end; each label's bipyramid is built and
-    # classified once, and its piece site resolved once per wanted heads
+    # classified once per process, and its piece site resolved once per
+    # wanted heads, so a second build with the same labels does neither
+    clear_templates()
     walked = counted(monkeypatch, surgery, "_sole_zigzag_shadow")
     audited = counted(monkeypatch, surgery, "classify")
     built = counted(monkeypatch, generators, "bipyramid")
     pieces = counted(monkeypatch, generators, "classify")
     sites = counted(monkeypatch, generators, "_piece_site")
     spec = _path(n)
-    t, tau, log = tree_build(spec)
-    assert len(log.records) == n - 1
-    assert len(walked) == len(audited) == 1
-    assert walked[0][0] is audited[0][0] is t
-    assert len(built) == len(pieces) == len(set(spec.labels.values())) == min(n, 2)
-    # one site for label 4, whatever the number of glues
-    assert len(sites) == min(n - 1, 1)
+    # one analysis per label, and one site for label 4 whatever the number
+    # of glues, in the first build; none in the second
+    for analyses, resolved in ((len(set(spec.labels.values())), min(n - 1, 1)), (0, 0)):
+        for calls in (walked, audited, built, pieces, sites):
+            calls.clear()
+        t, tau, log = tree_build(spec)
+        assert len(log.records) == n - 1
+        assert len(walked) == len(audited) == 1
+        assert walked[0][0] is audited[0][0] is t
+        assert len(built) == len(pieces) == analyses
+        assert len(sites) == resolved
 
 
 def test_tree_build_resolves_a_piece_site_once_per_label_and_heads(tree_corpus, monkeypatch):
-    # the piece analyses and sites of one build are shared by its glues
+    # the piece analyses and sites are shared by every glue of the process:
+    # each label is analysed, and each (label, heads) resolved, in the first
+    # build that needs it, and never again
+    clear_templates()
     built = counted(monkeypatch, generators, "bipyramid")
     sites = counted(monkeypatch, generators, "_piece_site")
-    glues = resolved = both_heads = 0
+    glues = 0
+    labels: set[int] = set()
     for spec, t, _, log in tree_corpus:
         built.clear()
-        sites.clear()
         assert tree_build(spec)[0].faces == t.faces
-        assert len(built) == len(set(spec.labels.values()))
-        keys = [(len(piece.triangulation.faces) // 2, wanted) for piece, wanted, _ in sites]
-        assert len(keys) == len(set(keys))
-        labels = [label for label, _ in keys]
-        both_heads += len(labels) - len(set(labels))
-        glues, resolved = glues + len(log.records), resolved + len(keys)
+        new = set(spec.labels.values()) - labels
+        assert sorted(n for n, *_ in built) == sorted(new)
+        labels |= new
+        glues += len(log.records)
+    keys = [(len(piece.triangulation.faces) // 2, wanted) for piece, wanted, _ in sites]
+    assert len(keys) == len(set(keys))
+    both_heads = len(keys) - len({label for label, _ in keys})
     # some label is glued with both head directions, and sites are reused
-    assert both_heads and resolved < glues
+    assert both_heads and len(keys) < glues
+    built.clear()
+    sites.clear()
+    for spec, t, _, _ in tree_corpus:
+        assert tree_build(spec)[0].faces == t.faces
+    assert built == sites == []
 
 
 @pytest.mark.parametrize("n", (6, 7, 8))

@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 import zigzags
+import zigzags.generators as generators
 import zigzags.surgery as surgery
 from zigzags import (
     InvariantError,
@@ -385,3 +386,22 @@ def test_each_check_names_the_fact_that_broke(glued_corpus, corrupt, message):
     change = surface.splice(host_site, piece_site)
     with pytest.raises(InvariantError, match=message):
         surface.check(corrupt(surface, change))
+
+
+@pytest.mark.parametrize("prefix", ("", "node0.", "x."))
+@pytest.mark.parametrize("n", range(3, 22, 2))
+def test_a_prefixed_root_template_is_the_prefixed_bipyramids_surface(n, prefix):
+    # a tree build's root is the shared unprefixed template renamed under
+    # its prefix: field by field, and in each dict's order, it is the surface
+    # of BP(n) built and analysed under the prefix, so face keys, edge keys,
+    # the zigzag's rotation and the bits come out the same
+    got = vars(generators._root_template(n).renamed(prefix))
+    want = vars(surgery._Surface(generators._bipyramid_analysis(n, prefix)))
+    assert got.keys() == want.keys() == {
+        "faces", "slots", "edge_faces", "vertex_faces", "passes", "edge_directions",
+        "type_i", "ii_ends",
+    }
+    for field, value in want.items():
+        assert got[field] == value, field
+        if isinstance(value, dict):
+            assert list(got[field]) == list(value), field

@@ -15,8 +15,10 @@ import pytest
 
 import zigzag_oracle as oracle
 import zigzags
-from helpers import public_gluing_build, random_tree_spec
+import zigzags.surgery as surgery
+from helpers import clear_templates, public_gluing_build, random_tree_spec
 from zigzags import (
+    InvariantError,
     TreeError,
     TreeSpec,
     Triangulation,
@@ -260,6 +262,55 @@ def build_digest(spec: TreeSpec) -> str:
 @pytest.mark.parametrize("shape, n", PINNED_BUILDS)
 def test_builds_match_their_pinned_digests(shape, n):
     assert build_digest(shape(n)) == PINNED_BUILDS[shape, n]
+
+
+def test_pinned_builds_hold_in_reverse_order_in_a_fresh_process():
+    # the bipyramid templates every build shares fill in the order builds
+    # need them: built last to first in a new process, each pinned build
+    # keeps its digest
+    script = textwrap.dedent("""
+        import test_tree_build as pinned
+
+        for shape, n in reversed(list(pinned.PINNED_BUILDS)):
+            print(pinned.build_digest(shape(n)) == pinned.PINNED_BUILDS[shape, n])
+    """)
+    paths = (Path(zigzags.__file__).resolve().parents[1], Path(__file__).resolve().parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["True"] * len(PINNED_BUILDS)
+
+
+def test_a_failed_glue_leaves_the_next_build_as_it_was(monkeypatch):
+    # a build whose last glue fails its checks, a piece face dropped as in
+    # the test below, leaves the shared templates it filled as a good build
+    # would
+    before = build_digest(RUNNING)
+    clear_templates()
+    glue, namer, current = surgery._Surface.glue, surgery._namer, []
+
+    def naming_glue(self, cut, piece_site, what, prefix):
+        current[:] = [what]
+        return glue(self, cut, piece_site, what, prefix)
+
+    def corrupting_namer(v, sides, split, renames):
+        rename = namer(v, sides, split, renames)
+
+        def renamed(cells, make):
+            out = rename(cells, make)
+            if current == ["glued node c into b"] and make is surgery.face_key and renames:
+                del out[-1]
+            return out
+        return renamed
+
+    monkeypatch.setattr(surgery._Surface, "glue", naming_glue)
+    monkeypatch.setattr(surgery, "_namer", corrupting_namer)
+    with pytest.raises(InvariantError, match="^glued node c into b: "):
+        tree_build(RUNNING)
+    monkeypatch.undo()
+    assert build_digest(RUNNING) == before
 
 
 def test_glue_checks_run_under_python_O():

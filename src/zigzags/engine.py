@@ -131,12 +131,24 @@ class Zigzag:
         return rev
 
     def canonical(self) -> "Zigzag":
+        """The lesser of the zigzag and its reversal by passes.
+
+        Both start at their least pass, which lies on the least edge e.
+        When the zigzag passes e only with its key, it starts with that
+        pass and its reversal cannot, so it is the lesser; when it passes e
+        only against its key, the reversal is.  Only an e passed both ways
+        needs the full comparison."""
+        e, s, d = self.passes[0]
+        if s != e[0]:
+            return self.reverse()
+        if (e, d, s) not in self.passes:
+            return self
         rev = self.reverse()
         return self if self.passes <= rev.passes else rev
 
     @property
     def is_canonical(self) -> bool:
-        return self.passes <= self.reverse().passes
+        return self.canonical() is self
 
     def occurrences(self, edge: Edge) -> tuple[int, ...]:
         """Positions at which the (undirected) edge is passed."""
@@ -187,9 +199,13 @@ def _apex_table(t: Triangulation) -> dict[tuple[str, str, str], str]:
 def enumerate_zigzags(t: Triangulation) -> tuple[Zigzag, ...]:
     """All zigzags of t, one canonical representative per reversal pair.
 
-    Partitions all 6*|F| states into successor orbits.  Output is sorted by
-    canonical form and is therefore deterministic.  It is computed once per
-    triangulation and kept on t: a later call returns the same tuple.
+    Partitions all 6*|F| states into successor orbits.  Each orbit is
+    walked once: its reversal orbit is never walked, as a state is skipped
+    when it or its reversal lies on an orbit already walked, and the walk
+    stops once the orbits and their reversals cover all 6*|F| states.
+    Output is sorted by canonical form and is therefore deterministic.  It
+    is computed once per triangulation and kept on t: a later call returns
+    the same tuple.
     """
     if t._zigzags is not None:
         return t._zigzags
@@ -198,22 +214,25 @@ def enumerate_zigzags(t: Triangulation) -> tuple[Zigzag, ...]:
     visited: set[tuple[str, str, str]] = set()
     out: list[Zigzag] = []
     for start in across:
-        if start in visited:
+        s, d, x = start
+        if start in visited or (s, x, d) in visited:
             continue
         orbit = [start]
-        s, d, _ = start
         state = (d, across[start], s)
         while state != start:
             orbit.append(state)
-            s, d, _ = state
-            state = (d, across[state], s)
-        reversal = {(s, x, d) for s, d, x in orbit}
-        if not reversal.isdisjoint(orbit):
-            raise InvariantError("a zigzag is never its own reversal")
+            a, b, _ = state
+            state = (b, across[state], a)
         visited.update(orbit)
-        visited |= reversal
+        # reversing turns the successor into its inverse, so it maps whole
+        # orbits onto orbits: this one is its own reversal exactly when it
+        # holds the reversal of its start
+        if (s, x, d) in visited:
+            raise InvariantError("a zigzag is never its own reversal")
         passes = _make_passes([((s, d) if s < d else (d, s), s, d) for s, d, _ in orbit])
         out.append(Zigzag(passes).canonical())
+        if 2 * len(visited) == len(across):
+            break
     out.sort(key=lambda z: z.passes)
     t._zigzags = tuple(out)
     return t._zigzags
@@ -260,8 +279,8 @@ class ZOrientation:
 
 def _oriented(zs: tuple[Zigzag, ...], bits: tuple[int, ...]) -> ZOrientation:
     """ZOrientation(zs, bits) for zigzags from enumerate_zigzags or another
-    orientation: they are canonical, so the is_canonical check, which builds
-    every reversal, cannot fail and is skipped.  The bit checks still run."""
+    orientation: they are canonical, so the is_canonical check, which may
+    build reversals, cannot fail and is skipped.  The bit checks still run."""
     tau = object.__new__(ZOrientation)
     object.__setattr__(tau, "zigzags", zs)
     object.__setattr__(tau, "bits", bits)
@@ -313,6 +332,10 @@ class Classification:
     Homogeneity and the edge -> pass positions are derived on first use and
     kept, so every holder of the classification shares them.  The face a
     pass enters is read off the chosen walk by _turn where it is needed.
+
+    Every classification of one orientation of t's own enumeration, with
+    the same bits, shares its four type dicts with the others (see
+    classify), so treat them as read-only.
     """
 
     triangulation: Triangulation
@@ -395,9 +418,17 @@ def classify(t: Triangulation, tau: ZOrientation) -> Classification:
     neither type I nor a directed type-II cycle: by the paper, tau is then
     not t's own.  The unknown-edge and double-cover checks run once per
     (t, zigzags), when _pass_table is built; types are read off the bits.
+
+    An orientation of t's own enumeration is classified once per bits: t
+    keeps the dicts of the last one classified, and every classification
+    of it shares them.  Any other orientation is classified afresh.
     """
     t.require_valid()
-    bits = [b == 1 for b in tau.bits]  # ZOrientation also takes 1.0 or True for 1
+    own = tau.zigzags is t._zigzags
+    key = tuple(tau.bits)  # a copy only of bits given as a list, which could change
+    if own and t._classified is not None and t._classified[0] == key:
+        return Classification(t, tau, *t._classified[1])
+    bits = [b == 1 for b in key]  # ZOrientation also takes 1.0 or True for 1
     edge_types: dict[Edge, str] = {}
     edge_directions: dict[Edge, tuple[str, str]] = {}
     for e, i, f, j, g in _pass_table(t, tau):
@@ -429,7 +460,10 @@ def classify(t: Triangulation, tau: ZOrientation) -> Classification:
             if not outs == ins == set(f):
                 raise TriangulationError(f"type-II face {f!r} is not a directed cycle")
             face_types[f] = "II"
-    return Classification(t, tau, edge_types, edge_directions, vertex_types, face_types)
+    types = edge_types, edge_directions, vertex_types, face_types
+    if own:
+        t._classified = (key, types, None)
+    return Classification(t, tau, *types)
 
 
 def _turn(passes, i: int) -> tuple[str, str, str]:

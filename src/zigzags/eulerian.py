@@ -28,6 +28,7 @@ from .engine import (
 from .triangulation import (
     ParseError,
     Triangulation,
+    TriangulationError,
     ValidationReport,
     _check_token,
     _integer,
@@ -192,16 +193,25 @@ def extract_directed_embedding(t: Triangulation, tau: ZOrientation) -> DirectedE
 
     Vertices are the type-II vertices of the classification, arcs the
     directed type-II edges, and each type-I vertex contributes the face
-    cycle traced by its link.
+    cycle traced by its link.  For an orientation of t's own enumeration
+    the embedding is kept with t's classification of it (see classify), so
+    a second extraction with the same bits reads it back unbuilt and
+    unvalidated.
     """
     return _extract(classify(t, tau))
 
 
 def _extract(cls: Classification) -> DirectedEmbedding:
     """extract_directed_embedding on a classification the caller holds."""
+    t = cls.triangulation
+    kept = t._classified
+    # t keeps the dicts of cls exactly when cls is of the bits t keeps
+    if kept is None or kept[1][0] is not cls.edge_types:
+        kept = None
+    elif kept[2] is not None:
+        return kept[2]
     if not cls.homogeneous:
         raise EmbeddingError("extraction requires a homogeneous z-orientation")
-    t = cls.triangulation
     type_i = set(cls.type_i_vertices)
     vertices = tuple(v for v in t.vertices if v not in type_i)
     arcs = tuple(sorted(cls.edge_directions.values()))
@@ -217,6 +227,8 @@ def _extract(cls: Classification) -> DirectedEmbedding:
         cycles.append((v, tuple(directed)))
     emb = DirectedEmbedding(vertices, arcs, tuple(cycles))
     _require_valid(emb)
+    if kept is not None:
+        t._classified = (kept[0], kept[1], emb)
     return emb
 
 
@@ -245,7 +257,7 @@ def _coned_faces(emb: DirectedEmbedding) -> list[tuple[str, str, str]]:
     faces = []
     used = set(emb.vertices)
     for k, (name, cyc) in enumerate(emb.face_cycles):
-        cone = name if name else f"F{k}"
+        cone = _cone_name(k, name)
         _check_token(cone)
         if cone in used:
             raise EmbeddingError(f"face cycle name {cone!r} collides with another vertex")
@@ -253,6 +265,11 @@ def _coned_faces(emb: DirectedEmbedding) -> list[tuple[str, str, str]]:
         for u, w in cyc:
             faces.append(face_key(cone, u, w))
     return faces
+
+
+def _cone_name(k: int, name: str) -> str:
+    """The vertex coned into face cycle k: its name, or F<k> when unnamed."""
+    return name if name else f"F{k}"
 
 
 def round_trip_check(t: Triangulation, tau: ZOrientation) -> bool:
@@ -263,7 +280,10 @@ def round_trip_check(t: Triangulation, tau: ZOrientation) -> bool:
     ones tau chooses.  Matching faces make the coned surface t, already
     validated and enumerated, so no second triangulation is built; when
     the faces differ this returns False rather than raising.  Orientations
-    of t's own enumeration are compared by their bits.
+    of t's own enumeration are compared by their bits, and for them the
+    classification and the embedding are the ones t keeps (see classify
+    and extract_directed_embedding): after an extraction, this builds and
+    validates neither again.
     """
     # extraction validates the embedding it returns
     emb = extract_directed_embedding(t, tau)
@@ -321,10 +341,22 @@ def parse_embedding(text: str) -> DirectedEmbedding:
 
 
 def serialize_embedding(emb: DirectedEmbedding) -> str:
-    """Serialize with vertices and arcs sorted; cycles reference arc indexes."""
+    """Serialize with vertices and arcs sorted; cycles reference arc indexes.
+
+    An unnamed face cycle is written under the name coning gives it, F<k>
+    for cycle k, so the text cones to the same faces.  Raises
+    EmbeddingError for a vertex or cycle name that is no token (empty, or
+    holding whitespace or '#'), which the text could not carry.
+    """
     index = {a: i for i, a in enumerate(emb.arcs)}
+    names = [_cone_name(k, name) for k, (name, _) in enumerate(emb.face_cycles)]
+    for name in (*emb.vertices, *names):
+        try:
+            _check_token(name)
+        except TriangulationError as exc:
+            raise EmbeddingError(f"cannot serialize: {exc}") from None
     lines = [f"v {v}" for v in emb.vertices]
     lines += [f"a {i} {a[0]} {a[1]}" for i, a in enumerate(emb.arcs)]
-    for name, cyc in emb.face_cycles:
+    for name, (_, cyc) in zip(names, emb.face_cycles):
         lines.append("c " + name + " " + " ".join(str(index[a]) for a in cyc))
     return "\n".join(lines) + "\n"

@@ -146,9 +146,11 @@ class Triangulation:
     reported by validate().
 
     Derived data kept per instance: the report of validate(), the zigzags
-    of engine.enumerate_zigzags, and the table of each edge's two passes
-    over those zigzags (engine._pass_table); none refers back to the
-    instance.
+    of engine.enumerate_zigzags, the table of each edge's two passes over
+    those zigzags (engine._pass_table), and the last orientation of those
+    zigzags that engine.classify classified: its bits, its four type dicts
+    and, once extracted, its eulerian.DirectedEmbedding.  None refers back
+    to the instance.
     """
 
     def __init__(self, faces) -> None:
@@ -202,6 +204,7 @@ class Triangulation:
         self._report: ValidationReport | None = None
         self._zigzags: tuple | None = None
         self._passes: list | None = None
+        self._classified: tuple | None = None  # (bits, type dicts, embedding)
 
     # ------------------------------------------------------------------
     # basic accessors

@@ -355,12 +355,14 @@ def test_round_trip_is_false_when_the_coned_faces_differ(bipyramid_corpus, monke
     assert round_trip_check(t, tau) is False
 
 
-def test_round_trip_validates_the_embedding_once(bipyramid_corpus, monkeypatch):
-    # extraction validates what it returns, and the coning trusts it
+def test_round_trip_validates_the_embedding_once(monkeypatch):
+    # extraction validates what it returns, and the coning trusts it; a
+    # surface parsed here has extracted nothing before
     seen = []
     validate = eulerian.validate_embedding
     monkeypatch.setattr(eulerian, "validate_embedding", lambda emb: seen.append(emb) or validate(emb))
-    t, tau = bipyramid_corpus[5]
+    t = parse_triangulation(serialize_triangulation(bipyramid(5)))
+    tau = make_z_orientation(t, (0,))
     assert round_trip_check(t, tau)
     assert len(seen) == 1
 
@@ -398,6 +400,42 @@ def test_serialize_parse_round_trip(bipyramid_corpus):
         t, tau = bipyramid_corpus[n]
         emb = extract_directed_embedding(t, tau)
         assert parse_embedding(serialize_embedding(emb)) == emb
+
+
+@pytest.mark.parametrize("n", (3, 6, 7, 12))
+def test_serialized_text_cones_to_the_same_faces(n, bipyramid_corpus):
+    # an unnamed cycle is written under the name coning gives it, F<k>;
+    # names are distinct, so at most one cycle is unnamed
+    t, tau = bipyramid_corpus[n]
+    emb = extract_directed_embedding(t, tau)
+    cases = [emb, directed_triangle(("", "x")), directed_triangle(("x", ""))]
+    for k in (0, len(emb.face_cycles) - 1):
+        cycles = list(emb.face_cycles)
+        cycles[k] = ("", cycles[k][1])
+        cases.append(DirectedEmbedding(emb.vertices, emb.arcs, tuple(cycles)))
+    for case in cases:
+        text = serialize_embedding(case)
+        assert all(line.split()[1] != "" for line in text.splitlines())
+        back = parse_embedding(text)
+        assert back.face_cycles == tuple(
+            (name or f"F{k}", cyc) for k, (name, cyc) in enumerate(case.face_cycles)
+        )
+        assert triangulate_embedding(back)[0].faces == triangulate_embedding(case)[0].faces
+
+
+def test_an_unnamed_cycle_is_written_as_its_cone():
+    text = serialize_embedding(directed_triangle(("", "x")))
+    assert text.splitlines()[-2:] == ["c F0 0 1 2", "c x 0 1 2"]
+
+
+@pytest.mark.parametrize("vertex, cycle", [
+    ("a b", "x"), ("a#b", "x"), ("", "x"), ("3", "x y"), ("3", "x#"), ("3", "\tx"),
+])
+def test_serialize_rejects_a_name_that_is_no_token(vertex, cycle):
+    arcs = (("1", "2"), ("2", vertex), (vertex, "1"))
+    emb = DirectedEmbedding(("1", "2", vertex), arcs, ((cycle, arcs), ("y", arcs)))
+    with pytest.raises(EmbeddingError, match="cannot serialize: vertex token"):
+        serialize_embedding(emb)
 
 
 def test_parse_embedding_small():

@@ -9,6 +9,7 @@ import pytest
 
 import zigzags.cli as cli
 import zigzags.engine as engine
+import zigzags.eulerian as eulerian
 import zigzags.generators as generators
 import zigzags.surgery as surgery
 from helpers import clear_templates
@@ -67,7 +68,7 @@ def test_orientations_from_enumeration_build_no_reversals(monkeypatch):
     # which may be handed anything, checks them by building reversals
     t, bp = platonic("icosahedron"), bipyramid(8)
     zs = enumerate_zigzags(t)
-    # enumeration itself reverses each orbit to pick its canonical form
+    # enumeration itself may reverse an orbit to pick its canonical form
     enumerated = {t: zs, bp: enumerate_zigzags(bp)}
     monkeypatch.setattr(engine, "enumerate_zigzags", enumerated.__getitem__)
     reversals = counted(monkeypatch, Zigzag, "reverse")
@@ -174,40 +175,121 @@ def test_tree_build_resolves_a_piece_site_once_per_label_and_heads(tree_corpus, 
 @pytest.mark.parametrize("n", (6, 7, 8))
 def test_census_enumerates_the_input_and_the_coned_surface_once(monkeypatch, n):
     # the census path: the search, classify and the round trip share the
-    # input's zigzags, and the round trip builds no second surface
+    # input's zigzags, and the round trip builds no second surface; each
+    # orientation is classified once, so the pass table is read once per
+    # orientation searched and once for the coned surface's own
     text = serialize_triangulation(bipyramid(n))
     tables = counted(monkeypatch, engine, "_apex_table")
+    reads = counted(monkeypatch, engine, "_pass_table")
     built = []
     init = Triangulation.__init__
     monkeypatch.setattr(Triangulation, "__init__", lambda t, faces: built.append(t) or init(t, faces))
     t = parse_triangulation(text)
     t.require_valid()
     zs = enumerate_zigzags(t)
-    tau = next(tau for tau in all_z_orientations(t) if is_homogeneous(t, tau))
+    searched = []
+    for tau in all_z_orientations(t):
+        searched.append(tau)
+        if is_homogeneous(t, tau):
+            break
     assert classify(t, tau).homogeneous
     emb = parse_embedding(serialize_embedding(extract_directed_embedding(t, tau)))
-    t2, _ = triangulate_embedding(emb)
+    t2, tau2 = triangulate_embedding(emb)
     assert round_trip_check(t, tau)
     assert [x[0] for x in tables] == built == [t, t2]
     assert enumerate_zigzags(t) is enumerate_zigzags(t) is zs is tau.zigzags
+    assert [(id(x), y) for x, y in reads] == [(id(t), x) for x in searched] + [(id(t2), tau2)]
 
 
 @pytest.mark.parametrize("build", ("bipyramid", "tree"))
 def test_derived_facts_hold_no_reference_cycle(build):
     # with the collector off, t and tau are freed by reference counts alone,
-    # so a derived fact kept on one that refers back to either would leak
+    # so a derived fact kept on one that refers back to either would leak;
+    # t is dropped once keeping an embedding, and once keeping a
+    # classification with none yet
     gc.disable()
     try:
-        if build == "bipyramid":
-            t = bipyramid(9)
-            tau = make_z_orientation(t, (0,))
-        else:
-            t, tau, _ = tree_build(_path(4))
-        enumerate_zigzags(t)
-        cls = classify(t, tau)
-        assert cls.homogeneous and round_trip_check(t, tau)
-        refs = [weakref.ref(t), weakref.ref(tau)]
-        del t, tau, cls
-        assert [r() for r in refs] == [None, None]
+        for extracted in (True, False):
+            if build == "bipyramid":
+                t = bipyramid(9)
+                walked = make_z_orientation(t, (0,))
+            else:
+                t, walked, _ = tree_build(_path(4))
+            # a build's orientation holds its walked zigzag; t keeps the
+            # classification and the embedding of its own enumeration's
+            tau = make_z_orientation(t, walked.bits)
+            assert classify(t, walked).homogeneous and round_trip_check(t, walked)
+            cls = classify(t, tau)
+            assert classify(t, tau).edge_types is cls.edge_types
+            emb = extract_directed_embedding(t, tau)
+            assert cls.homogeneous and round_trip_check(t, tau)
+            assert t._classified[1][0] is cls.edge_types and t._classified[2] is emb
+            if not extracted:
+                assert classify(t, tau.reversed()).homogeneous and t._classified[2] is None
+            refs = [weakref.ref(t), weakref.ref(tau), weakref.ref(walked)]
+            del t, tau, walked, cls, emb
+            assert [r() for r in refs] == [None, None, None]
     finally:
         gc.enable()
+
+
+def _fresh(n: int) -> Triangulation:
+    """BP(n) parsed from its text: a surface nothing has analysed yet."""
+    return parse_triangulation(serialize_triangulation(bipyramid(n)))
+
+
+def test_an_own_orientation_is_classified_once_per_bits(monkeypatch):
+    t = _fresh(8)
+    zs = enumerate_zigzags(t)
+    reads = counted(monkeypatch, engine, "_pass_table")
+    tau = make_z_orientation(t, (0,) * len(zs))
+    cls = classify(t, tau)
+    again = classify(t, make_z_orientation(t, tau.bits))
+    assert again is not cls and again.orientation is not tau
+    for field in ("edge_types", "edge_directions", "vertex_types", "face_types"):
+        assert getattr(again, field) is getattr(cls, field)
+    assert classify(t, tau).edge_types is classify(t, tau).edge_types is cls.edge_types
+    assert len(reads) == 1
+    # an orientation of another zigzag tuple never reads or writes t's
+    # classification: copied zigzags, or t's own in a new tuple, as a
+    # build's walk gives
+    copied = ZOrientation(tuple(Zigzag(z.passes) for z in zs), tau.bits)
+    walked = ZOrientation(zs[:1] + zs[1:], tau.bits)
+    assert walked.zigzags is not zs
+    for foreign in (copied, walked):
+        first, second = classify(t, foreign), classify(t, foreign)
+        assert first.edge_types == cls.edge_types
+        assert first.edge_types is not second.edge_types is not cls.edge_types
+    assert classify(t, tau).edge_types is cls.edge_types
+    assert len(reads) == 5
+    # other bits and the reversal are classified afresh and kept instead
+    other = make_z_orientation(t, (1,) + (0,) * (len(zs) - 1))
+    for tau2 in (other, tau.reversed()):
+        cls2 = classify(t, tau2)
+        assert cls2.edge_types is not cls.edge_types
+        assert classify(t, tau2).edge_types is cls2.edge_types
+    assert classify(t, tau).edge_types is not cls.edge_types
+    assert len(reads) == 8
+
+
+def test_a_round_trip_after_an_extraction_validates_and_walks_nothing(monkeypatch):
+    t = _fresh(7)
+    tau = next(tau for tau in all_z_orientations(t) if is_homogeneous(t, tau))
+    emb = extract_directed_embedding(t, tau)
+    validated = counted(monkeypatch, eulerian, "validate_embedding")
+    links = counted(monkeypatch, Triangulation, "vertex_link")
+    assert extract_directed_embedding(t, tau) is emb
+    assert round_trip_check(t, tau) and round_trip_check(t, tau)
+    assert validated == links == []
+    # the reversal is extracted afresh, and then kept in turn
+    assert round_trip_check(t, tau.reversed())
+    assert len(validated) == 1 and links
+    assert extract_directed_embedding(t, tau.reversed()) is t._classified[2]
+    # a classification t no longer keeps is extracted afresh, and leaves
+    # what t keeps as it is
+    links.clear()
+    held = classify(t, tau)
+    kept = classify(t, tau.reversed())
+    assert eulerian._extract(held) == emb
+    assert len(validated) == 2 and links
+    assert t._classified[1][0] is kept.edge_types and t._classified[2] is None

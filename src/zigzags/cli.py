@@ -152,18 +152,24 @@ def _report(cls: Classification, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _dot_id(v: str) -> str:
+    """v as a DOT quoted ID, its backslashes and double quotes escaped."""
+    return '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def export_dot(t: Triangulation, cls: Classification | None = None) -> str:
     """Render the edge graph in DOT, directing type-II edges when classified."""
     lines = ["graph triangulation {" if cls is None else "digraph triangulation {"]
-    lines += [f'  "{v}";' for v in sorted(t.vertices)]
+    lines += [f"  {_dot_id(v)};" for v in sorted(t.vertices)]
     for e in t.edges:
+        u, w = map(_dot_id, e)
         if cls is None:
-            lines.append(f'  "{e[0]}" -- "{e[1]}";')
+            lines.append(f"  {u} -- {w};")
         elif cls.edge_types[e] == "II":
-            s, d = cls.edge_directions[e]
-            lines.append(f'  "{s}" -> "{d}" [style=bold];')
+            s, d = map(_dot_id, cls.edge_directions[e])
+            lines.append(f"  {s} -> {d} [style=bold];")
         else:
-            lines.append(f'  "{e[0]}" -> "{e[1]}" [dir=none];')
+            lines.append(f"  {u} -> {w} [dir=none];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -32,6 +32,7 @@ from .triangulation import (
     ValidationReport,
     _check_token,
     _integer,
+    _is_token,
     _reachable,
     _records,
     edge_key,
@@ -81,11 +82,12 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
 
     The digraph must declare each vertex once, be simple (no loops, no
     repeated arcs, no antiparallel arc pairs), connected, and balanced at
-    every vertex; every face cycle must chain head to tail, close up, and
-    visit each vertex at most once; every arc must lie on exactly two face
-    cycles; and at every vertex the corners of the face cycles (an arc in,
-    the next arc out) must join its arcs into one cycle, as the faces around
-    a point of a surface do.
+    every vertex; each vertex and face cycle name must be a token, though a
+    face cycle may be unnamed; every face cycle must chain head to tail,
+    close up, and visit each vertex at most once; every arc must lie on
+    exactly two face cycles; and at every vertex the corners of the face
+    cycles (an arc in, the next arc out) must join its arcs into one cycle,
+    as the faces around a point of a surface do.
     """
     violations: list[str] = []
     known = set(emb.vertices)
@@ -114,6 +116,8 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
         out[u] += 1
         inn[w] += 1
     for v in emb.vertices:
+        if not _is_token(v):
+            violations.append(f"vertex {v!r} is no token (empty, or holding whitespace or '#')")
         if inn[v] != out[v]:
             violations.append(f"vertex {v!r} has in-degree {inn[v]} but out-degree {out[v]}")
         if out[v] == 0:
@@ -134,6 +138,9 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
         violations.append("repeated face cycle names")
     coverage: dict[Arc, int] = {a: 0 for a in emb.arcs}
     for name, cyc in emb.face_cycles:
+        # an unnamed cycle cones as F<k>
+        if name and not _is_token(name):
+            violations.append(f"face cycle name {name!r} is no token (holding whitespace or '#')")
         if not cyc:
             violations.append(f"face cycle {name!r} is empty")
             continue
@@ -258,7 +265,6 @@ def _coned_faces(emb: DirectedEmbedding) -> list[tuple[str, str, str]]:
     used = set(emb.vertices)
     for k, (name, cyc) in enumerate(emb.face_cycles):
         cone = _cone_name(k, name)
-        _check_token(cone)
         if cone in used:
             raise EmbeddingError(f"face cycle name {cone!r} collides with another vertex")
         used.add(cone)

@@ -95,14 +95,12 @@ def _bipyramid_analysis(n: int, prefix: str) -> Classification:
 
 
 @lru_cache(maxsize=64)
-def _root_template(n: int) -> _Surface:
-    """BP(n)'s unprefixed surface, which every tree build rooted at a node
-    of label n copies under the root's prefix; the analysis it is read off
-    is not kept."""
-    return _Surface(_bipyramid_analysis(n, ""))
-
-
-_piece_template = lru_cache(maxsize=64)(partial(_bipyramid_analysis, prefix=""))
+def _template(n: int) -> Classification:
+    """BP(n)'s unprefixed analysis, which every tree build of a process
+    shares: a root of label n builds its surface from it under the root's
+    prefix, and a piece of label n resolves its site on it.  Root labels
+    are odd and piece labels even, so the two never share an entry."""
+    return _bipyramid_analysis(n, "")
 
 
 @lru_cache(maxsize=128)
@@ -111,7 +109,7 @@ def _template_site(n: int, wanted: tuple[bool, ...]) -> GluingSite:
     a node's candidate pairs differ from another's of its label only by the
     prefix, so the first to fit does too."""
     pairs = (_base_pair(partial(_base, n, ""), j) for j in range(1, n + 1))
-    return _piece_site(_piece_template(n), wanted, pairs)
+    return _piece_site(_template(n), wanted, pairs)
 
 
 def platonic(name: str) -> Triangulation:
@@ -329,9 +327,9 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     host pair is resolved on it by the rule resolve_site follows, and the
     piece is spliced in under the node's prefix.  Each label's bipyramid is
     built and classified once per process, unprefixed, into a template
-    every build of the process shares: a root label keeps its surface,
-    which the build copies under the root's prefix, and a piece label its
-    analysis, whose piece site is resolved once per wanted head directions.
+    every build of the process shares: the root's surface is built from its
+    label's template under the root's prefix, and a piece label's site is
+    resolved on its template once per wanted head directions.
     Each glue is checked at the cost of what it changed, and the finished
     sphere audited once in full, as glue audits its result, and for Euler
     characteristic 2 and two type-I vertices per node.  Raises
@@ -345,7 +343,7 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     adj = spec.adjacency()
     root = spec.root  # a valid tree has exactly one odd-labeled node, its root
 
-    surface = _root_template(labels[root]).renamed(_node_prefix(root))
+    surface = _Surface(_template(labels[root]), _node_prefix(root))
     # base vertex i of a node may have been renamed when the node was glued
     names: dict[str, dict[int, str]] = {root: {}}
     cursor: dict[str, int] = {root: 1}

@@ -54,9 +54,10 @@ alike: v becomes v+ or v-, the side of the interior link vertex of the face
 or edge it lies on, the piece's v1, v2 take the host's names, and its
 other vertices take a prefix (tree_build's node<id>.), so one unprefixed
 piece serves many gluings.  A piece cell off v, v1 and v2 keeps its type.
-A _Surface is renamed under a prefix the same way: a common prefix keeps
-every key's order, so one unprefixed root surface serves every tree build
-of a process, as one piece site serves every glue.
+A _Surface is built from a classification under a prefix the same way: a
+common prefix keeps every key's order, so one unprefixed analysis of a
+root serves every tree build of a process, as one piece site serves every
+glue.
 
 All glue outputs are verified rather than trusted.  A _Surface holds a
 growing surface, and each glue changes it in place: only the faces and
@@ -82,7 +83,6 @@ it once.
 from __future__ import annotations
 
 from collections import Counter
-from copy import copy
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -642,43 +642,32 @@ class _Surface:
     tuple, as Triangulation keeps them), the zigzag as a list of passes in
     its chosen direction at any rotation, the directions of the type-II
     edges (an edge is type II exactly when it has one), the type-I vertices,
-    and how many type-II edges end at each vertex.  A glue costs what it
-    changes plus list.index scans and list slices, which run in C; no Python
-    loop runs over the host's faces, edges or passes.
+    and how many type-II edges end at each vertex.  It is built in one walk
+    over the host's classification, with prefix + u for each vertex u: a
+    common prefix keeps every key sorted and the zigzag's rotation, so the
+    surface of an unprefixed host under a prefix is the surface of the host
+    built under it.  A glue costs what it changes plus list.index scans and
+    list slices, which run in C; no Python loop runs over the host's faces,
+    edges or passes.
     """
 
-    def __init__(self, host: Classification) -> None:
+    def __init__(self, host: Classification, prefix: str = "") -> None:
         _require_site(host, _HOST_ROLE)
         t = host.triangulation
-        self.faces = list(t.faces)
+        name = {u: prefix + u for u in t._vertex_faces}.__getitem__
+        face = {f: tuple(map(name, f)) for f in t.faces}.__getitem__
+        edge = {e: tuple(map(name, e)) for e in t._edge_faces}.__getitem__
+        self.faces = list(map(face, t.faces))
         self.slots = dict(zip(self.faces, range(len(self.faces))))
-        self.edge_faces = dict(t._edge_faces)
-        self.vertex_faces = dict(t._vertex_faces)
-        self.passes = list(host.orientation.chosen[0].passes)
-        self.edge_directions = dict(host.edge_directions)
-        self.type_i = set(host.type_i_vertices)
+        self.edge_faces = {edge(e): tuple(map(face, fs)) for e, fs in t._edge_faces.items()}
+        self.vertex_faces = {name(v): tuple(map(face, fs)) for v, fs in t._vertex_faces.items()}
+        walk = host.orientation.chosen[0].passes
+        self.passes = [Pass(edge(e), name(u), name(w)) for e, u, w in walk]
+        directions = host.edge_directions.items()
+        self.edge_directions = {edge(e): (name(u), name(w)) for e, (u, w) in directions}
+        self.type_i = set(map(name, host.type_i_vertices))
         # vertex -> the number of type-II edges ending at it
-        self.ii_ends = Counter(chain.from_iterable(host.edge_directions))
-
-    def renamed(self, prefix: str) -> _Surface:
-        """A copy with prefix + u for each vertex u, built in one walk over
-        the cells.  A common prefix keeps the order of any two names, so
-        each key stays sorted and the zigzag its rotation: the copy of a
-        host's surface is the surface of the host built under the prefix."""
-        name = {u: prefix + u for u in self.vertex_faces}.__getitem__
-        face = {f: tuple(map(name, f)) for f in self.faces}.__getitem__
-        edge = {e: tuple(map(name, e)) for e in self.edge_faces}.__getitem__
-        out = copy(self)
-        out.faces = list(map(face, self.faces))
-        out.slots = dict(zip(out.faces, range(len(out.faces))))
-        out.edge_faces = {edge(e): tuple(map(face, fs)) for e, fs in self.edge_faces.items()}
-        out.vertex_faces = {name(v): tuple(map(face, fs)) for v, fs in self.vertex_faces.items()}
-        out.passes = [Pass(edge(e), name(u), name(w)) for e, u, w in self.passes]
-        directions = self.edge_directions.items()
-        out.edge_directions = {edge(e): (name(u), name(w)) for e, (u, w) in directions}
-        out.type_i = set(map(name, self.type_i))
-        out.ii_ends = Counter(chain.from_iterable(out.edge_directions))
-        return out
+        self.ii_ends = Counter(chain.from_iterable(self.edge_directions))
 
     def _at(self, e: Edge) -> list[int]:
         """The positions of the two passes over e, ascending: a type-II edge

@@ -32,12 +32,17 @@ class ParseError(TriangulationError):
     """A text record could not be parsed; the message names the line."""
 
 
+def _is_token(tok) -> bool:
+    """Whether tok can name a vertex: a non-empty string with no whitespace
+    and no '#', which starts a comment in the text formats."""
+    # str.split() splits at exactly the characters for which isspace() holds
+    return isinstance(tok, str) and tok.split() == [tok] and "#" not in tok
+
+
 def _check_token(tok: str) -> str:
     if not isinstance(tok, str) or not tok:
         raise TriangulationError(f"vertex token must be a non-empty string, got {tok!r}")
-    # str.split() splits at exactly the characters for which isspace() holds
-    if tok.split() != [tok] or "#" in tok:
-        # '#' starts a comment in the text format, so it cannot round-trip
+    if not _is_token(tok):
         raise TriangulationError(f"vertex token {tok!r} contains whitespace or '#'")
     return tok
 
@@ -242,7 +247,7 @@ class Triangulation:
         """
         f1 = set(self.edge_faces(e1))
         f2 = set(self.edge_faces(e2))
-        if e1 == e2:
+        if edge_key(*e1) == edge_key(*e2):
             raise TriangulationError("edges must be distinct")
         both = f1 & f2
         if not both:

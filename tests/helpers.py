@@ -33,7 +33,7 @@ from zigzags import (
     validate_embedding,
 )
 from zigzags.engine import _orient_along
-from zigzags.generators import _piece_template, _root_template, _template_site
+from zigzags.generators import _template, _template_site
 
 
 def random_tree_spec(rng: random.Random, max_nodes: int = 8) -> TreeSpec:
@@ -145,7 +145,7 @@ def random_flips(t: Triangulation, rng: random.Random, flips: int) -> Triangulat
 def clear_templates() -> None:
     """Empty the bipyramid templates every tree build of a process shares,
     as a new process starts."""
-    for template in (_root_template, _piece_template, _template_site):
+    for template in (_template, _template_site):
         template.cache_clear()
 
 

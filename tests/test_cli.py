@@ -515,6 +515,33 @@ def test_export_dot_typed(bp5, capsys):
     assert out.count("[dir=none]") == 10
 
 
+# a tetrahedron with the legal token q"\ as a vertex, written in DOT
+QUOTED_TET_DOT = r'''graph triangulation {
+  "1";
+  "2";
+  "3";
+  "q\"\\";
+  "1" -- "2";
+  "1" -- "3";
+  "1" -- "q\"\\";
+  "2" -- "3";
+  "2" -- "q\"\\";
+  "3" -- "q\"\\";
+}
+'''
+
+
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    # a DOT quoted ID escapes each '"' and '\' of a token
+    path = tmp_path / "tet.tri"
+    path.write_text('f 1 2 q"\\\nf 1 2 3\nf 1 3 q"\\\nf 2 3 q"\\\n')
+    rc, out, _ = run(capsys, "export-dot", str(path))
+    assert (rc, out) == (0, QUOTED_TET_DOT)
+    rc, out, _ = run(capsys, "export-dot", str(path), "--zorient", "000")
+    assert rc == 0
+    assert r'  "q\"\\" -> "1" [style=bold];' in out.splitlines()
+
+
 # ----------------------------------------------------------------------
 # error handling
 

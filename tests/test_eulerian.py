@@ -127,6 +127,21 @@ def test_validate_rejects_repeated_names_and_empty_cycles():
     assert any("empty" in v for v in rep.violations)
 
 
+@pytest.mark.parametrize("vertex, cycle, violation", [
+    ("3", "x y", "face cycle name 'x y' is no token (holding whitespace or '#')"),
+    ("a b", "x", "vertex 'a b' is no token (empty, or holding whitespace or '#')"),
+    ("", "x", "vertex '' is no token (empty, or holding whitespace or '#')"),
+])
+def test_validate_names_a_name_that_is_no_token(vertex, cycle, violation):
+    # a name that is no token is a violation, so coning never meets it; an
+    # unnamed cycle is legal, as it cones as F<k>
+    arcs = (("1", "2"), ("2", vertex), (vertex, "1"))
+    emb = DirectedEmbedding(("1", "2", vertex), arcs, ((cycle, arcs), ("", arcs)))
+    assert validate_embedding(emb).violations == (violation,)
+    with pytest.raises(EmbeddingError, match=f"^{re.escape(violation)}$"):
+        triangulate_embedding(emb)
+
+
 # the figure eight 0->1->2->0, 0->3->4->0 with each triangle's face cycle
 # walked twice: every arc has two occurrences, but each lies on one cycle
 FIGURE_EIGHT_ARCS = (("0", "1"), ("1", "2"), ("2", "0"), ("0", "3"), ("3", "4"), ("4", "0"))

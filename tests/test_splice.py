@@ -391,11 +391,11 @@ def test_each_check_names_the_fact_that_broke(glued_corpus, corrupt, message):
 @pytest.mark.parametrize("prefix", ("", "node0.", "x."))
 @pytest.mark.parametrize("n", range(3, 22, 2))
 def test_a_prefixed_root_template_is_the_prefixed_bipyramids_surface(n, prefix):
-    # a tree build's root is the shared unprefixed template renamed under
+    # a tree build's root is built from the shared unprefixed template under
     # its prefix: field by field, and in each dict's order, it is the surface
     # of BP(n) built and analysed under the prefix, so face keys, edge keys,
     # the zigzag's rotation and the bits come out the same
-    got = vars(generators._root_template(n).renamed(prefix))
+    got = vars(surgery._Surface(generators._template(n), prefix))
     want = vars(surgery._Surface(generators._bipyramid_analysis(n, prefix)))
     assert got.keys() == want.keys() == {
         "faces", "slots", "edge_faces", "vertex_faces", "passes", "edge_directions",

@@ -82,8 +82,10 @@ def test_common_face():
     assert t.common_face(("1", "2"), ("2", "3")) == ("1", "2", "3")
     with pytest.raises(TriangulationError):
         t.common_face(("1", "2"), ("3", "4"))  # opposite edges share no face
-    with pytest.raises(TriangulationError, match="^edges must be distinct$"):
-        t.common_face(("1", "2"), ("1", "2"))
+    # an edge given in either order is one edge, not two sharing a face
+    for e2 in (("1", "2"), ("2", "1")):
+        with pytest.raises(TriangulationError, match="^edges must be distinct$"):
+            t.common_face(("1", "2"), e2)
 
 
 def test_vertex_link_cycle():

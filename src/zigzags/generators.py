@@ -107,7 +107,8 @@ def _template(n: int) -> Classification:
 def _template_site(n: int, wanted: tuple[bool, ...]) -> GluingSite:
     """BP(n)'s piece site for the wanted heads, on its unprefixed analysis:
     a node's candidate pairs differ from another's of its label only by the
-    prefix, so the first to fit does too."""
+    prefix, so the first to fit does too.  The site keeps its slot plan, so
+    each is planned once per process."""
     pairs = (_base_pair(partial(_base, n, ""), j) for j in range(1, n + 1))
     return _piece_site(_template(n), wanted, pairs)
 
@@ -329,7 +330,9 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     built and classified once per process, unprefixed, into a template
     every build of the process shares: the root's surface is built from its
     label's template under the root's prefix, and a piece label's site is
-    resolved on its template once per wanted head directions.
+    resolved on its template once per wanted head directions and compiled,
+    on its first glue, into the slot plan every later glue of it splices
+    from under its own prefix.
     Each glue is checked at the cost of what it changed, and the finished
     sphere audited once in full, as glue audits its result, and for Euler
     characteristic 2 and two type-I vertices per node.  Raises

@@ -49,15 +49,20 @@ face lies on the side of its interior link vertex.
 Every entry point checks each classification it takes for the role it
 fills by one rule, _require_site: homogeneity first, then the census.
 
-Gluing renames vertices by one rule (_namer), for faces, passes and edges
-alike: v becomes v+ or v-, the side of the interior link vertex of the face
-or edge it lies on, the piece's v1, v2 take the host's names, and its
-other vertices take a prefix (tree_build's node<id>.), so one unprefixed
-piece serves many gluings.  A piece cell off v, v1 and v2 keeps its type.
-A _Surface is built from a classification under a prefix the same way: a
-common prefix keeps every key's order, so one unprefixed analysis of a
-root serves every tree build of a process, as one piece site serves every
-glue.
+Gluing renames vertices by one rule, for faces, passes and edges alike: v
+becomes v+ or v-, the side of the first interior link vertex of the face
+or edge it lies on (_side), the piece's v1, v2 take the host's names, and
+its other vertices take a prefix (tree_build's node<id>.), so one
+unprefixed piece serves many gluings.  A piece cell off v, v1 and v2 keeps
+its type.  Only the prefix and the host's names change from one gluing of
+a piece site to the next, so each piece site compiles the rule once, on
+first use, into a slot plan (GluingSite._plan): every piece face, edge and
+segment pass as slots of one name list, v+, v-, the host's v1, v2 and the
+prefixed others.  A glue builds that list and keys each planned cell; the
+host's cells at v are renamed by the rule directly (_namer).  A _Surface is
+built from a classification under a prefix the same way: a common prefix
+keeps every key's order, so one unprefixed analysis of a root serves every
+tree build of a process, as one piece site and its plan serve every glue.
 
 All glue outputs are verified rather than trusted.  A _Surface holds a
 growing surface, and each glue changes it in place: only the faces and
@@ -84,6 +89,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import NamedTuple
 
@@ -190,6 +196,29 @@ def _kind(cls: Classification) -> str | None:
     return _KINDS.get(len(cls.orientation.zigzags))
 
 
+class _Plan(NamedTuple):
+    """A piece site's renaming rule, decided for each of its cells (see
+    Gluing renames above) but the names: a cell holds slots into a glue's
+    name list, where slot 0 is v+, 1 is v-, 2 and 3 are the host's v1 and
+    v2, and slot i from 4 is the prefix + vertices[i - 1]."""
+
+    vertices: tuple[str, ...]  # the piece's v, v1, v2, then the vertex of slots 4, 5, ...
+    faces: list[tuple[int, ...]]  # each face, in the piece's face order
+    # each edge but e1, e2, in the piece's edge order, with its type when it
+    # touches v, v1 or v2, else None and its direction when it is type II
+    edges: list[tuple[int, int, str | None, tuple[int, ...] | None]]
+    # each key -> its segment's passes as (src, dst), and the offsets of the
+    # passes over edges that touch v, v1 or v2
+    segments: dict[str, tuple[list[tuple[int, ...]], list[int]]]
+    type_i: tuple[int, ...]  # the piece's type-I vertices
+
+
+def _side(cell, sides: dict[str, str]) -> str:
+    """The side, in sides, of the first entry of cell that has one: that of
+    the interior link vertex of a face or edge at the split vertex."""
+    return sides[next(w for w in cell if w in sides)]
+
+
 @dataclass(frozen=True, eq=False)
 class GluingSite:
     """A resolved pair: its sides and cut segments, and what they imply.
@@ -202,6 +231,8 @@ class GluingSite:
     zigzag with the pair edge's single pass removed.  ends maps each key to
     the key of the pair pass ending its segment: the glued walk (see the
     module docstring) leaves this site there for the other's flipped key.
+    A piece site compiles its renaming once, when first spliced, into the
+    plan every glue of it reads.
     """
 
     classification: Classification  # the (t, tau) the pair was resolved on
@@ -213,6 +244,37 @@ class GluingSite:
     @property
     def kind(self) -> str | None:
         return _kind(self.classification)
+
+    @cached_property
+    def _plan(self) -> _Plan:
+        """The piece's faces, edges, segments and type-I vertices in slots
+        (see _Plan), each cell's slots chosen by the renaming rule."""
+        piece, pair, sides = self.classification, self.pair, self.vertex_sides
+        tp, v = piece.triangulation, pair.shared_vertex
+        seam = (v, pair.v1, pair.v2)
+        vertices = (*seam, *(u for u in tp.vertices if u not in seam))
+        slot = {u: i for i, u in enumerate(vertices[1:], 2)}
+        half = {"+": 0, "-": 1}
+
+        def slots(cell) -> tuple[int, ...]:
+            return tuple(half[_side(cell, sides)] if u == v else slot[u] for u in cell)
+
+        edges = []
+        for e in tp.edges:
+            if e != pair.e1 and e != pair.e2:
+                a, b = slots(e)
+                if a < 4 or b < 4:
+                    edges.append((a, b, piece.edge_types[e], None))
+                else:
+                    head = piece.edge_directions.get(e)
+                    head = head if head is None else tuple(map(slot.get, head))
+                    edges.append((a, b, None, head))
+        segments = {}
+        for key, segment in self.segments.items():
+            passes = [slots((src, dst)) for _, src, dst in segment]
+            segments[key] = (passes, [i for i, (a, b) in enumerate(passes) if a < 4 or b < 4])
+        type_i = tuple(map(slot.get, piece.type_i_vertices))
+        return _Plan(vertices, list(map(slots, tp.faces)), edges, segments, type_i)
 
 
 # ----------------------------------------------------------------------
@@ -518,34 +580,21 @@ def _require_gluable(host_site: GluingSite, piece_site: GluingSite) -> None:
         raise SurgeryError("pair directions at the shared vertices do not match")
 
 
-def _namer(v: str, sides: dict[str, str], split: dict[str, str], renames: dict[str, str]):
-    """The one renaming rule of a gluing, for one site's faces, edges and passes.
+def _namer(v: str, sides: dict[str, str], split: dict[str, str]):
+    """The renaming of a host's faces, edges and passes at v, split.
 
-    rename(cells, make) renames the vertices of each cell, a host cell at v or
-    a piece cell, and rebuilds it as make(*entries); a pass's edge entry,
-    being no vertex, reaches make unchanged.  The split vertex v takes the
-    name split[side] for the side, in sides, of the interior link vertex of
-    the face or edge it lies on: every face at v has one, and so does every
-    edge at v but e1 and e2.  A vertex in renames takes its new name; any
-    other keeps its own.
+    rename(cells, make) renames the vertices of each cell and rebuilds it as
+    make(*entries); a pass's edge entry, being no vertex, reaches make
+    unchanged.  The split vertex v takes the name split[side] for the _side
+    of the face or edge it lies on: every face at v has one, and so does
+    every edge at v but e1 and e2.  Any other vertex keeps its name.
     """
 
     def renamed(cell, make):
-        at = split[sides[next(w for w in cell if w in sides)]] if v in cell else v
-        return make(*(at if u == v else renames.get(u, u) for u in cell))
+        at = split[_side(cell, sides)] if v in cell else v
+        return make(*(at if u == v else u for u in cell))
 
     return lambda cells, make: [renamed(c, make) for c in cells]
-
-
-def _namers(pair: SpecialPair, sides: dict[str, str], piece_site: GluingSite, split, named):
-    """The renaming of the host, cut at pair with the given sides, and of the
-    piece: its v1, v2 take the host's names, the others their names in named."""
-    piece_pair = piece_site.pair
-    renames = {**named, piece_pair.v1: pair.v1, piece_pair.v2: pair.v2}
-    return (
-        _namer(pair.shared_vertex, sides, split, {}),
-        _namer(piece_pair.shared_vertex, piece_site.vertex_sides, split, renames),
-    )
 
 
 def _renamed_pass(_edge: Edge, src: str, dst: str) -> Pass:
@@ -648,7 +697,8 @@ class _Surface:
     surface of an unprefixed host under a prefix is the surface of the host
     built under it.  A glue costs what it changes plus list.index scans and
     list slices, which run in C; no Python loop runs over the host's faces,
-    edges or passes.
+    edges or passes, and the piece's cells are named from its site's plan,
+    one list lookup per vertex, with no renaming rule run.
     """
 
     def __init__(self, host: Classification, prefix: str = "") -> None:
@@ -702,8 +752,9 @@ class _Surface:
     def splice(self, host: _Cut | GluingSite, piece_site: GluingSite, prefix: str = "") -> _Change:
         """Glue the piece in along the host site, in place, unchecked; the
         host site is a _Cut of this surface or a GluingSite resolved on the
-        classification it was copied from.  The piece's vertices but v, v1
-        and v2 take the prefix.
+        classification it was copied from.  The piece's cells are named
+        from the piece site's plan: its vertices but v, v1 and v2 take the
+        prefix.
 
         The faces at v take their renamed keys in their slots and the
         piece's renamed faces are appended.  The glued walk joins the split
@@ -711,20 +762,20 @@ class _Surface:
         segments into the new pass list, and the host's passes at v are
         renamed where they lie in it.
         """
-        piece = piece_site.classification
-        tp = piece.triangulation
+        tp, plan = piece_site.classification.triangulation, piece_site._plan
         pair, v = host.pair, host.pair.shared_vertex
-        named = {u: prefix + u for u in tp.vertices}
-        names = set(named.values())
-        if any(u in self.vertex_faces for u in names):
+        own = [prefix + u for u in plan.vertices]
+        if any(u in self.vertex_faces for u in own):
             raise SurgeryError("host and piece vertex namespaces must be disjoint")
         # side "+"/"-" -> the name v+/v- of that half of the split vertex
         split = {side: v + side for side in "+-"}
-        if any(x in self.vertex_faces or x in names for x in split.values()):
+        if any(x in self.vertex_faces or x in own for x in split.values()):
             raise SurgeryError(
                 f"split vertex names {split['+']!r}/{split['-']!r} collide with existing vertices"
             )
-        host_rename, piece_rename = _namers(pair, host.vertex_sides, piece_site, split, named)
+        host_rename = _namer(v, host.vertex_sides, split)
+        # each slot of the plan -> its name here
+        names = [split["+"], split["-"], pair.v1, pair.v2, *own[3:]]
         sizes = (
             len(self.vertex_faces) + len(tp.vertices) - 2,
             len(self.edge_faces) + len(tp.edges),
@@ -740,20 +791,19 @@ class _Surface:
         types = dict(zip(host_rename(at_v, edge_key), kinds))
         halves = split.values()
         types.update((edge_key(half, w), "II") for w in (pair.v1, pair.v2) for half in halves)
-        piece_pair = piece_site.pair
-        at_piece = [e for e in tp.edges if e != piece_pair.e1 and e != piece_pair.e2]
-        seam = {piece_pair.shared_vertex, piece_pair.v1, piece_pair.v2}
         copied: list[Edge] = []
         directions: dict[Edge, tuple[str, str]] = {}
-        for e, g in zip(at_piece, piece_rename(at_piece, edge_key)):
-            if seam.intersection(e):
-                types[g] = piece.edge_types[e]
+        for a, b, kind, head in plan.edges:
+            g = edge_key(names[a], names[b])
+            if kind is not None:
+                types[g] = kind
             else:
                 copied.append(g)
-                if e in piece.edge_directions:
-                    directions[g] = tuple(map(named.get, piece.edge_directions[e]))
+                if head is not None:
+                    directions[g] = (names[head[0]], names[head[1]])
 
-        gained = host_rename(lost, face_key) + piece_rename(tp.faces, face_key)
+        gained = host_rename(lost, face_key)
+        gained += [face_key(names[a], names[b], names[c]) for a, b, c in plan.faces]
         edges, vertices, born, fresh = self._swap(lost, gained)
 
         # the glued walk: each key's split-edge pass, then its host segment
@@ -769,16 +819,16 @@ class _Surface:
             if site == 0:
                 new += host.segments[key]
             else:
-                segment = piece_site.segments[key]
-                dirty += [start + i for i, (e, _, _) in enumerate(segment) if seam.intersection(e)]
-                new += piece_rename(segment, _renamed_pass)
+                passes, seam_at = plan.segments[key]
+                dirty += [start + i for i in seam_at]
+                new += [make_pass(names[a], names[b]) for a, b in passes]
         # the host's passes at v take their renamed edges where they lie
         self.passes = new
         moved = [r for e in at_v for r in self._at(e)]
         for r, p in zip(moved, host_rename([new[r] for r in moved], _renamed_pass)):
             new[r] = p
         # a piece's type-I vertices are off its pair, so they take the prefix
-        type_i = {named[x] for x in piece.type_i_vertices}
+        type_i = {names[x] for x in plan.type_i}
         return _Change(
             sizes, gained, edges, vertices, born, fresh, types, copied, directions, junctions,
             junctions + dirty + moved, type_i,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from itertools import combinations
 
@@ -28,6 +29,7 @@ from zigzags import (
     find_special_pairs,
     glue,
     is_homogeneous,
+    make_pass,
     make_z_orientation,
     plan_gluing,
     validate_embedding,
@@ -147,6 +149,69 @@ def clear_templates() -> None:
     as a new process starts."""
     for template in (_template, _template_site):
         template.cache_clear()
+
+
+def renaming_namer(v: str, sides: dict, split: dict, renames: dict):
+    """The renaming rule of a gluing, run cell by cell: rename(cells, make)
+    rebuilds each cell as make(*entries), with v taking split[side] for the
+    side, in sides, of the first interior link vertex of the cell, a vertex
+    in renames its new name, and any other its own."""
+
+    def renamed(cell, make):
+        at = split[sides[next(w for w in cell if w in sides)]] if v in cell else v
+        return make(*(at if u == v else renames.get(u, u) for u in cell))
+
+    return lambda cells, make: [renamed(c, make) for c in cells]
+
+
+def renamed_piece(piece_site, prefix: str, v1: str, v2: str, split: dict) -> dict:
+    """What a glue makes of the piece site's cells, each renamed by
+    renaming_namer, with the piece's v1, v2 taking the names v1, v2, its
+    split vertex split["+"] or split["-"], and its other vertices the
+    prefix: the reference for the slot plan the site compiles.  Holds the
+    piece's faces, the types of its edges at v, v1 or v2 and the other
+    edges, copied, with the directions of the type-II ones (each in the
+    piece's edge order), each key's segment passes with the offsets of
+    those over an edge at v, v1 or v2, and the type-I vertices."""
+    piece, pair = piece_site.classification, piece_site.pair
+    tp = piece.triangulation
+    named = {u: prefix + u for u in tp.vertices}
+    rename = renaming_namer(
+        pair.shared_vertex, piece_site.vertex_sides, split, {**named, pair.v1: v1, pair.v2: v2}
+    )
+    seam = {pair.shared_vertex, pair.v1, pair.v2}
+    at_piece = [e for e in tp.edges if e != pair.e1 and e != pair.e2]
+    types, copied, directions = [], [], []
+    for e, g in zip(at_piece, rename(at_piece, edge_key)):
+        if seam.intersection(e):
+            types.append((g, piece.edge_types[e]))
+        else:
+            copied.append(g)
+            if e in piece.edge_directions:
+                directions.append((g, tuple(map(named.get, piece.edge_directions[e]))))
+    segments = {
+        key: (
+            rename(segment, lambda _edge, src, dst: make_pass(src, dst)),
+            [i for i, (e, _, _) in enumerate(segment) if seam.intersection(e)],
+        )
+        for key, segment in piece_site.segments.items()
+    }
+    return {
+        "faces": rename(tp.faces, face_key),
+        "types": types,
+        "copied": copied,
+        "directions": directions,
+        "segments": segments,
+        "type_i": {named[x] for x in piece.type_i_vertices},
+    }
+
+
+def with_plan(site, corrupt):
+    """A copy of a piece site whose slot plan is corrupt(the site's plan);
+    the site and its own plan are left as they were."""
+    copy = dataclasses.replace(site)
+    vars(copy)["_plan"] = corrupt(site._plan)
+    return copy
 
 
 def public_gluing_build(spec: TreeSpec, sites=None):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import weakref
+from functools import cached_property
 
 import pytest
 
@@ -20,15 +21,20 @@ from zigzags import (
     ZOrientation,
     all_z_orientations,
     bipyramid,
+    bipyramid_canonical_zorientation,
     classify,
     enumerate_zigzags,
     extract_directed_embedding,
+    find_piece_pairs,
+    find_special_pairs,
     glue,
     is_homogeneous,
     make_z_orientation,
     parse_embedding,
     parse_triangulation,
+    plan_gluing,
     platonic,
+    predict_glued_zigzag,
     round_trip_check,
     serialize_embedding,
     serialize_triangulation,
@@ -49,6 +55,22 @@ def counted(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, wrapper)
     return calls
+
+
+def counted_plans(monkeypatch):
+    """Wrap GluingSite._plan so that each plan built is recorded by its
+    site; returns the record."""
+    sites = []
+    plan = surgery.GluingSite.__dict__["_plan"].func
+
+    def wrapper(site):
+        sites.append(site)
+        return plan(site)
+
+    counted = cached_property(wrapper)
+    counted.__set_name__(surgery.GluingSite, "_plan")
+    monkeypatch.setattr(surgery.GluingSite, "_plan", counted)
+    return sites
 
 
 def test_classification_carries_its_inputs_and_derived_facts(glued_corpus):
@@ -146,11 +168,12 @@ def test_tree_build_audits_the_glued_surface_once(monkeypatch, n):
 
 def test_tree_build_resolves_a_piece_site_once_per_label_and_heads(tree_corpus, monkeypatch):
     # the piece analyses and sites are shared by every glue of the process:
-    # each label is analysed, and each (label, heads) resolved, in the first
-    # build that needs it, and never again
+    # each label is analysed, and each (label, heads) resolved and its site
+    # compiled into a plan, in the first build that needs it, and never again
     clear_templates()
     built = counted(monkeypatch, generators, "bipyramid")
     sites = counted(monkeypatch, generators, "_piece_site")
+    plans = counted_plans(monkeypatch)
     glues = 0
     labels: set[int] = set()
     for spec, t, _, log in tree_corpus:
@@ -165,11 +188,31 @@ def test_tree_build_resolves_a_piece_site_once_per_label_and_heads(tree_corpus, 
     both_heads = len(keys) - len({label for label, _ in keys})
     # some label is glued with both head directions, and sites are reused
     assert both_heads and len(keys) < glues
+    # each site resolved is planned once, when first spliced
+    assert len(plans) == len({id(site) for site in plans}) == len(keys)
     built.clear()
     sites.clear()
+    plans.clear()
     for spec, t, _, _ in tree_corpus:
         assert tree_build(spec)[0].faces == t.faces
-    assert built == sites == []
+    assert built == sites == plans == []
+
+
+def test_glue_and_prediction_plan_a_piece_site_once(monkeypatch):
+    # public glue and predict_glued_zigzag splice as tree builds do: the
+    # piece site is planned on its first splice, and its plan read after
+    plans = counted_plans(monkeypatch)
+    host = classify(bipyramid(3, "L."), bipyramid_canonical_zorientation(3, "L."))
+    piece = classify(bipyramid(6, "R."), bipyramid_canonical_zorientation(6, "R."))
+    host_site, piece_site = plan_gluing(
+        host, find_special_pairs(host)[0], piece, find_piece_pairs(piece)
+    )
+    assert plans == []
+    predicted = predict_glued_zigzag(host_site, piece_site)
+    glued = glue(host_site, piece_site)
+    assert predict_glued_zigzag(host_site, piece_site) == predicted
+    assert glue(host_site, piece_site).triangulation.faces == glued.triangulation.faces
+    assert plans == [piece_site]
 
 
 @pytest.mark.parametrize("n", (6, 7, 8))

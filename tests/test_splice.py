@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import importlib
 import pkgutil
+import re
 from collections import Counter
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 import zigzags
 import zigzags.generators as generators
 import zigzags.surgery as surgery
+from helpers import renamed_piece, with_plan
 from zigzags import (
     InvariantError,
     SurgeryError,
@@ -214,31 +216,27 @@ def test_walk_accepts_a_z_knotted_zigzag_in_either_direction(glued_corpus):
     assert _sole_zigzag_shadow(t, z.reverse()) == face_shadow(t, z.reverse())
 
 
-def _tampered_splice(monkeypatch, glued, piece_namer):
-    """A _Surface for a gluing of the glued corpus, spliced with the piece
-    renamed by piece_namer(piece_site, split, host_pair, named), unchecked."""
-    _, _, host_site, piece_site = glued
-    namers = surgery._namers
+def _keep_v1(plan):
+    """The plan with the piece's v1 in a slot of its own, so that it keeps
+    its piece name under the prefix rather than take the host's."""
+    slot = len(plan.vertices) + 1
 
-    def tampered(pair, sides, piece_site, split, named):
-        host_rename = namers(pair, sides, piece_site, split, named)[0]
-        return host_rename, piece_namer(piece_site, split, pair, named)
+    def moved(cell):
+        return tuple(slot if s == 2 else s for s in cell)
 
-    monkeypatch.setattr(surgery, "_namers", tampered)
-    surface = surgery._Surface(host_site.classification)
-    return surface, surface.splice(host_site, piece_site)
-
-
-def _keep_v1(piece_site, split, pair, named):
-    """The piece's renaming, but for v1, which keeps the piece's name."""
-    renames = {**named, piece_site.pair.v2: pair.v2}
-    v = piece_site.pair.shared_vertex
-    return surgery._namer(v, piece_site.vertex_sides, split, renames)
+    return plan._replace(
+        vertices=(*plan.vertices, plan.vertices[1]),
+        faces=list(map(moved, plan.faces)),
+        edges=[(*moved((a, b)), kind, head) for a, b, kind, head in plan.edges],
+        segments={k: (list(map(moved, ps)), at) for k, (ps, at) in plan.segments.items()},
+    )
 
 
-def test_local_check_rejects_a_tampered_splice(glued_corpus, monkeypatch):
+def test_local_check_rejects_a_tampered_splice(glued_corpus):
     _, _, host_site, piece_site = glued_corpus[4]
-    surface, change = _tampered_splice(monkeypatch, glued_corpus[4], _keep_v1)
+    tampered = with_plan(piece_site, _keep_v1)
+    surface = surgery._Surface(host_site.classification)
+    change = surface.splice(host_site, tampered)
     with pytest.raises(InvariantError) as caught:
         surface.check(change)
     head, violations = str(caught.value).split(": ", 1)
@@ -251,7 +249,7 @@ def test_local_check_rejects_a_tampered_splice(glued_corpus, monkeypatch):
     )
     # glue names the gluing that failed
     with pytest.raises(InvariantError) as caught:
-        glue(host_site, piece_site)
+        glue(host_site, tampered)
     assert str(caught.value) == (
         f"glued the piece at {piece_site.pair.shared_vertex} "
         f"into the host at {host_site.pair.shared_vertex}: "
@@ -260,21 +258,171 @@ def test_local_check_rejects_a_tampered_splice(glued_corpus, monkeypatch):
 
 
 def test_splice_rejects_a_repeated_face(glued_corpus, monkeypatch):
-    _, _, host_site, _ = glued_corpus[4]
+    # the host's renaming at v puts a face it kept among the faces it gains
+    _, _, host_site, piece_site = glued_corpus[4]
     v = host_site.pair.shared_vertex
     kept = next(f for f in host_site.classification.triangulation.faces if v not in f)
+    namer = surgery._namer
 
-    def repeat_a_kept_face(piece_site, split, pair, named):
-        renames = {**named, piece_site.pair.v1: pair.v1, piece_site.pair.v2: pair.v2}
-        v = piece_site.pair.shared_vertex
-        rename = surgery._namer(v, piece_site.vertex_sides, split, renames)
+    def repeat_a_kept_face(v, sides, split):
+        rename = namer(v, sides, split)
         return lambda cells, make: (
             [kept, *rename(cells, make)[1:]] if make is surgery.face_key else rename(cells, make)
         )
 
+    monkeypatch.setattr(surgery, "_namer", repeat_a_kept_face)
+    surface = surgery._Surface(host_site.classification)
     with pytest.raises(InvariantError) as caught:
-        _tampered_splice(monkeypatch, glued_corpus[4], repeat_a_kept_face)
+        surface.splice(host_site, piece_site)
     assert str(caught.value) == f"glued face {kept} is repeated"
+
+
+def _flip_a_face_side(plan):
+    # the first face at v, put on the other side of it
+    i = next(i for i, f in enumerate(plan.faces) if 0 in f or 1 in f)
+    faces = list(plan.faces)
+    faces[i] = tuple(1 - s if s < 2 else s for s in faces[i])
+    return plan._replace(faces=faces)
+
+
+def _swap_v1_v2(plan):
+    def swapped(cell):
+        return tuple({2: 3, 3: 2}.get(s, s) for s in cell)
+
+    return plan._replace(
+        faces=list(map(swapped, plan.faces)),
+        edges=[(*swapped((a, b)), kind, head) for a, b, kind, head in plan.edges],
+        segments={k: (list(map(swapped, ps)), at) for k, (ps, at) in plan.segments.items()},
+    )
+
+
+def _drop_a_seam_offset(plan):
+    key = next(k for k, (_, at) in plan.segments.items() if at)
+    passes, at = plan.segments[key]
+    return plan._replace(segments={**plan.segments, key: (passes, at[1:])})
+
+
+def _type_a_copied_edge(plan):
+    # the first copied edge, given the type it has as if it touched the seam
+    i = next(i for i, (_, _, kind, _) in enumerate(plan.edges) if kind is None)
+    a, b, _, head = plan.edges[i]
+    edges = list(plan.edges)
+    edges[i] = (a, b, "I" if head is None else "II", None)
+    return plan._replace(edges=edges)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_flip_a_face_side, "glued face list is no closed surface: "),
+    (_swap_v1_v2, r"passes \d+ and 0 do not chain$"),
+    (_drop_a_seam_offset, r"new edge \(.*\) is passed 1 time\(s\), not twice$"),
+    (_type_a_copied_edge, r"new edge \('R.3', .*\) is passed 0 time\(s\), not twice$"),
+])
+@pytest.mark.parametrize("n", (4, 6))
+def test_a_corrupted_plan_fails_the_glue_it_splices(glued_corpus, n, corrupt, message):
+    # each fact the plan compiles is checked where the glue changed the
+    # surface: a corrupted plan fails the checks, naming the glue
+    _, _, host_site, piece_site = glued_corpus[n]
+    what = (
+        f"glued the piece at {piece_site.pair.shared_vertex} "
+        f"into the host at {host_site.pair.shared_vertex}: "
+    )
+    with pytest.raises(InvariantError, match="^" + re.escape(what) + message):
+        glue(host_site, with_plan(piece_site, corrupt))
+    # the corruption lay in the copy alone
+    assert glue(host_site, piece_site).triangulation.faces
+
+
+def _piece_sites(n: int):
+    """Every piece site of BP(n): each candidate pair resolved in both role
+    orders, so with both head directions."""
+    piece = classify(bipyramid(n), bipyramid_canonical_zorientation(n))
+    return [resolve_site(piece, p) for pair in find_piece_pairs(piece) for p in (pair, pair.swapped())]
+
+
+@pytest.fixture(scope="module")
+def splice_hosts(glued_corpus):
+    """Host classifications in both directions of their zigzag: odd
+    bipyramids, and the glued corpus's results, whose names hold R. too;
+    each with one host site per head directions it has."""
+    surfaces = [(bipyramid(n, "L."), bipyramid_canonical_zorientation(n, "L.")) for n in (3, 5)]
+    surfaces += [(t, tau) for t, tau, _, _ in glued_corpus.values()]
+    hosts = []
+    for t, tau in surfaces:
+        for orientation in (tau, tau.reversed()):
+            host = classify(t, orientation)
+            by_heads = {}
+            for pair in find_special_pairs(host):
+                site = resolve_site(host, pair)
+                by_heads.setdefault(surgery._heads(host.edge_directions, site.pair), site)
+            hosts.append((host, by_heads))
+    return hosts
+
+
+def _piece_part(host_site, piece_site, prefix):
+    """What the splice of the piece site into a fresh surface of the host
+    made of the piece, laid out as renamed_piece lays it out, read off the
+    _Change and the glued pass list; or the text of the SurgeryError it
+    raises."""
+    surface = surgery._Surface(host_site.classification)
+    lost = len(surface.vertex_faces[host_site.pair.shared_vertex])
+    try:
+        change = surface.splice(host_site, piece_site, prefix)
+    except SurgeryError as exc:
+        return str(exc)
+    segments, dirty = {}, []
+    walk = surgery._glued_walk(host_site.ends, piece_site.ends)
+    for (site, key), junction in zip(walk, change.junctions):
+        if site == 1:
+            # the piece segment of key follows its split-edge pass
+            start = junction + 1
+            length = len(piece_site.segments[key])
+            at = [r - start for r in change.dirty if start <= r < start + length]
+            segments[key] = (surface.passes[start:start + length], at)
+            dirty += [start + i for i in at]
+    # the seam passes' positions follow the junctions', in walk order
+    junctions = len(change.junctions)
+    assert change.dirty[junctions:junctions + len(dirty)] == dirty
+    return {
+        "faces": change.gained[lost:],
+        # after the host's lost - 2 edges at v but e1, e2, and the 4 halves
+        # of the split edges
+        "types": list(change.types.items())[lost + 2:],
+        "copied": change.copied,
+        "directions": list(change.directions.items()),
+        "segments": segments,
+        "type_i": change.type_i,
+    }
+
+
+@pytest.mark.parametrize("n", range(4, 17, 2))
+def test_a_planned_splice_is_the_splice_renamed_cell_by_cell(splice_hosts, n):
+    # each piece site's plan, read under a prefix sorting before the host's
+    # names, after them, between them, or none, names the piece as the
+    # renaming rule run on each of its cells would: the same faces, edge
+    # types, copied edges and directions, segment passes, seam offsets and
+    # type-I vertices, each in its order
+    spliced = failed = 0
+    for piece_site in _piece_sites(n):
+        heads = surgery._heads(piece_site.classification.edge_directions, piece_site.pair)
+        for host, by_heads in splice_hosts:
+            if heads not in by_heads:
+                continue
+            host_site = by_heads[heads]
+            pair = host_site.pair
+            split = {side: pair.shared_vertex + side for side in "+-"}
+            for prefix in ("", "R.", "0.", "~."):
+                got = _piece_part(host_site, piece_site, prefix)
+                spliced += 1
+                if isinstance(got, str):
+                    failed += 1
+                    assert got == "host and piece vertex namespaces must be disjoint"
+                    continue
+                assert got == renamed_piece(piece_site, prefix, pair.v1, pair.v2, split)
+    # every site of BP(n) splices into each host under each prefix, in the
+    # host's orientation whose heads it matches; only R. into the glued
+    # hosts, which hold R. names, fails
+    assert spliced == 2 * n * 4 * 4
+    assert failed == 2 * n * 2
 
 
 def _template_site(host_site, n: int, rename=None):

@@ -16,7 +16,7 @@ import pytest
 import zigzag_oracle as oracle
 import zigzags
 import zigzags.surgery as surgery
-from helpers import clear_templates, public_gluing_build, random_tree_spec
+from helpers import clear_templates, public_gluing_build, random_tree_spec, with_plan
 from zigzags import (
     InvariantError,
     TreeError,
@@ -289,24 +289,16 @@ def test_a_failed_glue_leaves_the_next_build_as_it_was(monkeypatch):
     # would
     before = build_digest(RUNNING)
     clear_templates()
-    glue, namer, current = surgery._Surface.glue, surgery._namer, []
+    glue = surgery._Surface.glue
 
-    def naming_glue(self, cut, piece_site, what, prefix):
-        current[:] = [what]
+    def dropping_glue(self, cut, piece_site, what, prefix):
+        # the last glue splices its shared piece site through a copy whose
+        # plan lacks the last face
+        if what == "glued node c into b":
+            piece_site = with_plan(piece_site, lambda plan: plan._replace(faces=plan.faces[:-1]))
         return glue(self, cut, piece_site, what, prefix)
 
-    def corrupting_namer(v, sides, split, renames):
-        rename = namer(v, sides, split, renames)
-
-        def renamed(cells, make):
-            out = rename(cells, make)
-            if current == ["glued node c into b"] and make is surgery.face_key and renames:
-                del out[-1]
-            return out
-        return renamed
-
-    monkeypatch.setattr(surgery._Surface, "glue", naming_glue)
-    monkeypatch.setattr(surgery, "_namer", corrupting_namer)
+    monkeypatch.setattr(surgery._Surface, "glue", dropping_glue)
     with pytest.raises(InvariantError, match="^glued node c into b: "):
         tree_build(RUNNING)
     monkeypatch.undo()
@@ -318,6 +310,8 @@ def test_glue_checks_run_under_python_O():
     # caught even where asserts are compiled away, and the message names
     # the glue that broke: here the last of three, node c into node b
     script = textwrap.dedent(f"""
+        import dataclasses
+
         import zigzags.surgery as surgery
         from zigzags import InvariantError, TreeSpec, tree_build
 
@@ -332,35 +326,40 @@ def test_glue_checks_run_under_python_O():
             current[:] = [what]
             return glue(self, cut, piece_site, what, prefix)
 
-        def corrupted(corrupt):
-            # the renaming of the last glue, with its output corrupted
-            def corrupting_namer(v, sides, split, renames):
-                rename = namer(v, sides, split, renames)
+        def leave_a_host_pass_on_v(v, sides, split):
+            # the host's renaming in the last glue, its first pass at v
+            # left unrenamed
+            rename = namer(v, sides, split)
 
-                def renamed(cells, make):
-                    out = rename(cells, make)
-                    if current == ["glued node c into b"]:
-                        corrupt(cells, make, bool(renames), out)
-                    return out
-                return renamed
-            return corrupting_namer
+            def renamed(cells, make):
+                out = rename(cells, make)
+                if current == ["glued node c into b"] and make is surgery._renamed_pass:
+                    out[0] = cells[0]
+                return out
+            return renamed
 
-        def leave_a_host_pass_on_v(cells, make, piece, out):
-            if make is surgery._renamed_pass and not piece:
-                out[0] = cells[0]
+        def drop_a_piece_face(self, cut, piece_site, what, prefix):
+            # the last glue's piece site, copied with its plan's last face
+            # dropped
+            if what == "glued node c into b":
+                plan = piece_site._plan
+                piece_site = dataclasses.replace(piece_site)
+                vars(piece_site)["_plan"] = plan._replace(faces=plan.faces[:-1])
+            return naming_glue(self, cut, piece_site, what, prefix)
 
-        def drop_a_piece_face(cells, make, piece, out):
-            if make is surgery.face_key and piece:
-                del out[-1]
-
-        surgery._Surface.glue = naming_glue
-        for corrupt in (leave_a_host_pass_on_v, drop_a_piece_face):
-            surgery._namer = corrupted(corrupt)
+        def failure():
             try:
                 tree_build(spec)
             except InvariantError as exc:
-                print(str(exc).splitlines()[0])
+                return str(exc)
+
+        surgery._Surface.glue = naming_glue
+        surgery._namer = leave_a_host_pass_on_v
+        print(failure().splitlines()[0])
         surgery._namer = namer
+        surgery._Surface.glue = drop_a_piece_face
+        print(failure().splitlines()[0])
+        surgery._Surface.glue = naming_glue
 
         # the last glue keeps the host's zigzag, which the glued one never is
         splice = surgery._Surface.splice
@@ -373,10 +372,7 @@ def test_glue_checks_run_under_python_O():
             return change
 
         surgery._Surface.splice = keep_the_hosts_zigzag
-        try:
-            tree_build(spec)
-        except InvariantError as exc:
-            print(exc)
+        print(failure())
     """)
     src = str(Path(zigzags.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}

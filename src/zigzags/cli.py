@@ -237,6 +237,8 @@ def _parse_pair(arg: str) -> SpecialPair:
     parts = [x.strip() for x in arg.split(",")]
     if len(parts) != 3 or not all(parts):
         raise UsageError(f"pair must be three comma-separated vertices u,v,w, got {arg!r}")
+    if len(set(parts)) != 3:
+        raise UsageError(f"pair must be three distinct vertices u,v,w, got {arg!r}")
     u, v, w = parts
     return SpecialPair(edge_key(u, v), edge_key(v, w), v)
 

@@ -327,17 +327,17 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     Every glue runs in place on one growing surface (surgery._Surface): the
     host pair is resolved on it by the rule resolve_site follows, and the
     piece is spliced in under the node's prefix.  Each label's bipyramid is
-    built and classified once per process, unprefixed, into a template
-    every build of the process shares: the root's surface is built from its
+    built and classified once per process, unprefixed, into a template every
+    build of the process shares: the root's surface is built from its
     label's template under the root's prefix, and a piece label's site is
     resolved on its template once per wanted head directions and compiled,
     on its first glue, into the slot plan every later glue of it splices
-    from under its own prefix.
-    Each glue is checked at the cost of what it changed, and the finished
-    sphere audited once in full, as glue audits its result, and for Euler
-    characteristic 2 and two type-I vertices per node.  Raises
-    InvariantError, naming the glue, when a glue fails its checks or the
-    finished build its audit.
+    from under its own prefix.  Each glue checks every cell it wrote, the
+    host's at v, the split edges and all of the piece's, by one rule at the
+    cost of what it changed, and the finished sphere is audited once in
+    full, as glue audits its result, and for Euler characteristic 2 and two
+    type-I vertices per node.  Raises InvariantError, naming the glue, when
+    a glue fails its checks or the finished build its audit.
     """
     report = validate_tree(spec)
     if not report.ok:

@@ -50,38 +50,40 @@ Every entry point checks each classification it takes for the role it
 fills by one rule, _require_site: homogeneity first, then the census.
 
 Gluing renames vertices by one rule, for faces, passes and edges alike: v
-becomes v+ or v-, the side of the first interior link vertex of the face
-or edge it lies on (_side), the piece's v1, v2 take the host's names, and
-its other vertices take a prefix (tree_build's node<id>.), so one
-unprefixed piece serves many gluings.  A piece cell off v, v1 and v2 keeps
-its type.  Only the prefix and the host's names change from one gluing of
-a piece site to the next, so each piece site compiles the rule once, on
-first use, into a slot plan (GluingSite._plan): every piece face, edge and
-segment pass as slots of one name list, v+, v-, the host's v1, v2 and the
-prefixed others.  A glue builds that list and keys each planned cell; the
-host's cells at v are renamed by the rule directly (_namer).  A _Surface is
-built from a classification under a prefix the same way: a common prefix
-keeps every key's order, so one unprefixed analysis of a root serves every
-tree build of a process, as one piece site and its plan serve every glue.
+becomes v+ or v-, the side of the first interior link vertex of the face or
+edge it lies on (_side), the piece's v1, v2 take the host's names, and its
+other vertices take a prefix (tree_build's node<id>.), so one unprefixed
+piece serves many gluings.  Only the prefix and the host's names change from
+one gluing of a piece site to the next, so each piece site compiles the rule
+once, on first use, into a slot plan (GluingSite._plan): every piece face,
+edge with its type and segment pass as slots of one name list, v+, v-, the
+host's v1, v2 and the prefixed others.  A glue builds that list and keys
+each planned cell; the host's cells at v are renamed by the rule directly
+(_namer).  A _Surface is built from a classification under a prefix the same
+way: a common prefix keeps every key's order, so one unprefixed analysis of
+a root serves every tree build of a process, as one piece site and its plan
+serve every glue.
 
 All glue outputs are verified rather than trusted.  A _Surface holds a
 growing surface, and each glue changes it in place: only the faces and
 passes at v are renamed, the piece's faces are appended, and the glued walk
 rearranges the host's four arcs around the split edges' passes and the
 piece's renamed segments.  Each glue is then checked at the cost of what it
-changed: the edges and vertices it touched lie in two faces and have a
-one-cycle link; the V, E, F sums hold; where the zigzag changed, its passes
-chain, its turns follow the successor rule and its II,I,I phase holds; each
-split or new edge is passed twice with the type of the edge it came from,
-the split copies type II; every new face is type I; and each touched vertex
-keeps its type.  A finished surface is audited once in full: its
-Triangulation is validated, the zigzag is walked as its only zigzag
-(engine._sole_zigzag_shadow), and classify, homogeneity and the type-I
-vertices are checked.  Any failure raises InvariantError, an explicit check
-that also runs under python -O, and a failed glue check names the glue.
-glue runs one gluing on a copy of the host, along the host site as it was
-resolved, and audits the result; generators.tree_build runs all of a
-tree's gluings on one surface, resolving each host pair on it, and audits
+changed, by one rule for every cell it wrote, the host's cells at v, the
+split edges and all of the piece's cells alike: the edges and vertices it
+touched lie in two faces and have a one-cycle link; the V, E, F sums hold;
+where the zigzag changed, its passes chain, its turns follow the successor
+rule and its II,I,I phase holds across each junction; each new edge is
+passed twice with the type of the edge it came from, the split copies type
+II, and a type-II one takes the direction its passes read; every new face is
+type I; and each touched vertex keeps its type.  A finished surface is
+audited once in full: its Triangulation is validated, the zigzag is walked
+as its only zigzag (engine._sole_zigzag_shadow), and classify, homogeneity
+and the type-I vertices are checked.  Any failure raises InvariantError, an
+explicit check that also runs under python -O, and a failed glue check names
+the glue.  glue runs one gluing on a copy of the host, along the host site
+as it was resolved, and audits the result; generators.tree_build runs all of
+a tree's gluings on one surface, resolving each host pair on it, and audits
 it once.
 """
 
@@ -200,16 +202,13 @@ class _Plan(NamedTuple):
     """A piece site's renaming rule, decided for each of its cells (see
     Gluing renames above) but the names: a cell holds slots into a glue's
     name list, where slot 0 is v+, 1 is v-, 2 and 3 are the host's v1 and
-    v2, and slot i from 4 is the prefix + vertices[i - 1]."""
+    v2, and slot i from 4 is the prefix + vertices[i - 1].  A glue checks
+    every cell it names from the plan, so the plan marks none as trusted."""
 
     vertices: tuple[str, ...]  # the piece's v, v1, v2, then the vertex of slots 4, 5, ...
     faces: list[tuple[int, ...]]  # each face, in the piece's face order
-    # each edge but e1, e2, in the piece's edge order, with its type when it
-    # touches v, v1 or v2, else None and its direction when it is type II
-    edges: list[tuple[int, int, str | None, tuple[int, ...] | None]]
-    # each key -> its segment's passes as (src, dst), and the offsets of the
-    # passes over edges that touch v, v1 or v2
-    segments: dict[str, tuple[list[tuple[int, ...]], list[int]]]
+    edges: list[tuple[int, int, str]]  # each edge but e1, e2, in edge order, with its type
+    segments: dict[str, list[tuple[int, ...]]]  # each key -> its segment's passes as (src, dst)
     type_i: tuple[int, ...]  # the piece's type-I vertices
 
 
@@ -259,20 +258,12 @@ class GluingSite:
         def slots(cell) -> tuple[int, ...]:
             return tuple(half[_side(cell, sides)] if u == v else slot[u] for u in cell)
 
-        edges = []
-        for e in tp.edges:
-            if e != pair.e1 and e != pair.e2:
-                a, b = slots(e)
-                if a < 4 or b < 4:
-                    edges.append((a, b, piece.edge_types[e], None))
-                else:
-                    head = piece.edge_directions.get(e)
-                    head = head if head is None else tuple(map(slot.get, head))
-                    edges.append((a, b, None, head))
-        segments = {}
-        for key, segment in self.segments.items():
-            passes = [slots((src, dst)) for _, src, dst in segment]
-            segments[key] = (passes, [i for i, (a, b) in enumerate(passes) if a < 4 or b < 4])
+        types = piece.edge_types
+        edges = [(*slots(e), types[e]) for e in tp.edges if e != pair.e1 and e != pair.e2]
+        segments = {
+            key: [slots((src, dst)) for _, src, dst in segment]
+            for key, segment in self.segments.items()
+        }
         type_i = tuple(map(slot.get, piece.type_i_vertices))
         return _Plan(vertices, list(map(slots, tp.faces)), edges, segments, type_i)
 
@@ -666,7 +657,8 @@ class _Cut(NamedTuple):
 
 
 class _Change(NamedTuple):
-    """What one splice changed, for its checks."""
+    """What one splice changed, for its checks: every cell it renamed,
+    split or brought in from the piece."""
 
     sizes: tuple[int, int, int]  # the V, E, F the glued surface must have
     gained: list[Face]  # the renamed faces at v and the piece's faces
@@ -674,11 +666,9 @@ class _Change(NamedTuple):
     vertices: dict[str, tuple[list, list]]  # each vertex of one -> its lost, gained faces
     born: list[Edge]  # the edges new to the surface
     fresh: set[str]  # the vertices new to the surface
-    types: dict[Edge, str]  # each renamed or split edge -> the type it must have
-    copied: list[Edge]  # the other piece edges
-    directions: dict[Edge, tuple[str, str]]  # each copied type-II edge -> its direction
+    types: dict[Edge, str]  # each renamed, split or piece edge -> the type it must have
     junctions: list[int]  # the positions of the split edges' passes
-    dirty: list[int]  # the positions of the split and renamed passes
+    dirty: list[int]  # the positions of the split, renamed and piece passes
     type_i: set[str]  # the piece's type-I vertices
 
 
@@ -698,7 +688,8 @@ class _Surface:
     built under it.  A glue costs what it changes plus list.index scans and
     list slices, which run in C; no Python loop runs over the host's faces,
     edges or passes, and the piece's cells are named from its site's plan,
-    one list lookup per vertex, with no renaming rule run.
+    one list lookup per vertex, with no renaming rule run, then checked by
+    the rule that checks the host's renamed cells.
     """
 
     def __init__(self, host: Classification, prefix: str = "") -> None:
@@ -783,24 +774,15 @@ class _Surface:
         )
 
         # each new edge and the type of the edge it came from: the renamed
-        # edges at v and at the piece's v, v1, v2, the pair edges' split
-        # copies type II, and the piece's other edges, copied
+        # edges at v, the pair edges' split copies type II, and the piece's
+        # other edges
         lost = self.vertex_faces[v]
         at_v = sorted({e for f in lost for e in _face_edges(f) if v in e} - pair.edges())
         kinds = ("II" if e in self.edge_directions else "I" for e in at_v)
         types = dict(zip(host_rename(at_v, edge_key), kinds))
         halves = split.values()
         types.update((edge_key(half, w), "II") for w in (pair.v1, pair.v2) for half in halves)
-        copied: list[Edge] = []
-        directions: dict[Edge, tuple[str, str]] = {}
-        for a, b, kind, head in plan.edges:
-            g = edge_key(names[a], names[b])
-            if kind is not None:
-                types[g] = kind
-            else:
-                copied.append(g)
-                if head is not None:
-                    directions[g] = (names[head[0]], names[head[1]])
+        types.update((edge_key(names[a], names[b]), kind) for a, b, kind in plan.edges)
 
         gained = host_rename(lost, face_key)
         gained += [face_key(names[a], names[b], names[c]) for a, b, c in plan.faces]
@@ -811,16 +793,15 @@ class _Surface:
         heads = {"1": self.edge_directions[pair.e1], "2": self.edge_directions[pair.e2]}
         new: list[Pass] = []
         junctions: list[int] = []  # where the split edges' passes lie in new
-        dirty: list[int] = []  # where the renamed passes lie in new
+        dirty: list[int] = []  # where the piece's passes lie in new
         for site, key in _glued_walk(host.ends, piece_site.ends):
             junctions.append(len(new))
             new.append(make_pass(*(split[key[1]] if x == v else x for x in heads[key[0]])))
-            start = len(new)
             if site == 0:
                 new += host.segments[key]
             else:
-                passes, seam_at = plan.segments[key]
-                dirty += [start + i for i in seam_at]
+                passes = plan.segments[key]
+                dirty += range(len(new), len(new) + len(passes))
                 new += [make_pass(names[a], names[b]) for a, b in passes]
         # the host's passes at v take their renamed edges where they lie
         self.passes = new
@@ -830,7 +811,7 @@ class _Surface:
         # a piece's type-I vertices are off its pair, so they take the prefix
         type_i = {names[x] for x in plan.type_i}
         return _Change(
-            sizes, gained, edges, vertices, born, fresh, types, copied, directions, junctions,
+            sizes, gained, edges, vertices, born, fresh, types, junctions,
             junctions + dirty + moved, type_i,
         )
 
@@ -853,9 +834,10 @@ class _Surface:
         return sorted(edges), vertices, born, set(fresh)
 
     def check(self, change: _Change) -> None:
-        """The checks of one splice, each at the cost of what it changed (see
-        the module docstring); they bring the type-II directions and ends
-        and the type-I vertices up to date.  Raises InvariantError."""
+        """The checks of one splice, each at the cost of what it changed, one
+        rule for every new cell, the piece's included (see the module
+        docstring); they bring the type-II directions and ends and the
+        type-I vertices up to date.  Raises InvariantError."""
         ef, vf, born = self.edge_faces, self.vertex_faces, set(change.born)
         violations = _edge_violations(ef, [e for e in change.edges if e in ef])
         # a new vertex's whole link is walked, an old one's where it changed
@@ -875,13 +857,14 @@ class _Surface:
         n = len(ps)
         if n != 2 * len(ef):
             raise InvariantError(f"zigzag has {n} passes, not 2E = {2 * len(ef)}")
-        strays = born ^ change.types.keys() ^ set(change.copied)
+        strays = born ^ change.types.keys()
         if strays:
             raise InvariantError(f"edge {min(strays)} is not both new and renamed from an edge")
 
         # the walk where a pass is new or renamed: its passes chain and turn
-        # in faces, a different face after each pass.  Elsewhere two passes
-        # turn as they did in host or piece, in a face that kept its key
+        # in faces, a different face after each pass, each position tested
+        # once.  Elsewhere two host passes turn as they did in the host, in
+        # a face that kept its key
         turns: dict[int, Face] = {}
 
         def turn(i: int) -> Face:
@@ -894,20 +877,18 @@ class _Surface:
                     raise InvariantError(f"passes {i} and {(i + 1) % n} turn in no face")
             return turns[i]
 
-        for d in change.dirty:
-            for i in (d - 1, d, d + 1):
-                if turn(i - 1) == turn(i):
-                    raise InvariantError(
-                        f"zigzag turns twice in face {turn(i)} at position {i % n}"
-                    )
+        for i in dict.fromkeys(i % n for d in change.dirty for i in (d - 1, d, d + 1)):
+            if turn(i - 1) == turn(i):
+                raise InvariantError(f"zigzag turns twice in face {turn(i)} at position {i}")
 
-        # each renamed or split edge passed twice, with the type it must have
+        # each new edge passed twice, with the type it must have, and a
+        # type-II one's direction read off its passes
         passed: dict[Edge, list[tuple[str, str]]] = {}
         for d in change.dirty:
             e, src, dst = ps[d]
             passed.setdefault(e, []).append((src, dst))
         directions, ends = self.edge_directions, self.ii_ends
-        born_directions = dict(change.directions)
+        born_directions: dict[Edge, tuple[str, str]] = {}
         for e, kind in change.types.items():
             got = passed.pop(e, [])
             if len(got) != 2:

@@ -169,39 +169,22 @@ def renamed_piece(piece_site, prefix: str, v1: str, v2: str, split: dict) -> dic
     renaming_namer, with the piece's v1, v2 taking the names v1, v2, its
     split vertex split["+"] or split["-"], and its other vertices the
     prefix: the reference for the slot plan the site compiles.  Holds the
-    piece's faces, the types of its edges at v, v1 or v2 and the other
-    edges, copied, with the directions of the type-II ones (each in the
-    piece's edge order), each key's segment passes with the offsets of
-    those over an edge at v, v1 or v2, and the type-I vertices."""
+    piece's faces, each edge but e1, e2 with its type (in the piece's edge
+    order), each key's segment passes, and the type-I vertices."""
     piece, pair = piece_site.classification, piece_site.pair
     tp = piece.triangulation
     named = {u: prefix + u for u in tp.vertices}
     rename = renaming_namer(
         pair.shared_vertex, piece_site.vertex_sides, split, {**named, pair.v1: v1, pair.v2: v2}
     )
-    seam = {pair.shared_vertex, pair.v1, pair.v2}
     at_piece = [e for e in tp.edges if e != pair.e1 and e != pair.e2]
-    types, copied, directions = [], [], []
-    for e, g in zip(at_piece, rename(at_piece, edge_key)):
-        if seam.intersection(e):
-            types.append((g, piece.edge_types[e]))
-        else:
-            copied.append(g)
-            if e in piece.edge_directions:
-                directions.append((g, tuple(map(named.get, piece.edge_directions[e]))))
-    segments = {
-        key: (
-            rename(segment, lambda _edge, src, dst: make_pass(src, dst)),
-            [i for i, (e, _, _) in enumerate(segment) if seam.intersection(e)],
-        )
-        for key, segment in piece_site.segments.items()
-    }
     return {
         "faces": rename(tp.faces, face_key),
-        "types": types,
-        "copied": copied,
-        "directions": directions,
-        "segments": segments,
+        "types": list(zip(rename(at_piece, edge_key), map(piece.edge_types.get, at_piece))),
+        "segments": {
+            key: rename(segment, lambda _edge, src, dst: make_pass(src, dst))
+            for key, segment in piece_site.segments.items()
+        },
         "type_i": {named[x] for x in piece.type_i_vertices},
     }
 

@@ -316,6 +316,17 @@ def test_glue_rejects_a_pair_of_two_vertices(tmp_path, capsys):
     assert err == "usage error: pair must be three comma-separated vertices u,v,w, got 'L.1,L.2'\n"
 
 
+@pytest.mark.parametrize("option", ("--host-pair", "--piece-pair"))
+@pytest.mark.parametrize("pair", ("L.1,L.1,L.2", "L.1,L.2,L.1"))
+def test_glue_rejects_a_pair_that_repeats_a_vertex(tmp_path, capsys, option, pair):
+    # a vertex named twice is a malformed pair, whichever place it repeats
+    args = glue_args(tmp_path, capsys)
+    args[args.index(option) + 1] = pair
+    rc, out, err = run(capsys, *args)
+    assert (rc, out) == (2, "")
+    assert err == f"usage error: pair must be three distinct vertices u,v,w, got {pair!r}\n"
+
+
 def test_glue_refuses_to_search_too_many_z_orientations(tmp_path, capsys):
     # the 7 x 7 grid torus has 21 zigzags, and no --host-zorient was given
     args = glue_args(tmp_path, capsys)

@@ -227,8 +227,8 @@ def _keep_v1(plan):
     return plan._replace(
         vertices=(*plan.vertices, plan.vertices[1]),
         faces=list(map(moved, plan.faces)),
-        edges=[(*moved((a, b)), kind, head) for a, b, kind, head in plan.edges],
-        segments={k: (list(map(moved, ps)), at) for k, (ps, at) in plan.segments.items()},
+        edges=[(*moved((a, b)), kind) for a, b, kind in plan.edges],
+        segments={k: list(map(moved, ps)) for k, ps in plan.segments.items()},
     )
 
 
@@ -291,36 +291,47 @@ def _swap_v1_v2(plan):
 
     return plan._replace(
         faces=list(map(swapped, plan.faces)),
-        edges=[(*swapped((a, b)), kind, head) for a, b, kind, head in plan.edges],
-        segments={k: (list(map(swapped, ps)), at) for k, (ps, at) in plan.segments.items()},
+        edges=[(*swapped((a, b)), kind) for a, b, kind in plan.edges],
+        segments={k: list(map(swapped, ps)) for k, ps in plan.segments.items()},
     )
 
 
-def _drop_a_seam_offset(plan):
-    key = next(k for k, (_, at) in plan.segments.items() if at)
-    passes, at = plan.segments[key]
-    return plan._replace(segments={**plan.segments, key: (passes, at[1:])})
+def _off_seam(cell) -> bool:
+    """Whether a planned edge or pass lies off v, v1 and v2, the vertices of
+    slots 0 to 3."""
+    return min(cell) >= 4
 
 
-def _type_a_copied_edge(plan):
-    # the first copied edge, given the type it has as if it touched the seam
-    i = next(i for i, (_, _, kind, _) in enumerate(plan.edges) if kind is None)
-    a, b, _, head = plan.edges[i]
+def _reverse_an_off_seam_pass(plan):
+    # the first pass off the seam, in the first segment holding one, reversed
+    key, i = next(
+        (k, i) for k, ps in plan.segments.items() for i, p in enumerate(ps) if _off_seam(p)
+    )
+    passes = list(plan.segments[key])
+    passes[i] = passes[i][::-1]
+    return plan._replace(segments={**plan.segments, key: passes})
+
+
+def _retype_an_off_seam_edge(plan):
+    # the first type-I edge off the seam given type II
+    i = next(i for i, (a, b, kind) in enumerate(plan.edges) if _off_seam((a, b)) and kind == "I")
+    a, b, _ = plan.edges[i]
     edges = list(plan.edges)
-    edges[i] = (a, b, "I" if head is None else "II", None)
+    edges[i] = (a, b, "II")
     return plan._replace(edges=edges)
 
 
 @pytest.mark.parametrize("corrupt, message", [
     (_flip_a_face_side, "glued face list is no closed surface: "),
     (_swap_v1_v2, r"passes \d+ and 0 do not chain$"),
-    (_drop_a_seam_offset, r"new edge \(.*\) is passed 1 time\(s\), not twice$"),
-    (_type_a_copied_edge, r"new edge \('R.3', .*\) is passed 0 time\(s\), not twice$"),
+    (_reverse_an_off_seam_pass, r"passes \d+ and \d+ do not chain$"),
+    (_retype_an_off_seam_edge, r"new edge \('R.\w', 'R.\w'\) is not type II$"),
 ])
 @pytest.mark.parametrize("n", (4, 6))
 def test_a_corrupted_plan_fails_the_glue_it_splices(glued_corpus, n, corrupt, message):
     # each fact the plan compiles is checked where the glue changed the
-    # surface: a corrupted plan fails the checks, naming the glue
+    # surface, off the seam as on it: a corrupted plan fails the checks,
+    # naming the glue
     _, _, host_site, piece_site = glued_corpus[n]
     what = (
         f"glued the piece at {piece_site.pair.shared_vertex} "
@@ -376,10 +387,9 @@ def _piece_part(host_site, piece_site, prefix):
             # the piece segment of key follows its split-edge pass
             start = junction + 1
             length = len(piece_site.segments[key])
-            at = [r - start for r in change.dirty if start <= r < start + length]
-            segments[key] = (surface.passes[start:start + length], at)
-            dirty += [start + i for i in at]
-    # the seam passes' positions follow the junctions', in walk order
+            segments[key] = surface.passes[start:start + length]
+            dirty += range(start, start + length)
+    # every piece pass's position follows the junctions', in walk order
     junctions = len(change.junctions)
     assert change.dirty[junctions:junctions + len(dirty)] == dirty
     return {
@@ -387,8 +397,6 @@ def _piece_part(host_site, piece_site, prefix):
         # after the host's lost - 2 edges at v but e1, e2, and the 4 halves
         # of the split edges
         "types": list(change.types.items())[lost + 2:],
-        "copied": change.copied,
-        "directions": list(change.directions.items()),
         "segments": segments,
         "type_i": change.type_i,
     }
@@ -399,8 +407,8 @@ def test_a_planned_splice_is_the_splice_renamed_cell_by_cell(splice_hosts, n):
     # each piece site's plan, read under a prefix sorting before the host's
     # names, after them, between them, or none, names the piece as the
     # renaming rule run on each of its cells would: the same faces, edge
-    # types, copied edges and directions, segment passes, seam offsets and
-    # type-I vertices, each in its order
+    # types, segment passes and type-I vertices, each in its order, and
+    # every piece pass among the positions the glue checks
     spliced = failed = 0
     for piece_site in _piece_sites(n):
         heads = surgery._heads(piece_site.classification.edge_directions, piece_site.pair)
@@ -502,9 +510,17 @@ def _wrong_split_type(surface, change):
 
 
 def _wrong_piece_type(surface, change):
-    # a copied type-I edge given a direction, so made type II
-    edge = next(e for e in change.copied if e not in change.directions)
-    return change._replace(directions={**change.directions, edge: edge})
+    # a piece's type-I edge given a direction, so made type II
+    edge = next(e for e, kind in change.types.items() if kind == "I" and e[0].startswith("R."))
+    surface.edge_directions[edge] = edge
+    return change
+
+
+def _drop_a_piece_position(surface, change):
+    # the first piece pass of the glued walk, left out of the positions
+    # checked
+    piece_at = change.dirty[len(change.junctions)]
+    return change._replace(dirty=[d for d in change.dirty if d != piece_at])
 
 
 def _broken_phase(surface, change):
@@ -520,7 +536,8 @@ def _broken_phase(surface, change):
 
 @pytest.mark.parametrize("corrupt, message", [
     (lambda s, c: c._replace(sizes=(0, 0, 0)), "glued V, E, F are not the sums"),
-    (lambda s, c: c._replace(copied={}), r"edge \(.*\) is not both new and renamed"),
+    (lambda s, c: c._replace(types=dict(list(c.types.items())[:-1])),
+     r"edge \(.*\) is not both new and renamed"),
     (_wrong_split_type, r"new edge \('L.1\+', 'L.3'\) is not type I$"),
     (_wrong_piece_type, r"glued face \(.*\) is not type I$"),
     (_broken_phase, "zigzag breaks its II,I,I phase at position 0$"),
@@ -534,6 +551,17 @@ def test_each_check_names_the_fact_that_broke(glued_corpus, corrupt, message):
     change = surface.splice(host_site, piece_site)
     with pytest.raises(InvariantError, match=message):
         surface.check(corrupt(surface, change))
+
+
+@pytest.mark.parametrize("n", (4, 6))
+def test_a_dropped_piece_position_fails_the_check(glued_corpus, n):
+    # the glue checks every piece pass's position, on the seam or off it: a
+    # change that leaves one out has its edge passed once where it changed
+    _, _, host_site, piece_site = glued_corpus[n]
+    surface = surgery._Surface(host_site.classification)
+    change = surface.splice(host_site, piece_site)
+    with pytest.raises(InvariantError, match=r"new edge \(.*\) is passed 1 time\(s\), not twice$"):
+        surface.check(_drop_a_piece_position(surface, change))
 
 
 @pytest.mark.parametrize("prefix", ("", "node0.", "x."))

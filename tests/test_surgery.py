@@ -18,10 +18,13 @@ from zigzags import (
     SpecialPair,
     SurgeryError,
     TreeSpec,
+    Triangulation,
+    all_z_orientations,
     bipyramid,
     bipyramid_canonical_zorientation,
     check_compatibility,
     classify,
+    enumerate_zigzags,
     find_piece_pairs,
     find_special_pairs,
     glue,
@@ -561,6 +564,53 @@ def test_glue_counts_add_up(glued_corpus):
         assert len(t.faces) == host_f + len(piece.faces)
         seg_total = sum(len(piece_site.segments[k]) for k in ("1+", "1-", "2+", "2-"))
         assert len(tau.chosen[0]) == (host_z - 4) + seg_total + 8
+
+
+def flipped_pieces(seed: int, tries: int) -> list:
+    """Pieces that are no bipyramid: random 2-2 flips of BP(4..12), 1 to 2n
+    flips each, kept when they have two or four zigzags, a degree sequence
+    unlike any bipyramid's, and a homogeneous z-orientation with a piece
+    pair; each classified under the first such orientation."""
+    rng = random.Random(seed)
+    bases = {n: bipyramid(n, "R.") for n in range(4, 13)}
+    pieces = []
+    for _ in range(tries):
+        n = rng.randint(4, 12)
+        t = random_flips(bases[n], rng, rng.randint(1, 2 * n))
+        if len(enumerate_zigzags(t)) not in (2, 4):
+            continue
+        m = len(t.vertices) - 2
+        if sorted(len(t.vertex_link(u)) for u in t.vertices) == sorted([4] * m + [m, m]):
+            continue
+        for tau in all_z_orientations(t):
+            cls = classify(t, tau)
+            if cls.homogeneous and find_piece_pairs(cls):
+                pieces.append(cls)
+                break
+    return pieces
+
+
+def test_glue_takes_pieces_that_are_no_bipyramid():
+    # the gluing beyond bipyramid pieces: each flipped piece glued at every
+    # special pair of BP(3) and BP(5) gives one zigzag on a fresh
+    # enumeration, the one predict_glued_zigzag assembles, and it is
+    # homogeneous
+    pieces = flipped_pieces(7, 3000)
+    assert [len(p.triangulation.vertices) for p in pieces] == [12, 10, 10, 10, 10, 10]
+    glued = 0
+    for host in (canonical(3, "L."), canonical(5, "L.")):
+        for host_pair in find_special_pairs(host):
+            for piece in pieces:
+                host_site, piece_site = plan_gluing(host, host_pair, piece, find_piece_pairs(piece))
+                fresh = Triangulation(glue(host_site, piece_site).triangulation.faces)
+                (z,) = enumerate_zigzags(fresh)
+                predicted = predict_glued_zigzag(host_site, piece_site)
+                assert predicted in (z, z.reverse())
+                tau = make_z_orientation(fresh, (0 if predicted == z else 1,))
+                assert tau.chosen[0] == predicted
+                assert is_homogeneous(fresh, tau)
+                glued += 1
+    assert glued == 8 * len(pieces)
 
 
 def test_glue_rejects_swapped_roles():

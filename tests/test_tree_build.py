@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -15,6 +16,7 @@ import pytest
 
 import zigzag_oracle as oracle
 import zigzags
+import zigzags.generators as generators
 import zigzags.surgery as surgery
 from helpers import clear_templates, public_gluing_build, random_tree_spec, with_plan
 from zigzags import (
@@ -26,6 +28,7 @@ from zigzags import (
     enumerate_zigzags,
     is_homogeneous,
     is_z_knotted,
+    make_pass,
     serialize_triangulation,
     tree_build,
     validate_tree,
@@ -142,10 +145,11 @@ def _rooted_shapes(n: int) -> set[tuple]:
     return {shape(ps, 0) for ps in product(*(range(i) for i in range(1, n)))}
 
 
-def small_tree_specs(max_nodes: int) -> list[TreeSpec]:
+def small_tree_specs(max_nodes: int, max_label: int = 6) -> list[TreeSpec]:
     """Every spec on a rooted tree shape of at most max_nodes nodes under
-    every valid labelling with labels of at most 6: the root 3 or 5, each
-    other node 4 or 6, each node's label allowing its degree."""
+    every valid labelling with labels of at most max_label: the root odd
+    from 3, each other node even from 4, each node's label allowing its
+    degree."""
     specs = []
     for n in range(1, max_nodes + 1):
         for root in sorted(_rooted_shapes(n)):
@@ -157,8 +161,9 @@ def small_tree_specs(max_nodes: int) -> list[TreeSpec]:
                     edges.append((f"n{node}", f"n{len(degrees)}"))
                     stack.append((child, len(degrees)))
                     degrees.append(len(child) + 1)
-            choices = [[lab for lab in (3, 5) if (lab - 1) // 2 >= degrees[0]]]
-            choices += [[lab for lab in (4, 6) if lab // 2 >= d] for d in degrees[1:]]
+            roots, others = range(3, max_label + 1, 2), range(4, max_label + 1, 2)
+            choices = [[lab for lab in roots if (lab - 1) // 2 >= degrees[0]]]
+            choices += [[lab for lab in others if lab // 2 >= d] for d in degrees[1:]]
             for labels in product(*choices):
                 nodes = tuple((f"n{i}", lab) for i, lab in enumerate(labels))
                 specs.append(TreeSpec(nodes, tuple(edges)))
@@ -168,10 +173,15 @@ def small_tree_specs(max_nodes: int) -> list[TreeSpec]:
 def test_every_small_tree_builds_the_theorem_sphere():
     # the tree theorem at small sizes, checked by a fresh analysis: one
     # zigzag, a homogeneous orientation, two type-I vertices per node, and
-    # V, E, F the sums over the nodes' bipyramids less the glued vertices
+    # V, E, F the sums over the nodes' bipyramids less the glued vertices.
+    # Every tree of at most 5 nodes with labels of at most 6, and a fixed
+    # sample of those of at most 6 nodes with labels of at most 8, whose
+    # BP(8) pieces hold the most cells off the seam
     specs = small_tree_specs(5)
     assert len(specs) == 154
-    for spec in specs:
+    larger = small_tree_specs(6, 8)
+    assert len(larger) == 7671
+    for spec in specs + random.Random(0).sample(larger, 300):
         t, tau, _ = tree_build(spec)
         fresh = Triangulation(t.faces)
         (zigzag,) = enumerate_zigzags(fresh)
@@ -303,6 +313,36 @@ def test_a_failed_glue_leaves_the_next_build_as_it_was(monkeypatch):
         tree_build(RUNNING)
     monkeypatch.undo()
     assert build_digest(RUNNING) == before
+
+
+def _far_pass_reversed(site):
+    """A copy of a piece site whose segments, and so its slot plan, hold
+    one pass reversed: a pass off v, v1 and v2 lying three or more
+    positions from each pass that touches one of them, in the glued walk,
+    where every piece segment lies between two split-edge passes at v."""
+    pair = site.pair
+    seam = {pair.shared_vertex, pair.v1, pair.v2}
+    for key, segment in site.segments.items():
+        near = [-1, len(segment)]
+        near += [i for i, p in enumerate(segment) if p.src in seam or p.dst in seam]
+        for i, p in enumerate(segment):
+            if all(abs(i - j) >= 3 for j in near):
+                reversed_ = (*segment[:i], make_pass(p.dst, p.src), *segment[i + 1:])
+                return dataclasses.replace(site, segments={**site.segments, key: reversed_})
+    raise AssertionError("no piece pass lies three positions from the seam")
+
+
+def test_a_glue_checks_the_piece_passes_far_from_the_seam(monkeypatch):
+    # a glue checks each pass it writes, however far from the seam: a piece
+    # pass reversed three or more positions from every pass at v, v1 or v2
+    # fails the glue that wrote it, not just the final audit
+    spec = TreeSpec((("r", 3), ("x", 12)), (("r", "x"),))
+    template_site = generators._template_site
+    monkeypatch.setattr(
+        generators, "_template_site", lambda n, wanted: _far_pass_reversed(template_site(n, wanted))
+    )
+    with pytest.raises(InvariantError, match=r"^glued node x into r: passes \d+ and \d+ do not chain$"):
+        tree_build(spec)
 
 
 def test_glue_checks_run_under_python_O():

@@ -31,9 +31,14 @@ passes at a and m enter faces on the same side.  This same-side rule
 (_reads_forward) reads a host role order in O(1) from the pass positions:
 find_special_pairs emits each pair in it without labeling a site, and
 plan_gluing and tree builds take it for a host pair given in either
-order.  A piece pair resolves in both orders, and plan_gluing takes the one
-whose edges point at the shared vertex the way the host's do.  resolve_site
-never reorders: it resolves the pair as given or raises SurgeryError.
+order.  Its side test has two parts: a fact per (vertex, edge), the link
+positions its passes turn toward (_turns), and a per-pair part reading the
+four sides off two facts (_pass_sides).  find_special_pairs walks each
+shared vertex's link once and derives each fact once, so a candidate costs
+O(1) and reads no face; only _labeling reads the faces the passes enter.
+A piece pair resolves in both orders, and plan_gluing takes the one whose
+edges point at the shared vertex the way the host's do.  resolve_site never
+reorders: it resolves the pair as given or raises SurgeryError.
 
 Every function here takes the Classification of a (t, tau), the one
 analysis classify(t, tau) builds once t passes its closed-surface check,
@@ -167,10 +172,11 @@ class SpecialPair:
     shared_vertex: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "e1", edge_key(*self.e1))
-        object.__setattr__(self, "e2", edge_key(*self.e2))
-        shared = set(self.e1) & set(self.e2)
-        if shared != {self.shared_vertex}:
+        e1, e2, v = edge_key(*self.e1), edge_key(*self.e2), self.shared_vertex
+        object.__setattr__(self, "e1", e1)
+        object.__setattr__(self, "e2", e2)
+        # two distinct edges at v share v and nothing else
+        if not (e1 != e2 and v in e1 and v in e2):
             raise SurgeryError(
                 f"edges {self.e1} and {self.e2} do not share exactly the vertex "
                 f"{self.shared_vertex!r}"
@@ -293,20 +299,21 @@ def _heads(directions: dict[Edge, tuple[str, str]], pair: SpecialPair) -> tuple[
 # finding pairs
 
 
-def _pattern_problem(kind: str, e1: Edge, e2: Edge, at1, at2) -> str | None:
+def _pattern_problem(kind: str, at1, at2) -> str | None:
     """Why the type-II edges e1, e2, passed at the (zigzag index, position)
     lists at1 and at2 in walk order, miss the occurrence pattern of a site
     kind (a host's: see the module docstring; a piece's: find_piece_pairs),
-    or None.  Double cover passes each of them twice."""
+    or None; the reason names them {e1} and {e2}, for str.format, so that a
+    candidate search formats none.  Double cover passes each of them twice."""
     (z1, a), (y1, b) = at1
     (z2, c), (y2, d) = at2
     if kind == HOST:
         # passes are in walk order, so a < b: exactly one of c, d lies between
         if (a < c < b) == (a < d < b):
-            return f"occurrences of {e1} and {e2} do not interleave; not a special pair"
+            return "occurrences of {e1} and {e2} do not interleave; not a special pair"
         return None
     h1, h2 = {z1, y1}, {z2, y2}
-    for e, h in ((e1, h1), (e2, h2)):
+    for e, h in (("{e1}", h1), ("{e2}", h2)):
         if kind == TWO_ZIGZAG and len(h) != 1:
             return f"edge {e} does not occur twice in a single zigzag; not a two-zigzag piece pair"
         if kind == FOUR_ZIGZAG and len(h) != 2:
@@ -334,7 +341,7 @@ def _candidates(cls: Classification, kind: str) -> list[tuple[Edge, Edge, str]]:
         for v, es in by_vertex.items()
         for i, c1 in enumerate(es)
         for c2 in es[i + 1:]
-        if _pattern_problem(kind, c1, c2, at[c1], at[c2]) is None
+        if _pattern_problem(kind, at[c1], at[c2]) is None
     )
 
 
@@ -344,18 +351,20 @@ def find_special_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
     The +/- side condition singles out exactly one of the two role orders
     (e1, e2) and (e2, e1).  Each candidate is checked as resolve_site checks
     it and built once in that order, read by the same-side rule (see Role
-    orders above) in O(1), so each pair is directly usable as a host site.
+    orders above), so each pair is directly usable as a host site.  One link
+    walk per shared vertex and one fact per (vertex, edge) leave O(1) per
+    candidate, taken in sorted (c1, c2, v) order.
     """
     _require_site(cls, _HOST_ROLE)
     at, walks = cls.pass_positions, [z.passes for z in cls.orientation.chosen]
-    links: dict[str, dict[str, int]] = {}  # a vertex may share many pairs
+    links, facts = {}, {}  # a vertex may share many pairs, and an edge many at a vertex
     out = []
     for c1, c2, v in _candidates(cls, HOST):
         if v not in links:
             links[v] = _positions(cls.triangulation.vertex_link(v))
         pair_at = (at[c1], at[c2])
-        _, entered = _pass_sides(links[v], c1, c2, v, pair_at, walks)
-        out.append(SpecialPair(*((c1, c2) if _reads_forward(pair_at, entered) else (c2, c1)), v))
+        _, sides = _pass_sides(links[v], c1, c2, v, pair_at, walks, facts)
+        out.append(SpecialPair(*((c1, c2) if _reads_forward(pair_at, sides) else (c2, c1)), v))
     return tuple(out)
 
 
@@ -401,7 +410,8 @@ def _pair_problem(kind: str, edges, directions: dict, pair: SpecialPair, passes_
             return f"pair edge {e} is no edge of the triangulation"
         if e not in directions:
             return f"pair edge {e} is not type II"
-    return _pattern_problem(kind, pair.e1, pair.e2, passes_of(pair.e1), passes_of(pair.e2))
+    problem = _pattern_problem(kind, passes_of(pair.e1), passes_of(pair.e2))
+    return problem and problem.format(e1=pair.e1, e2=pair.e2)
 
 
 def _checked(cls: Classification, kind: str, pair: SpecialPair) -> SpecialPair:
@@ -412,63 +422,78 @@ def _checked(cls: Classification, kind: str, pair: SpecialPair) -> SpecialPair:
     return pair
 
 
-def _pass_sides(pos: dict[str, int], e1: Edge, e2: Edge, v: str, at, walks):
-    """The side test at v (see Sides above) in O(1), given pos, v's link
-    position map; at, e1's and e2's passes as (zigzag index, position) in
-    walk order; and walks[zi], the passes of zigzag zi.  The pass at r of
-    zigzag zi enters _turn(walks[zi], r), whose vertex off the pair edge is
-    w, the end of the next pass.  Returns side(w), whether link vertex w is
-    on the arc from v1 to v2, and each pass as (the face it enters, the side
-    of that face).  Raises SurgeryError when a pass turns in no face at v, or
-    when e1's passes, then e2's, enter faces on one side."""
-    v1 = e1[0] if e1[1] == v else e1[1]
-    v2 = e2[0] if e2[1] == v else e2[1]
-    n, i1 = len(pos), pos[v1]
-    span = (pos[v2] - i1) % n
+def _turns(pos: dict[str, int], e: Edge, v: str, passes, walks) -> list[int]:
+    """The fact of the pair edge e at v in O(1), given pos, v's link position
+    map; passes, e's two passes as (zigzag index, position); and walks[zi],
+    the passes of zigzag zi: the link position of w, the end of the next
+    pass, that each pass turns toward.  Raises SurgeryError when a pass
+    turns in no face at v."""
+    n, i_far = len(pos), pos[e[0] if e[1] == v else e[1]]
+    turned = []
+    for zi, r in passes:
+        i = pos.get(walks[zi][(r + 1) % len(walks[zi])].dst, i_far)
+        # w beside the far end in v's link makes those three a face
+        if (i - i_far) % n not in (1, n - 1):
+            raise SurgeryError(f"pass {r} of zigzag {zi} over {e} turns in no face at {v!r}")
+        turned.append(i)
+    return turned
+
+
+def _pass_sides(pos: dict[str, int], e1: Edge, e2: Edge, v: str, at, walks, facts: dict):
+    """The side test of the pair e1, e2 at v (see Sides above) in O(1), given
+    pos and walks as _turns takes them and at, e1's and e2's passes in walk
+    order.  facts maps (v, e) to e's fact at v and takes those it lacks, e1's
+    before e2's, so the first SurgeryError is the one raised with no fact
+    kept.  Returns side(i), whether link position i is on the arc from v1 to
+    v2, and the side each pass turns to, e1's then e2's.  Raises
+    SurgeryError when a pass turns in no face at v, or when e1's passes,
+    then e2's, turn to one side."""
+    n, i1 = len(pos), pos[e1[0] if e1[1] == v else e1[1]]
+    span = (pos[e2[0] if e2[1] == v else e2[1]] - i1) % n
     # every caller has required homogeneity, so each face holds one type-II
     # edge and v1, v2 are apart in the link: no face holds both pair edges,
     # each pair face has one vertex off v, v1, v2 and each pair edge has one
     # face on each arc
 
-    def side(w: str) -> bool:
-        return (pos[w] - i1) % n < span
+    def side(i: int) -> bool:
+        return (i - i1) % n < span
 
-    entered = []
-    for e, i_far, passes in zip((e1, e2), (i1, pos[v2]), at):
-        for zi, r in passes:
-            w = walks[zi][(r + 1) % len(walks[zi])].dst
-            # w beside the far end in v's link makes those three a face
-            if (pos.get(w, i_far) - i_far) % n not in (1, n - 1):
-                raise SurgeryError(f"pass {r} of zigzag {zi} over {e} turns in no face at {v!r}")
-            entered.append((_turn(walks[zi], r), side(w)))
-        if entered[-2][1] == entered[-1][1]:
+    sides: list[bool] = []
+    for e, passes in zip((e1, e2), at):
+        if (v, e) not in facts:
+            facts[v, e] = _turns(pos, e, v, passes, walks)
+        a, b = map(side, facts[v, e])
+        if a == b:
             what = "occurrences of" if passes[0][0] == passes[1][0] else "zigzags through"
             raise SurgeryError(f"{what} {e} do not cross its faces oppositely")
-    return side, entered
+        sides += a, b
+    return side, sides
 
 
-def _reads_forward(at, entered) -> bool:
+def _reads_forward(at, sides) -> bool:
     """The same-side rule (see Role orders above): whether e1's first pass
-    and e2's pass between e1's two enter faces on the same side."""
+    and e2's pass between e1's two enter faces on the same side, given the
+    passes and their sides as _pass_sides returns them."""
     ((_, a), (_, b)), ((_, c), _) = at
-    return entered[0][1] == entered[2 if a < c < b else 3][1]
+    return sides[0] == sides[2 if a < c < b else 3]
 
 
 def _labeling(pair: SpecialPair, pos: dict[str, int], at, walks, host: bool):
     """The one +/- labeling of a checked pair (see Sides and Role orders
     above) in O(1), given as _pass_sides takes it, in the role order
-    _reads_forward reads if host.  Returns the pair in that order, each
-    interior link vertex of v -> its sign, and each pass's key -> its pass."""
-    side, entered = _pass_sides(pos, pair.e1, pair.e2, pair.shared_vertex, at, walks)
+    _reads_forward reads if host; of the side test's callers it alone reads
+    faces (_turn).  Returns the pair in that order, each interior link
+    vertex of v -> its sign, and each pass's key -> its pass."""
+    side, sides = _pass_sides(pos, pair.e1, pair.e2, pair.shared_vertex, at, walks, {})
     # the passes enter the four pair faces, one each: the least takes "-"
-    minus = min(entered)[1]
+    minus = min(zip((_turn(walks[zi], r) for zi, r in chain(*at)), sides))[1]
     signs = {minus: "-", not minus: "+"}
-    sides = {w: signs[side(w)] for w in pos if w != pair.v1 and w != pair.v2}
+    vertex_sides = {w: signs[side(i)] for w, i in pos.items() if w != pair.v1 and w != pair.v2}
     roles = "1122"
-    if host and not _reads_forward(at, entered):
+    if host and not _reads_forward(at, sides):
         pair, roles = pair.swapped(), "2211"
-    keys = {i + signs[s]: p for i, p, (_, s) in zip(roles, chain(*at), entered)}
-    return pair, sides, keys
+    keys = {i + signs[s]: p for i, p, s in zip(roles, chain(*at), sides)}
+    return pair, vertex_sides, keys
 
 
 def _segments(keys: dict[str, tuple[int, int]], zigzags) -> tuple[dict, dict[str, str]]:

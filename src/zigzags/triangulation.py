@@ -82,34 +82,38 @@ def _face_edges(face: tuple[str, str, str]) -> tuple[tuple[str, str], ...]:
 def _link_cycle(v: str, faces, closed: bool = True) -> tuple[str, ...] | None:
     """The link of v in the given faces at v: one cycle walked from its least
     vertex toward the lesser of that vertex's two link-neighbors or, if not
-    closed, one simple path walked from its lesser end; else None."""
-    adj: dict[str, list[str]] = {}
+    closed, one simple path walked from its lesser end; else None, also for
+    no face.  Each link vertex keeps a first and a second neighbour in two
+    flat dicts, and a third returns None at once."""
+    first: dict[str, str] = {}
+    second: dict[str, str] = {}
     for a, b, c in faces:
         x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
-        adj.setdefault(x, []).append(y)
-        adj.setdefault(y, []).append(x)
-    # a cycle has no vertex off degree 2, a path just two ends of degree 1
-    ends = [x for x, nb in adj.items() if len(nb) != 2]
-    if closed:
-        if ends:
+        if x in second or y in second:
             return None
-    elif len(ends) != 2 or len(adj[ends[0]]) != 1 or len(adj[ends[1]]) != 1:
-        return None
-    start = min(ends) if ends else min(adj)
-    walk = [start, min(adj[start])]
-    if ends:
-        # joined end to end the path is a cycle, which the one loop walks
-        end = max(ends)
-        adj[start].append(end)
-        adj[end].append(start)
-    while True:
-        a, b = adj[walk[-1]]
-        step = b if a == walk[-2] else a
-        if step == start:
-            break
-        walk.append(step)
+        (second if x in first else first)[x] = y
+        (second if y in first else first)[y] = x
+    if closed:
+        # a cycle has no vertex of degree 1
+        if not first or len(second) != len(first):
+            return None
+        start = min(first)
+        x = min(first[start], second[start])
+    else:
+        # a path just two ends of degree 1; joined end to end it is a
+        # cycle, which the one loop walks
+        ends = first.keys() - second.keys()
+        if len(ends) != 2:
+            return None
+        start, end = sorted(ends)
+        x, second[start], second[end] = first[start], end, start
+    prev, walk = start, [start]
+    while x != start:
+        walk.append(x)
+        a = first[x]
+        prev, x = x, second[x] if a == prev else a
     # the walk misses any other cycle the link splits into
-    return tuple(walk) if len(walk) == len(adj) else None
+    return tuple(walk) if len(walk) == len(first) else None
 
 
 def _edge_violations(edge_faces: dict, edges) -> list[str]:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from itertools import combinations
+from bisect import insort
+from collections import Counter
+from itertools import chain, combinations
 
 from zigzags import (
     BuildLog,
@@ -111,34 +113,54 @@ def torus_grid(m: int) -> Triangulation:
     return Triangulation(faces)
 
 
-def flip_edge(faces, edge):
-    """The face list after a 2-2 flip of edge {u, v}, or None when the flip
-    would repeat an edge or leave u or v with degree below 3.
+def flip_edge(faces: list, edge_faces: dict, degree: Counter, edge):
+    """The 2-2 flip of edge {u, v}, in place: the two faces {u, v, a} and
+    {u, v, b} leave faces and {a, b, u} and {a, b, v} are appended.  Returns
+    the new edge (a, b), or None, changing nothing, when the flip would
+    repeat an edge or leave u or v with degree below 3.
 
-    The two faces {u, v, a} and {u, v, b} become {a, b, u} and {a, b, v}.
+    edge_faces (each edge key -> its faces, in face-list order) and degree
+    (each vertex -> its number of faces) index faces and are kept current,
+    so a flip costs O(1) lookups and two list.remove scans, which run in C.
     """
     u, v = edge
-    f, g = (h for h in faces if u in h and v in h)
+    f, g = edge_faces[edge]
     (a,) = set(f) - {u, v}
     (b,) = set(g) - {u, v}
-    if any(a in h and b in h for h in faces):
+    if edge_key(a, b) in edge_faces or min(degree[u], degree[v]) <= 3:
         return None
-    if min(sum(1 for h in faces if w in h) for w in (u, v)) <= 3:
-        return None
-    return [h for h in faces if h not in (f, g)] + [(a, b, u), (a, b, v)]
+    for h in (f, g):
+        faces.remove(h)
+        for e in combinations(h, 2):
+            edge_faces[edge_key(*e)].remove(h)
+    del edge_faces[edge]
+    for h in ((a, b, u), (a, b, v)):
+        faces.append(h)
+        for e in combinations(h, 2):
+            edge_faces.setdefault(edge_key(*e), []).append(h)
+    degree.update({u: -1, v: -1, a: 1, b: 1})
+    return edge_key(a, b)
 
 
 def random_flips(t: Triangulation, rng: random.Random, flips: int) -> Triangulation:
-    """t after `flips` random 2-2 edge flips (edges that cannot flip are skipped)."""
+    """t after `flips` random 2-2 edge flips (edges that cannot flip are
+    skipped), each drawn from the sorted edge list by rng.choice."""
     faces = list(t.faces)
+    edge_faces: dict = {}
+    for f in faces:
+        for e in combinations(f, 2):
+            edge_faces.setdefault(edge_key(*e), []).append(f)
+    degree = Counter(chain.from_iterable(faces))
+    edges = sorted(edge_faces)
     done = 0
     for _ in range(100 * flips):
         if done == flips:
             break
-        edges = sorted({tuple(sorted(e)) for f in faces for e in combinations(f, 2)})
-        flipped = flip_edge(faces, rng.choice(edges))
-        if flipped is not None:
-            faces = flipped
+        edge = rng.choice(edges)
+        new = flip_edge(faces, edge_faces, degree, edge)
+        if new is not None:
+            edges.remove(edge)
+            insort(edges, new)
             done += 1
     assert done == flips, "too few flippable edges"
     return Triangulation(faces)

@@ -87,26 +87,42 @@ def resolve_outcome(cls, pair):
         return str(exc)
 
 
+def outcome_rows(cls):
+    """Every interleaved vertex-sharing type-II pair of a z-knotted
+    instance, in (c1 < c2) order, with resolve_site's outcome in both role
+    orders."""
+    z = cls.orientation.chosen[0]
+    rows = []
+    for c1, c2 in itertools.combinations(cls.type_ii_edges, 2):
+        shared = set(c1) & set(c2)
+        if len(shared) != 1:
+            continue
+        p, q = z.occurrences(c1), z.occurrences(c2)
+        if sum(1 for x in q if p[0] < x < p[1]) != 1:
+            continue
+        pair = SpecialPair(c1, c2, shared.pop())
+        both = {cand: resolve_outcome(cls, cand) for cand in (pair, pair.swapped())}
+        rows.append((pair, both))
+    return rows
+
+
 @pytest.fixture(scope="module")
 def role_order_outcomes(knotted):
-    """Per knotted instance: every interleaved vertex-sharing type-II pair,
-    in (c1 < c2) order, with resolve_site's outcome in both role orders."""
-    out = []
-    for cls in knotted:
-        z = cls.orientation.chosen[0]
-        rows = []
-        for c1, c2 in itertools.combinations(cls.type_ii_edges, 2):
-            shared = set(c1) & set(c2)
-            if len(shared) != 1:
-                continue
-            p, q = z.occurrences(c1), z.occurrences(c2)
-            if sum(1 for x in q if p[0] < x < p[1]) != 1:
-                continue
-            pair = SpecialPair(c1, c2, shared.pop())
-            both = {cand: resolve_outcome(cls, cand) for cand in (pair, pair.swapped())}
-            rows.append((pair, both))
-        out.append((cls, rows))
-    return out
+    """Per knotted instance, its outcome_rows."""
+    return [(cls, outcome_rows(cls)) for cls in knotted]
+
+
+@pytest.fixture(scope="module")
+def flipped_hosts():
+    """The z-knotted homogeneous hosts that are no bipyramid among 1,500
+    flips of seed 7 (flipped_sites), each classified under its orientation
+    and under the reversal."""
+    hosts = flipped_sites(7, 1500, (1,))
+    return [
+        classify(h.triangulation, tau)
+        for h in hosts
+        for tau in (h.orientation, h.orientation.reversed())
+    ]
 
 
 def reference_special_pairs(rows):
@@ -258,6 +274,39 @@ def test_find_special_pairs_builds_one_pair_per_candidate(knotted, monkeypatch):
     assert swaps > 0
 
 
+def test_special_pairs_on_hosts_that_are_no_bipyramid(flipped_hosts):
+    # hosts beyond the bipyramids and tree builds, whose links and pair
+    # sites take shapes neither has, in both orientations
+    assert [len(cls.triangulation.vertices) for cls in flipped_hosts[::2]] == [
+        13, 9, 9, 9, 13, 9, 9, 9, 9, 13, 9, 9, 9, 11, 13, 9, 13, 13, 9,
+    ]
+    found = [find_special_pairs(cls) for cls in flipped_hosts]
+    assert sum(map(len, found[::2])) == sum(map(len, found[1::2])) == 333
+    for cls, pairs in zip(flipped_hosts, found):
+        assert pairs == reference_special_pairs(outcome_rows(cls))
+
+
+def test_find_special_pairs_walks_each_shared_link_once_and_reads_no_face(
+    knotted, flipped_hosts, monkeypatch
+):
+    # the sweep reads the side test off one fact per (vertex, edge): no face
+    # a pass enters, and one link walk per vertex that shares a pair
+    turned, walked = [], []
+    monkeypatch.setattr("zigzags.surgery._turn", lambda *args: turned.append(args))
+    vertex_link = Triangulation.vertex_link
+
+    def counted(t, v):
+        walked.append(v)
+        return vertex_link(t, v)
+
+    monkeypatch.setattr(Triangulation, "vertex_link", counted)
+    for cls in knotted + flipped_hosts:
+        walked.clear()
+        pairs = find_special_pairs(cls)
+        assert sorted(walked) == sorted({p.shared_vertex for p in pairs})
+    assert turned == []
+
+
 def test_concordance():
     cls = canonical(5)
     by_vertex = {p.shared_vertex: p for p in find_special_pairs(cls)}
@@ -363,8 +412,29 @@ def test_resolve_rejects_non_interleaved(glued_corpus):
             pair = SpecialPair(a, b, next(iter(shared)))
             break
     assert pair is not None
-    with pytest.raises(SurgeryError, match="do not interleave"):
+    with pytest.raises(SurgeryError) as caught:
         resolve_site(cls, pair)
+    assert str(caught.value) == (
+        f"occurrences of {pair.e1} and {pair.e2} do not interleave; not a special pair"
+    )
+
+
+@pytest.mark.parametrize("n, zigzags, reason", (
+    (6, (0, 1), "does not occur twice in a single zigzag; not a two-zigzag piece pair"),
+    (4, (0, 0), "does not occur once in each of two zigzags; not a four-zigzag piece pair"),
+), ids=("two-zigzag piece", "four-zigzag piece"))
+def test_resolve_names_a_piece_edge_off_its_pattern(n, zigzags, reason):
+    # no homogeneous piece shows this, so e2's passes are moved into the
+    # given zigzags, off the pattern of the piece's kind
+    cls = canonical(n)
+    pair = find_piece_pairs(cls)[0]
+    at = dict(cls.pass_positions)
+    at[pair.e2] = [(zi, r) for zi, (_, r) in zip(zigzags, at[pair.e2])]
+    copy = dataclasses.replace(cls)
+    copy.__dict__["pass_positions"] = at
+    with pytest.raises(SurgeryError) as caught:
+        resolve_site(copy, pair)
+    assert str(caught.value) == f"edge {pair.e2} {reason}"
 
 
 def tampered(cls, e, after=None):
@@ -566,28 +636,31 @@ def test_glue_counts_add_up(glued_corpus):
         assert len(tau.chosen[0]) == (host_z - 4) + seg_total + 8
 
 
-def flipped_pieces(seed: int, tries: int) -> list:
-    """Pieces that are no bipyramid: random 2-2 flips of BP(4..12), 1 to 2n
-    flips each, kept when they have two or four zigzags, a degree sequence
-    unlike any bipyramid's, and a homogeneous z-orientation with a piece
-    pair; each classified under the first such orientation."""
+def flipped_sites(seed: int, tries: int, census: tuple[int, ...]) -> list:
+    """Sites that are no bipyramid: random 2-2 flips of BP(4..12) under the
+    prefix R., 1 to 2n flips each, kept when their zigzag census is in census,
+    their degree sequence unlike any bipyramid's, and they have a
+    homogeneous z-orientation with a special pair (one zigzag) or a piece
+    pair (two or four); each classified under the first such orientation."""
     rng = random.Random(seed)
     bases = {n: bipyramid(n, "R.") for n in range(4, 13)}
-    pieces = []
+    found = []
     for _ in range(tries):
         n = rng.randint(4, 12)
         t = random_flips(bases[n], rng, rng.randint(1, 2 * n))
-        if len(enumerate_zigzags(t)) not in (2, 4):
+        k = len(enumerate_zigzags(t))
+        if k not in census:
             continue
         m = len(t.vertices) - 2
         if sorted(len(t.vertex_link(u)) for u in t.vertices) == sorted([4] * m + [m, m]):
             continue
+        pairs = find_special_pairs if k == 1 else find_piece_pairs
         for tau in all_z_orientations(t):
             cls = classify(t, tau)
-            if cls.homogeneous and find_piece_pairs(cls):
-                pieces.append(cls)
+            if cls.homogeneous and pairs(cls):
+                found.append(cls)
                 break
-    return pieces
+    return found
 
 
 def test_glue_takes_pieces_that_are_no_bipyramid():
@@ -595,7 +668,7 @@ def test_glue_takes_pieces_that_are_no_bipyramid():
     # special pair of BP(3) and BP(5) gives one zigzag on a fresh
     # enumeration, the one predict_glued_zigzag assembles, and it is
     # homogeneous
-    pieces = flipped_pieces(7, 3000)
+    pieces = flipped_sites(7, 3000, (2, 4))
     assert [len(p.triangulation.vertices) for p in pieces] == [12, 10, 10, 10, 10, 10]
     glued = 0
     for host in (canonical(3, "L."), canonical(5, "L.")):

@@ -200,7 +200,8 @@ class TreeSpec:
 
 
 def parse_tree(text: str) -> TreeSpec:
-    """Parse the line format: 'n <id> <label>' and 'a <id1> <id2>'."""
+    """Parse the line format: 'n <id> <label>' and 'a <id1> <id2>'.  Raises
+    ParseError naming the line of the first bad record."""
     labels: dict[str, int] = {}
     arcs: list[tuple[int, str, str]] = []
     for lineno, parts, raw in _records(text):
@@ -223,10 +224,17 @@ def parse_tree(text: str) -> TreeSpec:
         for x in (u, w):
             if x not in labels:
                 raise ParseError(f"line {lineno}: edge references unknown node {x!r}")
-    try:
-        return TreeSpec(tuple(labels.items()), tuple((u, w) for _, u, w in arcs))
-    except TreeError as exc:
-        raise ParseError(str(exc)) from None
+    seen = set()
+    for lineno, u, w in arcs:
+        if u == w:
+            raise ParseError(f"line {lineno}: edge {(u, w)} joins a node to itself")
+        if frozenset((u, w)) in seen:
+            raise ParseError(f"line {lineno}: duplicate edge {(u, w)}")
+        seen.add(frozenset((u, w)))
+    # no TreeSpec check can fail now: an id is a token with no '#', a label
+    # an integer, and each id and arc was checked above, naming its line;
+    # unknown ids first, as nodes may be declared after their arcs
+    return TreeSpec(tuple(labels.items()), tuple((u, w) for _, u, w in arcs))
 
 
 def validate_tree(spec: TreeSpec) -> ValidationReport:

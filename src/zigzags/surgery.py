@@ -40,6 +40,14 @@ A piece pair resolves in both orders, and plan_gluing takes the one whose
 edges point at the shared vertex the way the host's do.  resolve_site never
 reorders: it resolves the pair as given or raises SurgeryError.
 
+One check and one cut resolve every site, on a classification and on a tree
+build's growing _Surface alike: _checked raises SurgeryError on a pair off
+its kind's occurrence pattern, and _labeling labels the checked pair and
+cuts its segments.  A GluingSite is that cut with the classification it was
+resolved on (_resolve); a _Surface's cut (_Cut) has no classification, and
+differs only in the vertex link, the pass positions and the walk it hands
+over.
+
 Every function here takes the Classification of a (t, tau), the one
 analysis classify(t, tau) builds once t passes its closed-surface check,
 and reads the pass positions it derives on first use; the face a pair pass
@@ -398,28 +406,32 @@ def _arc(passes, start: int, stop: int):
     return passes[start + 1:stop] if start < stop else passes[start + 1:] + passes[:stop]
 
 
-def _pair_problem(kind: str, edges, directions: dict, pair: SpecialPair, passes_of) -> str | None:
-    """Why the pair misses the occurrence pattern of the site kind, given the
-    edges and the type-II directions, or None; passes_of(e) lists a type-II
-    edge's passes as _pattern_problem takes them.
+def _checked(kind: str, edges, directions: dict, pair: SpecialPair, passes_of) -> SpecialPair:
+    """The pair, once it shows the occurrence pattern of the site kind, given
+    the edges and the type-II directions; passes_of(e) lists a type-II edge's
+    passes as _pattern_problem takes them.  The one pair check of every site,
+    on a classification (_checked_on) or on a _Surface (_Surface.cut).
 
-    Every reason here holds for both role orders of a pair or for neither.
+    Raises SurgeryError naming the first reason the pair misses: a pair edge,
+    e1's then e2's, that is no edge or not type II, then the pattern.  Every
+    reason holds for both role orders of a pair or for neither.
     """
     for e in (pair.e1, pair.e2):
         if e not in edges:
-            return f"pair edge {e} is no edge of the triangulation"
+            raise SurgeryError(f"pair edge {e} is no edge of the triangulation")
         if e not in directions:
-            return f"pair edge {e} is not type II"
+            raise SurgeryError(f"pair edge {e} is not type II")
     problem = _pattern_problem(kind, passes_of(pair.e1), passes_of(pair.e2))
-    return problem and problem.format(e1=pair.e1, e2=pair.e2)
-
-
-def _checked(cls: Classification, kind: str, pair: SpecialPair) -> SpecialPair:
-    passes_of = cls.pass_positions.__getitem__
-    problem = _pair_problem(kind, cls.edge_types, cls.edge_directions, pair, passes_of)
     if problem is not None:
-        raise SurgeryError(problem)
+        raise SurgeryError(problem.format(e1=pair.e1, e2=pair.e2))
     return pair
+
+
+def _checked_on(cls: Classification, kind: str, pair: SpecialPair) -> SpecialPair:
+    """_checked on a classification: its edges, type-II directions and pass
+    positions."""
+    at = cls.pass_positions
+    return _checked(kind, cls.edge_types, cls.edge_directions, pair, at.__getitem__)
 
 
 def _turns(pos: dict[str, int], e: Edge, v: str, passes, walks) -> list[int]:
@@ -479,11 +491,13 @@ def _reads_forward(at, sides) -> bool:
 
 
 def _labeling(pair: SpecialPair, pos: dict[str, int], at, walks, host: bool):
-    """The one +/- labeling of a checked pair (see Sides and Role orders
-    above) in O(1), given as _pass_sides takes it, in the role order
-    _reads_forward reads if host; of the side test's callers it alone reads
-    faces (_turn).  Returns the pair in that order, each interior link
-    vertex of v -> its sign, and each pass's key -> its pass."""
+    """The cut of a checked pair, the one every site is resolved by: its
+    +/- labeling (see Sides and Role orders above), given as _pass_sides
+    takes it, in the role order _reads_forward reads if host, and its
+    segments; of the side test's callers it alone reads faces (_turn).
+    Returns the pair in that order, each interior link vertex of v -> its
+    sign, each pass's key -> its segment, and each key -> its segment's
+    end, as _segments cuts them from walks."""
     side, sides = _pass_sides(pos, pair.e1, pair.e2, pair.shared_vertex, at, walks, {})
     # the passes enter the four pair faces, one each: the least takes "-"
     minus = min(zip((_turn(walks[zi], r) for zi, r in chain(*at)), sides))[1]
@@ -493,7 +507,7 @@ def _labeling(pair: SpecialPair, pos: dict[str, int], at, walks, host: bool):
     if host and not _reads_forward(at, sides):
         pair, roles = pair.swapped(), "2211"
     keys = {i + signs[s]: p for i, p, s in zip(roles, chain(*at), sides)}
-    return pair, vertex_sides, keys
+    return (pair, vertex_sides, *_segments(keys, walks))
 
 
 def _segments(keys: dict[str, tuple[int, int]], zigzags) -> tuple[dict, dict[str, str]]:
@@ -512,18 +526,17 @@ def _segments(keys: dict[str, tuple[int, int]], zigzags) -> tuple[dict, dict[str
 
 
 def _resolve(cls: Classification, pair: SpecialPair) -> GluingSite:
-    """Label, split, and cut a checked pair, in the role order its labeling
-    reads: for a host pair that may be the swapped order, for a piece pair
-    it is the order given.  Each segment runs from a pair pass to the next
-    pair pass in the same chosen zigzag, whose key is its end: the host's
-    four arcs, a two-zigzag piece's halves of each zigzag, a four-zigzag
-    piece's whole zigzags less one pass.
+    """The site of a checked pair: its cut (_labeling) on the classification's
+    vertex link, pass positions and chosen walks, in the role order its
+    labeling reads: for a host pair that may be the swapped order, for a
+    piece pair it is the order given.  Each segment runs from a pair pass to
+    the next pair pass in the same chosen zigzag, whose key is its end: the
+    host's four arcs, a two-zigzag piece's halves of each zigzag, a
+    four-zigzag piece's whole zigzags less one pass.
     """
     pos, at = _positions(cls.triangulation.vertex_link(pair.shared_vertex)), cls.pass_positions
     at_pair, walks = (at[pair.e1], at[pair.e2]), [z.passes for z in cls.orientation.chosen]
-    ordered, sides, keys = _labeling(pair, pos, at_pair, walks, _kind(cls) == HOST)
-    segments, ends = _segments(keys, walks)
-    return GluingSite(cls, ordered, sides, segments, ends)
+    return GluingSite(cls, *_labeling(pair, pos, at_pair, walks, _kind(cls) == HOST))
 
 
 def resolve_site(cls: Classification, pair: SpecialPair) -> GluingSite:
@@ -534,7 +547,7 @@ def resolve_site(cls: Classification, pair: SpecialPair) -> GluingSite:
     not show the occurrence pattern its kind requires, or, for a host, when
     its role order fails the side condition.
     """
-    site = _resolve(cls, _checked(cls, _require_site(cls, _ANY_ROLE), pair))
+    site = _resolve(cls, _checked_on(cls, _require_site(cls, _ANY_ROLE), pair))
     if site.pair is not pair:
         raise SurgeryError(_NO_LABELING)
     return site
@@ -546,7 +559,7 @@ def _piece_site(piece: Classification, wanted: tuple[bool, ...], piece_pairs) ->
     kind = _require_site(piece, _PIECE_ROLE)
     given = 0
     for given, cand in enumerate(piece_pairs, 1):
-        for pair in (_checked(piece, kind, cand), cand.swapped()):
+        for pair in (_checked_on(piece, kind, cand), cand.swapped()):
             if _heads(piece.edge_directions, pair) == wanted:
                 return _resolve(piece, pair)
     if not given:
@@ -570,7 +583,7 @@ def plan_gluing(
     host pair is no site, the piece no piece, or no candidate fits; a pair
     that fails a check is reported in the order given.
     """
-    host_site = _resolve(host, _checked(host, _require_site(host, _HOST_ROLE), host_pair))
+    host_site = _resolve(host, _checked_on(host, _require_site(host, _HOST_ROLE), host_pair))
     wanted = _heads(host.edge_directions, host_site.pair)
     return host_site, _piece_site(piece, wanted, piece_pairs)
 
@@ -670,8 +683,9 @@ def _relinked(x: str, lost, gained, born_edges: set, edge_faces: dict) -> bool:
 
 
 class _Cut(NamedTuple):
-    """A host pair resolved on a _Surface, holding what a GluingSite holds
-    but its classification: the pair in its role order, the side of each
+    """A host pair resolved on a _Surface by the cut every site is resolved
+    by (_labeling): what a GluingSite holds but its classification, which a
+    surface has none of.  The pair in its role order, the side of each
     interior link vertex, each key's segment, cut by _arc from the surface's
     pass list, and each key's segment end."""
 
@@ -751,19 +765,17 @@ class _Surface:
 
     def cut(self, pair: SpecialPair) -> _Cut:
         """Resolve a host pair in the role order its labeling reads, by the
-        checks and labeling resolve_site runs on a classification."""
+        one pair check (_checked) and the one cut (_labeling) that resolve
+        every site.  Only what it hands them is the surface's own: v's link,
+        each pair edge's pass positions, read by _at once, and the pass list
+        as the one walk."""
         at: dict[Edge, list[tuple[int, int]]] = {}
-        problem = _pair_problem(
+        _checked(
             HOST, self.edge_faces, self.edge_directions, pair,
             lambda e: at.setdefault(e, [(0, r) for r in self._at(e)]),
         )
-        if problem is not None:
-            raise SurgeryError(problem)
         pos = _positions(_link_cycle(pair.shared_vertex, self.vertex_faces[pair.shared_vertex]))
-        at_pair = (at[pair.e1], at[pair.e2])
-        ordered, sides, keys = _labeling(pair, pos, at_pair, (self.passes,), host=True)
-        segments, ends = _segments(keys, (self.passes,))
-        return _Cut(ordered, sides, segments, ends)
+        return _Cut(*_labeling(pair, pos, (at[pair.e1], at[pair.e2]), (self.passes,), host=True))
 
     def splice(self, host: _Cut | GluingSite, piece_site: GluingSite, prefix: str = "") -> _Change:
         """Glue the piece in along the host site, in place, unchecked; the

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from helpers import glued_example, random_tree_spec
-from zigzags import bipyramid, bipyramid_canonical_zorientation, platonic, tree_build
+from helpers import flipped_sites, glued_example, random_tree_spec
+from zigzags import bipyramid, bipyramid_canonical_zorientation, classify, platonic, tree_build
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +39,23 @@ def tree_corpus():
         t, tau, log = tree_build(spec)
         out.append((spec, t, tau, log))
     return out
+
+
+@pytest.fixture(scope="session")
+def flipped_hosts():
+    """The z-knotted homogeneous hosts that are no bipyramid among 1,500
+    flips of seed 7 (flipped_sites), each classified under its orientation
+    and under the reversal."""
+    hosts = flipped_sites(7, 1500, (1,))
+    return [
+        classify(h.triangulation, tau)
+        for h in hosts
+        for tau in (h.orientation, h.orientation.reversed())
+    ]
+
+
+@pytest.fixture(scope="session")
+def flipped_pieces():
+    """The two- and four-zigzag homogeneous pieces that are no bipyramid
+    among 3,000 flips of seed 7 (flipped_sites)."""
+    return flipped_sites(7, 3000, (2, 4))

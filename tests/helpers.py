@@ -166,6 +166,33 @@ def random_flips(t: Triangulation, rng: random.Random, flips: int) -> Triangulat
     return Triangulation(faces)
 
 
+def flipped_sites(seed: int, tries: int, census: tuple[int, ...]) -> list:
+    """Sites that are no bipyramid: random 2-2 flips of BP(4..12) under the
+    prefix R., 1 to 2n flips each, kept when their zigzag census is in census,
+    their degree sequence unlike any bipyramid's, and they have a
+    homogeneous z-orientation with a special pair (one zigzag) or a piece
+    pair (two or four); each classified under the first such orientation."""
+    rng = random.Random(seed)
+    bases = {n: bipyramid(n, "R.") for n in range(4, 13)}
+    found = []
+    for _ in range(tries):
+        n = rng.randint(4, 12)
+        t = random_flips(bases[n], rng, rng.randint(1, 2 * n))
+        k = len(enumerate_zigzags(t))
+        if k not in census:
+            continue
+        m = len(t.vertices) - 2
+        if sorted(len(t.vertex_link(u)) for u in t.vertices) == sorted([4] * m + [m, m]):
+            continue
+        pairs = find_special_pairs if k == 1 else find_piece_pairs
+        for tau in all_z_orientations(t):
+            cls = classify(t, tau)
+            if cls.homogeneous and pairs(cls):
+                found.append(cls)
+                break
+    return found
+
+
 def clear_templates() -> None:
     """Empty the bipyramid templates every tree build of a process shares,
     as a new process starts."""

@@ -498,6 +498,18 @@ def test_verify_names_a_malformed_record(tmp_path, capsys, name, text, message):
     assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("n r 5\nn x 4\na r r\n", "line 3: edge ('r', 'r') joins a node to itself"),
+    ("n r 5\nn x 4\na r x\na x r\n", "line 4: duplicate edge ('x', 'r')"),
+], ids=["loop.tree", "twice.tree"])
+def test_tree_verbs_name_the_line_of_a_bad_arc(tmp_path, capsys, text, message):
+    # as every other .tree parse error does, on both verbs that parse a tree
+    path = tmp_path / "bad.tree"
+    path.write_text(text)
+    for verb in ("verify", "build-tree"):
+        assert run(capsys, verb, str(path)) == (1, "", f"error: {message}\n")
+
+
 def test_verify_unknown_extension(tmp_path, capsys):
     f = tmp_path / "x.unknown"
     f.write_text("")

@@ -212,8 +212,11 @@ def test_parse_tree_errors():
     # a repeated node id is named with the line that declares it again
     with pytest.raises(ParseError, match="^line 2: node id 'r' is declared more than once$"):
         parse_tree("n r 5\nn r 4\n")
-    # TreeSpec's own rules come back as a ParseError too
-    with pytest.raises(ParseError, match="^duplicate edge"):
+    # an arc that joins a node to itself or repeats an edge is named with
+    # its line too
+    with pytest.raises(ParseError, match=r"^line 2: edge \('r', 'r'\) joins a node to itself$"):
+        parse_tree("n r 5\na r r\n")
+    with pytest.raises(ParseError, match=r"^line 4: duplicate edge \('x', 'r'\)$"):
         parse_tree("n r 5\nn x 4\na r x\na x r\n")
 
 

@@ -131,21 +131,29 @@ def _cut_facts(site) -> tuple:
     return site.pair, site.vertex_sides, site.ends, segments
 
 
-def test_a_surface_cuts_a_host_pair_as_resolve_site_does(bipyramid_corpus, tree_corpus):
+def test_a_surface_cuts_a_host_pair_as_resolve_site_does(
+    bipyramid_corpus, tree_corpus, flipped_hosts
+):
     # why glue may splice the site it is given: a _Surface copied from the
     # host cuts each special pair, given in either role order, into the
-    # site resolve_site resolves on the classification
+    # site resolve_site resolves on the classification, on bipyramids, tree
+    # builds and flipped hosts that are neither; and it only reads the
+    # surface, which stays the one a fresh copy builds
     hosts = [(t, tau) for n, (t, tau) in bipyramid_corpus.items() if n % 2]
     hosts += [(t, tau) for _, t, tau, _ in tree_corpus]
-    cut = 0
-    for t, tau in hosts:
-        for cls in (classify(t, tau), classify(t, tau.reversed())):
+    knotted = [classify(t, x) for t, tau in hosts for x in (tau, tau.reversed())]
+    cuts = []
+    for corpus in (knotted, flipped_hosts):
+        cuts.append(0)
+        for cls in corpus:
+            surface = surgery._Surface(cls)
             for pair in find_special_pairs(cls):
                 site = _cut_facts(resolve_site(cls, pair))
                 for cand in (pair, pair.swapped()):
-                    assert _cut_facts(surgery._Surface(cls).cut(cand)) == site
-                    cut += 1
-    assert cut > 1000
+                    assert _cut_facts(surface.cut(cand)) == site
+                    cuts[-1] += 1
+            assert vars(surface) == vars(surgery._Surface(cls))
+    assert cuts == [3540, 1332]
 
 
 # sha256 of glue's faces and chosen zigzag and predict_glued_zigzag's walk

@@ -7,6 +7,7 @@ import hashlib
 import itertools
 import random
 import re
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -19,7 +20,6 @@ from zigzags import (
     SurgeryError,
     TreeSpec,
     Triangulation,
-    all_z_orientations,
     bipyramid,
     bipyramid_canonical_zorientation,
     check_compatibility,
@@ -110,19 +110,6 @@ def outcome_rows(cls):
 def role_order_outcomes(knotted):
     """Per knotted instance, its outcome_rows."""
     return [(cls, outcome_rows(cls)) for cls in knotted]
-
-
-@pytest.fixture(scope="module")
-def flipped_hosts():
-    """The z-knotted homogeneous hosts that are no bipyramid among 1,500
-    flips of seed 7 (flipped_sites), each classified under its orientation
-    and under the reversal."""
-    hosts = flipped_sites(7, 1500, (1,))
-    return [
-        classify(h.triangulation, tau)
-        for h in hosts
-        for tau in (h.orientation, h.orientation.reversed())
-    ]
 
 
 def reference_special_pairs(rows):
@@ -231,7 +218,8 @@ def test_host_role_order_is_decided_once(role_order_outcomes):
 
 def test_swapping_roles_keeps_the_labeling(role_order_outcomes):
     # why a host's role order is a read-off: swapping e1 and e2 keeps every
-    # sign and only swaps the 1/2 indices of the pass keys
+    # sign and only swaps the 1/2 indices of the keys of the cut, those of
+    # its segments and those of its segment ends
     def labelings(cls, pair):
         pos = _positions(cls.triangulation.vertex_link(pair.shared_vertex))
         at, host = cls.pass_positions, len(cls.orientation.zigzags) == 1
@@ -241,16 +229,22 @@ def test_swapping_roles_keeps_the_labeling(role_order_outcomes):
             for cand in (pair, pair.swapped())
         ]
 
+    def swap(key: str) -> str:
+        return f"{3 - int(key[0])}{key[1]}"
+
     for cls, rows in role_order_outcomes:
         for pair, _ in rows:
-            (ordered, sides, keys), (ordered2, sides2, keys2) = labelings(cls, pair)
-            assert (ordered, sides, keys) == (ordered2, sides2, keys2)
+            cut, cut2 = labelings(cls, pair)
+            assert cut == cut2
     for n in range(4, 13, 2):
         cls = canonical(n)
         for pair in find_piece_pairs(cls):
-            (ordered, sides, keys), (ordered2, sides2, keys2) = labelings(cls, pair)
+            (ordered, sides, segments, ends), (ordered2, sides2, segments2, ends2) = labelings(
+                cls, pair
+            )
             assert (ordered, ordered2) == (pair, pair.swapped())
-            assert keys2 == {f"{3 - int(k[0])}{k[1]}": at for k, at in keys.items()}
+            assert segments2 == {swap(k): segment for k, segment in segments.items()}
+            assert ends2 == {swap(k): swap(end) for k, end in ends.items()}
             assert sides == sides2
 
 
@@ -636,39 +630,12 @@ def test_glue_counts_add_up(glued_corpus):
         assert len(tau.chosen[0]) == (host_z - 4) + seg_total + 8
 
 
-def flipped_sites(seed: int, tries: int, census: tuple[int, ...]) -> list:
-    """Sites that are no bipyramid: random 2-2 flips of BP(4..12) under the
-    prefix R., 1 to 2n flips each, kept when their zigzag census is in census,
-    their degree sequence unlike any bipyramid's, and they have a
-    homogeneous z-orientation with a special pair (one zigzag) or a piece
-    pair (two or four); each classified under the first such orientation."""
-    rng = random.Random(seed)
-    bases = {n: bipyramid(n, "R.") for n in range(4, 13)}
-    found = []
-    for _ in range(tries):
-        n = rng.randint(4, 12)
-        t = random_flips(bases[n], rng, rng.randint(1, 2 * n))
-        k = len(enumerate_zigzags(t))
-        if k not in census:
-            continue
-        m = len(t.vertices) - 2
-        if sorted(len(t.vertex_link(u)) for u in t.vertices) == sorted([4] * m + [m, m]):
-            continue
-        pairs = find_special_pairs if k == 1 else find_piece_pairs
-        for tau in all_z_orientations(t):
-            cls = classify(t, tau)
-            if cls.homogeneous and pairs(cls):
-                found.append(cls)
-                break
-    return found
-
-
-def test_glue_takes_pieces_that_are_no_bipyramid():
+def test_glue_takes_pieces_that_are_no_bipyramid(flipped_pieces):
     # the gluing beyond bipyramid pieces: each flipped piece glued at every
     # special pair of BP(3) and BP(5) gives one zigzag on a fresh
     # enumeration, the one predict_glued_zigzag assembles, and it is
     # homogeneous
-    pieces = flipped_sites(7, 3000, (2, 4))
+    pieces = flipped_pieces
     assert [len(p.triangulation.vertices) for p in pieces] == [12, 10, 10, 10, 10, 10]
     glued = 0
     for host in (canonical(3, "L."), canonical(5, "L.")):
@@ -684,6 +651,37 @@ def test_glue_takes_pieces_that_are_no_bipyramid():
                 assert is_homogeneous(fresh, tau)
                 glued += 1
     assert glued == 8 * len(pieces)
+
+
+def test_glue_at_every_special_pair_of_hosts_that_are_no_bipyramid(flipped_hosts, flipped_pieces):
+    # the gluing beyond bipyramid hosts: every special pair of the flipped
+    # hosts glued to a piece under the prefix P. gives one zigzag on a fresh
+    # enumeration, the one predict_glued_zigzag assembles; it is homogeneous
+    # and its type-I vertices are the host's and the piece's.  A bipyramid
+    # piece pair's edges run through its shared vertex, so a host pair whose
+    # edges both enter or both leave it takes the 12-vertex flipped
+    # two-zigzag piece, renamed from R. to P.
+    bp4 = canonical(4, "P.")
+    first = flipped_pieces[0]
+    t = Triangulation([tuple("P." + u[2:] for u in f) for f in first.triangulation.faces])
+    flipped = classify(t, make_z_orientation(t, first.orientation.bits))
+    assert (len(t.vertices), len(flipped.orientation.zigzags), flipped.homogeneous) == (12, 2, True)
+    glued = Counter()
+    for host in flipped_hosts:
+        for host_pair in find_special_pairs(host):
+            v, directions = host_pair.shared_vertex, host.edge_directions
+            piece = bp4 if len({directions[e][1] == v for e in host_pair.edges()}) == 2 else flipped
+            host_site, piece_site = plan_gluing(host, host_pair, piece, find_piece_pairs(piece))
+            fresh = Triangulation(glue(host_site, piece_site).triangulation.faces)
+            (z,) = enumerate_zigzags(fresh)
+            predicted = predict_glued_zigzag(host_site, piece_site)
+            assert predicted in (z, z.reverse())
+            cls = classify(fresh, make_z_orientation(fresh, (0 if predicted == z else 1,)))
+            assert cls.orientation.chosen[0] == predicted
+            assert cls.homogeneous
+            assert set(cls.type_i_vertices) == {*host.type_i_vertices, *piece.type_i_vertices}
+            glued[piece is bp4] += 1
+    assert glued == {True: 566, False: 100}
 
 
 def test_glue_rejects_swapped_roles():

@@ -11,10 +11,10 @@ enumerate_zigzags walks the same orbits in vertex form.  The state
 (prev, cur) is (s, d, x): the pass s->d over cur, reached from the face
 F = {s, d, x}, so prev = {s, x}.  The other face of cur is {s, d, y}, its
 edge avoiding prev is {d, y}, and the successor is (d, y, s); the reversal
-(cur, prev) is (s, x, d).  An apex table, built once per triangulation
-from the edge -> faces index, maps each directed edge (s, d) and the apex
-x of one of its faces to the apex y of the other, so a walk step is one
-dict lookup.
+(cur, prev) is (s, x, d).  The corner table, built once per triangulation
+by validate, maps each directed edge (s, d) and the apex x of one of its
+faces to the apex y of the other, so a walk step is one dict lookup;
+enumeration, or a glued surface's audit, then takes it from validate.
 
 Every orbit has a disjoint reversal orbit, so zigzags come in reversal
 pairs; a z-orientation chooses one direction from each pair.  Under a
@@ -33,7 +33,7 @@ from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from ._cyclic import least_rotation
-from .triangulation import Triangulation, TriangulationError, _face_edges, edge_key
+from .triangulation import Triangulation, TriangulationError, _corner_table, _face_edges, edge_key
 
 __all__ = [
     "Pass",
@@ -179,21 +179,10 @@ def zigzag_successor(t: Triangulation, state: State) -> State:
 
 
 def _apex_table(t: Triangulation) -> dict[tuple[str, str, str], str]:
-    """(s, d, x) -> y for each face {s, d, x} whose edge {s, d} lies in {s, d, y}.
-
-    Needs every edge in exactly two faces.
-    """
-    across = {}
-    for e, faces in t._edge_faces.items():
-        u, v = e
-        apexes = []
-        for a, b, c in faces:
-            # faces and edges are sorted, so the apex is the vertex off e
-            apexes.append(c if (a, b) == e else b if (a, c) == e else a)
-        x, y = apexes
-        across[u, v, x] = across[v, u, x] = y
-        across[u, v, y] = across[v, u, y] = x
-    return across
+    """t's corner table (triangulation._corner_table): the one validate kept,
+    which t then releases, else a fresh one."""
+    across, t._corners = t._corners, None
+    return _corner_table(t._edge_faces) if across is None else across
 
 
 def enumerate_zigzags(t: Triangulation) -> tuple[Zigzag, ...]:
@@ -525,6 +514,20 @@ def _sole_zigzag_shadow(t: Triangulation, z: Zigzag) -> tuple[tuple[str, str, st
                 raise InvariantError(f"zigzag repeats a state or its reversal at position {i}")
             seen.update(((s, d, x), (s, x, d)))
     return shadow
+
+
+def _audit_sole_zigzag(t: Triangulation, z: Zigzag) -> None:
+    """_sole_zigzag_shadow's checks on t's corner table: the turn after a
+    state (s_i, d_i, s_i-1) lies in a face other than the turn before it
+    exactly when the table maps the state to d_i+1.  A walk that fails is
+    walked again by _sole_zigzag_shadow, which names the first position."""
+    srcs = [p.src for p in z.passes]
+    dsts, prevs = [p.dst for p in z.passes], srcs[-1:] + srcs[:-1]
+    # t's table is freed once read, before the state set is built
+    turns = list(map(_apex_table(t).get, zip(srcs, dsts, prevs)))
+    ok = turns == dsts[1:] + dsts[:1] and len(z) == 2 * len(t.edges)
+    if not ok or len({*zip(srcs, dsts, prevs), *zip(srcs, prevs, dsts)}) != 2 * len(z):
+        _sole_zigzag_shadow(t, z)
 
 
 def is_homogeneous(t: Triangulation, tau: ZOrientation) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 
 from .engine import Classification, ZOrientation, _orient_along, classify, enumerate_zigzags
 from .surgery import GluingSite, InvariantError, SpecialPair, _heads, _piece_site, _Surface
@@ -94,23 +94,37 @@ def _bipyramid_analysis(n: int, prefix: str) -> Classification:
     return cls
 
 
-@lru_cache(maxsize=64)
-def _template(n: int) -> Classification:
-    """BP(n)'s unprefixed analysis, which every tree build of a process
-    shares: a root of label n builds its surface from it under the root's
-    prefix, and a piece of label n resolves its site on it.  Root labels
-    are odd and piece labels even, so the two never share an entry."""
-    return _bipyramid_analysis(n, "")
+# the faces the kept templates may hold together: every label up to 63
+# fits at once
+_TEMPLATE_FACES = 4096
+# label -> its template, least recently used first
+_templates: dict[int, tuple[Classification, dict]] = {}
 
 
-@lru_cache(maxsize=128)
+def _template(n: int) -> tuple[Classification, dict]:
+    """BP(n)'s unprefixed analysis and its piece sites by wanted heads, which
+    the tree builds of a process share: a root of label n builds its surface
+    from it under the root's prefix, and a piece of label n resolves its
+    sites on it (odd labels are roots, even ones pieces).  Kept templates
+    hold at most _TEMPLATE_FACES faces, least recently used out first."""
+    entry = _templates.pop(n, None) or (_bipyramid_analysis(n, ""), {})
+    if 2 * n <= _TEMPLATE_FACES:
+        _templates[n] = entry
+        while 2 * sum(_templates) > _TEMPLATE_FACES:
+            del _templates[next(iter(_templates))]
+    return entry
+
+
 def _template_site(n: int, wanted: tuple[bool, ...]) -> GluingSite:
     """BP(n)'s piece site for the wanted heads, on its unprefixed analysis:
     a node's candidate pairs differ from another's of its label only by the
     prefix, so the first to fit does too.  The site keeps its slot plan, so
-    each is planned once per process."""
-    pairs = (_base_pair(partial(_base, n, ""), j) for j in range(1, n + 1))
-    return _piece_site(_template(n), wanted, pairs)
+    each is planned once while its template is kept."""
+    cls, sites = _template(n)
+    if wanted not in sites:
+        pairs = (_base_pair(partial(_base, n, ""), j) for j in range(1, n + 1))
+        sites[wanted] = _piece_site(cls, wanted, pairs)
+    return sites[wanted]
 
 
 def platonic(name: str) -> Triangulation:
@@ -335,12 +349,12 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     Every glue runs in place on one growing surface (surgery._Surface): the
     host pair is resolved on it by the rule resolve_site follows, and the
     piece is spliced in under the node's prefix.  Each label's bipyramid is
-    built and classified once per process, unprefixed, into a template every
-    build of the process shares: the root's surface is built from its
-    label's template under the root's prefix, and a piece label's site is
-    resolved on its template once per wanted head directions and compiled,
-    on its first glue, into the slot plan every later glue of it splices
-    from under its own prefix.  Each glue checks every cell it wrote, the
+    built and classified once, unprefixed, into a template the builds of a
+    process share while it is kept (_template): the root's surface is built
+    from its label's template under the root's prefix, and a piece label's
+    site is resolved on its template once per wanted head directions and
+    compiled, on its first glue, into the slot plan every later glue of it
+    splices from under its own prefix.  Each glue checks every cell it wrote, the
     host's at v, the split edges and all of the piece's, by one rule at the
     cost of what it changed, and the finished sphere is audited once in
     full, as glue audits its result, and for Euler characteristic 2 and two
@@ -354,7 +368,7 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
     adj = spec.adjacency()
     root = spec.root  # a valid tree has exactly one odd-labeled node, its root
 
-    surface = _Surface(_template(labels[root]), _node_prefix(root))
+    surface = _Surface(_template(labels[root])[0], _node_prefix(root))
     # base vertex i of a node may have been renamed when the node was glued
     names: dict[str, dict[int, str]] = {root: {}}
     cursor: dict[str, int] = {root: 1}

@@ -90,14 +90,14 @@ rule and its II,I,I phase holds across each junction; each new edge is
 passed twice with the type of the edge it came from, the split copies type
 II, and a type-II one takes the direction its passes read; every new face is
 type I; and each touched vertex keeps its type.  A finished surface is
-audited once in full: its Triangulation is validated, the zigzag is walked
-as its only zigzag (engine._sole_zigzag_shadow), and classify, homogeneity
-and the type-I vertices are checked.  Any failure raises InvariantError, an
-explicit check that also runs under python -O, and a failed glue check names
-the glue.  glue runs one gluing on a copy of the host, along the host site
-as it was resolved, and audits the result; generators.tree_build runs all of
-a tree's gluings on one surface, resolving each host pair on it, and audits
-it once.
+audited once in full: its Triangulation is validated, the zigzag is checked
+as its only zigzag on validate's corner table (engine._audit_sole_zigzag),
+and classify, homogeneity and the type-I vertices are checked.  Any failure
+raises InvariantError, an explicit check that also runs under python -O,
+and a failed glue check names the glue.  glue runs one gluing on a copy of
+the host, along the host site as it was resolved, and audits the result;
+generators.tree_build runs all of a tree's gluings on one surface,
+resolving each host pair on it, and audits it once.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ from .engine import (
     InvariantError,
     Pass,
     Zigzag,
+    _audit_sole_zigzag,
     _oriented,
-    _sole_zigzag_shadow,
     _turn,
     classify,
     make_pass,
@@ -984,7 +984,7 @@ class _Surface:
         if not t.validate().ok:
             raise InvariantError(f"glued face list is no closed surface: {t.validate()}")
         walked = Zigzag(tuple(self.passes))
-        _sole_zigzag_shadow(t, walked)
+        _audit_sole_zigzag(t, walked)
         z = walked.canonical()
         cls = classify(t, _oriented((z,), (0,) if z == walked else (1,)))
         if not cls.homogeneous:

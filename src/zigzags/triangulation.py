@@ -116,6 +116,21 @@ def _link_cycle(v: str, faces, closed: bool = True) -> tuple[str, ...] | None:
     return tuple(walk) if len(walk) == len(first) else None
 
 
+def _corner_table(edge_faces: dict) -> dict[tuple[str, str, str], str]:
+    """(s, d, x) -> y for each face {s, d, x} whose edge {s, d} lies in
+    exactly one other face, {s, d, y}; edges in 1 or 3+ faces have none."""
+    across = {}
+    for (u, v), faces in edge_faces.items():
+        if len(faces) == 2:
+            # faces and edges are sorted, so the apex is the first vertex off u, v
+            (a, b, c), (p, q, r) = faces
+            x = a if a != u else b if b != v else c
+            y = p if p != u else q if q != v else r
+            across[u, v, x] = across[v, u, x] = y
+            across[u, v, y] = across[v, u, y] = x
+    return across
+
+
 def _edge_violations(edge_faces: dict, edges) -> list[str]:
     """The given edges that do not lie in exactly two faces of the index."""
     return [
@@ -154,20 +169,19 @@ class Triangulation:
     edge in exactly two faces, connectivity, single-cycle vertex links) are
     reported by validate().
 
-    Derived data kept per instance: the report of validate(), the zigzags
-    of engine.enumerate_zigzags, the table of each edge's two passes over
-    those zigzags (engine._pass_table), and the last orientation of those
-    zigzags that engine.classify classified: its bits, its four type dicts
-    and, once extracted, its eulerian.DirectedEmbedding.  None refers back
-    to the instance.
+    Derived data kept per instance: the report of validate(), with the
+    corner table it walks the links on until engine._apex_table takes it;
+    the zigzags of engine.enumerate_zigzags, the table of each edge's two
+    passes over those zigzags (engine._pass_table), and the last
+    orientation of those zigzags that engine.classify classified: its bits,
+    its four type dicts and, once extracted, its eulerian.DirectedEmbedding.
+    None refers back to the instance.
     """
 
     def __init__(self, faces) -> None:
         stored: list[tuple[str, str, str]] = []
         seen: set[tuple[str, str, str]] = set()
         tokens: set[str] = set()
-        edge_faces: dict[tuple[str, str], list] = {}
-        vertex_faces: dict[str, list] = {}
         for f in faces:
             trio = tuple(f)
             for tok in trio:
@@ -176,21 +190,32 @@ class Triangulation:
                     tokens.add(_check_token(tok))
             if len(trio) != 3:
                 raise TriangulationError(f"face must have 3 vertices, got {trio!r}")
-            key = face_key(*trio)
+            # face_key inline: a three-way sort
+            a, b, c = trio
+            if a > b:
+                a, b = b, a
+            if b > c:
+                b, c = c, b
+                if a > b:
+                    a, b = b, a
+            if a == b or b == c:
+                raise TriangulationError(f"face vertices must be pairwise distinct, got {trio!r}")
+            key = (a, b, c)
             if key in seen:
                 raise TriangulationError(f"duplicate face {key!r}")
             seen.add(key)
             stored.append(key)
-            for v in key:
-                vertex_faces.setdefault(v, []).append(key)
-            for e in _face_edges(key):
-                edge_faces.setdefault(e, []).append(key)
-        self._set_fields(
-            tuple(stored),
-            seen,
-            {e: tuple(sorted(fs)) for e, fs in edge_faces.items()},
-            {v: tuple(sorted(fs)) for v, fs in vertex_faces.items()},
-        )
+        # swept in sorted order, each cell takes its faces already sorted
+        edge_faces: dict[tuple[str, str], tuple] = {}
+        vertex_faces: dict[str, tuple] = {}
+        cell, star = edge_faces.get, vertex_faces.get
+        for f in sorted(stored):
+            a, b, c = f
+            for v in f:
+                vertex_faces[v] = star(v, ()) + (f,)
+            for e in (a, b), (a, c), (b, c):
+                edge_faces[e] = cell(e, ()) + (f,)
+        self._set_fields(tuple(stored), seen, edge_faces, vertex_faces)
 
     @classmethod
     def _indexed(cls, faces, edge_faces: dict, vertex_faces: dict) -> "Triangulation":
@@ -211,6 +236,7 @@ class Triangulation:
         self._vertices = tuple(sorted(vertex_faces))
         self._edges = tuple(sorted(edge_faces))
         self._report: ValidationReport | None = None
+        self._corners: dict | None = None  # validate's corner table, until taken
         self._zigzags: tuple | None = None
         self._passes: list | None = None
         self._classified: tuple | None = None  # (bits, type dicts, embedding)
@@ -295,10 +321,24 @@ class Triangulation:
                 violations.append(
                     f"graph disconnected: reached {len(seen)} of {len(self._vertices)} vertices"
                 )
-        violations += _link_violations(
-            self._vertices, lambda v: _link_cycle(v, self._vertex_faces[v]) is not None
-        )
+        # v's link is one cycle exactly when the corner walk around v from
+        # its first face stays in the table and first closes after visiting
+        # each face at v: it visits one link cycle's faces, and never a face
+        # on an edge outside the table
+        corners, vertex_faces = _corner_table(self._edge_faces), self._vertex_faces
+
+        def is_cycle(v: str) -> bool:
+            a, b, c = vertex_faces[v][0]
+            x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
+            p, q, k = corners.get((v, x, y)), x, 1
+            while p is not None and (p != x or q != y):
+                p, q, k = corners.get((v, p, q)), p, k + 1
+            return p is not None and k == len(vertex_faces[v])
+
+        violations += _link_violations(self._vertices, is_cycle)
         self._report = ValidationReport(tuple(violations))
+        # kept for its one consumer, engine._apex_table, which releases it
+        self._corners = corners if self._report.ok else None
         return self._report
 
     def require_valid(self) -> None:

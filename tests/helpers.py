@@ -37,7 +37,7 @@ from zigzags import (
     validate_embedding,
 )
 from zigzags.engine import _orient_along
-from zigzags.generators import _template, _template_site
+from zigzags.generators import _templates
 
 
 def random_tree_spec(rng: random.Random, max_nodes: int = 8) -> TreeSpec:
@@ -196,8 +196,7 @@ def flipped_sites(seed: int, tries: int, census: tuple[int, ...]) -> list:
 def clear_templates() -> None:
     """Empty the bipyramid templates every tree build of a process shares,
     as a new process starts."""
-    for template in (_template, _template_site):
-        template.cache_clear()
+    _templates.clear()
 
 
 def renaming_namer(v: str, sides: dict, split: dict, renames: dict):

@@ -1,5 +1,6 @@
 """The vertex-link walk as it stood before the two-slot kernel, kept as a
-reference for triangulation._link_cycle.
+reference for triangulation._link_cycle and for the corner walk that
+Triangulation.validate checks each link with (test_corner_table).
 
 It builds a list of neighbours for each link vertex, finds the vertices of
 degree other than 2, and walks the cycle (or the path joined end to end)

@@ -13,6 +13,7 @@ import zigzags.engine as engine
 import zigzags.eulerian as eulerian
 import zigzags.generators as generators
 import zigzags.surgery as surgery
+import zigzags.triangulation as triangulation
 from helpers import clear_templates
 from zigzags import (
     Triangulation,
@@ -147,7 +148,7 @@ def test_tree_build_audits_the_glued_surface_once(monkeypatch, n):
     # classified once per process, and its piece site resolved once per
     # wanted heads, so a second build with the same labels does neither
     clear_templates()
-    walked = counted(monkeypatch, surgery, "_sole_zigzag_shadow")
+    walked = counted(monkeypatch, surgery, "_audit_sole_zigzag")
     audited = counted(monkeypatch, surgery, "classify")
     built = counted(monkeypatch, generators, "bipyramid")
     pieces = counted(monkeypatch, generators, "classify")
@@ -219,10 +220,12 @@ def test_glue_and_prediction_plan_a_piece_site_once(monkeypatch):
 def test_census_enumerates_the_input_and_the_coned_surface_once(monkeypatch, n):
     # the census path: the search, classify and the round trip share the
     # input's zigzags, and the round trip builds no second surface; each
-    # orientation is classified once, so the pass table is read once per
-    # orientation searched and once for the coned surface's own
+    # surface's corner table is built once, by validate, and enumeration
+    # walks it; each orientation is classified once, so the pass table is
+    # read once per orientation searched and once for the coned surface's own
     text = serialize_triangulation(bipyramid(n))
-    tables = counted(monkeypatch, engine, "_apex_table")
+    tables = counted(monkeypatch, triangulation, "_corner_table")
+    rebuilt = counted(monkeypatch, engine, "_corner_table")
     reads = counted(monkeypatch, engine, "_pass_table")
     built = []
     init = Triangulation.__init__
@@ -239,7 +242,9 @@ def test_census_enumerates_the_input_and_the_coned_surface_once(monkeypatch, n):
     emb = parse_embedding(serialize_embedding(extract_directed_embedding(t, tau)))
     t2, tau2 = triangulate_embedding(emb)
     assert round_trip_check(t, tau)
-    assert [x[0] for x in tables] == built == [t, t2]
+    assert built == [t, t2]
+    assert [id(x[0]) for x in tables] == [id(t._edge_faces), id(t2._edge_faces)]
+    assert rebuilt == []
     assert enumerate_zigzags(t) is enumerate_zigzags(t) is zs is tau.zigzags
     assert [(id(x), y) for x, y in reads] == [(id(t), x) for x in searched] + [(id(t2), tau2)]
 

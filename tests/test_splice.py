@@ -36,7 +36,7 @@ from zigzags import (
     resolve_site,
     tree_build,
 )
-from zigzags.engine import _orient_along, _sole_zigzag_shadow
+from zigzags.engine import _audit_sole_zigzag, _orient_along, _sole_zigzag_shadow
 from zigzags.triangulation import _face_edges
 
 
@@ -58,14 +58,13 @@ def _same_indexes(t: Triangulation) -> None:
 
 def test_every_glue_matches_a_fresh_build_and_enumeration(tree_corpus, glued_corpus, monkeypatch):
     walked = []
-    walk = surgery._sole_zigzag_shadow
+    audit = surgery._audit_sole_zigzag
 
-    def spy_walk(t, z):
-        shadow = walk(t, z)
-        walked.append((t, z, shadow))
-        return shadow
+    def spy_audit(t, z):
+        audit(t, z)
+        walked.append((t, z))
 
-    monkeypatch.setattr(surgery, "_sole_zigzag_shadow", spy_walk)
+    monkeypatch.setattr(surgery, "_audit_sole_zigzag", spy_audit)
     for spec, t, _, _ in tree_corpus:
         assert tree_build(spec)[0].faces == t.faces
     for _, _, host_site, piece_site in glued_corpus.values():
@@ -73,10 +72,11 @@ def test_every_glue_matches_a_fresh_build_and_enumeration(tree_corpus, glued_cor
     # one audit per build and per glue, however many glues a build runs
     assert len(walked) == len(tree_corpus) + 2
 
-    for t, z, shadow in walked:
+    for t, z in walked:
         _same_indexes(t)
         assert enumerate_zigzags(t) == (z.canonical(),)
-        assert shadow == face_shadow(t, z)
+        # the table audit accepts a walk the full walk accepts too
+        assert _sole_zigzag_shadow(t, z) == face_shadow(t, z)
 
 
 def test_the_surface_keeps_what_a_fresh_analysis_finds(tree_corpus, monkeypatch):
@@ -177,11 +177,17 @@ def test_glue_splices_the_given_host_site(glued_corpus, monkeypatch):
     assert h.hexdigest() == PINNED_GLUED_DIGEST
 
 
+# the audit on the corner table fails every walk the full walk fails, with
+# the full walk's message
+WALKS = (_sole_zigzag_shadow, _audit_sole_zigzag)
+
+
 def test_walk_rejects_the_hosts_zigzag(glued_corpus):
     t, _, host_site, piece_site = glued_corpus[6]
     host_z = host_site.classification.orientation.chosen[0]
-    with pytest.raises(InvariantError, match="zigzag has 18 passes, not 2E = 54"):
-        _sole_zigzag_shadow(t, host_z)
+    for walk in WALKS:
+        with pytest.raises(InvariantError, match="zigzag has 18 passes, not 2E = 54"):
+            walk(t, host_z)
     # a spliced surface left with the host's zigzag fails the glue's check
     # and the audit alike
     for check in (True, False):
@@ -194,27 +200,36 @@ def test_walk_rejects_the_hosts_zigzag(glued_corpus):
 
 def test_walk_rejects_a_zigzag_of_several():
     bp4 = bipyramid(4)
-    with pytest.raises(InvariantError, match="zigzag has 6 passes, not 2E = 24"):
-        _sole_zigzag_shadow(bp4, enumerate_zigzags(bp4)[0])
+    bp6 = bipyramid(6)
     # BP(6)'s two zigzags have E passes each: one walked twice has the length
     # of a single zigzag, but repeats its states from the second round on
-    bp6 = bipyramid(6)
     (z, _) = enumerate_zigzags(bp6)
     twice = Zigzag(z.passes * 2)
-    with pytest.raises(InvariantError, match="repeats a state or its reversal at position 18$"):
-        _sole_zigzag_shadow(bp6, twice)
+    for walk in WALKS:
+        with pytest.raises(InvariantError, match="zigzag has 6 passes, not 2E = 24"):
+            walk(bp4, enumerate_zigzags(bp4)[0])
+        with pytest.raises(InvariantError, match="repeats a state or its reversal at position 18$"):
+            walk(bp6, twice)
 
 
 def test_walk_rejects_turns_off_the_successor_rule():
     # twelve passes, 2E on the tetrahedron, all turning in one face
     tetra = platonic("tetrahedron")
     a, b, c = tetra.faces[0]
-    with pytest.raises(InvariantError, match="turns twice in face .* at position 0"):
-        _sole_zigzag_shadow(tetra, _walk(a, b, c, a, b, c, a, b, c, a, b, c))
     # the octahedron's equator walked six times: 1, 2, 3 is no face
     octa = bipyramid(4)
-    with pytest.raises(InvariantError, match="leaves the faces: passes 0 and 1"):
-        _sole_zigzag_shadow(octa, _walk(*"1234" * 6))
+    # BP(5)'s zigzag with a and 1 swapped: 2E passes, no state repeated,
+    # but its first turn, 1 2 3, is no face
+    bp5 = bipyramid(5)
+    swap = {"a": "1", "1": "a"}
+    swapped = _walk(*(swap.get(p.src, p.src) for p in enumerate_zigzags(bp5)[0].passes))
+    for walk in WALKS:
+        with pytest.raises(InvariantError, match="turns twice in face .* at position 0"):
+            walk(tetra, _walk(a, b, c, a, b, c, a, b, c, a, b, c))
+        with pytest.raises(InvariantError, match="leaves the faces: passes 0 and 1"):
+            walk(octa, _walk(*"1234" * 6))
+        with pytest.raises(InvariantError, match=r"leaves the faces: passes 0 and 1: .*'2', '3'"):
+            walk(bp5, swapped)
 
 
 def test_walk_accepts_a_z_knotted_zigzag_in_either_direction(glued_corpus):
@@ -222,6 +237,7 @@ def test_walk_accepts_a_z_knotted_zigzag_in_either_direction(glued_corpus):
     z = tau.chosen[0]
     assert _sole_zigzag_shadow(t, z) == face_shadow(t, z)
     assert _sole_zigzag_shadow(t, z.reverse()) == face_shadow(t, z.reverse())
+    assert _audit_sole_zigzag(t, z) is _audit_sole_zigzag(t, z.reverse()) is None
 
 
 def _keep_v1(plan):
@@ -579,7 +595,7 @@ def test_a_prefixed_root_template_is_the_prefixed_bipyramids_surface(n, prefix):
     # its prefix: field by field, and in each dict's order, it is the surface
     # of BP(n) built and analysed under the prefix, so face keys, edge keys,
     # the zigzag's rotation and the bits come out the same
-    got = vars(surgery._Surface(generators._template(n), prefix))
+    got = vars(surgery._Surface(generators._template(n)[0], prefix))
     want = vars(surgery._Surface(generators._bipyramid_analysis(n, prefix)))
     assert got.keys() == want.keys() == {
         "faces", "slots", "edge_faces", "vertex_faces", "passes", "edge_directions",

@@ -315,6 +315,36 @@ def test_a_failed_glue_leaves_the_next_build_as_it_was(monkeypatch):
     assert build_digest(RUNNING) == before
 
 
+def test_a_large_root_leaves_no_template_over_the_bound():
+    # a root of more faces than the kept templates may hold is analysed
+    # for its build and dropped; the pieces' templates stay, and no kept
+    # triangulation holds a corner table once its enumeration took it
+    clear_templates()
+    big = generators._TEMPLATE_FACES // 2 + 1
+    spec = TreeSpec((("r", big | 1), ("x", 4), ("y", 6)), (("r", "x"), ("r", "y")))
+    assert is_z_knotted(tree_build(spec)[0])
+    assert sorted(generators._templates) == [4, 6]
+    for cls, _ in generators._templates.values():
+        assert cls.triangulation._corners is None
+    # labels 3 to 41 fit at once: every label of a tree of up to 20 nodes
+    # whose labels are each at most one above their least
+    assert 2 * sum(range(3, 42)) <= generators._TEMPLATE_FACES
+
+
+def test_templates_leave_least_recently_used_first(monkeypatch):
+    clear_templates()
+    monkeypatch.setattr(generators, "_TEMPLATE_FACES", 40)
+    kept = generators._template(9)
+    for n in (7, 9, 5):
+        generators._template(n)
+    # 18 + 14 + 10 faces are over 40: BP(7), used least recently, left
+    assert list(generators._templates) == [9, 5]
+    assert generators._template(9) is kept
+    # one label over the bound is analysed anew on each use
+    assert generators._template(21) is not generators._template(21)
+    assert list(generators._templates) == [5, 9]
+
+
 def _far_pass_reversed(site):
     """A copy of a piece site whose segments, and so its slot plan, hold
     one pass reversed: a pass off v, v1 and v2 lying three or more

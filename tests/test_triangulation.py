@@ -188,6 +188,7 @@ def test_parse_errors_name_lines():
     # both faults: the earlier line wins, whichever it is
     ("f 1 2 3\nf 2 2 4\nf 3 1 2\n", "line 2: face has a repeated vertex"),
     ("f 1 2 3\nf 3 1 2\nf 2 2 4\n", "line 2: duplicate face 1 2 3"),
+    ("f 1 2 3\nf 4 2 4\nf 2 3 1\n", "line 2: face has a repeated vertex"),
     # a face fault before a malformed record wins over it, and after it not
     ("f 1 2 3\nf 2 1 3\ng 1 2 3\n", "line 2: duplicate face 1 2 3"),
     ("f 1 1 3\nf 1 2\n", "line 1: face has a repeated vertex"),

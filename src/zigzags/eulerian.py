@@ -171,21 +171,45 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
 
 def _pinched_vertices(emb: DirectedEmbedding) -> list[str]:
     """One violation per vertex whose arcs the corners join into more than
-    one cycle; needs every face cycle simple and every arc on two of them."""
-    corners: dict[str, dict[Arc, list[Arc]]] = {v: {} for v in emb.vertices}
+    one cycle; needs every face cycle simple and every arc on two of them.
+
+    Each corner of a face cycle, an arc in and the next arc out, joins the
+    two at the vertex between them.  Two flat maps hold every corner: after
+    sends each arc to the two arcs out of its head that follow it, before
+    sends each arc to the two arcs into its tail that precede it.  The
+    corners at v join its arcs into one cycle exactly when the walk from
+    its first in-arc, out by after and back in by before, each time by the
+    slot it did not come by, visits each in-arc at v before it closes; only
+    a walk that closes early has its cycles counted, by a search over the
+    corners at v."""
+    after: dict[Arc, list[Arc]] = {}
+    before: dict[Arc, list[Arc]] = {}
     for _, cyc in emb.face_cycles:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            at = corners[a[1]]
-            at.setdefault(a, []).append(b)
-            at.setdefault(b, []).append(a)
+            after.setdefault(a, []).append(b)
+            before.setdefault(b, []).append(a)
+    into: dict[str, list[Arc]] = {}
+    for a in emb.arcs:
+        into.setdefault(a[1], []).append(a)
+
     out = []
-    for v, at in corners.items():
-        left, cycles = set(at), 0
+    for v in emb.vertices:
+        start = a = into[v][0]
+        b, k = after[a][0], 1
+        while True:
+            x, y = before[b]
+            a = y if x == a else x
+            if a == start:
+                break
+            x, y = after[a]
+            b, k = y if x == b else x, k + 1
+        if k == len(into[v]):
+            continue
+        left, cycles = {x for a in into[v] for x in (a, *after[a])}, 0
         while left:
-            left -= _reachable(min(left), at.__getitem__)
+            left -= _reachable(min(left), lambda x: after[x] if x[1] == v else before[x])
             cycles += 1
-        if cycles > 1:
-            out.append(f"the corners at vertex {v!r} form {cycles} cycles, not one")
+        out.append(f"the corners at vertex {v!r} form {cycles} cycles, not one")
     return out
 
 

@@ -81,23 +81,26 @@ All glue outputs are verified rather than trusted.  A _Surface holds a
 growing surface, and each glue changes it in place: only the faces and
 passes at v are renamed, the piece's faces are appended, and the glued walk
 rearranges the host's four arcs around the split edges' passes and the
-piece's renamed segments.  Each glue is then checked at the cost of what it
-changed, by one rule for every cell it wrote, the host's cells at v, the
-split edges and all of the piece's cells alike: the edges and vertices it
-touched lie in two faces and have a one-cycle link; the V, E, F sums hold;
-where the zigzag changed, its passes chain, its turns follow the successor
-rule and its II,I,I phase holds across each junction; each new edge is
-passed twice with the type of the edge it came from, the split copies type
-II, and a type-II one takes the direction its passes read; every new face is
-type I; and each touched vertex keeps its type.  A finished surface is
-audited once in full: its Triangulation is validated, the zigzag is checked
-as its only zigzag on validate's corner table (engine._audit_sole_zigzag),
-and classify, homogeneity and the type-I vertices are checked.  Any failure
-raises InvariantError, an explicit check that also runs under python -O,
-and a failed glue check names the glue.  glue runs one gluing on a copy of
-the host, along the host site as it was resolved, and audits the result;
-generators.tree_build runs all of a tree's gluings on one surface,
-resolving each host pair on it, and audits it once.
+piece's renamed segments.  Its edge and vertex indexes keep each cell's
+faces in an unsorted list, which a glue edits by the faces it moved alone,
+so a cell of high degree, such as a star root's apex, costs no copy or sort
+per glue; the finished surface sorts each cell once.  Each glue is then
+checked at the cost of what it changed, by one rule for every cell it wrote,
+the host's cells at v, the split edges and all of the piece's cells alike:
+the edges and vertices it touched lie in two faces and have a one-cycle
+link; the V, E, F sums hold; where the zigzag changed, its passes chain, its
+turns follow the successor rule and its II,I,I phase holds across each
+junction; each new edge is passed twice with the type of the edge it came
+from, the split copies type II, and a type-II one takes the direction its
+passes read; every new face is type I; and each touched vertex keeps its
+type.  A finished surface is audited once in full: its Triangulation is
+validated, the zigzag is checked as its only zigzag on validate's corner
+table (engine._audit_sole_zigzag), and classify, homogeneity and the type-I
+vertices are checked.  Any failure raises InvariantError, an explicit check
+that also runs under python -O, and a failed glue check names the glue.
+glue runs one gluing on a copy of the host, along the host site as it was
+resolved, and audits the result; generators.tree_build runs all of a tree's
+gluings on one surface, resolving each host pair on it, and audits it once.
 """
 
 from __future__ import annotations
@@ -641,10 +644,12 @@ def _glued_walk(host_ends: dict[str, str], piece_ends: dict[str, str]):
 
 
 def _reindex(index: dict, lost, gained, cells) -> tuple[dict, list]:
-    """Move the lost faces out of index (cell -> its faces as a sorted tuple)
-    and the gained faces in, where cells(face) lists the cells of a face.
-    Returns each cell touched -> (its lost faces, its gained faces), and the
-    cells new to the index."""
+    """Move the lost faces out of index (cell -> its faces as an unsorted
+    list) and the gained faces in, where cells(face) lists the cells of a
+    face: each touched cell's list loses and gains just those faces, in
+    place, and a cell left with none leaves the index.  Returns each cell
+    touched -> (its lost faces, its gained faces), and the cells new to the
+    index."""
     change: dict = {}
     for i, faces in enumerate((lost, gained)):
         for f in faces:
@@ -652,17 +657,16 @@ def _reindex(index: dict, lost, gained, cells) -> tuple[dict, list]:
                 change.setdefault(cell, ([], []))[i].append(f)
     born = []
     for cell, (out, into) in change.items():
-        if cell in index:
-            kept = list(index[cell])
-            for f in out:
-                kept.remove(f)
-            kept += into
-        else:
+        kept = index.get(cell)
+        if kept is None:
             born.append(cell)
-            kept = into
-        if kept:
-            index[cell] = tuple(sorted(kept))
-        else:
+            # a copy: the change hands into to the glue's checks
+            index[cell] = into[:]
+            continue
+        for f in out:
+            kept.remove(f)
+        kept += into
+        if not kept:
             del index[cell]
     return change, born
 
@@ -716,19 +720,21 @@ class _Surface:
 
     It holds what its Triangulation and the Classification of its single
     zigzag would, kept current glue by glue: the face list and each face's
-    slot in it, the edge and vertex indexes (cell -> its faces as a sorted
-    tuple, as Triangulation keeps them), the zigzag as a list of passes in
-    its chosen direction at any rotation, the directions of the type-II
+    slot in it, the edge and vertex indexes (cell -> its faces as a list,
+    unsorted while the surface grows, sorted into the tuples Triangulation
+    keeps once it is finished), the zigzag as a list of passes in its
+    chosen direction at any rotation, the directions of the type-II
     edges (an edge is type II exactly when it has one), the type-I vertices,
     and how many type-II edges end at each vertex.  It is built in one walk
     over the host's classification, with prefix + u for each vertex u: a
     common prefix keeps every key sorted and the zigzag's rotation, so the
     surface of an unprefixed host under a prefix is the surface of the host
-    built under it.  A glue costs what it changes plus list.index scans and
-    list slices, which run in C; no Python loop runs over the host's faces,
-    edges or passes, and the piece's cells are named from its site's plan,
-    one list lookup per vertex, with no renaming rule run, then checked by
-    the rule that checks the host's renamed cells.
+    built under it.  A glue costs what it changes plus list.index scans,
+    list slices and list.remove scans of the cells it touches, which run in
+    C; no Python loop runs over the host's faces, edges or passes, and the
+    piece's cells are named from its site's plan, one list lookup per
+    vertex, with no renaming rule run, then checked by the rule that checks
+    the host's renamed cells.
     """
 
     def __init__(self, host: Classification, prefix: str = "") -> None:
@@ -739,8 +745,8 @@ class _Surface:
         edge = {e: tuple(map(name, e)) for e in t._edge_faces}.__getitem__
         self.faces = list(map(face, t.faces))
         self.slots = dict(zip(self.faces, range(len(self.faces))))
-        self.edge_faces = {edge(e): tuple(map(face, fs)) for e, fs in t._edge_faces.items()}
-        self.vertex_faces = {name(v): tuple(map(face, fs)) for v, fs in t._vertex_faces.items()}
+        self.edge_faces = {edge(e): list(map(face, fs)) for e, fs in t._edge_faces.items()}
+        self.vertex_faces = {name(v): list(map(face, fs)) for v, fs in t._vertex_faces.items()}
         walk = host.orientation.chosen[0].passes
         self.passes = [Pass(edge(e), name(u), name(w)) for e, u, w in walk]
         directions = host.edge_directions.items()
@@ -813,7 +819,9 @@ class _Surface:
         # each new edge and the type of the edge it came from: the renamed
         # edges at v, the pair edges' split copies type II, and the piece's
         # other edges
-        lost = self.vertex_faces[v]
+        # sorted, so that the renamed faces take the slots and the order they
+        # took when the index kept each cell sorted
+        lost = sorted(self.vertex_faces[v])
         at_v = sorted({e for f in lost for e in _face_edges(f) if v in e} - pair.edges())
         kinds = ("II" if e in self.edge_directions else "I" for e in at_v)
         types = dict(zip(host_rename(at_v, edge_key), kinds))
@@ -980,7 +988,9 @@ class _Surface:
     def finish(self) -> Classification:
         """The surface's Triangulation and the classification of its zigzag,
         after the full audit; the surface is spent."""
-        t = Triangulation._indexed(self.faces, self.edge_faces, self.vertex_faces)
+        edge_faces = {e: tuple(sorted(fs)) for e, fs in self.edge_faces.items()}
+        vertex_faces = {x: tuple(sorted(fs)) for x, fs in self.vertex_faces.items()}
+        t = Triangulation._indexed(self.faces, edge_faces, vertex_faces)
         if not t.validate().ok:
             raise InvariantError(f"glued face list is no closed surface: {t.validate()}")
         walked = Zigzag(tuple(self.passes))

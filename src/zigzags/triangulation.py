@@ -10,6 +10,7 @@ Faces are stored as sorted 3-tuples, edges as sorted 2-tuples.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 __all__ = [
@@ -205,24 +206,32 @@ class Triangulation:
                 raise TriangulationError(f"duplicate face {key!r}")
             seen.add(key)
             stored.append(key)
-        # swept in sorted order, each cell takes its faces already sorted
+        # swept in sorted order, each cell takes its faces already sorted: a
+        # vertex's grow in a list, made a tuple once, so a vertex of degree d
+        # costs O(d); an edge's, two at most, grow as a tuple, each of the
+        # face's three edges taking the one tuple (f,)
         edge_faces: dict[tuple[str, str], tuple] = {}
-        vertex_faces: dict[str, tuple] = {}
-        cell, star = edge_faces.get, vertex_faces.get
+        stars: defaultdict[str, list] = defaultdict(list)
+        cell = edge_faces.get
         for f in sorted(stored):
             a, b, c = f
-            for v in f:
-                vertex_faces[v] = star(v, ()) + (f,)
+            stars[a].append(f)
+            stars[b].append(f)
+            stars[c].append(f)
+            one = (f,)
             for e in (a, b), (a, c), (b, c):
-                edge_faces[e] = cell(e, ()) + (f,)
+                edge_faces[e] = cell(e, ()) + one
+        vertex_faces = dict(zip(stars, map(tuple, stars.values())))
         self._set_fields(tuple(stored), seen, edge_faces, vertex_faces)
 
     @classmethod
     def _indexed(cls, faces, edge_faces: dict, vertex_faces: dict) -> "Triangulation":
         """The triangulation on a list of face keys, taking over an edge and
-        a vertex index (cell -> its faces as a sorted tuple) already built
-        for them, as the constructor would build it.  Nothing is checked
-        here: validate() runs in full on first use."""
+        a vertex index already built for them in the form the constructor's
+        sweep leaves its own in: cell -> its faces as a sorted tuple.  A
+        caller that grows its indexes unsorted (surgery._Surface) sorts each
+        cell once to hand them over.  Nothing is checked here: validate()
+        runs in full on first use."""
         t = object.__new__(cls)
         t._set_fields(tuple(faces), set(faces), edge_faces, vertex_faces)
         return t

@@ -482,52 +482,44 @@ def face_shadow(t: Triangulation, z: Zigzag) -> tuple[tuple[str, str, str], ...]
     return out
 
 
-def _sole_zigzag_shadow(t: Triangulation, z: Zigzag) -> tuple[tuple[str, str, str], ...]:
-    """The face shadow of z, once a walk along z shows that it is t's only
-    zigzag up to reversal; t must be a closed surface, so that 2E = 3F.
+def _audit_sole_zigzag(t: Triangulation, z: Zigzag) -> None:
+    """Check that z is t's only zigzag up to reversal; t must be a closed
+    surface, so that 2E = 3F.
 
     Every turn of z lies in a face, and consecutive turns lie in different
     faces: as each edge lies in two faces, the turn after a pass lies in the
     other face of its edge, which is the successor rule, so z is an orbit.
     Its 2E states (s_i, d_i, s_i-1) and their reversals (s_i, s_i-1, d_i)
     are pairwise distinct, so they are 4E = 6F states, all there are, and no
-    other orbit is left.  Raises InvariantError naming the first position
-    that fails, an explicit check that also runs under python -O.
+    other orbit is left.  On t's corner table the turn after a state lies in
+    a face other than the turn before it exactly when the table maps the
+    state to d_i+1.  A walk that fails is walked again along its face
+    shadow, and raises InvariantError naming the first position that fails:
+    its length, then a turn off the faces, a turn twice in one face, and a
+    repeated state, an explicit check that also runs under python -O.
     """
     n, two_e = len(z), 2 * len(t.edges)
+    srcs = [p.src for p in z.passes]
+    dsts, prevs = [p.dst for p in z.passes], srcs[-1:] + srcs[:-1]
+    states = list(zip(srcs, dsts, prevs))
+    # t's table is freed once read, before the state set is built
+    ok = list(map(_apex_table(t).get, states)) == dsts[1:] + dsts[:1] and n == two_e
+    if ok and len({*states, *zip(srcs, prevs, dsts)}) == 2 * n:
+        return
     if n != two_e:
         raise InvariantError(f"zigzag has {n} passes, not 2E = {two_e}")
     try:
         shadow = face_shadow(t, z)
     except TriangulationError as exc:
         raise InvariantError(f"zigzag leaves the faces: {exc}") from None
-    if any(map(tuple.__eq__, shadow, shadow[1:] + shadow[:1])):
-        i = next(i for i in range(n) if shadow[i - 1] == shadow[i])
-        raise InvariantError(f"zigzag turns twice in face {shadow[i]} at position {i}")
-    srcs = [p.src for p in z.passes]
-    dsts, prevs = [p.dst for p in z.passes], srcs[-1:] + srcs[:-1]
-    states = list(zip(srcs, dsts, prevs))
-    if len({*states, *zip(srcs, prevs, dsts)}) != 2 * n:
-        seen: set[tuple[str, str, str]] = set()
-        for i, (s, d, x) in enumerate(states):
-            if (s, d, x) in seen or (s, x, d) in seen:
-                raise InvariantError(f"zigzag repeats a state or its reversal at position {i}")
-            seen.update(((s, d, x), (s, x, d)))
-    return shadow
-
-
-def _audit_sole_zigzag(t: Triangulation, z: Zigzag) -> None:
-    """_sole_zigzag_shadow's checks on t's corner table: the turn after a
-    state (s_i, d_i, s_i-1) lies in a face other than the turn before it
-    exactly when the table maps the state to d_i+1.  A walk that fails is
-    walked again by _sole_zigzag_shadow, which names the first position."""
-    srcs = [p.src for p in z.passes]
-    dsts, prevs = [p.dst for p in z.passes], srcs[-1:] + srcs[:-1]
-    # t's table is freed once read, before the state set is built
-    turns = list(map(_apex_table(t).get, zip(srcs, dsts, prevs)))
-    ok = turns == dsts[1:] + dsts[:1] and len(z) == 2 * len(t.edges)
-    if not ok or len({*zip(srcs, dsts, prevs), *zip(srcs, prevs, dsts)}) != 2 * len(z):
-        _sole_zigzag_shadow(t, z)
+    for i in range(n):
+        if shadow[i - 1] == shadow[i]:
+            raise InvariantError(f"zigzag turns twice in face {shadow[i]} at position {i}")
+    seen: set[tuple[str, str, str]] = set()
+    for i, (s, d, x) in enumerate(states):
+        if (s, d, x) in seen or (s, x, d) in seen:
+            raise InvariantError(f"zigzag repeats a state or its reversal at position {i}")
+        seen.update(((s, d, x), (s, x, d)))
 
 
 def is_homogeneous(t: Triangulation, tau: ZOrientation) -> bool:

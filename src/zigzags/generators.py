@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .engine import Classification, ZOrientation, _orient_along, classify, enumerate_zigzags
-from .surgery import GluingSite, InvariantError, SpecialPair, _heads, _piece_site, _Surface
+from .surgery import GluingSite, InvariantError, SpecialPair, _piece_site, _Surface
 from .triangulation import (
     ParseError,
     Triangulation,
@@ -348,7 +348,9 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
 
     Every glue runs in place on one growing surface (surgery._Surface): the
     host pair is resolved on it by the rule resolve_site follows, and the
-    piece is spliced in under the node's prefix.  Each label's bipyramid is
+    piece is spliced in under the node's prefix.  The build reads no field
+    of the surface: the cut gives the pair's heads, and each glue the V, E,
+    F its checks proved, which the log records with the zigzag length 2E.  Each label's bipyramid is
     built and classified once, unprefixed, into a template the builds of a
     process share while it is kept (_template): the root's surface is built
     from its label's template under the root's prefix, and a piece label's
@@ -386,21 +388,16 @@ def tree_build(spec: TreeSpec) -> tuple[Triangulation, ZOrientation, BuildLog]:
             parent_of[c] = u
             cut = surface.cut(_base_pair(partial(token, u), cursor[u]))
             cursor[u] += 2
-            site = _template_site(labels[c], _heads(surface.edge_directions, cut.pair))
+            site = _template_site(labels[c], cut.heads)
             prefix = _node_prefix(c)
-            surface.glue(cut, site, f"glued node {c} into {u}", prefix)
+            v, e, f = surface.glue(cut, site, f"glued node {c} into {u}", prefix)
             names[c] = {int(site.pair.v1): cut.pair.v1, int(site.pair.v2): cut.pair.v2}
             # the next base triple starts where the glued one ends
             cursor[c] = int(site.pair.shared_vertex) + 1
             prefixed = [(prefix + x, prefix + y) for x, y in (site.pair.e1, site.pair.e2)]
             piece_pair = SpecialPair(*prefixed, prefix + site.pair.shared_vertex)
-            records.append(
-                GluingRecord(
-                    u, c, cut.pair, piece_pair, site.kind,
-                    len(surface.vertex_faces), len(surface.edge_faces),
-                    len(surface.faces), len(surface.passes),
-                )
-            )
+            # the glued zigzag passes each of the E edges twice
+            records.append(GluingRecord(u, c, cut.pair, piece_pair, site.kind, v, e, f, 2 * e))
             queue.append(c)
 
     built = surface.finish()

@@ -43,21 +43,26 @@ reorders: it resolves the pair as given or raises SurgeryError.
 One check and one cut resolve every site, on a classification and on a tree
 build's growing _Surface alike: _checked raises SurgeryError on a pair off
 its kind's occurrence pattern, and _labeling labels the checked pair and
-cuts its segments.  A GluingSite is that cut with the classification it was
-resolved on (_resolve); a _Surface's cut (_Cut) has no classification, and
-differs only in the vertex link, the pass positions and the walk it hands
-over.
+cuts its segments.  Both read pass positions only by comparing them, and
+the cut reads a walk only by two operations of the walk's owner:
+toward(zi, r), the vertex that pass r of zigzag zi turns toward, and
+arc(zi, start, stop), the passes strictly between two positions.  A
+classification's chosen walks supply them through _Chosen, a _Surface over
+its own pass list.  A GluingSite is that cut with the classification it was
+resolved on (_resolve); a _Surface's cut (_Cut) has no classification but
+carries its pair's heads, and differs only in the vertex link, the pass
+positions and the walk owner it hands over.
 
 Every function here takes the Classification of a (t, tau), the one
 analysis classify(t, tau) builds once t passes its closed-surface check,
 and reads the pass positions it derives on first use; the face a pair pass
-enters is read off the chosen walk by the one turn rule, engine._turn.  A
-GluingSite stores only what resolving decides: the classification it was
-resolved on, the pair in its role order, the +/- side of each interior link
-vertex of v, and the four cut segments with their ends.  It derives only
-its kind, from the zigzag census (one zigzag makes a host, two or four a
-piece); the pair edges' directions are the classification's, and each pair
-face lies on the side of its interior link vertex.
+enters holds its edge and the vertex it turns toward.  A GluingSite stores
+only what resolving decides: the classification it was resolved on, the
+pair in its role order, the +/- side of each interior link vertex of v, and
+the four cut segments with their ends.  It derives only its kind, from the
+zigzag census (one zigzag makes a host, two or four a piece); the pair
+edges' directions are the classification's, and each pair face lies on the
+side of its interior link vertex.
 
 Every entry point checks each classification it takes for the role it
 fills by one rule, _require_site: homogeneity first, then the census.
@@ -81,7 +86,10 @@ All glue outputs are verified rather than trusted.  A _Surface holds a
 growing surface, and each glue changes it in place: only the faces and
 passes at v are renamed, the piece's faces are appended, and the glued walk
 rearranges the host's four arcs around the split edges' passes and the
-piece's renamed segments.  Its edge and vertex indexes keep each cell's
+piece's renamed segments.  Its zigzag is its own: only its methods
+__init__, _at, toward, arc, zigzag, splice and check read or write the pass
+list, and a tree build reads no field of it, only the cut's heads and the
+V, E, F each glue returns.  Its edge and vertex indexes keep each cell's
 faces in an unsorted list, which a glue edits by the faces it moved alone,
 so a cell of high degree, such as a star root's apex, costs no copy or sort
 per glue; the finished surface sorts each cell once.  Each glue is then
@@ -367,7 +375,7 @@ def find_special_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
     candidate, taken in sorted (c1, c2, v) order.
     """
     _require_site(cls, _HOST_ROLE)
-    at, walks = cls.pass_positions, [z.passes for z in cls.orientation.chosen]
+    at, walks = cls.pass_positions, _Chosen(cls.orientation.chosen)
     links, facts = {}, {}  # a vertex may share many pairs, and an edge many at a vertex
     out = []
     for c1, c2, v in _candidates(cls, HOST):
@@ -409,6 +417,23 @@ def _arc(passes, start: int, stop: int):
     return passes[start + 1:stop] if start < stop else passes[start + 1:] + passes[:stop]
 
 
+class _Chosen(NamedTuple):
+    """A classification's chosen walks, read as the shared cut reads any
+    walk: by toward and arc alone, which a _Surface provides over its own
+    pass list.  A pass is named by its zigzag index and position."""
+
+    zigzags: tuple[Zigzag, ...]
+
+    def toward(self, zi: int, r: int) -> str:
+        """The vertex pass r of zigzag zi turns toward, the next pass's end."""
+        walk = self.zigzags[zi].passes
+        return walk[(r + 1) % len(walk)].dst
+
+    def arc(self, zi: int, start: int, stop: int) -> tuple[Pass, ...]:
+        """The passes of zigzag zi strictly between start and stop (_arc)."""
+        return _arc(self.zigzags[zi].passes, start, stop)
+
+
 def _checked(kind: str, edges, directions: dict, pair: SpecialPair, passes_of) -> SpecialPair:
     """The pair, once it shows the occurrence pattern of the site kind, given
     the edges and the type-II directions; passes_of(e) lists a type-II edge's
@@ -433,20 +458,19 @@ def _checked(kind: str, edges, directions: dict, pair: SpecialPair, passes_of) -
 def _checked_on(cls: Classification, kind: str, pair: SpecialPair) -> SpecialPair:
     """_checked on a classification: its edges, type-II directions and pass
     positions."""
-    at = cls.pass_positions
-    return _checked(kind, cls.edge_types, cls.edge_directions, pair, at.__getitem__)
+    return _checked(kind, cls.edge_types, cls.edge_directions, pair, cls.pass_positions.__getitem__)
 
 
 def _turns(pos: dict[str, int], e: Edge, v: str, passes, walks) -> list[int]:
     """The fact of the pair edge e at v in O(1), given pos, v's link position
-    map; passes, e's two passes as (zigzag index, position); and walks[zi],
-    the passes of zigzag zi: the link position of w, the end of the next
-    pass, that each pass turns toward.  Raises SurgeryError when a pass
-    turns in no face at v."""
+    map; passes, e's two passes as (zigzag index, position); and walks, the
+    walk's owner (_Chosen or _Surface): the link position of the vertex w
+    that each pass turns toward.  Raises SurgeryError when a pass turns in
+    no face at v."""
     n, i_far = len(pos), pos[e[0] if e[1] == v else e[1]]
     turned = []
     for zi, r in passes:
-        i = pos.get(walks[zi][(r + 1) % len(walks[zi])].dst, i_far)
+        i = pos.get(walks.toward(zi, r), i_far)
         # w beside the far end in v's link makes those three a face
         if (i - i_far) % n not in (1, n - 1):
             raise SurgeryError(f"pass {r} of zigzag {zi} over {e} turns in no face at {v!r}")
@@ -497,13 +521,16 @@ def _labeling(pair: SpecialPair, pos: dict[str, int], at, walks, host: bool):
     """The cut of a checked pair, the one every site is resolved by: its
     +/- labeling (see Sides and Role orders above), given as _pass_sides
     takes it, in the role order _reads_forward reads if host, and its
-    segments; of the side test's callers it alone reads faces (_turn).
-    Returns the pair in that order, each interior link vertex of v -> its
-    sign, each pass's key -> its segment, and each key -> its segment's
-    end, as _segments cuts them from walks."""
+    segments; of the side test's callers it alone reads faces.  It reads
+    the walk by walks.toward and walks.arc alone, and the pass positions
+    only by comparing them.  Returns the pair in that order, each interior
+    link vertex of v -> its sign, each pass's key -> its segment, and each
+    key -> its segment's end, as _segments cuts them."""
     side, sides = _pass_sides(pos, pair.e1, pair.e2, pair.shared_vertex, at, walks, {})
-    # the passes enter the four pair faces, one each: the least takes "-"
-    minus = min(zip((_turn(walks[zi], r) for zi, r in chain(*at)), sides))[1]
+    # the passes enter the four pair faces, one each, of their edge and the
+    # vertex they turn toward: the least takes "-"
+    faces = (face_key(*e, walks.toward(*p)) for e, ps in zip((pair.e1, pair.e2), at) for p in ps)
+    minus = min(zip(faces, sides))[1]
     signs = {minus: "-", not minus: "+"}
     vertex_sides = {w: signs[side(i)] for w, i in pos.items() if w != pair.v1 and w != pair.v2}
     roles = "1122"
@@ -513,18 +540,16 @@ def _labeling(pair: SpecialPair, pos: dict[str, int], at, walks, host: bool):
     return (pair, vertex_sides, *_segments(keys, walks))
 
 
-def _segments(keys: dict[str, tuple[int, int]], zigzags) -> tuple[dict, dict[str, str]]:
-    """Each key -> its segment, cut by _arc from zigzags[zigzag index] (a
-    sequence of passes) between its pass and the next pair pass along that
-    zigzag; and each key -> that next pass's key, its segment's end."""
-    ends = {
-        key: min(
-            (k for k, (zj, _) in keys.items() if zj == zi),
-            key=lambda k: (keys[k][1] - r - 1) % len(zigzags[zi]),
-        )
-        for key, (zi, r) in keys.items()
-    }
-    segments = {key: _arc(zigzags[zi], r, keys[ends[key]][1]) for key, (zi, r) in keys.items()}
+def _segments(keys: dict[str, tuple[int, int]], walks) -> tuple[dict, dict[str, str]]:
+    """Each key -> its segment, the passes that walks.arc finds strictly
+    between its pass and the next pair pass of its zigzag in position order,
+    cyclically (its own pass when it is the zigzag's only one); and each key
+    -> that next pass's key, its segment's end."""
+    runs: dict[int, list[str]] = {}  # zigzag index -> its keys in position order
+    for key in sorted(keys, key=keys.__getitem__):
+        runs.setdefault(keys[key][0], []).append(key)
+    ends = {key: end for run in runs.values() for key, end in zip(run, run[1:] + run[:1])}
+    segments = {key: walks.arc(zi, r, keys[ends[key]][1]) for key, (zi, r) in keys.items()}
     return segments, ends
 
 
@@ -538,7 +563,7 @@ def _resolve(cls: Classification, pair: SpecialPair) -> GluingSite:
     four-zigzag piece's whole zigzags less one pass.
     """
     pos, at = _positions(cls.triangulation.vertex_link(pair.shared_vertex)), cls.pass_positions
-    at_pair, walks = (at[pair.e1], at[pair.e2]), [z.passes for z in cls.orientation.chosen]
+    at_pair, walks = (at[pair.e1], at[pair.e2]), _Chosen(cls.orientation.chosen)
     return GluingSite(cls, *_labeling(pair, pos, at_pair, walks, _kind(cls) == HOST))
 
 
@@ -689,11 +714,13 @@ def _relinked(x: str, lost, gained, born_edges: set, edge_faces: dict) -> bool:
 class _Cut(NamedTuple):
     """A host pair resolved on a _Surface by the cut every site is resolved
     by (_labeling): what a GluingSite holds but its classification, which a
-    surface has none of.  The pair in its role order, the side of each
-    interior link vertex, each key's segment, cut by _arc from the surface's
-    pass list, and each key's segment end."""
+    surface has none of.  The pair in its role order, whether e1 and whether
+    e2 point into the shared vertex (_heads), the side of each interior link
+    vertex, each key's segment, cut by the surface's arc, and each key's
+    segment end."""
 
     pair: SpecialPair
+    heads: tuple[bool, ...]
     vertex_sides: dict[str, str]
     segments: dict[str, list[Pass]]
     ends: dict[str, str]
@@ -729,12 +756,19 @@ class _Surface:
     over the host's classification, with prefix + u for each vertex u: a
     common prefix keeps every key sorted and the zigzag's rotation, so the
     surface of an unprefixed host under a prefix is the surface of the host
-    built under it.  A glue costs what it changes plus list.index scans,
-    list slices and list.remove scans of the cells it touches, which run in
-    C; no Python loop runs over the host's faces, edges or passes, and the
-    piece's cells are named from its site's plan, one list lookup per
-    vertex, with no renaming rule run, then checked by the rule that checks
-    the host's renamed cells.
+    built under it.
+
+    The pass list is private to the methods that own the walk: _at finds
+    the passes over an edge by list.index scans, toward and arc read the
+    walk for the shared cut, arc by a list slice, splice rebuilds the list
+    from the four host arcs and the piece's segments and renames the passes
+    at v in place, check reads the positions the splice changed, and zigzag
+    hands the walk out as a Zigzag.  A glue costs what it changes plus those
+    scans and slices and list.remove scans of the cells it touches, which
+    run in C; no Python loop runs over the host's faces, edges or passes,
+    and the piece's cells are named from its site's plan, one list lookup
+    per vertex, with no renaming rule run, then checked by the rule that
+    checks the host's renamed cells.
     """
 
     def __init__(self, host: Classification, prefix: str = "") -> None:
@@ -748,7 +782,7 @@ class _Surface:
         self.edge_faces = {edge(e): list(map(face, fs)) for e, fs in t._edge_faces.items()}
         self.vertex_faces = {name(v): list(map(face, fs)) for v, fs in t._vertex_faces.items()}
         walk = host.orientation.chosen[0].passes
-        self.passes = [Pass(edge(e), name(u), name(w)) for e, u, w in walk]
+        self._passes = [Pass(edge(e), name(u), name(w)) for e, u, w in walk]
         directions = host.edge_directions.items()
         self.edge_directions = {edge(e): (name(u), name(w)) for e, (u, w) in directions}
         self.type_i = set(map(name, host.type_i_vertices))
@@ -758,7 +792,7 @@ class _Surface:
     def _at(self, e: Edge) -> list[int]:
         """The positions of the two passes over e, ascending: a type-II edge
         is passed twice its one way, a type-I edge once each way."""
-        ps = self.passes
+        ps = self._passes
         try:
             if e in self.edge_directions:
                 p = Pass(e, *self.edge_directions[e])
@@ -769,19 +803,33 @@ class _Surface:
         except ValueError:
             raise InvariantError(f"edge {e} is not passed twice as its type says") from None
 
+    def toward(self, _zi: int, r: int) -> str:
+        """The vertex the pass at position r turns toward, the next pass's
+        end; the surface's one zigzag has index 0."""
+        return self._passes[(r + 1) % len(self._passes)].dst
+
+    def arc(self, _zi: int, start: int, stop: int) -> list[Pass]:
+        """The passes strictly between positions start and stop (_arc)."""
+        return _arc(self._passes, start, stop)
+
+    def zigzag(self) -> Zigzag:
+        """The surface's zigzag, walked in its chosen direction."""
+        return Zigzag(tuple(self._passes))
+
     def cut(self, pair: SpecialPair) -> _Cut:
         """Resolve a host pair in the role order its labeling reads, by the
         one pair check (_checked) and the one cut (_labeling) that resolve
         every site.  Only what it hands them is the surface's own: v's link,
-        each pair edge's pass positions, read by _at once, and the pass list
-        as the one walk."""
+        each pair edge's pass positions, read by _at once, and the surface
+        itself as the walk, read by toward and arc."""
         at: dict[Edge, list[tuple[int, int]]] = {}
         _checked(
             HOST, self.edge_faces, self.edge_directions, pair,
             lambda e: at.setdefault(e, [(0, r) for r in self._at(e)]),
         )
         pos = _positions(_link_cycle(pair.shared_vertex, self.vertex_faces[pair.shared_vertex]))
-        return _Cut(*_labeling(pair, pos, (at[pair.e1], at[pair.e2]), (self.passes,), host=True))
+        pair, *cut = _labeling(pair, pos, (at[pair.e1], at[pair.e2]), self, host=True)
+        return _Cut(pair, _heads(self.edge_directions, pair), *cut)
 
     def splice(self, host: _Cut | GluingSite, piece_site: GluingSite, prefix: str = "") -> _Change:
         """Glue the piece in along the host site, in place, unchecked; the
@@ -849,7 +897,7 @@ class _Surface:
                 dirty += range(len(new), len(new) + len(passes))
                 new += [make_pass(names[a], names[b]) for a, b in passes]
         # the host's passes at v take their renamed edges where they lie
-        self.passes = new
+        self._passes = new
         moved = [r for e in at_v for r in self._at(e)]
         for r, p in zip(moved, host_rename([new[r] for r in moved], _renamed_pass)):
             new[r] = p
@@ -878,11 +926,12 @@ class _Surface:
         vertices, fresh = _reindex(self.vertex_faces, lost, gained, lambda f: f)
         return sorted(edges), vertices, born, set(fresh)
 
-    def check(self, change: _Change) -> None:
+    def check(self, change: _Change) -> tuple[int, int, int]:
         """The checks of one splice, each at the cost of what it changed, one
         rule for every new cell, the piece's included (see the module
         docstring); they bring the type-II directions and ends and the
-        type-I vertices up to date.  Raises InvariantError."""
+        type-I vertices up to date.  Returns the V, E, F they proved, the
+        zigzag having 2E passes.  Raises InvariantError."""
         ef, vf, born = self.edge_faces, self.vertex_faces, set(change.born)
         violations = _edge_violations(ef, [e for e in change.edges if e in ef])
         # a new vertex's whole link is walked, an old one's where it changed
@@ -898,8 +947,7 @@ class _Surface:
             raise InvariantError("glued face list is no closed surface: " + "\n".join(violations))
         if (len(vf), len(ef), len(self.faces)) != change.sizes:
             raise InvariantError("glued V, E, F are not the sums V-2, E, F of host and piece")
-        ps = self.passes
-        n = len(ps)
+        ps, n = self._passes, len(self._passes)
         if n != 2 * len(ef):
             raise InvariantError(f"zigzag has {n} passes, not 2E = {2 * len(ef)}")
         strays = born ^ change.types.keys()
@@ -974,14 +1022,16 @@ class _Surface:
                 del ends[x]
             elif (ends[x] == 0) != (x in self.type_i):
                 raise InvariantError(f"vertex {x} changed its type")
+        return change.sizes
 
     def glue(
         self, host: _Cut | GluingSite, piece_site: GluingSite, what: str, prefix: str = ""
-    ) -> None:
-        """Splice the piece in under the prefix and check it; a failed check
-        raises InvariantError whose message starts with what, naming the glue."""
+    ) -> tuple[int, int, int]:
+        """Splice the piece in under the prefix and check it; returns the V,
+        E, F the check proved.  A failed check raises InvariantError whose
+        message starts with what, naming the glue."""
         try:
-            self.check(self.splice(host, piece_site, prefix))
+            return self.check(self.splice(host, piece_site, prefix))
         except InvariantError as exc:
             raise InvariantError(f"{what}: {exc}") from None
 
@@ -993,7 +1043,7 @@ class _Surface:
         t = Triangulation._indexed(self.faces, edge_faces, vertex_faces)
         if not t.validate().ok:
             raise InvariantError(f"glued face list is no closed surface: {t.validate()}")
-        walked = Zigzag(tuple(self.passes))
+        walked = self.zigzag()
         _audit_sole_zigzag(t, walked)
         z = walked.canonical()
         cls = classify(t, _oriented((z,), (0,) if z == walked else (1,)))
@@ -1017,7 +1067,7 @@ def predict_glued_zigzag(host_site: GluingSite, piece_site: GluingSite) -> Zigza
     _require_gluable(host_site, piece_site)
     surface = _Surface(host_site.classification)
     surface.splice(host_site, piece_site)
-    return Zigzag(tuple(surface.passes))
+    return surface.zigzag()
 
 
 def glue(host_site: GluingSite, piece_site: GluingSite) -> Classification:

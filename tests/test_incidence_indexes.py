@@ -97,14 +97,17 @@ def test_the_growing_surface_indexes_as_a_fresh_triangulation(monkeypatch):
     checked = []
 
     def checked_glue(surface, host, piece_site, what, prefix=""):
-        glue(surface, host, piece_site, what, prefix)
+        sizes = glue(surface, host, piece_site, what, prefix)
         fresh = Triangulation(surface.faces)
         for index, want in (
             (surface.edge_faces, fresh._edge_faces),
             (surface.vertex_faces, fresh._vertex_faces),
         ):
             assert {c: tuple(sorted(fs)) for c, fs in index.items()} == want, what
+        # the V, E, F glue returns are the fresh triangulation's
+        assert sizes == (len(fresh.vertices), len(fresh.edges), len(fresh.faces)), what
         checked.append(what)
+        return sizes
 
     monkeypatch.setattr(surgery._Surface, "glue", checked_glue)
     specs = _trees()

@@ -25,7 +25,6 @@ from zigzags import (
     bipyramid_canonical_zorientation,
     classify,
     enumerate_zigzags,
-    face_shadow,
     find_piece_pairs,
     find_special_pairs,
     glue,
@@ -36,7 +35,7 @@ from zigzags import (
     resolve_site,
     tree_build,
 )
-from zigzags.engine import _audit_sole_zigzag, _orient_along, _sole_zigzag_shadow
+from zigzags.engine import _audit_sole_zigzag, _orient_along
 from zigzags.triangulation import _face_edges
 
 
@@ -75,8 +74,6 @@ def test_every_glue_matches_a_fresh_build_and_enumeration(tree_corpus, glued_cor
     for t, z in walked:
         _same_indexes(t)
         assert enumerate_zigzags(t) == (z.canonical(),)
-        # the table audit accepts a walk the full walk accepts too
-        assert _sole_zigzag_shadow(t, z) == face_shadow(t, z)
 
 
 def test_the_surface_keeps_what_a_fresh_analysis_finds(tree_corpus, monkeypatch):
@@ -177,23 +174,22 @@ def test_glue_splices_the_given_host_site(glued_corpus, monkeypatch):
     assert h.hexdigest() == PINNED_GLUED_DIGEST
 
 
-# the audit on the corner table fails every walk the full walk fails, with
-# the full walk's message
-WALKS = (_sole_zigzag_shadow, _audit_sole_zigzag)
+# the audit fails each bad walk with the message of the first fact it
+# breaks: its length, a turn off the faces, a turn twice in one face, a
+# repeated state
 
 
 def test_walk_rejects_the_hosts_zigzag(glued_corpus):
     t, _, host_site, piece_site = glued_corpus[6]
     host_z = host_site.classification.orientation.chosen[0]
-    for walk in WALKS:
-        with pytest.raises(InvariantError, match="zigzag has 18 passes, not 2E = 54"):
-            walk(t, host_z)
+    with pytest.raises(InvariantError, match="zigzag has 18 passes, not 2E = 54"):
+        _audit_sole_zigzag(t, host_z)
     # a spliced surface left with the host's zigzag fails the glue's check
     # and the audit alike
     for check in (True, False):
         surface = surgery._Surface(host_site.classification)
         change = surface.splice(host_site, piece_site)
-        surface.passes = list(host_z.passes)
+        surface._passes = list(host_z.passes)
         with pytest.raises(InvariantError, match="zigzag has 18 passes, not 2E = 54"):
             surface.check(change) if check else surface.finish()
 
@@ -205,11 +201,10 @@ def test_walk_rejects_a_zigzag_of_several():
     # of a single zigzag, but repeats its states from the second round on
     (z, _) = enumerate_zigzags(bp6)
     twice = Zigzag(z.passes * 2)
-    for walk in WALKS:
-        with pytest.raises(InvariantError, match="zigzag has 6 passes, not 2E = 24"):
-            walk(bp4, enumerate_zigzags(bp4)[0])
-        with pytest.raises(InvariantError, match="repeats a state or its reversal at position 18$"):
-            walk(bp6, twice)
+    with pytest.raises(InvariantError, match="zigzag has 6 passes, not 2E = 24"):
+        _audit_sole_zigzag(bp4, enumerate_zigzags(bp4)[0])
+    with pytest.raises(InvariantError, match="repeats a state or its reversal at position 18$"):
+        _audit_sole_zigzag(bp6, twice)
 
 
 def test_walk_rejects_turns_off_the_successor_rule():
@@ -223,20 +218,17 @@ def test_walk_rejects_turns_off_the_successor_rule():
     bp5 = bipyramid(5)
     swap = {"a": "1", "1": "a"}
     swapped = _walk(*(swap.get(p.src, p.src) for p in enumerate_zigzags(bp5)[0].passes))
-    for walk in WALKS:
-        with pytest.raises(InvariantError, match="turns twice in face .* at position 0"):
-            walk(tetra, _walk(a, b, c, a, b, c, a, b, c, a, b, c))
-        with pytest.raises(InvariantError, match="leaves the faces: passes 0 and 1"):
-            walk(octa, _walk(*"1234" * 6))
-        with pytest.raises(InvariantError, match=r"leaves the faces: passes 0 and 1: .*'2', '3'"):
-            walk(bp5, swapped)
+    with pytest.raises(InvariantError, match="turns twice in face .* at position 0"):
+        _audit_sole_zigzag(tetra, _walk(a, b, c, a, b, c, a, b, c, a, b, c))
+    with pytest.raises(InvariantError, match="leaves the faces: passes 0 and 1"):
+        _audit_sole_zigzag(octa, _walk(*"1234" * 6))
+    with pytest.raises(InvariantError, match=r"leaves the faces: passes 0 and 1: .*'2', '3'"):
+        _audit_sole_zigzag(bp5, swapped)
 
 
 def test_walk_accepts_a_z_knotted_zigzag_in_either_direction(glued_corpus):
     t, tau, _, _ = glued_corpus[4]
     z = tau.chosen[0]
-    assert _sole_zigzag_shadow(t, z) == face_shadow(t, z)
-    assert _sole_zigzag_shadow(t, z.reverse()) == face_shadow(t, z.reverse())
     assert _audit_sole_zigzag(t, z) is _audit_sole_zigzag(t, z.reverse()) is None
 
 
@@ -411,7 +403,7 @@ def _piece_part(host_site, piece_site, prefix):
             # the piece segment of key follows its split-edge pass
             start = junction + 1
             length = len(piece_site.segments[key])
-            segments[key] = surface.passes[start:start + length]
+            segments[key] = surface._passes[start:start + length]
             dirty += range(start, start + length)
     # every piece pass's position follows the junctions', in walk order
     junctions = len(change.junctions)
@@ -479,7 +471,7 @@ def test_a_prefix_in_the_renaming_splices_as_a_prefixed_piece(glued_corpus, n):
     for site, prefix in ((piece_site, ""), (template, "R.")):
         surface = surgery._Surface(host_site.classification)
         change = surface.splice(host_site, site, prefix)
-        spliced.append((surface.faces, surface.passes, change))
+        spliced.append((surface.faces, surface._passes, change))
         surface.check(change)
     assert spliced[0] == spliced[1]
 
@@ -549,7 +541,7 @@ def _drop_a_piece_position(surface, change):
 
 def _broken_phase(surface, change):
     # a host edge off every new face, three passes after the first junction
-    edge = surface.passes[change.junctions[0] + 3].edge
+    edge = surface._passes[change.junctions[0] + 3].edge
     assert all(edge not in _face_edges(f) for f in change.gained)
     # an edge is type II exactly when the surface holds its direction
     directions = surface.edge_directions
@@ -598,7 +590,7 @@ def test_a_prefixed_root_template_is_the_prefixed_bipyramids_surface(n, prefix):
     got = vars(surgery._Surface(generators._template(n)[0], prefix))
     want = vars(surgery._Surface(generators._bipyramid_analysis(n, prefix)))
     assert got.keys() == want.keys() == {
-        "faces", "slots", "edge_faces", "vertex_faces", "passes", "edge_directions",
+        "faces", "slots", "edge_faces", "vertex_faces", "_passes", "edge_directions",
         "type_i", "ii_ends",
     }
     for field, value in want.items():

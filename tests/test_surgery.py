@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random
 import re
 from collections import Counter
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import pytest
 
@@ -36,7 +38,7 @@ from zigzags import (
     tree_build,
 )
 from helpers import are_concordant, random_flips
-from zigzags.surgery import _labeling, _positions, _resolve, _Surface
+from zigzags.surgery import _checked, _Chosen, _kind, _labeling, _positions, _resolve, _Surface
 
 
 def canonical(n: int, prefix: str = ""):
@@ -223,7 +225,7 @@ def test_swapping_roles_keeps_the_labeling(role_order_outcomes):
     def labelings(cls, pair):
         pos = _positions(cls.triangulation.vertex_link(pair.shared_vertex))
         at, host = cls.pass_positions, len(cls.orientation.zigzags) == 1
-        walks = [z.passes for z in cls.orientation.chosen]
+        walks = _Chosen(cls.orientation.chosen)
         return [
             _labeling(cand, pos, (at[cand.e1], at[cand.e2]), walks, host)
             for cand in (pair, pair.swapped())
@@ -246,6 +248,69 @@ def test_swapping_roles_keeps_the_labeling(role_order_outcomes):
             assert segments2 == {swap(k): segment for k, segment in segments.items()}
             assert ends2 == {swap(k): swap(end) for k, end in ends.items()}
             assert sides == sides2
+
+
+@functools.total_ordering
+class _Label:
+    """A pass position r relabelled 2r + 1, as an order label: it can be
+    compared, and a cut that added to it or indexed a walk by it would
+    raise TypeError."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, r: int) -> None:
+        self.value = 2 * r + 1
+
+    def __eq__(self, other) -> bool:
+        return self.value == other.value
+
+    def __lt__(self, other) -> bool:
+        return self.value < other.value
+
+    def __hash__(self) -> int:
+        return hash(self.value)
+
+
+class _Relabelled(NamedTuple):
+    """Chosen walks read by toward and arc at relabelled positions."""
+
+    walks: _Chosen
+
+    def toward(self, zi: int, label: _Label) -> str:
+        return self.walks.toward(zi, label.value // 2)
+
+    def arc(self, zi: int, start: _Label, stop: _Label):
+        return self.walks.arc(zi, start.value // 2, stop.value // 2)
+
+
+def test_the_cut_compares_positions_and_reads_the_walk_by_two_operations(
+    flipped_hosts, flipped_pieces
+):
+    # what a zigzag kept as linked nodes with order labels must supply: with
+    # every position relabelled 2r + 1, a label that can only be compared,
+    # and the walk read by its owner's toward and arc, the pair check and
+    # the cut give every site, in either role order, the same pair order,
+    # sides, segments and ends as on the plain positions
+    sites = 0
+    for cls in [*flipped_hosts, *flipped_pieces, *(canonical(n) for n in (4, 6, 8))]:
+        kind = _kind(cls)
+        pairs = find_special_pairs(cls) if kind == HOST else find_piece_pairs(cls)
+        at, walks = cls.pass_positions, _Chosen(cls.orientation.chosen)
+        labelled = {e: [(zi, _Label(r)) for zi, r in passes] for e, passes in at.items()}
+        for pair in pairs:
+            pos = _positions(cls.triangulation.vertex_link(pair.shared_vertex))
+            for cand in (pair, pair.swapped()):
+                cuts = []
+                for positions, owner in ((at, walks), (labelled, _Relabelled(walks))):
+                    checked = _checked(
+                        kind, cls.edge_types, cls.edge_directions, cand, positions.__getitem__
+                    )
+                    at_pair = (positions[cand.e1], positions[cand.e2])
+                    cuts.append(_labeling(checked, pos, at_pair, owner, kind == HOST))
+                assert cuts[0] == cuts[1]
+                sites += 1
+    # 1,332 cuts on the flipped hosts, 92 on the pieces
+    assert sites == 1424
 
 
 def test_find_special_pairs_builds_one_pair_per_candidate(knotted, monkeypatch):
@@ -496,7 +561,7 @@ def test_resolve_rejects_a_pair_pass_that_turns_in_no_face(n):
                 find_special_pairs(tampered(cls, e, back))
             # a host pair cut on a growing surface runs the same check
             surface = _Surface(cls)
-            surface.passes[(q + 1) % len(surface.passes)] = back
+            surface._passes[(q + 1) % len(surface._passes)] = back
             with rejects:
                 surface.cut(pair)
 

@@ -435,10 +435,10 @@ def test_glue_checks_run_under_python_O():
         splice = surgery._Surface.splice
 
         def keep_the_hosts_zigzag(self, cut, piece_site, prefix):
-            passes = self.passes
+            passes = self._passes
             change = splice(self, cut, piece_site, prefix)
             if current == ["glued node c into b"]:
-                self.passes = passes
+                self._passes = passes
             return change
 
         surgery._Surface.splice = keep_the_hosts_zigzag

@@ -18,6 +18,7 @@ from .engine import (
     all_z_orientations,
     classify,
     enumerate_zigzags,
+    is_homogeneous,
     make_z_orientation,
 )
 from .eulerian import (
@@ -38,7 +39,11 @@ from .surgery import (
     HOST,
     SpecialPair,
     SurgeryError,
+    _ANY_ROLE,
+    _HOST_ROLE,
+    _PIECE_ROLE,
     _kind,
+    _require_census,
     find_piece_pairs,
     find_special_pairs,
     glue,
@@ -219,14 +224,16 @@ def _load_triangulation(path: str) -> Triangulation:
     return t
 
 
-def _orientation(t: Triangulation, bits: str | None) -> Classification:
+def _orientation(t: Triangulation, bits: str | None, role=_ANY_ROLE) -> Classification:
     """t classified under the bits, or under its first homogeneous
-    z-orientation when bits is None."""
+    z-orientation when bits is None.  That search first checks that t's
+    zigzag census fits the role, so it tries at most 2^4 orientations, and
+    classifies only those that pass is_homogeneous's screen."""
     if bits is None:
+        _require_census(len(enumerate_zigzags(t)), role)
         for tau in all_z_orientations(t):
-            cls = classify(t, tau)
-            if cls.homogeneous:
-                return cls
+            if is_homogeneous(t, tau):
+                return classify(t, tau)
         raise SurgeryError("no homogeneous z-orientation exists; pass bits explicitly")
     if not bits or set(bits) - {"0", "1"}:
         raise TriangulationError(f"z-orientation bits must be a 0/1 string, got {bits!r}")
@@ -284,8 +291,8 @@ def _cmd_convert(args) -> int:
 def _cmd_glue(args) -> int:
     host_t = _load_triangulation(args.host)
     piece_t = _load_triangulation(args.piece)
-    host = _orientation(host_t, args.host_zorient)
-    piece = _orientation(piece_t, args.piece_zorient)
+    host = _orientation(host_t, args.host_zorient, _HOST_ROLE)
+    piece = _orientation(piece_t, args.piece_zorient, _PIECE_ROLE)
     host_site, piece_site = plan_gluing(
         host, _parse_pair(args.host_pair), piece, (_parse_pair(args.piece_pair),)
     )

@@ -23,10 +23,18 @@ z-orientation each edge is passed exactly twice: in opposite directions
 direction).  A vertex is type I when all its edges are; a face is type I
 (two type-I edges and one type-II edge) or type II (three type-II edges
 forming a directed cycle) - anything else indicates a bug upstream.
+
+An orientation is homogeneous when every face is type I and every chosen
+zigzag reads II,I,I (Classification.homogeneous).  is_homogeneous first
+reads the types of each zigzag's first six passes off the pass table, and
+rejects without classifying an orientation under which some zigzag cannot
+read so.  It rejects nothing the definition admits, so a search over
+orientations classifies only those that pass.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -522,8 +530,43 @@ def _audit_sole_zigzag(t: Triangulation, z: Zigzag) -> None:
         seen.update(((s, d, x), (s, x, d)))
 
 
+def _ruled_out(t: Triangulation, tau: ZOrientation) -> bool:
+    """True when an orientation of t's own enumeration has a zigzag that
+    cannot read II,I,I: its length is no multiple of 3, its first three
+    passes hold other than one type II, or passes 3-5 do not repeat 0-2.
+
+    Types come from the kept pass table, one row per edge: a pass is type
+    II when its edge's two passes agree under the bits, as in classify.
+    The table is in t.edges order, so a row is found by bisection, and at
+    most six rows per zigzag are read.  An orientation of other zigzags is
+    never ruled out."""
+    if tau.zigzags is not t._zigzags:
+        return False
+    table, edges = _pass_table(t, tau), t.edges
+    bits = [b == 1 for b in tau.bits]  # as in classify: True and 1.0 are 1
+    for z in tau.zigzags:
+        if len(z) % 3:
+            return True
+        ii = []
+        for e, _, _ in z.passes[:6]:
+            _, i, f, j, g = table[bisect_left(edges, e)]
+            ii.append(f ^ bits[i] == g ^ bits[j])
+        if sum(ii[:3]) != 1 or ii[3:] != ii[:-3]:
+            return True
+    return False
+
+
 def is_homogeneous(t: Triangulation, tau: ZOrientation) -> bool:
     """True when every face is type I and every chosen zigzag repeats II,I,I
-    (see Classification.homogeneous)."""
-    return classify(t, tau).homogeneous
+    (see Classification.homogeneous).
+
+    An orientation _ruled_out rejects is not classified.  The screen is
+    exact: Classification.homogeneous shows that under a homogeneous
+    orientation every zigzag reads II,I,I, so its length is a multiple of
+    3 and each window of three passes holds one type II, at the same place
+    in the next window.  Reversing a zigzag maps residue classes mod 3 to
+    residue classes, so reading the canonical passes is enough.  Every
+    orientation it passes, and every orientation of foreign zigzags, is
+    classified, so homogeneity keeps classify's one definition."""
+    return not _ruled_out(t, tau) and classify(t, tau).homogeneous
 

@@ -297,15 +297,21 @@ class GluingSite:
 # preconditions
 
 
+def _require_census(k: int, kinds: tuple[str, ...]) -> str:
+    """The site kind of a census of k zigzags that can fill a role: one of
+    the role's kinds.  Raises SurgeryError otherwise."""
+    kind = _KINDS.get(k)
+    if kind not in kinds:
+        raise SurgeryError(_NEEDS[kinds].format(k))
+    return kind
+
+
 def _require_site(cls: Classification, kinds: tuple[str, ...]) -> str:
     """The site kind of a classification that can fill a role: homogeneous,
     and of one of the role's kinds.  Raises SurgeryError otherwise."""
     if not cls.homogeneous:
         raise SurgeryError("gluing sites require a homogeneous z-orientation")
-    kind = _kind(cls)
-    if kind not in kinds:
-        raise SurgeryError(_NEEDS[kinds].format(len(cls.orientation.zigzags)))
-    return kind
+    return _require_census(len(cls.orientation.zigzags), kinds)
 
 
 def _heads(directions: dict[Edge, tuple[str, str]], pair: SpecialPair) -> tuple[bool, ...]:

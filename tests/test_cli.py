@@ -327,15 +327,16 @@ def test_glue_rejects_a_pair_that_repeats_a_vertex(tmp_path, capsys, option, pai
     assert err == f"usage error: pair must be three distinct vertices u,v,w, got {pair!r}\n"
 
 
-def test_glue_refuses_to_search_too_many_z_orientations(tmp_path, capsys):
-    # the 7 x 7 grid torus has 21 zigzags, and no --host-zorient was given
+def test_glue_checks_the_host_census_before_searching_z_orientations(tmp_path, capsys):
+    # the 7 x 7 grid torus has 21 zigzags, and no --host-zorient was given:
+    # no host has more than one, so no orientation is searched
     args = glue_args(tmp_path, capsys)
     host = tmp_path / "torus.tri"
     host.write_text(serialize_triangulation(torus_grid(7)))
     args[args.index("--host") + 1] = str(host)
     rc, out, err = run(capsys, *args)
     assert (rc, out) == (1, "")
-    assert err == "error: refusing to enumerate 2^21 z-orientations (limit k=20)\n"
+    assert err == "error: a host needs one zigzag, not 21\n"
 
 
 def test_glue_names_the_census_of_a_host_that_is_a_piece(tmp_path, capsys):
@@ -594,6 +595,11 @@ def test_invalid_triangulation_is_domain_error(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+KNOTTED_NOT_HOMOGENEOUS = "".join(f"f {f}\n" for f in (
+    "1 2 3", "1 2 b", "1 3 a", "1 4 5", "1 4 a", "1 5 b", "2 3 b", "3 a b", "4 5 b", "4 a b",
+))
+
+
 @pytest.mark.parametrize("argv, files, message", [
     # ParseError
     (["analyze", "bad.tri"], {"bad.tri": "x 1 2 3\n"}, "line 1: unknown record type 'x'"),
@@ -606,9 +612,9 @@ def test_invalid_triangulation_is_domain_error(tmp_path, capsys):
     # EmbeddingError
     (["convert", "--triangulate", "anti.eul"], {"anti.eul": "v x\nv y\na 0 x y\na 1 y x\n"},
      "arcs x->y and y->x are antiparallel"),
-    # SurgeryError: the tetrahedron has no homogeneous z-orientation
-    (["glue", "--host", "tetra.tri", "--piece", "tetra.tri", "--host-pair", "1,2,3",
-      "--piece-pair", "1,2,3"], {"tetra.tri": "f 1 2 3\nf 1 2 4\nf 1 3 4\nf 2 3 4\n"},
+    # SurgeryError: a z-knotted 7-vertex sphere with no homogeneous z-orientation
+    (["glue", "--host", "knot.tri", "--piece", "knot.tri", "--host-pair", "1,2,3",
+      "--piece-pair", "1,2,3"], {"knot.tri": KNOTTED_NOT_HOMOGENEOUS},
      "no homogeneous z-orientation exists; pass bits explicitly"),
     # TreeError
     (["build-tree", "bad.tree"], {"bad.tree": "n r 4\n"},
@@ -619,6 +625,10 @@ def test_invalid_triangulation_is_domain_error(tmp_path, capsys):
      "z-orientation bits must be a 0/1 string, got '2'"),
     # OSError
     (["analyze", "nope.tri"], {}, "[Errno 2] No such file or directory: '{tmp}/nope.tri'"),
+    # SurgeryError: the tetrahedron's 3 zigzags fit no host, checked before any search
+    (["glue", "--host", "tetra.tri", "--piece", "tetra.tri", "--host-pair", "1,2,3",
+      "--piece-pair", "1,2,3"], {"tetra.tri": "f 1 2 3\nf 1 2 4\nf 1 3 4\nf 2 3 4\n"},
+     "a host needs one zigzag, not 3"),
 ])
 def test_each_error_family_exits_1_with_its_message(tmp_path, capsys, argv, files, message):
     for name, text in files.items():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import zigzag_oracle as oracle
 import zigzags
-from helpers import random_flips, sampled_orientations, torus7
+from helpers import random_flips, sampled_orientations, torus7, torus_grid
 from zigzags import (
     InvariantError,
     Pass,
@@ -294,6 +294,15 @@ def test_all_z_orientations_order():
     assert taus[0].bits == (0, 0, 0, 0)
     assert taus[-1].bits == (1, 1, 1, 1)
     assert taus[5].bits == (0, 1, 0, 1)
+
+
+def test_all_z_orientations_refuses_more_than_20_zigzags():
+    # the 7 x 7 grid torus has 21 zigzags; the refusal comes before any yield
+    t = torus_grid(7)
+    assert len(enumerate_zigzags(t)) == 21
+    message = r"^refusing to enumerate 2\^21 z-orientations \(limit k=20\)$"
+    with pytest.raises(ValueError, match=message):
+        next(all_z_orientations(t))
 
 
 # ----------------------------------------------------------------------

@@ -221,12 +221,21 @@ def test_census_enumerates_the_input_and_the_coned_surface_once(monkeypatch, n):
     # the census path: the search, classify and the round trip share the
     # input's zigzags, and the round trip builds no second surface; each
     # surface's corner table is built once, by validate, and enumeration
-    # walks it; each orientation is classified once, so the pass table is
-    # read once per orientation searched and once for the coned surface's own
+    # walks it; each surface's pass table is built once, and is_homogeneous
+    # screens every orientation searched on it, so classify runs only for
+    # the one found and for the coned surface's own
     text = serialize_triangulation(bipyramid(n))
     tables = counted(monkeypatch, triangulation, "_corner_table")
     rebuilt = counted(monkeypatch, engine, "_corner_table")
-    reads = counted(monkeypatch, engine, "_pass_table")
+    reads = []
+    read = engine._pass_table
+
+    def recorded(t, tau):
+        reads.append((t, read(t, tau)))
+        return reads[-1][1]
+
+    monkeypatch.setattr(engine, "_pass_table", recorded)
+    classified = counted(monkeypatch, engine, "classify")
     built = []
     init = Triangulation.__init__
     monkeypatch.setattr(Triangulation, "__init__", lambda t, faces: built.append(t) or init(t, faces))
@@ -246,7 +255,11 @@ def test_census_enumerates_the_input_and_the_coned_surface_once(monkeypatch, n):
     assert [id(x[0]) for x in tables] == [id(t._edge_faces), id(t2._edge_faces)]
     assert rebuilt == []
     assert enumerate_zigzags(t) is enumerate_zigzags(t) is zs is tau.zigzags
-    assert [(id(x), y) for x, y in reads] == [(id(t), x) for x in searched] + [(id(t2), tau2)]
+    assert [(id(x), y) for x, y in classified] == [(id(t), tau), (id(t2), tau2)]
+    # one read per orientation screened, one per classify
+    assert [id(x) for x, _ in reads] == [id(t)] * (len(searched) + 1) + [id(t2)] * 2
+    assert {id(table) for x, table in reads if x is t} == {id(t._passes)}
+    assert {id(table) for x, table in reads if x is t2} == {id(t2._passes)}
 
 
 @pytest.mark.parametrize("build", ("bipyramid", "tree"))

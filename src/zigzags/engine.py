@@ -112,12 +112,11 @@ class Zigzag:
         passes = self.passes
         if not passes:
             raise ValueError("a zigzag has at least one pass")
-        # a loop (src == dst) has no key, so edge_key below rejects it
-        keys = [(s, d) if s < d else (d, s) if d < s else _NO_KEY for _, s, d in passes]
-        if keys != [p.edge for p in passes]:
-            for p in passes:
-                if p.edge != edge_key(p.src, p.dst):
-                    raise ValueError(f"pass {p!r} is inconsistent with its edge")
+        for p in passes:
+            e, s, d = p
+            if e != ((s, d) if s < d else (d, s) if d < s else _NO_KEY):
+                edge_key(s, d)  # a loop (src == dst) has no key: edge_key rejects it
+                raise ValueError(f"pass {p!r} is inconsistent with its edge")
         srcs = [p.src for p in passes]
         if [p.dst for p in passes] != srcs[1:] + srcs[:1]:
             n = len(passes)
@@ -331,8 +330,8 @@ class Classification:
     pass enters is read off the chosen walk by _turn where it is needed.
 
     Every classification of one orientation of t's own enumeration, with
-    the same bits, shares its four type dicts with the others (see
-    classify), so treat them as read-only.
+    the same bits, shares its four type dicts and its homogeneity with the
+    others (see classify), so treat the dicts as read-only.
     """
 
     triangulation: Triangulation
@@ -362,15 +361,17 @@ class Classification:
         or at none.  None would leave the others more than a third, so each
         reads II,I,I.  Reversing a zigzag reverses its type sequence, and a
         sequence is kept by a 3-step rotation exactly when its reversal is,
-        so the canonical zigzags answer for the chosen ones unreversed."""
-        if any(kind != "I" for kind in self.face_types.values()):
-            return False
-        directions = self.edge_directions
-        for z in self.orientation.zigzags:
-            ii = [e in directions for e, _, _ in z.passes]
-            if ii[3:] + ii[:3] != ii:
-                return False
-        return True
+        so the canonical zigzags answer for the chosen ones unreversed.
+
+        The verdict is kept with the type dicts t keeps (see classify), so
+        each (t, bits) is scanned once."""
+        t = self.triangulation
+        kept = t._classified
+        if kept is None or kept[1][0] is not self.edge_types:
+            return _homogeneity_scan(self)
+        if kept[3] is None:
+            t._classified = (*kept[:3], _homogeneity_scan(self))
+        return t._classified[3]
 
     @cached_property
     def pass_positions(self) -> dict[Edge, list[tuple[int, int]]]:
@@ -382,6 +383,19 @@ class Classification:
         return where
 
 
+def _homogeneity_scan(cls: Classification) -> bool:
+    """Classification.homogeneous, read off the types: every face type I,
+    and a 3-step rotation keeping each zigzag's type sequence."""
+    if any(kind != "I" for kind in cls.face_types.values()):
+        return False
+    directions = cls.edge_directions
+    for z in cls.orientation.zigzags:
+        ii = [e in directions for e, _, _ in z.passes]
+        if ii[3:] + ii[:3] != ii:
+            return False
+    return True
+
+
 def _pass_table(t: Triangulation, tau: ZOrientation) -> list[tuple]:
     """(e, i, f, j, g) for each edge e of t, in t.edges order: zigzags i and
     j of tau pass e, with e's key when f (g) is True.  It holds facts of t
@@ -391,13 +405,16 @@ def _pass_table(t: Triangulation, tau: ZOrientation) -> list[tuple]:
     if zs is t._zigzags and t._passes is not None:
         return t._passes
     slots: dict[Edge, list] = {e: [e] for e in t.edges}
+    row = slots.__getitem__
     for i, z in enumerate(zs):
         for e, src, _ in z.passes:
             try:
-                slots[e] += (i, src == e[0])
+                cell = row(e)
             except KeyError:
                 e = next(p.edge for p in tau.chosen[i].passes if p.edge not in slots)
                 raise TriangulationError(f"pass over unknown edge {e!r}") from None
+            cell.append(i)
+            cell.append(src == e[0])
     table = list(map(tuple, slots.values()))
     if any(len(row) != 5 for row in table):
         raise TriangulationError("each edge is passed exactly twice")
@@ -417,8 +434,9 @@ def classify(t: Triangulation, tau: ZOrientation) -> Classification:
     (t, zigzags), when _pass_table is built; types are read off the bits.
 
     An orientation of t's own enumeration is classified once per bits: t
-    keeps the dicts of the last one classified, and every classification
-    of it shares them.  Any other orientation is classified afresh.
+    keeps the dicts of the last one classified, and once read its
+    homogeneity, and every classification of it shares them.  Any other
+    orientation is classified afresh.
     """
     t.require_valid()
     own = tau.zigzags is t._zigzags
@@ -459,7 +477,7 @@ def classify(t: Triangulation, tau: ZOrientation) -> Classification:
             face_types[f] = "II"
     types = edge_types, edge_directions, vertex_types, face_types
     if own:
-        t._classified = (key, types, None)
+        t._classified = (key, types, None, None)
     return Classification(t, tau, *types)
 
 

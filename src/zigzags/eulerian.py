@@ -10,11 +10,17 @@ Eulerian circuit decomposition.  The construction runs both ways: coning a
 new vertex into each face cycle of a directed embedding recovers a
 triangulation with a homogeneous z-orientation, and a round trip returns
 the starting data.
+
+Each embedding rule of validate_embedding tests the valid case in whole
+passes over the arcs, the vertices or a cycle, and loops element by
+element only to name the offenders when it fails.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 from ._cyclic import least_rotation
 from .engine import (
@@ -36,7 +42,6 @@ from .triangulation import (
     _reachable,
     _records,
     edge_key,
-    face_key,
 )
 
 __all__ = [
@@ -83,45 +88,55 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
     The digraph must declare each vertex once, be simple (no loops, no
     repeated arcs, no antiparallel arc pairs), connected, and balanced at
     every vertex; each vertex and face cycle name must be a token, though a
-    face cycle may be unnamed; every face cycle must chain head to tail,
-    close up, and visit each vertex at most once; every arc must lie on
-    exactly two face cycles; and at every vertex the corners of the face
+    face cycle may be unnamed, and the cycles must cone under distinct
+    names (cycle k unnamed as F<k>); every face cycle must chain head to
+    tail, close up, and visit each vertex at most once; every arc must lie
+    on exactly two face cycles; and at every vertex the corners of the face
     cycles (an arc in, the next arc out) must join its arcs into one cycle,
     as the faces around a point of a surface do.
+
+    Each rule tests the valid case in whole passes (set and Counter
+    compares, list compares, set sizes) and loops element by element only
+    when that test fails, to name the offenders in order.
     """
     violations: list[str] = []
-    known = set(emb.vertices)
-    arcset = set(emb.arcs)
-    # arcs are stored sorted, so a repeated arc follows its first declaration
-    for (u, w), last in zip(emb.arcs, ((), *emb.arcs)):
-        if (u, w) == last:
-            violations.append(f"arc {u}->{w} is declared more than once")
-        if u == w:
-            violations.append(f"arc {u}->{w} is a loop")
-        if u < w and (w, u) in arcset:  # each pair once; a loop is no pair
-            violations.append(f"arcs {u}->{w} and {w}->{u} are antiparallel")
-        for x in (u, w):
-            if x not in known:
-                violations.append(f"arc {u}->{w} references unknown vertex {x!r}")
-    if not emb.vertices:
+    vs, arcs = emb.vertices, emb.arcs
+    known, arcset = set(vs), set(arcs)
+    tails, heads = [u for u, _ in arcs], [w for _, w in arcs]
+    # a loop reversed is itself, so one test finds loops and antiparallel pairs
+    if (
+        len(arcset) != len(arcs)
+        or not arcset.isdisjoint(zip(heads, tails))
+        or not known.issuperset(tails + heads)
+    ):
+        # arcs are stored sorted, so a repeated arc follows its first declaration
+        for (u, w), last in zip(arcs, ((), *arcs)):
+            if (u, w) == last:
+                violations.append(f"arc {u}->{w} is declared more than once")
+            if u == w:
+                violations.append(f"arc {u}->{w} is a loop")
+            if u < w and (w, u) in arcset:  # each pair once; a loop is no pair
+                violations.append(f"arcs {u}->{w} and {w}->{u} are antiparallel")
+            for x in (u, w):
+                if x not in known:
+                    violations.append(f"arc {u}->{w} references unknown vertex {x!r}")
+    if not vs:
         violations.append("no vertices")
-    vs = emb.vertices  # stored sorted, so a repeated vertex sits next to itself
-    violations += [f"vertex {v!r} is declared more than once" for v, w in zip(vs, vs[1:]) if v == w]
+    if len(known) != len(vs):  # stored sorted, so a repeated vertex sits next to itself
+        violations += [f"vertex {v!r} is declared more than once" for v, w in zip(vs, vs[1:]) if v == w]
     if violations:
         return ValidationReport(tuple(sorted(set(violations))))
 
-    inn = dict.fromkeys(emb.vertices, 0)
-    out = dict.fromkeys(emb.vertices, 0)
-    for u, w in emb.arcs:
-        out[u] += 1
-        inn[w] += 1
-    for v in emb.vertices:
-        if not _is_token(v):
-            violations.append(f"vertex {v!r} is no token (empty, or holding whitespace or '#')")
-        if inn[v] != out[v]:
-            violations.append(f"vertex {v!r} has in-degree {inn[v]} but out-degree {out[v]}")
-        if out[v] == 0:
-            violations.append(f"vertex {v!r} is isolated")
+    out, inn = Counter(tails), Counter(heads)
+    # every arc ends at a known vertex: one with no arc out is isolated
+    if out != inn or len(out) != len(vs) or not all(map(_is_token, vs)):
+        for v in vs:
+            if not _is_token(v):
+                violations.append(f"vertex {v!r} is no token (empty, or holding whitespace or '#')")
+            if inn[v] != out[v]:
+                violations.append(f"vertex {v!r} has in-degree {inn[v]} but out-degree {out[v]}")
+            if out[v] == 0:
+                violations.append(f"vertex {v!r} is isolated")
 
     nbrs: dict[str, set[str]] = {v: set() for v in emb.vertices}
     for u, w in emb.arcs:
@@ -133,37 +148,37 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
             f"graph disconnected: reached {len(seen)} of {len(emb.vertices)} vertices"
         )
 
-    names = [name for name, _ in emb.face_cycles]
-    if len(set(names)) != len(names):
+    # names as cycles cone under: an unnamed cycle cones as F<k>
+    names = {_cone_name(k, name) for k, (name, _) in enumerate(emb.face_cycles)}
+    if len(names) != len(emb.face_cycles):
         violations.append("repeated face cycle names")
-    coverage: dict[Arc, int] = {a: 0 for a in emb.arcs}
     for name, cyc in emb.face_cycles:
-        # an unnamed cycle cones as F<k>
         if name and not _is_token(name):
             violations.append(f"face cycle name {name!r} is no token (holding whitespace or '#')")
         if not cyc:
             violations.append(f"face cycle {name!r} is empty")
             continue
-        for i, arc in enumerate(cyc):
-            if arc not in arcset:
-                violations.append(f"face cycle {name!r} uses unknown arc {arc[0]}->{arc[1]}")
-            else:
-                coverage[arc] += 1
-            nxt = cyc[(i + 1) % len(cyc)]
-            if arc[1] != nxt[0]:
-                violations.append(
-                    f"face cycle {name!r} breaks at {arc[0]}->{arc[1]} followed by {nxt[0]}->{nxt[1]}"
-                )
-        heads = [w for _, w in cyc]
+        srcs, dsts = zip(*cyc)
+        if not arcset.issuperset(cyc) or dsts != srcs[1:] + srcs[:1]:
+            for arc, nxt in zip(cyc, cyc[1:] + cyc[:1]):
+                if arc not in arcset:
+                    violations.append(f"face cycle {name!r} uses unknown arc {arc[0]}->{arc[1]}")
+                if arc[1] != nxt[0]:
+                    violations.append(
+                        f"face cycle {name!r} breaks at {arc[0]}->{arc[1]} followed by {nxt[0]}->{nxt[1]}"
+                    )
         if len(set(cyc)) != len(cyc):
             u, w = next(arc for i, arc in enumerate(cyc) if arc in cyc[:i])
             violations.append(f"face cycle {name!r} uses arc {u}->{w} more than once")
-        elif len(set(heads)) != len(heads):
-            v = next(w for i, w in enumerate(heads) if w in heads[:i])
+        elif len(set(dsts)) != len(dsts):
+            v = next(w for i, w in enumerate(dsts) if w in dsts[:i])
             violations.append(f"face cycle {name!r} visits vertex {v!r} more than once")
-    for a, k in sorted(coverage.items()):
-        if k != 2:
-            violations.append(f"arc {a[0]}->{a[1]} lies on {k} face cycle(s), expected 2")
+    coverage = Counter(chain.from_iterable(cyc for _, cyc in emb.face_cycles))
+    if coverage.keys() != arcset or set(coverage.values()) != {2}:
+        violations += [
+            f"arc {u}->{w} lies on {coverage[u, w]} face cycle(s), expected 2"
+            for u, w in arcs if coverage[u, w] != 2
+        ]
     if not violations:
         violations += _pinched_vertices(emb)
     return ValidationReport(tuple(violations))
@@ -259,7 +274,7 @@ def _extract(cls: Classification) -> DirectedEmbedding:
     emb = DirectedEmbedding(vertices, arcs, tuple(cycles))
     _require_valid(emb)
     if kept is not None:
-        t._classified = (kept[0], kept[1], emb)
+        t._classified = (kept[0], kept[1], emb, True)
     return emb
 
 
@@ -284,7 +299,8 @@ def triangulate_embedding(emb: DirectedEmbedding) -> tuple[Triangulation, ZOrien
 
 def _coned_faces(emb: DirectedEmbedding) -> list[tuple[str, str, str]]:
     """The cone over each face cycle, one face per arc, named by the cycle
-    (F<k> when unnamed); EmbeddingError when the name is already taken."""
+    (F<k> when unnamed); EmbeddingError when the name is already taken, and
+    face_key's TriangulationError for a face on fewer than three vertices."""
     faces = []
     used = set(emb.vertices)
     for k, (name, cyc) in enumerate(emb.face_cycles):
@@ -293,7 +309,17 @@ def _coned_faces(emb: DirectedEmbedding) -> list[tuple[str, str, str]]:
             raise EmbeddingError(f"face cycle name {cone!r} collides with another vertex")
         used.add(cone)
         for u, w in cyc:
-            faces.append(face_key(cone, u, w))
+            # face_key inline, as in the Triangulation constructor: a three-way sort
+            a, b, c = cone, u, w
+            if a > b:
+                a, b = b, a
+            if b > c:
+                b, c = c, b
+                if a > b:
+                    a, b = b, a
+            if a == b or b == c:
+                raise TriangulationError(f"face vertices must be pairwise distinct, got {(cone, u, w)!r}")
+            faces.append((a, b, c))
     return faces
 
 

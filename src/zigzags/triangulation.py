@@ -175,8 +175,8 @@ class Triangulation:
     the zigzags of engine.enumerate_zigzags, the table of each edge's two
     passes over those zigzags (engine._pass_table), and the last
     orientation of those zigzags that engine.classify classified: its bits,
-    its four type dicts and, once extracted, its eulerian.DirectedEmbedding.
-    None refers back to the instance.
+    its four type dicts, once extracted its eulerian.DirectedEmbedding, and
+    once read its homogeneity.  None refers back to the instance.
     """
 
     def __init__(self, faces) -> None:
@@ -248,7 +248,7 @@ class Triangulation:
         self._corners: dict | None = None  # validate's corner table, until taken
         self._zigzags: tuple | None = None
         self._passes: list | None = None
-        self._classified: tuple | None = None  # (bits, type dicts, embedding)
+        self._classified: tuple | None = None  # (bits, type dicts, embedding, homogeneous)
 
     # ------------------------------------------------------------------
     # basic accessors

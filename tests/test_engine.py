@@ -69,11 +69,21 @@ def test_zigzag_rejects_broken_chain():
         Zigzag((make_pass("1", "2"), make_pass("3", "1"), make_pass("2", "3")))
     with pytest.raises(ValueError, match="at least one pass"):
         Zigzag(())
-    # the edge entry must be the key of the pass's own ends
+    # the edge entry must be the key of the pass's own ends; the first pass
+    # off its key is named, and a loop, which has no key, by edge_key
     bent = (Pass(("a", "b"), "a", "c"), Pass(("a", "c"), "c", "a"))
     with pytest.raises(ValueError) as caught:
         Zigzag(bent)
     assert str(caught.value) == f"pass {bent[0]!r} is inconsistent with its edge"
+    with pytest.raises(ValueError) as caught:
+        Zigzag((make_pass("a", "c"), bent[0], Pass(("a", "b"), "b", "a")))
+    assert str(caught.value) == f"pass {bent[0]!r} is inconsistent with its edge"
+    with pytest.raises(TriangulationError) as caught:
+        Zigzag((make_pass("c", "a"), Pass(("a", "a"), "a", "a"), bent[0]))
+    assert str(caught.value) == "edge endpoints must differ, got 'a' twice"
+    with pytest.raises(ValueError) as caught:
+        Zigzag((make_pass("1", "2"), make_pass("3", "1"), make_pass("2", "3")))
+    assert str(caught.value) == "passes 0 and 1 do not chain"
 
 
 def test_zigzag_reverse_and_canonical():

@@ -127,6 +127,34 @@ def test_validate_rejects_repeated_names_and_empty_cycles():
     assert any("empty" in v for v in rep.violations)
 
 
+@pytest.mark.parametrize("names, violations", [
+    (("", ""), ()),
+    (("", "", ""), tuple(
+        f"arc {u}->{w} lies on 3 face cycle(s), expected 2" for u, w in TRIANGLE_ARCS
+    )),
+    (("F1", ""), ("repeated face cycle names",)),
+    (("", "F0"), ("repeated face cycle names",)),
+    (("F0", ""), ()),
+])
+def test_validate_compares_the_names_cycles_cone_under(names, violations):
+    # an unnamed cycle k cones as F<k>, and its text carries that name, so
+    # validation agrees with the text's; a named F<k> beside it collides
+    emb = directed_triangle(names)
+    text = serialize_embedding(emb)
+    assert validate_embedding(emb).violations == violations
+    assert validate_embedding(parse_embedding(text)).violations == violations
+    if not violations:
+        t, tau = triangulate_embedding(emb)
+        assert (len(t.vertices), t.euler_characteristic()) == (5, 2)
+        assert t.faces == triangulate_embedding(parse_embedding(text))[0].faces
+        assert is_homogeneous(t, tau)
+    else:
+        for case in (emb, parse_embedding(text)):
+            with pytest.raises(EmbeddingError) as caught:
+                triangulate_embedding(case)
+            assert str(caught.value) == "\n".join(violations)
+
+
 @pytest.mark.parametrize("vertex, cycle, violation", [
     ("3", "x y", "face cycle name 'x y' is no token (holding whitespace or '#')"),
     ("a b", "x", "vertex 'a b' is no token (empty, or holding whitespace or '#')"),
@@ -419,15 +447,16 @@ def test_serialize_parse_round_trip(bipyramid_corpus):
 
 @pytest.mark.parametrize("n", (3, 6, 7, 12))
 def test_serialized_text_cones_to_the_same_faces(n, bipyramid_corpus):
-    # an unnamed cycle is written under the name coning gives it, F<k>;
-    # names are distinct, so at most one cycle is unnamed
+    # an unnamed cycle is written under the name coning gives it, F<k>, so
+    # any number of cycles may be unnamed
     t, tau = bipyramid_corpus[n]
     emb = extract_directed_embedding(t, tau)
-    cases = [emb, directed_triangle(("", "x")), directed_triangle(("x", ""))]
+    cases = [emb, directed_triangle(("", "x")), directed_triangle(("x", "")), directed_triangle(("", ""))]
     for k in (0, len(emb.face_cycles) - 1):
         cycles = list(emb.face_cycles)
         cycles[k] = ("", cycles[k][1])
         cases.append(DirectedEmbedding(emb.vertices, emb.arcs, tuple(cycles)))
+    cases.append(DirectedEmbedding(emb.vertices, emb.arcs, tuple(("", c) for _, c in emb.face_cycles)))
     for case in cases:
         text = serialize_embedding(case)
         assert all(line.split()[1] != "" for line in text.splitlines())

@@ -354,3 +354,35 @@ def test_a_round_trip_after_an_extraction_validates_and_walks_nothing(monkeypatc
     assert eulerian._extract(held) == emb
     assert len(validated) == 2 and links
     assert t._classified[1][0] is kept.edge_types and t._classified[2] is None
+
+
+@pytest.mark.parametrize("n", (6, 7, 8))
+def test_homogeneity_is_scanned_once_per_bits(monkeypatch, n):
+    # the census path: the search scans each orientation it classifies, and
+    # the caller's classify, the extraction and the round trip read the
+    # found one's verdict off t; the coned surface's own is scanned once
+    scans = counted(monkeypatch, engine, "_homogeneity_scan")
+    classified = counted(monkeypatch, engine, "classify")
+    t = _fresh(n)
+    tau = next(tau for tau in all_z_orientations(t) if is_homogeneous(t, tau))
+    searched = [x[1].bits for x in classified]
+    assert classify(t, tau).homogeneous
+    emb = parse_embedding(serialize_embedding(extract_directed_embedding(t, tau)))
+    t2, tau2 = triangulate_embedding(emb)
+    assert round_trip_check(t, tau) and classify(t, tau).homogeneous
+    assert [(x.triangulation, x.orientation.bits) for (x,) in scans] == [
+        *((t, bits) for bits in searched), (t2, tau2.bits)
+    ]
+    assert t._classified[3] is True and t2._classified[3] is True
+    # other bits are scanned once when classified, and the verdict goes with
+    # t's dicts: the first bits, classified again, are scanned again
+    scans.clear()
+    rev = tau.reversed()
+    assert classify(t, rev).homogeneous and classify(t, rev).homogeneous
+    assert classify(t, tau).homogeneous and classify(t, tau).homogeneous
+    assert [x.orientation.bits for (x,) in scans] == [rev.bits, tau.bits]
+    # a foreign orientation, of zigzags that are not t's own, is scanned each time
+    scans.clear()
+    copied = ZOrientation(tuple(Zigzag(z.passes) for z in tau.zigzags), tau.bits)
+    assert classify(t, copied).homogeneous and classify(t, copied).homogeneous
+    assert len(scans) == 2

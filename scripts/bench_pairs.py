@@ -3,6 +3,9 @@
 Usage: python scripts/bench_pairs.py --base REF --workload W --pairs N
            --seconds S --seed K
 
+W is a workload of BENCHMARK.json, or all to run the pairs of each
+workload in turn and print one table per workload.
+
 REF is extracted with git archive into a temporary directory, removed on
 exit.  Each pair runs perfbench/run.py of the base and of the working tree
 once, the base first in odd pairs and second in even ones, so that a drift
@@ -12,7 +15,7 @@ the summary prints the median of each side, the relative change of the
 medians, in how many pairs the change was better (reading the direction
 from the metric's `better`), and the distance between the quartiles of
 the base's runs, the spread a gain in the medians must exceed.  Exits 1
-when any run is not correct.  Of either tree it runs only
+when any run, of any workload, is not correct.  Of either tree it runs only
 perfbench/run.py, which imports the library from that tree's src/;
 BENCHMARK.json is read from the working tree.
 """
@@ -80,24 +83,30 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--seed", type=int, required=True)
     args = parser.parse_args(argv)
-    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    pairs = []
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in bench["workloads"]] if args.workload == "all" else [args.workload]
+    status = 0
     with tempfile.TemporaryDirectory(prefix="bench-base-") as tmp:
         archive = subprocess.run(
             ["git", "archive", "--format=tar", args.base], cwd=ROOT, capture_output=True, check=True
         ).stdout
         subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
-        for i in range(1, args.pairs + 1):
-            order = (Path(tmp), ROOT) if i % 2 else (ROOT, Path(tmp))
-            res = {checkout: run(checkout, args) for checkout in order}
-            pairs.append((res[Path(tmp)], res[ROOT]))
-            print(f"pair {i}: {'base' if i % 2 else 'change'} first", flush=True)
-    bad = [i for i, pair in enumerate(pairs, 1) for res in pair if not res["correct"]]
-    if bad:
-        print(f"runs not correct in pairs {sorted(set(bad))}", file=sys.stderr)
-        return 1
-    print("\n".join(summarize(pairs, end_to_end)))
-    return 0
+        for name in names:
+            one = argparse.Namespace(**{**vars(args), "workload": name})
+            pairs = []
+            for i in range(1, args.pairs + 1):
+                order = (Path(tmp), ROOT) if i % 2 else (ROOT, Path(tmp))
+                res = {checkout: run(checkout, one) for checkout in order}
+                pairs.append((res[Path(tmp)], res[ROOT]))
+                print(f"{name} pair {i}: {'base' if i % 2 else 'change'} first", flush=True)
+            bad = [i for i, pair in enumerate(pairs, 1) for res in pair if not res["correct"]]
+            if bad:
+                print(f"{name}: runs not correct in pairs {sorted(set(bad))}", file=sys.stderr)
+                status = 1
+            else:
+                print(f"workload: {name}")
+                print("\n".join(summarize(pairs, bench["end_to_end"])), flush=True)
+    return status
 
 
 if __name__ == "__main__":

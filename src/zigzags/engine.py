@@ -14,7 +14,8 @@ edge avoiding prev is {d, y}, and the successor is (d, y, s); the reversal
 (cur, prev) is (s, x, d).  The corner table, built once per triangulation
 by validate, maps each directed edge (s, d) and the apex x of one of its
 faces to the apex y of the other, so a walk step is one dict lookup;
-enumeration, or a glued surface's audit, then takes it from validate.
+enumeration, or a glued surface's audit, then takes it from validate, and
+enumeration marks each state it walks in the table itself.
 
 Every orbit has a disjoint reversal orbit, so zigzags come in reversal
 pairs; a z-orientation chooses one direction from each pair.  Under a
@@ -196,38 +197,44 @@ def enumerate_zigzags(t: Triangulation) -> tuple[Zigzag, ...]:
     """All zigzags of t, one canonical representative per reversal pair.
 
     Partitions all 6*|F| states into successor orbits.  Each orbit is
-    walked once: its reversal orbit is never walked, as a state is skipped
-    when it or its reversal lies on an orbit already walked, and the walk
-    stops once the orbits and their reversals cover all 6*|F| states.
-    Output is sorted by canonical form and is therefore deterministic.  It
-    is computed once per triangulation and kept on t: a later call returns
-    the same tuple.
+    walked once, on the corner table validate built, which it marks as it
+    goes: each state walked has its entry set to None, so no visited set
+    and no list of states is kept.  A state is skipped when its entry or
+    its reversal's is None, a walk that meets a None entry other than its
+    start's raises InvariantError, and the walk stops once the orbits and
+    their reversals cover all 6*|F| states.  Output is sorted by canonical
+    form and is therefore deterministic.  It is computed once per
+    triangulation and kept on t: a later call returns the same tuple.
     """
     if t._zigzags is not None:
         return t._zigzags
     t.require_valid()
     across = _apex_table(t)
-    visited: set[tuple[str, str, str]] = set()
+    walked = 0
     out: list[Zigzag] = []
     for start in across:
         s, d, x = start
-        if start in visited or (s, x, d) in visited:
+        if across[start] is None or across[s, x, d] is None:
             continue
-        orbit = [start]
-        state = (d, across[start], s)
-        while state != start:
-            orbit.append(state)
+        triples, state, y = [], start, across[start]
+        while y is not None:
             a, b, _ = state
-            state = (b, across[state], a)
-        visited.update(orbit)
+            across[state] = None
+            triples.append(((a, b) if a < b else (b, a), a, b))
+            state = (b, y, a)
+            y = across[state]
+        # the walk stops at the first state already walked: closed at its
+        # start, or reaching a state twice, which no surface's table does
+        if state != start:
+            raise InvariantError(f"a zigzag walk reaches the state {state} twice")
+        walked += len(triples)
         # reversing turns the successor into its inverse, so it maps whole
         # orbits onto orbits: this one is its own reversal exactly when it
         # holds the reversal of its start
-        if (s, x, d) in visited:
+        if across[s, x, d] is None:
             raise InvariantError("a zigzag is never its own reversal")
-        passes = _make_passes([((s, d) if s < d else (d, s), s, d) for s, d, _ in orbit])
-        out.append(Zigzag(passes).canonical())
-        if 2 * len(visited) == len(across):
+        out.append(Zigzag(_make_passes(triples)).canonical())
+        if 2 * walked == len(across):
             break
     out.sort(key=lambda z: z.passes)
     t._zigzags = tuple(out)

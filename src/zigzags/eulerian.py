@@ -89,11 +89,11 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
     repeated arcs, no antiparallel arc pairs), connected, and balanced at
     every vertex; each vertex and face cycle name must be a token, though a
     face cycle may be unnamed, and the cycles must cone under distinct
-    names (cycle k unnamed as F<k>); every face cycle must chain head to
-    tail, close up, and visit each vertex at most once; every arc must lie
-    on exactly two face cycles; and at every vertex the corners of the face
-    cycles (an arc in, the next arc out) must join its arcs into one cycle,
-    as the faces around a point of a surface do.
+    names (cycle k unnamed as F<k>) that no vertex has; every face cycle
+    must chain head to tail, close up, and visit each vertex at most once;
+    every arc must lie on exactly two face cycles; and at every vertex the
+    corners of the face cycles (an arc in, the next arc out) must join its
+    arcs into one cycle, as the faces around a point of a surface do.
 
     Each rule tests the valid case in whole passes (set and Counter
     compares, list compares, set sizes) and loops element by element only
@@ -148,10 +148,12 @@ def validate_embedding(emb: DirectedEmbedding) -> ValidationReport:
             f"graph disconnected: reached {len(seen)} of {len(emb.vertices)} vertices"
         )
 
-    # names as cycles cone under: an unnamed cycle cones as F<k>
+    # names as cycles cone under: an unnamed cycle cones as F<k>, and no
+    # name may be a vertex's, as _coned_faces requires
     names = {_cone_name(k, name) for k, (name, _) in enumerate(emb.face_cycles)}
     if len(names) != len(emb.face_cycles):
         violations.append("repeated face cycle names")
+    violations += [f"face cycle name {v!r} collides with another vertex" for v in vs if v in names]
     for name, cyc in emb.face_cycles:
         if name and not _is_token(name):
             violations.append(f"face cycle name {name!r} is no token (holding whitespace or '#')")

@@ -28,14 +28,17 @@ indices of the keys.  A host pair resolves in the order whose walk reads
 them and once outside, the walk from a reads e1, e2, e1, e2, each edge's
 passes entering opposite sides, so it reads 1+ then 2+ exactly when the
 passes at a and m enter faces on the same side.  This same-side rule
-(_reads_forward) reads a host role order in O(1) from the pass positions:
-find_special_pairs emits each pair in it without labeling a site, and
-plan_gluing and tree builds take it for a host pair given in either
-order.  Its side test has two parts: a fact per (vertex, edge), the link
-positions its passes turn toward (_turns), and a per-pair part reading the
-four sides off two facts (_pass_sides).  find_special_pairs walks each
-shared vertex's link once and derives each fact once, so a candidate costs
-O(1) and reads no face; only _labeling reads the faces the passes enter.
+reads a host role order in O(1) from the pass positions: find_special_pairs
+emits each pair in it without labeling a site, and plan_gluing and tree
+builds take it for a host pair given in either order.  The side test and
+the rule are one function, _pass_sides, in two parts: a fact per (vertex,
+edge), the link positions its passes turn toward (_turns), and a per-pair
+part reading the four sides off two facts by arithmetic on link positions,
+with no closure built.  find_special_pairs takes its candidates vertex by
+vertex (_candidates): it walks the link of a vertex once, when the vertex
+shares a first pair, and derives each fact at it once, so a candidate
+costs O(1) and reads no face; only _labeling, which calls the same
+_pass_sides, reads the faces the passes enter.
 A piece pair resolves in both orders, and plan_gluing takes the one whose
 edges point at the shared vertex the way the host's do.  resolve_site never
 reorders: it resolves the pair as given or raises SurgeryError.
@@ -353,21 +356,18 @@ def _pattern_problem(kind: str, at1, at2) -> str | None:
     return None
 
 
-def _candidates(cls: Classification, kind: str) -> list[tuple[Edge, Edge, str]]:
-    """(c1, c2, v), sorted, for the type-II edges c1 < c2 that share a vertex
-    v and show the occurrence pattern of the site kind."""
-    at = cls.pass_positions
-    by_vertex: dict[str, list[Edge]] = {}
-    for e in cls.type_ii_edges:
+def _candidates(cls: Classification, kind: str):
+    """(c1, c2, v) for the type-II edges c1 < c2 that share a vertex v and
+    show the occurrence pattern of the site kind, vertex by vertex."""
+    at, by_vertex = cls.pass_positions, {}
+    for e in sorted(cls.edge_directions):
         for v in e:
             by_vertex.setdefault(v, []).append(e)
-    return sorted(
-        (c1, c2, v)
-        for v, es in by_vertex.items()
-        for i, c1 in enumerate(es)
-        for c2 in es[i + 1:]
-        if _pattern_problem(kind, at[c1], at[c2]) is None
-    )
+    for v, es in by_vertex.items():
+        for i, c1 in enumerate(es, 1):
+            for c2 in es[i:]:
+                if _pattern_problem(kind, at[c1], at[c2]) is None:
+                    yield c1, c2, v
 
 
 def find_special_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
@@ -376,21 +376,26 @@ def find_special_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
     The +/- side condition singles out exactly one of the two role orders
     (e1, e2) and (e2, e1).  Each candidate is checked as resolve_site checks
     it and built once in that order, read by the same-side rule (see Role
-    orders above), so each pair is directly usable as a host site.  One link
-    walk per shared vertex and one fact per (vertex, edge) leave O(1) per
-    candidate, taken in sorted (c1, c2, v) order.
+    orders above), so each pair is directly usable as a host site.  The
+    candidates come vertex by vertex, and a candidate's four sides are read
+    off one fact per (vertex, edge), with one link walk per shared vertex.
+    Pairs come in sorted (c1, c2, v) order, and so does the SurgeryError
+    raised: that of the least candidate that fails.
     """
     _require_site(cls, _HOST_ROLE)
     at, walks = cls.pass_positions, _Chosen(cls.orientation.chosen)
-    links, facts = {}, {}  # a vertex may share many pairs, and an edge many at a vertex
-    out = []
+    last, out, failed = None, [], []
     for c1, c2, v in _candidates(cls, HOST):
-        if v not in links:
-            links[v] = _positions(cls.triangulation.vertex_link(v))
-        pair_at = (at[c1], at[c2])
-        _, sides = _pass_sides(links[v], c1, c2, v, pair_at, walks, facts)
-        out.append(SpecialPair(*((c1, c2) if _reads_forward(pair_at, sides) else (c2, c1)), v))
-    return tuple(out)
+        if v != last:
+            last, pos, facts = v, _positions(cls.triangulation.vertex_link(v)), {}
+        try:
+            out.append((c1, c2, v, _pass_sides(pos, c1, c2, v, (at[c1], at[c2]), walks, facts)[3]))
+        except SurgeryError as exc:  # a candidate fails on its own facts: the least raises
+            failed.append((c1, c2, v, exc))
+    if failed:
+        raise min(failed)[3]
+    out.sort()
+    return tuple(SpecialPair(*((c1, c2) if ahead else (c2, c1)), v) for c1, c2, v, ahead in out)
 
 
 def find_piece_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
@@ -401,7 +406,7 @@ def find_piece_pairs(cls: Classification) -> tuple[SpecialPair, ...]:
     e2 once in each of the other two.
     """
     kind = _require_site(cls, _PIECE_ROLE)
-    return tuple(SpecialPair(c1, c2, v) for c1, c2, v in _candidates(cls, kind))
+    return tuple(SpecialPair(c1, c2, v) for c1, c2, v in sorted(_candidates(cls, kind)))
 
 
 # ----------------------------------------------------------------------
@@ -487,60 +492,53 @@ def _turns(pos: dict[str, int], e: Edge, v: str, passes, walks) -> list[int]:
 def _pass_sides(pos: dict[str, int], e1: Edge, e2: Edge, v: str, at, walks, facts: dict):
     """The side test of the pair e1, e2 at v (see Sides above) in O(1), given
     pos and walks as _turns takes them and at, e1's and e2's passes in walk
-    order.  facts maps (v, e) to e's fact at v and takes those it lacks, e1's
-    before e2's, so the first SurgeryError is the one raised with no fact
-    kept.  Returns side(i), whether link position i is on the arc from v1 to
-    v2, and the side each pass turns to, e1's then e2's.  Raises
-    SurgeryError when a pass turns in no face at v, or when e1's passes,
-    then e2's, turn to one side."""
+    order.  facts maps each edge at v to its fact and takes those it lacks,
+    e1's before e2's, so the first SurgeryError is the one raised with no
+    fact kept.  Link position i is on the arc from v1 to v2 when
+    (i - i1) % len(pos) < span, for i1 the position of v1 and span the steps
+    from v1 to v2.  Returns i1, span, the side each pass turns to, e1's then
+    e2's, and whether the pair reads forward by the same-side rule (see Role
+    orders above): e1's first pass and e2's pass between e1's two enter
+    faces on the same side.  Raises SurgeryError when a pass turns in no
+    face at v, or when e1's passes, then e2's, turn to one side."""
     n, i1 = len(pos), pos[e1[0] if e1[1] == v else e1[1]]
     span = (pos[e2[0] if e2[1] == v else e2[1]] - i1) % n
     # every caller has required homogeneity, so each face holds one type-II
     # edge and v1, v2 are apart in the link: no face holds both pair edges,
     # each pair face has one vertex off v, v1, v2 and each pair edge has one
     # face on each arc
-
-    def side(i: int) -> bool:
-        return (i - i1) % n < span
-
     sides: list[bool] = []
     for e, passes in zip((e1, e2), at):
-        if (v, e) not in facts:
-            facts[v, e] = _turns(pos, e, v, passes, walks)
-        a, b = map(side, facts[v, e])
-        if a == b:
+        if e not in facts:
+            facts[e] = _turns(pos, e, v, passes, walks)
+        r, s = facts[e]
+        sides += (r - i1) % n < span, (s - i1) % n < span
+        if sides[-1] == sides[-2]:
             what = "occurrences of" if passes[0][0] == passes[1][0] else "zigzags through"
             raise SurgeryError(f"{what} {e} do not cross its faces oppositely")
-        sides += a, b
-    return side, sides
-
-
-def _reads_forward(at, sides) -> bool:
-    """The same-side rule (see Role orders above): whether e1's first pass
-    and e2's pass between e1's two enter faces on the same side, given the
-    passes and their sides as _pass_sides returns them."""
     ((_, a), (_, b)), ((_, c), _) = at
-    return sides[0] == sides[2 if a < c < b else 3]
+    return i1, span, sides, sides[0] == sides[2 if a < c < b else 3]
 
 
 def _labeling(pair: SpecialPair, pos: dict[str, int], at, walks, host: bool):
     """The cut of a checked pair, the one every site is resolved by: its
     +/- labeling (see Sides and Role orders above), given as _pass_sides
-    takes it, in the role order _reads_forward reads if host, and its
+    takes it, in the role order the same-side rule reads if host, and its
     segments; of the side test's callers it alone reads faces.  It reads
     the walk by walks.toward and walks.arc alone, and the pass positions
     only by comparing them.  Returns the pair in that order, each interior
     link vertex of v -> its sign, each pass's key -> its segment, and each
     key -> its segment's end, as _segments cuts them."""
-    side, sides = _pass_sides(pos, pair.e1, pair.e2, pair.shared_vertex, at, walks, {})
+    i1, span, sides, ahead = _pass_sides(pos, pair.e1, pair.e2, pair.shared_vertex, at, walks, {})
     # the passes enter the four pair faces, one each, of their edge and the
     # vertex they turn toward: the least takes "-"
     faces = (face_key(*e, walks.toward(*p)) for e, ps in zip((pair.e1, pair.e2), at) for p in ps)
     minus = min(zip(faces, sides))[1]
     signs = {minus: "-", not minus: "+"}
-    vertex_sides = {w: signs[side(i)] for w, i in pos.items() if w != pair.v1 and w != pair.v2}
+    n, v1, v2 = len(pos), pair.v1, pair.v2
+    vertex_sides = {w: signs[(i - i1) % n < span] for w, i in pos.items() if w != v1 and w != v2}
     roles = "1122"
-    if host and not _reads_forward(at, sides):
+    if host and not ahead:
         pair, roles = pair.swapped(), "2211"
     keys = {i + signs[s]: p for i, p, s in zip(roles, chain(*at), sides)}
     return (pair, vertex_sides, *_segments(keys, walks))

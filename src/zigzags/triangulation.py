@@ -171,7 +171,8 @@ class Triangulation:
     reported by validate().
 
     Derived data kept per instance: the report of validate(), with the
-    corner table it walks the links on until engine._apex_table takes it;
+    corner table it walks the links on until engine._apex_table takes it
+    for enumeration, which marks it as it walks;
     the zigzags of engine.enumerate_zigzags, the table of each edge's two
     passes over those zigzags (engine._pass_table), and the last
     orientation of those zigzags that engine.classify classified: its bits,
@@ -312,39 +313,53 @@ class Triangulation:
         return len(self._vertices) - len(self._edges) + len(self._faces)
 
     def validate(self) -> ValidationReport:
-        """Check the closed-surface conditions; violations come back as data."""
+        """Check the closed-surface conditions; violations come back as data.
+
+        Each edge must lie in two faces, the edge graph must be connected,
+        and each vertex link must be one cycle.  The last two are found in
+        one traversal: a search over the vertices that walks each popped
+        vertex's link on the corner table and pushes the link it walked, or
+        every vertex of its faces when the walk fails, so the count it
+        reaches from the first vertex is the edge graph's.  The report is
+        kept, and so is the corner table of a valid triangulation, until
+        enumeration takes it."""
         if self._report is not None:
             return self._report
         violations: list[str] = []
         if not self._faces:
             violations.append("no faces")
         violations += _edge_violations(self._edge_faces, self._edges)
-        if self._vertices:
-            # the edge index gives each neighbour once
-            neighbours: dict[str, list[str]] = {v: [] for v in self._vertices}
-            for a, b in self._edges:
-                neighbours[a].append(b)
-                neighbours[b].append(a)
-            seen = _reachable(self._vertices[0], neighbours.__getitem__)
-            if len(seen) != len(self._vertices):
-                violations.append(
-                    f"graph disconnected: reached {len(seen)} of {len(self._vertices)} vertices"
-                )
         # v's link is one cycle exactly when the corner walk around v from
         # its first face stays in the table and first closes after visiting
         # each face at v: it visits one link cycle's faces, and never a face
-        # on an edge outside the table
+        # on an edge outside the table.  Either way v pushes all its
+        # neighbours; searches after the first walk the other components
         corners, vertex_faces = _corner_table(self._edge_faces), self._vertex_faces
-
-        def is_cycle(v: str) -> bool:
-            a, b, c = vertex_faces[v][0]
-            x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
-            p, q, k = corners.get((v, x, y)), x, 1
-            while p is not None and (p != x or q != y):
-                p, q, k = corners.get((v, p, q)), p, k + 1
-            return p is not None and k == len(vertex_faces[v])
-
-        violations += _link_violations(self._vertices, is_cycle)
+        seen, broken, reached = set(), set(), 0
+        for root in self._vertices:
+            stack = [root]
+            while stack:
+                v = stack.pop()
+                if v in seen:
+                    continue
+                seen.add(v)
+                faces = vertex_faces[v]
+                a, b, c = faces[0]
+                x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
+                link, p, q = [x], corners.get((v, x, y)), x
+                while p is not None and (p != x or q != y):
+                    link.append(p)
+                    p, q = corners.get((v, p, q)), p
+                if p is None or len(link) != len(faces):
+                    broken.add(v)
+                    link = [w for f in faces for w in f]
+                stack += link
+            reached = reached or len(seen)
+        if reached != len(self._vertices):
+            violations.append(
+                f"graph disconnected: reached {reached} of {len(self._vertices)} vertices"
+            )
+        violations += _link_violations(self._vertices, lambda v: v not in broken)
         self._report = ValidationReport(tuple(violations))
         # kept for its one consumer, engine._apex_table, which releases it
         self._corners = corners if self._report.ok else None
@@ -398,29 +413,35 @@ def parse_triangulation(text: str) -> Triangulation:
     Each non-blank line holds one record; 'f <v1> <v2> <v3>' declares a face.
     '#' begins a comment running to the end of the line.  Errors name the
     offending line.  Validation is not applied here.
+
+    The text is split into records in one pass, and the constructor takes
+    the faces of all of them at once; only a record at fault, which the
+    constructor or the record type rejects, sends the parse back over the
+    text, record by record, to name the first such line.
     """
-    lineno, parts = 0, []
-
-    def faces():
-        # the constructor takes each face as it comes, so the record last
-        # read is the one it fails on
-        nonlocal lineno, parts
-        for lineno, parts, _ in _records(text):
-            if parts[0] != "f":
-                raise ParseError(f"line {lineno}: unknown record type {parts[0]!r}")
-            if len(parts) != 4:
-                raise ParseError(f"line {lineno}: face record needs 3 vertices, got {len(parts) - 1}")
-            yield parts[1:]
-
+    # each record's fields; one of another type goes in as no face, which the
+    # constructor rejects
+    lines = text.splitlines()
+    faces = [r[1:] if r[0] == "f" else () for raw in lines if (r := raw.partition("#")[0].split())]
     try:
-        return Triangulation(faces())
-    except ParseError:
-        raise
-    except TriangulationError:
+        return Triangulation(faces)
+    except TriangulationError as exc:
+        error = exc
+    # some record is at fault: the first one is named
+    seen = set()
+    for lineno, parts, _ in _records(text):
+        if parts[0] != "f":
+            raise ParseError(f"line {lineno}: unknown record type {parts[0]!r}")
+        if len(parts) != 4:
+            raise ParseError(f"line {lineno}: face record needs 3 vertices, got {len(parts) - 1}")
         # split tokens are valid tokens, so the face repeats a vertex or a face
-        if len(set(parts[1:])) != 3:
-            raise ParseError(f"line {lineno}: face has a repeated vertex") from None
-        raise ParseError(f"line {lineno}: duplicate face {' '.join(sorted(parts[1:]))}") from None
+        key = tuple(sorted(parts[1:]))
+        if len(set(key)) != 3:
+            raise ParseError(f"line {lineno}: face has a repeated vertex")
+        if key in seen:
+            raise ParseError(f"line {lineno}: duplicate face {' '.join(key)}")
+        seen.add(key)
+    raise error  # no record named: the constructor's own error stands
 
 
 def serialize_triangulation(t: Triangulation) -> str:

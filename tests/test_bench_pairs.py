@@ -50,3 +50,52 @@ def test_a_run_not_correct_exits_1(monkeypatch, capsys):
     argv = ["--base", "HEAD", "--workload", "census", "--pairs", "1", "--seconds", "1", "--seed", "1"]
     assert bench_pairs.main(argv) == 1
     assert "runs not correct in pairs [1]" in capsys.readouterr().err
+
+
+def _every_metric(jobs: float, correct: bool = True) -> str:
+    """A result line holding every end-to-end metric BENCHMARK.json names."""
+    bench = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": jobs, "unit": m["unit"]} for m in bench["end_to_end"]}
+    return json.dumps({"correct": correct, "attempted": 9, "failed": 0, "metrics": metrics})
+
+
+def _fake_runs(monkeypatch, lines):
+    """Each run takes the next of lines and records its workload."""
+    asked = []
+    results = iter(lines)
+
+    def fake(checkout, args):
+        asked.append(args.workload)
+        return json.loads(next(results))
+
+    monkeypatch.setattr(bench_pairs, "run", fake)
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: type("Done", (), {"stdout": b""}))
+    return asked
+
+
+ALL = ["--base", "HEAD", "--workload", "all", "--pairs", "2", "--seconds", "1", "--seed", "1"]
+
+
+def test_workload_all_prints_one_table_per_workload(monkeypatch, capsys):
+    # two pairs of each of the three workloads, the base first in pair 1
+    asked = _fake_runs(monkeypatch, [_every_metric(180.0 + i) for i in range(12)])
+    assert bench_pairs.main(ALL) == 0
+    names = ["tree-build", "pair-scan", "census"]
+    assert asked == [name for name in names for _ in range(4)]
+    out = capsys.readouterr().out
+    tables = [line for line in out.splitlines() if line.startswith("workload: ")]
+    assert tables == [f"workload: {name}" for name in names]
+    assert out.count("metric       unit") == 3
+
+
+def test_workload_all_exits_1_when_one_workload_has_a_run_not_correct(monkeypatch, capsys):
+    lines = [_every_metric(180.0)] * 12
+    lines[5] = _every_metric(180.0, correct=False)  # pair-scan, pair 1, the change
+    _fake_runs(monkeypatch, lines)
+    assert bench_pairs.main(ALL) == 1
+    captured = capsys.readouterr()
+    assert "pair-scan: runs not correct in pairs [1]" in captured.err
+    # the other workloads still print their tables
+    assert [line for line in captured.out.splitlines() if line.startswith("workload: ")] == [
+        "workload: tree-build", "workload: census",
+    ]

@@ -476,6 +476,15 @@ def test_convert_names_a_repeated_vertex(tmp_path, capsys):
     assert (rc, out, err) == (1, "", "error: vertex '1' is declared more than once\n")
 
 
+def test_a_cycle_named_like_a_vertex_fails_verify_as_it_fails_coning(tmp_path, capsys):
+    # the cycles cone under the names 1 and b, and vertex 1 is taken
+    path = tmp_path / "named.eul"
+    path.write_text(TRIANGLE_EUL.replace("c a ", "c 1 "))
+    message = "face cycle name '1' collides with another vertex"
+    assert run(capsys, "verify", str(path)) == (1, "", message + "\n")
+    assert run(capsys, "convert", "--triangulate", str(path)) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("name, text, message", [
     ("arc.eul", "v x\nv y\na 0 x\n", "line 3: expected 'a <index> <from> <to>'"),
     ("cycle.eul", "v x\nv y\na 0 x y\nc F\n", "line 4: expected 'c <name> <i1> ...'"),

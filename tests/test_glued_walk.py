@@ -21,6 +21,7 @@ from zigzags import (
     plan_gluing,
     predict_glued_zigzag,
 )
+from zigzags.surgery import _glued_walk
 
 # The glued zigzag as the paper writes it: eK± is the pass of the split copy
 # of edge K on the ± side, AK± the host segment, BK± (two-zigzag piece) or
@@ -110,3 +111,18 @@ def test_each_site_kind_reads_its_ends(gluings):
     for sites in gluings:
         for site in sites:
             assert site.ends == ENDS[site.kind]
+
+
+def test_a_two_zigzag_piece_moves_host_segments_past_each_other(gluings):
+    # the glued walk is not insert-only: the host's segments read 1+, 2+,
+    # 1-, 2- around its zigzag, and a four-zigzag piece keeps that order,
+    # but a two-zigzag piece reads 1+, 2-, 1-, 2+, so A2+ and A2- trade
+    # places and a glued surface's host passes do not keep their order
+    orders: dict[str, set] = {}
+    for host_site, piece_site in gluings:
+        keys = [key for site, key in _glued_walk(host_site.ends, piece_site.ends) if site == 0]
+        orders.setdefault(piece_site.kind, set()).add(tuple(keys))
+    assert orders == {
+        FOUR_ZIGZAG: {("1+", "2+", "1-", "2-")},
+        TWO_ZIGZAG: {("1+", "2-", "1-", "2+")},
+    }

@@ -104,9 +104,13 @@ turns follow the successor rule and its II,I,I phase holds across each
 junction; each new edge is passed twice with the type of the edge it came
 from, the split copies type II, and a type-II one takes the direction its
 passes read; every new face is type I; and each touched vertex keeps its
-type.  A finished surface is audited once in full: its Triangulation is
-validated, the zigzag is checked as its only zigzag on validate's corner
-table (engine._audit_sole_zigzag), and classify, homogeneity and the type-I
+type.  The link tests walk the surface's own edge index: a new vertex's
+whole link by triangulation._link_walk, the walk vertex_link makes, and an
+old vertex's only where it changed (_relinked), so a vertex of high degree
+is not walked whole per glue.  A finished surface is audited once in full:
+its Triangulation is validated, which walks each link on the corner table
+it builds for the next step, where the zigzag is checked as its only zigzag
+(engine._audit_sole_zigzag), and classify, homogeneity and the type-I
 vertices are checked.  Any failure raises InvariantError, an explicit check
 that also runs under python -O, and a failed glue check names the glue.
 glue runs one gluing on a copy of the host, along the host site as it was
@@ -137,8 +141,8 @@ from .triangulation import (
     Triangulation,
     _edge_violations,
     _face_edges,
-    _link_cycle,
     _link_violations,
+    _link_walk,
     edge_key,
     face_key,
 )
@@ -194,9 +198,13 @@ class SpecialPair:
     shared_vertex: str
 
     def __post_init__(self) -> None:
-        e1, e2, v = edge_key(*self.e1), edge_key(*self.e2), self.shared_vertex
-        object.__setattr__(self, "e1", e1)
-        object.__setattr__(self, "e2", e2)
+        e1, e2, v = self.e1, self.e2, self.shared_vertex
+        # an edge is re-keyed only when it is no canonical key already, as
+        # find_special_pairs, swapped() and the generators hand them in
+        if not (type(e1) is tuple and len(e1) == 2 and e1[0] < e1[1]):
+            object.__setattr__(self, "e1", e1 := edge_key(*e1))
+        if not (type(e2) is tuple and len(e2) == 2 and e2[0] < e2[1]):
+            object.__setattr__(self, "e2", e2 := edge_key(*e2))
         # two distinct edges at v share v and nothing else
         if not (e1 != e2 and v in e1 and v in e2):
             raise SurgeryError(
@@ -704,15 +712,38 @@ def _relinked(x: str, lost, gained, born_edges: set, edge_faces: dict) -> bool:
     """Whether the link of x, one cycle before x's lost faces were swapped
     for its gained ones, is one cycle after: the lost faces' link edges make
     a path, and the gained faces' a path between the same ends whose inner
-    vertices were no neighbours of x, while the lost path's are no more."""
-    old, new = _link_cycle(x, lost, closed=False), _link_cycle(x, gained, closed=False)
-    return (
-        old is not None
-        and new is not None
-        and {old[0], old[-1]} == {new[0], new[-1]}
-        and all(edge_key(x, y) in born_edges for y in new[1:-1])
-        and all(edge_key(x, y) not in edge_faces for y in old[1:-1])
-    )
+    vertices were no neighbours of x, while the lost path's are no more.
+    It costs what changed, never x's whole link: the lost link edges lie on
+    one cycle, so they make one path exactly when two of their link
+    vertices occur once and they number len(lost) + 1; the gained path is
+    walked across the edge index from one end, through the one gained face
+    at that end and then across born edges only, and must reach the other
+    end after len(gained) faces, each face at x it gained."""
+    seen: dict[str, bool] = {}  # each lost link vertex -> whether it occurs twice
+    for f in lost:
+        for y in f:
+            if y != x:
+                seen[y] = y in seen
+    ends = [y for y, twice in seen.items() if not twice]
+    if len(ends) != 2 or len(seen) != len(lost) + 1:
+        return False
+    if any(twice and edge_key(x, y) in edge_faces for y, twice in seen.items()):
+        return False
+    start, stop = ends
+    first = set(gained).intersection(edge_faces[edge_key(x, start)])
+    if len(first) != 1:
+        return False
+    (f,), y, walked = first, start, 1
+    while True:
+        a, b, c = f
+        y = a if a != x and a != y else b if b != x and b != y else c
+        if y == stop:
+            return walked == len(gained)
+        e = edge_key(x, y)
+        if e not in born_edges or len(edge_faces[e]) != 2:
+            return False
+        g, h = edge_faces[e]
+        f, walked = h if g == f else g, walked + 1
 
 
 class _Cut(NamedTuple):
@@ -772,7 +803,10 @@ class _Surface:
     run in C; no Python loop runs over the host's faces, edges or passes,
     and the piece's cells are named from its site's plan, one list lookup
     per vertex, with no renaming rule run, then checked by the rule that
-    checks the host's renamed cells.
+    checks the host's renamed cells.  Links are walked across the edge
+    index: cut walks v's, whose faces the glue renames, and check each new
+    vertex's (_link_walk), while an old vertex's link is tested only where
+    it changed (_relinked), so no glue walks all of a star root's apex.
     """
 
     def __init__(self, host: Classification, prefix: str = "") -> None:
@@ -790,8 +824,9 @@ class _Surface:
         directions = host.edge_directions.items()
         self.edge_directions = {edge(e): (name(u), name(w)) for e, (u, w) in directions}
         self.type_i = set(map(name, host.type_i_vertices))
-        # vertex -> the number of type-II edges ending at it
-        self.ii_ends = Counter(chain.from_iterable(self.edge_directions))
+        # vertex -> the number of type-II edges ending at it; a vertex with
+        # none may be missing
+        self.ii_ends = dict(Counter(chain.from_iterable(self.edge_directions)))
 
     def _at(self, e: Edge) -> list[int]:
         """The positions of the two passes over e, ascending: a type-II edge
@@ -831,7 +866,8 @@ class _Surface:
             HOST, self.edge_faces, self.edge_directions, pair,
             lambda e: at.setdefault(e, [(0, r) for r in self._at(e)]),
         )
-        pos = _positions(_link_cycle(pair.shared_vertex, self.vertex_faces[pair.shared_vertex]))
+        v = pair.shared_vertex
+        pos = _positions(_link_walk(v, self.vertex_faces[v], self.edge_faces))
         pair, *cut = _labeling(pair, pos, (at[pair.e1], at[pair.e2]), self, host=True)
         return _Cut(pair, _heads(self.edge_directions, pair), *cut)
 
@@ -942,7 +978,7 @@ class _Surface:
         violations += _link_violations(
             sorted(x for x in change.vertices if x in vf),
             lambda x: (
-                _link_cycle(x, vf[x]) is not None
+                _link_walk(x, vf[x], ef) is not None
                 if x in change.fresh
                 else _relinked(x, *change.vertices[x], born, ef)
             ),
@@ -959,24 +995,21 @@ class _Surface:
             raise InvariantError(f"edge {min(strays)} is not both new and renamed from an edge")
 
         # the walk where a pass is new or renamed: its passes chain and turn
-        # in faces, a different face after each pass, each position tested
-        # once.  Elsewhere two host passes turn as they did in the host, in
-        # a face that kept its key
-        turns: dict[int, Face] = {}
-
-        def turn(i: int) -> Face:
-            i %= n
-            if i not in turns:
-                if ps[i].dst != ps[(i + 1) % n].src:
-                    raise InvariantError(f"passes {i} and {(i + 1) % n} do not chain")
-                turns[i] = _turn(ps, i)
-                if turns[i] not in self.slots:
-                    raise InvariantError(f"passes {i} and {(i + 1) % n} turn in no face")
-            return turns[i]
-
-        for i in dict.fromkeys(i % n for d in change.dirty for i in (d - 1, d, d + 1)):
-            if turn(i - 1) == turn(i):
-                raise InvariantError(f"zigzag turns twice in face {turn(i)} at position {i}")
+        # in faces, a different face after each pass at a tested position.
+        # The turns of the sorted window are found once and tested at once;
+        # only a failure walks the tested positions in dirty order, to name
+        # the first fault.  Elsewhere two host passes turn as they did in the
+        # host, in a face that kept its key
+        tested = {i % n for d in change.dirty for i in (d - 1, d, d + 1)}
+        window = sorted(tested.union([(i - 1) % n for i in tested]))
+        turns = [_turn(ps, i) for i in window]
+        if not (
+            all(ps[i].dst == ps[(i + 1) % n].src for i in window)
+            and self.slots.keys() >= set(turns)
+            # a tested position's turn and the one before it, its window neighbour
+            and not any(i in tested and f == g for i, g, f in zip(window, turns[-1:] + turns, turns))
+        ):
+            self._turn_fault(change.dirty)
 
         # each new edge passed twice, with the type it must have, and a
         # type-II one's direction read off its passes
@@ -998,10 +1031,12 @@ class _Surface:
             raise InvariantError(f"zigzag passes {min(passed)}, no new edge, where it changed")
         for e in change.edges:
             if e not in ef:
-                ends.subtract(directions.pop(e, ()))
+                for x in directions.pop(e, ()):
+                    ends[x] = ends.get(x, 0) - 1
         directions.update(born_directions)
         for e in born_directions:
-            ends.update(e)
+            for x in e:
+                ends[x] = ends.get(x, 0) + 1
 
         for f in change.gained:
             if sum(e in directions for e in _face_edges(f)) != 1:
@@ -1023,10 +1058,24 @@ class _Surface:
         for x in change.vertices:
             if x not in vf:
                 self.type_i.discard(x)
-                del ends[x]
-            elif (ends[x] == 0) != (x in self.type_i):
+                ends.pop(x, None)
+            elif (ends.get(x, 0) == 0) != (x in self.type_i):
                 raise InvariantError(f"vertex {x} changed its type")
         return change.sizes
+
+    def _turn_fault(self, dirty: list[int]) -> None:
+        """Raise InvariantError naming the first fault of the walk's turns at
+        the tested positions, taken in dirty order: for each, the turn before
+        it and its own turn chain and lie in a face, then differ."""
+        ps, n = self._passes, len(self._passes)
+        for i in dict.fromkeys(i % n for d in dirty for i in (d - 1, d, d + 1)):
+            for j in ((i - 1) % n, i):
+                if ps[j].dst != ps[(j + 1) % n].src:
+                    raise InvariantError(f"passes {j} and {(j + 1) % n} do not chain")
+                if _turn(ps, j) not in self.slots:
+                    raise InvariantError(f"passes {j} and {(j + 1) % n} turn in no face")
+            if _turn(ps, i - 1) == _turn(ps, i):
+                raise InvariantError(f"zigzag turns twice in face {_turn(ps, i)} at position {i}")
 
     def glue(
         self, host: _Cut | GluingSite, piece_site: GluingSite, what: str, prefix: str = ""

@@ -80,41 +80,31 @@ def _face_edges(face: tuple[str, str, str]) -> tuple[tuple[str, str], ...]:
     return (a, b), (a, c), (b, c)
 
 
-def _link_cycle(v: str, faces, closed: bool = True) -> tuple[str, ...] | None:
-    """The link of v in the given faces at v: one cycle walked from its least
-    vertex toward the lesser of that vertex's two link-neighbors or, if not
-    closed, one simple path walked from its lesser end; else None, also for
-    no face.  Each link vertex keeps a first and a second neighbour in two
-    flat dicts, and a third returns None at once."""
-    first: dict[str, str] = {}
-    second: dict[str, str] = {}
-    for a, b, c in faces:
-        x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
-        if x in second or y in second:
+def _link_walk(v: str, faces, edge_faces: dict) -> list[str] | None:
+    """The link of v in walk order, or None when it is not one cycle, also
+    for no face.  faces are the faces at v and edge_faces an edge index
+    over them (edge key -> the faces holding it).  The walk goes around v
+    from its first face, crossing each edge (v, y) to its other face; it
+    fails on an edge at v outside two faces.  Every link vertex it passes
+    then has two faces at v, so it cannot meet one twice before it closes,
+    and it visits one link cycle's faces: v's whole link exactly when it
+    visits each face at v."""
+    if not faces:
+        return None
+    f = faces[0]
+    a, b, c = f
+    x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
+    link = [x]
+    while y != x:
+        link.append(y)
+        across = edge_faces[(v, y) if v < y else (y, v)]
+        if len(across) != 2:
             return None
-        (second if x in first else first)[x] = y
-        (second if y in first else first)[y] = x
-    if closed:
-        # a cycle has no vertex of degree 1
-        if not first or len(second) != len(first):
-            return None
-        start = min(first)
-        x = min(first[start], second[start])
-    else:
-        # a path just two ends of degree 1; joined end to end it is a
-        # cycle, which the one loop walks
-        ends = first.keys() - second.keys()
-        if len(ends) != 2:
-            return None
-        start, end = sorted(ends)
-        x, second[start], second[end] = first[start], end, start
-    prev, walk = start, [start]
-    while x != start:
-        walk.append(x)
-        a = first[x]
-        prev, x = x, second[x] if a == prev else a
-    # the walk misses any other cycle the link splits into
-    return tuple(walk) if len(walk) == len(first) else None
+        g, h = across
+        f = h if g == f else g
+        a, b, c = f
+        y = a if a != v and a != y else b if b != v and b != y else c
+    return link if len(link) == len(faces) else None
 
 
 def _corner_table(edge_faces: dict) -> dict[tuple[str, str, str], str]:
@@ -303,11 +293,16 @@ class Triangulation:
         """The link of v as a single cycle of its neighbours; error if the
         link is not one cycle.  The cycle starts at the least neighbour and
         goes toward the lesser of that neighbour's two link-neighbours, so
-        equal links compare equal."""
-        cycle = _link_cycle(v, self.vertex_faces(v))
-        if cycle is None:
+        equal links compare equal.  The link is walked across the edge index
+        (_link_walk), the walk every link test of a glue makes too; validate
+        walks the corner table it builds anyway for enumeration."""
+        walk = _link_walk(v, self.vertex_faces(v), self._edge_faces)
+        if walk is None:
             raise TriangulationError(f"link of vertex {v!r} is not a single cycle")
-        return cycle
+        i = walk.index(min(walk))
+        if walk[i - 1] < walk[(i + 1) % len(walk)]:
+            return tuple(walk[i::-1] + walk[:i:-1])
+        return tuple(walk[i:] + walk[:i])
 
     def euler_characteristic(self) -> int:
         return len(self._vertices) - len(self._edges) + len(self._faces)

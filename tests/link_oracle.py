@@ -1,14 +1,17 @@
-"""The vertex-link walk as it stood before the two-slot kernel, kept as a
-reference for triangulation._link_cycle and for the corner walk that
-Triangulation.validate checks each link with (test_corner_table).
+"""Reference vertex-link rules, slower than the library's and kept to check
+them on every input: the link walk as it stood before the two-slot kernel,
+the reference for triangulation._link_walk, Triangulation.vertex_link and
+the corner walk that Triangulation.validate checks each link with
+(test_corner_table); and the open-path rule surgery._relinked applied
+before it was bounded by what a glue changed.
 
-It builds a list of neighbours for each link vertex, finds the vertices of
-degree other than 2, and walks the cycle (or the path joined end to end)
-by reading both neighbours of the current vertex.  It is slower than the
-kernel and must give the same walk, or None, on every input, closed or
-open, a link or not, but one: on no face at all it raises ValueError from
-min() when closed, where the kernel returns None.
+link_cycle builds a list of neighbours for each link vertex, finds the
+vertices of degree other than 2, and walks the cycle (or the path joined
+end to end) by reading both neighbours of the current vertex.  On no face
+at all it raises ValueError from min() when closed.
 """
+
+from zigzags.triangulation import edge_key
 
 
 def link_cycle(v, faces, closed=True):
@@ -39,3 +42,19 @@ def link_cycle(v, faces, closed=True):
         walk.append(step)
     # the walk misses any other cycle the link splits into
     return tuple(walk) if len(walk) == len(adj) else None
+
+
+def relinked(x, lost, gained, born_edges, edge_faces):
+    """Whether the link of x, one cycle before x's lost faces were swapped
+    for its gained ones, is one cycle after: the lost faces' link edges make
+    a path, and the gained faces' a path between the same ends whose inner
+    vertices were no neighbours of x, while the lost path's are no more.
+    Both paths are walked whole from the faces alone."""
+    old, new = link_cycle(x, lost, closed=False), link_cycle(x, gained, closed=False)
+    return (
+        old is not None
+        and new is not None
+        and {old[0], old[-1]} == {new[0], new[-1]}
+        and all(edge_key(x, y) in born_edges for y in new[1:-1])
+        and all(edge_key(x, y) not in edge_faces for y in old[1:-1])
+    )

@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+import link_oracle as oracle
 import zigzags
 import zigzags.generators as generators
 import zigzags.surgery as surgery
@@ -84,7 +85,8 @@ def test_the_surface_keeps_what_a_fresh_analysis_finds(tree_corpus, monkeypatch)
     finish = surgery._Surface.finish
 
     def spy_finish(surface):
-        kept.append((dict(surface.edge_directions), set(surface.type_i), +surface.ii_ends))
+        ends = {x: k for x, k in surface.ii_ends.items() if k}
+        kept.append((dict(surface.edge_directions), set(surface.type_i), ends))
         return finish(surface)
 
     monkeypatch.setattr(surgery._Surface, "finish", spy_finish)
@@ -358,6 +360,32 @@ def test_a_corrupted_plan_fails_the_glue_it_splices(glued_corpus, n, corrupt, me
     # the corruption lay in the copy alone
     assert glue(host_site, piece_site).triangulation.faces
 
+
+
+@pytest.mark.parametrize("corrupt", (_keep_v1, _flip_a_face_side))
+@pytest.mark.parametrize("n", (4, 6))
+def test_a_damaged_splice_keeps_the_violations_of_the_whole_link_rules(
+    glued_corpus, n, corrupt, monkeypatch
+):
+    # the link checks walk only what a glue changed: a splice that breaks
+    # the surface gets the violation list that walking each touched link
+    # whole from its faces (link_oracle) gives it
+    _, _, host_site, piece_site = glued_corpus[n]
+
+    def report() -> str:
+        surface = surgery._Surface(host_site.classification)
+        change = surface.splice(host_site, with_plan(piece_site, corrupt))
+        with pytest.raises(InvariantError) as caught:
+            surface.check(change)
+        return str(caught.value)
+
+    got = report()
+    monkeypatch.setattr(surgery, "_relinked", oracle.relinked)
+    monkeypatch.setattr(
+        surgery, "_link_walk", lambda v, faces, _index: oracle.link_cycle(v, faces) if faces else None
+    )
+    assert got.startswith("glued face list is no closed surface: ")
+    assert report() == got
 
 def _piece_sites(n: int):
     """Every piece site of BP(n): each candidate pair resolved in both role

@@ -1,7 +1,7 @@
 """Measure how the library's costs grow with input size, into BENCH_scaling.json.
 
-Usage: python scripts/scaling.py --label NAME [--note TEXT] [--src DIR]
-           [--out FILE] [--repeats K] [--budget S] [--smallest] [--merge]
+Usage: python scripts/scaling.py --label NAME [--src DIR] [--out FILE]
+           [--smallest] [--merge]
 
 Each series times one operation on inputs of doubling size:
 
@@ -12,28 +12,24 @@ Each series times one operation on inputs of doubling size:
 - "bipyramid enumerate": Triangulation(faces) then enumerate_zigzags on the
   face list of BP(n), for n = 1001 ... 16001.
 
-A point's time is the least wall time of up to K runs; runs stop early once
-the point has used S seconds, and a series skips its larger points once one
-run of a point alone took S seconds.  The machine's speed drifts, in steps
-of up to 2x that last seconds, so each run is also scaled to a nominal
-machine: a fixed pure-Python reference task that never calls the library
-is timed just before and just after the run, and the run's time t is
-reported as t * REF_MS / r, for r the mean of the two reference times.  The
-least scaled time of a point is its scaled time.  After the timed runs one
-more run is traced by tracemalloc, whose peak is the point's memory.  Each
-series records the log-log slope of scaled time, and of memory, against its
-face count, fitted by least squares over the points measured.
+A point's time is the least wall time of up to REPEATS runs; runs stop
+early once the point has used BUDGET_S seconds, and a series skips its
+larger points once one run of a point alone took BUDGET_S seconds.  After
+the timed runs one more run is traced by tracemalloc, whose peak is the
+point's memory.  Each series records the log-log slope of time, and of
+memory, against its face count, fitted by least squares over the points
+measured.
 
 The results go in FILE (BENCH_scaling.json at the repository root by
 default) under the label NAME, next to the runs of other labels already in
 it, so one file holds a series before a change and after it.  With --merge
 a run under a label already in FILE keeps, point by point, the least times
 of both, and the slopes are fitted again: so runs of two checkouts made
-alternately, each merged into its label, share the machine's drift.  The
-library is imported from DIR (src/ of this checkout by default), so a
-second checkout can be measured by the same script.  --smallest measures
-only the first point of each series, with K = 1: a quick check that every
-series runs.
+alternately, each merged into its label, share the machine's drift in
+speed.  The library is imported from DIR (src/ of this checkout by
+default), so a second checkout can be measured by the same script.
+--smallest measures only the first point of each series, with one run: a
+quick check that every series runs.
 """
 
 from __future__ import annotations
@@ -51,8 +47,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCHEMA = "zigzags-scaling/1"
-# the reference task's milliseconds on the nominal machine
-REF_MS = 10.0
+# timed runs per point, and the seconds a point may use
+REPEATS = 2
+BUDGET_S = 20.0
 TREE_SIZES = (62, 125, 250, 500, 1000)
 BIPYRAMID_SIZES = (1001, 2001, 4001, 8001, 16001)
 
@@ -101,31 +98,14 @@ def slope(xs, ys) -> float | None:
     )
 
 
-def reference() -> float:
-    """Seconds of a fixed pure-Python task, tuple keys, dict lookups, list
-    appends and a sort, the least of three runs."""
-    best = math.inf
-    for _ in range(3):
-        t0 = time.perf_counter()
-        table = {(i % 97, i): i for i in range(20000)}
-        kept = [(b, a) for (a, b), v in table.items() if (a, b) in table and v % 3 != 1]
-        kept.sort()
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
 def measure(call, repeats: int, budget: float) -> dict:
-    """A point's least seconds, least scaled seconds, runs made and
-    tracemalloc peak in KiB."""
+    """A point's least seconds, runs made and tracemalloc peak in KiB."""
     times: list[float] = []
-    scaled: list[float] = []
     while len(times) < repeats and sum(times) < budget:
         gc.collect()
-        before = reference()
         t0 = time.perf_counter()
         call()
         times.append(time.perf_counter() - t0)
-        scaled.append(times[-1] * REF_MS / 1000 / ((before + reference()) / 2))
     gc.collect()
     tracemalloc.start()
     call()
@@ -133,7 +113,6 @@ def measure(call, repeats: int, budget: float) -> dict:
     tracemalloc.stop()
     return {
         "seconds": round(min(times), 5),
-        "scaled_seconds": round(min(scaled), 5),
         "runs": len(times),
         "peak_kib": math.ceil(peak / 1024),
     }
@@ -145,7 +124,7 @@ def fitted(points: list[dict], skipped: list[int]) -> dict:
     return {
         "points": points,
         "skipped": skipped,
-        "time_slope": slope(faces, [p["scaled_seconds"] for p in points]),
+        "time_slope": slope(faces, [p["seconds"] for p in points]),
         "memory_slope": slope(faces, [p["peak_kib"] for p in points]),
     }
 
@@ -167,9 +146,9 @@ def merged(old: dict, new: dict) -> dict:
     before = {p["size"]: p for p in old["points"]}
     points = []
     for p in new["points"]:
-        q = before.get(p["size"], {"seconds": math.inf, "scaled_seconds": math.inf, "runs": 0})
-        least = {key: min(p[key], q[key]) for key in ("seconds", "scaled_seconds")}
-        points.append({**p, **least, "runs": p["runs"] + q["runs"]})
+        q = before.get(p["size"], {"seconds": math.inf, "runs": 0})
+        least = min(p["seconds"], q["seconds"])
+        points.append({**p, "seconds": least, "runs": p["runs"] + q["runs"]})
     return fitted(points, new["skipped"])
 
 
@@ -185,22 +164,18 @@ def import_library(src: Path):
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--label", required=True)
-    parser.add_argument("--note", default="")
     parser.add_argument("--src", type=Path, default=ROOT / "src")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scaling.json")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--budget", type=float, default=10.0)
     parser.add_argument("--smallest", action="store_true")
     parser.add_argument("--merge", action="store_true")
     args = parser.parse_args(argv)
     zz = import_library(args.src.resolve())
-    repeats = 1 if args.smallest else args.repeats
+    repeats = 1 if args.smallest else REPEATS
     run = {
-        "note": args.note,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "repeats": repeats,
-        "budget_s": args.budget,
+        "budget_s": BUDGET_S,
         "series": {},
     }
     data = json.loads(args.out.read_text()) if args.out.is_file() else {}
@@ -209,15 +184,15 @@ def main(argv=None) -> int:
     earlier = data["runs"].get(args.label) if args.merge else None
     for name, (sizes, make_point) in series(zz).items():
         sizes = sizes[:1] if args.smallest else sizes
-        result = run_series(make_point, sizes, repeats, args.budget)
+        result = run_series(make_point, sizes, repeats, BUDGET_S)
         if earlier and name in earlier["series"]:
             result = merged(earlier["series"][name], result)
             run["repeats"] = earlier["repeats"] + repeats
         run["series"][name] = result
         for p in result["points"]:
             print(
-                f"{name}\t{p['size']}\t{p['faces']} faces\t{p['seconds']:.4f} s"
-                f"\t{p['scaled_seconds']:.4f} s scaled\t{p['peak_kib']} KiB"
+                f"{name}\t{p['size']}\t{p['faces']} faces"
+                f"\t{p['seconds']:.4f} s\t{p['peak_kib']} KiB"
             )
         print(f"{name}\tslope {result['time_slope']}\tskipped {result['skipped']}")
     data["runs"][args.label] = run

@@ -719,15 +719,11 @@ def _relinked(x: str, lost, gained, born_edges: set, edge_faces: dict) -> bool:
     walked across the edge index from one end, through the one gained face
     at that end and then across born edges only, and must reach the other
     end after len(gained) faces, each face at x it gained."""
-    seen: dict[str, bool] = {}  # each lost link vertex -> whether it occurs twice
-    for f in lost:
-        for y in f:
-            if y != x:
-                seen[y] = y in seen
-    ends = [y for y, twice in seen.items() if not twice]
+    seen = Counter(y for f in lost for y in f if y != x)
+    ends = [y for y, k in seen.items() if k == 1]
     if len(ends) != 2 or len(seen) != len(lost) + 1:
         return False
-    if any(twice and edge_key(x, y) in edge_faces for y, twice in seen.items()):
+    if any(k > 1 and edge_key(x, y) in edge_faces for y, k in seen.items()):
         return False
     start, stop = ends
     first = set(gained).intersection(edge_faces[edge_key(x, start)])
@@ -824,9 +820,8 @@ class _Surface:
         directions = host.edge_directions.items()
         self.edge_directions = {edge(e): (name(u), name(w)) for e, (u, w) in directions}
         self.type_i = set(map(name, host.type_i_vertices))
-        # vertex -> the number of type-II edges ending at it; a vertex with
-        # none may be missing
-        self.ii_ends = dict(Counter(chain.from_iterable(self.edge_directions)))
+        # vertex -> the number of type-II edges ending at it
+        self.ii_ends = Counter(chain.from_iterable(self.edge_directions))
 
     def _at(self, e: Edge) -> list[int]:
         """The positions of the two passes over e, ascending: a type-II edge
@@ -996,9 +991,10 @@ class _Surface:
 
         # the walk where a pass is new or renamed: its passes chain and turn
         # in faces, a different face after each pass at a tested position.
-        # The turns of the sorted window are found once and tested at once;
-        # only a failure walks the tested positions in dirty order, to name
-        # the first fault.  Elsewhere two host passes turn as they did in the
+        # The turns of the sorted window are found once and screened at once;
+        # only a walk the screen fails is walked again by _turn_fault, which
+        # states the same rules a position at a time, to name the first fault
+        # in dirty order.  Elsewhere two host passes turn as they did in the
         # host, in a face that kept its key
         tested = {i % n for d in change.dirty for i in (d - 1, d, d + 1)}
         window = sorted(tested.union([(i - 1) % n for i in tested]))
@@ -1031,12 +1027,10 @@ class _Surface:
             raise InvariantError(f"zigzag passes {min(passed)}, no new edge, where it changed")
         for e in change.edges:
             if e not in ef:
-                for x in directions.pop(e, ()):
-                    ends[x] = ends.get(x, 0) - 1
+                ends.subtract(directions.pop(e, ()))
         directions.update(born_directions)
         for e in born_directions:
-            for x in e:
-                ends[x] = ends.get(x, 0) + 1
+            ends.update(e)
 
         for f in change.gained:
             if sum(e in directions for e in _face_edges(f)) != 1:
@@ -1058,8 +1052,8 @@ class _Surface:
         for x in change.vertices:
             if x not in vf:
                 self.type_i.discard(x)
-                ends.pop(x, None)
-            elif (ends.get(x, 0) == 0) != (x in self.type_i):
+                del ends[x]
+            elif (ends[x] == 0) != (x in self.type_i):
                 raise InvariantError(f"vertex {x} changed its type")
         return change.sizes
 

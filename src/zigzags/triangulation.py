@@ -300,9 +300,8 @@ class Triangulation:
         if walk is None:
             raise TriangulationError(f"link of vertex {v!r} is not a single cycle")
         i = walk.index(min(walk))
-        if walk[i - 1] < walk[(i + 1) % len(walk)]:
-            return tuple(walk[i::-1] + walk[:i:-1])
-        return tuple(walk[i:] + walk[:i])
+        walk = walk[i:] + walk[:i]
+        return tuple(walk[:1] + walk[:0:-1] if walk[-1] < walk[1] else walk)
 
     def euler_characteristic(self) -> int:
         return len(self._vertices) - len(self._edges) + len(self._faces)

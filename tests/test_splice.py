@@ -85,8 +85,7 @@ def test_the_surface_keeps_what_a_fresh_analysis_finds(tree_corpus, monkeypatch)
     finish = surgery._Surface.finish
 
     def spy_finish(surface):
-        ends = {x: k for x, k in surface.ii_ends.items() if k}
-        kept.append((dict(surface.edge_directions), set(surface.type_i), ends))
+        kept.append((dict(surface.edge_directions), set(surface.type_i), +surface.ii_ends))
         return finish(surface)
 
     monkeypatch.setattr(surgery._Surface, "finish", spy_finish)
@@ -361,7 +360,6 @@ def test_a_corrupted_plan_fails_the_glue_it_splices(glued_corpus, n, corrupt, me
     assert glue(host_site, piece_site).triangulation.faces
 
 
-
 @pytest.mark.parametrize("corrupt", (_keep_v1, _flip_a_face_side))
 @pytest.mark.parametrize("n", (4, 6))
 def test_a_damaged_splice_keeps_the_violations_of_the_whole_link_rules(
@@ -386,6 +384,7 @@ def test_a_damaged_splice_keeps_the_violations_of_the_whole_link_rules(
     )
     assert got.startswith("glued face list is no closed surface: ")
     assert report() == got
+
 
 def _piece_sites(n: int):
     """Every piece site of BP(n): each candidate pair resolved in both role
@@ -606,6 +605,94 @@ def test_a_dropped_piece_position_fails_the_check(glued_corpus, n):
     change = surface.splice(host_site, piece_site)
     with pytest.raises(InvariantError, match=r"new edge \(.*\) is passed 1 time\(s\), not twice$"):
         surface.check(_drop_a_piece_position(surface, change))
+
+
+def _first_turn_fault(ps, slots, dirty) -> str | None:
+    """The reference turn rule, one position at a time in dirty order: the
+    turn before each tested position and its own chain and lie in a face,
+    then differ.  The first fault's message, or None."""
+    n = len(ps)
+    for i in dict.fromkeys(i % n for d in dirty for i in (d - 1, d, d + 1)):
+        turns = []
+        for j in ((i - 1) % n, i):
+            if ps[j].dst != ps[(j + 1) % n].src:
+                return f"passes {j} and {(j + 1) % n} do not chain"
+            turns.append(surgery._turn(ps, j))
+            if turns[-1] not in slots:
+                return f"passes {j} and {(j + 1) % n} turn in no face"
+        if turns[0] == turns[1]:
+            return f"zigzag turns twice in face {turns[1]} at position {i}"
+    return None
+
+
+def _bent_walks(ps, d):
+    """Walks that differ from ps at dirty position d: two passes swapped, a
+    pass reversed, a next pass that turns back into the last face or back
+    along its edge, and a detour that still chains, through a vertex three
+    passes on."""
+    n = len(ps)
+    at, after, then = d % n, (d + 1) % n, (d + 2) % n
+    swapped = list(ps)
+    swapped[at], swapped[after] = ps[after], ps[at]
+    yield swapped
+    yield [make_pass(p.dst, p.src) if k == at else p for k, p in enumerate(ps)]
+    for w in (ps[(d - 1) % n].src, ps[at].src):
+        yield [make_pass(ps[at].dst, w) if k == after else p for k, p in enumerate(ps)]
+    x = ps[(d + 3) % n].dst
+    if x not in (ps[at].dst, ps[then].dst):
+        detour = list(ps)
+        detour[after], detour[then] = make_pass(ps[at].dst, x), make_pass(x, ps[then].dst)
+        yield detour
+
+
+@pytest.mark.parametrize("n", (4, 6))
+def test_a_bent_walk_fails_the_turn_check_at_its_first_fault(glued_corpus, n):
+    # check tests the turns of the tested positions at once and names a
+    # fault by walking them in dirty order: a walk bent at any dirty
+    # position fails with the reference rule's first fault
+    _, _, host_site, piece_site = glued_corpus[n]
+    spliced = surgery._Surface(host_site.classification)
+    change = spliced.splice(host_site, piece_site)
+    faults = Counter()
+    for d in change.dirty:
+        for walk in _bent_walks(spliced._passes, d):
+            surface = surgery._Surface(host_site.classification)
+            surface.splice(host_site, piece_site)
+            surface._passes = walk
+            want = _first_turn_fault(walk, surface.slots, change.dirty)
+            with pytest.raises(InvariantError) as caught:
+                surface.check(change)
+            assert str(caught.value) == want
+            faults[re.search("chain|no face|twice", want).group()] += 1
+    assert faults.keys() == {"chain", "no face", "twice"}
+
+
+@pytest.mark.parametrize("n", (4, 6))
+def test_each_turn_rule_alone_fails_the_check(glued_corpus, n, monkeypatch):
+    # a fault that breaks one rule alone, at a dirty position, with every
+    # other turn as spliced: a pass that starts off the last one's end, a
+    # turn off the faces and a turn into the face before it each fail the
+    # check with the reference rule's message
+    _, _, host_site, piece_site = glued_corpus[n]
+    spliced = surgery._Surface(host_site.classification)
+    change = spliced.splice(host_site, piece_site)
+    ps, real = spliced._passes, surgery._turn
+    for d in change.dirty:
+        at = d % len(ps)
+        unchained = [p._replace(src="~") if k == at else p for k, p in enumerate(ps)]
+        for walk, turn in (
+            (unchained, real),
+            (ps, lambda ps, i: ("~", "~", "~") if i == at else real(ps, i)),
+            (ps, lambda ps, i: real(ps, i - 1 if i == at else i)),
+        ):
+            monkeypatch.setattr(surgery, "_turn", turn)
+            surface = surgery._Surface(host_site.classification)
+            surface.splice(host_site, piece_site)
+            surface._passes = walk
+            want = _first_turn_fault(walk, surface.slots, change.dirty)
+            with pytest.raises(InvariantError) as caught:
+                surface.check(change)
+            assert str(caught.value) == want
 
 
 @pytest.mark.parametrize("prefix", ("", "node0.", "x."))

@@ -36,12 +36,11 @@ orientations classifies only those that pass.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
-from ._cyclic import least_rotation
 from .triangulation import Triangulation, TriangulationError, _corner_table, _face_edges, edge_key
 
 __all__ = [
@@ -94,6 +93,25 @@ def _make_passes(triples) -> tuple[Pass, ...]:
     return tuple(map(tuple.__new__, repeat(Pass), triples))
 
 
+def _least_rotation(seq) -> tuple:
+    """seq rotated to start at its least item's first occurrence, or at its
+    second when the item occurs twice and that rotation is less.  That is
+    the least rotation whenever the least item occurs at most twice, as in
+    every zigzag of a triangulation (each edge is passed twice in all) and
+    every face cycle validate_embedding accepts; with three or more
+    occurrences it starts at the first."""
+    s = tuple(seq)
+    if not s:
+        return s
+    m = min(s)
+    i = s.index(m)
+    first = s[i:] + s[:i]
+    if s.count(m) != 2:
+        return first
+    j = s.index(m, i + 1)
+    return min(first, s[j:] + s[:j])
+
+
 _NO_KEY = object()
 
 
@@ -105,6 +123,11 @@ class Zigzag:
     this, so ill-formed assemblies fail fast.  Equality is equality of
     directed cyclic sequences.  The canonical form additionally minimizes
     over the reversal and is what enumeration reports.
+
+    A walk that passes its least pass three or more times, which no zigzag
+    of a triangulation does, is kept, stored at that pass's first
+    occurrence (_least_rotation): a glued walk is built before its audit
+    (_audit_sole_zigzag), which names such a fault as an InvariantError.
     """
 
     passes: tuple[Pass, ...]
@@ -123,7 +146,7 @@ class Zigzag:
             n = len(passes)
             i = next(i for i, p in enumerate(passes) if p.dst != srcs[(i + 1) % n])
             raise ValueError(f"passes {i} and {(i + 1) % n} do not chain")
-        object.__setattr__(self, "passes", least_rotation(passes))
+        object.__setattr__(self, "passes", _least_rotation(passes))
 
     def __len__(self) -> int:
         return len(self.passes)
@@ -135,7 +158,7 @@ class Zigzag:
         # edge key, and passes that chain dst -> src chain again when each is
         # flipped and their order reversed.  Only the least rotation is new.
         rev = object.__new__(Zigzag)
-        object.__setattr__(rev, "passes", least_rotation(passes))
+        object.__setattr__(rev, "passes", _least_rotation(passes))
         return rev
 
     def canonical(self) -> "Zigzag":
@@ -336,9 +359,11 @@ class Classification:
     kept, so every holder of the classification shares them.  The face a
     pass enters is read off the chosen walk by _turn where it is needed.
 
-    Every classification of one orientation of t's own enumeration, with
-    the same bits, shares its four type dicts and its homogeneity with the
-    others (see classify), so treat the dicts as read-only.
+    The homogeneity, and once extracted the eulerian.DirectedEmbedding, are
+    kept in the facts dict _facts.  Every classification of one orientation
+    of t's own enumeration, with the same bits, shares its four type dicts
+    and its facts with the others (see classify), so treat the dicts as
+    read-only.
     """
 
     triangulation: Triangulation
@@ -347,6 +372,7 @@ class Classification:
     edge_directions: dict[Edge, tuple[str, str]]  # type-II edges only
     vertex_types: dict[str, str]
     face_types: dict[tuple[str, str, str], str]
+    _facts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def type_i_vertices(self) -> tuple[str, ...]:
@@ -356,7 +382,7 @@ class Classification:
     def type_ii_edges(self) -> tuple[Edge, ...]:
         return tuple(sorted(e for e, kind in self.edge_types.items() if kind == "II"))
 
-    @cached_property
+    @property
     def homogeneous(self) -> bool:
         """True when every face is type I and every chosen zigzag repeats
         II,I,I.  Once every face is type I, a zigzag does exactly when a
@@ -370,15 +396,12 @@ class Classification:
         sequence is kept by a 3-step rotation exactly when its reversal is,
         so the canonical zigzags answer for the chosen ones unreversed.
 
-        The verdict is kept with the type dicts t keeps (see classify), so
-        each (t, bits) is scanned once."""
-        t = self.triangulation
-        kept = t._classified
-        if kept is None or kept[1][0] is not self.edge_types:
-            return _homogeneity_scan(self)
-        if kept[3] is None:
-            t._classified = (*kept[:3], _homogeneity_scan(self))
-        return t._classified[3]
+        The verdict is kept in the facts, so each (t, bits) is scanned
+        once (see classify)."""
+        facts = self._facts
+        if "homogeneous" not in facts:
+            facts["homogeneous"] = _homogeneity_scan(self)
+        return facts["homogeneous"]
 
     @cached_property
     def pass_positions(self) -> dict[Edge, list[tuple[int, int]]]:
@@ -441,15 +464,16 @@ def classify(t: Triangulation, tau: ZOrientation) -> Classification:
     (t, zigzags), when _pass_table is built; types are read off the bits.
 
     An orientation of t's own enumeration is classified once per bits: t
-    keeps the dicts of the last one classified, and once read its
-    homogeneity, and every classification of it shares them.  Any other
-    orientation is classified afresh.
+    keeps the bits, the type dicts and the facts dict of the last one
+    classified, and every classification of it shares them.  Any other
+    orientation is classified afresh, with facts of its own.  No other
+    function reads or writes what t keeps.
     """
     t.require_valid()
     own = tau.zigzags is t._zigzags
     key = tuple(tau.bits)  # a copy only of bits given as a list, which could change
     if own and t._classified is not None and t._classified[0] == key:
-        return Classification(t, tau, *t._classified[1])
+        return Classification(t, tau, *t._classified[1:])
     bits = [b == 1 for b in key]  # ZOrientation also takes 1.0 or True for 1
     edge_types: dict[Edge, str] = {}
     edge_directions: dict[Edge, tuple[str, str]] = {}
@@ -482,10 +506,10 @@ def classify(t: Triangulation, tau: ZOrientation) -> Classification:
             if not outs == ins == set(f):
                 raise TriangulationError(f"type-II face {f!r} is not a directed cycle")
             face_types[f] = "II"
-    types = edge_types, edge_directions, vertex_types, face_types
+    kept = edge_types, edge_directions, vertex_types, face_types, {}
     if own:
-        t._classified = (key, types, None, None)
-    return Classification(t, tau, *types)
+        t._classified = (key, *kept)
+    return Classification(t, tau, *kept)
 
 
 def _turn(passes, i: int) -> tuple[str, str, str]:

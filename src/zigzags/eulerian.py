@@ -22,10 +22,10 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 
-from ._cyclic import least_rotation
 from .engine import (
     Classification,
     ZOrientation,
+    _least_rotation,
     _orient_along,
     classify,
     enumerate_zigzags,
@@ -67,8 +67,9 @@ class DirectedEmbedding:
     """A directed graph with named closed arc walks covering each arc twice.
 
     vertices and arcs are stored sorted; face_cycles keep their given order
-    but each cycle is stored at its least rotation, so equal data compares
-    equal.
+    but each cycle is stored at its least rotation (engine._least_rotation,
+    exact for every cycle validate_embedding accepts), so equal data
+    compares equal.
     """
 
     vertices: tuple[str, ...]
@@ -78,7 +79,7 @@ class DirectedEmbedding:
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
         object.__setattr__(self, "arcs", tuple(sorted(self.arcs)))
-        rotated = tuple((name, least_rotation(cyc)) for name, cyc in self.face_cycles)
+        rotated = tuple((name, _least_rotation(cyc)) for name, cyc in self.face_cycles)
         object.__setattr__(self, "face_cycles", rotated)
 
 
@@ -241,23 +242,21 @@ def extract_directed_embedding(t: Triangulation, tau: ZOrientation) -> DirectedE
 
     Vertices are the type-II vertices of the classification, arcs the
     directed type-II edges, and each type-I vertex contributes the face
-    cycle traced by its link.  For an orientation of t's own enumeration
-    the embedding is kept with t's classification of it (see classify), so
-    a second extraction with the same bits reads it back unbuilt and
-    unvalidated.
+    cycle traced by its link.  The embedding is kept in the facts of the
+    classification (see classify), so for an orientation of t's own
+    enumeration a second extraction with the same bits reads it back
+    unbuilt and unvalidated.
     """
     return _extract(classify(t, tau))
 
 
 def _extract(cls: Classification) -> DirectedEmbedding:
-    """extract_directed_embedding on a classification the caller holds."""
+    """extract_directed_embedding on a classification the caller holds,
+    built once and then kept in its facts."""
+    facts = cls._facts
+    if "embedding" in facts:
+        return facts["embedding"]
     t = cls.triangulation
-    kept = t._classified
-    # t keeps the dicts of cls exactly when cls is of the bits t keeps
-    if kept is None or kept[1][0] is not cls.edge_types:
-        kept = None
-    elif kept[2] is not None:
-        return kept[2]
     if not cls.homogeneous:
         raise EmbeddingError("extraction requires a homogeneous z-orientation")
     type_i = set(cls.type_i_vertices)
@@ -275,8 +274,7 @@ def _extract(cls: Classification) -> DirectedEmbedding:
         cycles.append((v, tuple(directed)))
     emb = DirectedEmbedding(vertices, arcs, tuple(cycles))
     _require_valid(emb)
-    if kept is not None:
-        t._classified = (kept[0], kept[1], emb, True)
+    facts["embedding"] = emb
     return emb
 
 

@@ -29,6 +29,7 @@ from .triangulation import (
     ValidationReport,
     _check_token,
     _integer,
+    _is_token,
     _reachable,
     _records,
 )
@@ -173,7 +174,7 @@ class TreeSpec:
             ):
                 raise TreeError(f"node {node!r} is not an (id string, integer label) pair")
             # an id goes into vertex tokens, which '#' and whitespace would break
-            if node[0] and (node[0].split() != [node[0]] or "#" in node[0]):
+            if node[0] and not _is_token(node[0]):
                 raise TreeError(f"node id {node[0]!r} contains whitespace or '#'")
         known = set()
         for i, _ in self.nodes:

@@ -1036,15 +1036,14 @@ class _Surface:
             if sum(e in directions for e in _face_edges(f)) != 1:
                 raise InvariantError(f"glued face {f} is not type I")
 
-        def ii(i: int) -> bool:
-            return ps[i % n].edge in directions
-
-        # the II,I,I phase across each junction; elsewhere every window of
-        # four passes reads as it did in host or piece
+        # the II,I,I phase across each junction j: the types of passes j-3
+        # to j+3 read the same three on; elsewhere every window of four
+        # passes reads as it did in host or piece
         for j in change.junctions:
-            for i in range(j - 3, j + 1):
-                if ii(i) != ii(i + 3):
-                    raise InvariantError(f"zigzag breaks its II,I,I phase at position {i % n}")
+            ii = [ps[i % n].edge in directions for i in range(j - 3, j + 4)]
+            if ii[3:] != ii[:4]:
+                k = next(k for k in range(4) if ii[k] != ii[k + 3])
+                raise InvariantError(f"zigzag breaks its II,I,I phase at position {(j - 3 + k) % n}")
 
         # each touched vertex is type I, ending no type-II edge, exactly when
         # host or piece had it so

@@ -166,8 +166,10 @@ class Triangulation:
     the zigzags of engine.enumerate_zigzags, the table of each edge's two
     passes over those zigzags (engine._pass_table), and the last
     orientation of those zigzags that engine.classify classified: its bits,
-    its four type dicts, once extracted its eulerian.DirectedEmbedding, and
-    once read its homogeneity.  None refers back to the instance.
+    its four type dicts and the facts dict its classifications share, which
+    holds its homogeneity once read and its eulerian.DirectedEmbedding once
+    extracted.  Only engine.classify reads or writes that last entry.  None
+    refers back to the instance.
     """
 
     def __init__(self, faces) -> None:
@@ -239,7 +241,7 @@ class Triangulation:
         self._corners: dict | None = None  # validate's corner table, until taken
         self._zigzags: tuple | None = None
         self._passes: list | None = None
-        self._classified: tuple | None = None  # (bits, type dicts, embedding, homogeneous)
+        self._classified: tuple | None = None  # (bits, four type dicts, facts)
 
     # ------------------------------------------------------------------
     # basic accessors

@@ -170,10 +170,11 @@ def test_treespec_rejects_bad_edges():
         TreeSpec((("x", 5), ("y", 4)), (("x", "y"), ("y", "x")))
 
 
-@pytest.mark.parametrize("bad", ["x y", "x#", "x\ty", " x"])
+@pytest.mark.parametrize("bad", ["x y", "x#", "x\ty", " x", "#", " ", "\u2003", "a\u2003b"])
 def test_treespec_rejects_an_id_no_vertex_token_can_hold(bad):
     # an id goes into the node's vertex tokens, so one with whitespace or '#'
-    # is refused before any build, on the root as on a child
+    # is refused before any build, on the root as on a child; whitespace is
+    # what str.split() splits at, a non-ASCII space such as U+2003 included
     message = f"^node id {re.escape(repr(bad))} contains whitespace or '#'$"
     for nodes, edges in (
         (((bad, 5),), ()),
@@ -184,6 +185,7 @@ def test_treespec_rejects_an_id_no_vertex_token_can_hold(bad):
 
 
 def test_treespec_builds_with_an_empty_id():
+    assert TreeSpec((("", 5),), ()).nodes == (("", 5),)
     t, _, log = tree_build(TreeSpec((("r", 5), ("", 4)), (("r", ""),)))
     assert parse_triangulation(serialize_triangulation(t)) == t
     assert len(log.records) == 1

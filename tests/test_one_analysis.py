@@ -284,9 +284,10 @@ def test_derived_facts_hold_no_reference_cycle(build):
             assert classify(t, tau).edge_types is cls.edge_types
             emb = extract_directed_embedding(t, tau)
             assert cls.homogeneous and round_trip_check(t, tau)
-            assert t._classified[1][0] is cls.edge_types and t._classified[2] is emb
+            assert classify(t, tau)._facts is cls._facts and cls._facts["embedding"] is emb
             if not extracted:
-                assert classify(t, tau.reversed()).homogeneous and t._classified[2] is None
+                assert classify(t, tau.reversed()).homogeneous
+                assert "embedding" not in classify(t, tau.reversed())._facts
             refs = [weakref.ref(t), weakref.ref(tau), weakref.ref(walked)]
             del t, tau, walked, cls, emb
             assert [r() for r in refs] == [None, None, None]
@@ -345,15 +346,36 @@ def test_a_round_trip_after_an_extraction_validates_and_walks_nothing(monkeypatc
     # the reversal is extracted afresh, and then kept in turn
     assert round_trip_check(t, tau.reversed())
     assert len(validated) == 1 and links
-    assert extract_directed_embedding(t, tau.reversed()) is t._classified[2]
-    # a classification t no longer keeps is extracted afresh, and leaves
-    # what t keeps as it is
+    rev = classify(t, tau.reversed())
+    assert extract_directed_embedding(t, tau.reversed()) is rev._facts["embedding"]
+    # a classification t no longer keeps is extracted afresh, into its own
+    # facts, and leaves what t keeps as it is
     links.clear()
     held = classify(t, tau)
     kept = classify(t, tau.reversed())
+    assert held._facts is not kept._facts
     assert eulerian._extract(held) == emb
     assert len(validated) == 2 and links
-    assert t._classified[1][0] is kept.edge_types and t._classified[2] is None
+    assert held._facts["embedding"] == emb and "embedding" not in kept._facts
+    assert classify(t, tau.reversed())._facts is kept._facts
+
+
+def test_a_foreign_classification_is_extracted_once(monkeypatch):
+    # a classification of zigzags that are not t's own keeps its facts as
+    # an own one does: extracting from it twice builds and validates once
+    t = _fresh(7)
+    tau = next(tau for tau in all_z_orientations(t) if is_homogeneous(t, tau))
+    copied = ZOrientation(tuple(Zigzag(z.passes) for z in tau.zigzags), tau.bits)
+    foreign = classify(t, copied)
+    validated = counted(monkeypatch, eulerian, "validate_embedding")
+    links = counted(monkeypatch, Triangulation, "vertex_link")
+    emb = eulerian._extract(foreign)
+    assert len(validated) == 1 and len(links) == len(emb.face_cycles)
+    assert eulerian._extract(foreign) is emb
+    assert len(validated) == 1 and len(links) == len(emb.face_cycles)
+    assert emb == extract_directed_embedding(t, tau)
+    # a second classification of it has facts of its own
+    assert classify(t, copied)._facts is not foreign._facts
 
 
 @pytest.mark.parametrize("n", (6, 7, 8))
@@ -373,7 +395,8 @@ def test_homogeneity_is_scanned_once_per_bits(monkeypatch, n):
     assert [(x.triangulation, x.orientation.bits) for (x,) in scans] == [
         *((t, bits) for bits in searched), (t2, tau2.bits)
     ]
-    assert t._classified[3] is True and t2._classified[3] is True
+    assert classify(t, tau)._facts["homogeneous"] is True
+    assert classify(t2, tau2)._facts["homogeneous"] is True
     # other bits are scanned once when classified, and the verdict goes with
     # t's dicts: the first bits, classified again, are scanned again
     scans.clear()

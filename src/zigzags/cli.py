@@ -115,7 +115,7 @@ def analyze_report(t: Triangulation, tau: ZOrientation | None, fmt: str = "text"
 
 def _report(cls: Classification, fmt: str) -> str:
     """analyze_report on a classification the caller holds; the census is
-    its orientation's zigzags, which make_z_orientation enumerated."""
+    its orientation's zigzags, which classify checked are t's."""
     t, tau = cls.triangulation, cls.orientation
     lines = _census_lines(tau.zigzags, fmt)
     edges, vertices, faces = (

@@ -15,27 +15,29 @@ edge avoiding prev is {d, y}, and the successor is (d, y, s); the reversal
 by validate, maps each directed edge (s, d) and the apex x of one of its
 faces to the apex y of the other, so a walk step is one dict lookup;
 enumeration, or a glued surface's audit, then takes it from validate, and
-enumeration marks each state it walks in the table itself.
+enumeration marks each state it walks in the table itself.  The audit
+keeps the walk it proves to be t's only zigzag as t's enumeration.
 
 Every orbit has a disjoint reversal orbit, so zigzags come in reversal
-pairs; a z-orientation chooses one direction from each pair.  Under a
+pairs; a z-orientation chooses one direction from each pair.  classify
+takes only z-orientations of t's own zigzags, t's enumeration or an equal
+copy of it, and raises TriangulationError for any other.  Under a
 z-orientation each edge is passed exactly twice: in opposite directions
 (type I) or twice in the same direction (type II, which then carries that
 direction).  A vertex is type I when all its edges are; a face is type I
 (two type-I edges and one type-II edge) or type II (three type-II edges
 forming a directed cycle) - anything else indicates a bug upstream.
 
-An orientation is homogeneous when every face is type I and every chosen
-zigzag reads II,I,I (Classification.homogeneous).  is_homogeneous first
-reads the types of each zigzag's first six passes off the pass table, and
-rejects without classifying an orientation under which some zigzag cannot
-read so.  It rejects nothing the definition admits, so a search over
-orientations classifies only those that pass.
+An orientation is homogeneous when every chosen zigzag reads II,I,I;
+every face is then type I (Classification.homogeneous).  is_homogeneous
+first reads the types of each zigzag's first six passes off t's pass
+table, and rejects without classifying an orientation under which some
+zigzag cannot read so.  It rejects nothing the definition admits, so a
+search over orientations classifies only those that pass.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
@@ -278,22 +280,18 @@ class ZOrientation:
     """A direction choice for every reversal pair of zigzags.
 
     zigzags holds the canonical representatives in enumeration order; bit i
-    selects the canonical direction (0) or its reversal (1).
+    selects the canonical direction (0) or its reversal (1).  Bits equal to
+    0 or 1, such as False, True, 0.0 or 1.0, are kept as the ints 0 and 1
+    (_checked_bits), whichever constructor built the orientation.
     """
 
     zigzags: tuple[Zigzag, ...]
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        self._check_bits()
+        object.__setattr__(self, "bits", _checked_bits(self.zigzags, self.bits))
         if any(not z.is_canonical for z in self.zigzags):
             raise ValueError("zigzags must be canonical representatives")
-
-    def _check_bits(self) -> None:
-        if len(self.zigzags) != len(self.bits):
-            raise TriangulationError(f"expected {len(self.zigzags)} bits, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
-            raise TriangulationError("bits must be 0 or 1")
 
     @cached_property
     def chosen(self) -> tuple[Zigzag, ...]:
@@ -303,20 +301,31 @@ class ZOrientation:
         return _oriented(self.zigzags, tuple(1 - b for b in self.bits))
 
 
-def _oriented(zs: tuple[Zigzag, ...], bits: tuple[int, ...]) -> ZOrientation:
+def _checked_bits(zs: tuple[Zigzag, ...], bits) -> tuple[int, ...]:
+    """bits as a tuple of the ints 0 and 1, one per zigzag of zs; raises
+    TriangulationError for a wrong count or a bit equal to neither."""
+    bits = tuple(bits)
+    if len(zs) != len(bits):
+        raise TriangulationError(f"expected {len(zs)} bits, got {len(bits)}")
+    if any(b not in (0, 1) for b in bits):
+        raise TriangulationError("bits must be 0 or 1")
+    return tuple(map(int, bits))
+
+
+def _oriented(zs: tuple[Zigzag, ...], bits) -> ZOrientation:
     """ZOrientation(zs, bits) for zigzags from enumerate_zigzags or another
     orientation: they are canonical, so the is_canonical check, which may
-    build reversals, cannot fail and is skipped.  The bit checks still run."""
+    build reversals, cannot fail and is skipped.  The bits are checked and
+    kept as ZOrientation keeps them."""
     tau = object.__new__(ZOrientation)
     object.__setattr__(tau, "zigzags", zs)
-    object.__setattr__(tau, "bits", bits)
-    tau._check_bits()
+    object.__setattr__(tau, "bits", _checked_bits(zs, bits))
     return tau
 
 
 def make_z_orientation(t: Triangulation, bits) -> ZOrientation:
-    """Build the z-orientation selecting each zigzag's direction by bit."""
-    return _oriented(enumerate_zigzags(t), tuple(int(b) for b in bits))
+    """Build the z-orientation selecting each zigzag of t's enumeration by bit."""
+    return _oriented(enumerate_zigzags(t), bits)
 
 
 def _orient_along(zs: tuple[Zigzag, ...], arcs) -> ZOrientation:
@@ -352,7 +361,7 @@ def all_z_orientations(t: Triangulation) -> Iterator[ZOrientation]:
 
 @dataclass(frozen=True)
 class Classification:
-    """The analysis of one triangulation under one z-orientation.
+    """The analysis of one triangulation under one of its z-orientations.
 
     classify(t, tau) builds it with the edge, vertex, and face types.
     Homogeneity and the edge -> pass positions are derived on first use and
@@ -360,10 +369,9 @@ class Classification:
     pass enters is read off the chosen walk by _turn where it is needed.
 
     The homogeneity, and once extracted the eulerian.DirectedEmbedding, are
-    kept in the facts dict _facts.  Every classification of one orientation
-    of t's own enumeration, with the same bits, shares its four type dicts
-    and its facts with the others (see classify), so treat the dicts as
-    read-only.
+    kept in the facts dict _facts.  Classifications of t under the same
+    bits, while t keeps them, share their four type dicts and their facts
+    (see classify), so treat the dicts as read-only.
     """
 
     triangulation: Triangulation
@@ -384,17 +392,11 @@ class Classification:
 
     @property
     def homogeneous(self) -> bool:
-        """True when every face is type I and every chosen zigzag repeats
-        II,I,I.  Once every face is type I, a zigzag does exactly when a
-        3-step rotation keeps its type sequence.  Each face then holds one
-        type-II edge, so the zigzags make F type-II and 2F type-I passes.
-        Two adjacent passes share a face, so no two type-II passes are
-        adjacent, and a zigzag the rotation keeps (3-periodic, or constant on
-        a length not divisible by 3) holds type II at a third of its passes
-        or at none.  None would leave the others more than a third, so each
-        reads II,I,I.  Reversing a zigzag reverses its type sequence, and a
-        sequence is kept by a 3-step rotation exactly when its reversal is,
-        so the canonical zigzags answer for the chosen ones unreversed.
+        """True when every chosen zigzag reads II,I,I: its length is a
+        multiple of 3, and its types repeat II,I,I from its first type-II
+        pass.  Every face is then type I (_homogeneity_scan).  Reversing a
+        zigzag reverses its type sequence, which keeps both conditions, so
+        the canonical zigzags answer for the chosen ones unreversed.
 
         The verdict is kept in the facts, so each (t, bits) is scanned
         once (see classify)."""
@@ -414,70 +416,81 @@ class Classification:
 
 
 def _homogeneity_scan(cls: Classification) -> bool:
-    """Classification.homogeneous, read off the types: every face type I,
-    and a 3-step rotation keeping each zigzag's type sequence."""
-    if any(kind != "I" for kind in cls.face_types.values()):
-        return False
+    """Classification.homogeneous, read off the zigzags alone: each type
+    sequence has a length divisible by 3, one type II in its first three
+    passes, and period 3.  No face type is read: such walks make a third of
+    the 2E = 3F passes type II, so F/2 edges are type II, and they lie in F
+    faces counted with multiplicity.  classify has checked that each face
+    holds one or three, so each face holds exactly one."""
     directions = cls.edge_directions
     for z in cls.orientation.zigzags:
         ii = [e in directions for e, _, _ in z.passes]
-        if ii[3:] + ii[:3] != ii:
+        if len(ii) % 3 or sum(ii[:3]) != 1 or ii[3:] != ii[:-3]:
             return False
     return True
 
 
-def _pass_table(t: Triangulation, tau: ZOrientation) -> list[tuple]:
-    """(e, i, f, j, g) for each edge e of t, in t.edges order: zigzags i and
-    j of tau pass e, with e's key when f (g) is True.  It holds facts of t
-    and the zigzags alone, kept on t for t's own enumeration; the bits only
-    name an unknown edge where tau.chosen first meets it."""
-    zs = tau.zigzags
-    if zs is t._zigzags and t._passes is not None:
+def _pass_table(t: Triangulation) -> dict[Edge, tuple]:
+    """e -> (i, f, j, g) for each edge e of t, in t.edges order: zigzags i
+    and j of t's enumeration pass e, with e's key when f (g) is True.
+
+    Built once, from t's zigzags alone, and kept on t.  Its rows are
+    tuples of ints and bools, which the cyclic collector stops tracking;
+    lists it would keep scanning.  Raises TriangulationError unless each
+    edge is passed exactly twice (double cover)."""
+    if t._passes is not None:
         return t._passes
-    slots: dict[Edge, list] = {e: [e] for e in t.edges}
+    slots: dict[Edge, list] = {e: [] for e in t.edges}
     row = slots.__getitem__
-    for i, z in enumerate(zs):
+    for i, z in enumerate(enumerate_zigzags(t)):
         for e, src, _ in z.passes:
-            try:
-                cell = row(e)
-            except KeyError:
-                e = next(p.edge for p in tau.chosen[i].passes if p.edge not in slots)
-                raise TriangulationError(f"pass over unknown edge {e!r}") from None
+            cell = row(e)
             cell.append(i)
             cell.append(src == e[0])
-    table = list(map(tuple, slots.values()))
-    if any(len(row) != 5 for row in table):
+    if any(len(cell) != 4 for cell in slots.values()):
         raise TriangulationError("each edge is passed exactly twice")
-    if zs is t._zigzags:
-        t._passes = table
-    return table
+    t._passes = dict(zip(slots, map(tuple, slots.values())))
+    return t._passes
+
+
+def _require_own(t: Triangulation, tau: ZOrientation) -> None:
+    """Raise TriangulationError unless tau's zigzags are t's enumeration:
+    the same tuple, or the same zigzags in the same order.  The message
+    names the zigzag count when it differs, else the first zigzag that is
+    not t's.  enumerate_zigzags checks t's validity on its first call."""
+    zs, own = enumerate_zigzags(t), tau.zigzags
+    if own is zs or tuple(own) == zs:
+        return
+    if len(own) != len(zs):
+        raise TriangulationError(
+            f"the z-orientation's zigzag count {len(own)} is not the triangulation's {len(zs)}"
+        )
+    i = next(i for i, (z, mine) in enumerate(zip(own, zs)) if z != mine)
+    raise TriangulationError(f"zigzag {i} of the z-orientation is not the triangulation's zigzag {i}")
 
 
 def classify(t: Triangulation, tau: ZOrientation) -> Classification:
-    """Classify edges, vertices, and faces under tau.
+    """Classify edges, vertices, and faces under tau, an orientation of t's
+    own zigzags.
 
     Raises TriangulationError when t is no closed surface (a cached check,
-    so every Classification is of one), and for a pass over no edge of t,
-    an edge not passed exactly twice (double cover), or a face that is
-    neither type I nor a directed type-II cycle: by the paper, tau is then
-    not t's own.  The unknown-edge and double-cover checks run once per
-    (t, zigzags), when _pass_table is built; types are read off the bits.
+    so every Classification is of one), when tau's zigzags are not t's
+    enumeration (_require_own), for an edge not passed exactly twice
+    (double cover, checked once per t by _pass_table), and for a face that
+    is neither type I nor a directed type-II cycle, which by the paper no
+    orientation of t's own zigzags has.  Types are read off the bits.
 
-    An orientation of t's own enumeration is classified once per bits: t
-    keeps the bits, the type dicts and the facts dict of the last one
-    classified, and every classification of it shares them.  Any other
-    orientation is classified afresh, with facts of its own.  No other
-    function reads or writes what t keeps.
+    t keeps the bits, the type dicts and the facts dict of the last
+    orientation classified, and every classification of those bits shares
+    them.  No other function reads or writes what t keeps.
     """
-    t.require_valid()
-    own = tau.zigzags is t._zigzags
-    key = tuple(tau.bits)  # a copy only of bits given as a list, which could change
-    if own and t._classified is not None and t._classified[0] == key:
-        return Classification(t, tau, *t._classified[1:])
-    bits = [b == 1 for b in key]  # ZOrientation also takes 1.0 or True for 1
+    _require_own(t, tau)
+    bits, last = tau.bits, t._classified
+    if last is not None and last[0] == bits:
+        return Classification(t, tau, *last[1:])
     edge_types: dict[Edge, str] = {}
     edge_directions: dict[Edge, tuple[str, str]] = {}
-    for e, i, f, j, g in _pass_table(t, tau):
+    for e, (i, f, j, g) in _pass_table(t).items():
         # a reversed zigzag passes each edge the other way; two passes over
         # one edge either agree (type II) or run opposite ways
         if f ^ bits[i] == g ^ bits[j]:
@@ -507,8 +520,7 @@ def classify(t: Triangulation, tau: ZOrientation) -> Classification:
                 raise TriangulationError(f"type-II face {f!r} is not a directed cycle")
             face_types[f] = "II"
     kept = edge_types, edge_directions, vertex_types, face_types, {}
-    if own:
-        t._classified = (key, *kept)
+    t._classified = (bits, *kept)
     return Classification(t, tau, *kept)
 
 
@@ -539,9 +551,10 @@ def face_shadow(t: Triangulation, z: Zigzag) -> tuple[tuple[str, str, str], ...]
     return out
 
 
-def _audit_sole_zigzag(t: Triangulation, z: Zigzag) -> None:
-    """Check that z is t's only zigzag up to reversal; t must be a closed
-    surface, so that 2E = 3F.
+def _audit_sole_zigzag(t: Triangulation, z: Zigzag) -> tuple[Zigzag, ...]:
+    """Check that z is t's only zigzag up to reversal, and return t's
+    zigzags: t keeps (z.canonical(),) as its enumeration when it has none.
+    t must be a closed surface, so that 2E = 3F.
 
     Every turn of z lies in a face, and consecutive turns lie in different
     faces: as each edge lies in two faces, the turn after a pass lies in the
@@ -561,44 +574,43 @@ def _audit_sole_zigzag(t: Triangulation, z: Zigzag) -> None:
     states = list(zip(srcs, dsts, prevs))
     # t's table is freed once read, before the state set is built
     ok = list(map(_apex_table(t).get, states)) == dsts[1:] + dsts[:1] and n == two_e
-    if ok and len({*states, *zip(srcs, prevs, dsts)}) == 2 * n:
-        return
-    if n != two_e:
-        raise InvariantError(f"zigzag has {n} passes, not 2E = {two_e}")
-    try:
-        shadow = face_shadow(t, z)
-    except TriangulationError as exc:
-        raise InvariantError(f"zigzag leaves the faces: {exc}") from None
-    for i in range(n):
-        if shadow[i - 1] == shadow[i]:
-            raise InvariantError(f"zigzag turns twice in face {shadow[i]} at position {i}")
-    seen: set[tuple[str, str, str]] = set()
-    for i, (s, d, x) in enumerate(states):
-        if (s, d, x) in seen or (s, x, d) in seen:
-            raise InvariantError(f"zigzag repeats a state or its reversal at position {i}")
-        seen.update(((s, d, x), (s, x, d)))
+    if not (ok and len({*states, *zip(srcs, prevs, dsts)}) == 2 * n):
+        if n != two_e:
+            raise InvariantError(f"zigzag has {n} passes, not 2E = {two_e}")
+        try:
+            shadow = face_shadow(t, z)
+        except TriangulationError as exc:
+            raise InvariantError(f"zigzag leaves the faces: {exc}") from None
+        for i in range(n):
+            if shadow[i - 1] == shadow[i]:
+                raise InvariantError(f"zigzag turns twice in face {shadow[i]} at position {i}")
+        seen: set[tuple[str, str, str]] = set()
+        for i, (s, d, x) in enumerate(states):
+            if (s, d, x) in seen or (s, x, d) in seen:
+                raise InvariantError(f"zigzag repeats a state or its reversal at position {i}")
+            seen.update(((s, d, x), (s, x, d)))
+    if t._zigzags is None:
+        t._zigzags = (z.canonical(),)
+    return t._zigzags
 
 
 def _ruled_out(t: Triangulation, tau: ZOrientation) -> bool:
-    """True when an orientation of t's own enumeration has a zigzag that
-    cannot read II,I,I: its length is no multiple of 3, its first three
-    passes hold other than one type II, or passes 3-5 do not repeat 0-2.
+    """True when tau has a zigzag that cannot read II,I,I: its length is no
+    multiple of 3, its first three passes hold other than one type II, or
+    passes 3-5 do not repeat 0-2.  Raises as classify does when tau's
+    zigzags are not t's (_require_own).
 
-    Types come from the kept pass table, one row per edge: a pass is type
-    II when its edge's two passes agree under the bits, as in classify.
-    The table is in t.edges order, so a row is found by bisection, and at
-    most six rows per zigzag are read.  An orientation of other zigzags is
-    never ruled out."""
-    if tau.zigzags is not t._zigzags:
-        return False
-    table, edges = _pass_table(t, tau), t.edges
-    bits = [b == 1 for b in tau.bits]  # as in classify: True and 1.0 are 1
+    Types come from t's pass table, one row per edge: a pass is type II
+    when its edge's two passes agree under the bits, as in classify.  At
+    most six rows per zigzag are read."""
+    _require_own(t, tau)
+    table, bits = _pass_table(t), tau.bits
     for z in tau.zigzags:
         if len(z) % 3:
             return True
         ii = []
         for e, _, _ in z.passes[:6]:
-            _, i, f, j, g = table[bisect_left(edges, e)]
+            i, f, j, g = table[e]
             ii.append(f ^ bits[i] == g ^ bits[j])
         if sum(ii[:3]) != 1 or ii[3:] != ii[:-3]:
             return True
@@ -606,16 +618,12 @@ def _ruled_out(t: Triangulation, tau: ZOrientation) -> bool:
 
 
 def is_homogeneous(t: Triangulation, tau: ZOrientation) -> bool:
-    """True when every face is type I and every chosen zigzag repeats II,I,I
-    (see Classification.homogeneous).
+    """True when every chosen zigzag reads II,I,I (see
+    Classification.homogeneous); raises TriangulationError as classify does
+    when tau's zigzags are not t's.
 
     An orientation _ruled_out rejects is not classified.  The screen is
-    exact: Classification.homogeneous shows that under a homogeneous
-    orientation every zigzag reads II,I,I, so its length is a multiple of
-    3 and each window of three passes holds one type II, at the same place
-    in the next window.  Reversing a zigzag maps residue classes mod 3 to
-    residue classes, so reading the canonical passes is enough.  Every
-    orientation it passes, and every orientation of foreign zigzags, is
+    exact: it tests the first six passes of each zigzag as
+    _homogeneity_scan tests them all.  Every orientation it passes is
     classified, so homogeneity keeps classify's one definition."""
     return not _ruled_out(t, tau) and classify(t, tau).homogeneous
-

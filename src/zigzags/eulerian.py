@@ -243,9 +243,8 @@ def extract_directed_embedding(t: Triangulation, tau: ZOrientation) -> DirectedE
     Vertices are the type-II vertices of the classification, arcs the
     directed type-II edges, and each type-I vertex contributes the face
     cycle traced by its link.  The embedding is kept in the facts of the
-    classification (see classify), so for an orientation of t's own
-    enumeration a second extraction with the same bits reads it back
-    unbuilt and unvalidated.
+    classification (see classify), so a second extraction with the same
+    bits reads it back unbuilt and unvalidated.
     """
     return _extract(classify(t, tau))
 
@@ -333,23 +332,19 @@ def round_trip_check(t: Triangulation, tau: ZOrientation) -> bool:
 
     Face cycles are named after their type-I vertices, so the coned faces
     must be t's own, and t's zigzags oriented along the arcs must be the
-    ones tau chooses.  Matching faces make the coned surface t, already
-    validated and enumerated, so no second triangulation is built; when
-    the faces differ this returns False rather than raising.  Orientations
-    of t's own enumeration are compared by their bits, and for them the
-    classification and the embedding are the ones t keeps (see classify
-    and extract_directed_embedding): after an extraction, this builds and
-    validates neither again.
+    ones tau chooses, which their bits tell.  Matching faces make the coned
+    surface t, already validated and enumerated, so no second triangulation
+    is built; when the faces differ this returns False rather than raising.
+    tau must orient t's own zigzags (see classify), and the classification
+    and the embedding are the ones t keeps (see extract_directed_embedding):
+    after an extraction, this builds and validates neither again.
     """
     # extraction validates the embedding it returns
     emb = extract_directed_embedding(t, tau)
     faces = _coned_faces(emb)
     if set(faces) != t._face_set:
         return False
-    tau2 = _orient_along(enumerate_zigzags(t), emb.arcs)
-    if tau.zigzags is tau2.zigzags:
-        return tau.bits == tau2.bits
-    return {z.passes for z in tau.chosen} == {z.passes for z in tau2.chosen}
+    return _orient_along(enumerate_zigzags(t), emb.arcs).bits == tau.bits
 
 
 # ----------------------------------------------------------------------

@@ -110,8 +110,8 @@ old vertex's only where it changed (_relinked), so a vertex of high degree
 is not walked whole per glue.  A finished surface is audited once in full:
 its Triangulation is validated, which walks each link on the corner table
 it builds for the next step, where the zigzag is checked as its only zigzag
-(engine._audit_sole_zigzag), and classify, homogeneity and the type-I
-vertices are checked.  Any failure raises InvariantError, an explicit check
+and kept as its enumeration (engine._audit_sole_zigzag), and classify,
+homogeneity and the type-I vertices are checked on that enumeration.  Any failure raises InvariantError, an explicit check
 that also runs under python -O, and a failed glue check names the glue.
 glue runs one gluing on a copy of the host, along the host site as it was
 resolved, and audits the result; generators.tree_build runs all of a tree's
@@ -1083,16 +1083,16 @@ class _Surface:
 
     def finish(self) -> Classification:
         """The surface's Triangulation and the classification of its zigzag,
-        after the full audit; the surface is spent."""
+        after the full audit, which keeps that zigzag as t's enumeration; the
+        surface is spent."""
         edge_faces = {e: tuple(sorted(fs)) for e, fs in self.edge_faces.items()}
         vertex_faces = {x: tuple(sorted(fs)) for x, fs in self.vertex_faces.items()}
         t = Triangulation._indexed(self.faces, edge_faces, vertex_faces)
         if not t.validate().ok:
             raise InvariantError(f"glued face list is no closed surface: {t.validate()}")
         walked = self.zigzag()
-        _audit_sole_zigzag(t, walked)
-        z = walked.canonical()
-        cls = classify(t, _oriented((z,), (0,) if z == walked else (1,)))
+        zs = _audit_sole_zigzag(t, walked)
+        cls = classify(t, _oriented(zs, (0,) if zs[0] == walked else (1,)))
         if not cls.homogeneous:
             raise InvariantError("glued orientation is not homogeneous")
         if set(cls.type_i_vertices) != self.type_i:

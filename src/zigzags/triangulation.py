@@ -163,13 +163,15 @@ class Triangulation:
     Derived data kept per instance: the report of validate(), with the
     corner table it walks the links on until engine._apex_table takes it
     for enumeration, which marks it as it walks;
-    the zigzags of engine.enumerate_zigzags, the table of each edge's two
-    passes over those zigzags (engine._pass_table), and the last
-    orientation of those zigzags that engine.classify classified: its bits,
-    its four type dicts and the facts dict its classifications share, which
-    holds its homogeneity once read and its eulerian.DirectedEmbedding once
-    extracted.  Only engine.classify reads or writes that last entry.  None
-    refers back to the instance.
+    the zigzags of engine.enumerate_zigzags, or of the audit that proves a
+    glued walk the only one (engine._audit_sole_zigzag); the table of each
+    edge's two passes over those zigzags, keyed by edge
+    (engine._pass_table); and the last orientation of those zigzags that
+    engine.classify classified: its bits, its four type dicts and the facts
+    dict its classifications share, which holds its homogeneity once read
+    and its eulerian.DirectedEmbedding once extracted.  A glued or built
+    surface keeps them as a parsed one does.  Only engine.classify reads or
+    writes that last entry.  None refers back to the instance.
     """
 
     def __init__(self, faces) -> None:
@@ -240,7 +242,7 @@ class Triangulation:
         self._report: ValidationReport | None = None
         self._corners: dict | None = None  # validate's corner table, until taken
         self._zigzags: tuple | None = None
-        self._passes: list | None = None
+        self._passes: dict | None = None
         self._classified: tuple | None = None  # (bits, four type dicts, facts)
 
     # ------------------------------------------------------------------

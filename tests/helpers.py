@@ -353,6 +353,21 @@ def coned_round_trip(t: Triangulation, tau: ZOrientation) -> bool:
     return {z.passes for z in tau.chosen} == {z.passes for z in tau2.chosen}
 
 
+def reads_ii_i_i(cls) -> bool:
+    """The definition, read literally: every face is type I and each chosen
+    zigzag's length is a multiple of 3 with type II exactly at the
+    positions of one residue class mod 3."""
+    if set(cls.face_types.values()) != {"I"}:
+        return False
+    for z in cls.orientation.chosen:
+        types = [cls.edge_types[p.edge] for p in z.passes]
+        if len(z) % 3 or not any(
+            all((ty == "II") == (i % 3 == r) for i, ty in enumerate(types)) for r in range(3)
+        ):
+            return False
+    return True
+
+
 def classify_by_passes(t: Triangulation, tau: ZOrientation):
     """classify's rule read off the chosen zigzags: each edge's two passes
     are collected from tau.chosen, and homogeneity checks the II,I,I period
@@ -363,8 +378,6 @@ def classify_by_passes(t: Triangulation, tau: ZOrientation):
     passes = {e: [] for e in t.edges}
     for z in tau.chosen:
         for e, src, dst in z.passes:
-            if e not in passes:
-                raise TriangulationError(f"pass over unknown edge {e!r}")
             passes[e].append((src, dst))
     if any(len(v) != 2 for v in passes.values()):
         raise TriangulationError("each edge is passed exactly twice")

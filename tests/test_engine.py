@@ -12,6 +12,7 @@ import textwrap
 from collections import Counter
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import zigzag_oracle as oracle
 import zigzags
-from helpers import random_flips, sampled_orientations, torus7, torus_grid
+from helpers import random_flips, reads_ii_i_i, sampled_orientations, torus7, torus_grid
 from zigzags import (
     InvariantError,
     Pass,
@@ -31,15 +32,18 @@ from zigzags import (
     bipyramid,
     classify,
     enumerate_zigzags,
+    extract_directed_embedding,
     face_shadow,
     is_homogeneous,
     is_z_knotted,
     make_pass,
     make_z_orientation,
     platonic,
+    round_trip_check,
     zigzag_successor,
 )
-from zigzags.engine import _orient_along
+from zigzags.cli import analyze_report
+from zigzags.engine import _homogeneity_scan, _orient_along, _oriented
 
 TET = Triangulation([("1", "2", "3"), ("1", "2", "4"), ("1", "3", "4"), ("2", "3", "4")])
 
@@ -290,6 +294,88 @@ def test_make_z_orientation_validates():
             make((0, 2))
 
 
+def test_every_constructor_keeps_bits_as_ints():
+    # a bit equal to 0 or 1 is kept as that int by the public constructor,
+    # make_z_orientation and _oriented alike, and so is its reversal; any
+    # other bit is refused by all three
+    t = bipyramid(5)
+    zs = enumerate_zigzags(t)
+    makers = (partial(ZOrientation, zs), partial(make_z_orientation, t), partial(_oriented, zs))
+    for given in ((1,), (True,), (1.0,), [1]):
+        for make in makers:
+            tau = make(given)
+            assert repr(tau.bits) == "(1,)" and repr(tau.reversed().bits) == "(0,)"
+    for bad in ((1.5,), (0.5,), ("1",), (-1,)):
+        for make in makers:
+            with pytest.raises(TriangulationError, match="^bits must be 0 or 1$"):
+                make(bad)
+
+
+def test_bits_given_otherwise_read_as_their_ints():
+    # bits as a list, as True or as 1.0 round-trip, report and classify
+    # as the tuple of ints does
+    t = bipyramid(5)
+    zs = enumerate_zigzags(t)
+    tau = next(tau for tau in all_z_orientations(t) if is_homogeneous(t, tau))
+    (b,) = tau.bits
+    assert round_trip_check(t, ZOrientation(zs, [b]))
+    want = [analyze_report(t, tau, fmt) for fmt in ("text", "tsv")]
+    for given in ([b], (bool(b),), (float(b),)):
+        tau2 = ZOrientation(zs, given)
+        assert [analyze_report(t, tau2, fmt) for fmt in ("text", "tsv")] == want
+        assert classify(t, tau2)._facts is classify(t, tau)._facts
+    assert f"bits\t{b}\n" in want[1] and f"bits: {b}\n" in want[0]
+
+
+def _base_cycle_twice_and_spokes() -> tuple[Zigzag, ...]:
+    """BP(5)'s base cycle walked twice, and the ten spoke walks x -> i -> x:
+    closed walks that pass every edge of BP(5) twice, none of them its
+    zigzag."""
+    base = [make_pass(str(i), str(i % 5 + 1)) for i in range(1, 6)]
+    walks = [Zigzag(tuple(base * 2))]
+    walks += [Zigzag((make_pass(x, str(i)), make_pass(str(i), x))) for x in "ab" for i in range(1, 6)]
+    return tuple(sorted((z.canonical() for z in walks), key=lambda z: z.passes))
+
+
+def _other_zigzags():
+    """(t, an orientation of zigzags that are not t's enumeration, message)."""
+    bp4, bp5, bp6 = bipyramid(4), bipyramid(5), bipyramid(6)
+    walks = _base_cycle_twice_and_spokes()
+    not_zigzag_0 = "zigzag 0 of the z-orientation is not the triangulation's zigzag 0"
+    return [
+        (bp5, ZOrientation(enumerate_zigzags(bipyramid(7)), (0,)), not_zigzag_0),
+        (bp6, ZOrientation(enumerate_zigzags(bp6)[:1], (0,)),
+         "the z-orientation's zigzag count 1 is not the triangulation's 2"),
+        (bp4, ZOrientation(enumerate_zigzags(bp4)[::-1], (0, 0, 0, 0)), not_zigzag_0),
+        (bp5, ZOrientation(walks, (0,) * len(walks)),
+         "the z-orientation's zigzag count 11 is not the triangulation's 1"),
+    ]
+
+
+def test_every_entry_point_rejects_orientations_of_other_zigzags():
+    # classify takes only t's own zigzags; every path through it raises
+    # its one error, and the screen raises it before reading a table
+    entry_points = (
+        classify,
+        is_homogeneous,
+        extract_directed_embedding,
+        round_trip_check,
+        analyze_report,
+        lambda t, tau: analyze_report(t, tau, "tsv"),
+    )
+    for t, tau, message in _other_zigzags():
+        for call in entry_points:
+            with pytest.raises(TriangulationError) as exc:
+                call(t, tau)
+            assert type(exc.value) is TriangulationError and str(exc.value) == message
+    # the base cycle walked twice and the spokes double-cover BP(5) with a
+    # type-II base and type-I spokes, which a face test alone calls
+    # homogeneous
+    walks = _base_cycle_twice_and_spokes()
+    covered = Counter(p.edge for z in walks for p in z.passes)
+    assert covered == Counter({e: 2 for e in bipyramid(5).edges})
+
+
 def test_zorientation_rejects_non_canonical_zigzags():
     z = enumerate_zigzags(bipyramid(5))[0]
     assert not z.reverse().is_canonical
@@ -403,13 +489,16 @@ def test_classification_reversal_stable():
 
 def test_classify_rejects_foreign_orientations_under_python_O():
     # the checks raise TriangulationError explicitly, so they run where
-    # asserts are compiled away; each input's zigzags are not t's own
+    # asserts are compiled away: the first four inputs' zigzags are not t's
+    # own, and the last three forge what t keeps, so that the double-cover,
+    # dichotomy and directed-cycle checks still have something to catch
     script = textwrap.dedent("""
         from zigzags import (
-            TriangulationError, Zigzag, ZOrientation, bipyramid,
+            Triangulation, TriangulationError, Zigzag, ZOrientation, bipyramid,
             bipyramid_canonical_zorientation, classify, enumerate_zigzags,
-            make_pass, platonic,
+            make_pass, make_z_orientation, platonic,
         )
+        from zigzags.engine import _pass_table
 
         def walk(vs):
             n = len(vs)
@@ -418,19 +507,30 @@ def test_classify_rejects_foreign_orientations_under_python_O():
         if __debug__:
             raise SystemExit("this check must run under python -O")
         bp5 = bipyramid(5)
-        # an Eulerian circuit of the octahedron along a direction of its
-        # edges that makes the face 1, 2, b transitive, walked twice
+        # an Eulerian circuit of the octahedron, walked twice
         circuit = walk("1b4a3b2a1234").canonical()
         faces_as_zigzags = sorted(
             (walk(f).canonical() for f in ("123", "124", "134", "234")),
             key=lambda z: z.passes,
         )
-        cases = (
+        cases = [
             (bp5, bipyramid_canonical_zorientation(7)),
             (bp5, ZOrientation(enumerate_zigzags(bp5) * 2, (0, 0))),
             (platonic("tetrahedron"), ZOrientation(tuple(faces_as_zigzags), (0, 0, 0, 0))),
             (bipyramid(4), ZOrientation((circuit, circuit), (0, 0))),
-        )
+        ]
+        # BP(5)'s zigzag kept twice passes each edge four times
+        doubled = Triangulation(bp5.faces)
+        doubled._zigzags = enumerate_zigzags(bp5) * 2
+        cases.append((doubled, ZOrientation(doubled._zigzags, (0, 0))))
+        # BP(4) with every edge type II: edge 1-2 made type I, then reversed
+        for flip in ((True, False), (True, True)):
+            forged = Triangulation(bipyramid(4).faces)
+            table = dict(_pass_table(forged))
+            i, f, j, g = table["1", "2"]
+            table["1", "2"] = i, f ^ flip[0], j, g ^ flip[1]
+            forged._passes = table
+            cases.append((forged, make_z_orientation(forged, (0, 0, 0, 0))))
         for t, tau in cases:
             try:
                 classify(t, tau)
@@ -444,10 +544,13 @@ def test_classify_rejects_foreign_orientations_under_python_O():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines() == [
-        "pass over unknown edge ('5', '6')",
+        "zigzag 0 of the z-orientation is not the triangulation's zigzag 0",
+        "the z-orientation's zigzag count 2 is not the triangulation's 1",
+        "the z-orientation's zigzag count 4 is not the triangulation's 3",
+        "the z-orientation's zigzag count 2 is not the triangulation's 4",
         "each edge is passed exactly twice",
-        "face ('1', '2', '3') violates the type dichotomy",
-        "type-II face ('1', '2', 'b') is not a directed cycle",
+        "face ('1', '2', 'a') violates the type dichotomy",
+        "type-II face ('1', '2', 'a') is not a directed cycle",
     ]
 
 
@@ -514,24 +617,23 @@ def test_homogeneity_reads_the_zigzags_not_only_the_faces(case):
     assert not cls.homogeneous
 
 
-def reads_ii_i_i(cls) -> bool:
-    """The definition, read literally: every face is type I and each chosen
-    zigzag's length is a multiple of 3 with type II exactly at the
-    positions of one residue class mod 3."""
-    if set(cls.face_types.values()) != {"I"}:
-        return False
-    for z in cls.orientation.chosen:
-        types = [cls.edge_types[p.edge] for p in z.passes]
-        if len(z) % 3 or not any(
-            all((ty == "II") == (i % 3 == r) for i, ty in enumerate(types)) for r in range(3)
-        ):
-            return False
-    return True
+def test_homogeneity_needs_a_length_divisible_by_three():
+    # type II at passes 0 and 3 of a zigzag: one type II in its first three
+    # passes and period 3 along it, which reads II,I,I round a 6-cycle but
+    # not round a 4-cycle; the scan reads only these two fields
+    for t, length, verdict in ((platonic("tetrahedron"), 4, False), (bipyramid(4), 6, True)):
+        z = enumerate_zigzags(t)[0]
+        directions = dict.fromkeys((z.passes[0].edge, z.passes[3].edge))
+        assert len(z) == length and len(directions) == 2
+        assert [p.edge in directions for p in z.passes[1:3]] == [False, False]
+        stand_in = SimpleNamespace(edge_directions=directions, orientation=SimpleNamespace(zigzags=(z,)))
+        assert _homogeneity_scan(stand_in) is verdict
 
 
 def test_homogeneous_matches_the_definition():
-    # homogeneous checks the zigzags only by a 3-step rotation; the
-    # orientations with every face type I are where that check alone decides
+    # homogeneous reads the zigzags alone, the definition also the faces;
+    # both verdicts occur among the orientations with every face type I,
+    # where the faces cannot decide
     rng = random.Random(3)
     surfaces = [bipyramid(n) for n in range(3, 9)] + [torus7()]
     surfaces += [random_flips(bipyramid(n), rng, 3) for n in (5, 6, 7, 8) for _ in range(3)]

@@ -2,14 +2,16 @@
 first six passes before it classifies.  The screen must reject only what
 classify's definition rejects: on every orientation of every surface here
 it agrees with classify(t, tau).homogeneous, keeps the homogeneous bit
-strings closed under complement, and reads bits given as True or 1.0 as 1."""
+strings closed under complement, and reads bits given as True or 1.0 as 1.
+classify's verdict, read off the zigzags alone, is in turn the definition
+read literally, faces and all."""
 
 from __future__ import annotations
 
 import pytest
 
 import zigzags.engine as engine
-from helpers import embedding_from_directed_faces, torus7, torus_grid
+from helpers import embedding_from_directed_faces, reads_ii_i_i, torus7, torus_grid
 from zigzags import (
     Triangulation,
     ZOrientation,
@@ -60,14 +62,15 @@ def test_the_screen_agrees_with_classify_on_every_orientation(surfaces):
         for tau in all_z_orientations(t):
             screened = engine._ruled_out(t, tau)
             answer = is_homogeneous(t, tau)
-            assert answer is classify(t, tau).homogeneous, (t.faces, tau.bits)
+            cls = classify(t, tau)
+            assert answer is cls.homogeneous is reads_ii_i_i(cls), (t.faces, tau.bits)
             ruled_out += screened
             passed += not screened
             if answer:
                 found.add(tau.bits)
                 homogeneous += 1
-            # bits given as True or 1.0 read as 1, and foreign zigzags,
-            # which the screen never rules out, give the same answer
+            # bits given as True or 1.0 read as 1, and an equal copy of the
+            # zigzags is t's own, so each gives the same answer
             for bits in (tuple(map(bool, tau.bits)), tuple(map(float, tau.bits))):
                 assert is_homogeneous(t, ZOrientation(zs, bits)) is answer
             assert is_homogeneous(t, ZOrientation(tuple(list(zs)), tau.bits)) is answer
@@ -86,3 +89,4 @@ def test_an_orientation_can_pass_the_screen_and_not_be_homogeneous():
     cls = classify(t, tau)
     assert list(cls.face_types.values()).count("II") == 2 and not cls.homogeneous
     assert not is_homogeneous(t, tau)
+

@@ -230,8 +230,8 @@ def test_census_enumerates_the_input_and_the_coned_surface_once(monkeypatch, n):
     reads = []
     read = engine._pass_table
 
-    def recorded(t, tau):
-        reads.append((t, read(t, tau)))
+    def recorded(t):
+        reads.append((t, read(t)))
         return reads[-1][1]
 
     monkeypatch.setattr(engine, "_pass_table", recorded)
@@ -312,18 +312,17 @@ def test_an_own_orientation_is_classified_once_per_bits(monkeypatch):
         assert getattr(again, field) is getattr(cls, field)
     assert classify(t, tau).edge_types is classify(t, tau).edge_types is cls.edge_types
     assert len(reads) == 1
-    # an orientation of another zigzag tuple never reads or writes t's
-    # classification: copied zigzags, or t's own in a new tuple, as a
-    # build's walk gives
+    # an equal copy of t's zigzags is an orientation of t's own: copied
+    # zigzags, or t's own in a new tuple, share t's kept dicts and facts
     copied = ZOrientation(tuple(Zigzag(z.passes) for z in zs), tau.bits)
     walked = ZOrientation(zs[:1] + zs[1:], tau.bits)
     assert walked.zigzags is not zs
-    for foreign in (copied, walked):
-        first, second = classify(t, foreign), classify(t, foreign)
-        assert first.edge_types == cls.edge_types
-        assert first.edge_types is not second.edge_types is not cls.edge_types
-    assert classify(t, tau).edge_types is cls.edge_types
-    assert len(reads) == 5
+    for equal in (copied, walked):
+        got = classify(t, equal)
+        assert got.orientation is equal
+        for field in ("edge_types", "edge_directions", "vertex_types", "face_types", "_facts"):
+            assert getattr(got, field) is getattr(cls, field)
+    assert len(reads) == 1
     # other bits and the reversal are classified afresh and kept instead
     other = make_z_orientation(t, (1,) + (0,) * (len(zs) - 1))
     for tau2 in (other, tau.reversed()):
@@ -331,7 +330,7 @@ def test_an_own_orientation_is_classified_once_per_bits(monkeypatch):
         assert cls2.edge_types is not cls.edge_types
         assert classify(t, tau2).edge_types is cls2.edge_types
     assert classify(t, tau).edge_types is not cls.edge_types
-    assert len(reads) == 8
+    assert len(reads) == 4
 
 
 def test_a_round_trip_after_an_extraction_validates_and_walks_nothing(monkeypatch):
@@ -360,22 +359,22 @@ def test_a_round_trip_after_an_extraction_validates_and_walks_nothing(monkeypatc
     assert classify(t, tau.reversed())._facts is kept._facts
 
 
-def test_a_foreign_classification_is_extracted_once(monkeypatch):
-    # a classification of zigzags that are not t's own keeps its facts as
-    # an own one does: extracting from it twice builds and validates once
+def test_an_equal_copy_shares_the_extraction(monkeypatch):
+    # a classification of an equal copy of t's zigzags carries t's facts:
+    # extracting from it, and then from t's own orientation, builds and
+    # validates once
     t = _fresh(7)
     tau = next(tau for tau in all_z_orientations(t) if is_homogeneous(t, tau))
     copied = ZOrientation(tuple(Zigzag(z.passes) for z in tau.zigzags), tau.bits)
-    foreign = classify(t, copied)
+    equal = classify(t, copied)
     validated = counted(monkeypatch, eulerian, "validate_embedding")
     links = counted(monkeypatch, Triangulation, "vertex_link")
-    emb = eulerian._extract(foreign)
+    emb = eulerian._extract(equal)
     assert len(validated) == 1 and len(links) == len(emb.face_cycles)
-    assert eulerian._extract(foreign) is emb
+    assert eulerian._extract(equal) is emb is extract_directed_embedding(t, tau)
+    assert extract_directed_embedding(t, copied) is emb
     assert len(validated) == 1 and len(links) == len(emb.face_cycles)
-    assert emb == extract_directed_embedding(t, tau)
-    # a second classification of it has facts of its own
-    assert classify(t, copied)._facts is not foreign._facts
+    assert classify(t, copied)._facts is equal._facts is classify(t, tau)._facts
 
 
 @pytest.mark.parametrize("n", (6, 7, 8))
@@ -404,8 +403,8 @@ def test_homogeneity_is_scanned_once_per_bits(monkeypatch, n):
     assert classify(t, rev).homogeneous and classify(t, rev).homogeneous
     assert classify(t, tau).homogeneous and classify(t, tau).homogeneous
     assert [x.orientation.bits for (x,) in scans] == [rev.bits, tau.bits]
-    # a foreign orientation, of zigzags that are not t's own, is scanned each time
+    # an equal copy of t's zigzags reads the verdict t keeps for its bits
     scans.clear()
     copied = ZOrientation(tuple(Zigzag(z.passes) for z in tau.zigzags), tau.bits)
     assert classify(t, copied).homogeneous and classify(t, copied).homogeneous
-    assert len(scans) == 2
+    assert scans == []

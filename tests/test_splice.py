@@ -61,8 +61,9 @@ def test_every_glue_matches_a_fresh_build_and_enumeration(tree_corpus, glued_cor
     audit = surgery._audit_sole_zigzag
 
     def spy_audit(t, z):
-        audit(t, z)
-        walked.append((t, z))
+        zs = audit(t, z)
+        walked.append((t, z, zs))
+        return zs
 
     monkeypatch.setattr(surgery, "_audit_sole_zigzag", spy_audit)
     for spec, t, _, _ in tree_corpus:
@@ -72,9 +73,12 @@ def test_every_glue_matches_a_fresh_build_and_enumeration(tree_corpus, glued_cor
     # one audit per build and per glue, however many glues a build runs
     assert len(walked) == len(tree_corpus) + 2
 
-    for t, z in walked:
+    # the audit keeps the walk as t's zigzags, so a fresh surface on t's
+    # faces is what enumeration walks
+    for t, z, zs in walked:
         _same_indexes(t)
-        assert enumerate_zigzags(t) == (z.canonical(),)
+        assert zs is enumerate_zigzags(t) == (z.canonical(),)
+        assert enumerate_zigzags(Triangulation(t.faces)) == zs
 
 
 def test_the_surface_keeps_what_a_fresh_analysis_finds(tree_corpus, monkeypatch):
@@ -102,6 +106,25 @@ def test_the_surface_keeps_what_a_fresh_analysis_finds(tree_corpus, monkeypatch)
         assert ii_ends == Counter(x for e in cls.edge_directions for x in e)
 
 
+def _counted_walks(monkeypatch) -> list:
+    """Wrap enumerate_zigzags in every module of the package so that each
+    call that walks, on a t with no zigzags kept, records t; classify reads
+    kept zigzags through it too, and those calls are not recorded.  Returns
+    the record."""
+    walked = []
+
+    def counted_enumerate(t):
+        if t._zigzags is None:
+            walked.append(t)
+        return enumerate_zigzags(t)
+
+    for info in pkgutil.iter_modules(zigzags.__path__):
+        module = importlib.import_module(f"zigzags.{info.name}")
+        if hasattr(module, "enumerate_zigzags"):
+            monkeypatch.setattr(module, "enumerate_zigzags", counted_enumerate)
+    return walked
+
+
 def test_glue_neither_enumerates_nor_constructs(glued_corpus, monkeypatch):
     calls = []
     init = Triangulation.__init__
@@ -110,18 +133,25 @@ def test_glue_neither_enumerates_nor_constructs(glued_corpus, monkeypatch):
         calls.append("Triangulation")
         init(self, faces)
 
-    def counted_enumerate(t):
-        calls.append("enumerate_zigzags")
-        return enumerate_zigzags(t)
-
     monkeypatch.setattr(Triangulation, "__init__", counted_init)
-    for info in pkgutil.iter_modules(zigzags.__path__):
-        module = importlib.import_module(f"zigzags.{info.name}")
-        if hasattr(module, "enumerate_zigzags"):
-            monkeypatch.setattr(module, "enumerate_zigzags", counted_enumerate)
+    walked = _counted_walks(monkeypatch)
     for _, _, host_site, piece_site in glued_corpus.values():
         glue(host_site, piece_site)
-    assert calls == []
+    assert calls == walked == []
+
+
+def test_builds_and_glues_orient_the_surfaces_own_zigzags(tree_corpus, glued_corpus, monkeypatch):
+    # the audit keeps the walk it proves the only zigzag as t's zigzags, and
+    # the orientation returned is of them: no surface built is walked by
+    # enumeration, before or after
+    walked = _counted_walks(monkeypatch)
+    built = [tree_build(spec)[:2] for spec, _, _, _ in tree_corpus]
+    built += [(cls.triangulation, cls.orientation) for cls in (
+        glue(host_site, piece_site) for _, _, host_site, piece_site in glued_corpus.values()
+    )]
+    for t, tau in built:
+        assert tau.zigzags is zigzags.engine.enumerate_zigzags(t)
+    assert not any(x is t for t, _ in built for x in walked)
 
 
 def _cut_facts(site) -> tuple:
@@ -230,7 +260,12 @@ def test_walk_rejects_turns_off_the_successor_rule():
 def test_walk_accepts_a_z_knotted_zigzag_in_either_direction(glued_corpus):
     t, tau, _, _ = glued_corpus[4]
     z = tau.chosen[0]
-    assert _audit_sole_zigzag(t, z) is _audit_sole_zigzag(t, z.reverse()) is None
+    zs = enumerate_zigzags(t)
+    assert _audit_sole_zigzag(t, z) is _audit_sole_zigzag(t, z.reverse()) is zs
+    # a surface with no zigzags yet keeps the walk's canonical form as them
+    fresh = Triangulation(t.faces)
+    kept = _audit_sole_zigzag(fresh, z.reverse())
+    assert kept == zs and enumerate_zigzags(fresh) is kept
 
 
 def _keep_v1(plan):

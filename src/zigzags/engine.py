@@ -11,12 +11,12 @@ enumerate_zigzags walks the same orbits in vertex form.  The state
 (prev, cur) is (s, d, x): the pass s->d over cur, reached from the face
 F = {s, d, x}, so prev = {s, x}.  The other face of cur is {s, d, y}, its
 edge avoiding prev is {d, y}, and the successor is (d, y, s); the reversal
-(cur, prev) is (s, x, d).  The corner table, built once per triangulation
-by validate, maps each directed edge (s, d) and the apex x of one of its
-faces to the apex y of the other, so a walk step is one dict lookup;
-enumeration, or a glued surface's audit, then takes it from validate, and
-enumeration marks each state it walks in the table itself.  The audit
-keeps the walk it proves to be t's only zigzag as t's enumeration.
+(cur, prev) is (s, x, d).  The corner table (_corner_table) maps each
+directed edge (s, d) and the apex x of one of its faces to the apex y of
+the other, so a walk step is one dict lookup.  Only the two walks here
+build one, each its own: enumeration, which marks each state it walks in
+the table itself, and a glued surface's audit, which keeps the walk it
+proves to be t's only zigzag as t's enumeration.
 
 Every orbit has a disjoint reversal orbit, so zigzags come in reversal
 pairs; a z-orientation chooses one direction from each pair.  classify
@@ -43,7 +43,7 @@ from functools import cached_property
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
-from .triangulation import Triangulation, TriangulationError, _corner_table, _face_edges, edge_key
+from .triangulation import Triangulation, TriangulationError, _face_edges, edge_key
 
 __all__ = [
     "Pass",
@@ -211,19 +211,27 @@ def zigzag_successor(t: Triangulation, state: State) -> State:
     return (cur, nxt[0])
 
 
-def _apex_table(t: Triangulation) -> dict[tuple[str, str, str], str]:
-    """t's corner table (triangulation._corner_table): the one validate kept,
-    which t then releases, else a fresh one."""
-    across, t._corners = t._corners, None
-    return _corner_table(t._edge_faces) if across is None else across
+def _corner_table(edge_faces: dict) -> dict[tuple[str, str, str], str]:
+    """(s, d, x) -> y for each face {s, d, x} whose edge {s, d} lies in
+    exactly one other face, {s, d, y}; edges in 1 or 3+ faces have none."""
+    across = {}
+    for (u, v), faces in edge_faces.items():
+        if len(faces) == 2:
+            # faces and edges are sorted, so the apex is the first vertex off u, v
+            (a, b, c), (p, q, r) = faces
+            x = a if a != u else b if b != v else c
+            y = p if p != u else q if q != v else r
+            across[u, v, x] = across[v, u, x] = y
+            across[u, v, y] = across[v, u, y] = x
+    return across
 
 
 def enumerate_zigzags(t: Triangulation) -> tuple[Zigzag, ...]:
     """All zigzags of t, one canonical representative per reversal pair.
 
     Partitions all 6*|F| states into successor orbits.  Each orbit is
-    walked once, on the corner table validate built, which it marks as it
-    goes: each state walked has its entry set to None, so no visited set
+    walked once, on a corner table built for this walk, which it marks as
+    it goes: each state walked has its entry set to None, so no visited set
     and no list of states is kept.  A state is skipped when its entry or
     its reversal's is None, a walk that meets a None entry other than its
     start's raises InvariantError, and the walk stops once the orbits and
@@ -234,7 +242,7 @@ def enumerate_zigzags(t: Triangulation) -> tuple[Zigzag, ...]:
     if t._zigzags is not None:
         return t._zigzags
     t.require_valid()
-    across = _apex_table(t)
+    across = _corner_table(t._edge_faces)
     walked = 0
     out: list[Zigzag] = []
     for start in across:
@@ -279,16 +287,18 @@ def is_z_knotted(t: Triangulation) -> bool:
 class ZOrientation:
     """A direction choice for every reversal pair of zigzags.
 
-    zigzags holds the canonical representatives in enumeration order; bit i
-    selects the canonical direction (0) or its reversal (1).  Bits equal to
-    0 or 1, such as False, True, 0.0 or 1.0, are kept as the ints 0 and 1
-    (_checked_bits), whichever constructor built the orientation.
+    zigzags holds the canonical representatives in enumeration order, kept
+    as a tuple; bit i selects the canonical direction (0) or its reversal
+    (1).  Bits equal to 0 or 1, such as False, True, 0.0 or 1.0, are kept
+    as the ints 0 and 1 (_checked_bits), whichever constructor built the
+    orientation.
     """
 
     zigzags: tuple[Zigzag, ...]
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "zigzags", tuple(self.zigzags))
         object.__setattr__(self, "bits", _checked_bits(self.zigzags, self.bits))
         if any(not z.is_canonical for z in self.zigzags):
             raise ValueError("zigzags must be canonical representatives")
@@ -415,19 +425,25 @@ class Classification:
         return where
 
 
+def _reads_ii_i_i(n: int, ii: list) -> bool:
+    """Whether a zigzag of n passes, whose passes read type II where ii is
+    true, can read II,I,I: n is divisible by 3, and ii holds one type II in
+    its first three passes and has period 3.  ii may be a prefix of the
+    zigzag's types, which the rule then tests only so far."""
+    return n % 3 == 0 and sum(ii[:3]) == 1 and ii[3:] == ii[:-3]
+
+
 def _homogeneity_scan(cls: Classification) -> bool:
     """Classification.homogeneous, read off the zigzags alone: each type
-    sequence has a length divisible by 3, one type II in its first three
-    passes, and period 3.  No face type is read: such walks make a third of
-    the 2E = 3F passes type II, so F/2 edges are type II, and they lie in F
-    faces counted with multiplicity.  classify has checked that each face
+    sequence reads II,I,I (_reads_ii_i_i).  No face type is read: such
+    walks make a third of the 2E = 3F passes type II, so F/2 edges are type
+    II, and they lie in F faces counted with multiplicity.  classify has checked that each face
     holds one or three, so each face holds exactly one."""
     directions = cls.edge_directions
-    for z in cls.orientation.zigzags:
-        ii = [e in directions for e, _, _ in z.passes]
-        if len(ii) % 3 or sum(ii[:3]) != 1 or ii[3:] != ii[:-3]:
-            return False
-    return True
+    return all(
+        _reads_ii_i_i(len(z), [e in directions for e, _, _ in z.passes])
+        for z in cls.orientation.zigzags
+    )
 
 
 def _pass_table(t: Triangulation) -> dict[Edge, tuple]:
@@ -459,7 +475,7 @@ def _require_own(t: Triangulation, tau: ZOrientation) -> None:
     names the zigzag count when it differs, else the first zigzag that is
     not t's.  enumerate_zigzags checks t's validity on its first call."""
     zs, own = enumerate_zigzags(t), tau.zigzags
-    if own is zs or tuple(own) == zs:
+    if own is zs or own == zs:
         return
     if len(own) != len(zs):
         raise TriangulationError(
@@ -561,19 +577,20 @@ def _audit_sole_zigzag(t: Triangulation, z: Zigzag) -> tuple[Zigzag, ...]:
     other face of its edge, which is the successor rule, so z is an orbit.
     Its 2E states (s_i, d_i, s_i-1) and their reversals (s_i, s_i-1, d_i)
     are pairwise distinct, so they are 4E = 6F states, all there are, and no
-    other orbit is left.  On t's corner table the turn after a state lies in
-    a face other than the turn before it exactly when the table maps the
-    state to d_i+1.  A walk that fails is walked again along its face
-    shadow, and raises InvariantError naming the first position that fails:
-    its length, then a turn off the faces, a turn twice in one face, and a
-    repeated state, an explicit check that also runs under python -O.
+    other orbit is left.  On a corner table of t, built for this check, the
+    turn after a state lies in a face other than the turn before it exactly
+    when the table maps the state to d_i+1.  A walk that fails is walked
+    again along its face shadow, and raises InvariantError naming the
+    first position that fails: its length, then a turn off the faces, a
+    turn twice in one face, and a repeated state, an explicit check that
+    also runs under python -O.
     """
     n, two_e = len(z), 2 * len(t.edges)
     srcs = [p.src for p in z.passes]
     dsts, prevs = [p.dst for p in z.passes], srcs[-1:] + srcs[:-1]
     states = list(zip(srcs, dsts, prevs))
-    # t's table is freed once read, before the state set is built
-    ok = list(map(_apex_table(t).get, states)) == dsts[1:] + dsts[:1] and n == two_e
+    # the table is freed once read, before the state set is built
+    ok = list(map(_corner_table(t._edge_faces).get, states)) == dsts[1:] + dsts[:1] and n == two_e
     if not (ok and len({*states, *zip(srcs, prevs, dsts)}) == 2 * n):
         if n != two_e:
             raise InvariantError(f"zigzag has {n} passes, not 2E = {two_e}")
@@ -595,10 +612,9 @@ def _audit_sole_zigzag(t: Triangulation, z: Zigzag) -> tuple[Zigzag, ...]:
 
 
 def _ruled_out(t: Triangulation, tau: ZOrientation) -> bool:
-    """True when tau has a zigzag that cannot read II,I,I: its length is no
-    multiple of 3, its first three passes hold other than one type II, or
-    passes 3-5 do not repeat 0-2.  Raises as classify does when tau's
-    zigzags are not t's (_require_own).
+    """True when tau has a zigzag that cannot read II,I,I, as its length and
+    its first six passes tell (_reads_ii_i_i).  Raises as classify does
+    when tau's zigzags are not t's (_require_own).
 
     Types come from t's pass table, one row per edge: a pass is type II
     when its edge's two passes agree under the bits, as in classify.  At
@@ -606,13 +622,11 @@ def _ruled_out(t: Triangulation, tau: ZOrientation) -> bool:
     _require_own(t, tau)
     table, bits = _pass_table(t), tau.bits
     for z in tau.zigzags:
-        if len(z) % 3:
-            return True
         ii = []
         for e, _, _ in z.passes[:6]:
             i, f, j, g = table[e]
             ii.append(f ^ bits[i] == g ^ bits[j])
-        if sum(ii[:3]) != 1 or ii[3:] != ii[:-3]:
+        if not _reads_ii_i_i(len(z), ii):
             return True
     return False
 

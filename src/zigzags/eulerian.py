@@ -68,8 +68,9 @@ class DirectedEmbedding:
 
     vertices and arcs are stored sorted; face_cycles keep their given order
     but each cycle is stored at its least rotation (engine._least_rotation,
-    exact for every cycle validate_embedding accepts), so equal data
-    compares equal.
+    exact for every cycle validate_embedding accepts).  Every arc, in arcs
+    and in each cycle, is stored as a tuple, so equal data compares equal
+    and hashes alike.
     """
 
     vertices: tuple[str, ...]
@@ -78,8 +79,8 @@ class DirectedEmbedding:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "vertices", tuple(sorted(self.vertices)))
-        object.__setattr__(self, "arcs", tuple(sorted(self.arcs)))
-        rotated = tuple((name, _least_rotation(cyc)) for name, cyc in self.face_cycles)
+        object.__setattr__(self, "arcs", tuple(sorted(map(tuple, self.arcs))))
+        rotated = tuple((name, _least_rotation(map(tuple, cyc))) for name, cyc in self.face_cycles)
         object.__setattr__(self, "face_cycles", rotated)
 
 

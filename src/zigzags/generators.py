@@ -159,8 +159,9 @@ def platonic(name: str) -> Triangulation:
 class TreeSpec:
     """A finite tree with integer node labels.
 
-    nodes are (id, label) pairs; edges join node ids.  Stored sorted so two
-    specs with the same content compare equal.
+    nodes are (id, label) pairs; edges join node ids.  Both are stored as
+    sorted tuples of tuples, so two specs with the same content compare
+    equal and hash alike.
     """
 
     nodes: tuple[tuple[str, int], ...]
@@ -194,7 +195,7 @@ class TreeSpec:
             if key in seen:
                 raise TreeError(f"duplicate edge {e}")
             seen.add(key)
-        object.__setattr__(self, "nodes", tuple(sorted(self.nodes)))
+        object.__setattr__(self, "nodes", tuple(sorted(map(tuple, self.nodes))))
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 
     @property

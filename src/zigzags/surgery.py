@@ -108,11 +108,12 @@ type.  The link tests walk the surface's own edge index: a new vertex's
 whole link by triangulation._link_walk, the walk vertex_link makes, and an
 old vertex's only where it changed (_relinked), so a vertex of high degree
 is not walked whole per glue.  A finished surface is audited once in full:
-its Triangulation is validated, which walks each link on the corner table
-it builds for the next step, where the zigzag is checked as its only zigzag
-and kept as its enumeration (engine._audit_sole_zigzag), and classify,
-homogeneity and the type-I vertices are checked on that enumeration.  Any failure raises InvariantError, an explicit check
-that also runs under python -O, and a failed glue check names the glue.
+its Triangulation is validated, which walks each link by the same
+_link_walk; the zigzag is checked as its only zigzag and kept as its
+enumeration (engine._audit_sole_zigzag); and classify, homogeneity and the
+type-I vertices are checked on that enumeration.  Any failure raises
+InvariantError, an explicit check that also runs under python -O, and a
+failed glue check names the glue.
 glue runs one gluing on a copy of the host, along the host site as it was
 resolved, and audits the result; generators.tree_build runs all of a tree's
 gluings on one surface, resolving each host pair on it, and audits it once.

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 __all__ = [
     "ParseError",
@@ -97,29 +98,14 @@ def _link_walk(v: str, faces, edge_faces: dict) -> list[str] | None:
     link = [x]
     while y != x:
         link.append(y)
-        across = edge_faces[(v, y) if v < y else (y, v)]
-        if len(across) != 2:
+        try:
+            g, h = edge_faces[(v, y) if v < y else (y, v)]
+        except ValueError:  # the edge lies in other than two faces
             return None
-        g, h = across
         f = h if g == f else g
         a, b, c = f
         y = a if a != v and a != y else b if b != v and b != y else c
     return link if len(link) == len(faces) else None
-
-
-def _corner_table(edge_faces: dict) -> dict[tuple[str, str, str], str]:
-    """(s, d, x) -> y for each face {s, d, x} whose edge {s, d} lies in
-    exactly one other face, {s, d, y}; edges in 1 or 3+ faces have none."""
-    across = {}
-    for (u, v), faces in edge_faces.items():
-        if len(faces) == 2:
-            # faces and edges are sorted, so the apex is the first vertex off u, v
-            (a, b, c), (p, q, r) = faces
-            x = a if a != u else b if b != v else c
-            y = p if p != u else q if q != v else r
-            across[u, v, x] = across[v, u, x] = y
-            across[u, v, y] = across[v, u, y] = x
-    return across
 
 
 def _edge_violations(edge_faces: dict, edges) -> list[str]:
@@ -160,18 +146,17 @@ class Triangulation:
     edge in exactly two faces, connectivity, single-cycle vertex links) are
     reported by validate().
 
-    Derived data kept per instance: the report of validate(), with the
-    corner table it walks the links on until engine._apex_table takes it
-    for enumeration, which marks it as it walks;
-    the zigzags of engine.enumerate_zigzags, or of the audit that proves a
-    glued walk the only one (engine._audit_sole_zigzag); the table of each
-    edge's two passes over those zigzags, keyed by edge
-    (engine._pass_table); and the last orientation of those zigzags that
-    engine.classify classified: its bits, its four type dicts and the facts
-    dict its classifications share, which holds its homogeneity once read
-    and its eulerian.DirectedEmbedding once extracted.  A glued or built
-    surface keeps them as a parsed one does.  Only engine.classify reads or
-    writes that last entry.  None refers back to the instance.
+    Derived data kept per instance: the report of validate(); the zigzags
+    of engine.enumerate_zigzags, or of the audit that proves a glued walk
+    the only one (engine._audit_sole_zigzag); the table of each edge's two
+    passes over those zigzags, keyed by edge (engine._pass_table); and the
+    last orientation of those zigzags that engine.classify classified: its
+    bits, its four type dicts and the facts dict its classifications share,
+    which holds its homogeneity once read and its eulerian.DirectedEmbedding
+    once extracted.  A glued or built surface keeps them as a parsed one
+    does.  Only engine.classify reads or writes that last entry.  None
+    refers back to the instance.  No corner table is kept: each zigzag walk
+    builds its own (engine._corner_table).
     """
 
     def __init__(self, faces) -> None:
@@ -240,7 +225,6 @@ class Triangulation:
         self._vertices = tuple(sorted(vertex_faces))
         self._edges = tuple(sorted(edge_faces))
         self._report: ValidationReport | None = None
-        self._corners: dict | None = None  # validate's corner table, until taken
         self._zigzags: tuple | None = None
         self._passes: dict | None = None
         self._classified: tuple | None = None  # (bits, four type dicts, facts)
@@ -298,8 +282,7 @@ class Triangulation:
         link is not one cycle.  The cycle starts at the least neighbour and
         goes toward the lesser of that neighbour's two link-neighbours, so
         equal links compare equal.  The link is walked across the edge index
-        (_link_walk), the walk every link test of a glue makes too; validate
-        walks the corner table it builds anyway for enumeration."""
+        (_link_walk), the walk validate and every link test of a glue make."""
         walk = _link_walk(v, self.vertex_faces(v), self._edge_faces)
         if walk is None:
             raise TriangulationError(f"link of vertex {v!r} is not a single cycle")
@@ -314,53 +297,26 @@ class Triangulation:
         """Check the closed-surface conditions; violations come back as data.
 
         Each edge must lie in two faces, the edge graph must be connected,
-        and each vertex link must be one cycle.  The last two are found in
-        one traversal: a search over the vertices that walks each popped
-        vertex's link on the corner table and pushes the link it walked, or
-        every vertex of its faces when the walk fails, so the count it
-        reaches from the first vertex is the edge graph's.  The report is
-        kept, and so is the corner table of a valid triangulation, until
-        enumeration takes it."""
+        and each vertex link must be one cycle.  Each link is walked once
+        (_link_walk), and the search for the first vertex's component
+        (_reachable) goes from a vertex to the link it walked, or to every
+        vertex of its faces when the walk failed.  The report is kept."""
         if self._report is not None:
             return self._report
         violations: list[str] = []
         if not self._faces:
             violations.append("no faces")
-        violations += _edge_violations(self._edge_faces, self._edges)
-        # v's link is one cycle exactly when the corner walk around v from
-        # its first face stays in the table and first closes after visiting
-        # each face at v: it visits one link cycle's faces, and never a face
-        # on an edge outside the table.  Either way v pushes all its
-        # neighbours; searches after the first walk the other components
-        corners, vertex_faces = _corner_table(self._edge_faces), self._vertex_faces
-        seen, broken, reached = set(), set(), 0
-        for root in self._vertices:
-            stack = [root]
-            while stack:
-                v = stack.pop()
-                if v in seen:
-                    continue
-                seen.add(v)
-                faces = vertex_faces[v]
-                a, b, c = faces[0]
-                x, y = (b, c) if a == v else (a, c) if b == v else (a, b)
-                link, p, q = [x], corners.get((v, x, y)), x
-                while p is not None and (p != x or q != y):
-                    link.append(p)
-                    p, q = corners.get((v, p, q)), p
-                if p is None or len(link) != len(faces):
-                    broken.add(v)
-                    link = [w for f in faces for w in f]
-                stack += link
-            reached = reached or len(seen)
-        if reached != len(self._vertices):
-            violations.append(
-                f"graph disconnected: reached {reached} of {len(self._vertices)} vertices"
-            )
-        violations += _link_violations(self._vertices, lambda v: v not in broken)
+        edge_faces, vertex_faces = self._edge_faces, self._vertex_faces
+        violations += _edge_violations(edge_faces, self._edges)
+        links = {v: _link_walk(v, faces, edge_faces) for v, faces in vertex_faces.items()}
+        if links:
+            reached = len(_reachable(
+                self._vertices[0], lambda v: links[v] or chain.from_iterable(vertex_faces[v])
+            ))
+            if reached != len(links):
+                violations.append(f"graph disconnected: reached {reached} of {len(links)} vertices")
+        violations += _link_violations(self._vertices, lambda v: links[v] is not None)
         self._report = ValidationReport(tuple(violations))
-        # kept for its one consumer, engine._apex_table, which releases it
-        self._corners = corners if self._report.ok else None
         return self._report
 
     def require_valid(self) -> None:

@@ -13,6 +13,7 @@ through a closure.  Each must give the same result, or raise the same
 error with the same text, as the library on every input.
 """
 
+from zigzags.engine import _corner_table
 from zigzags.surgery import (
     _HOST_ROLE,
     HOST,
@@ -29,7 +30,6 @@ from zigzags.triangulation import (
     Triangulation,
     TriangulationError,
     ValidationReport,
-    _corner_table,
     _edge_violations,
     _link_violations,
     _reachable,

@@ -1,9 +1,9 @@
 """Reference vertex-link rules, slower than the library's and kept to check
 them on every input: the link walk as it stood before the two-slot kernel,
-the reference for triangulation._link_walk, Triangulation.vertex_link and
-the corner walk that Triangulation.validate checks each link with
-(test_corner_table); and the open-path rule surgery._relinked applied
-before it was bounded by what a glue changed.
+the reference for triangulation._link_walk, which Triangulation.validate
+(test_corner_table) and Triangulation.vertex_link walk; and the open-path
+rule surgery._relinked applied before it was bounded by what a glue
+changed.
 
 link_cycle builds a list of neighbours for each link vertex, finds the
 vertices of degree other than 2, and walks the cycle (or the path joined

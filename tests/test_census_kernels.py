@@ -249,8 +249,8 @@ def test_enumeration_stops_once_every_state_is_covered(name, monkeypatch):
                 drawn.append(state)
                 yield state
 
-    table = engine._apex_table
-    monkeypatch.setattr(engine, "_apex_table", lambda t: Drawn(table(t)))
+    table = engine._corner_table
+    monkeypatch.setattr(engine, "_corner_table", lambda edge_faces: Drawn(table(edge_faces)))
     zs = enumerate_zigzags(t)
     starts = _starts(t, drawn)
     assert len(starts) == len(zs)
@@ -261,10 +261,10 @@ def test_enumeration_stops_once_every_state_is_covered(name, monkeypatch):
 
 
 def test_an_orbit_that_is_its_own_reversal_is_an_invariant_error(monkeypatch):
-    # no surface has one, so the apex table is forged: the walk through the
+    # no surface has one, so the corner table is forged: the walk through the
     # vertices a, b, a, c, which read backwards is the walk from its third
     # state on, so the orbit holds the reversal (a, c, b) of its start
     forged = {("a", "b", "c"): "a", ("b", "a", "a"): "c", ("a", "c", "b"): "a", ("c", "a", "a"): "b"}
-    monkeypatch.setattr(engine, "_apex_table", lambda t: forged)
+    monkeypatch.setattr(engine, "_corner_table", lambda edge_faces: forged)
     with pytest.raises(InvariantError, match="a zigzag is never its own reversal"):
         enumerate_zigzags(Triangulation(bipyramid(3).faces))

@@ -1,7 +1,8 @@
-"""validate's corner-table link check and the constructor's one sorted
-sweep, against the rules they replace: the link of each vertex walked on
-its own (link_oracle) and the indexes gathered cell by cell and then
-sorted, on closed surfaces and on damaged ones."""
+"""validate's link check, enumeration's corner table and the constructor's
+one sorted sweep, against the rules they replace: the link of each vertex
+walked on its own (link_oracle), the table read off each edge's two faces
+as sets, and the indexes gathered cell by cell and then sorted, on closed
+surfaces and on damaged ones."""
 
 from __future__ import annotations
 
@@ -21,7 +22,9 @@ from zigzags import (
     platonic,
     triangulate_embedding,
 )
-from zigzags.triangulation import _corner_table, face_key
+from zigzags import engine
+from zigzags.engine import _corner_table
+from zigzags.triangulation import face_key
 
 
 def _closed() -> list[Triangulation]:
@@ -116,20 +119,23 @@ def _reference_corners(edge_faces: dict) -> dict:
     return out
 
 
-def test_validate_reports_as_the_link_walk_and_keeps_the_table_for_enumeration():
+def test_validate_reports_as_the_link_walk_and_builds_no_corner_table(monkeypatch):
+    built = []
+    table = engine._corner_table
+    monkeypatch.setattr(engine, "_corner_table", lambda ef: built.append(ef) or table(ef))
     links = 0
     for faces in CORPUS:
         t = Triangulation(faces)
-        table = _reference_corners(t._edge_faces)
-        assert _corner_table(t._edge_faces) == table
+        assert _corner_table(t._edge_faces) == _reference_corners(t._edge_faces)
         report = t.validate()
         assert report == _reference_report(faces), faces
         links += any(v.startswith("link of vertex") for v in report.violations)
-        # a valid report keeps the table until enumeration takes it
+        assert built == []
+        # enumeration builds the one table it walks
         if report.ok:
-            assert t._corners == table
             enumerate_zigzags(t)
-        assert t._corners is None
+            assert built == [t._edge_faces]
+            built.clear()
     # damaged links of every kind: holes, branching edges, pinches
     assert links > len(CORPUS) // 2
 

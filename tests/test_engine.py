@@ -282,6 +282,16 @@ def test_zorientation_chosen_and_reversed():
     assert tau.reversed().bits == (1, 0)
 
 
+def test_zorientation_keeps_its_zigzags_as_a_tuple():
+    t = bipyramid(5)
+    zs = enumerate_zigzags(t)
+    bits = (0,) * len(zs)
+    tau = ZOrientation(list(zs), bits)
+    assert tau.zigzags == zs and type(tau.zigzags) is tuple
+    assert tau == ZOrientation(zs, bits) and hash(tau) == hash(ZOrientation(zs, bits))
+    assert type(classify(t, tau).orientation.zigzags) is tuple
+
+
 def test_make_z_orientation_validates():
     # bits of the wrong length or alphabet are a library error, by both
     # constructors

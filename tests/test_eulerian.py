@@ -53,6 +53,16 @@ def test_embedding_normalizes():
     assert a.arcs == tuple(sorted(TRIANGLE_ARCS))
 
 
+def test_list_arcs_are_kept_as_tuples():
+    # an embedding given in lists is the one given in tuples, and it is
+    # validated and triangulated as that one is
+    arcs = [list(a) for a in TRIANGLE_ARCS]
+    emb = DirectedEmbedding(["1", "2", "3"], arcs, [["a", arcs], ["b", arcs]])
+    assert emb == directed_triangle() and hash(emb) == hash(directed_triangle())
+    assert validate_embedding(emb).ok
+    assert triangulate_embedding(emb)[0] == triangulate_embedding(directed_triangle())[0]
+
+
 def test_degrees():
     emb = directed_triangle()
     for v in emb.vertices:

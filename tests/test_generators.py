@@ -159,6 +159,13 @@ def test_treespec_normalizes():
     assert a.adjacency() == {"x": ("y",), "y": ("x",)}
 
 
+def test_treespec_keeps_list_nodes_and_edges_as_tuples():
+    given = TreeSpec([["r", 3], ["c", 4]], [["r", "c"]])
+    assert given == TreeSpec((("r", 3), ("c", 4)), (("r", "c"),))
+    assert given.nodes == (("c", 4), ("r", 3)) and type(given.nodes[0]) is tuple
+    assert hash(given) == hash(TreeSpec((("c", 4), ("r", 3)), (("c", "r"),)))
+
+
 def test_treespec_rejects_bad_edges():
     with pytest.raises(TreeError, match="^node id 'x' is declared more than once$"):
         TreeSpec((("x", 5), ("x", 4)), ())

@@ -126,7 +126,10 @@ def test_the_first_record_at_fault_is_named(text, message):
 # validate
 
 
-def test_validate_reports_as_the_neighbour_search_and_the_link_walks(tree_corpus):
+def test_validate_reports_as_the_neighbour_search_and_the_link_walks(tree_corpus, monkeypatch):
+    # validate walks links on the edge index and builds no corner table
+    built = []
+    monkeypatch.setattr(engine, "_corner_table", built.append)
     kinds = dict.fromkeys(("disconnected", "link of vertex", "expected 2"), 0)
     surfaces = _surfaces(tree_corpus)
     for t in surfaces:
@@ -134,11 +137,11 @@ def test_validate_reports_as_the_neighbour_search_and_the_link_walks(tree_corpus
             u = Triangulation(faces)
             want = oracle.validate(Triangulation(faces))
             assert u.validate() == want, faces
-            assert (u._corners is not None) == want.ok
             for kind in kinds:
                 kinds[kind] += any(kind in v for v in want.violations)
     # each damage is met: a hole and a third face, a pinch and a copy
     assert min(kinds.values()) >= len(surfaces)
+    assert built == []
 
 
 def test_validate_counts_the_component_of_the_first_vertex():
@@ -233,17 +236,17 @@ def test_a_state_reached_twice_is_an_invariant_error(monkeypatch):
     # goes to (b, a, a), then (a, b, b), then back to (b, a, a), never
     # closing at its start
     forged = {("a", "b", "c"): "a", ("b", "a", "a"): "b", ("a", "b", "b"): "a", ("a", "c", "b"): "b"}
-    monkeypatch.setattr(engine, "_apex_table", lambda t: dict(forged))
+    monkeypatch.setattr(engine, "_corner_table", lambda edge_faces: dict(forged))
     with pytest.raises(InvariantError, match=r"^a zigzag walk reaches the state \('b', 'a', 'a'\) twice$"):
         enumerate_zigzags(Triangulation(bipyramid(3).faces))
 
 
 def test_enumeration_marks_every_state_it_walks_in_the_table(monkeypatch):
-    # the table it is handed ends with each walked state marked None: one
+    # the one table it builds ends with each walked state marked None: one
     # orbit of each reversal pair, half the states
     kept = []
-    table = engine._apex_table
-    monkeypatch.setattr(engine, "_apex_table", lambda t: kept.append(table(t)) or kept[-1])
+    table = engine._corner_table
+    monkeypatch.setattr(engine, "_corner_table", lambda edge_faces: kept.append(table(edge_faces)) or kept[-1])
     for t in (Triangulation(bipyramid(n).faces) for n in range(3, 9)):
         zs = enumerate_zigzags(t)
         walked = [s for s, y in kept[-1].items() if y is None]

@@ -16,6 +16,7 @@ import pytest
 
 import zigzag_oracle as oracle
 import zigzags
+import zigzags.engine as engine
 import zigzags.generators as generators
 import zigzags.surgery as surgery
 from helpers import clear_templates, public_gluing_build, random_tree_spec, with_plan
@@ -315,17 +316,23 @@ def test_a_failed_glue_leaves_the_next_build_as_it_was(monkeypatch):
     assert build_digest(RUNNING) == before
 
 
-def test_a_large_root_leaves_no_template_over_the_bound():
+def test_a_large_root_leaves_no_template_over_the_bound(monkeypatch):
     # a root of more faces than the kept templates may hold is analysed
-    # for its build and dropped; the pieces' templates stay, and no kept
-    # triangulation holds a corner table once its enumeration took it
+    # for its build and dropped; the pieces' templates stay.  Each surface
+    # analysed builds one corner table, for its own walk: the root's and
+    # each piece's enumeration, then the built surface's audit
     clear_templates()
+    built = []
+    table = engine._corner_table
+    monkeypatch.setattr(engine, "_corner_table", lambda edge_faces: built.append(edge_faces) or table(edge_faces))
     big = generators._TEMPLATE_FACES // 2 + 1
     spec = TreeSpec((("r", big | 1), ("x", 4), ("y", 6)), (("r", "x"), ("r", "y")))
-    assert is_z_knotted(tree_build(spec)[0])
+    t = tree_build(spec)[0]
+    assert is_z_knotted(t)
     assert sorted(generators._templates) == [4, 6]
-    for cls, _ in generators._templates.values():
-        assert cls.triangulation._corners is None
+    pieces = [cls.triangulation._edge_faces for cls, _ in generators._templates.values()]
+    assert [len(x) for x in built] == [3 * (big | 1), 12, 18, len(t.edges)]
+    assert built[1:] == [*pieces, t._edge_faces]
     # labels 3 to 41 fit at once: every label of a tree of up to 20 nodes
     # whose labels are each at most one above their least
     assert 2 * sum(range(3, 42)) <= generators._TEMPLATE_FACES
